@@ -9,6 +9,23 @@ import (
 	"commopt/internal/programs"
 )
 
+// compileExample compiles a shipped example program for the differential
+// suites. sweep_updown.zpl joins their corpora for its non-repeating
+// literal-bound sweeps, which the benchmarks' fixed-order wavefronts never
+// produce.
+func compileExample(t *testing.T, path string) *Program {
+	t.Helper()
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(string(src))
+	if err != nil {
+		t.Fatalf("%s: compile: %v", path, err)
+	}
+	return prog
+}
+
 // TestCommMatchesLegacy is the differential gate for the compiled
 // communication engine: every bundled benchmark and the shipped example,
 // at every optimization level, must produce bit-identical arrays and
@@ -53,6 +70,7 @@ func TestCommMatchesLegacy(t *testing.T) {
 		t.Fatalf("laplace: compile: %v", err)
 	}
 	targets = append(targets, target{"laplace", lap, map[string]float64{"n": 16, "iters": 3}})
+	targets = append(targets, target{"sweep_updown", compileExample(t, "examples/zpl/sweep_updown.zpl"), map[string]float64{"n": 12, "iters": 3}})
 
 	// The two libraries exercise both recycling protocols: pvm returns
 	// buffers over the readyFrom channel non-blockingly, shmem piggybacks

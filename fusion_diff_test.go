@@ -53,6 +53,7 @@ func TestFusionMatchesUnfused(t *testing.T) {
 		t.Fatalf("laplace: compile: %v", err)
 	}
 	targets = append(targets, target{"laplace", lap, map[string]float64{"n": 16, "iters": 3}})
+	targets = append(targets, target{"sweep_updown", compileExample(t, "examples/zpl/sweep_updown.zpl"), map[string]float64{"n": 12, "iters": 3}})
 
 	libs := []string{"pvm", "shmem"}
 	procCounts := []int{1, 4, 64}

@@ -152,7 +152,11 @@ func (s Site) String() string { return fmt.Sprintf("%s %s", s.Pos, s.Use) }
 // executes before the block's p'th statement; p == len(stmts) is the block
 // end.
 type Transfer struct {
-	ID     int
+	ID int // index within the block's schedule (the message tag)
+	// Slot is the transfer's dense plan-wide index, 0..Plan.NumTransfers()-1,
+	// assigned when Build finishes the plan: the runtime's per-processor
+	// dispatch state is a slice indexed by it.
+	Slot   int
 	Offset grid.Offset
 	Items  []*ir.ArraySym
 	Region ir.RegionExpr // region of the first-use statement
@@ -259,6 +263,11 @@ type Plan struct {
 	Collectives []*Collective
 	collByNode  map[*ir.Reduce]*Collective
 }
+
+// NumTransfers returns how many transfers the plan holds. Every transfer,
+// hoisted ones included, is listed on exactly one block, counts once in
+// StaticCount and carries a distinct Slot below it.
+func (p *Plan) NumTransfers() int { return p.StaticCount }
 
 // BlockFor returns the plan for the basic block whose first statement is
 // first, or nil.

@@ -249,7 +249,10 @@ func (pl *Pipeline) Build(prog *ir.Program) (*Plan, error) {
 		}
 	}
 	for _, b := range p.Blocks {
-		p.StaticCount += len(b.Transfers)
+		for _, t := range b.Transfers {
+			t.Slot = p.StaticCount
+			p.StaticCount++
+		}
 	}
 	if pl.hoist {
 		moved := hoistPass{}.RunProgram(p)

@@ -15,14 +15,17 @@ package ir
 // binds them, so behavior is unchanged.
 func Inline(p *Program) *Program {
 	out := *p
+	// Every surviving array statement is a clone; renumber them densely so
+	// two inlinings of one statement are distinct dispatch sites.
+	out.NumArrayStmts = 0
 	main := &Proc{Name: p.Main.Name}
-	main.Body = inlineBody(p.Main.Body)
+	main.Body = out.inlineBody(p.Main.Body)
 	out.Procs = []*Proc{main}
 	out.Main = main
 	return &out
 }
 
-func inlineBody(body []Stmt) []Stmt {
+func (p *Program) inlineBody(body []Stmt) []Stmt {
 	var out []Stmt
 	for _, s := range body {
 		switch s := s.(type) {
@@ -30,9 +33,9 @@ func inlineBody(body []Stmt) []Stmt {
 			for i, arg := range s.Args {
 				out = append(out, &AssignScalar{Pos: s.Pos, LHS: s.Proc.Params[i], RHS: arg})
 			}
-			out = append(out, inlineBody(s.Proc.Body)...)
+			out = append(out, p.inlineBody(s.Proc.Body)...)
 		default:
-			out = append(out, cloneStmt(s))
+			out = append(out, p.cloneStmt(s))
 		}
 	}
 	return out
@@ -40,31 +43,35 @@ func inlineBody(body []Stmt) []Stmt {
 
 // cloneStmt copies a statement node (and, recursively, nested bodies) so
 // inlined copies are distinct; expressions and symbols are shared, since
-// neither the planner nor the runtime mutates them.
-func cloneStmt(s Stmt) Stmt {
+// neither the planner nor the runtime mutates them. (Reduce nodes are
+// expressions, so clones share a Reduce's ID: the statement region it is
+// cached under is the same in every clone.)
+func (p *Program) cloneStmt(s Stmt) Stmt {
 	switch s := s.(type) {
 	case *AssignArray:
 		c := *s
+		c.ID = p.NumArrayStmts
+		p.NumArrayStmts++
 		return &c
 	case *AssignScalar:
 		c := *s
 		return &c
 	case *If:
 		c := *s
-		c.Then = inlineBody(s.Then)
-		c.Else = inlineBody(s.Else)
+		c.Then = p.inlineBody(s.Then)
+		c.Else = p.inlineBody(s.Else)
 		return &c
 	case *Repeat:
 		c := *s
-		c.Body = inlineBody(s.Body)
+		c.Body = p.inlineBody(s.Body)
 		return &c
 	case *While:
 		c := *s
-		c.Body = inlineBody(s.Body)
+		c.Body = p.inlineBody(s.Body)
 		return &c
 	case *For:
 		c := *s
-		c.Body = inlineBody(s.Body)
+		c.Body = p.inlineBody(s.Body)
 		return &c
 	case *Write:
 		c := *s

@@ -121,6 +121,12 @@ type Program struct {
 	Arrays  []*ArraySym // indexed by ID
 	Procs   []*Proc
 	Main    *Proc
+
+	// NumArrayStmts and NumReduces count the program's AssignArray and
+	// Reduce nodes, whose IDs run 0..N-1: the runtime's dispatch caches are
+	// slices indexed by them.
+	NumArrayStmts int
+	NumReduces    int
 }
 
 // Proc is a lowered procedure.
@@ -182,6 +188,7 @@ type Stmt interface{ stmtNode() }
 
 // AssignArray is a whole-array assignment over a region.
 type AssignArray struct {
+	ID     int // dense program-wide index (Program.NumArrayStmts)
 	Pos    zpl.Pos
 	Region RegionExpr
 	LHS    *ArraySym
@@ -402,6 +409,7 @@ func (op ReduceOp) String() string {
 // Reduce reduces an array expression over the statement's region to a
 // scalar.
 type Reduce struct {
+	ID int // dense program-wide index (Program.NumReduces)
 	Op ReduceOp
 	X  Expr
 }

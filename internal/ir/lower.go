@@ -518,7 +518,8 @@ func (lw *lowerer) assign(s *zpl.AssignStmt) []Stmt {
 			return nil
 		}
 		rhs, _ := lw.expr(s.RHS, exprCtx{allowArray: true, rank: arr.Region.RankN})
-		node := &AssignArray{Pos: s.Pos, Region: reg, LHS: arr, RHS: rhs}
+		node := &AssignArray{ID: lw.prog.NumArrayStmts, Pos: s.Pos, Region: reg, LHS: arr, RHS: rhs}
+		lw.prog.NumArrayStmts++
 		node.Uses = collectUses(rhs)
 		node.Flops = countFlops(rhs) + 1 // +1 for the store
 		return []Stmt{node}
@@ -738,7 +739,8 @@ func (lw *lowerer) expr(e zpl.Expr, ctx exprCtx) (Expr, shape) {
 		if sh != arrayShape {
 			lw.fail(e.Pos, "reduction operand must be array shaped")
 		}
-		return &Reduce{Op: op, X: x}, scalarShape
+		lw.prog.NumReduces++
+		return &Reduce{ID: lw.prog.NumReduces - 1, Op: op, X: x}, scalarShape
 	}
 	panic(fmt.Sprintf("ir: unknown expr %T", e))
 }

@@ -39,94 +39,74 @@ type dataMsg struct {
 
 // neighborDirs enumerates the mesh displacements a transfer with offset
 // off exchanges data with, in a fixed deterministic order: the row
-// component, the column component, then the diagonal.
-func neighborDirs(off grid.Offset) [][2]int {
-	sgn := func(x int) int {
-		switch {
-		case x > 0:
-			return 1
-		case x < 0:
-			return -1
-		}
-		return 0
-	}
-	r, c := sgn(off[0]), sgn(off[1])
-	var out [][2]int
+// component, the column component, then the diagonal. The first n entries
+// of dirs are valid.
+func neighborDirs(off grid.Offset) (dirs [3][2]int, n int) {
+	r, c := min(max(off[0], -1), 1), min(max(off[1], -1), 1) // signs
 	if r != 0 {
-		out = append(out, [2]int{r, 0})
+		dirs[n] = [2]int{r, 0}
+		n++
 	}
 	if c != 0 {
-		out = append(out, [2]int{0, c})
+		dirs[n] = [2]int{0, c}
+		n++
 	}
-	if r != 0 && c != 0 {
-		out = append(out, [2]int{r, c})
+	if n == 2 {
+		dirs[n] = [2]int{r, c}
+		n++
 	}
-	return out
+	return dirs, n
 }
 
 // geometry computes the send and receive rectangles of transfer t over
-// statement region reg for this processor. Both sides of every pair
-// compute identical rectangles from replicated state, so message contents
-// never need negotiation.
+// statement region reg for this processor and, on the pooled engine,
+// compiles their pack/unpack runs. Both sides of every pair compute
+// identical rectangles from replicated state, so message contents never
+// need negotiation. The pairs, their rectangles and their runs are carved
+// from one block each.
 func (p *proc) geometry(t *comm.Transfer, reg grid.Region) *commSched {
 	w := p.w
-	st := &commSched{reg: reg}
+	dirs, nd := neighborDirs(t.Offset)
+	items := len(t.Items)
+	pairs := make([]packPair, 0, 2*nd)
+	rects := make([]grid.Region, 2*nd*items)
+	nonEmpty := 0
+	// add appends the pair exchanging with nb: the part of iter (the
+	// receiver's share of the statement region), shifted by the transfer's
+	// offset, that the sender owns — its fields' Local regions, fixed since
+	// setup allocated them.
+	add := func(nb neighbor, iter grid.Region, sender *proc) {
+		pr := packPair{peer: nb.rank, slot: nb.slot, back: nb.back, rects: rects[:items:items]}
+		rects = rects[items:]
+		need := iter.Shift(t.Offset)
+		for n, a := range t.Items {
+			rect := need.Intersect(sender.fields[a.ID].Local)
+			pr.rects[n] = rect
+			if !rect.Empty() {
+				pr.bytes += rect.Size() * 8
+				nonEmpty++
+			}
+		}
+		pairs = append(pairs, pr)
+	}
+	// Receive side: data I need from the neighbor at displacement d.
 	iterMe := w.localRegion(reg, p.row, p.col)
-	for _, d := range neighborDirs(t.Offset) {
-		// Receive side: data I need from the neighbor at displacement d.
-		if src, ok := w.mesh.Neighbor(p.rank, d[0], d[1]); ok {
-			srcRow, srcCol := w.mesh.Coord(src)
-			slot := p.slotOf(src)
-			pr := packPair{peer: src, slot: slot, back: p.backSlots[slot], rects: make([]grid.Region, len(t.Items))}
-			for n, a := range t.Items {
-				owned := w.localRegion(w.regionVals[a.Region.ID], srcRow, srcCol)
-				rect := iterMe.Shift(t.Offset).Intersect(owned)
-				pr.rects[n] = rect
-				if !rect.Empty() {
-					pr.bytes += rect.Size() * 8
-				}
-			}
-			st.recvs = append(st.recvs, pr)
-		}
-		// Send side: data the neighbor at displacement -d needs from me.
-		if dst, ok := w.mesh.Neighbor(p.rank, -d[0], -d[1]); ok {
-			dstRow, dstCol := w.mesh.Coord(dst)
-			iterDst := w.localRegion(reg, dstRow, dstCol)
-			slot := p.slotOf(dst)
-			pr := packPair{peer: dst, slot: slot, back: p.backSlots[slot], rects: make([]grid.Region, len(t.Items))}
-			for n, a := range t.Items {
-				owned := w.localRegion(w.regionVals[a.Region.ID], p.row, p.col)
-				rect := iterDst.Shift(t.Offset).Intersect(owned)
-				pr.rects[n] = rect
-				if !rect.Empty() {
-					pr.bytes += rect.Size() * 8
-				}
-			}
-			st.sends = append(st.sends, pr)
+	for _, d := range dirs[:nd] {
+		if nb := p.nbr[1+d[0]][1+d[1]]; nb.slot >= 0 {
+			add(nb, iterMe, w.procs[nb.rank])
 		}
 	}
-	return st
-}
-
-// state returns the transfer's schedule, opening it on the first IRONMAN
-// call of a DR..SV sequence. The schedule itself comes from the
-// persistent compiled cache; the open slice (indexed by the transfer's
-// per-block ID) only tracks which transfers are open so block boundaries
-// can assert every sequence completed.
-func (p *proc) state(t *comm.Transfer) *commSched {
-	if t.ID < len(p.open) {
-		if st := p.open[t.ID]; st != nil {
-			return st
+	recvs := len(pairs)
+	// Send side: data the neighbor at displacement -d needs from me.
+	for _, d := range dirs[:nd] {
+		if nb := p.nbr[1-d[0]][1-d[1]]; nb.slot >= 0 {
+			add(nb, w.localRegion(reg, p.row-d[0], p.col-d[1]), p)
 		}
-	} else {
-		grown := make([]*commSched, t.ID+8)
-		copy(grown, p.open)
-		p.open = grown
 	}
-	st := p.sched(t, p.evalRegion(t.Region))
-	p.open[t.ID] = st
-	p.openCount++
-	return st
+	if !w.legacyComm {
+		p.compileRuns(t, pairs, nonEmpty)
+	}
+	return &commSched{recvs: pairs[:recvs:recvs], sends: pairs[recvs:]}
 }
 
 // execCall performs one IRONMAN call under the current library binding.
@@ -140,7 +120,8 @@ func (p *proc) execCall(c comm.Call) {
 	}
 	var prevLabel, prevSite string
 	if p.cpl != nil {
-		prevLabel, prevSite = p.cpl.Context(p.callLabel(c.Kind, c.T), p.callSite(c.T))
+		cn := &p.w.callNames[c.T.Slot]
+		prevLabel, prevSite = p.cpl.Context(cn.labels[c.Kind], cn.site)
 	}
 	start := p.clock
 	comm0, wait0 := p.commT, p.waitT
@@ -153,7 +134,7 @@ func (p *proc) execCall(c comm.Call) {
 		p.met.calls[c.Kind]++
 	}
 	if p.prof != nil {
-		a := p.acc(c.T)
+		a := &p.prof[c.T.Slot]
 		a.comm += p.commT - comm0
 		a.wait += p.waitT - wait0
 		a.msgs += p.messages - msgs0
@@ -165,7 +146,7 @@ func (p *proc) execCall(c comm.Call) {
 	if p.tr != nil {
 		p.tr.Add(trace.Event{
 			Kind: trace.KindCall, Start: start, Dur: p.clock.Sub(start),
-			Name: p.callLabel(c.Kind, c.T), A0: int64(c.Kind), A1: p.bytesSent - bytes0,
+			Name: p.w.callNames[c.T.Slot].labels[c.Kind], A0: int64(c.Kind), A1: p.bytesSent - bytes0,
 		})
 	}
 }
@@ -183,7 +164,7 @@ func (p *proc) dispatchCall(c comm.Call) {
 		p.execDN(c.T, st, lib)
 	case comm.SV:
 		p.execSV(c.T, st, lib)
-		p.open[c.T.ID] = nil
+		p.xfers[c.T.Slot].open = nil
 		p.openCount--
 	}
 }

@@ -8,11 +8,12 @@ import (
 
 // This file implements the compiled half of the communication engine:
 // each (transfer, statement region) is lowered once per processor into a
-// commSched whose pairs carry precompiled pack/unpack run lists over the
-// fields' backing []float64 slices. A send then packs every rectangle of
-// a message into one contiguous flat buffer with plain copy loops, and
-// the receiver unpacks by its mirrored run list — no per-message geometry
-// derivation, no per-rectangle slice allocation. Both sides of a pair
+// commSched (cached in the transfer's site, site.go) whose pairs carry
+// precompiled pack/unpack run lists over the fields' backing []float64
+// slices. A send then packs every rectangle of a message into one
+// contiguous flat buffer with plain copy loops, and the receiver unpacks by
+// its mirrored run list — no per-message geometry derivation, no
+// per-rectangle slice allocation. Both sides of a pair
 // compute identical rectangles from replicated state (see geometry), so
 // the pack order on the sender always matches the unpack order on the
 // receiver. The legacy ExtractRect/InsertRect path is kept behind
@@ -80,70 +81,51 @@ func (pr *packPair) unpack(flat []float64) {
 // commSched is the compiled communication schedule of one transfer over
 // one resolved statement region.
 type commSched struct {
-	reg   grid.Region
 	sends []packPair
 	recvs []packPair
 }
 
-// schedKey identifies one compiled schedule. Statement regions with
-// literal bounds may resolve differently per execution (wavefront
-// sweeps), so the resolved region is part of the key.
-type schedKey struct {
-	t   *comm.Transfer
-	reg grid.Region
+// xferSite is one transfer's dispatch state on one processor: its schedule
+// cache plus the schedule of the DR..SV sequence in progress (nil between
+// sequences).
+type xferSite struct {
+	site[*commSched]
+	open *commSched
 }
 
-// schedCacheLimit bounds the per-processor schedule cache, mirroring
-// kernelCacheLimit: programs minting unbounded distinct regions drop and
-// rebuild the cache instead of growing without bound.
-const schedCacheLimit = 4096
-
-// compileRuns lowers every pair of the schedule into its run list. Send
-// rectangles lie inside the owned block and receive rectangles inside the
-// halo, so field.Run's containment check can only fail on a geometry bug;
-// it panics rather than silently corrupting data.
-func (p *proc) compileRuns(t *comm.Transfer, st *commSched) {
-	compile := func(pairs []packPair) {
-		for i := range pairs {
-			pr := &pairs[i]
-			for n, rect := range pr.rects {
-				if rect.Empty() {
-					continue
-				}
-				f := p.fields[t.Items[n].ID]
-				pr.runs = append(pr.runs, packRun{data: f.Data(), RectRun: f.Run(rect)})
-				pr.doubles += rect.Size()
+// compileRuns lowers every pair into its run list, all carved from one
+// block of n runs (the pairs' non-empty rectangles). Send rectangles lie
+// inside the owned block and receive rectangles inside the halo, so
+// field.Run's containment check can only fail on a geometry bug; it panics
+// rather than silently corrupting data.
+func (p *proc) compileRuns(t *comm.Transfer, pairs []packPair, n int) {
+	runs := make([]packRun, 0, n)
+	for i := range pairs {
+		pr := &pairs[i]
+		start := len(runs)
+		for n, rect := range pr.rects {
+			if rect.Empty() {
+				continue
 			}
+			f := p.fields[t.Items[n].ID]
+			runs = append(runs, packRun{data: f.Data(), RectRun: f.Run(rect)})
+			pr.doubles += rect.Size()
 		}
+		pr.runs = runs[start:len(runs):len(runs)]
 	}
-	compile(st.sends)
-	compile(st.recvs)
 }
 
-// sched returns (compiling and caching on first use) the schedule of
-// transfer t over the resolved region reg. Schedules persist across block
-// executions: re-running a loop body reuses the compiled run lists
-// instead of re-deriving rectangle geometry every iteration.
-func (p *proc) sched(t *comm.Transfer, reg grid.Region) *commSched {
-	// Fast path: the transfer resolved the same region as last time, so
-	// one pointer-keyed lookup and an inline region compare replace the
-	// struct-keyed cache's hash and equality walk.
-	if st := p.schedHint[t]; st != nil && st.reg == reg {
-		return st
+// state returns the transfer's schedule, opening it on the first IRONMAN
+// call of a DR..SV sequence: the region is resolved once per sequence, and
+// schedules persist across block executions, so re-running a loop body
+// reuses the compiled run lists instead of re-deriving rectangle geometry.
+func (p *proc) state(t *comm.Transfer) *commSched {
+	x := &p.xfers[t.Slot]
+	if x.open == nil {
+		x.open = resolve(p, &x.site, t.Region, cacheSched, func(reg grid.Region) *commSched {
+			return p.geometry(t, reg)
+		})
+		p.openCount++
 	}
-	key := schedKey{t: t, reg: reg}
-	if st, ok := p.scheds[key]; ok {
-		p.schedHint[t] = st
-		return st
-	}
-	st := p.geometry(t, reg)
-	if !p.w.legacyComm {
-		p.compileRuns(t, st)
-	}
-	if len(p.scheds) >= schedCacheLimit {
-		p.scheds = map[schedKey]*commSched{}
-	}
-	p.scheds[key] = st
-	p.schedHint[t] = st
-	return st
+	return x.open
 }

@@ -56,6 +56,7 @@ import (
 // fuseRun is one fusable run of adjacent array statements inside a basic
 // block: statement indices [start, end) of the block's Stmts, length >= 2.
 type fuseRun struct {
+	idx        int // dense index across the plan's runs (proc.fused)
 	start, end int
 	stmts      []*ir.AssignArray // Stmts[start:end], re-typed
 	inner      int               // shared row dimension (rank-1)
@@ -174,17 +175,21 @@ func joinBlocker(cur []*ir.AssignArray, a *ir.AssignArray, calls []comm.Call) st
 }
 
 // buildFusionTable runs the static fusion analysis over every block of
-// the plan. Blocks without a fusable run are absent from the table; the
-// table is built once at setup and read-only afterwards, shared by all
-// processors.
-func buildFusionTable(plan *comm.Plan) map[*comm.BlockPlan][]*fuseRun {
-	out := map[*comm.BlockPlan][]*fuseRun{}
+// the plan and numbers the runs it finds; n is their count. Blocks
+// without a fusable run are absent from the table; the table is built
+// once at setup and read-only afterwards, shared by all processors.
+func buildFusionTable(plan *comm.Plan) (table map[*comm.BlockPlan][]*fuseRun, n int) {
+	table = map[*comm.BlockPlan][]*fuseRun{}
 	for _, bp := range plan.Blocks {
 		if runs := fusionRuns(bp, nil); len(runs) > 0 {
-			out[bp] = runs
+			table[bp] = runs
+			for _, fr := range runs {
+				fr.idx = n
+				n++
+			}
 		}
 	}
-	return out
+	return table, n
 }
 
 // FusionDecision reports the static fusion outcome of one array statement
@@ -255,43 +260,16 @@ type fusedKernel struct {
 	di    []int
 }
 
-// fusedKey identifies one compiled fused kernel: the run and the resolved
-// statement region it was compiled for (literal-bound regions can change
-// between executions).
-type fusedKey struct {
-	run *fuseRun
-	reg grid.Region
-}
-
-// fusedHintEntry is the pointer-keyed fast path in front of the
-// struct-keyed fused-kernel cache, mirroring kernelHintEntry.
-type fusedHintEntry struct {
-	reg grid.Region
-	fk  *fusedKernel
-}
-
-// fusedFor returns the cached fused kernel for a run at its currently
-// resolved region, compiling on first use. nil means "execute the members
+// fusedFor returns the run's fused kernel at its currently resolved
+// region, compiling on first use. nil means "execute the members
 // individually".
 func (p *proc) fusedFor(fr *fuseRun) *fusedKernel {
 	// All members share provably compatible regions and no scalar can
-	// change between them (runs contain only array assignments), so one
-	// evaluation of the first member's region serves the whole run.
-	reg := p.evalRegion(fr.stmts[0].Region)
-	if h, ok := p.fkernelHint[fr]; ok && h.reg == reg {
-		return h.fk
-	}
-	key := fusedKey{fr, reg}
-	fk, ok := p.fkernels[key]
-	if !ok {
-		fk = p.compileFused(fr, reg)
-		if len(p.fkernels) >= kernelCacheLimit {
-			p.fkernels = map[fusedKey]*fusedKernel{}
-		}
-		p.fkernels[key] = fk
-	}
-	p.fkernelHint[fr] = fusedHintEntry{reg: reg, fk: fk}
-	return fk
+	// change between them (runs contain only array assignments), so the
+	// first member's region serves the whole run.
+	return resolve(p, &p.fused[fr.idx], fr.stmts[0].Region, cacheFused, func(reg grid.Region) *fusedKernel {
+		return p.compileFused(fr, reg)
+	})
 }
 
 // compileFused builds the fused kernel for one run over one resolved
@@ -302,8 +280,8 @@ func (p *proc) fusedFor(fr *fuseRun) *fusedKernel {
 // All members compile through ONE kcompiler with the CSE memo armed
 // (cse.go): scratch slots are allocated out of a single run-wide space,
 // and a subtree repeated across members reuses the first member's row
-// instead of re-evaluating. The per-statement kernel cache is untouched —
-// fused members are compiled fresh so their closures can share the
+// instead of re-evaluating. The members' own statement sites are untouched
+// — fused members are compiled fresh so their closures can share the
 // run-wide memo rows.
 func (p *proc) compileFused(fr *fuseRun, reg grid.Region) *fusedKernel {
 	if p.w.interp {
@@ -333,11 +311,12 @@ func (p *proc) compileFused(fr *fuseRun, reg grid.Region) *fusedKernel {
 	fk.members = make([]*kernel, 0, len(fr.stmts))
 	if len(fr.benefit) == 0 {
 		// No subtree repeats across the run: member kernels are identical
-		// to the per-statement compiles, so share that cache outright and
+		// to the per-statement compiles, so share the members' statement
+		// sites outright (they resolve the region this run just did) and
 		// let the members reuse one max-sized scratch space in turn.
 		for _, s := range fr.stmts {
-			k := p.kernelFor(s, local)
-			if k == nil {
+			k := p.planFor(s).k
+			if k == nil || k.local != local {
 				return nil
 			}
 			if k.slots > fk.slots {

@@ -16,31 +16,13 @@ import (
 // dimension of the statement's rank, which is contiguous in every field
 // of that rank, so an @-shift becomes a constant flat-index delta and the
 // inner loops carry no per-element At/Set bounds math or closure
-// dispatch. Regions are loop-invariant for declared regions (and nearly
-// so for literal-bound regions), so kernels are cached per processor and
-// amortize to zero compile cost. Virtual-time charges are computed from
-// size*Flops exactly as before, so simulated results are unaffected; only
-// host wall-clock changes. The closure interpreter (eval.go) remains both
-// the fallback for shapes the compiler rejects and the differential-
-// testing oracle (Config.ForceInterpreter).
-
-// kernelCacheLimit bounds the per-processor kernel cache. Programs whose
-// literal region bounds vary per iteration (wavefront sweeps) mint one
-// kernel per distinct region; past the limit the cache is simply dropped
-// and rebuilt, keeping memory bounded at a negligible recompile cost.
-const kernelCacheLimit = 4096
-
-// kernelKey identifies one compiled assignment kernel.
-type kernelKey struct {
-	stmt  *ir.AssignArray
-	local grid.Region
-}
-
-// reduceKey identifies one compiled reduction-partial kernel.
-type reduceKey struct {
-	expr  *ir.Reduce
-	local grid.Region
-}
+// dispatch. Regions are loop-invariant for declared regions (and revisited
+// in order by literal-bound sweeps), so kernels are cached per statement
+// site (site.go) and amortize to zero compile cost. Virtual-time charges
+// are computed from size*Flops exactly as before, so simulated results are
+// unaffected; only host wall-clock changes. The closure interpreter
+// (eval.go) remains both the fallback for shapes the compiler rejects and
+// the differential-testing oracle (Config.ForceInterpreter).
 
 // storeMode says how an assignment kernel honors whole-array semantics
 // (the RHS is fully evaluated before the store).
@@ -130,74 +112,47 @@ func forRows(reg grid.Region, inner int, fn func(i, j, k int)) {
 	}
 }
 
-// kernelHintEntry backs the pointer-keyed fast path in front of the
-// struct-keyed kernel cache: the kernel (possibly the memoized nil) a
-// statement most recently resolved, plus the region it was compiled
-// for. Statements resolve the same local region on every execution
-// except wavefront sweeps, so one fast-key lookup and an inline region
-// compare replace the struct key's hash and equality walk on the
-// per-statement-execution hot path. reduceHintEntry is the same for
-// reduction partials.
-type kernelHintEntry struct {
-	local grid.Region
-	k     *kernel
+// stmtPlan is what one array statement means on one processor for one
+// resolved statement region.
+type stmtPlan struct {
+	local grid.Region // the processor's part of the region, clipped to the LHS allocation
+	size  int         // local.Size(); 0 when the processor has no part
+	k     *kernel     // nil: the closure interpreter executes the statement
 }
 
-type reduceHintEntry struct {
-	local grid.Region
-	k     *reduceKernel
-}
-
-// kernelFor returns the cached kernel for (s, local), compiling on first
-// use. nil means "use the interpreter": either kernels are disabled for
-// the run or the statement failed compile-time validation (the nil is
-// memoized so validation cost is paid once).
-func (p *proc) kernelFor(s *ir.AssignArray, local grid.Region) *kernel {
-	if p.w.interp {
-		return nil
-	}
-	if h, ok := p.kernelHint[s]; ok && h.local == local {
-		return h.k
-	}
-	key := kernelKey{s, local}
-	k, ok := p.kernels[key]
-	if !ok {
-		k = p.compileKernel(s, local)
-		if len(p.kernels) >= kernelCacheLimit {
-			p.kernels = map[kernelKey]*kernel{}
+// planFor returns the statement's plan at its currently resolved region,
+// compiling on first use. A nil kernel is cached like any other, so
+// compile-time validation is paid once.
+func (p *proc) planFor(s *ir.AssignArray) *stmtPlan {
+	return resolve(p, &p.stmts[s.ID], s.Region, cacheKernel, func(reg grid.Region) *stmtPlan {
+		pl := &stmtPlan{local: p.w.localRegion(reg, p.row, p.col)}
+		if f := p.fields[s.LHS.ID]; f.Allocated() {
+			pl.local = pl.local.Intersect(f.Local)
 		}
-		p.kernels[key] = k
-	}
-	p.kernelHint[s] = kernelHintEntry{local: local, k: k}
-	return k
+		if !pl.local.Empty() {
+			pl.size = pl.local.Size()
+			if !p.w.interp {
+				pl.k = p.compileKernel(s, pl.local)
+			}
+		}
+		return pl
+	})
 }
 
-// reduceKernel is kernelFor for reduction partials. Empty local regions
-// stay on the interpreter path (whose ForEach visits nothing).
-func (p *proc) reduceKernel(e *ir.Reduce, local grid.Region) *reduceKernel {
+// reduceKernel is the reduction-partial counterpart, over the processor's
+// part of the enclosing statement's region (static: it is declared). nil
+// means "use the interpreter", whose ForEach also handles empty regions.
+func (p *proc) reduceKernel(e *ir.Reduce, static bool, local grid.Region) *reduceKernel {
 	if p.w.interp || local.Empty() {
 		return nil
 	}
-	if h, ok := p.rkernelHint[e]; ok && h.local == local {
-		return h.k
-	}
-	key := reduceKey{e, local}
-	if k, ok := p.rkernels[key]; ok {
-		p.rkernelHint[e] = reduceHintEntry{local: local, k: k}
+	return p.reduces[e.ID].get(static, local, p.met, cacheReduce, func(grid.Region) (k *reduceKernel) {
+		kc := &kcompiler{p: p, local: local, inner: local.Rank - 1, L: local.Spans[local.Rank-1].Len(), ok: true}
+		if row := kc.node(e.X); kc.ok {
+			k = &reduceKernel{op: e.Op, local: local, inner: kc.inner, L: kc.L, slots: kc.slots, row: row}
+		}
 		return k
-	}
-	var k *reduceKernel
-	kc := &kcompiler{p: p, local: local, inner: local.Rank - 1, L: local.Spans[local.Rank-1].Len(), ok: true}
-	row := kc.node(e.X)
-	if kc.ok {
-		k = &reduceKernel{op: e.Op, local: local, inner: kc.inner, L: kc.L, slots: kc.slots, row: row}
-	}
-	if len(p.rkernels) >= kernelCacheLimit {
-		p.rkernels = map[reduceKey]*reduceKernel{}
-	}
-	p.rkernels[key] = k
-	p.rkernelHint[e] = reduceHintEntry{local: local, k: k}
-	return k
+	})
 }
 
 // compileKernel lowers one assignment over one local region, or returns

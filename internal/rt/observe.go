@@ -14,7 +14,7 @@ import (
 
 // This file is the runtime half of the observability subsystem: the
 // per-callsite communication profile and the metrics registry. Both are
-// recorded per processor without locks (profAcc maps and procMetrics
+// recorded per processor without locks (profAcc slices and procMetrics
 // registries are single-writer) and merged deterministically at gather.
 // Event tracing shares the same per-processor pattern; its recording
 // points live next to the code they observe in proc.go and commexec.go.
@@ -44,14 +44,12 @@ type profAcc struct {
 	comm, wait  vtime.Duration
 }
 
-// acc returns (creating on first touch) the accumulator of one transfer.
-func (p *proc) acc(t *comm.Transfer) *profAcc {
-	a := p.prof[t]
-	if a == nil {
-		a = &profAcc{}
-		p.prof[t] = a
-	}
-	return a
+func (g *profAcc) add(a profAcc) {
+	g.calls += a.calls
+	g.msgs += a.msgs
+	g.bytes += a.bytes
+	g.comm += a.comm
+	g.wait += a.wait
 }
 
 // transferLabel renders a transfer's carried arrays and offset for
@@ -75,19 +73,10 @@ func (w *world) gatherProfile() []CallsiteProfile {
 	if w.procs[0].prof == nil {
 		return nil
 	}
-	agg := map[*comm.Transfer]*profAcc{}
+	agg := make([]profAcc, w.plan.NumTransfers())
 	for _, p := range w.procs {
-		for t, a := range p.prof {
-			g := agg[t]
-			if g == nil {
-				g = &profAcc{}
-				agg[t] = g
-			}
-			g.calls += a.calls
-			g.msgs += a.msgs
-			g.bytes += a.bytes
-			g.comm += a.comm
-			g.wait += a.wait
+		for slot, a := range p.prof {
+			agg[slot].add(a)
 		}
 	}
 	cagg := map[*comm.Collective]*profAcc{}
@@ -98,15 +87,17 @@ func (w *world) gatherProfile() []CallsiteProfile {
 				g = &profAcc{}
 				cagg[c] = g
 			}
-			g.calls += a.calls
-			g.msgs += a.msgs
-			g.bytes += a.bytes
-			g.comm += a.comm
-			g.wait += a.wait
+			g.add(*a)
 		}
 	}
 	rows := make([]CallsiteProfile, 0, len(agg)+len(cagg))
-	for t, a := range agg {
+	w.eachTransfer(func(t *comm.Transfer) {
+		// Rows exist for executed transfers only; every executed DR..SV
+		// sequence counts a call at its SR.
+		a := agg[t.Slot]
+		if a.calls == 0 {
+			return
+		}
 		row := CallsiteProfile{
 			Label:   transferLabel(t),
 			Hoisted: t.Hoisted,
@@ -120,7 +111,7 @@ func (w *world) gatherProfile() []CallsiteProfile {
 			}
 		}
 		rows = append(rows, row)
-	}
+	})
 	// Collective rows: one per reduction site, labeled with the operator
 	// and the algorithm that executed it. Calls counts executions on rank
 	// 0 only (one per global reduction, matching Result.Reductions);
@@ -163,8 +154,9 @@ type procMetrics struct {
 	msgSize   *metrics.Histogram
 	waitDur   *metrics.Histogram
 	stmtDur   *metrics.Histogram
-	calls     [4]int64 // IRONMAN call executions by comm.CallKind
-	stmtsByEn [4]int64 // statement executions by trace engine code
+	calls     [4]int64                                   // IRONMAN call executions by comm.CallKind
+	stmtsByEn [4]int64                                   // statement executions by trace engine code
+	caches    [len(cacheKinds)][len(cacheOutcomes)]int64 // site lookups (site.go)
 }
 
 func newProcMetrics() *procMetrics {
@@ -197,6 +189,11 @@ func (w *world) gatherMetrics() *metrics.Registry {
 		reg.Counter("stmts_kernel").Add(p.met.stmtsByEn[1])
 		reg.Counter("stmts_interp").Add(p.met.stmtsByEn[2])
 		reg.Counter("stmts_fused").Add(p.met.stmtsByEn[3])
+		for kind, name := range cacheKinds {
+			for outcome, what := range cacheOutcomes {
+				reg.Counter(name + "_cache_" + what).Add(p.met.caches[kind][outcome])
+			}
+		}
 	}
 	reg.Counter("dynamic_transfers").Add(int64(w.procs[0].dynTransfers))
 	if st := w.schedStats; st != nil {
@@ -241,35 +238,34 @@ func (p *proc) stmtLabel(s ir.Stmt) string {
 	return l
 }
 
-// callSite renders a transfer's primary callsite position for critical-
-// path attribution, cached per transfer.
-func (p *proc) callSite(t *comm.Transfer) string {
-	if s, ok := p.callSites[t]; ok {
-		return s
+// eachTransfer visits every transfer of the plan (Slot order).
+func (w *world) eachTransfer(fn func(t *comm.Transfer)) {
+	for _, bp := range w.plan.Blocks {
+		for _, t := range bp.Transfers {
+			fn(t)
+		}
 	}
-	var s string
-	if len(t.Sites) > 0 {
-		s = t.Sites[0].Pos.String()
-	}
-	if p.callSites == nil {
-		p.callSites = map[*comm.Transfer]string{}
-	}
-	p.callSites[t] = s
-	return s
 }
 
-// callLabel names an IRONMAN call event, cached per transfer.
-func (p *proc) callLabel(kind comm.CallKind, t *comm.Transfer) string {
-	if p.callLabels == nil {
-		p.callLabels = map[*comm.Transfer][4]string{}
-	}
-	labels, ok := p.callLabels[t]
-	if !ok {
-		base := transferLabel(t)
+// callName is one transfer's observability strings: the names of its
+// IRONMAN call events (trace) and its primary callsite position (critical-
+// path attribution).
+type callName struct {
+	labels [4]string // by comm.CallKind
+	site   string
+}
+
+// nameCalls builds every transfer's callName, by Transfer.Slot, for all
+// processors to share.
+func (w *world) nameCalls() {
+	w.callNames = make([]callName, w.plan.NumTransfers())
+	w.eachTransfer(func(t *comm.Transfer) {
+		cn := &w.callNames[t.Slot]
 		for k := comm.DR; k <= comm.SV; k++ {
-			labels[k] = k.String() + " " + base
+			cn.labels[k] = k.String() + " " + transferLabel(t)
 		}
-		p.callLabels[t] = labels
-	}
-	return labels[kind]
+		if len(t.Sites) > 0 {
+			cn.site = t.Sites[0].Pos.String()
+		}
+	})
 }

@@ -279,6 +279,16 @@ func TestMetricsMatchResult(t *testing.T) {
 	if h.Sum() != res.BytesSent {
 		t.Errorf("message size histogram sum %d != Result.BytesSent %d", h.Sum(), res.BytesSent)
 	}
+	// Every DR..SV sequence resolves its schedule exactly once, at DR.
+	// laplace's regions are all declared, so each transfer compiles once
+	// per processor and every later sequence is a static hit.
+	static, compiles := reg.Counter("sched_cache_hits_static").N, reg.Counter("sched_cache_compiles").N
+	if drs := reg.Counter("ironman_calls_dr").N; static+compiles != drs || compiles == 0 || static < compiles {
+		t.Errorf("schedule cache: %d static hits + %d compiles, want them to sum to the %d DR calls", static, compiles, drs)
+	}
+	if n := reg.Counter("sched_cache_hits_successor").N + reg.Counter("sched_cache_hits_map").N; n != 0 {
+		t.Errorf("schedule cache: %d literal-region hits in a program without literal regions", n)
+	}
 }
 
 // Results without observability enabled leave the optional fields nil.

@@ -31,7 +31,7 @@ type proc struct {
 	scalars   []float64      // by ScalarSym.ID
 	fnCache   map[ir.Expr]evalFn
 	neighbors []int           // mesh-neighbor ranks in deterministic (dr,dc) order
-	backSlots []int           // backSlots[s]: my slot index in neighbors[s]'s arrays
+	nbr       [3][3]neighbor  // nbr[dr+1][dc+1]: the neighbor at mesh displacement (dr,dc)
 	in        []chan *dataMsg // in[slot]: data from that neighbor (goroutine oracle only)
 	readyFrom []chan readyTok // readyFrom[slot]: rendezvous tokens and recycled buffers (goroutine oracle only)
 	// pending[slot][tag] stashes out-of-order messages. The whole structure
@@ -50,11 +50,13 @@ type proc struct {
 	resume chan struct{}
 	yield  chan procState
 
-	// Pooled communication engine (commpack.go, bufpool.go): compiled
-	// transfer schedules and per-peer message free lists.
-	scheds   map[schedKey]*commSched
-	sendPool [][]*dataMsg // sendPool[slot]: recycled messages for sends to that neighbor
-	retPool  [][]*dataMsg // retPool[slot]: unpacked messages awaiting return to that neighbor
+	// Communication engine (commpack.go, bufpool.go): every transfer's
+	// dispatch state by Transfer.Slot, the number of open DR..SV sequences
+	// (zero at block ends), and the per-peer message free lists.
+	xfers     []xferSite
+	openCount int
+	sendPool  [][]*dataMsg // sendPool[slot]: recycled messages for sends to that neighbor
+	retPool   [][]*dataMsg // retPool[slot]: unpacked messages awaiting return to that neighbor
 
 	// Collective transport of the goroutine oracle (collective.go): a
 	// buffered channel of hop messages plus a stash for out-of-order
@@ -62,21 +64,16 @@ type proc struct {
 	collq     chan collMsg
 	collStash map[uint64]collMsg
 
-	// Kernel-compiled execution engine (kernel.go): compiled statement
-	// kernels, reduction-partial kernels, the scratch arena that replaces
+	// Array-statement engines (kernel.go, fuse.go): the sites of array
+	// statements (by ir.AssignArray.ID), reduction partials (by ir.Reduce.ID)
+	// and fused runs (by fuseRun.idx), the scratch arena that replaces
 	// per-execution temporaries, and the reusable row-evaluation context.
-	kernels     map[kernelKey]*kernel
-	rkernels    map[reduceKey]*reduceKernel
-	kernelHint  map[*ir.AssignArray]kernelHintEntry
-	rkernelHint map[*ir.Reduce]reduceHintEntry
+	stmts       []site[*stmtPlan]
+	reduces     []site[*reduceKernel]
+	fused       []site[*fusedKernel]
 	arena       arena
 	nodeScratch bump // permanent per-node buffers of compiled closures
 	kctx        kctx
-
-	// Cross-statement fusion (fuse.go): compiled fused runs, keyed like
-	// the statement-kernel cache, with a run-pointer hint in front.
-	fkernels    map[fusedKey]*fusedKernel
-	fkernelHint map[*fuseRun]fusedHintEntry
 
 	// Host-side comm/compute overlap (commexec.go): sends whose pack and
 	// delivery run on a spawned goroutine while this processor keeps
@@ -100,30 +97,17 @@ type proc struct {
 
 	output strings.Builder
 
-	// Open transfers (DR seen, SV pending). Block boundaries assert every
-	// sequence closed, so the open set only ever holds transfers of one
-	// block execution — and finalizeBlock numbers a block's transfers
-	// 0..N-1, so a slice indexed by t.ID replaces a map on the four-calls-
-	// per-sequence hot path. schedHint short-circuits the struct-keyed
-	// schedule cache for the common case of a transfer resolving the same
-	// region as last time (everything but wavefront sweeps).
-	open      []*commSched
-	openCount int
-	schedHint map[*comm.Transfer]*commSched
-
 	rng uint64 // deterministic per-processor jitter stream
 
 	// Observability (all nil/zero when disabled, so every recording point
 	// is a single nil check on the fast path; see observe.go).
 	tr         *trace.Buffer                 // virtual-time event ring
-	prof       map[*comm.Transfer]*profAcc   // per-callsite communication profile
+	prof       []profAcc                     // per-callsite communication profile, by Transfer.Slot
 	cprof      map[*comm.Collective]*profAcc // per-callsite collective profile
 	met        *procMetrics                  // metric instruments
 	cpl        *critpath.Log                 // happens-before segment log
 	engine     int64                         // trace engine code of the last array statement
 	stmtLabels map[ir.Stmt]string
-	callLabels map[*comm.Transfer][4]string
-	callSites  map[*comm.Transfer]string
 
 	// Scheduler observability (read at gather; parks is written only by
 	// this processor's own coroutine, mboxHi under mb.mu by deliverers).
@@ -144,70 +128,43 @@ func (p *proc) jittered(d vtime.Duration) vtime.Duration {
 	return vtime.Duration(float64(d) * (1 + j*(2*u-1)))
 }
 
-// neighborRanks enumerates rank's mesh neighbors in the fixed (dr,dc)
-// order every slot index is derived from. Transfers only ever move data
-// between mesh neighbors (geometry derives pairs from neighborDirs,
-// whose displacements are in {-1,0,1}²), so at most eight slots exist.
-func neighborRanks(mesh grid.Mesh, rank int) []int {
-	var out []int
-	for dr := -1; dr <= 1; dr++ {
-		for dc := -1; dc <= 1; dc++ {
-			if dr == 0 && dc == 0 {
-				continue
-			}
-			if q, ok := mesh.Neighbor(rank, dr, dc); ok {
-				out = append(out, q)
-			}
-		}
-	}
-	return out
-}
-
-// slotIn returns rank's slot index in owner's neighbor enumeration.
-func slotIn(mesh grid.Mesh, owner, rank int) int {
-	for s, q := range neighborRanks(mesh, owner) {
-		if q == rank {
-			return s
-		}
-	}
-	panic(fmt.Sprintf("rt: proc %d is not a neighbor of proc %d", rank, owner))
-}
-
-// slotOf returns the slot index of a neighbor rank.
-func (p *proc) slotOf(rank int) int {
-	for s, q := range p.neighbors {
-		if q == rank {
-			return s
-		}
-	}
-	panic(fmt.Sprintf("rt: proc %d is not a neighbor of proc %d", rank, p.rank))
+// neighbor is one entry of a processor's displacement table: the peer's
+// rank, its slot in this processor's per-neighbor arrays, and this
+// processor's slot in the peer's (back, filled in by allocate once every
+// processor exists). slot is -1 off the mesh edge. Slots number the
+// existing neighbors in row-major (dr, dc) order; transfers only ever move
+// data between mesh neighbors (geometry derives pairs from neighborDirs,
+// whose displacements are in {-1,0,1}²), so at most eight exist.
+type neighbor struct {
+	rank, slot, back int
 }
 
 func newProc(w *world, rank int) *proc {
 	r, c := w.mesh.Coord(rank)
-	// Cache maps are pre-sized for typical programs: every processor of
-	// every run populates them during its first block executions, and at
-	// 4096 processors the incremental rehashing of fresh small maps was
-	// a visible slice of setup time.
+	// fnCache is pre-sized for typical programs: every processor of every
+	// run populates it during its first block executions, and at 4096
+	// processors the incremental rehashing of a fresh small map was a
+	// visible slice of setup time.
 	p := &proc{
 		w: w, rank: rank, row: r, col: c,
-		fnCache:     make(map[ir.Expr]evalFn, 32),
-		neighbors:   neighborRanks(w.mesh, rank),
-		kernels:     make(map[kernelKey]*kernel, 16),
-		rkernels:    make(map[reduceKey]*reduceKernel, 8),
-		kernelHint:  make(map[*ir.AssignArray]kernelHintEntry, 16),
-		rkernelHint: make(map[*ir.Reduce]reduceHintEntry, 8),
-		fkernels:    make(map[fusedKey]*fusedKernel, 8),
-		fkernelHint: make(map[*fuseRun]fusedHintEntry, 8),
-		scheds:      make(map[schedKey]*commSched, 16),
-		schedHint:   make(map[*comm.Transfer]*commSched, 16),
-		rng:         uint64(rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
+		fnCache: make(map[ir.Expr]evalFn, 32),
+		xfers:   make([]xferSite, w.plan.NumTransfers()),
+		stmts:   make([]site[*stmtPlan], w.prog.NumArrayStmts),
+		reduces: make([]site[*reduceKernel], w.prog.NumReduces),
+		fused:   make([]site[*fusedKernel], w.fuseRuns),
+		rng:     uint64(rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
+	}
+	for dr := -1; dr <= 1; dr++ {
+		for dc := -1; dc <= 1; dc++ {
+			nb := &p.nbr[dr+1][dc+1]
+			nb.slot = -1
+			if q, ok := w.mesh.Neighbor(rank, dr, dc); ok && (dr != 0 || dc != 0) {
+				nb.rank, nb.slot = q, len(p.neighbors)
+				p.neighbors = append(p.neighbors, q)
+			}
+		}
 	}
 	n := len(p.neighbors)
-	p.backSlots = make([]int, n)
-	for s, q := range p.neighbors {
-		p.backSlots[s] = slotIn(w.mesh, q, rank)
-	}
 	p.sendPool = make([][]*dataMsg, n)
 	p.retPool = make([][]*dataMsg, n)
 	if w.mn {
@@ -235,9 +192,17 @@ func newProc(w *world, rank int) *proc {
 	return p
 }
 
-// allocate builds this processor's fields and scalar store.
+// allocate builds this processor's fields and scalar store, and completes
+// its neighbor table from the peers'.
 func (p *proc) allocate() {
 	w := p.w
+	for dr := range p.nbr {
+		for dc := range p.nbr[dr] {
+			if nb := &p.nbr[dr][dc]; nb.slot >= 0 {
+				nb.back = w.procs[nb.rank].nbr[2-dr][2-dc].slot
+			}
+		}
+	}
 	p.scalars = make([]float64, len(w.prog.Scalars))
 	copy(p.scalars, w.configVals)
 	p.fields = make([]*field.Field, len(w.prog.Arrays))
@@ -335,11 +300,9 @@ func (p *proc) finish() {
 	w.statsMu.Lock()
 	w.stats = append(w.stats, st)
 	w.statsMu.Unlock()
-	p.kernels, p.rkernels, p.scheds, p.fnCache = nil, nil, nil, nil
-	p.kernelHint, p.rkernelHint = nil, nil
-	p.fkernels, p.fkernelHint = nil, nil
+	p.xfers, p.stmts, p.reduces, p.fused, p.fnCache = nil, nil, nil, nil, nil
 	p.sendPool, p.retPool, p.pending = nil, nil, nil
-	p.collStash, p.open, p.schedHint = nil, nil, nil
+	p.collStash = nil
 	p.arena = arena{}
 }
 
@@ -541,24 +504,17 @@ func (p *proc) assignArray(s *ir.AssignArray) {
 	if p.inflightN > 0 && p.inflight[s.LHS.ID] > 0 {
 		p.joinArray(s.LHS.ID)
 	}
-	f := p.fields[s.LHS.ID]
-	reg := p.evalRegion(s.Region)
-	local := w.localRegion(reg, p.row, p.col)
-	if f.Allocated() {
-		local = local.Intersect(f.Local)
-	}
-	size := 0
-	if !local.Empty() {
-		size = local.Size()
-		if k := p.kernelFor(s, local); k != nil {
+	pl := p.planFor(s)
+	if pl.size > 0 {
+		if pl.k != nil {
 			p.engine = trace.EngineKernel
-			k.run(p)
+			pl.k.run(p)
 		} else {
 			p.engine = trace.EngineInterp
-			p.assignArrayInterp(s, f, local, size)
+			p.assignArrayInterp(s, p.fields[s.LHS.ID], pl.local, pl.size)
 		}
 	}
-	p.charge(w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(size)*int64(s.Flops))*w.mach.OpTime))
+	p.charge(w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(pl.size)*int64(s.Flops))*w.mach.OpTime))
 }
 
 // assignArrayInterp is the closure-interpreter execution of an array
@@ -585,18 +541,19 @@ func (p *proc) assignScalar(s *ir.AssignScalar) {
 	reg := p.evalRegion(s.Region)
 	local := p.w.localRegion(reg, p.row, p.col)
 	size := local.Size()
-	p.scalars[s.LHS.ID] = p.evalWithReduce(s.RHS, local)
+	p.scalars[s.LHS.ID] = p.evalWithReduce(s.RHS, s.Region.Sym != nil, local)
 	p.charge(p.w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(size)*int64(s.Flops))*p.w.mach.OpTime))
 }
 
 // evalWithReduce evaluates a scalar RHS that may contain reductions; each
 // reduction computes a local partial over this processor's part of the
-// statement region and then performs a global combine.
-func (p *proc) evalWithReduce(e ir.Expr, local grid.Region) float64 {
+// statement region and then performs a global combine. static says the
+// statement's region is declared, so local is the same on every execution.
+func (p *proc) evalWithReduce(e ir.Expr, static bool, local grid.Region) float64 {
 	switch e := e.(type) {
 	case *ir.Reduce:
 		var acc float64
-		if k := p.reduceKernel(e, local); k != nil {
+		if k := p.reduceKernel(e, static, local); k != nil {
 			acc = k.run(p)
 		} else {
 			fn := p.compile(e.X)
@@ -605,10 +562,10 @@ func (p *proc) evalWithReduce(e ir.Expr, local grid.Region) float64 {
 		}
 		return p.allreduce(e, acc)
 	case *ir.Unary:
-		return evalUnary(e.Op, p.evalWithReduce(e.X, local))
+		return evalUnary(e.Op, p.evalWithReduce(e.X, static, local))
 	case *ir.Binary:
-		x := p.evalWithReduce(e.X, local)
-		y := p.evalWithReduce(e.Y, local)
+		x := p.evalWithReduce(e.X, static, local)
+		y := p.evalWithReduce(e.Y, static, local)
 		return evalBinary(e.Op, x, y)
 	case *ir.Intrinsic:
 		// Argument values stage in the proc's arena (stack discipline
@@ -616,7 +573,7 @@ func (p *proc) evalWithReduce(e ir.Expr, local grid.Region) float64 {
 		mk := p.arena.mark()
 		args := p.arena.alloc(len(e.Args))
 		for i, a := range e.Args {
-			args[i] = p.evalWithReduce(a, local)
+			args[i] = p.evalWithReduce(a, static, local)
 		}
 		v := evalIntrinsic(e.Fn, args)
 		p.arena.release(mk)
@@ -693,17 +650,19 @@ func (p *proc) evalInt(e ir.Expr, what string) int {
 }
 
 // evalRegion resolves a statement's region reference to global index
-// spans.
+// spans. It runs per execution of every literal-bound site, so it builds
+// the region in place and allocates nothing.
 func (p *proc) evalRegion(re ir.RegionExpr) grid.Region {
 	if re.Sym != nil {
 		return p.w.regionVals[re.Sym.ID]
 	}
-	spans := make([]grid.Span, re.RankN)
-	for d := 0; d < re.RankN; d++ {
-		spans[d] = grid.Span{
-			Lo: p.evalInt(re.Bounds[d][0], "region bound"),
-			Hi: p.evalInt(re.Bounds[d][1], "region bound"),
+	reg := grid.Region{Rank: re.RankN}
+	for d := range reg.Spans {
+		reg.Spans[d] = grid.Span{Lo: 1, Hi: 1} // trailing dimensions, as grid.NewRegion
+		if d < re.RankN {
+			reg.Spans[d].Lo = p.evalInt(re.Bounds[d][0], "region bound")
+			reg.Spans[d].Hi = p.evalInt(re.Bounds[d][1], "region bound")
 		}
 	}
-	return grid.NewRegion(re.RankN, spans...)
+	return reg
 }

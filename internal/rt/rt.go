@@ -259,9 +259,15 @@ type world struct {
 	chanCap    int  // per-pair channel capacity, derived from the plan
 
 	// fuse maps each planned block to its statically fusable statement
-	// runs (fuse.go). Built once at setup, read-only afterwards; nil under
-	// ForceInterpreter and ForceNoFusion.
-	fuse map[*comm.BlockPlan][]*fuseRun
+	// runs (fuse.go), fuseRuns of them in all. Built once at setup,
+	// read-only afterwards; nil under ForceInterpreter and ForceNoFusion.
+	fuse     map[*comm.BlockPlan][]*fuseRun
+	fuseRuns int
+
+	// callNames holds every transfer's event and callsite strings by
+	// Transfer.Slot (observe.go); nil unless tracing or critical-path
+	// recording is on.
+	callNames []callName
 
 	// asyncWG tracks in-flight overlap goroutines so runSched can drain
 	// them before folding statistics and gathering arrays.
@@ -391,7 +397,7 @@ func Run(prog *ir.Program, plan *comm.Plan, cfg Config) (*Result, error) {
 	// path); the oracles run fully synchronously.
 	w.overlap = w.mn && !w.legacyComm && !cfg.NoOverlap
 	if !cfg.ForceInterpreter && !cfg.ForceNoFusion {
-		w.fuse = buildFusionTable(plan)
+		w.fuse, w.fuseRuns = buildFusionTable(plan)
 	}
 	if err := w.setup(cfg); err != nil {
 		return nil, err
@@ -563,8 +569,11 @@ func (w *world) setup(cfg Config) error {
 	}
 
 	// Observability wiring: each processor gets its own ring buffer,
-	// profile map and metrics registry, so recording needs no locks and
-	// the disabled fast path stays a nil check.
+	// profile accumulators and metrics registry, so recording needs no
+	// locks and the disabled fast path stays a nil check.
+	if cfg.Trace != nil || cfg.Critpath != nil {
+		w.nameCalls()
+	}
 	if cfg.Trace != nil {
 		cfg.Trace.Init(w.mesh.Size())
 		for _, p := range w.procs {
@@ -574,7 +583,7 @@ func (w *world) setup(cfg Config) error {
 	}
 	if cfg.Profile {
 		for _, p := range w.procs {
-			p.prof = map[*comm.Transfer]*profAcc{}
+			p.prof = make([]profAcc, w.plan.NumTransfers())
 			p.cprof = map[*comm.Collective]*profAcc{}
 		}
 	}

@@ -2,6 +2,7 @@ package commopt
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"testing"
 
@@ -24,6 +25,18 @@ func compileExample(t *testing.T, path string) *Program {
 		t.Fatalf("%s: compile: %v", path, err)
 	}
 	return prog
+}
+
+// unevenSize returns cfg at a problem size that no mesh side of the
+// differential suites' processor counts divides (29 = 2·14+1 = 8·3+5), so
+// blocks come in two lengths and processors fall into more shape classes
+// (internal/rt/class.go) than corners, edges and interior; at 64 processors
+// classes still have several members, which share compiled kernels and
+// schedules.
+func unevenSize(cfg map[string]float64) map[string]float64 {
+	c := maps.Clone(cfg)
+	c["n"] = 29
+	return c
 }
 
 // TestCommMatchesLegacy is the differential gate for the compiled
@@ -71,6 +84,9 @@ func TestCommMatchesLegacy(t *testing.T) {
 	}
 	targets = append(targets, target{"laplace", lap, map[string]float64{"n": 16, "iters": 3}})
 	targets = append(targets, target{"sweep_updown", compileExample(t, "examples/zpl/sweep_updown.zpl"), map[string]float64{"n": 12, "iters": 3}})
+	for _, tgt := range targets[:len(targets):len(targets)] {
+		targets = append(targets, target{tgt.name + "-uneven", tgt.prog, unevenSize(tgt.cfg)})
+	}
 
 	// The two libraries exercise both recycling protocols: pvm returns
 	// buffers over the readyFrom channel non-blockingly, shmem piggybacks
@@ -79,7 +95,7 @@ func TestCommMatchesLegacy(t *testing.T) {
 		for _, tgt := range targets {
 			for _, lv := range levels {
 				plan := tgt.prog.Plan(lv.opts)
-				for _, procs := range []int{1, 4} {
+				for _, procs := range []int{1, 4, 64} {
 					t.Run(fmt.Sprintf("%s/%s/%s/p%d", lib, tgt.name, lv.name, procs), func(t *testing.T) {
 						run := func(legacy bool) RunOptions {
 							return RunOptions{

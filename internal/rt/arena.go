@@ -37,27 +37,3 @@ func (a *arena) alloc(n int) []float64 {
 
 // release returns the arena to a previous mark.
 func (a *arena) release(mark int) { a.used = mark }
-
-// bump is the arena's permanent cousin: a chunked allocator for small
-// long-lived scratch slices that are never released, such as the
-// per-node argument buffers compiled closures keep for their lifetime.
-// Carving them out of shared chunks turns many tiny allocations into a
-// few page-sized ones.
-type bump struct {
-	chunk []float64
-}
-
-// grab returns n doubles that stay valid forever. Exhausted chunks are
-// simply abandoned; outstanding slices keep them alive.
-func (b *bump) grab(n int) []float64 {
-	if n > len(b.chunk) {
-		size := 256
-		if n > size {
-			size = n
-		}
-		b.chunk = make([]float64, size)
-	}
-	s := b.chunk[:n:n]
-	b.chunk = b.chunk[n:]
-	return s
-}

@@ -72,24 +72,24 @@ func (p *proc) takeMsg(slot, doubles int) *dataMsg {
 }
 
 // recycleMsg returns a fully unpacked message to the processor that sent
-// it (pr is the receive pair it arrived on). Rendezvous libraries stash
+// it (nb is the neighbour it arrived from). Rendezvous libraries stash
 // it for the next DR's ready token; message-passing libraries push it
 // back directly, dropping it when the destination is full so the return
 // can never block.
-func (p *proc) recycleMsg(pr *packPair, m *dataMsg) {
+func (p *proc) recycleMsg(nb *neighbor, m *dataMsg) {
 	if p.w.lib.Rendezvous {
-		if len(p.retPool[pr.slot]) < poolCap {
-			p.retPool[pr.slot] = append(p.retPool[pr.slot], m)
+		if len(p.retPool[nb.slot]) < poolCap {
+			p.retPool[nb.slot] = append(p.retPool[nb.slot], m)
 		}
 		return
 	}
-	src := p.w.procs[pr.peer]
+	src := p.w.procs[nb.rank]
 	if p.w.mn {
-		p.deliverRet(src, pr.back, m)
+		p.deliverRet(src, nb.back, m)
 		return
 	}
 	select {
-	case src.readyFrom[pr.back] <- readyTok{m: m}:
+	case src.readyFrom[nb.back] <- readyTok{m: m}:
 	default:
 	}
 }

@@ -33,8 +33,7 @@ type dataMsg struct {
 
 	flat []float64 // pooled engine: all rectangles packed contiguously
 
-	rects   []grid.Region // legacy engine: per-item rectangles...
-	payload [][]float64   // ...and one freshly extracted slice per rectangle
+	payload [][]float64 // legacy engine: one freshly extracted slice per rectangle of the pair
 }
 
 // neighborDirs enumerates the mesh displacements a transfer with offset
@@ -59,28 +58,31 @@ func neighborDirs(off grid.Offset) (dirs [3][2]int, n int) {
 }
 
 // geometry computes the send and receive rectangles of transfer t over
-// statement region reg for this processor and, on the pooled engine,
-// compiles their pack/unpack runs. Both sides of every pair compute
+// statement region reg — clipped to the neighbourhood and relative to the
+// processor's origin, like everything it returns — and, on the pooled
+// engine, compiles their pack/unpack runs. Both sides of every pair compute
 // identical rectangles from replicated state, so message contents never
 // need negotiation. The pairs, their rectangles and their runs are carved
 // from one block each.
-func (p *proc) geometry(t *comm.Transfer, reg grid.Region) *commSched {
-	w := p.w
+func (nc *nbhdClass) geometry(t *comm.Transfer, reg grid.Region, legacy bool) *commSched {
 	dirs, nd := neighborDirs(t.Offset)
 	items := len(t.Items)
 	pairs := make([]packPair, 0, 2*nd)
 	rects := make([]grid.Region, 2*nd*items)
 	nonEmpty := 0
-	// add appends the pair exchanging with nb: the part of iter (the
-	// receiver's share of the statement region), shifted by the transfer's
-	// offset, that the sender owns — its fields' Local regions, fixed since
-	// setup allocated them.
-	add := func(nb neighbor, iter grid.Region, sender *proc) {
-		pr := packPair{peer: nb.rank, slot: nb.slot, back: nb.back, rects: rects[:items:items]}
+	// add appends the pair exchanging with the neighbour at displacement
+	// (dr, dc): the part of iter (the receiver's share of the statement
+	// region), shifted by the transfer's offset, that sender owns at origin
+	// offset sd. A pair off the mesh is dropped here, not at use.
+	add := func(dr, dc int, iter grid.Region, sender *shapeClass, sd [2]int) {
+		if nc.nb[dr+1][dc+1] == nil {
+			return
+		}
+		pr := packPair{dr: dr + 1, dc: dc + 1, rects: rects[:items:items]}
 		rects = rects[items:]
 		need := iter.Shift(t.Offset)
 		for n, a := range t.Items {
-			rect := need.Intersect(sender.fields[a.ID].Local)
+			rect := need.Intersect(shiftDist(sender.locals[a.ID], sd, 1))
 			pr.rects[n] = rect
 			if !rect.Empty() {
 				pr.bytes += rect.Size() * 8
@@ -89,24 +91,35 @@ func (p *proc) geometry(t *comm.Transfer, reg grid.Region) *commSched {
 		}
 		pairs = append(pairs, pr)
 	}
+	me, iterMe := nc.nb[1][1], nc.fr[1][1].clip(reg)
 	// Receive side: data I need from the neighbor at displacement d.
-	iterMe := w.localRegion(reg, p.row, p.col)
 	for _, d := range dirs[:nd] {
-		if nb := p.nbr[1+d[0]][1+d[1]]; nb.slot >= 0 {
-			add(nb, iterMe, w.procs[nb.rank])
-		}
+		add(d[0], d[1], iterMe, nc.nb[1+d[0]][1+d[1]], nc.d[1+d[0]][1+d[1]])
 	}
 	recvs := len(pairs)
 	// Send side: data the neighbor at displacement -d needs from me.
 	for _, d := range dirs[:nd] {
-		if nb := p.nbr[1-d[0]][1-d[1]]; nb.slot >= 0 {
-			add(nb, w.localRegion(reg, p.row-d[0], p.col-d[1]), p)
-		}
+		add(-d[0], -d[1], nc.fr[1-d[0]][1-d[1]].clip(reg), me, [2]int{})
 	}
-	if !w.legacyComm {
-		p.compileRuns(t, pairs, nonEmpty)
+	if !legacy {
+		me.compileRuns(t, pairs, nonEmpty)
 	}
 	return &commSched{recvs: pairs[:recvs:recvs], sends: pairs[recvs:]}
+}
+
+// emptySched is what transfer t means wherever its region leaves a
+// processor's whole neighbourhood nothing: every pair of the transfer's
+// directions, empty. Only an unconditionally synchronizing library acts on
+// such pairs.
+func emptySched(t *comm.Transfer) *commSched {
+	dirs, nd := neighborDirs(t.Offset)
+	pairs := make([]packPair, 0, 2*nd)
+	for _, sign := range [2]int{1, -1} {
+		for _, d := range dirs[:nd] {
+			pairs = append(pairs, packPair{dr: 1 + sign*d[0], dc: 1 + sign*d[1]})
+		}
+	}
+	return &commSched{recvs: pairs[:nd:nd], sends: pairs[nd:]}
 }
 
 // execCall performs one IRONMAN call under the current library binding.
@@ -169,11 +182,13 @@ func (p *proc) dispatchCall(c comm.Call) {
 	}
 }
 
-// active reports whether a pair participates under the library's
-// semantics: message-passing bindings skip empty transfers entirely, while
-// the prototype SHMEM binding synchronizes unconditionally.
-func active(lib *machine.Lib, pr *packPair) bool {
-	return pr.bytes > 0 || lib.UnconditionalSynch
+// active binds a schedule's pair to this processor's neighbour table and
+// reports whether the pair participates: the neighbour must exist, and
+// under message-passing bindings the transfer must carry data — only the
+// prototype SHMEM binding synchronizes unconditionally.
+func (p *proc) active(lib *machine.Lib, pr *packPair) (*neighbor, bool) {
+	nb := &p.nbr[pr.dr][pr.dc]
+	return nb, nb.slot >= 0 && (pr.bytes > 0 || lib.UnconditionalSynch)
 }
 
 func (p *proc) execDR(st *commSched, lib *machine.Lib) {
@@ -184,7 +199,8 @@ func (p *proc) execDR(st *commSched, lib *machine.Lib) {
 		// waiting (nil on the legacy engine, whose retPool stays empty).
 		for i := range st.recvs {
 			pr := &st.recvs[i]
-			if !active(lib, pr) {
+			nb, ok := p.active(lib, pr)
+			if !ok {
 				continue
 			}
 			if pr.bytes > 0 {
@@ -192,7 +208,7 @@ func (p *proc) execDR(st *commSched, lib *machine.Lib) {
 			} else {
 				p.chargeComm(lib.SynchEmptyCost)
 			}
-			p.sendReady(pr, readyTok{t: p.clock, m: p.popRet(pr.slot)})
+			p.sendReady(nb, readyTok{t: p.clock, m: p.popRet(nb.slot)})
 		}
 		return
 	}
@@ -208,27 +224,28 @@ func (p *proc) execSR(t *comm.Transfer, st *commSched, lib *machine.Lib) {
 	p.dynTransfers++ // one communication call site executed
 	for i := range st.sends {
 		pr := &st.sends[i]
-		if !active(lib, pr) {
+		nb, ok := p.active(lib, pr)
+		if !ok {
 			continue
 		}
 		if lib.Rendezvous {
 			// Wait for the destination's ready notification before
 			// putting; this couples the two clocks. A token may carry a
 			// recycled message for this pair's free list.
-			tok := p.recvReady(pr.slot)
-			if tok.m != nil && len(p.sendPool[pr.slot]) < poolCap {
-				p.sendPool[pr.slot] = append(p.sendPool[pr.slot], tok.m)
+			tok := p.recvReady(nb.slot)
+			if tok.m != nil && len(p.sendPool[nb.slot]) < poolCap {
+				p.sendPool[nb.slot] = append(p.sendPool[nb.slot], tok.m)
 			}
 			// The token's timestamp is the destination's clock when it
 			// posted ready — the departure time of the unblocking event.
-			p.waitEdge(tok.t, "wait ready", critpath.Ready, pr.peer, tok.t)
+			p.waitEdge(tok.t, "wait ready", critpath.Ready, nb.rank, tok.t)
 		}
 		if pr.bytes > 0 {
 			p.chargeComm(lib.SRCost + machine.PerByteDur(lib.SRPerByte, pr.bytes))
 		} else {
 			p.chargeComm(lib.SynchEmptyCost)
 		}
-		p.send(t, pr, lib)
+		p.send(t, pr, nb, lib)
 	}
 }
 
@@ -236,7 +253,7 @@ func (p *proc) execSR(t *comm.Transfer, st *commSched, lib *machine.Lib) {
 // after SV) and enqueues the message. The pooled engine packs every
 // rectangle into one recycled flat buffer by the pair's compiled run
 // list; the legacy engine extracts one fresh slice per rectangle.
-func (p *proc) send(t *comm.Transfer, pr *packPair, lib *machine.Lib) {
+func (p *proc) send(t *comm.Transfer, pr *packPair, nb *neighbor, lib *machine.Lib) {
 	avail := p.clock.Add(lib.Latency + machine.PerByteDur(lib.WirePerByte, pr.bytes))
 	var m *dataMsg
 	async := false
@@ -246,17 +263,16 @@ func (p *proc) send(t *comm.Transfer, pr *packPair, lib *machine.Lib) {
 			bytes:   pr.bytes,
 			sent:    p.clock,
 			avail:   avail,
-			rects:   pr.rects,
 			payload: make([][]float64, len(pr.rects)),
 		}
 		for n, rect := range pr.rects {
 			if rect.Empty() {
 				continue
 			}
-			m.payload[n] = p.fields[t.Items[n].ID].ExtractRect(rect)
+			m.payload[n] = p.fields[t.Items[n].ID].ExtractRect(p.abs(rect))
 		}
 	} else {
-		m = p.takeMsg(pr.slot, pr.doubles)
+		m = p.takeMsg(nb.slot, pr.doubles)
 		m.tag = t.ID
 		m.bytes = pr.bytes
 		m.sent = p.clock
@@ -267,7 +283,7 @@ func (p *proc) send(t *comm.Transfer, pr *packPair, lib *machine.Lib) {
 		// delivery leave this coroutine (see overlap.go).
 		async = p.w.overlap && pr.doubles >= overlapMinDoubles
 		if !async {
-			pr.pack(m.flat)
+			pr.pack(m.flat, p.kctx.data)
 		}
 	}
 	if pr.bytes > 0 {
@@ -277,28 +293,28 @@ func (p *proc) send(t *comm.Transfer, pr *packPair, lib *machine.Lib) {
 			p.met.msgSize.Observe(int64(pr.bytes))
 		}
 		if p.tr != nil {
-			p.tr.Add(trace.Event{Kind: trace.KindSend, Start: p.clock, Name: "send", A0: int64(pr.peer), A1: int64(pr.bytes), A2: int64(t.ID)})
+			p.tr.Add(trace.Event{Kind: trace.KindSend, Start: p.clock, Name: "send", A0: int64(nb.rank), A1: int64(pr.bytes), A2: int64(t.ID)})
 		}
 	}
 	if async {
-		p.startAsyncSend(t, pr, m)
+		p.startAsyncSend(t, pr, nb, m)
 		return
 	}
-	p.sendData(pr, m)
+	p.sendData(nb, m)
 }
 
 // sendData enqueues a message at the peer. Scheduler mode delivers into
 // the peer's mailbox (never blocking — see sched.go); the goroutine
 // oracle sends on the peer's channel, whose capacity pairChanCap proves
 // sufficient.
-func (p *proc) sendData(pr *packPair, m *dataMsg) {
-	dst := p.w.procs[pr.peer]
+func (p *proc) sendData(nb *neighbor, m *dataMsg) {
+	dst := p.w.procs[nb.rank]
 	if p.w.mn {
-		p.deliverData(dst, pr.back, m)
+		p.deliverData(dst, nb.back, m)
 		return
 	}
 	select {
-	case dst.in[pr.back] <- m:
+	case dst.in[nb.back] <- m:
 	case <-p.w.abort:
 		panic(errAborted)
 	}
@@ -306,14 +322,14 @@ func (p *proc) sendData(pr *packPair, m *dataMsg) {
 
 // sendReady posts a rendezvous ready token (destination-ready protocol)
 // to the peer we are about to receive from.
-func (p *proc) sendReady(pr *packPair, tok readyTok) {
-	dst := p.w.procs[pr.peer]
+func (p *proc) sendReady(nb *neighbor, tok readyTok) {
+	dst := p.w.procs[nb.rank]
 	if p.w.mn {
-		p.deliverTok(dst, pr.back, tok)
+		p.deliverTok(dst, nb.back, tok)
 		return
 	}
 	select {
-	case dst.readyFrom[pr.back] <- tok:
+	case dst.readyFrom[nb.back] <- tok:
 	case <-p.w.abort:
 		panic(errAborted)
 	}
@@ -348,33 +364,34 @@ func (p *proc) recvData(slot int) *dataMsg {
 func (p *proc) execDN(t *comm.Transfer, st *commSched, lib *machine.Lib) {
 	for i := range st.recvs {
 		pr := &st.recvs[i]
-		if !active(lib, pr) {
+		nb, ok := p.active(lib, pr)
+		if !ok {
 			continue
 		}
-		m := p.recvTagged(pr, t.ID)
+		m := p.recvTagged(nb.slot, t.ID)
 		if m.bytes != pr.bytes {
-			panic(fmt.Sprintf("rt: message size mismatch from %d: got %d want %d bytes", pr.peer, m.bytes, pr.bytes))
+			panic(fmt.Sprintf("rt: message size mismatch from %d: got %d want %d bytes", nb.rank, m.bytes, pr.bytes))
 		}
-		p.waitEdge(m.avail, "wait data", critpath.Data, pr.peer, m.sent)
+		p.waitEdge(m.avail, "wait data", critpath.Data, nb.rank, m.sent)
 		if pr.bytes > 0 {
 			p.chargeComm(lib.DNCost + machine.PerByteDur(lib.DNPerByte, pr.bytes))
 			if p.tr != nil {
-				p.tr.Add(trace.Event{Kind: trace.KindRecv, Start: p.clock, Name: "recv", A0: int64(pr.peer), A1: int64(pr.bytes), A2: int64(t.ID)})
+				p.tr.Add(trace.Event{Kind: trace.KindRecv, Start: p.clock, Name: "recv", A0: int64(nb.rank), A1: int64(pr.bytes), A2: int64(t.ID)})
 			}
 		} else {
 			p.chargeComm(lib.SynchEmptyCost)
 		}
 		if p.w.legacyComm {
-			for n, rect := range m.rects {
+			for n, rect := range pr.rects {
 				if rect.Empty() {
 					continue
 				}
-				p.fields[t.Items[n].ID].InsertRect(rect, m.payload[n])
+				p.fields[t.Items[n].ID].InsertRect(p.abs(rect), m.payload[n])
 			}
 			continue
 		}
-		pr.unpack(m.flat)
-		p.recycleMsg(pr, m)
+		pr.unpack(m.flat, p.kctx.data)
+		p.recycleMsg(nb, m)
 	}
 }
 
@@ -382,8 +399,7 @@ func (p *proc) execDN(t *comm.Transfer, st *commSched, lib *machine.Lib) {
 // transfer tag, stashing any messages for other transfers that arrive
 // first. Within one (pair, tag) stream order is preserved, so iterations
 // of the same transfer always match up.
-func (p *proc) recvTagged(pr *packPair, tag int) *dataMsg {
-	slot := pr.slot
+func (p *proc) recvTagged(slot, tag int) *dataMsg {
 	if p.pending != nil {
 		if q := p.pending[slot][tag]; len(q) > 0 {
 			m := q[0]

@@ -7,51 +7,53 @@ import (
 )
 
 // This file implements the compiled half of the communication engine:
-// each (transfer, statement region) is lowered once per processor into a
-// commSched (cached in the transfer's site, site.go) whose pairs carry
-// precompiled pack/unpack run lists over the fields' backing []float64
-// slices. A send then packs every rectangle of a message into one
-// contiguous flat buffer with plain copy loops, and the receiver unpacks by
-// its mirrored run list — no per-message geometry derivation, no
-// per-rectangle slice allocation. Both sides of a pair
-// compute identical rectangles from replicated state (see geometry), so
-// the pack order on the sender always matches the unpack order on the
-// receiver. The legacy ExtractRect/InsertRect path is kept behind
+// each (transfer, statement region) is lowered once per neighbourhood class
+// (class.go) into a commSched (cached in the transfer's site, site.go)
+// whose pairs carry precompiled pack/unpack run lists over the fields'
+// backing []float64 slices, addressed by array ID and flat offset. A send
+// then packs every rectangle of a message into one contiguous flat buffer
+// with plain copy loops, and the receiver unpacks by its mirrored run list
+// — no per-message geometry derivation, no per-rectangle slice allocation.
+// Both sides of a pair compute identical rectangles from replicated state
+// (see geometry), so the pack order on the sender always matches the
+// unpack order on the receiver. The legacy ExtractRect/InsertRect path is kept behind
 // Config.ForceLegacyComm as the differential-testing oracle, exactly as
 // the closure interpreter backs the kernel engine.
 
-// packRun is one rectangle's compiled copy plan: a field.RectRun bound to
-// the field's backing slice. Fields allocate once per run and never grow,
-// so capturing the slice at schedule-compile time is safe.
+// packRun is one rectangle's compiled copy plan: a field.RectRun over the
+// backing slice of the executing processor's field of one array. The flat
+// offsets are the same on every processor of the shape class.
 type packRun struct {
-	data []float64
+	id int // ArraySym.ID
 	field.RectRun
 }
 
-// packPair describes the data a transfer moves between this processor and
-// one peer: the per-item rectangles (rects[n] belongs to the transfer's
-// n'th item) plus, on the pooled engine, the compiled run list covering
-// every non-empty rectangle in item order.
+// packPair describes the data a transfer moves between a processor and one
+// peer: the per-item rectangles (rects[n] belongs to the transfer's n'th
+// item, relative to the processor's block origin) plus, on the pooled
+// engine, the compiled run list covering every non-empty rectangle in item
+// order. The peer is named by its mesh displacement; the processor using
+// the pair finds rank and slots in its own nbr table, and skips the pair
+// when it has no such neighbour.
 type packPair struct {
-	peer    int // the peer's rank
-	slot    int // the peer's slot in this processor's neighbor arrays
-	back    int // this processor's slot in the peer's neighbor arrays
+	dr, dc  int // the peer is proc.nbr[dr][dc]
 	bytes   int
 	doubles int // total payload length of the flat buffer
 	rects   []grid.Region
 	runs    []packRun
 }
 
-// pack copies every run's rectangle into flat, which must hold exactly
-// pr.doubles elements, in the same row-major item order ExtractRect uses.
-func (pr *packPair) pack(flat []float64) {
+// pack copies every run's rectangle of the fields data into flat, which
+// must hold exactly pr.doubles elements, in the same row-major item order
+// ExtractRect uses.
+func (pr *packPair) pack(flat []float64, data [][]float64) {
 	off := 0
 	for _, r := range pr.runs {
-		b := r.Base
+		b, src := r.Base, data[r.id]
 		for a := 0; a < r.N0; a++ {
 			rb := b
 			for m := 0; m < r.N1; m++ {
-				copy(flat[off:off+r.RowLen], r.data[rb:rb+r.RowLen])
+				copy(flat[off:off+r.RowLen], src[rb:rb+r.RowLen])
 				off += r.RowLen
 				rb += r.S1
 			}
@@ -62,14 +64,14 @@ func (pr *packPair) pack(flat []float64) {
 
 // unpack is the mirror of pack: it scatters flat back into the receiving
 // fields by the pair's run list.
-func (pr *packPair) unpack(flat []float64) {
+func (pr *packPair) unpack(flat []float64, data [][]float64) {
 	off := 0
 	for _, r := range pr.runs {
-		b := r.Base
+		b, dst := r.Base, data[r.id]
 		for a := 0; a < r.N0; a++ {
 			rb := b
 			for m := 0; m < r.N1; m++ {
-				copy(r.data[rb:rb+r.RowLen], flat[off:off+r.RowLen])
+				copy(dst[rb:rb+r.RowLen], flat[off:off+r.RowLen])
 				off += r.RowLen
 				rb += r.S1
 			}
@@ -79,7 +81,8 @@ func (pr *packPair) unpack(flat []float64) {
 }
 
 // commSched is the compiled communication schedule of one transfer over
-// one resolved statement region.
+// one resolved statement region, for the processors of one neighbourhood
+// class.
 type commSched struct {
 	sends []packPair
 	recvs []packPair
@@ -97,8 +100,9 @@ type xferSite struct {
 // block of n runs (the pairs' non-empty rectangles). Send rectangles lie
 // inside the owned block and receive rectangles inside the halo, so
 // field.Run's containment check can only fail on a geometry bug; it panics
-// rather than silently corrupting data.
-func (p *proc) compileRuns(t *comm.Transfer, pairs []packPair, n int) {
+// rather than silently corrupting data. Layout comes from the class
+// representative's fields, at its origin.
+func (cl *shapeClass) compileRuns(t *comm.Transfer, pairs []packPair, n int) {
 	runs := make([]packRun, 0, n)
 	for i := range pairs {
 		pr := &pairs[i]
@@ -107,8 +111,8 @@ func (p *proc) compileRuns(t *comm.Transfer, pairs []packPair, n int) {
 			if rect.Empty() {
 				continue
 			}
-			f := p.fields[t.Items[n].ID]
-			runs = append(runs, packRun{data: f.Data(), RectRun: f.Run(rect)})
+			id := t.Items[n].ID
+			runs = append(runs, packRun{id: id, RectRun: cl.fields[id].Run(shiftDist(rect, cl.org, 1))})
 			pr.doubles += rect.Size()
 		}
 		pr.runs = runs[start:len(runs):len(runs)]
@@ -122,8 +126,9 @@ func (p *proc) compileRuns(t *comm.Transfer, pairs []packPair, n int) {
 func (p *proc) state(t *comm.Transfer) *commSched {
 	x := &p.xfers[t.Slot]
 	if x.open == nil {
-		x.open = resolve(p, &x.site, t.Region, cacheSched, func(reg grid.Region) *commSched {
-			return p.geometry(t, reg)
+		w, nc := p.w, p.ncls
+		x.open = resolve(p, &x.site, &w.xferCC[t.Slot], &nc.frame, nc.id, t.Region, cacheSched, func(reg grid.Region) *commSched {
+			return nc.geometry(t, reg, w.legacyComm)
 		})
 		p.openCount++
 	}

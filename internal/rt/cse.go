@@ -33,11 +33,12 @@ import (
 //     member's OWN LHS need no extra care — storeRow stages the row, so
 //     within-row reads see pre-store values exactly as the unfused path
 //     does, and cross-row own reads are storeFull, excluded statically.
-//   - Staleness across rows is impossible: fusedKernel.run bumps
-//     kctx.gen before each row, and a wrapper recomputes whenever its
-//     remembered generation differs. The generation only ever advances,
-//     so scratch reuse across kernels, runs and iterations can never
-//     masquerade as a valid row.
+//   - Staleness across rows is impossible: fusedKernel.run clears
+//     kctx.memo before each row, and a wrapper recomputes unless its bit
+//     is set. The bits live in the executing processor's kctx, not in the
+//     wrapper — a fused kernel is shared by a shape class, whose members
+//     sweep concurrently — so scratch reuse across kernels, runs,
+//     iterations and processors can never masquerade as a valid row.
 //
 // Scalars cannot change inside a run (runs hold only array assignments),
 // so ScalarRef keys need no kill handling; Const keys use the exact bit
@@ -116,8 +117,8 @@ func cseBenefits(stmts []*ir.AssignArray) map[string]bool {
 // memoize wraps the compilation of one vector-valued subtree. Outside a
 // fused compile (memo nil) or for unkeyable trees it is the identity.
 // Otherwise a repeated key returns the prior wrapper, and a fresh key
-// compiles once into a dedicated scratch row guarded by the row
-// generation counter.
+// compiles once into a dedicated scratch row guarded by its bit of
+// kctx.memo (past 64 wrappers a run's further repeats simply re-evaluate).
 func (kc *kcompiler) memoize(e ir.Expr, build func() vec) vec {
 	if kc.memo == nil {
 		return build()
@@ -130,17 +131,17 @@ func (kc *kcompiler) memoize(e ir.Expr, build func() vec) vec {
 		return ent.v
 	}
 	inner := build()
-	if inner == nil || !kc.ok {
+	if inner == nil || !kc.ok || kc.memos == 64 {
 		return inner
 	}
-	slot := kc.slot()
+	slot, bit := kc.slot(), uint64(1)<<kc.memos
+	kc.memos++
 	L := kc.L
-	gen := int64(-1) // kctx.gen starts at 0 and only advances, so -1 never matches
 	wrapped := func(c *kctx, dst []float64) []float64 {
 		row := c.scratch[slot*L : slot*L+L]
-		if gen != c.gen {
+		if c.memo&bit == 0 {
 			inner(c, row)
-			gen = c.gen
+			c.memo |= bit
 		}
 		return row
 	}

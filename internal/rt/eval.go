@@ -19,6 +19,9 @@ func (p *proc) compile(e ir.Expr) evalFn {
 		return f
 	}
 	f := p.compile1(e)
+	if p.fnCache == nil {
+		p.fnCache = map[ir.Expr]evalFn{}
+	}
 	p.fnCache[e] = f
 	return f
 }
@@ -96,17 +99,12 @@ func (p *proc) compile1(e ir.Expr) evalFn {
 			return func(i, j, k int) float64 { return math.Min(x(i, j, k), y(i, j, k)) }
 		default:
 			fn := e.Fn
-			// The buffer is shared across calls: evaluation is
-			// single-goroutine per processor and an expression node can
-			// never be its own descendant, so the closure is not
-			// reentrant and one buffer per node suffices. It lives in the
-			// proc's bump scratch rather than its own heap allocation.
-			vals := p.nodeScratch.grab(len(args))
 			return func(i, j, k int) float64 {
+				var vals [2]float64 // ir.Lower checks arities: one or two arguments
 				for n, a := range args {
 					vals[n] = a(i, j, k)
 				}
-				return evalIntrinsic(fn, vals)
+				return evalIntrinsic(fn, vals[:len(args)])
 			}
 		}
 

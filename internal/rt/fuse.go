@@ -56,7 +56,7 @@ import (
 // fuseRun is one fusable run of adjacent array statements inside a basic
 // block: statement indices [start, end) of the block's Stmts, length >= 2.
 type fuseRun struct {
-	idx        int // dense index across the plan's runs (proc.fused)
+	idx        int // dense index across the program's runs (proc.fused), numbered as setup binds the blocks
 	start, end int
 	stmts      []*ir.AssignArray // Stmts[start:end], re-typed
 	inner      int               // shared row dimension (rank-1)
@@ -174,24 +174,6 @@ func joinBlocker(cur []*ir.AssignArray, a *ir.AssignArray, calls []comm.Call) st
 	return ""
 }
 
-// buildFusionTable runs the static fusion analysis over every block of
-// the plan and numbers the runs it finds; n is their count. Blocks
-// without a fusable run are absent from the table; the table is built
-// once at setup and read-only afterwards, shared by all processors.
-func buildFusionTable(plan *comm.Plan) (table map[*comm.BlockPlan][]*fuseRun, n int) {
-	table = map[*comm.BlockPlan][]*fuseRun{}
-	for _, bp := range plan.Blocks {
-		if runs := fusionRuns(bp, nil); len(runs) > 0 {
-			table[bp] = runs
-			for _, fr := range runs {
-				fr.idx = n
-				n++
-			}
-		}
-	}
-	return table, n
-}
-
 // FusionDecision reports the static fusion outcome of one array statement
 // (ExplainFusion; zplc -explain renders these).
 type FusionDecision struct {
@@ -238,12 +220,13 @@ func ExplainFusion(plan *comm.Plan) []FusionDecision {
 }
 
 // fusedKernel is the compiled execution of one fusable run over one
-// resolved region: every member's row closure, executed member-by-member
-// inside a single row-major sweep. A nil fusedKernel (memoized) means the
-// run falls back to per-statement execution for that region.
+// resolved region on the processors of one shape class: every member's row
+// closure, executed member-by-member inside a single row-major sweep. A nil
+// fusedKernel (memoized) means the run falls back to per-statement
+// execution for that region.
 type fusedKernel struct {
-	local   grid.Region
-	size    int // local.Size(); 0 for an empty local region
+	local   grid.Region // relative to the block origin
+	size    int         // local.Size(); 0 for an empty local region
 	inner   int
 	L       int
 	slots   int       // run-wide scratch rows (shared compile, incl. memo rows)
@@ -252,29 +235,33 @@ type fusedKernel struct {
 	// Incremental store bases (see run): because every member walks the
 	// same rows in lockstep, each member's flat store index advances by a
 	// fixed stride per row instead of being recomputed from (i,j,k). The
-	// unfused path cannot do this — it has one kernel per sweep. bases is
-	// per-run scratch; dj/di are the per-member advances along the middle
-	// and outer loop.
-	bases []int
-	dj    []int
-	di    []int
+	// unfused path cannot do this — it has one kernel per sweep. dj/di are
+	// the per-member advances along the middle and outer loop; the cursors
+	// themselves are the executing processor's (kctx.bases).
+	dj []int
+	di []int
 }
 
+// noSweep is every run's fused kernel where the processor has no part of
+// the region: the members charge their statement overhead and do no work.
+var noSweep fusedKernel
+
 // fusedFor returns the run's fused kernel at its currently resolved
-// region, compiling on first use. nil means "execute the members
-// individually".
+// region, compiling on the class's first use. nil means "execute the
+// members individually".
 func (p *proc) fusedFor(fr *fuseRun) *fusedKernel {
 	// All members share provably compatible regions and no scalar can
 	// change between them (runs contain only array assignments), so the
 	// first member's region serves the whole run.
-	return resolve(p, &p.fused[fr.idx], fr.stmts[0].Region, cacheFused, func(reg grid.Region) *fusedKernel {
-		return p.compileFused(fr, reg)
+	cl := p.cls
+	return resolve(p, &p.fused[fr.idx], &p.w.fusedCC[fr.idx], &cl.frame, cl.id, fr.stmts[0].Region, cacheFused, func(base grid.Region) *fusedKernel {
+		return compileFused(cl, fr, base)
 	})
 }
 
-// compileFused builds the fused kernel for one run over one resolved
-// region, or returns nil when the members must execute individually:
-// kernels are disabled, their computed local regions disagree (differing
+// compileFused builds the fused kernel for one run over a block's part base
+// of one resolved region, or returns nil when the members must execute
+// individually: their computed local regions disagree (differing
 // allocation clips), or any member fails kernel compilation.
 //
 // All members compile through ONE kcompiler with the CSE memo armed
@@ -283,22 +270,10 @@ func (p *proc) fusedFor(fr *fuseRun) *fusedKernel {
 // instead of re-evaluating. The members' own statement sites are untouched
 // — fused members are compiled fresh so their closures can share the
 // run-wide memo rows.
-func (p *proc) compileFused(fr *fuseRun, reg grid.Region) *fusedKernel {
-	if p.w.interp {
-		return nil
-	}
-	w := p.w
-	base := w.localRegion(reg, p.row, p.col)
-	memberLocal := func(s *ir.AssignArray) grid.Region {
-		l := base
-		if f := p.fields[s.LHS.ID]; f.Allocated() {
-			l = l.Intersect(f.Local)
-		}
-		return l
-	}
-	local := memberLocal(fr.stmts[0])
+func compileFused(cl *shapeClass, fr *fuseRun, base grid.Region) *fusedKernel {
+	local := cl.owned(fr.stmts[0].LHS.ID, base)
 	for _, s := range fr.stmts[1:] {
-		if memberLocal(s) != local {
+		if cl.owned(s.LHS.ID, base) != local {
 			return nil
 		}
 	}
@@ -309,49 +284,26 @@ func (p *proc) compileFused(fr *fuseRun, reg grid.Region) *fusedKernel {
 	fk.size = local.Size()
 	fk.L = local.Spans[fr.inner].Len()
 	fk.members = make([]*kernel, 0, len(fr.stmts))
-	if len(fr.benefit) == 0 {
-		// No subtree repeats across the run: member kernels are identical
-		// to the per-statement compiles, so share the members' statement
-		// sites outright (they resolve the region this run just did) and
-		// let the members reuse one max-sized scratch space in turn.
-		for _, s := range fr.stmts {
-			k := p.planFor(s).k
-			if k == nil || k.local != local {
-				return nil
-			}
-			if k.slots > fk.slots {
-				fk.slots = k.slots
-			}
-			fk.members = append(fk.members, k)
-		}
-		return fk.withBases()
+	kc := newKcompiler(cl, local)
+	if len(fr.benefit) > 0 {
+		kc.memo, kc.benefit = map[string]*memoEntry{}, fr.benefit
 	}
-	kc := &kcompiler{p: p, local: local, inner: fr.inner, L: fk.L, ok: true,
-		memo: map[string]*memoEntry{}, benefit: fr.benefit}
 	for _, s := range fr.stmts {
-		f := p.fields[s.LHS.ID]
-		if !f.Allocated() || f.Stride(fr.inner) != 1 || !f.Contains(local) {
-			return nil
+		if kc.memo == nil {
+			// No subtree repeats across the run, so no scratch row outlives
+			// a member: the members reuse one max-sized scratch space in turn.
+			kc.slots = 0
 		}
-		k := &kernel{
-			lhs:   f,
-			ldata: f.Data(),
-			local: local,
-			inner: fr.inner,
-			L:     fk.L,
-			rows:  fk.size / fk.L,
-			mode:  storeModeFor(s, fr.inner),
-		}
-		k.row, k.shape = kc.root(s.RHS)
-		if !kc.ok {
+		k := kc.assign(s)
+		if k == nil {
 			return nil
 		}
 		// The member just became this array's writer: memoized subtrees
 		// that read it are stale for every later member.
 		kc.killMemo(s.LHS.ID)
+		fk.slots = max(fk.slots, kc.slots)
 		fk.members = append(fk.members, k)
 	}
-	fk.slots = kc.slots
 	return fk.withBases()
 }
 
@@ -367,12 +319,11 @@ func (fk *fusedKernel) withBases() *fusedKernel {
 		rows1 = fk.local.Spans[1].Len()
 	}
 	n := len(fk.members)
-	fk.bases = make([]int, n)
 	fk.dj = make([]int, n)
 	fk.di = make([]int, n)
 	for mi, k := range fk.members {
-		fk.dj[mi] = k.lhs.Stride(1)
-		fk.di[mi] = k.lhs.Stride(0) - rows1*k.lhs.Stride(1)
+		fk.dj[mi] = k.lhs.s1
+		fk.di[mi] = k.lhs.s0 - rows1*k.lhs.s1
 	}
 	return fk
 }
@@ -404,21 +355,24 @@ func (fk *fusedKernel) run(p *proc) {
 	case 1:
 		hi1 = lo1 // rows advance along dimension 0 only
 	}
-	bases, dj, di := fk.bases, fk.dj, fk.di
-	for mi, k := range members {
-		bases[mi] = k.lhs.IndexOf(lo0, lo1, s[2].Lo)
+	dj, di := fk.dj, fk.di
+	bases := c.bases[:0]
+	for _, k := range members {
+		bases = append(bases, k.lhs.at(lo0, lo1, s[2].Lo))
 	}
+	c.bases = bases
 	c.k = s[2].Lo
 	for i := lo0; i <= hi0; i++ {
 		c.i = i
 		for j := lo1; j <= hi1; j++ {
 			c.j = j
-			c.gen++ // invalidate every memoized row (cse.go)
+			c.memo = 0 // invalidate every memoized row (cse.go)
 			for mi, k := range members {
 				b := bases[mi]
 				bases[mi] = b + dj[mi]
+				ldata := c.data[k.lhs.id]
 				if k.mode == storeDirect {
-					dst := k.ldata[b : b+k.L]
+					dst := ldata[b : b+k.L]
 					if out := k.row(c, dst); &out[0] != &dst[0] {
 						copy(dst, out)
 					}
@@ -426,7 +380,7 @@ func (fk *fusedKernel) run(p *proc) {
 				}
 				// storeRow: the member reads its own LHS within the row.
 				out := k.row(c, stage)
-				copy(k.ldata[b:b+k.L], out)
+				copy(ldata[b:b+k.L], out)
 			}
 		}
 		for mi := range bases {

@@ -3,7 +3,6 @@ package rt
 import (
 	"math"
 
-	"commopt/internal/field"
 	"commopt/internal/grid"
 	"commopt/internal/ir"
 	"commopt/internal/zpl"
@@ -11,18 +10,22 @@ import (
 
 // This file implements the kernel-compiled execution engine: each
 // whole-array statement (and each local reduction partial) is lowered
-// once per (statement, local region) into a flat loop nest that walks the
-// fields' backing []float64 slices directly. Rows run along the last
-// dimension of the statement's rank, which is contiguous in every field
-// of that rank, so an @-shift becomes a constant flat-index delta and the
-// inner loops carry no per-element At/Set bounds math or closure
+// once per (statement, shape class, local region) into a flat loop nest
+// that walks the fields' backing []float64 slices directly. Rows run along
+// the last dimension of the statement's rank, which is contiguous in every
+// field of that rank, so an @-shift becomes a constant flat-index delta and
+// the inner loops carry no per-element At/Set bounds math or closure
 // dispatch. Regions are loop-invariant for declared regions (and revisited
 // in order by literal-bound sweeps), so kernels are cached per statement
-// site (site.go) and amortize to zero compile cost. Virtual-time charges
-// are computed from size*Flops exactly as before, so simulated results are
-// unaffected; only host wall-clock changes. The closure interpreter
-// (eval.go) remains both the fallback for shapes the compiler rejects and
-// the differential-testing oracle (Config.ForceInterpreter).
+// site (site.go) and amortize to zero compile cost. A kernel is position
+// independent — it addresses fields by array ID and class-invariant flat
+// offsets in coordinates relative to the block origin, and reads data,
+// scalars and the origin from the executing processor's kctx — so every
+// processor of a shape class runs the same one (class.go). Virtual-time
+// charges are computed from size*Flops exactly as before, so simulated
+// results are unaffected; only host wall-clock changes. The closure
+// interpreter (eval.go) remains both the fallback for shapes the compiler
+// rejects and the differential-testing oracle (Config.ForceInterpreter).
 
 // storeMode says how an assignment kernel honors whole-array semantics
 // (the RHS is fully evaluated before the store).
@@ -42,23 +45,27 @@ const (
 )
 
 // kctx is the per-row evaluation context threaded through vec closures.
-// One lives in each proc and is reused by every kernel execution.
+// One lives in each proc and is reused by every kernel execution; it is
+// everything a compiled row knows of the processor running it.
 type kctx struct {
-	i, j, k int       // global coordinates of the row's first element
+	i, j, k int       // coordinates of the row's first element, relative to org
 	scratch []float64 // slot rows for intermediate results, arena-backed
-	gen     int64     // fused-sweep row generation, keys memoized rows (fuse.go)
+	memo    uint64    // fused sweep: the memoized rows valid for this row, by bit (cse.go)
+	bases   []int     // fused sweep: every member's store cursor (fuse.go)
+
+	data [][]float64 // the processor's field backing slices, by ArraySym.ID
+	env  scalarEnv   // its scalar store
+	org  [2]int      // global coordinates of its block origin
 }
 
-// coord returns the row-start coordinate along dimension d.
-func (c *kctx) coord(d int) int {
-	switch d {
-	case 0:
-		return c.i
-	case 1:
-		return c.j
-	default:
-		return c.k
+// coord returns the row-start's global coordinate along dimension d; dist
+// says the region distributes d, so the coordinate is relative to org.
+func (c *kctx) coord(d int, dist bool) int {
+	v := [3]int{c.i, c.j, c.k}[d]
+	if dist {
+		v += c.org[d]
 	}
+	return v
 }
 
 // vec evaluates one row of a compiled (sub)expression: it either fills
@@ -66,14 +73,22 @@ func (c *kctx) coord(d int) int {
 // array (array references are zero-copy).
 type vec func(c *kctx, dst []float64) []float64
 
+// addr locates an array's elements in coordinates relative to the block
+// origin: point (i, j, k) of array id sits at flat index base + i*s0 + j*s1
+// + k of its backing slice on every processor of the shape class.
+type addr struct {
+	id, base, s0, s1 int
+}
+
+func (a *addr) at(i, j, k int) int { return a.base + i*a.s0 + j*a.s1 + k }
+
 // kernel is one compiled whole-array assignment, fixed to a statement and
 // the exact local region it iterates.
 type kernel struct {
-	lhs   *field.Field
-	ldata []float64
-	local grid.Region
-	inner int // row dimension (rank-1)
-	L     int // row length
+	lhs   addr
+	local grid.Region // relative to the block origin
+	inner int         // row dimension (rank-1)
+	L     int         // row length
 	rows  int
 	slots int // scratch rows needed by the expression tree
 	mode  storeMode
@@ -85,7 +100,7 @@ type kernel struct {
 // map-reduce over the processor's part of the statement region.
 type reduceKernel struct {
 	op    ir.ReduceOp
-	local grid.Region
+	local grid.Region // relative to the block origin
 	inner int
 	L     int
 	slots int
@@ -112,31 +127,42 @@ func forRows(reg grid.Region, inner int, fn func(i, j, k int)) {
 	}
 }
 
-// stmtPlan is what one array statement means on one processor for one
-// resolved statement region.
+// stmtPlan is what one array statement means on the processors of one
+// shape class for one resolved statement region.
 type stmtPlan struct {
-	local grid.Region // the processor's part of the region, clipped to the LHS allocation
+	local grid.Region // the processor's part of the region, clipped to the LHS allocation, relative to the block origin
 	size  int         // local.Size(); 0 when the processor has no part
 	k     *kernel     // nil: the closure interpreter executes the statement
 }
 
+// noPlan is every statement's plan where the processor has no part of the
+// region.
+var noPlan stmtPlan
+
 // planFor returns the statement's plan at its currently resolved region,
-// compiling on first use. A nil kernel is cached like any other, so
-// compile-time validation is paid once.
+// compiling on the class's first use. A nil kernel is cached like any
+// other, so compile-time validation is paid once.
 func (p *proc) planFor(s *ir.AssignArray) *stmtPlan {
-	return resolve(p, &p.stmts[s.ID], s.Region, cacheKernel, func(reg grid.Region) *stmtPlan {
-		pl := &stmtPlan{local: p.w.localRegion(reg, p.row, p.col)}
-		if f := p.fields[s.LHS.ID]; f.Allocated() {
-			pl.local = pl.local.Intersect(f.Local)
-		}
+	w, cl := p.w, p.cls
+	return resolve(p, &p.stmts[s.ID], &w.stmtCC[s.ID], &cl.frame, cl.id, s.Region, cacheKernel, func(local grid.Region) *stmtPlan {
+		pl := &stmtPlan{local: cl.owned(s.LHS.ID, local)}
 		if !pl.local.Empty() {
 			pl.size = pl.local.Size()
-			if !p.w.interp {
-				pl.k = p.compileKernel(s, pl.local)
+			if !w.interp {
+				pl.k = newKcompiler(cl, pl.local).assign(s)
 			}
 		}
 		return pl
 	})
+}
+
+// owned clips a block's part of a statement region to what the block holds
+// of the statement's LHS array.
+func (cl *shapeClass) owned(lhs int, local grid.Region) grid.Region {
+	if cl.fields[lhs].Allocated() {
+		local = local.Intersect(cl.locals[lhs])
+	}
+	return local
 }
 
 // reduceKernel is the reduction-partial counterpart, over the processor's
@@ -146,35 +172,33 @@ func (p *proc) reduceKernel(e *ir.Reduce, static bool, local grid.Region) *reduc
 	if p.w.interp || local.Empty() {
 		return nil
 	}
-	return p.reduces[e.ID].get(static, local, p.met, cacheReduce, func(grid.Region) (k *reduceKernel) {
-		kc := &kcompiler{p: p, local: local, inner: local.Rank - 1, L: local.Spans[local.Rank-1].Len(), ok: true}
-		if row := kc.node(e.X); kc.ok {
-			k = &reduceKernel{op: e.Op, local: local, inner: kc.inner, L: kc.L, slots: kc.slots, row: row}
-		}
-		return k
+	cc, cl := &p.w.reduceCC[e.ID], p.cls
+	return p.reduces[e.ID].get(static, local, p.met, cacheReduce, func(grid.Region) *reduceKernel {
+		return cc.get(cl.id, local, p.met, cacheReduce, func(grid.Region) (k *reduceKernel) {
+			kc := newKcompiler(cl, local)
+			if row := kc.node(e.X); kc.ok {
+				k = &reduceKernel{op: e.Op, local: local, inner: kc.inner, L: kc.L, slots: kc.slots, row: row}
+			}
+			return k
+		})
 	})
 }
 
-// compileKernel lowers one assignment over one local region, or returns
+// assign lowers one assignment over the compiler's local region, or returns
 // nil when the interpreter must handle it (unallocated LHS, reads outside
 // the halo — which the interpreter turns into its precise panic — or a
 // non-contiguous row).
-func (p *proc) compileKernel(s *ir.AssignArray, local grid.Region) *kernel {
-	f := p.fields[s.LHS.ID]
-	inner := local.Rank - 1
-	if !f.Allocated() || f.Stride(inner) != 1 || !f.Contains(local) {
-		return nil
-	}
-	kc := &kcompiler{p: p, local: local, inner: inner, L: local.Spans[inner].Len(), ok: true}
-
+func (kc *kcompiler) assign(s *ir.AssignArray) *kernel {
 	k := &kernel{
-		lhs:   f,
-		ldata: f.Data(),
-		local: local,
-		inner: inner,
+		lhs:   kc.addrOf(s.LHS.ID, grid.Offset{}),
+		local: kc.local,
+		inner: kc.inner,
 		L:     kc.L,
-		rows:  local.Size() / kc.L,
-		mode:  storeModeFor(s, inner),
+		rows:  kc.local.Size() / kc.L,
+		mode:  storeModeFor(s, kc.inner),
+	}
+	if !kc.ok {
+		return nil
 	}
 	k.row, k.shape = kc.root(s.RHS)
 	if !kc.ok {
@@ -211,14 +235,15 @@ func storeModeFor(s *ir.AssignArray, inner int) storeMode {
 // evaluated).
 func (k *kernel) run(p *proc) {
 	c := &p.kctx
+	ldata := c.data[k.lhs.id]
 	m := p.arena.mark()
 	c.scratch = p.arena.alloc(k.slots * k.L)
 	switch k.mode {
 	case storeDirect:
 		forRows(k.local, k.inner, func(i, j, kk int) {
 			c.i, c.j, c.k = i, j, kk
-			b := k.lhs.IndexOf(i, j, kk)
-			dst := k.ldata[b : b+k.L]
+			b := k.lhs.at(i, j, kk)
+			dst := ldata[b : b+k.L]
 			if out := k.row(c, dst); &out[0] != &dst[0] {
 				copy(dst, out)
 			}
@@ -228,8 +253,8 @@ func (k *kernel) run(p *proc) {
 		forRows(k.local, k.inner, func(i, j, kk int) {
 			c.i, c.j, c.k = i, j, kk
 			out := k.row(c, stage)
-			b := k.lhs.IndexOf(i, j, kk)
-			copy(k.ldata[b:b+k.L], out)
+			b := k.lhs.at(i, j, kk)
+			copy(ldata[b:b+k.L], out)
 		})
 	case storeFull:
 		tmp := p.arena.alloc(k.rows * k.L)
@@ -244,8 +269,8 @@ func (k *kernel) run(p *proc) {
 		})
 		n = 0
 		forRows(k.local, k.inner, func(i, j, kk int) {
-			b := k.lhs.IndexOf(i, j, kk)
-			copy(k.ldata[b:b+k.L], tmp[n:n+k.L])
+			b := k.lhs.at(i, j, kk)
+			copy(ldata[b:b+k.L], tmp[n:n+k.L])
 			n += k.L
 		})
 	}
@@ -293,23 +318,31 @@ func (k *reduceKernel) run(p *proc) float64 {
 	return acc
 }
 
-// kcompiler lowers an expression tree to row evaluators over one region.
-// A fused-run compile (compileFused) sets memo, enabling cross-statement
-// elimination of repeated subexpressions; per-statement compiles leave it
-// nil and every occurrence evaluates independently.
+// kcompiler lowers an expression tree to row evaluators over one region of
+// one shape class's block. A fused-run compile (compileFused) sets memo,
+// enabling cross-statement elimination of repeated subexpressions;
+// per-statement compiles leave it nil and every occurrence evaluates
+// independently.
 type kcompiler struct {
-	p     *proc
-	local grid.Region
+	cl    *shapeClass
+	local grid.Region // relative to the block origin
 	inner int
 	L     int
 	slots int
 	ok    bool
 
 	// Fused-run CSE state (cse.go): memo holds the wrappers for repeated
-	// subtrees, benefit the pre-pass's set of keys worth wrapping. Both
-	// nil outside compileFused.
+	// subtrees, benefit the pre-pass's set of keys worth wrapping, memos the
+	// wrappers made so far (each owns a bit of kctx.memo). Both maps are nil
+	// outside compileFused.
 	memo    map[string]*memoEntry
 	benefit map[string]bool
+	memos   int
+}
+
+func newKcompiler(cl *shapeClass, local grid.Region) *kcompiler {
+	inner := local.Rank - 1
+	return &kcompiler{cl: cl, local: local, inner: inner, L: local.Spans[inner].Len(), ok: true}
 }
 
 // slot reserves a fresh scratch row and returns its index.
@@ -339,42 +372,55 @@ func scalarOnly(e ir.Expr) bool {
 	return true
 }
 
-// viewOf validates an array reference against the region and returns its
-// backing data plus a row-view closure. A reference whose shifted rows
+// addrOf validates a reference to the array at offset off against the
+// region and returns where its rows start. A reference whose shifted rows
 // are not contiguous inside the halo rejects the kernel; the interpreter
 // then reproduces the exact out-of-halo panic for genuinely broken
-// programs.
-func (kc *kcompiler) viewOf(e *ir.ArrayRef) vec {
-	f := kc.p.fields[e.Array.ID]
-	shifted := kc.local.Shift(e.Off)
-	if !f.Allocated() || f.Stride(kc.inner) != 1 || !f.Contains(shifted) {
+// programs. The layout is read off the class representative's field, where
+// it has the reference's rows: base makes the region's first relative point
+// land on the flat index that point has there, as it does on every member.
+func (kc *kcompiler) addrOf(id int, off grid.Offset) addr {
+	f := kc.cl.fields[id]
+	rows := shiftDist(kc.local.Shift(off), kc.cl.org, 1)
+	if !f.Allocated() || f.Stride(kc.inner) != 1 || !f.Contains(rows) {
 		kc.ok = false
-		return nil
+		return addr{}
 	}
-	data := f.Data()
-	o0, o1, o2 := e.Off[0], e.Off[1], e.Off[2]
+	a := addr{id: id, s0: f.Stride(0), s1: f.Stride(1)}
+	at, rel := rows.Spans, kc.local.Spans
+	a.base = f.IndexOf(at[0].Lo, at[1].Lo, at[2].Lo) - a.at(rel[0].Lo, rel[1].Lo, rel[2].Lo)
+	return a
+}
+
+// viewOf compiles an array reference to a zero-copy row view.
+func (kc *kcompiler) viewOf(e *ir.ArrayRef) vec {
+	a := kc.addrOf(e.Array.ID, e.Off)
 	L := kc.L
 	return func(c *kctx, dst []float64) []float64 {
-		b := f.IndexOf(c.i+o0, c.j+o1, c.k+o2)
-		return data[b : b+L]
+		b := a.at(c.i, c.j, c.k)
+		return c.data[a.id][b : b+L]
+	}
+}
+
+// fill compiles a scalar-invariant subtree as a per-row broadcast of its
+// value, evaluated once per row from the executing processor's scalars so
+// scalars that change between executions are re-read.
+func fill(e ir.Expr) vec {
+	return func(c *kctx, dst []float64) []float64 {
+		v := c.env.eval(e)
+		for n := range dst {
+			dst[n] = v
+		}
+		return dst
 	}
 }
 
 // root compiles the top of an assignment RHS, trying the specialized
 // statement shapes before falling back to the generic tree compiler.
 func (kc *kcompiler) root(e ir.Expr) (vec, string) {
-	// Constant / scalar fill: the value is row-invariant; evaluate it
-	// once per row through the interpreter's (cached) scalar closure so
-	// scalars that change between executions are re-read.
+	// Constant / scalar fill: the value is row-invariant.
 	if scalarOnly(e) {
-		fn := kc.p.compile(e)
-		return func(c *kctx, dst []float64) []float64 {
-			v := fn(0, 0, 0)
-			for n := range dst {
-				dst[n] = v
-			}
-			return dst
-		}, "fill"
+		return fill(e), "fill"
 	}
 	// Straight copy: B := A@d is one contiguous memmove per row.
 	if ref, isRef := e.(*ir.ArrayRef); isRef {
@@ -414,14 +460,13 @@ func (kc *kcompiler) axpy(e ir.Expr) vec {
 	}
 	if s, x := split(b.X); x != nil {
 		if y, isRef := b.Y.(*ir.ArrayRef); isRef {
-			sfn := kc.p.compile(s)
 			xv, yv := kc.viewOf(x), kc.viewOf(y)
 			if !kc.ok {
 				return nil
 			}
 			sub := b.Op == zpl.MINUS
 			return func(c *kctx, dst []float64) []float64 {
-				v := sfn(0, 0, 0)
+				v := c.env.eval(s)
 				xs, ys := xv(c, nil), yv(c, nil)
 				if sub {
 					for n := range dst {
@@ -439,13 +484,12 @@ func (kc *kcompiler) axpy(e ir.Expr) vec {
 	if b.Op == zpl.PLUS {
 		if s, x := split(b.Y); x != nil {
 			if y, isRef := b.X.(*ir.ArrayRef); isRef {
-				sfn := kc.p.compile(s)
 				xv, yv := kc.viewOf(x), kc.viewOf(y)
 				if !kc.ok {
 					return nil
 				}
 				return func(c *kctx, dst []float64) []float64 {
-					v := sfn(0, 0, 0)
+					v := c.env.eval(s)
 					xs, ys := xv(c, nil), yv(c, nil)
 					for n := range dst {
 						dst[n] = ys[n] + float64(v*xs[n])
@@ -485,13 +529,12 @@ func (kc *kcompiler) binFast(e ir.Expr) vec {
 			return dst
 		}
 	case xIsRef && scalarOnly(b.Y):
-		xv := kc.viewOf(xr)
-		yfn := kc.p.compile(b.Y)
+		xv, y := kc.viewOf(xr), b.Y
 		if !kc.ok {
 			return nil
 		}
 		return func(c *kctx, dst []float64) []float64 {
-			xs, v := xv(c, nil), yfn(0, 0, 0)
+			xs, v := xv(c, nil), c.env.eval(y)
 			switch op {
 			case zpl.PLUS:
 				for n := range dst {
@@ -513,13 +556,12 @@ func (kc *kcompiler) binFast(e ir.Expr) vec {
 			return dst
 		}
 	case yIsRef && scalarOnly(b.X):
-		yv := kc.viewOf(yr)
-		xfn := kc.p.compile(b.X)
+		yv, x := kc.viewOf(yr), b.X
 		if !kc.ok {
 			return nil
 		}
 		return func(c *kctx, dst []float64) []float64 {
-			v, ys := xfn(0, 0, 0), yv(c, nil)
+			v, ys := c.env.eval(x), yv(c, nil)
 			switch op {
 			case zpl.PLUS:
 				for n := range dst {
@@ -579,23 +621,19 @@ func binRow(op zpl.Kind, dst, xs, ys []float64) {
 func (kc *kcompiler) node(e ir.Expr) vec {
 	switch e := e.(type) {
 	case *ir.Const, *ir.ScalarRef:
-		fn := kc.p.compile(e)
-		return func(c *kctx, dst []float64) []float64 {
-			v := fn(0, 0, 0)
-			for n := range dst {
-				dst[n] = v
-			}
-			return dst
-		}
+		return fill(e)
 
 	case *ir.ArrayRef:
 		return kc.viewOf(e)
 
 	case *ir.IndexRef:
+		// The global coordinate is the relative one plus the executing
+		// processor's origin, in the dimensions the region distributes.
 		d := e.Dim - 1
+		dist := d < 2 && d < kc.local.Rank
 		if d == kc.inner {
 			return func(c *kctx, dst []float64) []float64 {
-				lo := c.coord(d)
+				lo := c.coord(d, dist)
 				for n := range dst {
 					dst[n] = float64(lo + n)
 				}
@@ -603,7 +641,7 @@ func (kc *kcompiler) node(e ir.Expr) vec {
 			}
 		}
 		return func(c *kctx, dst []float64) []float64 {
-			v := float64(c.coord(d))
+			v := float64(c.coord(d, dist))
 			for n := range dst {
 				dst[n] = v
 			}
@@ -613,7 +651,7 @@ func (kc *kcompiler) node(e ir.Expr) vec {
 	case *ir.Unary:
 		// Scalar-invariant subtrees collapse to one closure call per row.
 		if scalarOnly(e) {
-			return kc.node2fill(e)
+			return fill(e)
 		}
 		return kc.memoize(e, func() vec {
 			x := kc.node(e.X)
@@ -637,7 +675,7 @@ func (kc *kcompiler) node(e ir.Expr) vec {
 
 	case *ir.Binary:
 		if scalarOnly(e) {
-			return kc.node2fill(e)
+			return fill(e)
 		}
 		return kc.memoize(e, func() vec {
 			x := kc.node(e.X)
@@ -655,7 +693,7 @@ func (kc *kcompiler) node(e ir.Expr) vec {
 
 	case *ir.Intrinsic:
 		if scalarOnly(e) {
-			return kc.node2fill(e)
+			return fill(e)
 		}
 		return kc.memoize(e, func() vec { return kc.intrinsic(e) })
 
@@ -666,19 +704,6 @@ func (kc *kcompiler) node(e ir.Expr) vec {
 	}
 	kc.ok = false
 	return nil
-}
-
-// node2fill compiles a scalar-invariant subtree as a per-row broadcast of
-// the interpreter closure's value.
-func (kc *kcompiler) node2fill(e ir.Expr) vec {
-	fn := kc.p.compile(e)
-	return func(c *kctx, dst []float64) []float64 {
-		v := fn(0, 0, 0)
-		for n := range dst {
-			dst[n] = v
-		}
-		return dst
-	}
 }
 
 func (kc *kcompiler) intrinsic(e *ir.Intrinsic) vec {
@@ -725,25 +750,25 @@ func (kc *kcompiler) intrinsic(e *ir.Intrinsic) vec {
 			return dst
 		}
 	default:
-		fn := e.Fn
-		slots := make([]int, len(args))
-		for n := 1; n < len(args); n++ {
-			slots[n] = kc.slot()
+		// Every intrinsic takes one or two arguments (ir.Lower checks the
+		// arity), so the per-element argument list lives on the stack: a
+		// compiled row is shared by processors running concurrently and owns
+		// no buffers.
+		fn, x, y := e.Fn, args[0], args[len(args)-1]
+		n, ys, L := len(args), 0, kc.L
+		if n == 2 {
+			ys = kc.slot()
 		}
-		L := kc.L
-		vals := make([]float64, len(args))
-		rows := make([][]float64, len(args))
 		return func(c *kctx, dst []float64) []float64 {
-			rows[0] = args[0](c, dst)
-			for n := 1; n < len(args); n++ {
-				s := slots[n]
-				rows[n] = args[n](c, c.scratch[s*L:s*L+L])
+			xs := x(c, dst)
+			yr := xs
+			if n == 2 {
+				yr = y(c, c.scratch[ys*L:ys*L+L])
 			}
+			var vals [2]float64
 			for i := range dst {
-				for n := range rows {
-					vals[n] = rows[n][i]
-				}
-				dst[i] = evalIntrinsic(fn, vals)
+				vals[0], vals[1] = xs[i], yr[i]
+				dst[i] = evalIntrinsic(fn, vals[:n])
 			}
 			return dst
 		}

@@ -196,6 +196,7 @@ func (w *world) gatherMetrics() *metrics.Registry {
 		}
 	}
 	reg.Counter("dynamic_transfers").Add(int64(w.procs[0].dynTransfers))
+	reg.Gauge("shape_classes").Observe(int64(len(w.classes)))
 	if st := w.schedStats; st != nil {
 		reg.Counter("sched_workers").Add(int64(st.Workers))
 		reg.Counter("sched_steps").Add(st.TotalSteps())

@@ -258,7 +258,7 @@ func TestProfileMarksHoisted(t *testing.T) {
 
 // The metrics registry's counters agree with the Result's own totals.
 func TestMetricsMatchResult(t *testing.T) {
-	res := runSrc(t, laplaceSrc, comm.PL(), Config{Metrics: true})
+	res := runSrc(t, laplaceSrc, comm.PL(), Config{Metrics: true, Procs: 64, ConfigVars: map[string]float64{"n": 16}})
 	reg := res.Metrics
 	if reg == nil {
 		t.Fatal("Metrics nil with Config.Metrics set")
@@ -280,11 +280,16 @@ func TestMetricsMatchResult(t *testing.T) {
 		t.Errorf("message size histogram sum %d != Result.BytesSent %d", h.Sum(), res.BytesSent)
 	}
 	// Every DR..SV sequence resolves its schedule exactly once, at DR.
-	// laplace's regions are all declared, so each transfer compiles once
-	// per processor and every later sequence is a static hit.
-	static, compiles := reg.Counter("sched_cache_hits_static").N, reg.Counter("sched_cache_compiles").N
-	if drs := reg.Counter("ironman_calls_dr").N; static+compiles != drs || compiles == 0 || static < compiles {
-		t.Errorf("schedule cache: %d static hits + %d compiles, want them to sum to the %d DR calls", static, compiles, drs)
+	// laplace's regions are all declared, so a processor's first sequence
+	// of a transfer either compiles the schedule or finds it compiled by a
+	// member of its neighbourhood class, and every later sequence is a
+	// static hit. No neighbourhood is left out of a region this size.
+	static, class, compiles := reg.Counter("sched_cache_hits_static").N, reg.Counter("sched_cache_hits_class").N, reg.Counter("sched_cache_compiles").N
+	if drs := reg.Counter("ironman_calls_dr").N; static+class+compiles != drs || compiles == 0 || class == 0 || static < class+compiles {
+		t.Errorf("schedule cache: %d static hits + %d class hits + %d compiles, want them to sum to the %d DR calls", static, class, compiles, drs)
+	}
+	if n := reg.Counter("sched_cache_hits_empty").N; n != 0 {
+		t.Errorf("schedule cache: %d empty resolves, want none", n)
 	}
 	if n := reg.Counter("sched_cache_hits_successor").N + reg.Counter("sched_cache_hits_map").N; n != 0 {
 		t.Errorf("schedule cache: %d literal-region hits in a program without literal regions", n)

@@ -46,7 +46,7 @@ type overlapJob struct {
 // startAsyncSend defers a prepared message's pack and delivery to a
 // goroutine. The message's virtual-time fields, statistics and trace
 // events are already recorded; only host work leaves this coroutine.
-func (p *proc) startAsyncSend(t *comm.Transfer, pr *packPair, m *dataMsg) {
+func (p *proc) startAsyncSend(t *comm.Transfer, pr *packPair, nb *neighbor, m *dataMsg) {
 	w := p.w
 	if p.inflight == nil {
 		p.inflight = make([]int32, len(w.prog.Arrays))
@@ -60,10 +60,10 @@ func (p *proc) startAsyncSend(t *comm.Transfer, pr *packPair, m *dataMsg) {
 	p.overlapJobs = append(p.overlapJobs, job)
 	w.sched.asyncAdd()
 	w.asyncWG.Add(1)
-	dst := w.procs[pr.peer]
-	back := pr.back
+	dst := w.procs[nb.rank]
+	back, data := nb.back, p.kctx.data
 	go func() {
-		pr.pack(m.flat)
+		pr.pack(m.flat, data)
 		p.deliverData(dst, back, m)
 		close(job.done)
 		w.asyncWG.Done()

@@ -26,6 +26,8 @@ type proc struct {
 	w         *world
 	rank      int
 	row, col  int
+	cls       *shapeClass // the processors with congruent blocks (class.go)
+	ncls      *nbhdClass  // the processors with congruent 3×3 neighbourhoods
 	clock     vtime.Time
 	fields    []*field.Field // by ArraySym.ID
 	scalars   []float64      // by ScalarSym.ID
@@ -67,13 +69,13 @@ type proc struct {
 	// Array-statement engines (kernel.go, fuse.go): the sites of array
 	// statements (by ir.AssignArray.ID), reduction partials (by ir.Reduce.ID)
 	// and fused runs (by fuseRun.idx), the scratch arena that replaces
-	// per-execution temporaries, and the reusable row-evaluation context.
-	stmts       []site[*stmtPlan]
-	reduces     []site[*reduceKernel]
-	fused       []site[*fusedKernel]
-	arena       arena
-	nodeScratch bump // permanent per-node buffers of compiled closures
-	kctx        kctx
+	// per-execution temporaries, and the row-evaluation context that binds
+	// the class's kernels to this processor's data, scalars and origin.
+	stmts   []site[*stmtPlan]
+	reduces []site[*reduceKernel]
+	fused   []site[*fusedKernel]
+	arena   arena
+	kctx    kctx
 
 	// Host-side comm/compute overlap (commexec.go): sends whose pack and
 	// delivery run on a spawned goroutine while this processor keeps
@@ -141,13 +143,13 @@ type neighbor struct {
 
 func newProc(w *world, rank int) *proc {
 	r, c := w.mesh.Coord(rank)
-	// fnCache is pre-sized for typical programs: every processor of every
-	// run populates it during its first block executions, and at 4096
-	// processors the incremental rehashing of a fresh small map was a
-	// visible slice of setup time.
+	// fnCache holds interpreter closures only — for the statements the
+	// kernel compiler rejects, or all of them under ForceInterpreter — so
+	// compile makes it on first use: on scale_4096 the 32-entry map every
+	// processor used to get here measured 22 MB of allocation and 8 MB of
+	// peak RSS that most never touched.
 	p := &proc{
 		w: w, rank: rank, row: r, col: c,
-		fnCache: make(map[ir.Expr]evalFn, 32),
 		xfers:   make([]xferSite, w.plan.NumTransfers()),
 		stmts:   make([]site[*stmtPlan], w.prog.NumArrayStmts),
 		reduces: make([]site[*reduceKernel], w.prog.NumReduces),
@@ -192,9 +194,23 @@ func newProc(w *world, rank int) *proc {
 	return p
 }
 
-// allocate builds this processor's fields and scalar store, and completes
-// its neighbor table from the peers'.
-func (p *proc) allocate() {
+// allocate builds this processor's fields (classify) and scalar store and
+// binds them into its kernel context. locals is setup's scratch.
+func (p *proc) allocate(locals []grid.Region) {
+	w := p.w
+	w.classify(p, locals)
+	p.scalars = make([]float64, len(w.prog.Scalars))
+	copy(p.scalars, w.configVals)
+	p.kctx.env = scalarEnv{vals: p.scalars, p: p}
+	p.kctx.data = make([][]float64, len(p.fields))
+	for id, f := range p.fields {
+		p.kctx.data[id] = f.Data()
+	}
+}
+
+// meet completes this processor's neighbor table from the peers' and finds
+// its neighbourhood class, once every processor is allocated.
+func (p *proc) meet() {
 	w := p.w
 	for dr := range p.nbr {
 		for dc := range p.nbr[dr] {
@@ -203,14 +219,13 @@ func (p *proc) allocate() {
 			}
 		}
 	}
-	p.scalars = make([]float64, len(w.prog.Scalars))
-	copy(p.scalars, w.configVals)
-	p.fields = make([]*field.Field, len(w.prog.Arrays))
-	for _, a := range w.prog.Arrays {
-		local := w.localRegion(w.regionVals[a.Region.ID], p.row, p.col)
-		p.fields[a.ID] = field.New(a.Name, local, a.Ghost)
-	}
+	w.classifyNbhd(p)
 }
+
+// rel moves a region of global indices to coordinates relative to this
+// processor's block origin; abs moves one back.
+func (p *proc) rel(reg grid.Region) grid.Region { return shiftDist(reg, p.kctx.org, -1) }
+func (p *proc) abs(reg grid.Region) grid.Region { return shiftDist(reg, p.kctx.org, 1) }
 
 // charge advances the virtual clock for compute-side work.
 func (p *proc) charge(d vtime.Duration) {
@@ -240,29 +255,11 @@ func (p *proc) waitUntil(t vtime.Time) {
 	}
 }
 
-// segments returns one statement list's segmentation from the world's
-// precomputed table (setup walks every reachable body once). The key is
-// the address of the list's first element, which identifies the body
-// (every statement belongs to exactly one). Sharing the table across
-// processors replaces what used to be a per-proc cache — the split of an
-// immutable IR body never changes, so N procs were holding N identical
-// copies.
-func (p *proc) segments(stmts []ir.Stmt) []comm.Segment {
-	if len(stmts) == 0 {
-		return nil
-	}
-	s, ok := p.w.segs[&stmts[0]]
-	if !ok {
-		panic("rt: statement list missing from segmentation table")
-	}
-	return s
-}
-
 // run executes the program body and folds this processor's statistics
 // into the world. It is the per-processor entry point of both execution
 // modes; on panic the fold is skipped (the run is aborting anyway).
 func (p *proc) run() {
-	p.body(p.w.prog.Main.Body)
+	p.body(p.w.main)
 	p.finish()
 }
 
@@ -278,12 +275,13 @@ type procStat struct {
 	reductions   int
 }
 
-// finish records this processor's statistics and releases its compiled
-// per-proc state. Kernels, schedules and pools are dead once the body
-// returns; dropping them as each processor completes caps peak memory at
-// high processor counts instead of holding every processor's caches
-// until gather. Fields, output and observability state survive — gather
-// still reads them.
+// finish records this processor's statistics and releases what only its
+// body used: the sites' region chains, interpreter closures, message pools
+// and the arena are dead once the body returns, and dropping them as each
+// processor completes caps peak memory at high processor counts. What the
+// sites pointed at belongs to the world's class caches and lives on for the
+// processors still running. Fields, output and observability state survive
+// — gather still reads them.
 func (p *proc) finish() {
 	w := p.w
 	st := procStat{
@@ -306,50 +304,108 @@ func (p *proc) finish() {
 	p.arena = arena{}
 }
 
-// body interprets a structured statement list, alternating between
-// planned basic blocks and control statements.
-func (p *proc) body(stmts []ir.Stmt) {
-	for _, seg := range p.segments(stmts) {
-		if seg.Block != nil {
-			p.block(seg.Block)
+// seg is one segment of a statement list as setup bound it, for every
+// processor to walk without a lookup: a planned basic block with its
+// fusable runs, or a control statement with its preheader transfers and
+// the bodies it runs (then: an If's Then, a loop's or a called procedure's
+// body; els: an If's Else).
+type seg struct {
+	bp        *comm.BlockPlan // nil for a control statement
+	runs      []*fuseRun
+	ctl       ir.Stmt
+	pre       []*comm.Transfer
+	then, els []seg
+}
+
+// bind segments a statement list and resolves every basic block to its
+// plan and fusable runs — numbering the runs — and every control statement
+// to its bound bodies. procs memoizes procedure bodies (the subset forbids
+// recursion).
+func (w *world) bind(stmts []ir.Stmt, procs map[*ir.Proc][]seg) []seg {
+	var out []seg
+	for _, sg := range comm.SplitSegments(stmts) {
+		if sg.Block != nil {
+			b := seg{bp: w.plan.BlockFor(sg.Block[0])}
+			if b.bp == nil {
+				panic("rt: basic block missing from plan")
+			}
+			if w.fusion {
+				b.runs = fusionRuns(b.bp, nil)
+				for _, fr := range b.runs {
+					fr.idx = w.fuseRuns
+					w.fuseRuns++
+				}
+			}
+			out = append(out, b)
 			continue
 		}
-		p.control(seg.Control)
+		c := seg{ctl: sg.Control, pre: w.plan.Preheader(sg.Control)}
+		switch s := sg.Control.(type) {
+		case *ir.If:
+			c.then, c.els = w.bind(s.Then, procs), w.bind(s.Else, procs)
+		case *ir.Repeat:
+			c.then = w.bind(s.Body, procs)
+		case *ir.While:
+			c.then = w.bind(s.Body, procs)
+		case *ir.For:
+			c.then = w.bind(s.Body, procs)
+		case *ir.Call:
+			body, ok := procs[s.Proc]
+			if !ok {
+				body = w.bind(s.Proc.Body, procs)
+				procs[s.Proc] = body
+			}
+			c.then = body
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// body interprets a bound statement list, alternating between planned
+// basic blocks and control statements.
+func (p *proc) body(segs []seg) {
+	for i := range segs {
+		if sg := &segs[i]; sg.bp != nil {
+			p.block(sg.bp, sg.runs)
+		} else {
+			p.control(sg)
+		}
 	}
 }
 
 // loopOverhead is the control cost charged per loop iteration or branch.
 const loopOverhead = 200 * vtime.Nanosecond
 
-func (p *proc) control(s ir.Stmt) {
-	switch s := s.(type) {
+func (p *proc) control(c *seg) {
+	switch s := c.ctl.(type) {
 	case *ir.If:
 		p.charge(loopOverhead)
 		if p.evalScalar(s.Cond) != 0 {
-			p.body(s.Then)
+			p.body(c.then)
 		} else {
-			p.body(s.Else)
+			p.body(c.els)
 		}
 	case *ir.Repeat:
-		p.execPreheader(s)
+		p.execPreheader(c.pre)
 		for {
 			p.charge(loopOverhead)
-			p.body(s.Body)
+			p.body(c.then)
 			if p.evalScalar(s.Until) != 0 {
 				return
 			}
 		}
 	case *ir.While:
-		p.execPreheader(s)
+		p.execPreheader(c.pre)
 		for {
 			p.charge(loopOverhead)
 			if p.evalScalar(s.Cond) == 0 {
 				return
 			}
-			p.body(s.Body)
+			p.body(c.then)
 		}
 	case *ir.For:
-		p.execPreheader(s)
+		p.execPreheader(c.pre)
 		lo := p.evalInt(s.Lo, "for bound")
 		hi := p.evalInt(s.Hi, "for bound")
 		step := 1
@@ -359,14 +415,14 @@ func (p *proc) control(s ir.Stmt) {
 		for v := lo; (step > 0 && v <= hi) || (step < 0 && v >= hi); v += step {
 			p.charge(loopOverhead)
 			p.scalars[s.Var.ID] = float64(v)
-			p.body(s.Body)
+			p.body(c.then)
 		}
 	case *ir.Call:
 		p.charge(loopOverhead)
 		for i, a := range s.Args {
 			p.scalars[s.Proc.Params[i].ID] = p.evalScalar(a)
 		}
-		p.body(s.Proc.Body)
+		p.body(c.then)
 	default:
 		panic(fmt.Sprintf("rt: unexpected control stmt %T", s))
 	}
@@ -375,8 +431,8 @@ func (p *proc) control(s ir.Stmt) {
 // execPreheader performs the loop's hoisted transfers (the cross-block
 // extension): each runs its full synchronous IRONMAN sequence once,
 // immediately before the loop is entered.
-func (p *proc) execPreheader(loop ir.Stmt) {
-	for _, t := range p.w.plan.Preheader(loop) {
+func (p *proc) execPreheader(hoisted []*comm.Transfer) {
+	for _, t := range hoisted {
 		for _, kind := range []comm.CallKind{comm.DR, comm.SR, comm.DN, comm.SV} {
 			p.execCall(comm.Call{Kind: kind, T: t})
 		}
@@ -385,12 +441,8 @@ func (p *proc) execPreheader(loop ir.Stmt) {
 
 // block interprets one planned basic block: IRONMAN calls interleave with
 // the statements at their scheduled positions.
-func (p *proc) block(stmts []ir.Stmt) {
-	bp := p.w.plan.BlockFor(stmts[0])
-	if bp == nil {
-		panic("rt: basic block missing from plan")
-	}
-	runs := p.w.fuse[bp]
+func (p *proc) block(bp *comm.BlockPlan, runs []*fuseRun) {
+	stmts := bp.Stmts
 	ri := 0
 	for pos := 0; pos <= len(stmts); pos++ {
 		for _, c := range bp.Calls[pos] {
@@ -511,7 +563,7 @@ func (p *proc) assignArray(s *ir.AssignArray) {
 			pl.k.run(p)
 		} else {
 			p.engine = trace.EngineInterp
-			p.assignArrayInterp(s, p.fields[s.LHS.ID], pl.local, pl.size)
+			p.assignArrayInterp(s, p.fields[s.LHS.ID], p.abs(pl.local), pl.size)
 		}
 	}
 	p.charge(w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(pl.size)*int64(s.Flops))*w.mach.OpTime))
@@ -538,8 +590,7 @@ func (p *proc) assignScalar(s *ir.AssignScalar) {
 		p.charge(vtime.Duration(s.Flops) * p.w.mach.OpTime)
 		return
 	}
-	reg := p.evalRegion(s.Region)
-	local := p.w.localRegion(reg, p.row, p.col)
+	local := p.cls.clip(p.rel(p.evalRegion(s.Region)))
 	size := local.Size()
 	p.scalars[s.LHS.ID] = p.evalWithReduce(s.RHS, s.Region.Sym != nil, local)
 	p.charge(p.w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(size)*int64(s.Flops))*p.w.mach.OpTime))
@@ -547,8 +598,9 @@ func (p *proc) assignScalar(s *ir.AssignScalar) {
 
 // evalWithReduce evaluates a scalar RHS that may contain reductions; each
 // reduction computes a local partial over this processor's part of the
-// statement region and then performs a global combine. static says the
-// statement's region is declared, so local is the same on every execution.
+// statement region (local, relative to the block origin) and then performs
+// a global combine. static says the statement's region is declared, so
+// local is the same on every execution.
 func (p *proc) evalWithReduce(e ir.Expr, static bool, local grid.Region) float64 {
 	switch e := e.(type) {
 	case *ir.Reduce:
@@ -558,7 +610,7 @@ func (p *proc) evalWithReduce(e ir.Expr, static bool, local grid.Region) float64
 		} else {
 			fn := p.compile(e.X)
 			acc = e.Op.Identity()
-			field.ForEach(local, func(i, j, k int) { acc = e.Op.Combine(acc, fn(i, j, k)) })
+			field.ForEach(p.abs(local), func(i, j, k int) { acc = e.Op.Combine(acc, fn(i, j, k)) })
 		}
 		return p.allreduce(e, acc)
 	case *ir.Unary:
@@ -568,16 +620,11 @@ func (p *proc) evalWithReduce(e ir.Expr, static bool, local grid.Region) float64
 		y := p.evalWithReduce(e.Y, static, local)
 		return evalBinary(e.Op, x, y)
 	case *ir.Intrinsic:
-		// Argument values stage in the proc's arena (stack discipline
-		// survives the recursion), not a per-call allocation.
-		mk := p.arena.mark()
-		args := p.arena.alloc(len(e.Args))
+		var args [2]float64 // ir.Lower checks arities: one or two arguments
 		for i, a := range e.Args {
 			args[i] = p.evalWithReduce(a, static, local)
 		}
-		v := evalIntrinsic(e.Fn, args)
-		p.arena.release(mk)
-		return v
+		return evalIntrinsic(e.Fn, args[:len(e.Args)])
 	default:
 		return p.evalScalar(e)
 	}
@@ -604,42 +651,9 @@ func (p *proc) write(s *ir.Write) {
 	p.output.WriteByte('\n')
 }
 
-// evalScalar evaluates a pure scalar expression (no array references) by
-// direct tree walk. Scalar control flow — loop bounds, conditions, scalar
-// assignments — runs once per iteration on every processor, so the walk
-// deliberately skips the closure compiler: compiling would mint one
-// closure tree per (processor, expression) pair per run, which at 4096
-// processors is pure allocation and cache-lookup overhead for
-// expressions that evaluate in a handful of arithmetic ops. Node types
-// that can legally appear only in array context fall back to the
-// compiled path at point (0,0,0), preserving the old semantics exactly.
-func (p *proc) evalScalar(e ir.Expr) float64 {
-	switch e := e.(type) {
-	case *ir.Const:
-		return e.Val
-	case *ir.ScalarRef:
-		return p.scalars[e.Sym.ID]
-	case *ir.Unary:
-		return evalUnary(e.Op, p.evalScalar(e.X))
-	case *ir.Binary:
-		return evalBinary(e.Op, p.evalScalar(e.X), p.evalScalar(e.Y))
-	case *ir.Intrinsic:
-		if len(e.Args) <= 2 {
-			var buf [2]float64
-			for i, a := range e.Args {
-				buf[i] = p.evalScalar(a)
-			}
-			return evalIntrinsic(e.Fn, buf[:len(e.Args)])
-		}
-		args := make([]float64, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = p.evalScalar(a)
-		}
-		return evalIntrinsic(e.Fn, args)
-	default:
-		return p.compile(e)(0, 0, 0)
-	}
-}
+// evalScalar evaluates a pure scalar expression (no array references)
+// against this processor's scalars.
+func (p *proc) evalScalar(e ir.Expr) float64 { return p.kctx.env.eval(e) }
 
 func (p *proc) evalInt(e ir.Expr, what string) int {
 	v := p.evalScalar(e)

@@ -258,11 +258,24 @@ type world struct {
 	overlap    bool // async pack+delivery of large sends (scheduler + pooled comm only)
 	chanCap    int  // per-pair channel capacity, derived from the plan
 
-	// fuse maps each planned block to its statically fusable statement
-	// runs (fuse.go), fuseRuns of them in all. Built once at setup,
-	// read-only afterwards; nil under ForceInterpreter and ForceNoFusion.
-	fuse     map[*comm.BlockPlan][]*fuseRun
+	// main is the program body as setup bound it (proc.go: seg): every
+	// block resolved to its plan and its statically fusable statement runs
+	// (fuse.go) — fuseRuns of them in all, none unless fusion is on — and
+	// every control statement to its bodies. Read-only once the processors
+	// run, so they walk it without locks or lookups.
+	main     []seg
+	fusion   bool // off under ForceInterpreter and ForceNoFusion
 	fuseRuns int
+
+	// Shape classes (class.go) and, per dispatch site, what the site
+	// compiled to for each class: by comm.Transfer.Slot, ir.AssignArray.ID,
+	// ir.Reduce.ID and fuseRun.idx, like the processors' own sites.
+	classes  []*shapeClass
+	nbhds    map[[3][3]int32]*nbhdClass
+	xferCC   []classCache[*commSched]
+	stmtCC   []classCache[*stmtPlan]
+	reduceCC []classCache[*reduceKernel]
+	fusedCC  []classCache[*fusedKernel]
 
 	// callNames holds every transfer's event and callsite strings by
 	// Transfer.Slot (observe.go); nil unless tracing or critical-path
@@ -276,12 +289,6 @@ type world struct {
 	configVals []float64     // by ScalarSym.ID, configs+consts evaluated
 	regionVals []grid.Region // by RegionSym.ID, evaluated declared regions
 	master     [2]grid.Span  // anchor spans for the block distribution
-
-	// segs is the precomputed segmentation of every statement list
-	// reachable from the program, keyed by the address of the list's
-	// first element. Built once at setup and read-only afterwards, so all
-	// processors share it without locks.
-	segs map[*ir.Stmt][]comm.Segment
 
 	procs      []*proc
 	sched      *scheduler  // M:N scheduler state; nil in goroutine-oracle mode
@@ -396,9 +403,7 @@ func Run(prog *ir.Program, plan *comm.Plan, cfg Config) (*Result, error) {
 	// the M:N scheduler (deliverData + mailbox wakeups are its delivery
 	// path); the oracles run fully synchronously.
 	w.overlap = w.mn && !w.legacyComm && !cfg.NoOverlap
-	if !cfg.ForceInterpreter && !cfg.ForceNoFusion {
-		w.fuse, w.fuseRuns = buildFusionTable(plan)
-	}
+	w.fusion = !cfg.ForceInterpreter && !cfg.ForceNoFusion
 	if err := w.setup(cfg); err != nil {
 		return nil, err
 	}
@@ -437,8 +442,8 @@ func (w *world) runGoroutinePerProc() {
 	wg.Wait()
 }
 
-// setup evaluates configs, constants and regions, builds the distribution
-// and allocates every processor's fields.
+// setup evaluates configs, constants and regions, builds the distribution,
+// binds the program body and allocates every processor's fields.
 func (w *world) setup(cfg Config) error {
 	prog := w.prog
 	w.configVals = make([]float64, len(prog.Scalars))
@@ -511,35 +516,20 @@ func (w *world) setup(cfg Config) error {
 			w.mesh.Size(), w.master[0].Len(), w.master[1].Len(), w.mesh, minBlock, maxGhost)
 	}
 
-	// Segment every statement list the program can reach, once, shared by
-	// all processors (segments()).
-	w.segs = map[*ir.Stmt][]comm.Segment{}
-	var walk func(stmts []ir.Stmt)
-	walk = func(stmts []ir.Stmt) {
-		if len(stmts) == 0 {
-			return
-		}
-		if _, ok := w.segs[&stmts[0]]; ok {
-			return
-		}
-		w.segs[&stmts[0]] = comm.SplitSegments(stmts)
-		for _, s := range stmts {
-			switch s := s.(type) {
-			case *ir.If:
-				walk(s.Then)
-				walk(s.Else)
-			case *ir.Repeat:
-				walk(s.Body)
-			case *ir.While:
-				walk(s.Body)
-			case *ir.For:
-				walk(s.Body)
-			}
-		}
+	// Bind every statement list the program can reach, once, shared by all
+	// processors, and give every dispatch site its class cache with the
+	// value it has wherever its region clips to nothing.
+	w.main = w.bind(prog.Main.Body, map[*ir.Proc][]seg{})
+	w.xferCC = make([]classCache[*commSched], w.plan.NumTransfers())
+	w.eachTransfer(func(t *comm.Transfer) { w.xferCC[t.Slot].empty = emptySched(t) })
+	w.stmtCC = make([]classCache[*stmtPlan], prog.NumArrayStmts)
+	for i := range w.stmtCC {
+		w.stmtCC[i].empty = &noPlan
 	}
-	walk(prog.Main.Body)
-	for _, pr := range prog.Procs {
-		walk(pr.Body)
+	w.reduceCC = make([]classCache[*reduceKernel], prog.NumReduces)
+	w.fusedCC = make([]classCache[*fusedKernel], w.fuseRuns)
+	for i := range w.fusedCC {
+		w.fusedCC[i].empty = &noSweep
 	}
 
 	// Resolve the collective algorithm and build every rank's hop
@@ -561,11 +551,14 @@ func (w *world) setup(cfg Config) error {
 	}
 	w.stats = make([]procStat, 0, w.mesh.Size())
 	w.procs = make([]*proc, w.mesh.Size())
+	w.nbhds = map[[3][3]int32]*nbhdClass{}
+	locals := make([]grid.Region, len(prog.Arrays))
 	for rank := range w.procs {
 		w.procs[rank] = newProc(w, rank)
+		w.procs[rank].allocate(locals)
 	}
 	for _, p := range w.procs {
-		p.allocate()
+		p.meet()
 	}
 
 	// Observability wiring: each processor gets its own ring buffer,
@@ -601,45 +594,20 @@ func (w *world) setup(cfg Config) error {
 	return nil
 }
 
-// localSpan intersects a declared span with the indices owned by block b
-// of p in one dimension.
-func localSpan(master, declared grid.Span, p, b int) grid.Span {
-	bs := grid.BlockSpan(master.Len(), p, b)
-	lo := master.Lo + bs.Lo - 1
-	hi := master.Lo + bs.Hi - 1
-	if bs.Empty() {
-		return grid.Span{Lo: 1, Hi: 0}
-	}
-	// Edge blocks absorb indices outside the master span.
-	if b == 0 {
-		lo = declared.Lo
-	}
-	if b == p-1 {
-		hi = declared.Hi
-	}
-	return grid.Span{Lo: lo, Hi: hi}.Intersect(declared)
-}
-
-// localRegion returns the sub-region of reg owned by the processor at
-// mesh position (row, col).
-func (w *world) localRegion(reg grid.Region, row, col int) grid.Region {
-	out := reg
-	out.Spans[0] = localSpan(w.master[0], reg.Spans[0], w.mesh.Rows, row)
-	if reg.Rank >= 2 {
-		out.Spans[1] = localSpan(w.master[1], reg.Spans[1], w.mesh.Cols, col)
-	} else if col != 0 {
-		out.Spans[0] = grid.Span{Lo: 1, Hi: 0} // rank-1 data lives on column 0
-	}
-	return out
-}
-
-// scalarEnv evaluates setup-time scalar expressions (config and constant
-// initializers, region bounds) against the shared value table. Intrinsic
-// argument values stage in an owned arena reused across every evaluation
-// (stack discipline survives nested intrinsics), not per-call slices.
+// scalarEnv evaluates pure scalar expressions against a value table by
+// direct tree walk: the shared table at setup (config and constant
+// initializers, region bounds), a processor's own for its control flow —
+// loop bounds, conditions, scalar assignments — and inside the kernels it
+// runs (kctx.env). Such expressions evaluate in a handful of arithmetic
+// ops, so the walk deliberately skips the closure compiler: compiling would
+// mint one closure tree per (processor, expression) pair per run, which at
+// 4096 processors is pure allocation and cache-lookup overhead.
 type scalarEnv struct {
-	vals    []float64
-	scratch arena
+	vals []float64
+	// p's closure compiler evaluates, at point (0,0,0), a node that can
+	// legally appear only in array context. nil at setup, where no such
+	// node is valid.
+	p *proc
 }
 
 func (e *scalarEnv) eval(x ir.Expr) float64 {
@@ -653,16 +621,16 @@ func (e *scalarEnv) eval(x ir.Expr) float64 {
 	case *ir.Binary:
 		return evalBinary(x.Op, e.eval(x.X), e.eval(x.Y))
 	case *ir.Intrinsic:
-		mk := e.scratch.mark()
-		args := e.scratch.alloc(len(x.Args))
+		var args [2]float64 // ir.Lower checks arities: one or two arguments
 		for i, a := range x.Args {
 			args[i] = e.eval(a)
 		}
-		v := evalIntrinsic(x.Fn, args)
-		e.scratch.release(mk)
-		return v
+		return evalIntrinsic(x.Fn, args[:len(x.Args)])
 	}
-	panic(fmt.Sprintf("rt: expression %T not valid at setup time", x))
+	if e.p == nil {
+		panic(fmt.Sprintf("rt: expression %T not valid at setup time", x))
+	}
+	return e.p.compile(x)(0, 0, 0)
 }
 
 func evalRegionBounds(ev *scalarEnv, rank int, bounds [grid.MaxRank][2]ir.Expr) (grid.Region, error) {

@@ -35,21 +35,7 @@ end;
 // starting it, so tests can drive custom processor bodies.
 func testWorld(t *testing.T, procs int) *world {
 	t.Helper()
-	prog, plan := compile(t, schedTestSrc)
-	mach := machine.T3D()
-	lib, err := mach.Lib("pvm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &world{
-		prog: prog, plan: plan, mach: mach, lib: lib,
-		mesh: grid.SquarestMesh(procs), mn: true,
-		chanCap: pairChanCap(plan), abort: make(chan struct{}),
-	}
-	if err := w.setup(Config{}); err != nil {
-		t.Fatal(err)
-	}
-	return w
+	return classWorld(t, schedTestSrc, procs, nil)
 }
 
 // TestSchedulerDeadlockDetected: a processor parked on an event nobody

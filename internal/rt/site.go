@@ -12,19 +12,22 @@ import (
 // run (its fused kernel). Each carries a dense index assigned where the
 // node is created — comm.Transfer.Slot, ir.AssignArray.ID, ir.Reduce.ID,
 // fuseRun.idx — and every processor holds one slice of sites per kind, so
-// dispatch never hashes a pointer or a struct (DESIGN.md §19).
+// dispatch never hashes a pointer or a struct (DESIGN.md §19). What a site
+// compiles to belongs to the world, shared by the processor's shape class
+// (class.go); the processor's site keeps the pointers it resolved.
 
 // siteCacheLimit bounds the regions one literal-bound site remembers;
 // past it the site drops its cache and rebuilds.
 const siteCacheLimit = 4096
 
-// site is one processor's cache for one dispatch site. A site whose region
-// is declared resolves once: fixed is set and val is the answer for the
-// rest of the run. A literal-bound site (wavefront sweeps) remembers every
-// region it has met, chained in first-seen order. Sweeps revisit their
-// regions in the same order on every outer iteration, so a lookup first
-// tries next, the entry that followed the previous hit, and only a
-// misprediction pays for the index.
+// site is one processor's cache for one dispatch site, keyed by the
+// statement region clipped to the processor's class frame. A site whose
+// region is declared resolves once: fixed is set and val is the answer for
+// the rest of the run. A literal-bound site (wavefront sweeps) remembers
+// every non-empty clipped region it has met, chained in first-seen order.
+// Sweeps revisit their regions in the same order on every outer iteration,
+// so a lookup first tries next, the entry that followed the previous hit,
+// and only a misprediction pays for the index.
 type site[T any] struct {
 	fixed bool
 	val   T
@@ -65,17 +68,23 @@ const (
 	cacheReduce
 )
 
+// hitEmpty is a region that clips to nothing on the processor: the site's
+// shared empty value, no lookup. hitClass is a processor's first sight of a
+// region another member of its class compiled; compiled is a first sight
+// nobody of the class had before, a real compilation.
 const (
 	hitStatic = iota
 	hitSuccessor
 	hitMap
+	hitEmpty
+	hitClass
 	compiled
 	dropped
 )
 
 var (
 	cacheKinds    = [...]string{"sched", "kernel", "fused", "reduce"}
-	cacheOutcomes = [...]string{"hits_static", "hits_successor", "hits_map", "compiles", "drops"}
+	cacheOutcomes = [...]string{"hits_static", "hits_successor", "hits_map", "hits_empty", "hits_class", "compiles", "drops"}
 )
 
 // count records one lookup outcome; a no-op unless Config.Metrics is on.
@@ -88,7 +97,8 @@ func (m *procMetrics) count(kind, outcome int) {
 // get returns the site's value for key, calling build and caching its
 // result on first sight; static says the site's region is declared, which
 // fixes the site for good. A fixed site ignores key, so callers skip
-// evaluating it. m and kind say where to count the outcome.
+// evaluating it. m and kind say where to count a hit; build counts its own
+// outcome.
 func (s *site[T]) get(static bool, key grid.Region, m *procMetrics, kind int, build func(grid.Region) T) T {
 	if s.fixed {
 		m.count(kind, hitStatic)
@@ -106,7 +116,6 @@ func (s *site[T]) get(static bool, key grid.Region, m *procMetrics, kind int, bu
 		}
 	}
 	v := build(key)
-	m.count(kind, compiled)
 	if static {
 		s.fixed, s.val = true, v
 		return v
@@ -129,11 +138,22 @@ func (s *site[T]) get(static bool, key grid.Region, m *procMetrics, kind int, bu
 }
 
 // resolve returns what site s means for the region re denotes on p right
-// now.
-func resolve[T any](p *proc, s *site[T], re ir.RegionExpr, kind int, build func(grid.Region) T) T {
-	var reg grid.Region
+// now: the region is moved to p's origin and clipped to fr, the frame of
+// p's class cls, which is the key both of p's own cache and of the class's,
+// cc. An empty key — nothing of the region concerns the processor —
+// resolves to the site's shared empty value without an entry anywhere.
+func resolve[T any](p *proc, s *site[T], cc *classCache[T], fr *frame, cls int32, re ir.RegionExpr, kind int, build func(grid.Region) T) T {
+	var key grid.Region
 	if !s.fixed {
-		reg = p.evalRegion(re)
+		if key = fr.clip(p.rel(p.evalRegion(re))); key.Empty() {
+			p.met.count(kind, hitEmpty)
+			if re.Sym != nil {
+				s.fixed, s.val = true, cc.empty
+			}
+			return cc.empty
+		}
 	}
-	return s.get(re.Sym != nil, reg, p.met, kind, build)
+	return s.get(re.Sym != nil, key, p.met, kind, func(key grid.Region) T {
+		return cc.get(cls, key, p.met, kind, build)
+	})
 }

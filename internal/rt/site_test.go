@@ -15,11 +15,16 @@ func row(i int) grid.Region {
 // stats is what one sequence of lookups counted, by outcome.
 type stats = [len(cacheOutcomes)]int64
 
+// builds counts the first sights of the site under test: a site asks its
+// builder (in the runtime, the class cache) only for a region it has not
+// cached.
+var builds int
+
 // lookup is one dispatch through a site under test; the value built for a
 // row is its number.
 func lookup(t *testing.T, s *site[int], m *procMetrics, static bool, i int) {
 	t.Helper()
-	if v := s.get(static, row(i), m, cacheSched, func(reg grid.Region) int { return reg.Spans[0].Lo }); v != i {
+	if v := s.get(static, row(i), m, cacheSched, func(reg grid.Region) int { builds++; return reg.Spans[0].Lo }); v != i {
 		t.Fatalf("row %d resolved to the value of row %d", i, v)
 	}
 }
@@ -27,6 +32,7 @@ func lookup(t *testing.T, s *site[int], m *procMetrics, static bool, i int) {
 func TestSiteStaticResolvesOnce(t *testing.T) {
 	var s site[int]
 	var m procMetrics
+	builds = 0
 	for n := 0; n < 5; n++ {
 		lookup(t, &s, &m, true, 7)
 	}
@@ -35,8 +41,8 @@ func TestSiteStaticResolvesOnce(t *testing.T) {
 	if v := s.get(true, grid.Region{}, &m, cacheSched, nil); v != 7 {
 		t.Fatalf("fixed site resolved to %d, want 7", v)
 	}
-	if st := m.caches[cacheSched]; st != (stats{hitStatic: 5, compiled: 1}) {
-		t.Fatalf("stats = %v, want 1 compile and 5 static hits", st)
+	if st := m.caches[cacheSched]; st != (stats{hitStatic: 5}) || builds != 1 {
+		t.Fatalf("stats = %v with %d builds, want 1 build and 5 static hits", st, builds)
 	}
 	if s.sweep != nil || s.next != nil {
 		t.Fatal("a static site built a sweep cache")
@@ -46,6 +52,7 @@ func TestSiteStaticResolvesOnce(t *testing.T) {
 func TestSiteSuccessorPrediction(t *testing.T) {
 	var s site[int]
 	var m procMetrics
+	builds = 0
 	for pass := 0; pass < 4; pass++ {
 		for i := 3; i <= 20; i++ {
 			lookup(t, &s, &m, false, i)
@@ -53,14 +60,15 @@ func TestSiteSuccessorPrediction(t *testing.T) {
 	}
 	// The first pass compiles every row; every later lookup, the wrap from
 	// the last row back to the first included, is a successor hit.
-	if st := m.caches[cacheSched]; st != (stats{hitSuccessor: 3 * 18, compiled: 18}) {
-		t.Fatalf("stats = %v, want 18 compiles and 54 successor hits", st)
+	if st := m.caches[cacheSched]; st != (stats{hitSuccessor: 3 * 18}) || builds != 18 {
+		t.Fatalf("stats = %v with %d builds, want 18 builds and 54 successor hits", st, builds)
 	}
 }
 
 func TestSiteMispredictionStillRight(t *testing.T) {
 	var s site[int]
 	var m procMetrics
+	builds = 0
 	for i := 20; i >= 3; i-- { // downto sweep: first-seen order is descending
 		lookup(t, &s, &m, false, i)
 	}
@@ -70,9 +78,9 @@ func TestSiteMispredictionStillRight(t *testing.T) {
 	for i := 30; i >= 3; i-- { // rows 30..21 are new; the oldest entry, row 20, follows the newest
 		lookup(t, &s, &m, false, i)
 	}
-	want := stats{compiled: 18 + 10, hitMap: 18, hitSuccessor: 18}
-	if st := m.caches[cacheSched]; st != want {
-		t.Fatalf("stats = %v, want %v", st, want)
+	want := stats{hitMap: 18, hitSuccessor: 18}
+	if st := m.caches[cacheSched]; st != want || builds != 18+10 {
+		t.Fatalf("stats = %v with %d builds, want %v with 28", st, builds, want)
 	}
 }
 
@@ -80,6 +88,7 @@ func TestSiteLimitDropsAndRebuilds(t *testing.T) {
 	var s site[int]
 	var m procMetrics
 	st := &m.caches[cacheSched]
+	builds = 0
 	for i := 0; i < siteCacheLimit; i++ {
 		lookup(t, &s, &m, false, i)
 	}
@@ -92,7 +101,7 @@ func TestSiteLimitDropsAndRebuilds(t *testing.T) {
 	}
 	lookup(t, &s, &m, false, 0) // dropped, so rebuilt
 	lookup(t, &s, &m, false, siteCacheLimit)
-	if want := int64(siteCacheLimit + 2); st[compiled] != want || st[hitMap]+st[hitSuccessor] != 1 {
-		t.Fatalf("stats = %v, want %d compiles and one hit", *st, want)
+	if want := siteCacheLimit + 2; builds != want || st[hitMap]+st[hitSuccessor] != 1 {
+		t.Fatalf("stats = %v with %d builds, want %d builds and one hit", *st, builds, want)
 	}
 }

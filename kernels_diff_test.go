@@ -52,11 +52,14 @@ func TestKernelsMatchInterpreter(t *testing.T) {
 	}
 	targets = append(targets, target{"laplace", lap, map[string]float64{"n": 16, "iters": 3}})
 	targets = append(targets, target{"sweep_updown", compileExample(t, "examples/zpl/sweep_updown.zpl"), map[string]float64{"n": 12, "iters": 3}})
+	for _, tgt := range targets[:len(targets):len(targets)] {
+		targets = append(targets, target{tgt.name + "-uneven", tgt.prog, unevenSize(tgt.cfg)})
+	}
 
 	for _, tgt := range targets {
 		for _, lv := range levels {
 			plan := tgt.prog.Plan(lv.opts)
-			for _, procs := range []int{1, 4} {
+			for _, procs := range []int{1, 4, 64} {
 				t.Run(fmt.Sprintf("%s/%s/p%d", tgt.name, lv.name, procs), func(t *testing.T) {
 					run := func(forceInterp bool) RunOptions {
 						return RunOptions{

@@ -13,7 +13,8 @@ import (
 // compileExample compiles a shipped example program for the differential
 // suites. sweep_updown.zpl joins their corpora for its non-repeating
 // literal-bound sweeps, which the benchmarks' fixed-order wavefronts never
-// produce.
+// produce; scalar_ops.zpl for a scalar on either side of every operator and
+// for -0.0, Inf and NaN in the data.
 func compileExample(t *testing.T, path string) *Program {
 	t.Helper()
 	src, err := os.ReadFile(path)
@@ -84,6 +85,7 @@ func TestCommMatchesLegacy(t *testing.T) {
 	}
 	targets = append(targets, target{"laplace", lap, map[string]float64{"n": 16, "iters": 3}})
 	targets = append(targets, target{"sweep_updown", compileExample(t, "examples/zpl/sweep_updown.zpl"), map[string]float64{"n": 12, "iters": 3}})
+	targets = append(targets, target{"scalar_ops", compileExample(t, "examples/zpl/scalar_ops.zpl"), map[string]float64{"n": 12, "iters": 3}})
 	for _, tgt := range targets[:len(targets):len(targets)] {
 		targets = append(targets, target{tgt.name + "-uneven", tgt.prog, unevenSize(tgt.cfg)})
 	}

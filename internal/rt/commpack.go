@@ -43,22 +43,32 @@ type packPair struct {
 	runs    []packRun
 }
 
+// copyRun copies one rectangle onto another of the same shape, a contiguous
+// row at a time.
+func copyRun(dst []float64, to field.RectRun, src []float64, from field.RectRun) {
+	for a := 0; a < from.N0; a++ {
+		db, sb := to.Base+a*to.S0, from.Base+a*from.S0
+		for m := 0; m < from.N1; m++ {
+			copy(dst[db:db+to.RowLen], src[sb:sb+from.RowLen])
+			db += to.S1
+			sb += from.S1
+		}
+	}
+}
+
+// packed is r's rectangle laid out contiguously from offset off of a flat
+// buffer, rows in the order ExtractRect uses.
+func packed(off int, r field.RectRun) field.RectRun {
+	return field.RectRun{Base: off, S0: r.N1 * r.RowLen, N0: r.N0, S1: r.RowLen, N1: r.N1, RowLen: r.RowLen}
+}
+
 // pack copies every run's rectangle of the fields data into flat, which
-// must hold exactly pr.doubles elements, in the same row-major item order
-// ExtractRect uses.
+// must hold exactly pr.doubles elements, in item order.
 func (pr *packPair) pack(flat []float64, data [][]float64) {
 	off := 0
 	for _, r := range pr.runs {
-		b, src := r.Base, data[r.id]
-		for a := 0; a < r.N0; a++ {
-			rb := b
-			for m := 0; m < r.N1; m++ {
-				copy(flat[off:off+r.RowLen], src[rb:rb+r.RowLen])
-				off += r.RowLen
-				rb += r.S1
-			}
-			b += r.S0
-		}
+		copyRun(flat, packed(off, r.RectRun), data[r.id], r.RectRun)
+		off += r.N0 * r.N1 * r.RowLen
 	}
 }
 
@@ -67,16 +77,8 @@ func (pr *packPair) pack(flat []float64, data [][]float64) {
 func (pr *packPair) unpack(flat []float64, data [][]float64) {
 	off := 0
 	for _, r := range pr.runs {
-		b, dst := r.Base, data[r.id]
-		for a := 0; a < r.N0; a++ {
-			rb := b
-			for m := 0; m < r.N1; m++ {
-				copy(dst[rb:rb+r.RowLen], flat[off:off+r.RowLen])
-				off += r.RowLen
-				rb += r.S1
-			}
-			b += r.S0
-		}
+		copyRun(data[r.id], r.RectRun, flat, packed(off, r.RectRun))
+		off += r.N0 * r.N1 * r.RowLen
 	}
 }
 

@@ -84,29 +84,12 @@ func (p *proc) compile1(e ir.Expr) evalFn {
 		for i, a := range e.Args {
 			args[i] = p.compile(a)
 		}
-		switch e.Fn {
-		case ir.FnAbs:
+		if fn := unaryFns[e.Fn]; fn != nil {
 			x := args[0]
-			return func(i, j, k int) float64 { return math.Abs(x(i, j, k)) }
-		case ir.FnSqrt:
-			x := args[0]
-			return func(i, j, k int) float64 { return math.Sqrt(x(i, j, k)) }
-		case ir.FnMax:
-			x, y := args[0], args[1]
-			return func(i, j, k int) float64 { return math.Max(x(i, j, k), y(i, j, k)) }
-		case ir.FnMin:
-			x, y := args[0], args[1]
-			return func(i, j, k int) float64 { return math.Min(x(i, j, k), y(i, j, k)) }
-		default:
-			fn := e.Fn
-			return func(i, j, k int) float64 {
-				var vals [2]float64 // ir.Lower checks arities: one or two arguments
-				for n, a := range args {
-					vals[n] = a(i, j, k)
-				}
-				return evalIntrinsic(fn, vals[:len(args)])
-			}
+			return func(i, j, k int) float64 { return fn(x(i, j, k)) }
 		}
+		fn, x, y := binaryFns[e.Fn], args[0], args[1]
+		return func(i, j, k int) float64 { return fn(x(i, j, k), y(i, j, k)) }
 
 	case *ir.Reduce:
 		panic("rt: reduction expression outside a scalar assignment")
@@ -121,11 +104,14 @@ func boolVal(b bool) float64 {
 	return 0
 }
 
+// not is the logical negation of a ZPL truth value.
+func not(v float64) float64 { return boolVal(v == 0) }
+
 func evalUnary(op zpl.Kind, v float64) float64 {
 	if op == zpl.MINUS {
 		return -v
 	}
-	return boolVal(v == 0) // not
+	return not(v)
 }
 
 func evalBinary(op zpl.Kind, x, y float64) float64 {
@@ -160,35 +146,33 @@ func evalBinary(op zpl.Kind, x, y float64) float64 {
 	panic(fmt.Sprintf("rt: unknown binary operator %v", op))
 }
 
-func evalIntrinsic(fn ir.IntrinsicFn, args []float64) float64 {
-	switch fn {
-	case ir.FnAbs:
-		return math.Abs(args[0])
-	case ir.FnSqrt:
-		return math.Sqrt(args[0])
-	case ir.FnExp:
-		return math.Exp(args[0])
-	case ir.FnLog:
-		return math.Log(args[0])
-	case ir.FnSin:
-		return math.Sin(args[0])
-	case ir.FnCos:
-		return math.Cos(args[0])
-	case ir.FnMin:
-		return math.Min(args[0], args[1])
-	case ir.FnMax:
-		return math.Max(args[0], args[1])
-	case ir.FnPow:
-		return math.Pow(args[0], args[1])
-	case ir.FnSign:
-		if args[0] > 0 {
-			return 1
-		} else if args[0] < 0 {
-			return -1
-		}
-		return 0
-	case ir.FnFloor:
-		return math.Floor(args[0])
+// unaryFns and binaryFns are the intrinsics as the Go functions they
+// denote, by ir.IntrinsicFn: each is in exactly one of the two tables (nil
+// in the other), by its arity. The closure interpreter, the scalar
+// evaluators (evalIntrinsic) and the kernels' row loops all call through
+// them, so the engines cannot drift apart.
+var (
+	unaryFns = [...]func(float64) float64{
+		ir.FnAbs: math.Abs, ir.FnSqrt: math.Sqrt, ir.FnExp: math.Exp, ir.FnLog: math.Log,
+		ir.FnSin: math.Sin, ir.FnCos: math.Cos, ir.FnSign: sign, ir.FnFloor: math.Floor,
 	}
-	panic(fmt.Sprintf("rt: unknown intrinsic %d", fn))
+	binaryFns = [len(unaryFns)]func(x, y float64) float64{
+		ir.FnMin: math.Min, ir.FnMax: math.Max, ir.FnPow: math.Pow,
+	}
+)
+
+func sign(v float64) float64 {
+	if v > 0 {
+		return 1
+	} else if v < 0 {
+		return -1
+	}
+	return 0
+}
+
+func evalIntrinsic(fn ir.IntrinsicFn, args []float64) float64 {
+	if f := unaryFns[fn]; f != nil {
+		return f(args[0])
+	}
+	return binaryFns[fn](args[0], args[1])
 }

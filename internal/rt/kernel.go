@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"math"
-
 	"commopt/internal/grid"
 	"commopt/internal/ir"
 	"commopt/internal/zpl"
@@ -93,7 +91,6 @@ type kernel struct {
 	slots int // scratch rows needed by the expression tree
 	mode  storeMode
 	row   vec
-	shape string // fill, copy, bin, axpy, gen — for benchmarks/inspection
 }
 
 // reduceKernel computes one reduction's local partial as a fused
@@ -200,7 +197,7 @@ func (kc *kcompiler) assign(s *ir.AssignArray) *kernel {
 	if !kc.ok {
 		return nil
 	}
-	k.row, k.shape = kc.root(s.RHS)
+	k.row = kc.root(s.RHS)
 	if !kc.ok {
 		return nil
 	}
@@ -329,6 +326,7 @@ type kcompiler struct {
 	inner int
 	L     int
 	slots int
+	fills int // rows broadcast from a scalar (fill): statement roots only
 	ok    bool
 
 	// Fused-run CSE state (cse.go): memo holds the wrappers for repeated
@@ -402,44 +400,32 @@ func (kc *kcompiler) viewOf(e *ir.ArrayRef) vec {
 	}
 }
 
-// fill compiles a scalar-invariant subtree as a per-row broadcast of its
-// value, evaluated once per row from the executing processor's scalars so
-// scalars that change between executions are re-read.
-func fill(e ir.Expr) vec {
+// fill compiles a scalar-invariant statement root (A := s) as a per-row
+// broadcast of its value, evaluated once per row from the executing
+// processor's scalars so scalars that change between executions are
+// re-read. It is the only place a scalar becomes a row: as an operand it
+// stays a value (binary).
+func (kc *kcompiler) fill(e ir.Expr) vec {
+	kc.fills++
 	return func(c *kctx, dst []float64) []float64 {
-		v := c.env.eval(e)
-		for n := range dst {
-			dst[n] = v
-		}
+		fillRow(dst, c.env.eval(e))
 		return dst
 	}
 }
 
-// root compiles the top of an assignment RHS, trying the specialized
-// statement shapes before falling back to the generic tree compiler.
-func (kc *kcompiler) root(e ir.Expr) (vec, string) {
-	// Constant / scalar fill: the value is row-invariant.
-	if scalarOnly(e) {
-		return fill(e), "fill"
-	}
-	// Straight copy: B := A@d is one contiguous memmove per row.
-	if ref, isRef := e.(*ir.ArrayRef); isRef {
-		return kc.viewOf(ref), "copy"
-	}
+// root compiles the top of an assignment RHS: the one two-operation loop
+// (axpy) where the statement has that shape, the tree compiler otherwise.
+func (kc *kcompiler) root(e ir.Expr) vec {
 	if v := kc.axpy(e); v != nil {
-		return v, "axpy"
+		return v
 	}
-	if v := kc.binFast(e); v != nil {
-		return v, "bin"
-	}
-	return kc.node(e), "gen"
+	return kc.node(e)
 }
 
 // axpy recognizes s*X ± Y, X*s ± Y and Y + s*X (s scalar, X/Y array
-// references) and fuses them into one loop. The float64 conversion pins
-// the intermediate product to a rounded double, forbidding FMA
-// contraction so results stay bit-identical to the interpreter's
-// two-step evaluation on every architecture.
+// references) and fuses them into one loop (axpyRow, which keeps the
+// product a rounded double so results stay bit-identical to the
+// interpreter's two-step evaluation).
 func (kc *kcompiler) axpy(e ir.Expr) vec {
 	b, isBin := e.(*ir.Binary)
 	if !isBin || (b.Op != zpl.PLUS && b.Op != zpl.MINUS) {
@@ -458,171 +444,40 @@ func (kc *kcompiler) axpy(e ir.Expr) vec {
 		}
 		return nil, nil
 	}
-	if s, x := split(b.X); x != nil {
-		if y, isRef := b.Y.(*ir.ArrayRef); isRef {
-			xv, yv := kc.viewOf(x), kc.viewOf(y)
-			if !kc.ok {
-				return nil
-			}
-			sub := b.Op == zpl.MINUS
-			return func(c *kctx, dst []float64) []float64 {
-				v := c.env.eval(s)
-				xs, ys := xv(c, nil), yv(c, nil)
-				if sub {
-					for n := range dst {
-						dst[n] = float64(v*xs[n]) - ys[n]
-					}
-				} else {
-					for n := range dst {
-						dst[n] = float64(v*xs[n]) + ys[n]
-					}
-				}
-				return dst
-			}
-		}
+	form := axPlusY
+	if b.Op == zpl.MINUS {
+		form = axMinusY
 	}
-	if b.Op == zpl.PLUS {
-		if s, x := split(b.Y); x != nil {
-			if y, isRef := b.X.(*ir.ArrayRef); isRef {
-				xv, yv := kc.viewOf(x), kc.viewOf(y)
-				if !kc.ok {
-					return nil
-				}
-				return func(c *kctx, dst []float64) []float64 {
-					v := c.env.eval(s)
-					xs, ys := xv(c, nil), yv(c, nil)
-					for n := range dst {
-						dst[n] = ys[n] + float64(v*xs[n])
-					}
-					return dst
-				}
-			}
-		}
+	s, x := split(b.X)
+	y, _ := b.Y.(*ir.ArrayRef)
+	if x == nil && b.Op == zpl.PLUS {
+		form = yPlusAx
+		s, x = split(b.Y)
+		y, _ = b.X.(*ir.ArrayRef)
 	}
-	return nil
-}
-
-// binFast fuses a root +,-,*,/ whose operands are array references or
-// scalar-invariant expressions into a single loop over views.
-func (kc *kcompiler) binFast(e ir.Expr) vec {
-	b, isBin := e.(*ir.Binary)
-	if !isBin {
+	if x == nil || y == nil {
 		return nil
 	}
-	switch b.Op {
-	case zpl.PLUS, zpl.MINUS, zpl.STAR, zpl.SLASH:
-	default:
+	xv, yv := kc.viewOf(x), kc.viewOf(y)
+	if !kc.ok {
 		return nil
 	}
-	xr, xIsRef := b.X.(*ir.ArrayRef)
-	yr, yIsRef := b.Y.(*ir.ArrayRef)
-	op := b.Op
-	switch {
-	case xIsRef && yIsRef:
-		xv, yv := kc.viewOf(xr), kc.viewOf(yr)
-		if !kc.ok {
-			return nil
-		}
-		return func(c *kctx, dst []float64) []float64 {
-			xs, ys := xv(c, nil), yv(c, nil)
-			binRow(op, dst, xs, ys)
-			return dst
-		}
-	case xIsRef && scalarOnly(b.Y):
-		xv, y := kc.viewOf(xr), b.Y
-		if !kc.ok {
-			return nil
-		}
-		return func(c *kctx, dst []float64) []float64 {
-			xs, v := xv(c, nil), c.env.eval(y)
-			switch op {
-			case zpl.PLUS:
-				for n := range dst {
-					dst[n] = xs[n] + v
-				}
-			case zpl.MINUS:
-				for n := range dst {
-					dst[n] = xs[n] - v
-				}
-			case zpl.STAR:
-				for n := range dst {
-					dst[n] = xs[n] * v
-				}
-			default:
-				for n := range dst {
-					dst[n] = xs[n] / v
-				}
-			}
-			return dst
-		}
-	case yIsRef && scalarOnly(b.X):
-		yv, x := kc.viewOf(yr), b.X
-		if !kc.ok {
-			return nil
-		}
-		return func(c *kctx, dst []float64) []float64 {
-			v, ys := c.env.eval(x), yv(c, nil)
-			switch op {
-			case zpl.PLUS:
-				for n := range dst {
-					dst[n] = v + ys[n]
-				}
-			case zpl.MINUS:
-				for n := range dst {
-					dst[n] = v - ys[n]
-				}
-			case zpl.STAR:
-				for n := range dst {
-					dst[n] = v * ys[n]
-				}
-			default:
-				for n := range dst {
-					dst[n] = v / ys[n]
-				}
-			}
-			return dst
-		}
-	}
-	return nil
-}
-
-// binRow applies one arithmetic operator elementwise. Aliasing between
-// dst and an operand is safe: each element is read before it is written.
-func binRow(op zpl.Kind, dst, xs, ys []float64) {
-	switch op {
-	case zpl.PLUS:
-		for n := range dst {
-			dst[n] = xs[n] + ys[n]
-		}
-	case zpl.MINUS:
-		for n := range dst {
-			dst[n] = xs[n] - ys[n]
-		}
-	case zpl.STAR:
-		for n := range dst {
-			dst[n] = xs[n] * ys[n]
-		}
-	case zpl.SLASH:
-		for n := range dst {
-			dst[n] = xs[n] / ys[n]
-		}
-	default:
-		for n := range dst {
-			dst[n] = evalBinary(op, xs[n], ys[n])
-		}
+	return func(c *kctx, dst []float64) []float64 {
+		axpyRow(form, dst, c.env.eval(s), xv(c, nil), yv(c, nil))
+		return dst
 	}
 }
 
 // node is the generic tree compiler: every operator becomes one loop over
-// rows, with subexpression results flowing through views or scratch
-// slots. Each node performs exactly the interpreter's arithmetic per
-// element (one operation per loop, no refactoring), so values are
+// rows (rowops.go), with subexpression results flowing through views or
+// scratch slots. Each node performs exactly the interpreter's arithmetic
+// per element (one operation per loop, no refactoring), so values are
 // bit-identical.
 func (kc *kcompiler) node(e ir.Expr) vec {
+	if scalarOnly(e) {
+		return kc.fill(e)
+	}
 	switch e := e.(type) {
-	case *ir.Const, *ir.ScalarRef:
-		return fill(e)
-
 	case *ir.ArrayRef:
 		return kc.viewOf(e)
 
@@ -641,136 +496,95 @@ func (kc *kcompiler) node(e ir.Expr) vec {
 			}
 		}
 		return func(c *kctx, dst []float64) []float64 {
-			v := float64(c.coord(d, dist))
-			for n := range dst {
-				dst[n] = v
-			}
+			fillRow(dst, float64(c.coord(d, dist)))
 			return dst
 		}
 
 	case *ir.Unary:
-		// Scalar-invariant subtrees collapse to one closure call per row.
-		if scalarOnly(e) {
-			return fill(e)
-		}
 		return kc.memoize(e, func() vec {
-			x := kc.node(e.X)
-			if e.Op == zpl.MINUS {
-				return func(c *kctx, dst []float64) []float64 {
-					xs := x(c, dst)
-					for n := range dst {
-						dst[n] = -xs[n]
-					}
-					return dst
-				}
+			if e.Op != zpl.MINUS {
+				return kc.unary(not, e.X)
 			}
+			x := kc.node(e.X)
 			return func(c *kctx, dst []float64) []float64 {
-				xs := x(c, dst)
-				for n := range dst {
-					dst[n] = boolVal(xs[n] == 0)
-				}
+				negRow(dst, x(c, dst))
 				return dst
 			}
 		})
 
 	case *ir.Binary:
-		if scalarOnly(e) {
-			return fill(e)
-		}
-		return kc.memoize(e, func() vec {
-			x := kc.node(e.X)
-			y := kc.node(e.Y)
-			ys := kc.slot()
-			op := e.Op
-			L := kc.L
-			return func(c *kctx, dst []float64) []float64 {
-				xs := x(c, dst)
-				yr := y(c, c.scratch[ys*L:ys*L+L])
-				binRow(op, dst, xs, yr)
-				return dst
-			}
-		})
+		return kc.memoize(e, func() vec { return kc.binary(rowOpOf(e.Op), e.X, e.Y) })
 
 	case *ir.Intrinsic:
-		if scalarOnly(e) {
-			return fill(e)
-		}
-		return kc.memoize(e, func() vec { return kc.intrinsic(e) })
-
-	case *ir.Reduce:
-		// Reductions never appear below statement level (see eval.go).
-		kc.ok = false
-		return nil
+		return kc.memoize(e, func() vec {
+			if fn := unaryFns[e.Fn]; fn != nil {
+				return kc.unary(fn, e.Args[0])
+			}
+			return kc.binary(rowOp{kind: opFn, fn: binaryFns[e.Fn]}, e.Args[0], e.Args[1])
+		})
 	}
+	// Reductions never appear below statement level (see eval.go).
 	kc.ok = false
 	return nil
 }
 
-func (kc *kcompiler) intrinsic(e *ir.Intrinsic) vec {
-	args := make([]vec, len(e.Args))
-	for n, a := range e.Args {
-		args[n] = kc.node(a)
+// rowOpOf is a binary operator's rowOp.
+func rowOpOf(k zpl.Kind) rowOp {
+	switch k {
+	case zpl.PLUS:
+		return rowOp{kind: opAdd}
+	case zpl.MINUS:
+		return rowOp{kind: opSub}
+	case zpl.STAR:
+		return rowOp{kind: opMul}
+	case zpl.SLASH:
+		return rowOp{kind: opDiv}
 	}
-	switch e.Fn {
-	case ir.FnAbs:
-		x := args[0]
+	return rowOp{kind: opFn, fn: func(x, y float64) float64 { return evalBinary(k, x, y) }}
+}
+
+// unary compiles fn applied to every element of e's rows.
+func (kc *kcompiler) unary(fn func(float64) float64, e ir.Expr) vec {
+	x := kc.node(e)
+	return func(c *kctx, dst []float64) []float64 {
+		mapRow(fn, dst, x(c, dst))
+		return dst
+	}
+}
+
+// binary compiles ex ∘ ey by what each operand is. A value — a scalarOnly
+// subtree, the same at every point — is evaluated once per row and handed
+// to a row∘scalar or scalar∘row loop; it never becomes a row. A view — an
+// array reference — is read in place. Anything else is a row: the left one
+// is computed into dst, which the loop then overwrites element by element,
+// so the right one needs a scratch slot of its own — the only case that
+// reserves one. Operand order is the program's throughout: s - A is not
+// A - s, and a NaN's payload follows the left operand. (Both operands
+// values is a scalarOnly node, which never gets here.)
+func (kc *kcompiler) binary(op rowOp, ex, ey ir.Expr) vec {
+	switch {
+	case scalarOnly(ey):
+		x := kc.node(ex)
 		return func(c *kctx, dst []float64) []float64 {
-			xs := x(c, dst)
-			for n := range dst {
-				dst[n] = math.Abs(xs[n])
-			}
+			rowScalar(op, dst, x(c, dst), c.env.eval(ey))
 			return dst
 		}
-	case ir.FnSqrt:
-		x := args[0]
+	case scalarOnly(ex):
+		y := kc.node(ey)
 		return func(c *kctx, dst []float64) []float64 {
-			xs := x(c, dst)
-			for n := range dst {
-				dst[n] = math.Sqrt(xs[n])
-			}
+			scalarRow(op, dst, c.env.eval(ex), y(c, dst))
 			return dst
 		}
-	case ir.FnMax, ir.FnMin:
-		x, y := args[0], args[1]
-		ys := kc.slot()
-		isMax := e.Fn == ir.FnMax
-		L := kc.L
-		return func(c *kctx, dst []float64) []float64 {
-			xs := x(c, dst)
-			yr := y(c, c.scratch[ys*L:ys*L+L])
-			if isMax {
-				for n := range dst {
-					dst[n] = math.Max(xs[n], yr[n])
-				}
-			} else {
-				for n := range dst {
-					dst[n] = math.Min(xs[n], yr[n])
-				}
-			}
-			return dst
-		}
-	default:
-		// Every intrinsic takes one or two arguments (ir.Lower checks the
-		// arity), so the per-element argument list lives on the stack: a
-		// compiled row is shared by processors running concurrently and owns
-		// no buffers.
-		fn, x, y := e.Fn, args[0], args[len(args)-1]
-		n, ys, L := len(args), 0, kc.L
-		if n == 2 {
-			ys = kc.slot()
-		}
-		return func(c *kctx, dst []float64) []float64 {
-			xs := x(c, dst)
-			yr := xs
-			if n == 2 {
-				yr = y(c, c.scratch[ys*L:ys*L+L])
-			}
-			var vals [2]float64
-			for i := range dst {
-				vals[0], vals[1] = xs[i], yr[i]
-				dst[i] = evalIntrinsic(fn, vals[:n])
-			}
-			return dst
-		}
+	}
+	x, y := kc.node(ex), kc.node(ey)
+	lo, hi := 0, 0 // y's window of the scratch space: none for a view
+	if _, view := ey.(*ir.ArrayRef); !view {
+		lo = kc.slot() * kc.L
+		hi = lo + kc.L
+	}
+	return func(c *kctx, dst []float64) []float64 {
+		xs := x(c, dst)
+		binRow(op, dst, xs, y(c, c.scratch[lo:hi]))
+		return dst
 	}
 }

@@ -12,9 +12,11 @@ import (
 	"commopt/internal/zpl"
 )
 
-// kernelShapes lists one statement per compiled-kernel fast path, plus the
-// generic stencil shape, so BenchmarkKernels pits every specialization
-// against the closure interpreter on the same program.
+// kernelShapes lists one statement per shape of array statement — a name
+// here is a statement, not a compile path: "bin" is the tree compiler's
+// view∘view node, "stencil" its scalar∘row over view sums — so
+// BenchmarkKernels pits the kernels against the closure interpreter on the
+// same program.
 var kernelShapes = []struct {
 	name string
 	stmt string

@@ -279,6 +279,11 @@ func TestMetricsMatchResult(t *testing.T) {
 	if h.Sum() != res.BytesSent {
 		t.Errorf("message size histogram sum %d != Result.BytesSent %d", h.Sum(), res.BytesSent)
 	}
+	// The residual reduction stages its rows in the arena, which first
+	// grows to 1024 doubles; the gauge is the largest over all processors.
+	if got := reg.Gauge("arena_hiwater_doubles").V; got < 1024 {
+		t.Errorf("arena_hiwater_doubles = %d, want at least one arena's first growth (1024)", got)
+	}
 	// Every DR..SV sequence resolves its schedule exactly once, at DR.
 	// laplace's regions are all declared, so a processor's first sequence
 	// of a transfer either compiles the schedule or finds it compiled by a

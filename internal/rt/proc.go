@@ -301,6 +301,9 @@ func (p *proc) finish() {
 	p.xfers, p.stmts, p.reduces, p.fused, p.fnCache = nil, nil, nil, nil, nil
 	p.sendPool, p.retPool, p.pending = nil, nil, nil
 	p.collStash = nil
+	if p.met != nil {
+		p.met.reg.Gauge("arena_hiwater_doubles").Observe(int64(len(p.arena.buf)))
+	}
 	p.arena = arena{}
 }
 

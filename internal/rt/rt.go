@@ -226,6 +226,7 @@ func (r *Result) Array(name string) *Dense { return r.arrays[name] }
 
 // MaxAbsDiff returns the largest absolute elementwise difference between
 // the named array in r and in other (for parallel-vs-serial validation).
+// NaN matches NaN; NaN against a number is an infinite difference.
 func (r *Result) MaxAbsDiff(other *Result, name string) float64 {
 	a, b := r.arrays[name], other.arrays[name]
 	if a == nil || b == nil {
@@ -235,8 +236,15 @@ func (r *Result) MaxAbsDiff(other *Result, name string) float64 {
 		panic(fmt.Sprintf("rt: array %q shape mismatch: %v vs %v", name, a.Reg, b.Reg))
 	}
 	worst := 0.0
-	for i := range a.data {
-		d := math.Abs(a.data[i] - b.data[i])
+	for i, x := range a.data {
+		y := b.data[i]
+		if x == y || (x != x && y != y) {
+			continue // equal, or NaN on both sides
+		}
+		d := math.Abs(x - y)
+		if d != d {
+			return math.Inf(1) // NaN on one side only
+		}
 		if d > worst {
 			worst = d
 		}
@@ -679,18 +687,16 @@ func (w *world) gather() *Result {
 	res.Sched = w.schedStats
 
 	for _, a := range w.prog.Arrays {
+		// The dense array is laid out as a ghostless field over the array's
+		// region, so both sides of the copy are field.RectRuns of the same
+		// shape; g.Run refuses an owned block that leaves the region.
 		reg := w.regionVals[a.Region.ID]
-		d := &Dense{Rank: a.Region.RankN, Reg: reg, data: make([]float64, reg.Size())}
-		s := reg.Spans
-		n1, n2 := s[1].Len(), s[2].Len()
+		g := field.New(a.Name, reg, 0)
+		d := &Dense{Rank: a.Region.RankN, Reg: reg, data: g.Data()}
 		for _, p := range w.procs {
-			f := p.fields[a.ID]
-			if !f.Allocated() {
-				continue
+			if f := p.fields[a.ID]; f.Allocated() {
+				copyRun(d.data, g.Run(f.Local), f.Data(), f.Run(f.Local))
 			}
-			field.ForEach(f.Local, func(i, j, k int) {
-				d.data[((i-s[0].Lo)*n1+(j-s[1].Lo))*n2+(k-s[2].Lo)] = f.At(i, j, k)
-			})
 		}
 		res.arrays[a.Name] = d
 	}

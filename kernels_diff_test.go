@@ -52,6 +52,7 @@ func TestKernelsMatchInterpreter(t *testing.T) {
 	}
 	targets = append(targets, target{"laplace", lap, map[string]float64{"n": 16, "iters": 3}})
 	targets = append(targets, target{"sweep_updown", compileExample(t, "examples/zpl/sweep_updown.zpl"), map[string]float64{"n": 12, "iters": 3}})
+	targets = append(targets, target{"scalar_ops", compileExample(t, "examples/zpl/scalar_ops.zpl"), map[string]float64{"n": 12, "iters": 3}})
 	for _, tgt := range targets[:len(targets):len(targets)] {
 		targets = append(targets, target{tgt.name + "-uneven", tgt.prog, unevenSize(tgt.cfg)})
 	}

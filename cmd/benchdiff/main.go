@@ -15,10 +15,8 @@
 // Tolerance rules, applied to each metric by its leaf key, first match
 // wins:
 //
-//	e2e_cpus, e2e_workers          ignored (host shape)
-//	e2e_serial_over_parallel       new value must stay >= 0.9
 //	*_over_* , *speedup*           ratio within 3x of the snapshot
-//	*allocs*, *bytes_per_proc*     at most 1.5x the snapshot (shrinking is fine)
+//	*allocs*                       at most 1.5x the snapshot (shrinking is fine)
 //	*ns_per_op, *_seconds          ratio within 10x (host time; sim_seconds
 //	                               is simulated and exempt — exact)
 //	everything else                exact match
@@ -189,8 +187,8 @@ func leafKey(path string) string {
 
 // compareMetric applies the tolerance table to one metric; it returns
 // the rule that matched, or an error describing the violation. The rules
-// are checked in documented order, so e.g. legacy_over_pooled_allocs is
-// a ratio (rule 3) before it is an alloc count (rule 4).
+// are checked in documented order, so a key like a_over_b_allocs
+// is a ratio (rule 1) before it is an alloc count (rule 2).
 func compareMetric(key string, old, fresh any) (string, error) {
 	ov, oldNum := old.(float64)
 	nv, newNum := fresh.(float64)
@@ -201,16 +199,9 @@ func compareMetric(key string, old, fresh any) (string, error) {
 		return "exact", nil
 	}
 	switch {
-	case key == "e2e_cpus" || key == "e2e_workers":
-		return "ignored", nil
-	case key == "e2e_serial_over_parallel":
-		if nv < 0.9 {
-			return "", fmt.Errorf("parallel harness slower than serial: ratio %.3f < 0.9", nv)
-		}
-		return "min 0.9", nil
 	case strings.Contains(key, "_over_") || strings.Contains(key, "speedup"):
 		return ratioWithin(ov, nv, 3)
-	case strings.Contains(key, "allocs"), strings.Contains(key, "bytes_per_proc"):
+	case strings.Contains(key, "allocs"):
 		if nv > ov*1.5 {
 			return "", fmt.Errorf("allocations grew %.0f -> %.0f (> 1.5x)", ov, nv)
 		}

@@ -9,7 +9,7 @@
 //	zplrun [-machine t3d|paragon] [-lib pvm|shmem|csend|isend|hsend]
 //	       [-procs N] [-O level] [-set name=value]...
 //	       [-collective auto|star|tree|butterfly|twolevel]
-//	       [-sched-workers N] [-legacy-sched] [-no-fuse] [-no-overlap]
+//	       [-sched-workers N] [-no-fuse] [-no-overlap]
 //	       [-trace out.json] [-profile] [-metrics] [-metrics-json out.json]
 //	       [-critpath]
 //	       file.zpl
@@ -70,8 +70,6 @@ type options struct {
 	profile     bool   // print the per-callsite communication profile
 	metrics     bool   // print the metrics registry as text
 	metricsJSON string // write the metrics registry as JSON here ("" = off)
-	legacyComm  bool   // per-rectangle allocating comm path (oracle)
-	legacySched bool   // goroutine-per-proc execution (oracle)
 	noFuse      bool   // per-statement kernels only (oracle)
 	noOverlap   bool   // synchronous compiled sends (oracle)
 	schedWork   int    // M:N scheduler worker-pool size (0 = GOMAXPROCS)
@@ -91,8 +89,6 @@ func main() {
 	flag.BoolVar(&o.profile, "profile", false, "print the per-callsite communication profile")
 	flag.BoolVar(&o.metrics, "metrics", false, "print the run's metrics registry (counters and histograms)")
 	flag.StringVar(&o.metricsJSON, "metrics-json", "", "write the metrics registry as JSON to `file`")
-	flag.BoolVar(&o.legacyComm, "legacy-comm", false, "use the allocating per-rectangle communication path instead of the pooled pack/unpack engine (identical results, differential oracle)")
-	flag.BoolVar(&o.legacySched, "legacy-sched", false, "run one goroutine per virtual processor instead of the M:N scheduler (identical results, differential oracle; impractical beyond a few thousand procs)")
 	flag.BoolVar(&o.noFuse, "no-fuse", false, "execute every array statement through its own kernel instead of fusing adjacent statements into one sweep (identical results, differential oracle)")
 	flag.BoolVar(&o.noOverlap, "no-overlap", false, "charge compiled pack+send host work synchronously instead of overlapping it with kernel execution (identical results, differential oracle)")
 	flag.IntVar(&o.schedWork, "sched-workers", 0, "M:N scheduler worker-pool size (0 = GOMAXPROCS); results are identical at any setting")
@@ -166,19 +162,16 @@ func run(w io.Writer, o options) error {
 	}
 	plan := comm.BuildPlan(prog, opts)
 	cfg := rt.Config{
-		Machine:         mach,
-		Library:         o.lib,
-		Procs:           o.procs,
-		Collective:      alg,
-		ConfigVars:      o.cfg,
-		Profile:         o.profile,
-		Metrics:         o.metrics || o.metricsJSON != "",
-		ForceLegacyComm: o.legacyComm,
-
-		ForceGoroutinePerProc: o.legacySched,
-		SchedWorkers:          o.schedWork,
-		ForceNoFusion:         o.noFuse,
-		NoOverlap:             o.noOverlap,
+		Machine:       mach,
+		Library:       o.lib,
+		Procs:         o.procs,
+		Collective:    alg,
+		ConfigVars:    o.cfg,
+		Profile:       o.profile,
+		Metrics:       o.metrics || o.metricsJSON != "",
+		SchedWorkers:  o.schedWork,
+		ForceNoFusion: o.noFuse,
+		NoOverlap:     o.noOverlap,
 	}
 	var rec *trace.Recorder
 	if o.tracePath != "" {

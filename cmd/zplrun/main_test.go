@@ -224,25 +224,6 @@ func TestRunTraceFlag(t *testing.T) {
 	}
 }
 
-// The -legacy-comm flag routes messages through the allocating
-// per-rectangle path and must produce byte-identical reports: it is a
-// differential oracle, not a different simulation.
-func TestRunLegacyCommFlag(t *testing.T) {
-	good := writeTemp(t, laplaceSrc)
-	pooled, err := runWith(t, options{mach: "t3d", lib: "pvm", procs: 4, level: "pl", args: []string{good}})
-	if err != nil {
-		t.Fatalf("pooled run: %v", err)
-	}
-	legacy, err := runWith(t, options{mach: "t3d", lib: "pvm", procs: 4, level: "pl",
-		legacyComm: true, args: []string{good}})
-	if err != nil {
-		t.Fatalf("legacy run: %v", err)
-	}
-	if pooled != legacy {
-		t.Errorf("-legacy-comm changed the report:\npooled:\n%s\nlegacy:\n%s", pooled, legacy)
-	}
-}
-
 // The -profile flag appends the per-callsite table to the report.
 func TestRunProfileFlag(t *testing.T) {
 	out, err := runWith(t, options{mach: "t3d", lib: "pvm", procs: 4, level: "pl",

@@ -2,14 +2,11 @@ package commopt
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"commopt/internal/collective"
 	"commopt/internal/comm"
 	"commopt/internal/grid"
-	"commopt/internal/programs"
-	"commopt/internal/rt"
 )
 
 // TestCollectiveAlgorithmsAgree is the differential gate for the
@@ -26,44 +23,11 @@ import (
 // Messages, BytesSent, Breakdown) are deliberately not compared —
 // TestPredictMatchesRuntime pins those against the cost model instead.
 func TestCollectiveAlgorithmsAgree(t *testing.T) {
-	levels := []struct {
-		name string
-		opts comm.Options
-	}{
-		{"baseline", comm.Baseline()},
-		{"rr", comm.RR()},
-		{"cc", comm.CC()},
-		{"pl", comm.PL()},
-		{"pl-maxlat", comm.PLMaxLatency()},
-		{"pl-hoist", comm.Options{RemoveRedundant: true, Combine: true, Pipeline: true, HoistInvariant: true}},
-	}
-
-	type target struct {
-		name string
-		prog *Program
-		cfg  map[string]float64
-	}
-	var targets []target
-	for _, b := range programs.Suite() {
-		prog, err := Compile(b.Source)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", b.Name, err)
-		}
-		targets = append(targets, target{b.Name, prog, b.TestConfig})
-	}
-	src, err := os.ReadFile("examples/zpl/laplace.zpl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lap, err := Compile(string(src))
-	if err != nil {
-		t.Fatalf("laplace: compile: %v", err)
-	}
-	targets = append(targets, target{"laplace", lap, map[string]float64{"n": 16, "iters": 3}})
-
 	for _, lib := range []string{"pvm", "shmem"} {
-		for _, tgt := range targets {
-			for _, lv := range levels {
+		// The suite benchmarks and laplace: programs whose extents, widened
+		// for the 32×32 mesh below, still block-distribute.
+		for _, tgt := range corpus(t)[:5] {
+			for _, lv := range diffLevels {
 				plan := tgt.prog.Plan(lv.opts)
 				if len(plan.Collectives) == 0 {
 					continue // no reductions: algorithm choice can't matter
@@ -123,10 +87,8 @@ func TestCollectiveAlgorithmsAgree(t *testing.T) {
 							if got.DynamicTransfers != ref.DynamicTransfers {
 								t.Errorf("DynamicTransfers: %s %d, star %d", alg, got.DynamicTransfers, ref.DynamicTransfers)
 							}
-							for _, a := range tgt.prog.IR.Arrays {
-								if d := got.MaxAbsDiff(ref, a.Name); d != 0 {
-									t.Errorf("array %s: max abs diff %g vs star, want bit-identical", a.Name, d)
-								}
+							for _, d := range arrayDiffs(got, ref) {
+								t.Errorf("vs star: %s", d)
 							}
 						})
 					}
@@ -136,64 +98,22 @@ func TestCollectiveAlgorithmsAgree(t *testing.T) {
 	}
 }
 
-// TestCollectiveSchedOracle re-runs the scheduler-vs-goroutine-per-proc
-// differential check for the collective-heavy benchmarks with non-star
-// algorithms forced, so multi-hop reduction schedules (which park and
-// resume procs mid-reduction on keyed mailbox slots) are exercised under
-// both execution engines.
+// TestCollectiveSchedOracle is TestDifferential's one-worker check on the
+// collective-heavy benchmarks with the non-star algorithms forced: multi-hop
+// reduction schedules park and resume processors mid-reduction on keyed
+// mailbox slots, and the worker pool must not let the order in which those
+// hops are delivered reach the simulation.
 func TestCollectiveSchedOracle(t *testing.T) {
 	for _, bench := range []string{"simple", "tomcatv"} {
-		b, err := programs.ByName(bench)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := Compile(b.Source)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", bench, err)
-		}
-		plan := prog.Plan(comm.PL())
+		tgt := pick(t, bench)
+		plan := tgt.prog.Plan(comm.PL())
 		for _, lib := range []string{"pvm", "shmem"} {
 			for _, alg := range []string{"tree", "butterfly", "twolevel"} {
 				t.Run(fmt.Sprintf("%s/%s/%s", bench, lib, alg), func(t *testing.T) {
-					run := func(oracle bool) *rt.Result {
-						res, err := prog.Run(plan, RunOptions{
-							Library:               lib,
-							Procs:                 64,
-							Configs:               b.TestConfig,
-							Collective:            alg,
-							ForceGoroutinePerProc: oracle,
-						})
-						if err != nil {
-							t.Fatalf("run (oracle=%v): %v", oracle, err)
-						}
-						return res
-					}
-					sched, oracle := run(false), run(true)
-					if sched.ExecTime != oracle.ExecTime {
-						t.Errorf("ExecTime: sched %v, oracle %v", sched.ExecTime, oracle.ExecTime)
-					}
-					if sched.Messages != oracle.Messages {
-						t.Errorf("Messages: sched %d, oracle %d", sched.Messages, oracle.Messages)
-					}
-					if sched.BytesSent != oracle.BytesSent {
-						t.Errorf("BytesSent: sched %d, oracle %d", sched.BytesSent, oracle.BytesSent)
-					}
-					if sched.Breakdown != oracle.Breakdown {
-						t.Errorf("Breakdown: sched %+v, oracle %+v", sched.Breakdown, oracle.Breakdown)
-					}
-					if sched.Output != oracle.Output {
-						t.Errorf("Output differs:\nsched:  %q\noracle: %q", sched.Output, oracle.Output)
-					}
-					for r := range sched.PerProc {
-						if sched.PerProc[r] != oracle.PerProc[r] {
-							t.Errorf("PerProc[%d]: sched %+v, oracle %+v", r, sched.PerProc[r], oracle.PerProc[r])
-						}
-					}
-					for _, a := range prog.IR.Arrays {
-						if d := sched.MaxAbsDiff(oracle, a.Name); d != 0 {
-							t.Errorf("array %s: max abs diff %g, want bit-identical", a.Name, d)
-						}
-					}
+					opts := RunOptions{Library: lib, Procs: 64, Configs: tgt.cfg, Collective: alg}
+					pool := mustRun(t, tgt.prog, plan, opts)
+					opts.SchedWorkers = 1
+					sameResult(t, pool, mustRun(t, tgt.prog, plan, opts))
 				})
 			}
 		}

@@ -109,19 +109,6 @@ type RunOptions struct {
 	// are identical, only host wall-clock differs).
 	ForceInterpreter bool
 
-	// ForceLegacyComm sends messages through the allocating
-	// ExtractRect/InsertRect path instead of the compiled pack/unpack
-	// engine with pooled buffers (differential-testing oracle; results
-	// are identical, only host wall-clock and allocations differ).
-	ForceLegacyComm bool
-
-	// ForceGoroutinePerProc runs every virtual processor on its own
-	// OS-scheduled goroutine instead of the M:N scheduler's worker pool
-	// (differential-testing oracle; results are identical, only host
-	// wall-clock, memory and the practical processor-count ceiling
-	// differ).
-	ForceGoroutinePerProc bool
-
 	// ForceNoFusion executes every array statement individually instead
 	// of fusing adjacent compatible statements into one sweep
 	// (differential-testing oracle; results are identical, only host
@@ -135,7 +122,9 @@ type RunOptions struct {
 	NoOverlap bool
 
 	// SchedWorkers bounds the M:N scheduler's worker pool
-	// (0 = GOMAXPROCS). Ignored with ForceGoroutinePerProc.
+	// (0 = GOMAXPROCS). With 1, processors are stepped one at a time —
+	// the scheduler's differential-testing reference; results are
+	// identical at any pool size.
 	SchedWorkers int
 }
 
@@ -162,16 +151,14 @@ func (p *Program) Run(plan *comm.Plan, opts RunOptions) (*rt.Result, error) {
 		return nil, err
 	}
 	return rt.Run(p.IR, plan, rt.Config{
-		Machine:               mach,
-		Library:               opts.Library,
-		Procs:                 opts.Procs,
-		Collective:            alg,
-		ConfigVars:            opts.Configs,
-		ForceInterpreter:      opts.ForceInterpreter,
-		ForceLegacyComm:       opts.ForceLegacyComm,
-		ForceGoroutinePerProc: opts.ForceGoroutinePerProc,
-		ForceNoFusion:         opts.ForceNoFusion,
-		NoOverlap:             opts.NoOverlap,
-		SchedWorkers:          opts.SchedWorkers,
+		Machine:          mach,
+		Library:          opts.Library,
+		Procs:            opts.Procs,
+		Collective:       alg,
+		ConfigVars:       opts.Configs,
+		ForceInterpreter: opts.ForceInterpreter,
+		ForceNoFusion:    opts.ForceNoFusion,
+		NoOverlap:        opts.NoOverlap,
+		SchedWorkers:     opts.SchedWorkers,
 	})
 }

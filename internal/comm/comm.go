@@ -274,10 +274,10 @@ func (p *Plan) NumTransfers() int { return p.StaticCount }
 func (p *Plan) BlockFor(first ir.Stmt) *BlockPlan { return p.blockByFirst[first] }
 
 // MaxBlockTransfers returns the largest number of transfers any single
-// basic block (or loop preheader) of the plan schedules. The runtime uses
-// it to bound in-flight messages per processor pair: one block execution
-// sends at most this many messages to one peer before draining them all,
-// so channel capacities derived from it can never deadlock.
+// basic block (or loop preheader) of the plan schedules. The runtime
+// budgets in-flight messages per processor pair from it (rt.PairChanCap):
+// one block execution sends at most this many messages to one peer before
+// draining them all.
 func (p *Plan) MaxBlockTransfers() int {
 	max := 0
 	for _, bp := range p.Blocks {

@@ -17,7 +17,7 @@
 // well-formedness from the plan alone: call sets and placement,
 // SPMD call order, absence of rendezvous wait cycles, cross-processor
 // pairing symmetry, and the per-(proc,peer) in-flight bound the
-// runtime's channel capacity (rt.PairChanCap) rests on. It turns the
+// runtime's mailbox budget (rt.PairChanCap) rests on. It turns the
 // prose deadlock-freedom arguments of DESIGN.md §13/§14 into checked
 // analysis with distinct rule IDs (see protocol.go), surfaced through
 // internal/diag like the plan verifier.

@@ -82,7 +82,7 @@ func TestProfileSchedNote(t *testing.T) {
 	}
 }
 
-// schedNote degrades to empty under the goroutine oracle (nil stats).
+// schedNote of no stats is empty.
 func TestSchedNoteNil(t *testing.T) {
 	if got := schedNote(nil); got != "" {
 		t.Errorf("schedNote(nil) = %q, want empty", got)

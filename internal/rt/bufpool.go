@@ -2,30 +2,30 @@ package rt
 
 import "commopt/internal/vtime"
 
-// This file implements the pooled half of the communication engine: flat
-// message buffers recycled between each directed processor pair so the
-// steady-state comm path allocates nothing. Recycling piggybacks on
-// plumbing that already synchronizes the pair:
+// This file is the communication engine's buffer pool: flat message
+// buffers recycled between each directed processor pair so the steady-state
+// comm path allocates nothing. Recycling piggybacks on plumbing that already
+// synchronizes the pair:
 //
 //   - Rendezvous libraries (SHMEM): the receiver stashes finished
 //     messages in retPool and the next DR's ready token carries one back
-//     to the sender. The token channel send already exists, so recycling
+//     to the sender. The token delivery already exists, so recycling
 //     costs no extra synchronization.
 //   - Message-passing libraries (PVM, NX): there is no token traffic, so
-//     the receiver pushes finished messages back over the same readyFrom
-//     channel with a non-blocking send, and the sender drains it
-//     non-blockingly before allocating. Either side may drop a buffer
-//     when full — recycling is best-effort and purely host-side.
+//     the receiver hands finished messages back through the sender's
+//     mailbox (deliverRet), and the sender drains them before allocating
+//     (drainRets). Either side may drop a buffer when full — recycling is
+//     best-effort and purely host-side.
 //
 // A message returned through either path was fully unpacked before the
-// channel send, and the sender reuses it only after the channel receive,
-// so the happens-before edges of the transfer itself order every buffer
-// reuse (the -race CI job runs the differential suite to prove it).
+// mailbox delivery, and the sender reuses it only after taking it out under
+// the same mutex, so every buffer reuse is ordered (go test -race runs the
+// differential suite to prove it).
 
-// readyTok travels dst→src on the readyFrom channels: the rendezvous
+// readyTok travels dst→src through the mailbox token FIFOs: the rendezvous
 // token of the destination-ready protocol plus, optionally, a recycled
 // message for the sender's free list. m is nil when the destination has
-// nothing to return (and always nil on the legacy engine).
+// nothing to return.
 type readyTok struct {
 	t vtime.Time
 	m *dataMsg
@@ -43,21 +43,7 @@ const poolCap = 8
 // from the ready tokens themselves.
 func (p *proc) takeMsg(slot, doubles int) *dataMsg {
 	if !p.w.lib.Rendezvous {
-		if p.w.mn {
-			p.drainRets(slot)
-		} else {
-			for len(p.sendPool[slot]) < poolCap {
-				var tok readyTok
-				select {
-				case tok = <-p.readyFrom[slot]:
-				default:
-				}
-				if tok.m == nil {
-					break // channel empty: only returns travel here in this mode
-				}
-				p.sendPool[slot] = append(p.sendPool[slot], tok.m)
-			}
-		}
+		p.drainRets(slot)
 	}
 	pool := p.sendPool[slot]
 	for i := len(pool) - 1; i >= 0; i-- {
@@ -74,8 +60,7 @@ func (p *proc) takeMsg(slot, doubles int) *dataMsg {
 // recycleMsg returns a fully unpacked message to the processor that sent
 // it (nb is the neighbour it arrived from). Rendezvous libraries stash
 // it for the next DR's ready token; message-passing libraries push it
-// back directly, dropping it when the destination is full so the return
-// can never block.
+// back directly (deliverRet drops it when the sender's stash is full).
 func (p *proc) recycleMsg(nb *neighbor, m *dataMsg) {
 	if p.w.lib.Rendezvous {
 		if len(p.retPool[nb.slot]) < poolCap {
@@ -83,15 +68,7 @@ func (p *proc) recycleMsg(nb *neighbor, m *dataMsg) {
 		}
 		return
 	}
-	src := p.w.procs[nb.rank]
-	if p.w.mn {
-		p.deliverRet(src, nb.back, m)
-		return
-	}
-	select {
-	case src.readyFrom[nb.back] <- readyTok{m: m}:
-	default:
-	}
+	p.deliverRet(p.w.procs[nb.rank], nb.back, m)
 }
 
 // popRet takes one stashed message for piggybacking on a ready token to

@@ -56,11 +56,7 @@ func classWorld(t *testing.T, src string, procs int, vars map[string]float64) *w
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &world{
-		prog: prog, plan: plan, mach: mach, lib: lib,
-		mesh: grid.SquarestMesh(procs), mn: true,
-		chanCap: pairChanCap(plan), abort: make(chan struct{}),
-	}
+	w := &world{prog: prog, plan: plan, mach: mach, lib: lib, mesh: grid.SquarestMesh(procs)}
 	if err := w.setup(Config{ConfigVars: vars}); err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +163,11 @@ func TestCompilesIndependentOfProcs(t *testing.T) {
 
 // TestSharedKernelsAreRaceFree runs the two benchmarks whose kernels carry
 // the most state — fused runs with CSE memo rows, generic intrinsics — on
-// 64 processors stepped by several workers, and on one goroutine each, so
-// class-mates execute the same compiled rows and schedules concurrently.
-// Arrays must match the interpreter's bit for bit; the race detector (CI's
-// comm-race job) checks that the sharing itself is sound.
+// 64 processors stepped by several workers, so class-mates execute the same
+// compiled rows and schedules concurrently, and by one worker, where nothing
+// is concurrent. Arrays must match the interpreter's bit for bit either way;
+// the race detector (CI's go test -race) checks that the sharing itself is
+// sound.
 func TestSharedKernelsAreRaceFree(t *testing.T) {
 	for _, name := range []string{"tomcatv", "swm"} {
 		bench, err := programs.ByName(name)
@@ -185,19 +182,18 @@ func TestSharedKernelsAreRaceFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		workers, perProc := cfg, cfg
-		workers.SchedWorkers = 4
-		perProc.ForceGoroutinePerProc = true
-		for label, c := range map[string]Config{"SchedWorkers=4": workers, "ForceGoroutinePerProc": perProc} {
+		for _, workers := range []int{4, 1} {
+			c := cfg
+			c.SchedWorkers = workers
 			got, err := Run(prog, plan, c)
 			if err != nil {
-				t.Fatalf("%s %s: %v", name, label, err)
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
 			if got.ExecTime != want.ExecTime || !sameArrays(got, want) {
-				t.Errorf("%s %s: time %v or arrays differ from the interpreter's (%v)", name, label, got.ExecTime, want.ExecTime)
+				t.Errorf("%s workers=%d: time %v or arrays differ from the interpreter's (%v)", name, workers, got.ExecTime, want.ExecTime)
 			}
 			if counterOf(got, "fused_cache_hits_class") == 0 || counterOf(got, "stmts_fused") == 0 {
-				t.Errorf("%s %s: no fused kernel was shared (%d class hits, %d fused statements)", name, label,
+				t.Errorf("%s workers=%d: no fused kernel was shared (%d class hits, %d fused statements)", name, workers,
 					counterOf(got, "fused_cache_hits_class"), counterOf(got, "stmts_fused"))
 			}
 		}

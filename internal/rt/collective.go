@@ -159,10 +159,14 @@ func (p *proc) allreduce(node *ir.Reduce, val float64) float64 {
 				p.tr.Add(trace.Event{Kind: trace.KindReduce, Start: start, Dur: p.clock.Sub(start),
 					Name: collStepName(st), A0: int64(st.Level), A1: int64(bytes), A2: int64(st.Peer)})
 			}
-			p.sendColl(st.Peer, m)
+			p.deliverColl(w.procs[st.Peer], collKey(seq, p.rank), m)
 		} else {
 			start := p.clock
-			m := p.recvColl(seq, st.Peer)
+			// Receives follow the rank's deterministic schedule order, not
+			// arrival order — the virtual clock's wait/charge sequence must
+			// not depend on scheduling — so early arrivals wait in the
+			// keyed mailbox.
+			m := p.nextColl(collKey(seq, st.Peer))
 			p.waitEdge(m.t, "wait reduce", critpath.Reduce, st.Peer, m.sent)
 			p.chargeComm(collective.RecvCost(w.lib, st.Count))
 			if st.Bcast {
@@ -226,69 +230,4 @@ func collStepName(st collective.Step) string {
 		verb = "bcast " + verb
 	}
 	return fmt.Sprintf("red %s L%d %s %d", verb, st.Level, prep, st.Peer)
-}
-
-// sendColl delivers one hop's message. Scheduler mode: keyed mailbox
-// insert (O(1) even for the star root's P-1 pending contributions).
-// Goroutine-oracle mode: the destination's buffered collective channel.
-func (p *proc) sendColl(dst int, m collMsg) {
-	q := p.w.procs[dst]
-	if p.w.mn {
-		p.deliverColl(q, collKey(m.seq, m.src), m)
-		return
-	}
-	select {
-	case q.collq <- m:
-	case <-p.w.abort:
-		panic(errAborted)
-	}
-}
-
-// recvColl returns the hop message (seq, src), blocking until it
-// arrives. Receives follow the rank's deterministic schedule order, not
-// arrival order — the virtual clock's wait/charge sequence must not
-// depend on scheduling — so out-of-order arrivals wait in the keyed
-// mailbox (scheduler mode) or the stash (goroutine mode).
-func (p *proc) recvColl(seq, src int) collMsg {
-	key := collKey(seq, src)
-	if p.w.mn {
-		return p.nextColl(key)
-	}
-	if m, ok := p.collStash[key]; ok {
-		delete(p.collStash, key)
-		return m
-	}
-	for {
-		select {
-		case m := <-p.collq:
-			k := collKey(m.seq, m.src)
-			if k == key {
-				return m
-			}
-			if p.collStash == nil {
-				p.collStash = map[uint64]collMsg{}
-			}
-			if _, dup := p.collStash[k]; dup {
-				panic(fmt.Sprintf("rt: proc %d: duplicate reduction message seq %d from proc %d", p.rank, m.seq, m.src))
-			}
-			p.collStash[k] = m
-		case <-p.w.abort:
-			panic(errAborted)
-		}
-	}
-}
-
-// collIndeg counts rank's receive hops — the sizing basis for the
-// goroutine oracle's collective channel. In-flight messages to one rank
-// never exceed one reduction's receives plus the handful the next
-// reduction's earliest senders can have in flight, so two reductions'
-// worth plus slack keeps channel sends from ever blocking long.
-func collIndeg(steps []collective.Step) int {
-	n := 0
-	for _, st := range steps {
-		if st.Kind == collective.Recv {
-			n++
-		}
-	}
-	return n
 }

@@ -1,18 +1,9 @@
-// The comm-path benchmarks live in package rt_test so the JSON emitter
-// can also time the end-to-end experiment harness (internal/experiments
-// imports rt, so an in-package test would be an import cycle).
 package rt_test
 
 import (
-	"encoding/json"
-	"io"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"commopt/internal/comm"
-	"commopt/internal/experiments"
 	"commopt/internal/ir"
 	"commopt/internal/machine"
 	"commopt/internal/rt"
@@ -45,11 +36,9 @@ begin
 end;
 `
 
-// benchCommPath runs commBenchSrc over the pooled engine or the legacy
-// per-rectangle oracle. Both paths simulate identical virtual-time runs;
-// only host allocations and wall-clock differ.
-func benchCommPath(b *testing.B, legacy bool) {
-	b.Helper()
+// BenchmarkCommPathPooled runs commBenchSrc: every message goes through the
+// compiled pack/unpack schedules with pooled, recycled buffers.
+func BenchmarkCommPathPooled(b *testing.B) {
 	ast, err := zpl.Parse(commBenchSrc)
 	if err != nil {
 		b.Fatalf("parse: %v", err)
@@ -59,7 +48,7 @@ func benchCommPath(b *testing.B, legacy bool) {
 		b.Fatalf("lower: %v", err)
 	}
 	plan := comm.BuildPlan(prog, comm.PL())
-	cfg := rt.Config{Machine: machine.T3D(), Library: "pvm", Procs: 4, ForceLegacyComm: legacy}
+	cfg := rt.Config{Machine: machine.T3D(), Library: "pvm", Procs: 4}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,145 +56,4 @@ func benchCommPath(b *testing.B, legacy bool) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkCommPathPooled sends every message through the compiled
-// pack/unpack schedules with pooled, recycled buffers.
-func BenchmarkCommPathPooled(b *testing.B) { benchCommPath(b, false) }
-
-// BenchmarkCommPathLegacy sends every message through the allocating
-// ExtractRect/InsertRect path (rt.Config.ForceLegacyComm).
-func BenchmarkCommPathLegacy(b *testing.B) { benchCommPath(b, true) }
-
-// commBenchReport is the wire form of BENCH_comm.json.
-type commBenchReport struct {
-	Benchmark      string  `json:"benchmark"`
-	Grid           string  `json:"grid"`
-	Procs          int     `json:"procs"`
-	PooledNsOp     int64   `json:"pooled_ns_per_op"`
-	LegacyNsOp     int64   `json:"legacy_ns_per_op"`
-	PooledAllocsOp int64   `json:"pooled_allocs_per_op"`
-	LegacyAllocsOp int64   `json:"legacy_allocs_per_op"`
-	AllocRatio     float64 `json:"legacy_over_pooled_allocs"`
-
-	// End-to-end: wall-clock seconds for the full icpp97 -quick figure
-	// suite at 4 simulated processors, serial versus one worker per core.
-	E2ECpus          int     `json:"e2e_cpus"`
-	E2EWorkers       int     `json:"e2e_workers"`
-	E2ESerialSeconds float64 `json:"e2e_serial_seconds"`
-	E2EParallelSecs  float64 `json:"e2e_parallel_seconds"`
-	E2ESerialOverPar float64 `json:"e2e_serial_over_parallel"`
-}
-
-// runAllSeconds times one full quick figure suite at the given worker
-// count on a fresh Runner (so nothing is cached between measurements).
-func runAllSeconds(t *testing.T, workers int) float64 {
-	t.Helper()
-	r := experiments.NewRunner(4)
-	r.Quick = true
-	r.Workers = workers
-	start := time.Now()
-	if err := experiments.RunAll(io.Discard, r); err != nil {
-		t.Fatalf("RunAll with %d workers: %v", workers, err)
-	}
-	return time.Since(start).Seconds()
-}
-
-// e2eSeconds measures the serial and parallel quick-suite wall-clock,
-// alternating three repetitions of each and keeping the minimum — the
-// quick suite is well under a second, so single shots are noise-bound.
-// At least 4 nominal workers so the admission path is exercised even on
-// small hosts.
-func e2eSeconds(t *testing.T) (workers int, serial, par float64) {
-	t.Helper()
-	workers = runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
-	}
-	for i := 0; i < 3; i++ {
-		if s := runAllSeconds(t, 1); i == 0 || s < serial {
-			serial = s
-		}
-		if p := runAllSeconds(t, workers); i == 0 || p < par {
-			par = p
-		}
-	}
-	return workers, serial, par
-}
-
-// TestHarnessParallelGate is the CI regression gate on the end-to-end
-// harness: running the figure suite with nominal parallelism must beat
-// the serial runner on parallel hardware, and on a single-CPU host —
-// where no speedup is physically possible — it must at least stay within
-// 10% of serial, i.e. admission control keeps oversubscription from
-// making parallelism a pessimization (the PR 5 regression). Runs only
-// when COMM_BENCH is set, like the alloc gate below.
-func TestHarnessParallelGate(t *testing.T) {
-	if os.Getenv("COMM_BENCH") == "" {
-		t.Skip("set COMM_BENCH=1 to run the harness parallelism gate")
-	}
-	workers, serial, par := e2eSeconds(t)
-	ratio := serial / par
-	floor := 1.0
-	if runtime.GOMAXPROCS(0) == 1 {
-		floor = 0.9
-	}
-	t.Logf("serial %.3fs, %d workers %.3fs, ratio %.3f (floor %.2f, %d CPUs)",
-		serial, workers, par, ratio, floor, runtime.GOMAXPROCS(0))
-	if ratio <= floor {
-		t.Errorf("serial/parallel ratio %.3f at or below floor %.2f: parallel harness regressed", ratio, floor)
-	}
-}
-
-// TestEmitCommBenchJSON regenerates BENCH_comm.json, the checked-in
-// snapshot of the communication-path benchmarks. Skipped unless
-// BENCH_COMM_JSON names the output file:
-//
-//	BENCH_COMM_JSON=$PWD/BENCH_comm.json go test ./internal/rt -run TestEmitCommBenchJSON -count=1
-func TestEmitCommBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_COMM_JSON")
-	if path == "" {
-		t.Skip("set BENCH_COMM_JSON=<output path> to emit comm benchmark numbers")
-	}
-	pooled := testing.Benchmark(BenchmarkCommPathPooled)
-	legacy := testing.Benchmark(BenchmarkCommPathLegacy)
-	// The recorded speedup honestly reflects the cores available when the
-	// snapshot was taken (e2e_cpus): on a single-CPU host the ratio can
-	// only hover around 1.0.
-	workers, serial, par := e2eSeconds(t)
-	report := commBenchReport{
-		Benchmark: "BenchmarkCommPath", Grid: "32x32, 256 iterations", Procs: 4,
-		PooledNsOp: pooled.NsPerOp(), LegacyNsOp: legacy.NsPerOp(),
-		PooledAllocsOp: pooled.AllocsPerOp(), LegacyAllocsOp: legacy.AllocsPerOp(),
-		AllocRatio:       float64(legacy.AllocsPerOp()) / float64(pooled.AllocsPerOp()),
-		E2ECpus:          runtime.GOMAXPROCS(0),
-		E2EWorkers:       workers,
-		E2ESerialSeconds: serial,
-		E2EParallelSecs:  par,
-		E2ESerialOverPar: serial / par,
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCommPathAllocGate guards the pooled engine's reason to exist: per
-// simulated run of the message-heavy stencil, it must allocate at least
-// 10x less than the legacy per-rectangle path. Allocation counts are
-// deterministic enough to gate tightly, unlike wall-clock; the test only
-// runs when COMM_BENCH is set (the CI bench-smoke job).
-func TestCommPathAllocGate(t *testing.T) {
-	if os.Getenv("COMM_BENCH") == "" {
-		t.Skip("set COMM_BENCH=1 to compare pooled vs legacy allocations")
-	}
-	pooled := testing.Benchmark(BenchmarkCommPathPooled).AllocsPerOp()
-	legacy := testing.Benchmark(BenchmarkCommPathLegacy).AllocsPerOp()
-	if pooled*10 > legacy {
-		t.Errorf("pooled path allocates %d/op vs legacy %d/op — less than the required 10x reduction", pooled, legacy)
-	}
-	t.Logf("allocs/op: pooled %d, legacy %d (%.1fx)", pooled, legacy, float64(legacy)/float64(pooled))
 }

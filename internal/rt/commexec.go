@@ -12,28 +12,21 @@ import (
 )
 
 // dataMsg is one point-to-point message: the ghost rectangles of every
-// array carried by a transfer between one processor pair. Messages move
-// between processors by pointer so channel buffers stay one word per
-// slot. tag identifies
-// the transfer within its basic block: with pipelining, two transfers
-// between the same pair may be received in a different order than they
-// were sent (their DN positions need not preserve SR order), so the
-// receiver demultiplexes by tag rather than assuming FIFO.
-//
-// The pooled engine carries the whole payload packed into one flat
-// buffer (the receiver's mirrored run list knows where every value
-// goes); the legacy engine carries one slice per rectangle. A message is
-// recycled back to its sender after unpacking, so in steady state the
-// pooled path allocates nothing.
+// array carried by a transfer between one processor pair, packed into one
+// flat buffer (the receiver's mirrored run list knows where every value
+// goes). Messages move between processors by pointer, and a message is
+// recycled back to its sender after unpacking (bufpool.go), so in steady
+// state the comm path allocates nothing. tag identifies the transfer within
+// its basic block: with pipelining, two transfers between the same pair may
+// be received in a different order than they were sent (their DN positions
+// need not preserve SR order), so the receiver demultiplexes by tag rather
+// than assuming FIFO.
 type dataMsg struct {
 	tag   int
 	sent  vtime.Time // sender's clock when the message departed (critical-path edge)
 	avail vtime.Time // earliest time the data is present at the destination
 	bytes int
-
-	flat []float64 // pooled engine: all rectangles packed contiguously
-
-	payload [][]float64 // legacy engine: one freshly extracted slice per rectangle of the pair
+	flat  []float64 // every rectangle of the pair, packed contiguously in item order
 }
 
 // neighborDirs enumerates the mesh displacements a transfer with offset
@@ -59,17 +52,18 @@ func neighborDirs(off grid.Offset) (dirs [3][2]int, n int) {
 
 // geometry computes the send and receive rectangles of transfer t over
 // statement region reg — clipped to the neighbourhood and relative to the
-// processor's origin, like everything it returns — and, on the pooled
-// engine, compiles their pack/unpack runs. Both sides of every pair compute
-// identical rectangles from replicated state, so message contents never
-// need negotiation. The pairs, their rectangles and their runs are carved
-// from one block each.
-func (nc *nbhdClass) geometry(t *comm.Transfer, reg grid.Region, legacy bool) *commSched {
+// processor's origin — and compiles each into its pack/unpack run. Both
+// sides of every pair compute identical rectangles from replicated state, so
+// message contents never need negotiation. Send rectangles lie inside the
+// owned block and receive rectangles inside the halo, so field.Run's
+// containment check can only fail on a geometry bug; it panics rather than
+// silently corrupting data. Layout comes from the class representative's
+// fields, at its origin, and all pairs' runs are carved from one block.
+func (nc *nbhdClass) geometry(t *comm.Transfer, reg grid.Region) *commSched {
 	dirs, nd := neighborDirs(t.Offset)
-	items := len(t.Items)
+	me := nc.nb[1][1]
 	pairs := make([]packPair, 0, 2*nd)
-	rects := make([]grid.Region, 2*nd*items)
-	nonEmpty := 0
+	runs := make([]packRun, 0, 2*nd*len(t.Items))
 	// add appends the pair exchanging with the neighbour at displacement
 	// (dr, dc): the part of iter (the receiver's share of the statement
 	// region), shifted by the transfer's offset, that sender owns at origin
@@ -78,20 +72,22 @@ func (nc *nbhdClass) geometry(t *comm.Transfer, reg grid.Region, legacy bool) *c
 		if nc.nb[dr+1][dc+1] == nil {
 			return
 		}
-		pr := packPair{dr: dr + 1, dc: dc + 1, rects: rects[:items:items]}
-		rects = rects[items:]
+		pr := packPair{dr: dr + 1, dc: dc + 1}
 		need := iter.Shift(t.Offset)
-		for n, a := range t.Items {
+		start := len(runs)
+		for _, a := range t.Items {
 			rect := need.Intersect(shiftDist(sender.locals[a.ID], sd, 1))
-			pr.rects[n] = rect
-			if !rect.Empty() {
-				pr.bytes += rect.Size() * 8
-				nonEmpty++
+			if rect.Empty() {
+				continue
 			}
+			pr.doubles += rect.Size()
+			runs = append(runs, packRun{id: a.ID, RectRun: me.fields[a.ID].Run(shiftDist(rect, me.org, 1))})
 		}
+		pr.bytes = pr.doubles * 8
+		pr.runs = runs[start:len(runs):len(runs)]
 		pairs = append(pairs, pr)
 	}
-	me, iterMe := nc.nb[1][1], nc.fr[1][1].clip(reg)
+	iterMe := nc.fr[1][1].clip(reg)
 	// Receive side: data I need from the neighbor at displacement d.
 	for _, d := range dirs[:nd] {
 		add(d[0], d[1], iterMe, nc.nb[1+d[0]][1+d[1]], nc.d[1+d[0]][1+d[1]])
@@ -100,9 +96,6 @@ func (nc *nbhdClass) geometry(t *comm.Transfer, reg grid.Region, legacy bool) *c
 	// Send side: data the neighbor at displacement -d needs from me.
 	for _, d := range dirs[:nd] {
 		add(-d[0], -d[1], nc.fr[1-d[0]][1-d[1]].clip(reg), me, [2]int{})
-	}
-	if !legacy {
-		me.compileRuns(t, pairs, nonEmpty)
 	}
 	return &commSched{recvs: pairs[:recvs:recvs], sends: pairs[recvs:]}
 }
@@ -208,7 +201,7 @@ func (p *proc) execDR(st *commSched, lib *machine.Lib) {
 			} else {
 				p.chargeComm(lib.SynchEmptyCost)
 			}
-			p.sendReady(nb, readyTok{t: p.clock, m: p.popRet(nb.slot)})
+			p.deliverTok(p.w.procs[nb.rank], nb.back, readyTok{t: p.clock, m: p.popRet(nb.slot)})
 		}
 		return
 	}
@@ -232,7 +225,7 @@ func (p *proc) execSR(t *comm.Transfer, st *commSched, lib *machine.Lib) {
 			// Wait for the destination's ready notification before
 			// putting; this couples the two clocks. A token may carry a
 			// recycled message for this pair's free list.
-			tok := p.recvReady(nb.slot)
+			tok := p.nextTok(nb.slot)
 			if tok.m != nil && len(p.sendPool[nb.slot]) < poolCap {
 				p.sendPool[nb.slot] = append(p.sendPool[nb.slot], tok.m)
 			}
@@ -250,42 +243,15 @@ func (p *proc) execSR(t *comm.Transfer, st *commSched, lib *machine.Lib) {
 }
 
 // send captures the pair's rectangles now (the source may overwrite them
-// after SV) and enqueues the message. The pooled engine packs every
-// rectangle into one recycled flat buffer by the pair's compiled run
-// list; the legacy engine extracts one fresh slice per rectangle.
+// after SV) — packed into one recycled flat buffer by the pair's compiled
+// run list — and delivers the message into the peer's mailbox.
 func (p *proc) send(t *comm.Transfer, pr *packPair, nb *neighbor, lib *machine.Lib) {
-	avail := p.clock.Add(lib.Latency + machine.PerByteDur(lib.WirePerByte, pr.bytes))
-	var m *dataMsg
-	async := false
-	if p.w.legacyComm {
-		m = &dataMsg{
-			tag:     t.ID,
-			bytes:   pr.bytes,
-			sent:    p.clock,
-			avail:   avail,
-			payload: make([][]float64, len(pr.rects)),
-		}
-		for n, rect := range pr.rects {
-			if rect.Empty() {
-				continue
-			}
-			m.payload[n] = p.fields[t.Items[n].ID].ExtractRect(p.abs(rect))
-		}
-	} else {
-		m = p.takeMsg(nb.slot, pr.doubles)
-		m.tag = t.ID
-		m.bytes = pr.bytes
-		m.sent = p.clock
-		m.avail = avail
-		m.flat = m.flat[:pr.doubles]
-		// Large packs overlap with subsequent host execution: every
-		// virtual-time field of m is already set, so only the pack and the
-		// delivery leave this coroutine (see overlap.go).
-		async = p.w.overlap && pr.doubles >= overlapMinDoubles
-		if !async {
-			pr.pack(m.flat, p.kctx.data)
-		}
-	}
+	m := p.takeMsg(nb.slot, pr.doubles)
+	m.tag = t.ID
+	m.bytes = pr.bytes
+	m.sent = p.clock
+	m.avail = p.clock.Add(lib.Latency + machine.PerByteDur(lib.WirePerByte, pr.bytes))
+	m.flat = m.flat[:pr.doubles]
 	if pr.bytes > 0 {
 		p.messages++
 		p.bytesSent += int64(pr.bytes)
@@ -296,69 +262,15 @@ func (p *proc) send(t *comm.Transfer, pr *packPair, nb *neighbor, lib *machine.L
 			p.tr.Add(trace.Event{Kind: trace.KindSend, Start: p.clock, Name: "send", A0: int64(nb.rank), A1: int64(pr.bytes), A2: int64(t.ID)})
 		}
 	}
-	if async {
+	// Large packs overlap with subsequent host execution: every
+	// virtual-time field of m is already set, so only the pack and the
+	// delivery leave this coroutine (see overlap.go).
+	if p.w.overlap && pr.doubles >= overlapMinDoubles {
 		p.startAsyncSend(t, pr, nb, m)
 		return
 	}
-	p.sendData(nb, m)
-}
-
-// sendData enqueues a message at the peer. Scheduler mode delivers into
-// the peer's mailbox (never blocking — see sched.go); the goroutine
-// oracle sends on the peer's channel, whose capacity pairChanCap proves
-// sufficient.
-func (p *proc) sendData(nb *neighbor, m *dataMsg) {
-	dst := p.w.procs[nb.rank]
-	if p.w.mn {
-		p.deliverData(dst, nb.back, m)
-		return
-	}
-	select {
-	case dst.in[nb.back] <- m:
-	case <-p.w.abort:
-		panic(errAborted)
-	}
-}
-
-// sendReady posts a rendezvous ready token (destination-ready protocol)
-// to the peer we are about to receive from.
-func (p *proc) sendReady(nb *neighbor, tok readyTok) {
-	dst := p.w.procs[nb.rank]
-	if p.w.mn {
-		p.deliverTok(dst, nb.back, tok)
-		return
-	}
-	select {
-	case dst.readyFrom[nb.back] <- tok:
-	case <-p.w.abort:
-		panic(errAborted)
-	}
-}
-
-// recvReady takes the next ready token from the neighbor at slot.
-func (p *proc) recvReady(slot int) readyTok {
-	if p.w.mn {
-		return p.nextTok(slot)
-	}
-	select {
-	case tok := <-p.readyFrom[slot]:
-		return tok
-	case <-p.w.abort:
-		panic(errAborted)
-	}
-}
-
-// recvData takes the next data message from the neighbor at slot.
-func (p *proc) recvData(slot int) *dataMsg {
-	if p.w.mn {
-		return p.nextData(slot)
-	}
-	select {
-	case m := <-p.in[slot]:
-		return m
-	case <-p.w.abort:
-		panic(errAborted)
-	}
+	pr.pack(m.flat, p.kctx.data)
+	p.deliverData(p.w.procs[nb.rank], nb.back, m)
 }
 
 func (p *proc) execDN(t *comm.Transfer, st *commSched, lib *machine.Lib) {
@@ -381,15 +293,6 @@ func (p *proc) execDN(t *comm.Transfer, st *commSched, lib *machine.Lib) {
 		} else {
 			p.chargeComm(lib.SynchEmptyCost)
 		}
-		if p.w.legacyComm {
-			for n, rect := range pr.rects {
-				if rect.Empty() {
-					continue
-				}
-				p.fields[t.Items[n].ID].InsertRect(p.abs(rect), m.payload[n])
-			}
-			continue
-		}
 		pr.unpack(m.flat, p.kctx.data)
 		p.recycleMsg(nb, m)
 	}
@@ -408,7 +311,7 @@ func (p *proc) recvTagged(slot, tag int) *dataMsg {
 		}
 	}
 	for {
-		m := p.recvData(slot)
+		m := p.nextData(slot)
 		if m.tag == tag {
 			return m
 		}

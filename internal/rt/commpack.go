@@ -6,8 +6,8 @@ import (
 	"commopt/internal/grid"
 )
 
-// This file implements the compiled half of the communication engine:
-// each (transfer, statement region) is lowered once per neighbourhood class
+// This file is the communication engine's compiled data path: each
+// (transfer, statement region) is lowered once per neighbourhood class
 // (class.go) into a commSched (cached in the transfer's site, site.go)
 // whose pairs carry precompiled pack/unpack run lists over the fields'
 // backing []float64 slices, addressed by array ID and flat offset. A send
@@ -16,9 +16,8 @@ import (
 // — no per-message geometry derivation, no per-rectangle slice allocation.
 // Both sides of a pair compute identical rectangles from replicated state
 // (see geometry), so the pack order on the sender always matches the
-// unpack order on the receiver. The legacy ExtractRect/InsertRect path is kept behind
-// Config.ForceLegacyComm as the differential-testing oracle, exactly as
-// the closure interpreter backs the kernel engine.
+// unpack order on the receiver. The element order within a rectangle is
+// field.ExtractRect's, which commpack_test.go holds the row copier to.
 
 // packRun is one rectangle's compiled copy plan: a field.RectRun over the
 // backing slice of the executing processor's field of one array. The flat
@@ -29,17 +28,14 @@ type packRun struct {
 }
 
 // packPair describes the data a transfer moves between a processor and one
-// peer: the per-item rectangles (rects[n] belongs to the transfer's n'th
-// item, relative to the processor's block origin) plus, on the pooled
-// engine, the compiled run list covering every non-empty rectangle in item
-// order. The peer is named by its mesh displacement; the processor using
-// the pair finds rank and slots in its own nbr table, and skips the pair
-// when it has no such neighbour.
+// peer: the compiled run list covering every non-empty rectangle of the
+// transfer's items, in item order. The peer is named by its mesh
+// displacement; the processor using the pair finds rank and slots in its
+// own nbr table, and skips the pair when it has no such neighbour.
 type packPair struct {
 	dr, dc  int // the peer is proc.nbr[dr][dc]
 	bytes   int
 	doubles int // total payload length of the flat buffer
-	rects   []grid.Region
 	runs    []packRun
 }
 
@@ -98,29 +94,6 @@ type xferSite struct {
 	open *commSched
 }
 
-// compileRuns lowers every pair into its run list, all carved from one
-// block of n runs (the pairs' non-empty rectangles). Send rectangles lie
-// inside the owned block and receive rectangles inside the halo, so
-// field.Run's containment check can only fail on a geometry bug; it panics
-// rather than silently corrupting data. Layout comes from the class
-// representative's fields, at its origin.
-func (cl *shapeClass) compileRuns(t *comm.Transfer, pairs []packPair, n int) {
-	runs := make([]packRun, 0, n)
-	for i := range pairs {
-		pr := &pairs[i]
-		start := len(runs)
-		for n, rect := range pr.rects {
-			if rect.Empty() {
-				continue
-			}
-			id := t.Items[n].ID
-			runs = append(runs, packRun{id: id, RectRun: cl.fields[id].Run(shiftDist(rect, cl.org, 1))})
-			pr.doubles += rect.Size()
-		}
-		pr.runs = runs[start:len(runs):len(runs)]
-	}
-}
-
 // state returns the transfer's schedule, opening it on the first IRONMAN
 // call of a DR..SV sequence: the region is resolved once per sequence, and
 // schedules persist across block executions, so re-running a loop body
@@ -128,9 +101,9 @@ func (cl *shapeClass) compileRuns(t *comm.Transfer, pairs []packPair, n int) {
 func (p *proc) state(t *comm.Transfer) *commSched {
 	x := &p.xfers[t.Slot]
 	if x.open == nil {
-		w, nc := p.w, p.ncls
-		x.open = resolve(p, &x.site, &w.xferCC[t.Slot], &nc.frame, nc.id, t.Region, cacheSched, func(reg grid.Region) *commSched {
-			return nc.geometry(t, reg, w.legacyComm)
+		nc := p.ncls
+		x.open = resolve(p, &x.site, &p.w.xferCC[t.Slot], &nc.frame, nc.id, t.Region, cacheSched, func(reg grid.Region) *commSched {
+			return nc.geometry(t, reg)
 		})
 		p.openCount++
 	}

@@ -82,29 +82,29 @@ func TestCritpathConservation(t *testing.T) {
 }
 
 // The recorded DAG is a function of the simulation, not of host
-// scheduling: the scheduler and the goroutine-per-proc oracle must
-// produce identical critical paths.
+// scheduling: the default worker pool and the one-worker run, which steps
+// processors one at a time, must produce piece-identical critical paths.
 func TestCritpathSchedulerOracleIdentical(t *testing.T) {
-	path := func(oracle bool) *critpath.Path {
+	path := func(workers int) *critpath.Path {
 		rec := critpath.NewRecorder()
-		runSrc(t, laplaceSrc, comm.PL(), Config{Critpath: rec, ForceGoroutinePerProc: oracle})
+		runSrc(t, laplaceSrc, comm.PL(), Config{Critpath: rec, SchedWorkers: workers})
 		p, err := critpath.Analyze(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	sched, orc := path(false), path(true)
-	if sched.Finish != orc.Finish || sched.CritRank != orc.CritRank {
-		t.Fatalf("scheduler path (finish %v, rank %d) != oracle path (finish %v, rank %d)",
-			sched.Finish, sched.CritRank, orc.Finish, orc.CritRank)
+	pool, one := path(0), path(1)
+	if pool.Finish != one.Finish || pool.CritRank != one.CritRank {
+		t.Fatalf("pool path (finish %v, rank %d) != one-worker path (finish %v, rank %d)",
+			pool.Finish, pool.CritRank, one.Finish, one.CritRank)
 	}
-	if len(sched.Segs) != len(orc.Segs) {
-		t.Fatalf("scheduler path has %d pieces, oracle %d", len(sched.Segs), len(orc.Segs))
+	if len(pool.Segs) != len(one.Segs) {
+		t.Fatalf("pool path has %d pieces, one-worker %d", len(pool.Segs), len(one.Segs))
 	}
-	for i := range sched.Segs {
-		if sched.Segs[i] != orc.Segs[i] {
-			t.Errorf("piece %d: scheduler %+v != oracle %+v", i, sched.Segs[i], orc.Segs[i])
+	for i := range pool.Segs {
+		if pool.Segs[i] != one.Segs[i] {
+			t.Errorf("piece %d: pool %+v != one-worker %+v", i, pool.Segs[i], one.Segs[i])
 		}
 	}
 }
@@ -149,13 +149,13 @@ func TestCritpathAttribution(t *testing.T) {
 }
 
 // Scheduler observability: Result.Sched reports the worker pool, step
-// counts and high-water marks in scheduler mode, is nil under the
-// oracle, and surfaces as sched_* metrics when metrics are on.
+// counts and high-water marks, and surfaces as sched_* metrics when
+// metrics are on.
 func TestSchedStats(t *testing.T) {
 	res := runSrc(t, laplaceSrc, comm.PL(), Config{Metrics: true})
 	st := res.Sched
 	if st == nil {
-		t.Fatal("Result.Sched nil in scheduler mode")
+		t.Fatal("Result.Sched nil")
 	}
 	if st.Workers < 1 || len(st.Steps) != st.Workers {
 		t.Errorf("workers %d with %d step slots", st.Workers, len(st.Steps))
@@ -174,11 +174,6 @@ func TestSchedStats(t *testing.T) {
 	}
 	if got := res.Metrics.Gauge("sched_runq_hiwater").V; got != int64(st.RunqHiWater) {
 		t.Errorf("sched_runq_hiwater gauge %d != %d", got, st.RunqHiWater)
-	}
-
-	oracle := runSrc(t, laplaceSrc, comm.PL(), Config{ForceGoroutinePerProc: true})
-	if oracle.Sched != nil {
-		t.Error("Result.Sched non-nil under the goroutine oracle")
 	}
 }
 

@@ -17,15 +17,13 @@ import (
 // be overwritten; as defense in depth, any array statement whose LHS an
 // in-flight job still reads joins that job first (assignArray/fusedExec).
 //
-// Overlap requires the pooled comm engine (compiled pack schedules own
-// the flat buffers) and the M:N scheduler (deliverData never blocks, so
-// the job needs no channel capacity reasoning and always terminates).
-// Ordering stays intact: per (pair, tag) stream at most one message is in
-// flight — a transfer's next SR follows its previous SV, which joined —
-// and cross-tag reordering is already handled by recvTagged. The
-// scheduler counts pending jobs (pendingAsync) so deadlock detection
-// never fires while a delivery that could wake a parked processor is
-// still in flight.
+// A job always terminates: the message owns its flat buffer and deliverData
+// never blocks. Ordering stays intact: per (pair, tag) stream at most one
+// message is in flight — a transfer's next SR follows its previous SV,
+// which joined — and cross-tag reordering is already handled by
+// recvTagged. The scheduler counts pending jobs (pendingAsync) so deadlock
+// detection never fires while a delivery that could wake a parked
+// processor is still in flight.
 
 // overlapMinDoubles is the smallest packed payload (in float64 slots)
 // worth deferring to a goroutine: below it, the spawn plus the join

@@ -32,22 +32,20 @@ type proc struct {
 	fields    []*field.Field // by ArraySym.ID
 	scalars   []float64      // by ScalarSym.ID
 	fnCache   map[ir.Expr]evalFn
-	neighbors []int           // mesh-neighbor ranks in deterministic (dr,dc) order
-	nbr       [3][3]neighbor  // nbr[dr+1][dc+1]: the neighbor at mesh displacement (dr,dc)
-	in        []chan *dataMsg // in[slot]: data from that neighbor (goroutine oracle only)
-	readyFrom []chan readyTok // readyFrom[slot]: rendezvous tokens and recycled buffers (goroutine oracle only)
+	neighbors []int          // mesh-neighbor ranks in deterministic (dr,dc) order
+	nbr       [3][3]neighbor // nbr[dr+1][dc+1]: the neighbor at mesh displacement (dr,dc)
 	// pending[slot][tag] stashes out-of-order messages. The whole structure
 	// is nil until the first message actually arrives out of order
 	// (recvTagged); fully in-order programs never pay for it.
 	pending []map[int][]*dataMsg
 
-	// M:N scheduler plumbing (sched.go). resume/yield carry the worker
+	// Scheduler plumbing (sched.go). resume/yield carry the worker
 	// handoff (each holds at most one pending signal); every yield carries
 	// the reason — stateParked or stateDone — so the handing-off side is
 	// the single source of truth for whether the body finished (re-reading
 	// mb.state after the yield would race with a second worker that
 	// resumed us in the park/enqueue window). mb is the mailbox peers
-	// deliver events into. All zero in goroutine-oracle mode.
+	// deliver events into.
 	mb     mbox
 	resume chan struct{}
 	yield  chan procState
@@ -59,12 +57,6 @@ type proc struct {
 	openCount int
 	sendPool  [][]*dataMsg // sendPool[slot]: recycled messages for sends to that neighbor
 	retPool   [][]*dataMsg // retPool[slot]: unpacked messages awaiting return to that neighbor
-
-	// Collective transport of the goroutine oracle (collective.go): a
-	// buffered channel of hop messages plus a stash for out-of-order
-	// arrivals. The scheduler uses the keyed mailbox (mbox.coll) instead.
-	collq     chan collMsg
-	collStash map[uint64]collMsg
 
 	// Array-statement engines (kernel.go, fuse.go): the sites of array
 	// statements (by ir.AssignArray.ID), reduction partials (by ir.Reduce.ID)
@@ -169,28 +161,13 @@ func newProc(w *world, rank int) *proc {
 	n := len(p.neighbors)
 	p.sendPool = make([][]*dataMsg, n)
 	p.retPool = make([][]*dataMsg, n)
-	if w.mn {
-		p.mb.data = make([][]*dataMsg, n)
-		p.mb.dataHead = make([]int, n)
-		p.mb.toks = make([][]readyTok, n)
-		p.mb.toksHead = make([]int, n)
-		p.mb.rets = make([][]*dataMsg, n)
-		p.resume = make(chan struct{}, 1)
-		p.yield = make(chan procState, 1)
-	} else {
-		p.in = make([]chan *dataMsg, n)
-		p.readyFrom = make([]chan readyTok, n)
-		for s := range p.neighbors {
-			p.in[s] = make(chan *dataMsg, w.chanCap)
-			p.readyFrom[s] = make(chan readyTok, w.chanCap)
-		}
-		if w.collSteps != nil {
-			// Capacity mirrors the pairChanCap argument: at most two
-			// reductions' worth of messages can be in flight toward one
-			// rank, so 2·indegree+2 slots keep sends from blocking.
-			p.collq = make(chan collMsg, 2*collIndeg(w.collSteps[rank])+2)
-		}
-	}
+	p.mb.data = make([][]*dataMsg, n)
+	p.mb.dataHead = make([]int, n)
+	p.mb.toks = make([][]readyTok, n)
+	p.mb.toksHead = make([]int, n)
+	p.mb.rets = make([][]*dataMsg, n)
+	p.resume = make(chan struct{}, 1)
+	p.yield = make(chan procState, 1)
 	return p
 }
 
@@ -256,8 +233,8 @@ func (p *proc) waitUntil(t vtime.Time) {
 }
 
 // run executes the program body and folds this processor's statistics
-// into the world. It is the per-processor entry point of both execution
-// modes; on panic the fold is skipped (the run is aborting anyway).
+// into the world. It is the body runSched gives every processor's
+// coroutine; on panic the fold is skipped (the run is aborting anyway).
 func (p *proc) run() {
 	p.body(p.w.main)
 	p.finish()
@@ -300,7 +277,6 @@ func (p *proc) finish() {
 	w.statsMu.Unlock()
 	p.xfers, p.stmts, p.reduces, p.fused, p.fnCache = nil, nil, nil, nil, nil
 	p.sendPool, p.retPool, p.pending = nil, nil, nil
-	p.collStash = nil
 	if p.met != nil {
 		p.met.reg.Gauge("arena_hiwater_doubles").Observe(int64(len(p.arena.buf)))
 	}

@@ -1,6 +1,7 @@
 // Package rt executes a lowered ZPL program SPMD-style on a simulated
-// parallel machine: one goroutine per virtual processor, block distributed
-// arrays with ghost regions, real data exchanged over channels, and a
+// parallel machine: virtual processors stepped by a bounded worker pool
+// (sched.go), block distributed arrays with ghost regions, real data packed
+// into pooled buffers and delivered through per-processor mailboxes, and a
 // deterministic virtual clock per processor driven by the machine's cost
 // model. Communication follows the IRONMAN call schedule computed by the
 // optimizer (package comm).
@@ -44,28 +45,11 @@ type Config struct {
 	// way; the flag exists for differential testing and benchmarking.
 	ForceInterpreter bool
 
-	// ForceLegacyComm disables the compiled pack/unpack communication
-	// engine and its pooled message buffers: every message reverts to a
-	// freshly allocated dataMsg with one ExtractRect slice per rectangle.
-	// Simulated results must be identical either way; the flag exists as
-	// the comm engine's differential-testing oracle, mirroring
-	// ForceInterpreter.
-	ForceLegacyComm bool
-
-	// ForceGoroutinePerProc disables the M:N scheduler and runs every
-	// virtual processor on its own OS-scheduled goroutine with blocking
-	// channel communication — the execution model the scheduler replaced.
-	// Simulated results must be identical either way; the flag exists as
-	// the scheduler's differential-testing oracle, mirroring
-	// ForceInterpreter and ForceLegacyComm.
-	ForceGoroutinePerProc bool
-
 	// ForceNoFusion disables cross-statement kernel fusion: every array
 	// statement compiles and executes individually even when the static
 	// analysis proves an adjacent run fusable. Simulated results must be
 	// identical either way; the flag exists as the fusion pass's
-	// differential-testing oracle, mirroring ForceInterpreter and
-	// ForceLegacyComm.
+	// differential-testing oracle, mirroring ForceInterpreter.
 	ForceNoFusion bool
 
 	// NoOverlap disables host-side comm/compute overlap: large packed
@@ -91,7 +75,10 @@ type Config struct {
 	// (0 = GOMAXPROCS). Independent of the pool size, every worker step
 	// also passes through a process-wide admission budget of GOMAXPROCS
 	// tokens shared by all concurrent runs, so harness parallelism can
-	// never oversubscribe the host.
+	// never oversubscribe the host. With one worker the processors are
+	// stepped one at a time with no host concurrency among them; simulated
+	// results must be identical at any pool size, which makes the
+	// one-worker run the scheduler's differential-testing reference.
 	SchedWorkers int
 
 	// Trace, when non-nil, records virtual-time-stamped events (IRONMAN
@@ -164,7 +151,7 @@ type Result struct {
 
 	// Sched reports the M:N scheduler's observability counters: per-
 	// worker step counts, park events by reason, and the runnable-queue
-	// and mailbox high-water marks. Nil in goroutine-oracle mode.
+	// and mailbox high-water marks.
 	Sched *SchedStats
 
 	Mesh   grid.Mesh
@@ -260,11 +247,8 @@ type world struct {
 	lib  *machine.Lib
 	mesh grid.Mesh
 
-	interp     bool // run array statements on the interpreter, not kernels
-	legacyComm bool // per-rectangle allocating messages, not pooled flat buffers
-	mn         bool // M:N scheduler (default), not goroutine-per-proc
-	overlap    bool // async pack+delivery of large sends (scheduler + pooled comm only)
-	chanCap    int  // per-pair channel capacity, derived from the plan
+	interp  bool // run array statements on the interpreter, not kernels
+	overlap bool // async pack+delivery of large sends (overlap.go)
 
 	// main is the program body as setup bound it (proc.go: seg): every
 	// block resolved to its plan and its statically fusable statement runs
@@ -299,7 +283,7 @@ type world struct {
 	master     [2]grid.Span  // anchor spans for the block distribution
 
 	procs      []*proc
-	sched      *scheduler  // M:N scheduler state; nil in goroutine-oracle mode
+	sched      *scheduler  // set by runSched
 	schedStats *SchedStats // counters folded at the end of runSched
 
 	// stats collects each processor's contribution as its body completes.
@@ -320,9 +304,9 @@ type world struct {
 	// payload — every processor lives in one address space, so a gather
 	// hop only needs to say *which* window it hands over; the values are
 	// read off the board. The happens-before edges of the hop messages
-	// themselves (mailbox mutex in scheduler mode, channels in oracle
-	// mode) make the reads safe: a rank's window covers slot j only after
-	// a message chain rooted at rank j's contribution write. Two boards
+	// themselves (the mailbox mutex) make the reads safe: a rank's window
+	// covers slot j only after a message chain rooted at rank j's
+	// contribution write. Two boards
 	// suffice because a rank entering sequence s proves every rank
 	// finished s-1 (completing s-1 needs a message chain covering all
 	// ranks), so no reader of board s-2 survives. collFold caches the
@@ -331,53 +315,38 @@ type world struct {
 	collContrib [2][]float64
 	collFold    [2]foldCell
 
-	abort     chan struct{}
-	abortOnce sync.Once
-	abortErr  error
-	abortMu   sync.Mutex
+	abortErr error
+	abortMu  sync.Mutex
 }
 
+// fail records the run's first error and stops the worker pool; parked
+// processors unwind via errAborted in runSched's kill pass.
 func (w *world) fail(err error) {
 	w.abortMu.Lock()
 	if w.abortErr == nil {
 		w.abortErr = err
 	}
 	w.abortMu.Unlock()
-	w.abortOnce.Do(func() { close(w.abort) })
-	if w.sched != nil {
-		w.sched.halt()
-	}
+	w.sched.halt()
 }
 
 // errAborted signals that another processor already failed.
 var errAborted = fmt.Errorf("rt: run aborted by another processor's failure")
 
-// pairChanCap sizes the per-directed-pair message and token channels from
-// the plan instead of a one-size-fits-all constant. The bound: block
-// boundaries fully drain every in-flight transfer (block asserts all
-// DR..SV sequences closed), so unconsumed messages on one directed pair
-// always come from at most T sends per block execution, where T is the
-// plan's largest per-block (or per-preheader) transfer count. A send can
-// therefore only block once the channel holds messages from three or more
-// distinct block executions — which would need the receiver to be two
-// whole executions behind the sender. Around any would-be cycle of
-// blocked senders each processor would have to be two executions ahead of
-// the next, which cannot close; so 2T+2 slots make channel sends
-// deadlock-free while shrinking the old fixed 4096-slot buffers to the
-// handful a plan can actually use.
-func pairChanCap(plan *comm.Plan) int {
-	c := 2*plan.MaxBlockTransfers() + 2
-	if c < 4 {
-		c = 4
-	}
-	return c
+// PairChanCap is the per-directed-pair mailbox depth a plan is budgeted
+// for: 2T+2 entries, where T is the plan's largest per-block (or
+// per-preheader) transfer count. Block boundaries drain every in-flight
+// transfer (block asserts all DR..SV sequences closed), so one pair's
+// unconsumed messages come from at most T sends per block execution, and a
+// receiver trailing its sender by under two executions holds no more than
+// that. The mailbox FIFOs (sched.go) grow on demand and never block a
+// sender, so the runtime allocates nothing by this number: the static
+// protocol checker (package cost, rule proto-inflight-overflow) verifies
+// every block's worst-case in-flight count against it, and
+// SchedStats.MboxHiWater reports the depth a run actually reached.
+func PairChanCap(plan *comm.Plan) int {
+	return max(2*plan.MaxBlockTransfers()+2, 4)
 }
-
-// PairChanCap exposes the per-directed-pair channel capacity the runtime
-// derives from a plan, so the static protocol checker (package cost) can
-// verify the in-flight bound it rests on against the actual capacity the
-// runtime would allocate.
-func PairChanCap(plan *comm.Plan) int { return pairChanCap(plan) }
 
 // Run executes the program under the given plan and configuration.
 func Run(prog *ir.Program, plan *comm.Plan, cfg Config) (*Result, error) {
@@ -396,58 +365,23 @@ func Run(prog *ir.Program, plan *comm.Plan, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
 	w := &world{
-		prog:       prog,
-		plan:       plan,
-		mach:       cfg.Machine,
-		lib:        lib,
-		mesh:       mesh,
-		interp:     cfg.ForceInterpreter,
-		legacyComm: cfg.ForceLegacyComm,
-		mn:         !cfg.ForceGoroutinePerProc,
-		chanCap:    pairChanCap(plan),
-		abort:      make(chan struct{}),
+		prog:    prog,
+		plan:    plan,
+		mach:    cfg.Machine,
+		lib:     lib,
+		mesh:    mesh,
+		interp:  cfg.ForceInterpreter,
+		overlap: !cfg.NoOverlap,
+		fusion:  !cfg.ForceInterpreter && !cfg.ForceNoFusion,
 	}
-	// Overlap needs the pooled comm engine (compiled pack schedules) and
-	// the M:N scheduler (deliverData + mailbox wakeups are its delivery
-	// path); the oracles run fully synchronously.
-	w.overlap = w.mn && !w.legacyComm && !cfg.NoOverlap
-	w.fusion = !cfg.ForceInterpreter && !cfg.ForceNoFusion
 	if err := w.setup(cfg); err != nil {
 		return nil, err
 	}
-
-	if w.mn {
-		w.runSched(cfg.SchedWorkers, (*proc).run)
-	} else {
-		w.runGoroutinePerProc()
-	}
+	w.runSched(cfg.SchedWorkers, (*proc).run)
 	if w.abortErr != nil {
 		return nil, w.abortErr
 	}
 	return w.gather(), nil
-}
-
-// runGoroutinePerProc is the legacy execution model and the scheduler's
-// differential oracle: one OS-scheduled goroutine per virtual processor,
-// blocking on channels.
-func (w *world) runGoroutinePerProc() {
-	var wg sync.WaitGroup
-	for _, p := range w.procs {
-		wg.Add(1)
-		go func(p *proc) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if r == errAborted {
-						return
-					}
-					w.fail(fmt.Errorf("rt: processor %d: %v", p.rank, r))
-				}
-			}()
-			p.run()
-		}(p)
-	}
-	wg.Wait()
 }
 
 // setup evaluates configs, constants and regions, builds the distribution,

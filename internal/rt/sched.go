@@ -8,26 +8,24 @@ import (
 	"sync"
 )
 
-// This file implements the M:N virtual-processor scheduler: a fixed pool
-// of worker goroutines steps runnable processors through explicit run
-// states instead of handing every processor its own OS-scheduled
-// goroutine. A processor's goroutine still exists — it is the cheapest
-// continuation Go offers — but it only ever runs while a worker has
-// resumed it, and it parks (handing its worker back to the pool) whenever
-// it blocks on a virtual-time event: a message receive, a rendezvous
-// ready token, or a reduction. Peers deliver those events into per-
-// processor mailboxes and re-queue the parked processor, so a blocked
-// receive costs a queue append instead of a blocked OS thread.
+// This file implements the M:N virtual-processor scheduler, the runtime's
+// one execution engine: a fixed pool of worker goroutines steps runnable
+// processors through explicit run states. A processor's goroutine exists —
+// it is the cheapest continuation Go offers — but it only ever runs while a
+// worker has resumed it, and it parks (handing its worker back to the pool)
+// whenever it blocks on a virtual-time event: a message receive, a
+// rendezvous ready token, or a reduction. Peers deliver those events into
+// per-processor mailboxes and re-queue the parked processor, so a blocked
+// receive costs a queue append instead of a blocked OS thread. With one
+// worker (Config.SchedWorkers) processors run strictly one at a time.
 //
-// Deadlock freedom: in scheduler mode event delivery never blocks the
-// sender (mailbox queues grow as needed; the pairChanCap argument in
-// rt.go bounds what they can actually hold, since block boundaries drain
-// every in-flight transfer). A processor therefore only ever blocks as a
-// *parked* state visible to the scheduler, and the scheduler can prove a
-// global deadlock exactly: no processor runnable, none running, some
-// still live means every live processor is parked on an event that no
-// running processor can ever deliver. That turns the silent hangs of the
-// goroutine oracle into an immediate error naming each waiter.
+// Deadlock freedom: event delivery never blocks the sender (mailbox queues
+// grow as needed; PairChanCap in rt.go is what a plan budgets them for). A
+// processor therefore only ever blocks as a *parked* state visible to the
+// scheduler, and the scheduler can prove a global deadlock exactly: no
+// processor runnable, none running, some still live means every live
+// processor is parked on an event that no running processor can ever
+// deliver — an immediate error naming each waiter, not a hang.
 
 // procState is one virtual processor's run state under the scheduler.
 type procState int
@@ -61,7 +59,7 @@ func (r waitReason) String() string {
 	return "nothing"
 }
 
-// mbox is a processor's scheduler-mode mailbox: the events peers deliver
+// mbox is a processor's mailbox: the events peers deliver
 // while it is parked or running elsewhere, plus the run state those
 // deliveries inspect to decide whether to re-queue it. One mutex guards
 // the whole box; senders lock only the destination's box, never their
@@ -123,8 +121,7 @@ type scheduler struct {
 }
 
 // SchedStats reports the M:N scheduler's observability counters for one
-// run (Result.Sched; nil in goroutine-oracle mode). The counters are
-// collected unconditionally: every increment sits on a park or delivery
+// run (Result.Sched). The counters are collected unconditionally: every increment sits on a park or delivery
 // path that already holds the relevant mutex, never on a clock-charge
 // fast path.
 type SchedStats struct {
@@ -451,7 +448,7 @@ func (s *scheduler) parkedSummary() string {
 	return strings.Join(parts, "; ")
 }
 
-// coroutine is the processor goroutine's scheduler-mode wrapper: it waits
+// coroutine is the processor goroutine's wrapper: it waits
 // for its first resume, runs the body, and always reports done (normal
 // return, abort unwind, or failure) with a final yield so the stepping
 // worker — or the kill pass — regains control.
@@ -513,9 +510,8 @@ func (mb *mbox) wakeLocked(reason waitReason, slot int) bool {
 }
 
 // deliverData appends a message to dst's inbox from neighbor slot `slot`
-// (dst-relative) and re-queues dst when it is parked on that slot.
-// Scheduler-mode sends never block: in-flight messages per pair are
-// bounded by the plan (see pairChanCap), the queue just holds them.
+// (dst-relative) and re-queues dst when it is parked on that slot. It never
+// blocks: the queue holds whatever is in flight (see PairChanCap).
 func (p *proc) deliverData(dst *proc, slot int, m *dataMsg) {
 	dst.mb.mu.Lock()
 	dst.mb.data[slot] = append(dst.mb.data[slot], m)
@@ -544,8 +540,8 @@ func (p *proc) deliverTok(dst *proc, slot int, tok readyTok) {
 }
 
 // deliverRet hands a recycled buffer back to its sender, best-effort:
-// nobody ever waits on returns, and the stash is bounded like the
-// channel-mode free list.
+// nobody ever waits on returns, and the stash is bounded like the free
+// lists.
 func (p *proc) deliverRet(dst *proc, slot int, m *dataMsg) {
 	dst.mb.mu.Lock()
 	if len(dst.mb.rets[slot]) < poolCap {
@@ -661,7 +657,7 @@ func (p *proc) nextColl(key uint64) collMsg {
 }
 
 // drainRets moves every buffer a peer returned into the send free list
-// (message-passing recycling, scheduler mode).
+// (message-passing recycling).
 func (p *proc) drainRets(slot int) {
 	p.mb.mu.Lock()
 	q := p.mb.rets[slot]

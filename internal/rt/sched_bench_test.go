@@ -1,9 +1,6 @@
-// Scheduler benchmarks live in package rt_test beside the comm-path
-// benchmarks so the emitters share helpers without import cycles.
 package rt_test
 
 import (
-	"encoding/json"
 	"os"
 	"runtime"
 	"testing"
@@ -57,23 +54,21 @@ func schedBenchPlan(tb testing.TB) (*ir.Program, *comm.Plan) {
 	return prog, comm.BuildPlan(prog, comm.PL())
 }
 
-// benchScheduler runs the stencil at one partition size under the M:N
-// scheduler (or the goroutine oracle) and reports, besides wall-clock,
-// the heap bytes each simulated run allocates per virtual processor —
-// the number that must stay flat for 4096-proc worlds to fit.
+// benchScheduler runs the stencil at one partition size and reports,
+// besides wall-clock, the heap bytes each simulated run allocates per
+// virtual processor — the number that must stay flat for 4096-proc worlds
+// to fit.
 //
 // The collective algorithm is pinned to star so the metric tracks
 // point-to-point scheduler throughput: under auto selection the
 // stencil's per-iteration residual reduction would resolve to butterfly
 // at power-of-two partitions, whose ~P·log P hop count would swamp the
-// stencil traffic the benchmark exists to measure (and break
-// comparability with the checked-in baseline rows). The collective
+// stencil traffic the benchmark exists to measure. The collective
 // algorithms have their own host-time benchmark, BenchmarkAllreduce.
-func benchScheduler(b *testing.B, procs int, oracle bool) {
+func benchScheduler(b *testing.B, procs int) {
 	b.Helper()
 	prog, plan := schedBenchPlan(b)
-	cfg := rt.Config{Machine: machine.T3D(), Library: "pvm", Procs: procs, ForceGoroutinePerProc: oracle,
-		Collective: collective.Star}
+	cfg := rt.Config{Machine: machine.T3D(), Library: "pvm", Procs: procs, Collective: collective.Star}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -90,76 +85,12 @@ func benchScheduler(b *testing.B, procs int, oracle bool) {
 	b.ReportMetric(perProc, "bytes/proc")
 }
 
-func BenchmarkScheduler64(b *testing.B)   { benchScheduler(b, 64, false) }
-func BenchmarkScheduler256(b *testing.B)  { benchScheduler(b, 256, false) }
-func BenchmarkScheduler1024(b *testing.B) { benchScheduler(b, 1024, false) }
-
-// BenchmarkSchedulerOracle64 is the goroutine-per-proc oracle at the
-// paper's partition size, for direct comparison with BenchmarkScheduler64.
-func BenchmarkSchedulerOracle64(b *testing.B) { benchScheduler(b, 64, true) }
-
-// schedBenchReport is the wire form of BENCH_sched.json.
-type schedBenchReport struct {
-	Benchmark string `json:"benchmark"`
-	Grid      string `json:"grid"`
-
-	Rows []schedBenchRow `json:"rows"`
-
-	// Oracle comparison at 64 procs: the goroutine-per-proc model the
-	// scheduler replaced.
-	Oracle64NsOp      int64   `json:"oracle64_ns_per_op"`
-	Oracle64BytesProc float64 `json:"oracle64_bytes_per_proc"`
-
-	// Wall-clock seconds for one scheduler run of the simple benchmark
-	// (paper problem size) at 1024 procs — the scaling smoke number.
-	Smoke1024Seconds float64 `json:"smoke1024_seconds"`
-}
-
-type schedBenchRow struct {
-	Procs     int     `json:"procs"`
-	NsOp      int64   `json:"ns_per_op"`
-	BytesProc float64 `json:"bytes_per_proc"`
-}
-
-// TestEmitSchedBenchJSON regenerates BENCH_sched.json, the checked-in
-// snapshot of the scheduler benchmarks. Skipped unless BENCH_SCHED_JSON
-// names the output file:
-//
-//	BENCH_SCHED_JSON=$PWD/BENCH_sched.json go test ./internal/rt -run TestEmitSchedBenchJSON -count=1
-func TestEmitSchedBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_SCHED_JSON")
-	if path == "" {
-		t.Skip("set BENCH_SCHED_JSON=<output path> to emit scheduler benchmark numbers")
-	}
-	report := schedBenchReport{Benchmark: "BenchmarkScheduler", Grid: "128x128, 24 iterations"}
-	for _, bench := range []struct {
-		procs int
-		fn    func(*testing.B)
-	}{
-		{64, BenchmarkScheduler64}, {256, BenchmarkScheduler256}, {1024, BenchmarkScheduler1024},
-	} {
-		r := testing.Benchmark(bench.fn)
-		report.Rows = append(report.Rows, schedBenchRow{
-			Procs: bench.procs, NsOp: r.NsPerOp(), BytesProc: r.Extra["bytes/proc"],
-		})
-	}
-	or := testing.Benchmark(BenchmarkSchedulerOracle64)
-	report.Oracle64NsOp = or.NsPerOp()
-	report.Oracle64BytesProc = or.Extra["bytes/proc"]
-	report.Smoke1024Seconds = smoke1024Seconds(t)
-
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
+func BenchmarkScheduler64(b *testing.B)   { benchScheduler(b, 64) }
+func BenchmarkScheduler256(b *testing.B)  { benchScheduler(b, 256) }
+func BenchmarkScheduler1024(b *testing.B) { benchScheduler(b, 1024) }
 
 // smoke1024Seconds runs the simple benchmark at its paper problem size on
-// a 1024-processor partition under the scheduler, returning the host
-// wall-clock.
+// a 1024-processor partition, returning the host wall-clock.
 func smoke1024Seconds(t *testing.T) float64 {
 	t.Helper()
 	b, err := programs.ByName("simple")
@@ -190,10 +121,10 @@ func smoke1024Seconds(t *testing.T) float64 {
 }
 
 // TestSchedScaleSmoke is the CI scaling gate: a paper benchmark at 1024
-// simulated processors must complete under the scheduler within a
-// laptop-class time budget. Runs only when SCHED_SMOKE is set (the CI
-// sched-smoke job); the job's go-test timeout is the hard ceiling, this
-// assertion is the early, readable one.
+// simulated processors must complete within a laptop-class time budget.
+// Runs only when SCHED_SMOKE is set (the CI bench-smoke job); the job's
+// go-test timeout is the hard ceiling, this assertion is the early,
+// readable one.
 func TestSchedScaleSmoke(t *testing.T) {
 	if os.Getenv("SCHED_SMOKE") == "" {
 		t.Skip("set SCHED_SMOKE=1 to run the 1024-proc scaling smoke")

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"commopt/internal/grid"
 	"commopt/internal/machine"
 	"commopt/internal/vtime"
 )
@@ -31,8 +30,8 @@ begin
 end;
 `
 
-// testWorld builds a ready-to-run world in scheduler mode without
-// starting it, so tests can drive custom processor bodies.
+// testWorld builds a ready-to-run world without starting it, so tests can
+// drive custom processor bodies.
 func testWorld(t *testing.T, procs int) *world {
 	t.Helper()
 	return classWorld(t, schedTestSrc, procs, nil)
@@ -40,8 +39,7 @@ func testWorld(t *testing.T, procs int) *world {
 
 // TestSchedulerDeadlockDetected: a processor parked on an event nobody
 // will deliver must fail the run with a diagnostic naming the waiter,
-// not hang. (The goroutine oracle would block forever here — exact
-// deadlock detection is scheduler-mode behavior.)
+// not hang.
 func TestSchedulerDeadlockDetected(t *testing.T) {
 	w := testWorld(t, 4)
 	w.runSched(2, func(p *proc) {
@@ -146,22 +144,9 @@ func init() {
 // fresh worlds. A double decrement shows up as live != 0 or as aborted
 // bodies (done < procs).
 func TestSchedulerParkStepHandshake(t *testing.T) {
-	prog, plan := compile(t, schedTestSrc)
-	mach := machine.T3D()
-	lib, err := mach.Lib("pvm")
-	if err != nil {
-		t.Fatal(err)
-	}
 	const procs, rounds = 16, 400
 	for round := 0; round < rounds; round++ {
-		w := &world{
-			prog: prog, plan: plan, mach: mach, lib: lib,
-			mesh: grid.SquarestMesh(procs), mn: true,
-			chanCap: pairChanCap(plan), abort: make(chan struct{}),
-		}
-		if err := w.setup(Config{}); err != nil {
-			t.Fatal(err)
-		}
+		w := testWorld(t, procs)
 		var done atomic.Int32
 		w.runSched(8, func(p *proc) {
 			if p.rank%2 == 0 {
@@ -184,28 +169,32 @@ func TestSchedulerParkStepHandshake(t *testing.T) {
 }
 
 // TestSchedulerWorkerCountsAgree: the same program must produce
-// identical simulated results at any worker-pool size and under the
-// goroutine oracle.
+// identical simulated results and arrays at any worker-pool size. The
+// reference is the one-worker run, where processors are stepped one at a
+// time and host scheduling has nothing to reorder.
 func TestSchedulerWorkerCountsAgree(t *testing.T) {
 	prog, plan := compile(t, schedTestSrc)
-	mach := machine.T3D()
-	base, err := Run(prog, plan, Config{Machine: mach, Library: "pvm", Procs: 16, ForceGoroutinePerProc: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8, 64} {
-		res, err := Run(prog, plan, Config{Machine: mach, Library: "pvm", Procs: 16, SchedWorkers: workers})
+	run := func(workers int) *Result {
+		res, err := Run(prog, plan, Config{Machine: machine.T3D(), Library: "pvm", Procs: 16, SchedWorkers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		return res
+	}
+	base := run(1)
+	for _, workers := range []int{2, 8, 64} {
+		res := run(workers)
 		if res.ExecTime != base.ExecTime || res.Output != base.Output {
-			t.Errorf("workers=%d: ExecTime %v Output %q; oracle %v %q",
+			t.Errorf("workers=%d: ExecTime %v Output %q; one worker %v %q",
 				workers, res.ExecTime, res.Output, base.ExecTime, base.Output)
 		}
 		for r := range res.PerProc {
 			if res.PerProc[r] != base.PerProc[r] {
-				t.Errorf("workers=%d: PerProc[%d] = %+v, oracle %+v", workers, r, res.PerProc[r], base.PerProc[r])
+				t.Errorf("workers=%d: PerProc[%d] = %+v, one worker %+v", workers, r, res.PerProc[r], base.PerProc[r])
 			}
+		}
+		if !sameArrays(res, base) {
+			t.Errorf("workers=%d: arrays differ from the one-worker run's", workers)
 		}
 	}
 }

@@ -169,6 +169,12 @@ func TestSchedStats(t *testing.T) {
 	if st.Parks[0] != 0 {
 		t.Errorf("parks recorded for waitNone: %d", st.Parks[0])
 	}
+	if st.ParksAverted > st.TotalParks() {
+		t.Errorf("%d parks averted of %d requested", st.ParksAverted, st.TotalParks())
+	}
+	if got := res.Metrics.Counter("sched_parks_averted").N; got != st.ParksAverted {
+		t.Errorf("sched_parks_averted counter %d != ParksAverted %d", got, st.ParksAverted)
+	}
 	if got := res.Metrics.Counter("sched_steps").N; got != st.TotalSteps() {
 		t.Errorf("sched_steps counter %d != TotalSteps %d", got, st.TotalSteps())
 	}

@@ -206,6 +206,7 @@ func (w *world) gatherMetrics() *metrics.Registry {
 			}
 			reg.Counter("sched_parks_" + strings.ReplaceAll(waitReason(r).String(), " ", "_")).Add(n)
 		}
+		reg.Counter("sched_parks_averted").Add(st.ParksAverted)
 		reg.Gauge("sched_runq_hiwater").Observe(int64(st.RunqHiWater))
 		reg.Gauge("sched_mbox_hiwater").Observe(int64(st.MboxHiWater))
 	}

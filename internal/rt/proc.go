@@ -39,16 +39,15 @@ type proc struct {
 	// (recvTagged); fully in-order programs never pay for it.
 	pending []map[int][]*dataMsg
 
-	// Scheduler plumbing (sched.go). resume/yield carry the worker
-	// handoff (each holds at most one pending signal); every yield carries
-	// the reason — stateParked or stateDone — so the handing-off side is
-	// the single source of truth for whether the body finished (re-reading
-	// mb.state after the yield would race with a second worker that
-	// resumed us in the park/enqueue window). mb is the mailbox peers
-	// deliver events into.
-	mb     mbox
-	resume chan struct{}
-	yield  chan procState
+	// Scheduler plumbing (sched.go). The body runs as a pull coroutine:
+	// next switches a worker into it until it parks or returns (false,
+	// once), toWorker is the switch back (false when stopped), and stop
+	// ends it wherever it stands. mb is the mailbox peers deliver events
+	// into.
+	mb       mbox
+	next     func() (struct{}, bool)
+	stop     func()
+	toWorker func(struct{}) bool
 
 	// Communication engine (commpack.go, bufpool.go): every transfer's
 	// dispatch state by Transfer.Slot, the number of open DR..SV sequences
@@ -103,9 +102,11 @@ type proc struct {
 	engine     int64                         // trace engine code of the last array statement
 	stmtLabels map[ir.Stmt]string
 
-	// Scheduler observability (read at gather; parks is written only by
-	// this processor's own coroutine, mboxHi under mb.mu by deliverers).
-	parks [4]int64 // park executions by waitReason
+	// Scheduler observability (folded by runSched; parks is written only
+	// by this processor's own coroutine, parksAverted by the worker
+	// stepping it, mb.hi under mb.mu by deliverers).
+	parks        [4]int64 // park requests by waitReason
+	parksAverted int64    // requests whose event arrived before the commit
 }
 
 // jittered scales a compute cost by the machine's jitter factor, drawn
@@ -166,8 +167,6 @@ func newProc(w *world, rank int) *proc {
 	p.mb.toks = make([][]readyTok, n)
 	p.mb.toksHead = make([]int, n)
 	p.mb.rets = make([][]*dataMsg, n)
-	p.resume = make(chan struct{}, 1)
-	p.yield = make(chan procState, 1)
 	return p
 }
 

@@ -2,22 +2,28 @@ package rt
 
 import (
 	"fmt"
+	"iter"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements the M:N virtual-processor scheduler, the runtime's
 // one execution engine: a fixed pool of worker goroutines steps runnable
-// processors through explicit run states. A processor's goroutine exists —
-// it is the cheapest continuation Go offers — but it only ever runs while a
-// worker has resumed it, and it parks (handing its worker back to the pool)
-// whenever it blocks on a virtual-time event: a message receive, a
-// rendezvous ready token, or a reduction. Peers deliver those events into
-// per-processor mailboxes and re-queue the parked processor, so a blocked
-// receive costs a queue append instead of a blocked OS thread. With one
-// worker (Config.SchedWorkers) processors run strictly one at a time.
+// processors. A processor is a pull coroutine (iter.Pull over its body): a
+// worker's next() switches straight into it — same thread, no run-queue
+// transit, no wake-up — and it runs until it blocks on a virtual-time
+// event (a message receive, a rendezvous ready token, a reduction), where
+// it records what it waits for and switches straight back. The worker, not
+// the processor, then makes the park visible: if the event arrived in the
+// meantime it steps the same processor again, otherwise it commits the
+// park and pops the next runnable processor. Peers deliver events into
+// per-processor mailboxes and re-queue a parked processor, so a blocked
+// receive costs two coroutine switches and a queue append instead of a
+// blocked OS thread. With one worker (Config.SchedWorkers) processors run
+// strictly one at a time.
 //
 // Deadlock freedom: event delivery never blocks the sender (mailbox queues
 // grow as needed; PairChanCap in rt.go is what a plan budgets them for). A
@@ -26,16 +32,6 @@ import (
 // processor runnable, none running, some still live means every live
 // processor is parked on an event that no running processor can ever
 // deliver — an immediate error naming each waiter, not a hang.
-
-// procState is one virtual processor's run state under the scheduler.
-type procState int
-
-const (
-	stateRunnable procState = iota // queued, waiting for a worker
-	stateRunning                   // a worker is stepping it
-	stateParked                    // blocked on a virtual-time event
-	stateDone                      // body returned or aborted
-)
 
 // waitReason says which event a parked processor is blocked on.
 type waitReason int
@@ -59,17 +55,23 @@ func (r waitReason) String() string {
 	return "nothing"
 }
 
-// mbox is a processor's mailbox: the events peers deliver
-// while it is parked or running elsewhere, plus the run state those
-// deliveries inspect to decide whether to re-queue it. One mutex guards
-// the whole box; senders lock only the destination's box, never their
-// own, so there is no lock ordering to violate.
+// mbox is a processor's mailbox: the events peers deliver while it is
+// parked or running elsewhere, plus the wait those deliveries inspect to
+// decide whether to re-queue it. One mutex guards the whole box; senders
+// lock only the destination's box, never their own, so there is no lock
+// ordering to violate.
+//
+// wait and parked spell the park protocol. The owner requests a park by
+// setting wait (and waitOn) and switching to its worker; the worker commits
+// it by setting parked. A delivery of exactly the awaited event clears
+// wait either way (wakeLocked) and re-queues the owner only if the park
+// was committed — before that the worker still holds the processor and,
+// finding wait cleared, simply steps it again.
 type mbox struct {
-	mu       sync.Mutex
-	state    procState
-	wait     waitReason
-	waitSlot int    // neighbor slot for waitData/waitReady
-	waitKey  uint64 // collective message key for waitRed (see collKey)
+	mu     sync.Mutex
+	wait   waitReason
+	waitOn uint64 // neighbor slot for waitData/waitReady, collKey for waitRed
+	parked bool   // the worker that stepped the owner committed the park
 
 	// The data and token FIFOs pop by advancing a head index and reset
 	// to the front once drained, so one backing array per slot is reused
@@ -86,9 +88,9 @@ type mbox struct {
 	// arrival order, so a keyed lookup replaces what a FIFO would force
 	// into an O(P) scan at the star root. Allocated on first delivery;
 	// reduction-free programs never pay for it. When the delivery is the
-	// exact key the owner is parked on, the message instead lands in the
-	// direct slot (collDirect/collOk) — the owner consumes it on resume
-	// without a map insert/lookup/delete round trip.
+	// exact key the owner waits on, the message instead lands in the
+	// direct slot (collDirect/collOk) — the owner consumes it on its next
+	// step without a map insert/lookup/delete round trip.
 	coll       map[uint64]collMsg
 	collDirect collMsg
 	collOk     bool
@@ -111,8 +113,12 @@ type scheduler struct {
 	head    int
 	running int // processors currently being stepped by a worker
 	live    int // processors whose body has not completed
-	stop    bool
 	runqHi  int // high-water runnable-queue depth (under mu)
+
+	// stop ends the run (completion, abort or deadlock). Stored under mu,
+	// so a worker blocked in next cannot miss it; resumed processors read
+	// it without the lock.
+	stop atomic.Bool
 
 	// pendingAsync counts in-flight overlap jobs (overlap.go). Their
 	// deliveries can wake parked processors, so deadlock detection must
@@ -125,11 +131,16 @@ type scheduler struct {
 // path that already holds the relevant mutex, never on a clock-charge
 // fast path.
 type SchedStats struct {
-	Workers     int      // worker pool size the run actually used
-	Steps       []int64  // processor steps executed by each worker
-	Parks       [4]int64 // park events indexed by waitReason (0 unused)
-	RunqHiWater int      // deepest the runnable queue ever got
-	MboxHiWater int      // deepest any single mailbox queue ever got
+	Workers int      // worker pool size the run actually used
+	Steps   []int64  // processor steps executed by each worker
+	Parks   [4]int64 // park requests indexed by waitReason (0 unused)
+	// ParksAverted counts the park requests whose event arrived before
+	// the worker committed them: the processor was stepped again at once,
+	// with no run-queue transit. Like Steps it depends on host
+	// interleaving, not on the simulated program alone.
+	ParksAverted int64
+	RunqHiWater  int // deepest the runnable queue ever got
+	MboxHiWater  int // deepest any single mailbox queue ever got
 }
 
 // TotalSteps sums the per-worker step counts.
@@ -145,7 +156,7 @@ func (s *SchedStats) TotalSteps() int64 {
 // "reduction"); index 0 is the unused "nothing" slot.
 func (s *SchedStats) ParkReason(i int) string { return waitReason(i).String() }
 
-// TotalParks sums the park events across wait reasons.
+// TotalParks sums the park requests across wait reasons.
 func (s *SchedStats) TotalParks() int64 {
 	var n int64
 	for _, v := range s.Parks {
@@ -202,14 +213,12 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 		workers = len(w.procs)
 	}
 
-	// Every processor starts runnable in rank order; its goroutine blocks
-	// on resume until a worker first steps it.
-	s.runq = make([]*proc, 0, len(w.procs))
+	// Every processor starts runnable in rank order; its coroutine exists
+	// from here on and first runs when a worker first steps it.
 	for _, p := range w.procs {
-		p.mb.state = stateRunnable
-		s.runq = append(s.runq, p)
-		go p.coroutine(body)
+		p.next, p.stop = iter.Pull(p.coroutine(body))
 	}
+	s.runq = append(make([]*proc, 0, len(w.procs)), w.procs...)
 	s.runqHi = len(s.runq)
 
 	budget := budgetTokens()
@@ -219,28 +228,18 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			held := false
-			for {
-				p := s.tryNext()
-				if p == nil {
-					// About to block: give the token back so workers of
-					// other concurrent worlds can run.
-					if held {
-						budget <- struct{}{}
-						held = false
-					}
-					if p = s.next(); p == nil {
-						return
-					}
+			var n int64 // steps[wi], kept off the line the other workers write
+			for p := s.next(); p != nil; p = s.next() {
+				// The token is held across consecutive steps and given
+				// back before next can block, so workers of other
+				// concurrent worlds can run.
+				<-budget
+				for p != nil {
+					p = s.stepped(s.step(p, &n))
 				}
-				if !held {
-					<-budget
-					held = true
-				}
-				done := s.step(p)
-				steps[wi]++
-				s.stepped(done)
+				budget <- struct{}{}
 			}
+			steps[wi] = n
 		}(i)
 	}
 	wg.Wait()
@@ -252,17 +251,12 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 	w.asyncWG.Wait()
 
 	// Kill pass: after the workers exit (completion, abort or deadlock),
-	// resume every processor that has not finished so its goroutine
-	// observes the stop flag, unwinds via errAborted and terminates. No
-	// worker is live, so each resume/yield handshake is private to us.
+	// stop every coroutine. One that is parked or runnable sees its switch
+	// to the worker return false and unwinds via errAborted; one that never
+	// started just ends; one that is done is left alone. A coroutine nobody
+	// stops would keep its goroutine and stack for the life of the process.
 	for _, p := range w.procs {
-		p.mb.mu.Lock()
-		done := p.mb.state == stateDone
-		p.mb.mu.Unlock()
-		if !done {
-			p.resume <- struct{}{}
-			<-p.yield
-		}
+		p.stop()
 	}
 
 	// Fold the run's scheduler counters. No worker or processor is live,
@@ -272,6 +266,7 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 		for r, n := range p.parks {
 			st.Parks[r] += n
 		}
+		st.ParksAverted += p.parksAverted
 		if p.mb.hi > st.MboxHiWater {
 			st.MboxHiWater = p.mb.hi
 		}
@@ -293,25 +288,12 @@ func (s *scheduler) popLocked() *proc {
 	return p
 }
 
-// tryNext pops the next runnable processor without blocking, or returns
-// nil if the queue is empty or the run is stopping. Workers use it to
-// keep their budget token across consecutive steps; the blocking next
-// carries the end-of-run and deadlock logic.
-func (s *scheduler) tryNext() *proc {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stop || s.head >= len(s.runq) {
-		return nil
-	}
-	return s.popLocked()
-}
-
 // next pops the next runnable processor, blocking until one appears, the
 // run ends, or a deadlock is detected.
 func (s *scheduler) next() *proc {
 	s.mu.Lock()
 	for {
-		if s.stop {
+		if s.stop.Load() {
 			s.mu.Unlock()
 			return nil
 		}
@@ -321,7 +303,7 @@ func (s *scheduler) next() *proc {
 			return p
 		}
 		if s.running == 0 && s.pendingAsync == 0 {
-			s.stop = true
+			s.stop.Store(true)
 			deadlocked := s.live > 0
 			s.cond.Broadcast()
 			// fail re-enters the scheduler (halt), so report outside the
@@ -341,39 +323,48 @@ func (s *scheduler) next() *proc {
 	}
 }
 
-// step resumes one processor until it parks or completes. Reports whether
-// its body finished.
-//
-// The yield value, not mb.state, decides doneness: park() publishes
-// stateParked before the processor sends its yield, so a deliverer can
-// wake it and a second worker can begin another step (buffering a
-// resume) while our handshake is still in flight. Re-reading mb.state
-// here would then race with the processor's continued execution under
-// that second worker — if the body finished in the window, both steps
-// would observe stateDone and live would be decremented twice. Each
-// yield instead carries its own reason, and exactly one yield per
-// processor (the coroutine defer's) carries stateDone.
-func (s *scheduler) step(p *proc) bool {
-	p.mb.mu.Lock()
-	p.mb.state = stateRunning
-	p.mb.wait = waitNone
-	p.mb.mu.Unlock()
-	p.resume <- struct{}{}
-	return <-p.yield == stateDone
+// step runs one processor until it parks for good or completes, counting
+// each switch into it in *steps, and reports whether its body finished
+// (next says so exactly once). A processor that comes back with a park
+// request still belongs to this worker — nobody else can step it, and
+// deliveries do not enqueue it — until the park is committed here, under
+// its mailbox lock: if the awaited event arrived first (wakeLocked cleared
+// the wait), the park is averted and the processor runs on.
+func (s *scheduler) step(p *proc, steps *int64) (done bool) {
+	for {
+		*steps++
+		if _, more := p.next(); !more {
+			return true
+		}
+		p.mb.mu.Lock()
+		if p.mb.wait != waitNone {
+			p.mb.parked = true
+			p.mb.mu.Unlock()
+			return false
+		}
+		p.parksAverted++
+		p.mb.mu.Unlock()
+	}
 }
 
-// stepped retires one step's bookkeeping and wakes waiters when the run
-// may have ended (all done, or deadlocked).
-func (s *scheduler) stepped(done bool) {
+// stepped retires one step's bookkeeping and, in the same critical
+// section, claims the next runnable processor: nil when the queue is empty
+// or the run is stopping, which is also when blocked workers are woken to
+// see whether the run has ended (all done, or deadlocked).
+func (s *scheduler) stepped(done bool) *proc {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.running--
 	if done {
 		s.live--
 	}
-	if s.running == 0 && s.head >= len(s.runq) {
+	if !s.stop.Load() && s.head < len(s.runq) {
+		return s.popLocked()
+	}
+	if s.running == 0 {
 		s.cond.Broadcast()
 	}
-	s.mu.Unlock()
+	return nil
 }
 
 // asyncAdd registers one in-flight overlap job (overlap.go). Called from
@@ -397,7 +388,7 @@ func (s *scheduler) asyncDone() {
 }
 
 // enqueue re-queues a processor whose awaited event arrived. Called by
-// the delivering processor after flipping the target parked→runnable.
+// the deliverer after wakeLocked ended the target's committed park.
 func (s *scheduler) enqueue(p *proc) {
 	s.mu.Lock()
 	s.runq = append(s.runq, p)
@@ -411,16 +402,9 @@ func (s *scheduler) enqueue(p *proc) {
 // halt stops the worker pool (abort path).
 func (s *scheduler) halt() {
 	s.mu.Lock()
-	s.stop = true
+	s.stop.Store(true)
 	s.cond.Broadcast()
 	s.mu.Unlock()
-}
-
-func (s *scheduler) stopped() bool {
-	s.mu.Lock()
-	st := s.stop
-	s.mu.Unlock()
-	return st
 }
 
 // parkedSummary names every parked processor and its wait reason, for the
@@ -429,14 +413,14 @@ func (s *scheduler) parkedSummary() string {
 	var parts []string
 	for _, p := range s.w.procs {
 		p.mb.mu.Lock()
-		state, wait, slot := p.mb.state, p.mb.wait, p.mb.waitSlot
+		parked, wait, on := p.mb.parked, p.mb.wait, p.mb.waitOn
 		p.mb.mu.Unlock()
-		if state != stateParked {
+		if !parked {
 			continue
 		}
 		switch wait {
 		case waitData, waitReady:
-			parts = append(parts, fmt.Sprintf("proc %d waits for %s from proc %d", p.rank, wait, p.neighbors[slot]))
+			parts = append(parts, fmt.Sprintf("proc %d waits for %s from proc %d", p.rank, wait, p.neighbors[on]))
 		default:
 			parts = append(parts, fmt.Sprintf("proc %d waits for %s", p.rank, wait))
 		}
@@ -448,69 +432,56 @@ func (s *scheduler) parkedSummary() string {
 	return strings.Join(parts, "; ")
 }
 
-// coroutine is the processor goroutine's wrapper: it waits
-// for its first resume, runs the body, and always reports done (normal
-// return, abort unwind, or failure) with a final yield so the stepping
-// worker — or the kill pass — regains control.
-func (p *proc) coroutine(body func(p *proc)) {
-	defer func() {
-		if r := recover(); r != nil && r != errAborted {
-			p.w.fail(fmt.Errorf("rt: processor %d: %v", p.rank, r))
-		}
-		p.mb.mu.Lock()
-		p.mb.state = stateDone
-		p.mb.mu.Unlock()
-		p.yield <- stateDone
-	}()
-	<-p.resume
-	if p.w.sched.stopped() {
-		panic(errAborted)
+// coroutine is the sequence iter.Pull runs as the processor's coroutine:
+// the body, with every switch back to the worker (parkLocked) as one
+// yield. The recover sits inside the sequence because iter.Pull re-raises a
+// coroutine's panic in whoever called next or stop — a worker, or the kill
+// pass.
+func (p *proc) coroutine(body func(p *proc)) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		p.toWorker = yield
+		defer func() {
+			if r := recover(); r != nil && r != errAborted {
+				p.w.fail(fmt.Errorf("rt: processor %d: %v", p.rank, r))
+			}
+		}()
+		body(p)
 	}
-	body(p)
 }
 
 // parkLocked blocks the processor until its awaited event arrives. The
-// caller holds p.mb.mu with state/wait already set; parkLocked releases
-// it, hands the worker back, and returns once a worker resumes us. The
-// caller re-checks its condition in a loop (deliveries mark us runnable
-// before the event is guaranteed still unconsumed only for single-
-// consumer queues, but the loop keeps the protocol robust either way).
-func (p *proc) parkLocked() {
+// caller holds p.mb.mu and found the event missing; parkLocked records the
+// wait as a request, releases the lock and switches to the worker that
+// stepped us, which commits the park or — the event having arrived in
+// between — switches straight back (scheduler.step). It returns once a
+// worker steps us again; the caller re-locks and re-checks its condition
+// in a loop. A false yield is the kill pass stopping us.
+func (p *proc) parkLocked(reason waitReason, on uint64) {
+	p.parks[reason]++
+	p.mb.wait, p.mb.waitOn = reason, on
 	p.mb.mu.Unlock()
-	p.yield <- stateParked
-	<-p.resume
-	if p.w.sched.stopped() {
+	if !p.toWorker(struct{}{}) || p.w.sched.stop.Load() {
 		panic(errAborted)
 	}
 }
 
-// park sets the wait reason and parks. Callers loop: re-lock, re-check,
-// park again on spurious wakeup.
-func (p *proc) park(reason waitReason, slot int) {
-	p.parks[reason]++
-	p.mb.state = stateParked
-	p.mb.wait = reason
-	p.mb.waitSlot = slot
-	p.parkLocked()
-}
-
-// wake flips a parked processor runnable if it is blocked on the given
-// event, returning whether the caller must enqueue it. Runs under
-// dst.mb.mu.
-func (mb *mbox) wakeLocked(reason waitReason, slot int) bool {
-	if mb.state != stateParked || mb.wait != reason {
+// wakeLocked ends the owner's wait if it is for exactly this event,
+// returning whether the caller must enqueue it: only when the park was
+// already committed — a park still at the request stage is averted by the
+// worker holding the processor. Runs under the owner's mb.mu, from peers'
+// coroutines and overlap goroutines alike.
+func (mb *mbox) wakeLocked(reason waitReason, on uint64) bool {
+	if mb.wait != reason || mb.waitOn != on {
 		return false
 	}
-	if (reason == waitData || reason == waitReady) && mb.waitSlot != slot {
-		return false
-	}
-	mb.state = stateRunnable
 	mb.wait = waitNone
-	return true
+	wake := mb.parked
+	mb.parked = false
+	return wake
 }
 
 // deliverData appends a message to dst's inbox from neighbor slot `slot`
-// (dst-relative) and re-queues dst when it is parked on that slot. It never
+// (dst-relative) and wakes dst when it waits on that slot. It never
 // blocks: the queue holds whatever is in flight (see PairChanCap).
 func (p *proc) deliverData(dst *proc, slot int, m *dataMsg) {
 	dst.mb.mu.Lock()
@@ -518,7 +489,7 @@ func (p *proc) deliverData(dst *proc, slot int, m *dataMsg) {
 	if d := len(dst.mb.data[slot]) - dst.mb.dataHead[slot]; d > dst.mb.hi {
 		dst.mb.hi = d
 	}
-	wake := dst.mb.wakeLocked(waitData, slot)
+	wake := dst.mb.wakeLocked(waitData, uint64(slot))
 	dst.mb.mu.Unlock()
 	if wake {
 		p.w.sched.enqueue(dst)
@@ -532,7 +503,7 @@ func (p *proc) deliverTok(dst *proc, slot int, tok readyTok) {
 	if d := len(dst.mb.toks[slot]) - dst.mb.toksHead[slot]; d > dst.mb.hi {
 		dst.mb.hi = d
 	}
-	wake := dst.mb.wakeLocked(waitReady, slot)
+	wake := dst.mb.wakeLocked(waitReady, uint64(slot))
 	dst.mb.mu.Unlock()
 	if wake {
 		p.w.sched.enqueue(dst)
@@ -554,22 +525,23 @@ func (p *proc) deliverRet(dst *proc, slot int, m *dataMsg) {
 // The (sequence, source) key is unique among undelivered messages (see
 // collKey); a duplicate insert means the schedules are corrupt, which
 // must abort rather than silently overwrite a value. Only the delivery
-// of the exact key the receiver is parked on wakes it: a rank blocked at
+// of the exact key the receiver waits on wakes it: a rank blocked at
 // one hop routinely sees early arrivals (its peers' next-level hops, or
 // the next reduction's first sends), and waking it for those would cost
 // a full spurious park/resume round trip per early message.
 func (p *proc) deliverColl(dst *proc, key uint64, m collMsg) {
 	dst.mb.mu.Lock()
-	if dst.mb.state == stateParked && dst.mb.wait == waitRed && dst.mb.waitKey == key {
-		// The owner is parked on exactly this message: hand it over
+	if dst.mb.wait == waitRed && dst.mb.waitOn == key {
+		// The owner waits on exactly this message: hand it over
 		// directly. The direct slot cannot be occupied — the owner
 		// consumes it before parking again.
 		dst.mb.collDirect = m
 		dst.mb.collOk = true
-		dst.mb.state = stateRunnable
-		dst.mb.wait = waitNone
+		wake := dst.mb.wakeLocked(waitRed, key)
 		dst.mb.mu.Unlock()
-		p.w.sched.enqueue(dst)
+		if wake {
+			p.w.sched.enqueue(dst)
+		}
 		return
 	}
 	if dst.mb.coll == nil {
@@ -606,7 +578,7 @@ func (p *proc) nextData(slot int) *dataMsg {
 			p.mb.mu.Unlock()
 			return m
 		}
-		p.park(waitData, slot)
+		p.parkLocked(waitData, uint64(slot))
 	}
 }
 
@@ -627,7 +599,7 @@ func (p *proc) nextTok(slot int) readyTok {
 			p.mb.mu.Unlock()
 			return tok
 		}
-		p.park(waitReady, slot)
+		p.parkLocked(waitReady, uint64(slot))
 	}
 }
 
@@ -648,11 +620,7 @@ func (p *proc) nextColl(key uint64) collMsg {
 			p.mb.mu.Unlock()
 			return m
 		}
-		p.parks[waitRed]++
-		p.mb.state = stateParked
-		p.mb.wait = waitRed
-		p.mb.waitKey = key
-		p.parkLocked()
+		p.parkLocked(waitRed, key)
 	}
 }
 

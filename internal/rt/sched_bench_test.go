@@ -57,7 +57,9 @@ func schedBenchPlan(tb testing.TB) (*ir.Program, *comm.Plan) {
 // benchScheduler runs the stencil at one partition size and reports,
 // besides wall-clock, the heap bytes each simulated run allocates per
 // virtual processor — the number that must stay flat for 4096-proc worlds
-// to fit.
+// to fit — and the run's whole wall-clock per park request, an upper bound
+// on what a park costs that falls toward the real price as the partition
+// grows and the per-proc compute shrinks.
 //
 // The collective algorithm is pinned to star so the metric tracks
 // point-to-point scheduler throughput: under auto selection the
@@ -70,19 +72,23 @@ func benchScheduler(b *testing.B, procs int) {
 	prog, plan := schedBenchPlan(b)
 	cfg := rt.Config{Machine: machine.T3D(), Library: "pvm", Procs: procs, Collective: collective.Star}
 	var before, after runtime.MemStats
+	var parks int64
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rt.Run(prog, plan, cfg); err != nil {
+		res, err := rt.Run(prog, plan, cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		parks += res.Sched.TotalParks()
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	perProc := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N) / float64(procs)
 	b.ReportMetric(perProc, "bytes/proc")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(parks), "ns/park")
 }
 
 func BenchmarkScheduler64(b *testing.B)   { benchScheduler(b, 64) }

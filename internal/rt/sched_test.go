@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"commopt/internal/machine"
 	"commopt/internal/vtime"
@@ -37,11 +38,40 @@ func testWorld(t *testing.T, procs int) *world {
 	return classWorld(t, schedTestSrc, procs, nil)
 }
 
+// noGoroutinesLeft fails the test unless the goroutine count is back at
+// base within 2 s: workers exit on their own just after runSched returns,
+// but a processor coroutine the kill pass did not stop — parked, runnable or
+// never started — keeps its goroutine and stack for the life of the process.
+func noGoroutinesLeft(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines left behind (%d before the run, %d now)",
+				runtime.NumGoroutine()-base, base, runtime.NumGoroutine())
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestSchedulerRunLeavesNoGoroutines: a normal run ends with every
+// coroutine and worker gone.
+func TestSchedulerRunLeavesNoGoroutines(t *testing.T) {
+	prog, plan := compile(t, schedTestSrc)
+	base := runtime.NumGoroutine()
+	if _, err := Run(prog, plan, Config{Machine: machine.T3D(), Library: "pvm", Procs: 64}); err != nil {
+		t.Fatal(err)
+	}
+	noGoroutinesLeft(t, base)
+}
+
 // TestSchedulerDeadlockDetected: a processor parked on an event nobody
 // will deliver must fail the run with a diagnostic naming the waiter,
-// not hang.
+// not hang — and not stay behind once the run has failed.
 func TestSchedulerDeadlockDetected(t *testing.T) {
 	w := testWorld(t, 4)
+	base := runtime.NumGoroutine()
 	w.runSched(2, func(p *proc) {
 		if p.rank == 0 {
 			p.nextData(0) // no peer ever sends: parks forever
@@ -57,21 +87,59 @@ func TestSchedulerDeadlockDetected(t *testing.T) {
 	if !strings.Contains(msg, "proc 0 waits for data") {
 		t.Errorf("error %q does not name the parked processor", msg)
 	}
+	noGoroutinesLeft(t, base)
 }
 
 // TestSchedulerAbortUnwindsParked: a processor failing while peers are
-// parked must abort the whole run promptly (kill pass), not leave
-// goroutines blocked.
+// parked must abort the whole run promptly and leave no goroutine behind:
+// the kill pass unwinds the parked ones and ends the ones the abort came
+// too early for — with one worker, exactly ranks 4 and up.
 func TestSchedulerAbortUnwindsParked(t *testing.T) {
-	w := testWorld(t, 4)
-	w.runSched(2, func(p *proc) {
-		if p.rank == 3 {
-			panic("boom")
+	for _, workers := range []int{1, 2} {
+		w := testWorld(t, 16)
+		base := runtime.NumGoroutine()
+		var started atomic.Int32
+		w.runSched(workers, func(p *proc) {
+			started.Add(1)
+			if p.rank == 3 {
+				panic("boom")
+			}
+			p.nextData(0) // parks until the abort unwinds it
+		})
+		if w.abortErr == nil || !strings.Contains(w.abortErr.Error(), "boom") {
+			t.Fatalf("workers=%d: abortErr = %v, want processor 3's panic", workers, w.abortErr)
 		}
-		p.nextData(0) // parks until the abort unwinds it
-	})
-	if w.abortErr == nil || !strings.Contains(w.abortErr.Error(), "boom") {
-		t.Fatalf("abortErr = %v, want processor 3's panic", w.abortErr)
+		if n := started.Load(); workers == 1 && n != 4 {
+			t.Errorf("one worker started %d processors before the abort, want ranks 0-3 only", n)
+		}
+		noGoroutinesLeft(t, base)
+	}
+}
+
+// TestSchedulerPanicAfterWake: a body that parks, is woken and then
+// panics fails the run with its own message, on one worker and on many.
+// The panic surfaces inside a coroutine a worker switched into, so the
+// recover must sit inside the coroutine (iter.Pull would re-raise it in
+// the worker): runSched returning at all shows the worker survived.
+func TestSchedulerPanicAfterWake(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		w := testWorld(t, 16)
+		base := runtime.NumGoroutine()
+		w.runSched(workers, func(p *proc) {
+			switch p.rank {
+			case 0:
+				p.nextColl(collKey(0, 1)) // parks: rank order runs us first
+				panic("late boom")
+			case 1:
+				p.deliverColl(w.procs[0], collKey(0, 1), collMsg{src: 1})
+			default:
+				p.nextData(0) // parked when the abort comes
+			}
+		})
+		if w.abortErr == nil || !strings.Contains(w.abortErr.Error(), "rt: processor 0: late boom") {
+			t.Errorf("workers=%d: abortErr = %v, want processor 0's panic", workers, w.abortErr)
+		}
+		noGoroutinesLeft(t, base)
 	}
 }
 
@@ -114,45 +182,56 @@ func TestGatherMergesByRank(t *testing.T) {
 	}
 }
 
-// The park/step handshake race (TestSchedulerParkStepHandshake) needs
-// at least two workers stepping concurrently, but the process-wide step
-// budget (budgetTokens) is sized from GOMAXPROCS at first use — on a
-// single-CPU CI host one token serializes every step and the race is
-// unreachable. Raise GOMAXPROCS before any test runs so the budget
-// admits real worker concurrency; virtual-time results are independent
-// of host parallelism (TestSchedulerWorkerCountsAgree), so this only
-// adds scheduling chaos, which is what race regression tests want.
+// TestSchedulerParkStepHandshake needs at least two workers stepping
+// concurrently, but the process-wide step budget (budgetTokens) is sized
+// from GOMAXPROCS at first use — on a single-CPU CI host one token
+// serializes every step and a delivery can never meet a park in flight.
+// Raise GOMAXPROCS before any test runs so the budget admits real worker
+// concurrency; virtual-time results are independent of host parallelism
+// (TestSchedulerWorkerCountsAgree), so this only adds scheduling chaos,
+// which is what race regression tests want.
 func init() {
 	if runtime.GOMAXPROCS(0) < 4 {
 		runtime.GOMAXPROCS(4)
 	}
 }
 
-// TestSchedulerParkStepHandshake is the regression test for the
-// park/step handshake race: park() publishes stateParked before the
-// processor sends its yield, so a deliverer can wake and re-queue it —
-// and a second worker can begin stepping it, buffering a resume — while
-// the first worker's handshake is still in flight. The broken protocol
-// re-read mb.state after the yield; a body finishing in that window
-// made both steps observe stateDone, decrementing live twice, so the
-// scheduler could treat a world with unfinished processors as complete:
-// no deadlock error, a kill pass silently aborting live processors, and
-// missing per-proc stats. The fix carries doneness in the yield value
-// itself. This test hammers the window: even ranks park once on a
-// reduction message and finish immediately on wakeup (the widest
-// finish-in-window target), odd ranks deliver that wakeup, across many
-// fresh worlds. A double decrement shows up as live != 0 or as aborted
-// bodies (done < procs).
+// TestSchedulerParkStepHandshake hammers the one window the park protocol
+// has: between a processor's park request (wait set under mb.mu, then the
+// switch to its worker) and that worker's commit (parked set under mb.mu).
+// A delivery before the commit must avert the park — clear the wait,
+// enqueue nothing, the worker steps the processor again — and a delivery
+// after it must wake and enqueue exactly once; either way no second worker
+// may ever be inside the processor (iter.Pull panics "next called again
+// before yield", -race reports it), every body completes and live reaches
+// zero. Even ranks park once on a reduction message and finish on wake-up;
+// each odd rank watches its even neighbour's mailbox and delivers the
+// moment the request shows, so deliveries land on both sides of the
+// commit. A waker whose target has not asked within the deadline (its
+// worker starved of a step-budget token, say) delivers anyway and the
+// target never parks; the books must balance in that case too: every
+// switch out of a processor is its completion, an averted park or a
+// committed one.
 func TestSchedulerParkStepHandshake(t *testing.T) {
 	const procs, rounds = 16, 400
+	var averted, requested int64
 	for round := 0; round < rounds; round++ {
 		w := testWorld(t, procs)
 		var done atomic.Int32
 		w.runSched(8, func(p *proc) {
 			if p.rank%2 == 0 {
-				p.nextColl(collKey(0, p.rank+1)) // parks (rank order runs us before our waker)
+				p.nextColl(collKey(0, p.rank+1))
 			} else {
-				p.deliverColl(w.procs[p.rank-1], collKey(0, p.rank), collMsg{src: p.rank})
+				dst := w.procs[p.rank-1]
+				for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); runtime.Gosched() {
+					dst.mb.mu.Lock()
+					asked := dst.mb.wait == waitRed
+					dst.mb.mu.Unlock()
+					if asked {
+						break
+					}
+				}
+				p.deliverColl(dst, collKey(0, p.rank), collMsg{src: p.rank})
 			}
 			done.Add(1)
 		})
@@ -160,12 +239,21 @@ func TestSchedulerParkStepHandshake(t *testing.T) {
 			t.Fatalf("round %d: unexpected abort: %v", round, w.abortErr)
 		}
 		if n := done.Load(); n != procs {
-			t.Fatalf("round %d: %d of %d bodies completed (live undercount aborted the rest)", round, n, procs)
+			t.Fatalf("round %d: %d of %d bodies completed", round, n, procs)
 		}
 		if w.sched.live != 0 {
 			t.Fatalf("round %d: scheduler live = %d after completion, want 0", round, w.sched.live)
 		}
+		st := w.schedStats
+		committed := st.TotalSteps() - procs - st.ParksAverted // steps that ended in neither completion nor an averted park
+		if committed < 0 || st.ParksAverted+committed != st.TotalParks() {
+			t.Fatalf("round %d: %d parks averted + %d committed, %d requested (%d steps)",
+				round, st.ParksAverted, committed, st.TotalParks(), st.TotalSteps())
+		}
+		averted += st.ParksAverted
+		requested += st.TotalParks()
 	}
+	t.Logf("%d rounds: %d parks requested, %d averted by a delivery before the commit", rounds, requested, averted)
 }
 
 // TestSchedulerWorkerCountsAgree: the same program must produce

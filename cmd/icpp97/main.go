@@ -39,7 +39,6 @@ func main() {
 	exp := flag.String("exp", "all", "which experiment to run: all, fig3, fig5, fig6, fig7, fig8, fig9, fig10a, fig10b, fig11, fig12, table1..table4, scaling, scalinglaw, collective, profile, predict, critpath, rdma")
 	procs := flag.Int("procs", 64, "processors in the simulated partition")
 	quick := flag.Bool("quick", false, "use reduced problem sizes")
-	noFuse := flag.Bool("no-fuse", false, "disable cross-statement kernel fusion (results are identical; host time is not)")
 	workers := flag.Int("workers", 0, "benchmark×experiment cells simulated concurrently (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
 	traceDir := flag.String("trace-dir", "", "write a Chrome trace-event JSON timeline per benchmark×experiment run into `dir`")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
@@ -62,7 +61,6 @@ func main() {
 	r := experiments.NewRunner(*procs)
 	r.Quick = *quick
 	r.Workers = *workers
-	r.NoFuse = *noFuse
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "icpp97:", err)

@@ -7,7 +7,7 @@
 //
 //	zplc [-O baseline|rr|cc|pl|pl-maxlat] [-dump] [-counts] [-explain] file.zpl
 //	zplc -bench tomcatv -counts         # compile a bundled benchmark
-//	zplc -bench tomcatv -explain        # per-pass trace + fusion decisions
+//	zplc -bench tomcatv -explain        # per-pass trace
 //	zplc -passes emit,rr,pl file.zpl    # run an explicit pass list
 //	zplc -bench simple -predict -procs 64 -lib shmem
 //	                                    # closed-form communication forecast
@@ -29,7 +29,6 @@ import (
 	"commopt/internal/machine"
 	"commopt/internal/programs"
 	"commopt/internal/report"
-	"commopt/internal/rt"
 	"commopt/internal/vet"
 	"commopt/internal/zpl"
 )
@@ -84,7 +83,7 @@ func parseArgs(args []string) (*config, error) {
 	fs.StringVar(&cfg.level, "O", "pl", "optimization level: baseline, rr, cc, pl, pl-maxlat")
 	fs.BoolVar(&cfg.dump, "dump", false, "dump every basic block's transfers and call placements")
 	fs.BoolVar(&cfg.counts, "counts", false, "print static counts under every optimization level")
-	fs.BoolVar(&cfg.explain, "explain", false, "print the per-pass pipeline trace (what each pass emitted, dropped, merged, moved) and the cross-statement fusion decisions")
+	fs.BoolVar(&cfg.explain, "explain", false, "print the per-pass pipeline trace (what each pass emitted, dropped, merged, moved)")
 	fs.BoolVar(&cfg.vet, "vet", false, "run the static-analysis suite (lint + plan verification, like zplvet) and fail on findings")
 	fs.BoolVar(&cfg.predict, "predict", false, "print the closed-form communication forecast for the selected -O level")
 	fs.IntVar(&cfg.procs, "procs", 64, "processor count for -predict")
@@ -221,7 +220,6 @@ func run(w io.Writer, cfg *config) error {
 
 	if cfg.explain {
 		explainTrace(w, plan.Trace)
-		explainFusion(w, plan)
 	}
 
 	if cfg.counts {
@@ -240,29 +238,6 @@ func run(w io.Writer, cfg *config) error {
 		}
 	}
 	return nil
-}
-
-// explainFusion renders the static cross-statement fusion analysis: for
-// every array statement, the fused run it joined or the reason it
-// executes alone. The decisions come from the same analysis rt.Run
-// performs at setup, so this table is exactly what the runtime will do.
-func explainFusion(w io.Writer, plan *comm.Plan) {
-	decisions := rt.ExplainFusion(plan)
-	t := &report.Table{
-		Title:   "cross-statement fusion decisions",
-		Headers: []string{"site", "array", "fused run", "why not"},
-	}
-	fused := 0
-	for _, d := range decisions {
-		run := "-"
-		if d.Run > 0 {
-			run = fmt.Sprintf("#%d", d.Run)
-			fused++
-		}
-		t.AddRow(fmt.Sprintf("%d:%d", d.Pos.Line, d.Pos.Col), d.LHS, run, d.Why)
-	}
-	t.Render(w)
-	fmt.Fprintf(w, "fusion: %d of %d array statements execute fused\n\n", fused, len(decisions))
 }
 
 // renderPrediction prints the closed-form communication forecast of the

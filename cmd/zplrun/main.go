@@ -9,7 +9,7 @@
 //	zplrun [-machine t3d|paragon] [-lib pvm|shmem|csend|isend|hsend]
 //	       [-procs N] [-O level] [-set name=value]...
 //	       [-collective auto|star|tree|butterfly|twolevel]
-//	       [-sched-workers N] [-no-fuse] [-no-overlap]
+//	       [-sched-workers N]
 //	       [-trace out.json] [-profile] [-metrics] [-metrics-json out.json]
 //	       [-critpath]
 //	       file.zpl
@@ -70,8 +70,6 @@ type options struct {
 	profile     bool   // print the per-callsite communication profile
 	metrics     bool   // print the metrics registry as text
 	metricsJSON string // write the metrics registry as JSON here ("" = off)
-	noFuse      bool   // per-statement kernels only (oracle)
-	noOverlap   bool   // synchronous compiled sends (oracle)
 	schedWork   int    // M:N scheduler worker-pool size (0 = GOMAXPROCS)
 	args        []string
 }
@@ -89,8 +87,6 @@ func main() {
 	flag.BoolVar(&o.profile, "profile", false, "print the per-callsite communication profile")
 	flag.BoolVar(&o.metrics, "metrics", false, "print the run's metrics registry (counters and histograms)")
 	flag.StringVar(&o.metricsJSON, "metrics-json", "", "write the metrics registry as JSON to `file`")
-	flag.BoolVar(&o.noFuse, "no-fuse", false, "execute every array statement through its own kernel instead of fusing adjacent statements into one sweep (identical results, differential oracle)")
-	flag.BoolVar(&o.noOverlap, "no-overlap", false, "charge compiled pack+send host work synchronously instead of overlapping it with kernel execution (identical results, differential oracle)")
 	flag.IntVar(&o.schedWork, "sched-workers", 0, "M:N scheduler worker-pool size (0 = GOMAXPROCS); results are identical at any setting")
 	flag.Var(o.cfg, "set", "override a config variable, e.g. -set n=64 (repeatable)")
 	flag.Parse()
@@ -162,16 +158,14 @@ func run(w io.Writer, o options) error {
 	}
 	plan := comm.BuildPlan(prog, opts)
 	cfg := rt.Config{
-		Machine:       mach,
-		Library:       o.lib,
-		Procs:         o.procs,
-		Collective:    alg,
-		ConfigVars:    o.cfg,
-		Profile:       o.profile,
-		Metrics:       o.metrics || o.metricsJSON != "",
-		SchedWorkers:  o.schedWork,
-		ForceNoFusion: o.noFuse,
-		NoOverlap:     o.noOverlap,
+		Machine:      mach,
+		Library:      o.lib,
+		Procs:        o.procs,
+		Collective:   alg,
+		ConfigVars:   o.cfg,
+		Profile:      o.profile,
+		Metrics:      o.metrics || o.metricsJSON != "",
+		SchedWorkers: o.schedWork,
 	}
 	var rec *trace.Recorder
 	if o.tracePath != "" {

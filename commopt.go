@@ -109,18 +109,6 @@ type RunOptions struct {
 	// are identical, only host wall-clock differs).
 	ForceInterpreter bool
 
-	// ForceNoFusion executes every array statement individually instead
-	// of fusing adjacent compatible statements into one sweep
-	// (differential-testing oracle; results are identical, only host
-	// wall-clock differs).
-	ForceNoFusion bool
-
-	// NoOverlap packs and delivers every message synchronously instead of
-	// overlapping large sends with subsequent host execution
-	// (differential-testing oracle; results are identical, only host
-	// wall-clock differs).
-	NoOverlap bool
-
 	// SchedWorkers bounds the M:N scheduler's worker pool
 	// (0 = GOMAXPROCS). With 1, processors are stepped one at a time —
 	// the scheduler's differential-testing reference; results are
@@ -157,8 +145,6 @@ func (p *Program) Run(plan *comm.Plan, opts RunOptions) (*rt.Result, error) {
 		Collective:       alg,
 		ConfigVars:       opts.Configs,
 		ForceInterpreter: opts.ForceInterpreter,
-		ForceNoFusion:    opts.ForceNoFusion,
-		NoOverlap:        opts.NoOverlap,
 		SchedWorkers:     opts.SchedWorkers,
 	})
 }

@@ -8,8 +8,11 @@ import (
 	"testing"
 
 	"commopt/internal/comm"
+	"commopt/internal/critpath"
+	"commopt/internal/machine"
 	"commopt/internal/programs"
 	"commopt/internal/rt"
+	"commopt/internal/trace"
 )
 
 // This file is the differential harness: one corpus, one comparison and one
@@ -145,31 +148,33 @@ func sameResult(t *testing.T, got, want *rt.Result) {
 	}
 }
 
-// TestOverlapMatchesSynchronous is the differential gate for host-side
-// comm/compute overlap: a problem large enough to cross the async-send
-// threshold must produce the same result whether large packs run on a
-// goroutine or inline (RunOptions.NoOverlap). Overlap defers only host work
-// — every virtual-time value is computed before the pack leaves the
-// coroutine — so any divergence means a real data race or a broken join
-// point, which is also why CI runs this test under -race. (It stands before
-// the corpus suites so that its 2048² arrays are garbage by the time their
-// default runs accumulate.)
+// TestOverlapMatchesSynchronous is the repository's one run with large
+// messages: laplace at n=2048 on 4 processors exchanges block edges of 1,023
+// doubles, where the corpus's blocks are at most 15 elements wide. Its arrays
+// are held to the 1-processor run's — the ground truth TestCommMatchesLegacy
+// uses — and everything else simulated to the one-worker run. (Until PR 19
+// large sends were packed and delivered beside the sender's coroutine and the
+// reference was the synchronous send the name recalls; the test IDs outlive
+// it. It stands before the corpus suites so that its 2048² arrays are garbage
+// by the time their default runs accumulate.)
 func TestOverlapMatchesSynchronous(t *testing.T) {
 	lap := pick(t, "laplace")
-	// n=2048 on 4 procs leaves 1024x2048 blocks: a combined row-halo
-	// transfer packs 2048+ doubles, comfortably past the overlap
-	// threshold on every level that pipelines.
 	cfg := map[string]float64{"n": 2048, "iters": 3}
 	for _, lv := range diffLevels {
 		if lv.name != "baseline" && lv.name != "pl" {
 			continue
 		}
 		plan := lap.prog.Plan(lv.opts)
+		serial := mustRun(t, lap.prog, plan, RunOptions{Procs: 1, Configs: cfg})
 		for _, lib := range []string{"pvm", "shmem"} {
 			t.Run(lv.name+"/"+lib, func(t *testing.T) {
-				over := mustRun(t, lap.prog, plan, RunOptions{Library: lib, Procs: 4, Configs: cfg})
-				sync := mustRun(t, lap.prog, plan, RunOptions{Library: lib, Procs: 4, Configs: cfg, NoOverlap: true})
-				sameResult(t, over, sync)
+				opts := RunOptions{Library: lib, Procs: 4, Configs: cfg}
+				par := mustRun(t, lap.prog, plan, opts)
+				for _, d := range arrayDiffs(par, serial) {
+					t.Error(d)
+				}
+				opts.SchedWorkers = 1
+				sameResult(t, mustRun(t, lap.prog, plan, opts), par)
 			})
 		}
 	}
@@ -291,14 +296,37 @@ func TestKernelsMatchInterpreter(t *testing.T) {
 	}, variant(func(o *RunOptions) { o.ForceInterpreter = true }))
 }
 
-// TestFusionMatchesUnfused: fused sweeps against every statement on its own.
-// Fusion only interchanges the loop order of statically proven-independent
-// statements and virtual time is charged per member either way, so any
-// divergence means the legality analysis or the fused store paths are wrong.
+// TestFusionMatchesUnfused holds rt.Config's promise that no recorder ever
+// changes simulated results, on every cell: the run with the event trace
+// (rings small enough to wrap), the callsite profile, the metrics registry
+// and the critical-path log all on is indistinguishable from the default run,
+// and the recorded path sums to the run's execution time. The recorders move
+// statements, IRONMAN calls and waits onto their bracketing paths
+// (proc.stmt, execCall, waitFor, waitEdge), which no other corpus suite
+// runs. (Until PR 19 adjacent statements could run as one fused sweep and
+// the reference was every statement on its own, as the name recalls; the
+// test IDs outlive it.)
 func TestFusionMatchesUnfused(t *testing.T) {
 	eachCell(t, func(c *cell) string {
 		return fmt.Sprintf("%s/%s/%s/p%d", c.tgt.name, c.level, c.lib, c.procs)
-	}, variant(func(o *RunOptions) { o.ForceNoFusion = true }))
+	}, func(t *testing.T, c *cell) {
+		cp := critpath.NewRecorder()
+		res, err := rt.Run(c.tgt.prog.IR, c.plan, rt.Config{
+			Machine: machine.T3D(), Library: c.lib, Procs: c.procs, ConfigVars: c.tgt.cfg,
+			Trace: &trace.Recorder{Cap: 64}, Profile: true, Metrics: true, Critpath: cp,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, res, c.run(t))
+		path, err := critpath.Analyze(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if total := path.Compute + path.Comm + path.Wait; path.Finish != res.ExecTime || total != res.ExecTime {
+			t.Errorf("critical path finishes at %v and sums to %v, want ExecTime %v", path.Finish, total, res.ExecTime)
+		}
+	})
 }
 
 // dropTransfer deletes all four IRONMAN calls of the plan's i'th transfer,

@@ -338,11 +338,6 @@ func BuildPlan(prog *ir.Program, opts Options) *Plan {
 	return p
 }
 
-// RegionsCompatible exposes the optimizer's region-equivalence test to
-// the runtime's cross-statement fusion pass, which must prove adjacent
-// statements iterate the same index set before interleaving them.
-func RegionsCompatible(a, b ir.RegionExpr) bool { return regionsCompatible(a, b) }
-
 // regionsCompatible reports whether two statement regions are provably the
 // same index set, so their transfers may be combined: either the same
 // declared region, or literal regions from the same source scope (shared

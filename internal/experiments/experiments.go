@@ -100,11 +100,6 @@ type Runner struct {
 	// run into the directory, named <bench>_<experiment>.trace.json.
 	TraceDir string
 
-	// NoFuse disables cross-statement kernel fusion in every cell run
-	// (rt.Config.ForceNoFusion). Simulated results are identical either
-	// way; the flag exists so cmd/icpp97 -no-fuse can demonstrate that.
-	NoFuse bool
-
 	mu        sync.Mutex // guards the maps and compiled programs/plans
 	programs  map[string]*compiled
 	cells     map[string]*cellEntry
@@ -222,11 +217,10 @@ func (r *Runner) runCell(benchName, expKey string) (Cell, error) {
 		}
 	}
 	rtCfg := rt.Config{
-		Machine:       mach,
-		Library:       exp.Library,
-		Procs:         r.Procs,
-		ConfigVars:    cfg,
-		ForceNoFusion: r.NoFuse,
+		Machine:    mach,
+		Library:    exp.Library,
+		Procs:      r.Procs,
+		ConfigVars: cfg,
 	}
 	if r.workers() > 1 {
 		// Concurrent cells are independent simulations, so they scale

@@ -29,25 +29,6 @@ func TestRDMATableDeterministic(t *testing.T) {
 	}
 }
 
-// TestRDMAFusionOracle pins that disabling fusion does not move a single
-// RDMA cell: the fused engine must be invisible in simulated time on the
-// new machine model exactly as on the 1997 ones.
-func TestRDMAFusionOracle(t *testing.T) {
-	cell := func(noFuse bool) Cell {
-		r := NewRunner(16)
-		r.Quick = true
-		r.NoFuse = noFuse
-		c, err := r.Cell("sp", "rdma-pl")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	if a, b := cell(false), cell(true); a != b {
-		t.Fatalf("rdma-pl cell differs with fusion disabled:\nfused:   %+v\nunfused: %+v", a, b)
-	}
-}
-
 // TestEmitRDMABenchJSON regenerates BENCH_rdma.json, the checked-in
 // snapshot of the RDMA ladder at the quick calibration sizes. Every
 // leaf is deterministic (simulated time and static/dynamic counts), so

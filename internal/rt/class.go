@@ -11,11 +11,11 @@ import (
 // This file implements shape classes (DESIGN.md §19): the programs are SPMD
 // over a block distribution, so most processors run the same statements
 // over congruent blocks. Everything a dispatch site compiles — statement
-// plans, kernels, fused kernels, pack/unpack schedules — is written in
-// coordinates relative to the executing processor's block origin and holds
-// no processor state, so one compilation serves every processor of a class.
-// A processor binds itself at use: its field data, scalars and origin travel
-// in kctx, its peers come from proc.nbr.
+// plans, kernels, pack/unpack schedules — is written in coordinates
+// relative to the executing processor's block origin and holds no processor
+// state, so one compilation serves every processor of a class. A processor
+// binds itself at use: its field data, scalars and origin travel in kctx,
+// its peers come from proc.nbr.
 
 // frame is an extent of the block distribution in the two distributed
 // dimensions, relative to some processor's origin: one block, or the 3×3

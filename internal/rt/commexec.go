@@ -169,7 +169,7 @@ func (p *proc) dispatchCall(c comm.Call) {
 	case comm.DN:
 		p.execDN(c.T, st, lib)
 	case comm.SV:
-		p.execSV(c.T, st, lib)
+		p.execSV(st, lib)
 		p.xfers[c.T.Slot].open = nil
 		p.openCount--
 	}
@@ -189,7 +189,7 @@ func (p *proc) execDR(st *commSched, lib *machine.Lib) {
 		// Destination-ready: notify each source that our buffer may be
 		// written (the SHMEM "synch" of Figure 5). The token carries a
 		// finished message back to the source's free list when one is
-		// waiting (nil on the legacy engine, whose retPool stays empty).
+		// waiting.
 		for i := range st.recvs {
 			pr := &st.recvs[i]
 			nb, ok := p.active(lib, pr)
@@ -262,13 +262,6 @@ func (p *proc) send(t *comm.Transfer, pr *packPair, nb *neighbor, lib *machine.L
 			p.tr.Add(trace.Event{Kind: trace.KindSend, Start: p.clock, Name: "send", A0: int64(nb.rank), A1: int64(pr.bytes), A2: int64(t.ID)})
 		}
 	}
-	// Large packs overlap with subsequent host execution: every
-	// virtual-time field of m is already set, so only the pack and the
-	// delivery leave this coroutine (see overlap.go).
-	if p.w.overlap && pr.doubles >= overlapMinDoubles {
-		p.startAsyncSend(t, pr, nb, m)
-		return
-	}
 	pr.pack(m.flat, p.kctx.data)
 	p.deliverData(p.w.procs[nb.rank], nb.back, m)
 }
@@ -328,10 +321,7 @@ func (p *proc) recvTagged(slot, tag int) *dataMsg {
 	}
 }
 
-func (p *proc) execSV(t *comm.Transfer, st *commSched, lib *machine.Lib) {
-	// SV marks the source data about to become volatile: any async send of
-	// this transfer must finish reading it before the call returns.
-	p.joinSends(t.ID)
+func (p *proc) execSV(st *commSched, lib *machine.Lib) {
 	if lib.Rendezvous {
 		return // puts complete at SR; SV compiles to a no-op
 	}

@@ -5,14 +5,17 @@ import (
 	"testing"
 
 	"commopt/internal/comm"
+	"commopt/internal/ir"
 	"commopt/internal/machine"
+	"commopt/internal/programs"
 	"commopt/internal/rt"
+	"commopt/internal/zpl"
 )
 
 // TestDispatchSteadyStateAllocs pins the property slot-bound dispatch
 // exists for: once every site has met its regions, one more iteration of
 // a wavefront program allocates (almost) nothing per processor — no
-// region spans, no hint or memo map growth. Doubling tomcatv's iteration
+// region spans, no hint map growth. Doubling tomcatv's iteration
 // count isolates the steady state: set-up and first-sweep compilation are
 // the same in both runs and cancel. Before dispatch sites every
 // literal-bound call and statement allocated its region's spans, several
@@ -22,7 +25,18 @@ func TestDispatchSteadyStateAllocs(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	const procs, k = 16, 3
-	prog, _ := fuseBenchPlan(t, "tomcatv")
+	bench, err := programs.ByName("tomcatv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast, err := zpl.Parse(bench.Source)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	prog, err := ir.Lower(ast)
+	if err != nil {
+		t.Fatalf("lower: %v", err)
+	}
 	for _, c := range []struct {
 		name string
 		opts comm.Options

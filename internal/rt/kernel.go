@@ -48,8 +48,6 @@ const (
 type kctx struct {
 	i, j, k int       // coordinates of the row's first element, relative to org
 	scratch []float64 // slot rows for intermediate results, arena-backed
-	memo    uint64    // fused sweep: the memoized rows valid for this row, by bit (cse.go)
-	bases   []int     // fused sweep: every member's store cursor (fuse.go)
 
 	data [][]float64 // the processor's field backing slices, by ArraySym.ID
 	env  scalarEnv   // its scalar store
@@ -316,10 +314,7 @@ func (k *reduceKernel) run(p *proc) float64 {
 }
 
 // kcompiler lowers an expression tree to row evaluators over one region of
-// one shape class's block. A fused-run compile (compileFused) sets memo,
-// enabling cross-statement elimination of repeated subexpressions;
-// per-statement compiles leave it nil and every occurrence evaluates
-// independently.
+// one shape class's block.
 type kcompiler struct {
 	cl    *shapeClass
 	local grid.Region // relative to the block origin
@@ -328,14 +323,6 @@ type kcompiler struct {
 	slots int
 	fills int // rows broadcast from a scalar (fill): statement roots only
 	ok    bool
-
-	// Fused-run CSE state (cse.go): memo holds the wrappers for repeated
-	// subtrees, benefit the pre-pass's set of keys worth wrapping, memos the
-	// wrappers made so far (each owns a bit of kctx.memo). Both maps are nil
-	// outside compileFused.
-	memo    map[string]*memoEntry
-	benefit map[string]bool
-	memos   int
 }
 
 func newKcompiler(cl *shapeClass, local grid.Region) *kcompiler {
@@ -501,27 +488,23 @@ func (kc *kcompiler) node(e ir.Expr) vec {
 		}
 
 	case *ir.Unary:
-		return kc.memoize(e, func() vec {
-			if e.Op != zpl.MINUS {
-				return kc.unary(not, e.X)
-			}
-			x := kc.node(e.X)
-			return func(c *kctx, dst []float64) []float64 {
-				negRow(dst, x(c, dst))
-				return dst
-			}
-		})
+		if e.Op != zpl.MINUS {
+			return kc.unary(not, e.X)
+		}
+		x := kc.node(e.X)
+		return func(c *kctx, dst []float64) []float64 {
+			negRow(dst, x(c, dst))
+			return dst
+		}
 
 	case *ir.Binary:
-		return kc.memoize(e, func() vec { return kc.binary(rowOpOf(e.Op), e.X, e.Y) })
+		return kc.binary(rowOpOf(e.Op), e.X, e.Y)
 
 	case *ir.Intrinsic:
-		return kc.memoize(e, func() vec {
-			if fn := unaryFns[e.Fn]; fn != nil {
-				return kc.unary(fn, e.Args[0])
-			}
-			return kc.binary(rowOp{kind: opFn, fn: binaryFns[e.Fn]}, e.Args[0], e.Args[1])
-		})
+		if fn := unaryFns[e.Fn]; fn != nil {
+			return kc.unary(fn, e.Args[0])
+		}
+		return kc.binary(rowOp{kind: opFn, fn: binaryFns[e.Fn]}, e.Args[0], e.Args[1])
 	}
 	// Reductions never appear below statement level (see eval.go).
 	kc.ok = false

@@ -155,7 +155,7 @@ type procMetrics struct {
 	waitDur   *metrics.Histogram
 	stmtDur   *metrics.Histogram
 	calls     [4]int64                                   // IRONMAN call executions by comm.CallKind
-	stmtsByEn [4]int64                                   // statement executions by trace engine code
+	stmtsByEn [3]int64                                   // statement executions by trace engine code
 	caches    [len(cacheKinds)][len(cacheOutcomes)]int64 // site lookups (site.go)
 }
 
@@ -184,11 +184,9 @@ func (w *world) gatherMetrics() *metrics.Registry {
 		for k, n := range p.met.calls {
 			reg.Counter("ironman_calls_" + strings.ToLower(comm.CallKind(k).String())).Add(n)
 		}
-		reg.Counter("overlap_async_sends").Add(p.asyncSends)
 		reg.Counter("stmts_scalar").Add(p.met.stmtsByEn[0])
 		reg.Counter("stmts_kernel").Add(p.met.stmtsByEn[1])
 		reg.Counter("stmts_interp").Add(p.met.stmtsByEn[2])
-		reg.Counter("stmts_fused").Add(p.met.stmtsByEn[3])
 		for kind, name := range cacheKinds {
 			for outcome, what := range cacheOutcomes {
 				reg.Counter(name + "_cache_" + what).Add(p.met.caches[kind][outcome])

@@ -57,26 +57,15 @@ type proc struct {
 	sendPool  [][]*dataMsg // sendPool[slot]: recycled messages for sends to that neighbor
 	retPool   [][]*dataMsg // retPool[slot]: unpacked messages awaiting return to that neighbor
 
-	// Array-statement engines (kernel.go, fuse.go): the sites of array
-	// statements (by ir.AssignArray.ID), reduction partials (by ir.Reduce.ID)
-	// and fused runs (by fuseRun.idx), the scratch arena that replaces
-	// per-execution temporaries, and the row-evaluation context that binds
-	// the class's kernels to this processor's data, scalars and origin.
+	// Array-statement engine (kernel.go): the sites of array statements (by
+	// ir.AssignArray.ID) and reduction partials (by ir.Reduce.ID), the
+	// scratch arena that replaces per-execution temporaries, and the
+	// row-evaluation context that binds the class's kernels to this
+	// processor's data, scalars and origin.
 	stmts   []site[*stmtPlan]
 	reduces []site[*reduceKernel]
-	fused   []site[*fusedKernel]
 	arena   arena
 	kctx    kctx
-
-	// Host-side comm/compute overlap (commexec.go): sends whose pack and
-	// delivery run on a spawned goroutine while this processor keeps
-	// executing. Jobs join at the transfer's SV call; inflight counts
-	// not-yet-joined jobs per source array ID as a defense-in-depth guard
-	// so host execution never reads a buffer an async pack still owns.
-	overlapJobs []overlapJob
-	inflight    []int32
-	inflightN   int
-	asyncSends  int64 // sends whose pack+delivery ran on a goroutine
 
 	dynTransfers int
 	messages     int
@@ -146,7 +135,6 @@ func newProc(w *world, rank int) *proc {
 		xfers:   make([]xferSite, w.plan.NumTransfers()),
 		stmts:   make([]site[*stmtPlan], w.prog.NumArrayStmts),
 		reduces: make([]site[*reduceKernel], w.prog.NumReduces),
-		fused:   make([]site[*fusedKernel], w.fuseRuns),
 		rng:     uint64(rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 	}
 	for dr := -1; dr <= 1; dr++ {
@@ -274,7 +262,7 @@ func (p *proc) finish() {
 	w.statsMu.Lock()
 	w.stats = append(w.stats, st)
 	w.statsMu.Unlock()
-	p.xfers, p.stmts, p.reduces, p.fused, p.fnCache = nil, nil, nil, nil, nil
+	p.xfers, p.stmts, p.reduces, p.fnCache = nil, nil, nil, nil
 	p.sendPool, p.retPool, p.pending = nil, nil, nil
 	if p.met != nil {
 		p.met.reg.Gauge("arena_hiwater_doubles").Observe(int64(len(p.arena.buf)))
@@ -283,22 +271,19 @@ func (p *proc) finish() {
 }
 
 // seg is one segment of a statement list as setup bound it, for every
-// processor to walk without a lookup: a planned basic block with its
-// fusable runs, or a control statement with its preheader transfers and
-// the bodies it runs (then: an If's Then, a loop's or a called procedure's
-// body; els: an If's Else).
+// processor to walk without a lookup: a planned basic block, or a control
+// statement with its preheader transfers and the bodies it runs (then: an
+// If's Then, a loop's or a called procedure's body; els: an If's Else).
 type seg struct {
 	bp        *comm.BlockPlan // nil for a control statement
-	runs      []*fuseRun
 	ctl       ir.Stmt
 	pre       []*comm.Transfer
 	then, els []seg
 }
 
 // bind segments a statement list and resolves every basic block to its
-// plan and fusable runs — numbering the runs — and every control statement
-// to its bound bodies. procs memoizes procedure bodies (the subset forbids
-// recursion).
+// plan and every control statement to its bound bodies. procs remembers
+// procedure bodies (the subset forbids recursion).
 func (w *world) bind(stmts []ir.Stmt, procs map[*ir.Proc][]seg) []seg {
 	var out []seg
 	for _, sg := range comm.SplitSegments(stmts) {
@@ -306,13 +291,6 @@ func (w *world) bind(stmts []ir.Stmt, procs map[*ir.Proc][]seg) []seg {
 			b := seg{bp: w.plan.BlockFor(sg.Block[0])}
 			if b.bp == nil {
 				panic("rt: basic block missing from plan")
-			}
-			if w.fusion {
-				b.runs = fusionRuns(b.bp, nil)
-				for _, fr := range b.runs {
-					fr.idx = w.fuseRuns
-					w.fuseRuns++
-				}
 			}
 			out = append(out, b)
 			continue
@@ -345,7 +323,7 @@ func (w *world) bind(stmts []ir.Stmt, procs map[*ir.Proc][]seg) []seg {
 func (p *proc) body(segs []seg) {
 	for i := range segs {
 		if sg := &segs[i]; sg.bp != nil {
-			p.block(sg.bp, sg.runs)
+			p.block(sg.bp)
 		} else {
 			p.control(sg)
 		}
@@ -419,32 +397,14 @@ func (p *proc) execPreheader(hoisted []*comm.Transfer) {
 
 // block interprets one planned basic block: IRONMAN calls interleave with
 // the statements at their scheduled positions.
-func (p *proc) block(bp *comm.BlockPlan, runs []*fuseRun) {
-	stmts := bp.Stmts
-	ri := 0
-	for pos := 0; pos <= len(stmts); pos++ {
-		for _, c := range bp.Calls[pos] {
+func (p *proc) block(bp *comm.BlockPlan) {
+	for pos, calls := range bp.Calls {
+		for _, c := range calls {
 			p.execCall(c)
 		}
-		if pos >= len(stmts) {
-			break
+		if pos < len(bp.Stmts) {
+			p.stmt(bp.Stmts[pos])
 		}
-		for ri < len(runs) && runs[ri].end <= pos {
-			ri++
-		}
-		if ri < len(runs) && runs[ri].start == pos {
-			// A statically fusable run starts here. If it compiles at the
-			// current region, execute all members as one sweep and skip to
-			// the run's end; pos++ lands on Calls[end], which the static
-			// legality check guarantees is the run's first call boundary.
-			if fk := p.fusedFor(runs[ri]); fk != nil {
-				p.fusedExec(runs[ri], fk)
-				pos = runs[ri].end - 1
-				ri++
-				continue
-			}
-		}
-		p.stmt(stmts[pos])
 	}
 	if p.openCount != 0 {
 		panic("rt: transfers left open at block end")
@@ -531,9 +491,6 @@ func (p *proc) waitEdge(t vtime.Time, what string, reason critpath.Reason, from 
 
 func (p *proc) assignArray(s *ir.AssignArray) {
 	w := p.w
-	if p.inflightN > 0 && p.inflight[s.LHS.ID] > 0 {
-		p.joinArray(s.LHS.ID)
-	}
 	pl := p.planFor(s)
 	if pl.size > 0 {
 		if pl.k != nil {

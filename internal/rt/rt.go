@@ -45,22 +45,6 @@ type Config struct {
 	// way; the flag exists for differential testing and benchmarking.
 	ForceInterpreter bool
 
-	// ForceNoFusion disables cross-statement kernel fusion: every array
-	// statement compiles and executes individually even when the static
-	// analysis proves an adjacent run fusable. Simulated results must be
-	// identical either way; the flag exists as the fusion pass's
-	// differential-testing oracle, mirroring ForceInterpreter.
-	ForceNoFusion bool
-
-	// NoOverlap disables host-side comm/compute overlap: large packed
-	// sends execute synchronously on the sending processor's coroutine
-	// instead of overlapping their pack and delivery with subsequent host
-	// execution. Overlap never changes simulated results (virtual-time
-	// accounting is computed before the host work is deferred); the flag
-	// exists as the overlap engine's differential-testing oracle and for
-	// single-threaded debugging.
-	NoOverlap bool
-
 	// Collective selects the allreduce algorithm (package collective).
 	// The default, collective.Auto, picks the cheapest eligible algorithm
 	// for the (machine, library, mesh) binding by simulated critical-path
@@ -247,36 +231,27 @@ type world struct {
 	lib  *machine.Lib
 	mesh grid.Mesh
 
-	interp  bool // run array statements on the interpreter, not kernels
-	overlap bool // async pack+delivery of large sends (overlap.go)
+	interp bool // run array statements on the interpreter, not kernels
 
 	// main is the program body as setup bound it (proc.go: seg): every
-	// block resolved to its plan and its statically fusable statement runs
-	// (fuse.go) — fuseRuns of them in all, none unless fusion is on — and
-	// every control statement to its bodies. Read-only once the processors
-	// run, so they walk it without locks or lookups.
-	main     []seg
-	fusion   bool // off under ForceInterpreter and ForceNoFusion
-	fuseRuns int
+	// block resolved to its plan and every control statement to its bodies.
+	// Read-only once the processors run, so they walk it without locks or
+	// lookups.
+	main []seg
 
 	// Shape classes (class.go) and, per dispatch site, what the site
-	// compiled to for each class: by comm.Transfer.Slot, ir.AssignArray.ID,
-	// ir.Reduce.ID and fuseRun.idx, like the processors' own sites.
+	// compiled to for each class: by comm.Transfer.Slot, ir.AssignArray.ID
+	// and ir.Reduce.ID, like the processors' own sites.
 	classes  []*shapeClass
 	nbhds    map[[3][3]int32]*nbhdClass
 	xferCC   []classCache[*commSched]
 	stmtCC   []classCache[*stmtPlan]
 	reduceCC []classCache[*reduceKernel]
-	fusedCC  []classCache[*fusedKernel]
 
 	// callNames holds every transfer's event and callsite strings by
 	// Transfer.Slot (observe.go); nil unless tracing or critical-path
 	// recording is on.
 	callNames []callName
-
-	// asyncWG tracks in-flight overlap goroutines so runSched can drain
-	// them before folding statistics and gathering arrays.
-	asyncWG sync.WaitGroup
 
 	configVals []float64     // by ScalarSym.ID, configs+consts evaluated
 	regionVals []grid.Region // by RegionSym.ID, evaluated declared regions
@@ -365,14 +340,12 @@ func Run(prog *ir.Program, plan *comm.Plan, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
 	w := &world{
-		prog:    prog,
-		plan:    plan,
-		mach:    cfg.Machine,
-		lib:     lib,
-		mesh:    mesh,
-		interp:  cfg.ForceInterpreter,
-		overlap: !cfg.NoOverlap,
-		fusion:  !cfg.ForceInterpreter && !cfg.ForceNoFusion,
+		prog:   prog,
+		plan:   plan,
+		mach:   cfg.Machine,
+		lib:    lib,
+		mesh:   mesh,
+		interp: cfg.ForceInterpreter,
 	}
 	if err := w.setup(cfg); err != nil {
 		return nil, err
@@ -469,10 +442,6 @@ func (w *world) setup(cfg Config) error {
 		w.stmtCC[i].empty = &noPlan
 	}
 	w.reduceCC = make([]classCache[*reduceKernel], prog.NumReduces)
-	w.fusedCC = make([]classCache[*fusedKernel], w.fuseRuns)
-	for i := range w.fusedCC {
-		w.fusedCC[i].empty = &noSweep
-	}
 
 	// Resolve the collective algorithm and build every rank's hop
 	// schedule, but only when a reduction can actually execute: the plan

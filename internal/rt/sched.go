@@ -119,11 +119,6 @@ type scheduler struct {
 	// so a worker blocked in next cannot miss it; resumed processors read
 	// it without the lock.
 	stop atomic.Bool
-
-	// pendingAsync counts in-flight overlap jobs (overlap.go). Their
-	// deliveries can wake parked processors, so deadlock detection must
-	// not fire while any is pending.
-	pendingAsync int
 }
 
 // SchedStats reports the M:N scheduler's observability counters for one
@@ -244,12 +239,6 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 	}
 	wg.Wait()
 
-	// Drain any overlap goroutines still packing or delivering: they touch
-	// mailboxes and message buffers, so the kill pass, the stats fold and
-	// gather must not run concurrently with them. Jobs never block, so the
-	// wait always terminates.
-	w.asyncWG.Wait()
-
 	// Kill pass: after the workers exit (completion, abort or deadlock),
 	// stop every coroutine. One that is parked or runnable sees its switch
 	// to the worker return false and unwinds via errAborted; one that never
@@ -302,7 +291,7 @@ func (s *scheduler) next() *proc {
 			s.mu.Unlock()
 			return p
 		}
-		if s.running == 0 && s.pendingAsync == 0 {
+		if s.running == 0 {
 			s.stop.Store(true)
 			deadlocked := s.live > 0
 			s.cond.Broadcast()
@@ -313,8 +302,7 @@ func (s *scheduler) next() *proc {
 				// Nothing runnable, nothing running, bodies unfinished:
 				// every live processor is parked on an event no one can
 				// deliver. (Events are only delivered by running
-				// processors and in-flight overlap jobs, and there are
-				// none of either.)
+				// processors, and there are none.)
 				s.w.fail(fmt.Errorf("rt: scheduler deadlock: %s", s.parkedSummary()))
 			}
 			return nil
@@ -365,26 +353,6 @@ func (s *scheduler) stepped(done bool) *proc {
 		s.cond.Broadcast()
 	}
 	return nil
-}
-
-// asyncAdd registers one in-flight overlap job (overlap.go). Called from
-// the spawning processor's coroutine while a worker is stepping it, so
-// the count is always raised before running can reach zero.
-func (s *scheduler) asyncAdd() {
-	s.mu.Lock()
-	s.pendingAsync++
-	s.mu.Unlock()
-}
-
-// asyncDone retires one overlap job after its delivery completed, waking
-// blocked workers so they re-evaluate the end-of-run condition.
-func (s *scheduler) asyncDone() {
-	s.mu.Lock()
-	s.pendingAsync--
-	if s.pendingAsync == 0 && s.running == 0 {
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
 }
 
 // enqueue re-queues a processor whose awaited event arrived. Called by
@@ -468,8 +436,8 @@ func (p *proc) parkLocked(reason waitReason, on uint64) {
 // wakeLocked ends the owner's wait if it is for exactly this event,
 // returning whether the caller must enqueue it: only when the park was
 // already committed — a park still at the request stage is averted by the
-// worker holding the processor. Runs under the owner's mb.mu, from peers'
-// coroutines and overlap goroutines alike.
+// worker holding the processor. Runs under the owner's mb.mu, on a peer's
+// coroutine.
 func (mb *mbox) wakeLocked(reason waitReason, on uint64) bool {
 	if mb.wait != reason || mb.waitOn != on {
 		return false

@@ -8,13 +8,13 @@ import (
 // A dispatch site is a node of the lowered program whose meaning on one
 // processor depends only on the statement region it resolves there: an
 // IRONMAN transfer (its pack/unpack schedule), an array statement (its
-// local region and kernel), a reduction (its partial kernel) or a fusable
-// run (its fused kernel). Each carries a dense index assigned where the
-// node is created — comm.Transfer.Slot, ir.AssignArray.ID, ir.Reduce.ID,
-// fuseRun.idx — and every processor holds one slice of sites per kind, so
-// dispatch never hashes a pointer or a struct (DESIGN.md §19). What a site
-// compiles to belongs to the world, shared by the processor's shape class
-// (class.go); the processor's site keeps the pointers it resolved.
+// local region and kernel) or a reduction (its partial kernel). Each
+// carries a dense index assigned where the node is created —
+// comm.Transfer.Slot, ir.AssignArray.ID, ir.Reduce.ID — and every
+// processor holds one slice of sites per kind, so dispatch never hashes a
+// pointer or a struct (DESIGN.md §19). What a site compiles to belongs to
+// the world, shared by the processor's shape class (class.go); the
+// processor's site keeps the pointers it resolved.
 
 // siteCacheLimit bounds the regions one literal-bound site remembers;
 // past it the site drops its cache and rebuilds.
@@ -64,7 +64,6 @@ func hashRegion(r grid.Region) uint64 {
 const (
 	cacheSched = iota
 	cacheKernel
-	cacheFused
 	cacheReduce
 )
 
@@ -83,7 +82,7 @@ const (
 )
 
 var (
-	cacheKinds    = [...]string{"sched", "kernel", "fused", "reduce"}
+	cacheKinds    = [...]string{"sched", "kernel", "reduce"}
 	cacheOutcomes = [...]string{"hits_static", "hits_successor", "hits_map", "hits_empty", "hits_class", "compiles", "drops"}
 )
 

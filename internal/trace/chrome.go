@@ -188,8 +188,6 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 					engine = "kernel"
 				case EngineInterp:
 					engine = "interp"
-				case EngineFused:
-					engine = "fused"
 				}
 				ce.Args = map[string]any{"engine": engine}
 			case KindReduce:

@@ -24,7 +24,7 @@ const (
 	KindCall   Kind = iota // IRONMAN call: A0 = call kind (0=DR 1=SR 2=DN 3=SV), A1 = payload bytes sent during the call
 	KindSend               // point-to-point message enqueued: A0 = destination rank, A1 = bytes, A2 = transfer tag
 	KindRecv               // point-to-point message consumed: A0 = source rank, A1 = bytes, A2 = transfer tag
-	KindStmt               // statement execution: A0 = engine (0=scalar 1=kernel 2=interp 3=fused)
+	KindStmt               // statement execution: A0 = engine (0=scalar 1=kernel 2=interp)
 	KindWait               // blocking-wait interval (data, rendezvous token or reduction)
 	KindReduce             // global reduction phase (A0 = -1), or one hop of it: A0 = round, A1 = bytes, A2 = peer rank
 )
@@ -53,7 +53,6 @@ const (
 	EngineScalar int64 = iota
 	EngineKernel
 	EngineInterp
-	EngineFused // executed as a member of a cross-statement fused run
 )
 
 // Event is one virtual-time-stamped occurrence on one processor. Start

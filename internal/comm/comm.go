@@ -301,8 +301,15 @@ type Segment struct {
 }
 
 // SplitSegments partitions a structured body into basic blocks and control
-// statements, preserving order. The runtime and the planner share this so
-// their views of block boundaries always agree.
+// statements, preserving order. The runtime, the planner and the cost
+// predictor share this so their views of block boundaries always agree.
+//
+// A block also ends after a scalar assignment to a variable that a literal
+// region bound of the body reads: inside a block every literal region then
+// denotes one index set from the first statement to the last, which is what
+// lets the passes treat two uses under one scope as the same data
+// (regionsCompatible) and the runtime resolve a literal region once per
+// block entry.
 func SplitSegments(body []ir.Stmt) []Segment {
 	var out []Segment
 	var run []ir.Stmt
@@ -312,15 +319,35 @@ func SplitSegments(body []ir.Stmt) []Segment {
 			run = nil
 		}
 	}
+	bounds := boundScalars(body)
 	for _, s := range body {
 		if ir.IsStraightLine(s) {
 			run = append(run, s)
+			if a, ok := s.(*ir.AssignScalar); ok && bounds[a.LHS] {
+				flush()
+			}
 			continue
 		}
 		flush()
 		out = append(out, Segment{Control: s})
 	}
 	flush()
+	return out
+}
+
+// boundScalars returns the scalars that the literal region bounds of the
+// body's straight-line statements read.
+func boundScalars(body []ir.Stmt) map[*ir.ScalarSym]bool {
+	out := map[*ir.ScalarSym]bool{}
+	for _, s := range body {
+		if re := ir.RegionOf(s); re.Sym == nil {
+			for d := 0; d < re.RankN; d++ {
+				for _, e := range re.Bounds[d] {
+					ir.EachScalarRef(e, func(sym *ir.ScalarSym) { out[sym] = true })
+				}
+			}
+		}
+	}
 	return out
 }
 
@@ -338,21 +365,10 @@ func BuildPlan(prog *ir.Program, opts Options) *Plan {
 	return p
 }
 
-// regionsCompatible reports whether two statement regions are provably the
-// same index set, so their transfers may be combined: either the same
-// declared region, or literal regions from the same source scope (shared
-// bound expressions).
+// regionsCompatible reports whether two statement regions of one basic
+// block are provably the same index set, so their transfers may be
+// combined: the same declared region, or the same literal scope — one slot,
+// whose bounds no statement inside the block changes (SplitSegments).
 func regionsCompatible(a, b ir.RegionExpr) bool {
-	if a.Sym != nil || b.Sym != nil {
-		return a.Sym == b.Sym
-	}
-	if a.RankN != b.RankN {
-		return false
-	}
-	for d := 0; d < a.RankN; d++ {
-		if a.Bounds[d][0] != b.Bounds[d][0] || a.Bounds[d][1] != b.Bounds[d][1] {
-			return false
-		}
-	}
-	return true
+	return a.Sym == b.Sym && (a.Sym != nil || a.Slot == b.Slot)
 }

@@ -271,6 +271,27 @@ func TestSplitSegments(t *testing.T) {
 	}
 }
 
+// TestSplitSegmentsAtBoundWrite: a block ends after a scalar assignment to a
+// variable a literal region bound of the body reads — in a sum, here — and
+// only there: inside a block a literal region is one index set.
+func TestSplitSegmentsAtBoundWrite(t *testing.T) {
+	as := arrays("A", "B")
+	k, other := &ir.ScalarSym{Name: "k"}, &ir.ScalarSym{Name: "other"}
+	row := ir.RegionExpr{RankN: 1}
+	row.Bounds[0] = [2]ir.Expr{&ir.ScalarRef{Sym: k}, &ir.Binary{X: &ir.ScalarRef{Sym: k}, Y: &ir.Const{Val: 1}}}
+	s1, s2 := stmt(as["A"], 1), stmt(as["B"], 1)
+	s1.Region, s2.Region = row, row
+	setK := &ir.AssignScalar{LHS: k, RHS: &ir.Const{Val: 5}}
+	setOther := &ir.AssignScalar{LHS: other, RHS: &ir.Const{Val: 5}}
+	segs := SplitSegments([]ir.Stmt{s1, setOther, setK, s2, setK})
+	if len(segs) != 2 || len(segs[0].Block) != 3 || segs[0].Block[2] != setK || len(segs[1].Block) != 2 {
+		t.Fatalf("unexpected segmentation %+v, want [s1 setOther setK] [s2 setK]", segs)
+	}
+	if !regionsCompatible(s1.Region, s2.Region) || regionsCompatible(s1.Region, ir.RegionExpr{RankN: 1, Slot: 1}) {
+		t.Error("literal regions are compatible exactly when they share a slot")
+	}
+}
+
 // blockSpec drives the property test's random block generator.
 type blockSpec struct {
 	Seed int64

@@ -45,7 +45,8 @@ func (p *Program) inlineBody(body []Stmt) []Stmt {
 // inlined copies are distinct; expressions and symbols are shared, since
 // neither the planner nor the runtime mutates them. (Reduce nodes are
 // expressions, so clones share a Reduce's ID: the statement region it is
-// cached under is the same in every clone.)
+// cached under is the same in every clone. Clones share their literal
+// region's Slot for the same reason.)
 func (p *Program) cloneStmt(s Stmt) Stmt {
 	switch s := s.(type) {
 	case *AssignArray:

@@ -84,11 +84,17 @@ type ArraySym struct {
 func (a *ArraySym) String() string { return a.Name }
 
 // RegionExpr is a region reference at a statement: either a declared
-// region or an inline literal whose bounds are evaluated each execution.
+// region or an inline literal whose bounds are evaluated on every entry of
+// the basic block the statement is in.
 type RegionExpr struct {
 	Sym    *RegionSym
 	RankN  int
 	Bounds [grid.MaxRank][2]Expr // literal bounds when Sym == nil
+	// Slot is a literal's dense program-wide index (Program.Literals). Every
+	// statement of the literal's scope, and every transfer planned for one,
+	// carries the same slot: within a basic block they denote one index set
+	// (comm.SplitSegments), which the runtime resolves once per block entry.
+	Slot int
 }
 
 // Static reports whether the reference names a declared region.
@@ -124,9 +130,10 @@ type Program struct {
 
 	// NumArrayStmts and NumReduces count the program's AssignArray and
 	// Reduce nodes, whose IDs run 0..N-1: the runtime's dispatch caches are
-	// slices indexed by them.
+	// slices indexed by them, as its region records are by RegionExpr.Slot.
 	NumArrayStmts int
 	NumReduces    int
+	Literals      []RegionExpr // every literal region scope, indexed by Slot
 }
 
 // Proc is a lowered procedure.

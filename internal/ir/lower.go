@@ -584,12 +584,13 @@ func (lw *lowerer) regionRef(pos zpl.Pos, ref zpl.RegionRef) (RegionExpr, bool) 
 		lw.fail(pos, "region literal must have rank 1..%d", grid.MaxRank)
 		return RegionExpr{}, false
 	}
-	out := RegionExpr{RankN: len(ref.Ranges)}
+	out := RegionExpr{RankN: len(ref.Ranges), Slot: len(lw.prog.Literals)}
 	for i, rg := range ref.Ranges {
 		lo := lw.scalarExpr(pos, rg.Lo, "region bound")
 		hi := lw.scalarExpr(pos, rg.Hi, "region bound")
 		out.Bounds[i] = [2]Expr{lo, hi}
 	}
+	lw.prog.Literals = append(lw.prog.Literals, out)
 	return out, true
 }
 

@@ -87,3 +87,20 @@ func FlopsOf(s Stmt) int {
 	}
 	return 0
 }
+
+// EachScalarRef calls fn with every scalar symbol a scalar expression reads.
+func EachScalarRef(e Expr, fn func(*ScalarSym)) {
+	switch e := e.(type) {
+	case *ScalarRef:
+		fn(e.Sym)
+	case *Unary:
+		EachScalarRef(e.X, fn)
+	case *Binary:
+		EachScalarRef(e.X, fn)
+		EachScalarRef(e.Y, fn)
+	case *Intrinsic:
+		for _, a := range e.Args {
+			EachScalarRef(a, fn)
+		}
+	}
+}

@@ -168,8 +168,8 @@ func (w *world) classifyNbhd(p *proc) {
 }
 
 // classCacheLimit bounds the regions one site's class cache remembers, as
-// siteCacheLimit bounds a processor's: past it the cache drops its entries
-// and rebuilds. Processors keep the values they already resolved.
+// siteCacheLimit bounds a processor's region slot: past it the cache drops
+// its entries and rebuilds. Processors keep the values they already resolved.
 const classCacheLimit = 16 * siteCacheLimit
 
 type classKey struct {
@@ -189,11 +189,15 @@ type classCache[T any] struct {
 	empty T
 }
 
-// get returns the site's value for the class and clipped region, compiling
-// it under the lock when no processor of the class has met the region yet;
-// the compilation counts for the processor that ran it, so the processors'
-// counts sum to the world's.
+// get returns the site's value for the class and clipped region — empty
+// where that is — compiling it under the lock when no processor of the
+// class has met the region yet; the compilation counts for the processor
+// that ran it, so the processors' counts sum to the world's.
 func (c *classCache[T]) get(cls int32, key grid.Region, m *procMetrics, kind int, build func(grid.Region) T) T {
+	if key.Empty() {
+		m.count(kind, hitEmpty)
+		return c.empty
+	}
 	k := classKey{cls, key}
 	c.mu.Lock()
 	defer c.mu.Unlock()

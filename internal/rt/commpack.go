@@ -95,14 +95,14 @@ type xferSite struct {
 }
 
 // state returns the transfer's schedule, opening it on the first IRONMAN
-// call of a DR..SV sequence: the region is resolved once per sequence, and
+// call of a DR..SV sequence: the site is looked up once per sequence, and
 // schedules persist across block executions, so re-running a loop body
 // reuses the compiled run lists instead of re-deriving rectangle geometry.
 func (p *proc) state(t *comm.Transfer) *commSched {
 	x := &p.xfers[t.Slot]
 	if x.open == nil {
 		nc := p.ncls
-		x.open = resolve(p, &x.site, &p.w.xferCC[t.Slot], &nc.frame, nc.id, t.Region, cacheSched, func(reg grid.Region) *commSched {
+		x.open = resolve(p, &x.site, &p.w.xferCC[t.Slot], &nc.frame, nc.id, &t.Region, cacheSched, func(reg grid.Region) *commSched {
 			return nc.geometry(t, reg)
 		})
 		p.openCount++

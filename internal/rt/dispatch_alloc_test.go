@@ -15,7 +15,7 @@ import (
 // TestDispatchSteadyStateAllocs pins the property slot-bound dispatch
 // exists for: once every site has met its regions, one more iteration of
 // a wavefront program allocates (almost) nothing per processor — no
-// region spans, no hint map growth. Doubling tomcatv's iteration
+// region spans, no slot or table growth. Doubling tomcatv's iteration
 // count isolates the steady state: set-up and first-sweep compilation are
 // the same in both runs and cancel. Before dispatch sites every
 // literal-bound call and statement allocated its region's spans, several

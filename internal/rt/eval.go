@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"commopt/internal/grid"
 	"commopt/internal/ir"
 	"commopt/internal/zpl"
 )
@@ -175,4 +176,56 @@ func evalIntrinsic(fn ir.IntrinsicFn, args []float64) float64 {
 		return f(args[0])
 	}
 	return binaryFns[fn](args[0], args[1])
+}
+
+// scalarEnv evaluates pure scalar expressions against a value table by
+// direct tree walk: the shared table at setup (config and constant
+// initializers, region bounds), a processor's own for its control flow —
+// loop bounds, conditions, scalar assignments — and inside the kernels it
+// runs (kctx.env). Such expressions evaluate in a handful of arithmetic
+// ops, so the walk deliberately skips the closure compiler: compiling would
+// mint one closure tree per (processor, expression) pair per run, which at
+// 4096 processors is pure allocation and cache-lookup overhead.
+type scalarEnv struct {
+	vals []float64
+	// p's closure compiler evaluates, at point (0,0,0), a node that can
+	// legally appear only in array context. nil at setup, where no such
+	// node is valid.
+	p *proc
+}
+
+func (e *scalarEnv) eval(x ir.Expr) float64 {
+	switch x := x.(type) {
+	case *ir.Const:
+		return x.Val
+	case *ir.ScalarRef:
+		return e.vals[x.Sym.ID]
+	case *ir.Unary:
+		return evalUnary(x.Op, e.eval(x.X))
+	case *ir.Binary:
+		return evalBinary(x.Op, e.eval(x.X), e.eval(x.Y))
+	case *ir.Intrinsic:
+		var args [2]float64 // ir.Lower checks arities: one or two arguments
+		for i, a := range x.Args {
+			args[i] = e.eval(a)
+		}
+		return evalIntrinsic(x.Fn, args[:len(x.Args)])
+	}
+	if e.p == nil {
+		panic(fmt.Sprintf("rt: expression %T not valid at setup time", x))
+	}
+	return e.p.compile(x)(0, 0, 0)
+}
+
+func evalRegionBounds(ev *scalarEnv, rank int, bounds [grid.MaxRank][2]ir.Expr) (grid.Region, error) {
+	spans := make([]grid.Span, rank)
+	for d := 0; d < rank; d++ {
+		lo := ev.eval(bounds[d][0])
+		hi := ev.eval(bounds[d][1])
+		if lo != math.Trunc(lo) || hi != math.Trunc(hi) {
+			return grid.Region{}, fmt.Errorf("non-integer bounds %g..%g", lo, hi)
+		}
+		spans[d] = grid.Span{Lo: int(lo), Hi: int(hi)}
+	}
+	return grid.NewRegion(rank, spans...), nil
 }

@@ -14,8 +14,8 @@ import (
 // field of that rank, so an @-shift becomes a constant flat-index delta and
 // the inner loops carry no per-element At/Set bounds math or closure
 // dispatch. Regions are loop-invariant for declared regions (and revisited
-// in order by literal-bound sweeps), so kernels are cached per statement
-// site (site.go) and amortize to zero compile cost. A kernel is position
+// by literal-bound sweeps), so kernels are cached per statement site
+// (site.go) and amortize to zero compile cost. A kernel is position
 // independent — it addresses fields by array ID and class-invariant flat
 // offsets in coordinates relative to the block origin, and reads data,
 // scalars and the origin from the executing processor's kctx — so every
@@ -139,7 +139,7 @@ var noPlan stmtPlan
 // other, so compile-time validation is paid once.
 func (p *proc) planFor(s *ir.AssignArray) *stmtPlan {
 	w, cl := p.w, p.cls
-	return resolve(p, &p.stmts[s.ID], &w.stmtCC[s.ID], &cl.frame, cl.id, s.Region, cacheKernel, func(local grid.Region) *stmtPlan {
+	return resolve(p, &p.stmts[s.ID], &w.stmtCC[s.ID], &cl.frame, cl.id, &s.Region, cacheKernel, func(local grid.Region) *stmtPlan {
 		pl := &stmtPlan{local: cl.owned(s.LHS.ID, local)}
 		if !pl.local.Empty() {
 			pl.size = pl.local.Size()
@@ -160,23 +160,28 @@ func (cl *shapeClass) owned(lhs int, local grid.Region) grid.Region {
 	return local
 }
 
-// reduceKernel is the reduction-partial counterpart, over the processor's
-// part of the enclosing statement's region (static: it is declared). nil
-// means "use the interpreter", whose ForEach also handles empty regions.
-func (p *proc) reduceKernel(e *ir.Reduce, static bool, local grid.Region) *reduceKernel {
+// noKernel is what a reduction resolves to that the compiler rejects.
+var noKernel reduceKernel
+
+// reduceKernel is the reduction-partial counterpart, over local, the
+// processor's part of the enclosing statement's region re. nil means "use
+// the interpreter", whose ForEach also handles empty regions.
+func (p *proc) reduceKernel(e *ir.Reduce, re *ir.RegionExpr, local grid.Region) *reduceKernel {
 	if p.w.interp || local.Empty() {
 		return nil
 	}
-	cc, cl := &p.w.reduceCC[e.ID], p.cls
-	return p.reduces[e.ID].get(static, local, p.met, cacheReduce, func(grid.Region) *reduceKernel {
-		return cc.get(cl.id, local, p.met, cacheReduce, func(grid.Region) (k *reduceKernel) {
-			kc := newKcompiler(cl, local)
-			if row := kc.node(e.X); kc.ok {
-				k = &reduceKernel{op: e.Op, local: local, inner: kc.inner, L: kc.L, slots: kc.slots, row: row}
-			}
-			return k
-		})
+	cl := p.cls
+	k := resolve(p, &p.reduces[e.ID], &p.w.reduceCC[e.ID], &cl.frame, cl.id, re, cacheReduce, func(local grid.Region) *reduceKernel {
+		kc := newKcompiler(cl, local)
+		if row := kc.node(e.X); kc.ok {
+			return &reduceKernel{op: e.Op, local: local, inner: kc.inner, L: kc.L, slots: kc.slots, row: row}
+		}
+		return &noKernel
 	})
+	if k == &noKernel {
+		return nil
+	}
+	return k
 }
 
 // assign lowers one assignment over the compiler's local region, or returns

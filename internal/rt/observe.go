@@ -157,6 +157,7 @@ type procMetrics struct {
 	calls     [4]int64                                   // IRONMAN call executions by comm.CallKind
 	stmtsByEn [3]int64                                   // statement executions by trace engine code
 	caches    [len(cacheKinds)][len(cacheOutcomes)]int64 // site lookups (site.go)
+	regions   [len(slotOutcomes)]int64                   // literal regions entered (site.go)
 }
 
 func newProcMetrics() *procMetrics {
@@ -191,6 +192,9 @@ func (w *world) gatherMetrics() *metrics.Registry {
 			for outcome, what := range cacheOutcomes {
 				reg.Counter(name + "_cache_" + what).Add(p.met.caches[kind][outcome])
 			}
+		}
+		for outcome, what := range slotOutcomes {
+			reg.Counter("region_slot_" + what).Add(p.met.regions[outcome])
 		}
 	}
 	reg.Counter("dynamic_transfers").Add(int64(w.procs[0].dynTransfers))

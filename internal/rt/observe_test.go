@@ -296,8 +296,8 @@ func TestMetricsMatchResult(t *testing.T) {
 	if n := reg.Counter("sched_cache_hits_empty").N; n != 0 {
 		t.Errorf("schedule cache: %d empty resolves, want none", n)
 	}
-	if n := reg.Counter("sched_cache_hits_successor").N + reg.Counter("sched_cache_hits_map").N; n != 0 {
-		t.Errorf("schedule cache: %d literal-region hits in a program without literal regions", n)
+	if n := reg.Counter("sched_cache_hits_slot").N + reg.Counter("region_slot_evals").N; n != 0 {
+		t.Errorf("schedule cache: %d literal-region hits and evaluations in a program without literal regions", n)
 	}
 }
 

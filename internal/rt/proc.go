@@ -67,6 +67,10 @@ type proc struct {
 	arena   arena
 	kctx    kctx
 
+	// regions holds the literal regions as the block being run entered them
+	// (site.go), by ir.RegionExpr.Slot.
+	regions []regionSlot
+
 	dynTransfers int
 	messages     int
 	bytesSent    int64
@@ -135,6 +139,7 @@ func newProc(w *world, rank int) *proc {
 		xfers:   make([]xferSite, w.plan.NumTransfers()),
 		stmts:   make([]site[*stmtPlan], w.prog.NumArrayStmts),
 		reduces: make([]site[*reduceKernel], w.prog.NumReduces),
+		regions: make([]regionSlot, len(w.literals)),
 		rng:     uint64(rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 	}
 	for dr := -1; dr <= 1; dr++ {
@@ -240,7 +245,7 @@ type procStat struct {
 }
 
 // finish records this processor's statistics and releases what only its
-// body used: the sites' region chains, interpreter closures, message pools
+// body used: the sites' and slots' tables, interpreter closures, message pools
 // and the arena are dead once the body returns, and dropping them as each
 // processor completes caps peak memory at high processor counts. What the
 // sites pointed at belongs to the world's class caches and lives on for the
@@ -262,7 +267,7 @@ func (p *proc) finish() {
 	w.statsMu.Lock()
 	w.stats = append(w.stats, st)
 	w.statsMu.Unlock()
-	p.xfers, p.stmts, p.reduces, p.fnCache = nil, nil, nil, nil
+	p.xfers, p.stmts, p.reduces, p.regions, p.fnCache = nil, nil, nil, nil, nil
 	p.sendPool, p.retPool, p.pending = nil, nil, nil
 	if p.met != nil {
 		p.met.reg.Gauge("arena_hiwater_doubles").Observe(int64(len(p.arena.buf)))
@@ -276,6 +281,7 @@ func (p *proc) finish() {
 // If's Then, a loop's or a called procedure's body; els: an If's Else).
 type seg struct {
 	bp        *comm.BlockPlan // nil for a control statement
+	regions   []int           // the literal regions the block's sites resolve, by Slot (site.go)
 	ctl       ir.Stmt
 	pre       []*comm.Transfer
 	then, els []seg
@@ -292,6 +298,7 @@ func (w *world) bind(stmts []ir.Stmt, procs map[*ir.Proc][]seg) []seg {
 			if b.bp == nil {
 				panic("rt: basic block missing from plan")
 			}
+			b.regions = literalsOf(b.bp.Stmts)
 			out = append(out, b)
 			continue
 		}
@@ -323,7 +330,7 @@ func (w *world) bind(stmts []ir.Stmt, procs map[*ir.Proc][]seg) []seg {
 func (p *proc) body(segs []seg) {
 	for i := range segs {
 		if sg := &segs[i]; sg.bp != nil {
-			p.block(sg.bp)
+			p.block(sg)
 		} else {
 			p.control(sg)
 		}
@@ -395,9 +402,12 @@ func (p *proc) execPreheader(hoisted []*comm.Transfer) {
 	}
 }
 
-// block interprets one planned basic block: IRONMAN calls interleave with
-// the statements at their scheduled positions.
-func (p *proc) block(bp *comm.BlockPlan) {
+// block interprets one planned basic block: its literal regions are
+// evaluated, then IRONMAN calls interleave with the statements at their
+// scheduled positions.
+func (p *proc) block(sg *seg) {
+	p.enter(sg.regions)
+	bp := sg.bp
 	for pos, calls := range bp.Calls {
 		for _, c := range calls {
 			p.execCall(c)
@@ -525,22 +535,21 @@ func (p *proc) assignScalar(s *ir.AssignScalar) {
 		p.charge(vtime.Duration(s.Flops) * p.w.mach.OpTime)
 		return
 	}
-	local := p.cls.clip(p.rel(p.evalRegion(s.Region)))
+	local := p.cls.clip(p.here(&s.Region))
 	size := local.Size()
-	p.scalars[s.LHS.ID] = p.evalWithReduce(s.RHS, s.Region.Sym != nil, local)
+	p.scalars[s.LHS.ID] = p.evalWithReduce(s.RHS, &s.Region, local)
 	p.charge(p.w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(size)*int64(s.Flops))*p.w.mach.OpTime))
 }
 
 // evalWithReduce evaluates a scalar RHS that may contain reductions; each
-// reduction computes a local partial over this processor's part of the
-// statement region (local, relative to the block origin) and then performs
-// a global combine. static says the statement's region is declared, so
-// local is the same on every execution.
-func (p *proc) evalWithReduce(e ir.Expr, static bool, local grid.Region) float64 {
+// reduction computes a local partial over this processor's part (local,
+// relative to the block origin) of the statement region re and then
+// performs a global combine.
+func (p *proc) evalWithReduce(e ir.Expr, re *ir.RegionExpr, local grid.Region) float64 {
 	switch e := e.(type) {
 	case *ir.Reduce:
 		var acc float64
-		if k := p.reduceKernel(e, static, local); k != nil {
+		if k := p.reduceKernel(e, re, local); k != nil {
 			acc = k.run(p)
 		} else {
 			fn := p.compile(e.X)
@@ -549,15 +558,15 @@ func (p *proc) evalWithReduce(e ir.Expr, static bool, local grid.Region) float64
 		}
 		return p.allreduce(e, acc)
 	case *ir.Unary:
-		return evalUnary(e.Op, p.evalWithReduce(e.X, static, local))
+		return evalUnary(e.Op, p.evalWithReduce(e.X, re, local))
 	case *ir.Binary:
-		x := p.evalWithReduce(e.X, static, local)
-		y := p.evalWithReduce(e.Y, static, local)
+		x := p.evalWithReduce(e.X, re, local)
+		y := p.evalWithReduce(e.Y, re, local)
 		return evalBinary(e.Op, x, y)
 	case *ir.Intrinsic:
 		var args [2]float64 // ir.Lower checks arities: one or two arguments
 		for i, a := range e.Args {
-			args[i] = p.evalWithReduce(a, static, local)
+			args[i] = p.evalWithReduce(a, re, local)
 		}
 		return evalIntrinsic(e.Fn, args[:len(e.Args)])
 	default:
@@ -596,22 +605,4 @@ func (p *proc) evalInt(e ir.Expr, what string) int {
 		panic(fmt.Sprintf("rt: %s is not an integer: %g", what, v))
 	}
 	return int(v)
-}
-
-// evalRegion resolves a statement's region reference to global index
-// spans. It runs per execution of every literal-bound site, so it builds
-// the region in place and allocates nothing.
-func (p *proc) evalRegion(re ir.RegionExpr) grid.Region {
-	if re.Sym != nil {
-		return p.w.regionVals[re.Sym.ID]
-	}
-	reg := grid.Region{Rank: re.RankN}
-	for d := range reg.Spans {
-		reg.Spans[d] = grid.Span{Lo: 1, Hi: 1} // trailing dimensions, as grid.NewRegion
-		if d < re.RankN {
-			reg.Spans[d].Lo = p.evalInt(re.Bounds[d][0], "region bound")
-			reg.Spans[d].Hi = p.evalInt(re.Bounds[d][1], "region bound")
-		}
-	}
-	return reg
 }

@@ -18,11 +18,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
 
 	"commopt/internal/experiments"
+	"commopt/internal/hostprof"
 	"commopt/internal/report"
 )
 
@@ -45,17 +44,10 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write an allocation profile to `file` on exit")
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "icpp97:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "icpp97:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := hostprof.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "icpp97:", err)
+		os.Exit(1)
 	}
 
 	r := experiments.NewRunner(*procs)
@@ -68,24 +60,9 @@ func main() {
 		}
 		r.TraceDir = *traceDir
 	}
-	err := run(*exp, r)
-
-	if *cpuprofile != "" {
-		pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		f, merr := os.Create(*memprofile)
-		if merr == nil {
-			runtime.GC() // flush recently freed objects so the profile shows live heap
-			merr = pprof.WriteHeapProfile(f)
-			if cerr := f.Close(); merr == nil {
-				merr = cerr
-			}
-		}
-		if merr != nil {
-			fmt.Fprintln(os.Stderr, "icpp97:", merr)
-			os.Exit(1)
-		}
+	err = run(*exp, r)
+	if perr := stopProfiles(); err == nil {
+		err = perr
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "icpp97:", err)

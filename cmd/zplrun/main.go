@@ -11,7 +11,7 @@
 //	       [-collective auto|star|tree|butterfly|twolevel]
 //	       [-sched-workers N]
 //	       [-trace out.json] [-profile] [-metrics] [-metrics-json out.json]
-//	       [-critpath]
+//	       [-critpath] [-cpuprofile out.prof] [-memprofile out.prof]
 //	       file.zpl
 //	zplrun -bench swm -procs 64 -O pl -lib shmem
 //	zplrun -bench tomcatv -O pl -trace tomcatv.trace.json   # open in Perfetto
@@ -29,6 +29,7 @@ import (
 	"commopt/internal/comm"
 	"commopt/internal/critpath"
 	"commopt/internal/grid"
+	"commopt/internal/hostprof"
 	"commopt/internal/ir"
 	"commopt/internal/machine"
 	"commopt/internal/programs"
@@ -71,6 +72,8 @@ type options struct {
 	metrics     bool   // print the metrics registry as text
 	metricsJSON string // write the metrics registry as JSON here ("" = off)
 	schedWork   int    // M:N scheduler worker-pool size (0 = GOMAXPROCS)
+	cpuProfile  string // write a host CPU profile of the run here ("" = off)
+	memProfile  string // write a host allocation profile here ("" = off)
 	args        []string
 }
 
@@ -88,6 +91,8 @@ func main() {
 	flag.BoolVar(&o.metrics, "metrics", false, "print the run's metrics registry (counters and histograms)")
 	flag.StringVar(&o.metricsJSON, "metrics-json", "", "write the metrics registry as JSON to `file`")
 	flag.IntVar(&o.schedWork, "sched-workers", 0, "M:N scheduler worker-pool size (0 = GOMAXPROCS); results are identical at any setting")
+	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the simulator itself (host time, not virtual) to `file`")
+	flag.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile of the simulator itself to `file` after the run")
 	flag.Var(o.cfg, "set", "override a config variable, e.g. -set n=64 (repeatable)")
 	flag.Parse()
 	o.args = flag.Args()
@@ -177,7 +182,14 @@ func run(w io.Writer, o options) error {
 		cpr = critpath.NewRecorder()
 		cfg.Critpath = cpr
 	}
+	stopProfiles, err := hostprof.Start(o.cpuProfile, o.memProfile)
+	if err != nil {
+		return err
+	}
 	res, err := rt.Run(prog, plan, cfg)
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
 	if err != nil {
 		return err
 	}

@@ -305,6 +305,26 @@ func TestRunMetricsFlags(t *testing.T) {
 	if len(parsed.Counters) == 0 {
 		t.Error("metrics JSON has no counters")
 	}
+	// Which row loops the kernels ran in: laplace's 4-double rows are all
+	// under the wide loops' minimum.
+	if !strings.Contains(out, "counter  kernel_elems_scalar") || !strings.Contains(out, "counter  kernel_elems_wide") {
+		t.Errorf("output missing the kernel_elems counters:\n%s", out)
+	}
+}
+
+// -cpuprofile and -memprofile write pprof files of the simulator's own run.
+func TestRunHostProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if _, err := runWith(t, options{mach: "t3d", lib: "pvm", procs: 4, level: "pl",
+		cpuProfile: cpu, memProfile: mem, args: []string{writeTemp(t, laplaceSrc)}}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: missing or empty (err %v)", filepath.Base(path), err)
+		}
+	}
 }
 
 // Unwritable output paths for the new flags surface as wrapped errors.
@@ -318,5 +338,13 @@ func TestRunObservabilityErrors(t *testing.T) {
 	if _, err := runWith(t, options{mach: "t3d", lib: "pvm", procs: 4, level: "pl",
 		metricsJSON: bad, args: []string{good}}); err == nil || !strings.Contains(err.Error(), "metrics") {
 		t.Errorf("unwritable -metrics-json path: err = %v", err)
+	}
+	if _, err := runWith(t, options{mach: "t3d", lib: "pvm", procs: 4, level: "pl",
+		cpuProfile: bad, args: []string{good}}); err == nil || !strings.Contains(err.Error(), "cpuprofile") {
+		t.Errorf("unwritable -cpuprofile path: err = %v", err)
+	}
+	if _, err := runWith(t, options{mach: "t3d", lib: "pvm", procs: 4, level: "pl",
+		memProfile: bad, args: []string{good}}); err == nil || !strings.Contains(err.Error(), "memprofile") {
+		t.Errorf("unwritable -memprofile path: err = %v", err)
 	}
 }

@@ -442,8 +442,7 @@ func (kc *kcompiler) axpy(e ir.Expr) vec {
 	}
 	s, x := split(b.X)
 	y, _ := b.Y.(*ir.ArrayRef)
-	if x == nil && b.Op == zpl.PLUS {
-		form = yPlusAx
+	if x == nil && b.Op == zpl.PLUS { // Y + s*X is s*X + Y
 		s, x = split(b.Y)
 		y, _ = b.X.(*ir.ArrayRef)
 	}
@@ -494,20 +493,22 @@ func (kc *kcompiler) node(e ir.Expr) vec {
 
 	case *ir.Unary:
 		if e.Op != zpl.MINUS {
-			return kc.unary(not, e.X)
+			return kc.unary(mapping(not), e.X)
 		}
-		x := kc.node(e.X)
-		return func(c *kctx, dst []float64) []float64 {
-			negRow(dst, x(c, dst))
-			return dst
-		}
+		return kc.unary(negRow, e.X)
 
 	case *ir.Binary:
 		return kc.binary(rowOpOf(e.Op), e.X, e.Y)
 
 	case *ir.Intrinsic:
+		switch e.Fn {
+		case ir.FnAbs:
+			return kc.unary(absRow, e.Args[0])
+		case ir.FnSqrt:
+			return kc.unary(sqrtRow, e.Args[0])
+		}
 		if fn := unaryFns[e.Fn]; fn != nil {
-			return kc.unary(fn, e.Args[0])
+			return kc.unary(mapping(fn), e.Args[0])
 		}
 		return kc.binary(rowOp{kind: opFn, fn: binaryFns[e.Fn]}, e.Args[0], e.Args[1])
 	}
@@ -531,13 +532,20 @@ func rowOpOf(k zpl.Kind) rowOp {
 	return rowOp{kind: opFn, fn: func(x, y float64) float64 { return evalBinary(k, x, y) }}
 }
 
-// unary compiles fn applied to every element of e's rows.
-func (kc *kcompiler) unary(fn func(float64) float64, e ir.Expr) vec {
+// unary compiles a one-operand row loop — negRow, absRow, sqrtRow, or any
+// other function as a mapping — over e's rows.
+func (kc *kcompiler) unary(row func(dst, xs []float64), e ir.Expr) vec {
 	x := kc.node(e)
 	return func(c *kctx, dst []float64) []float64 {
-		mapRow(fn, dst, x(c, dst))
+		row(dst, x(c, dst))
 		return dst
 	}
+}
+
+// mapping is mapRow with its function bound: the intrinsics that have no
+// row loop of their own, and not.
+func mapping(fn func(float64) float64) func(dst, xs []float64) {
+	return func(dst, xs []float64) { mapRow(fn, dst, xs) }
 }
 
 // binary compiles ex ∘ ey by what each operand is. A value — a scalarOnly

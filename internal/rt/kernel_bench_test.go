@@ -49,7 +49,12 @@ begin
 end;
 `
 
-func benchShape(b *testing.B, stmt string, force bool) {
+// kernelRowLens is BenchmarkKernels' row-length axis: the grid is n x n on
+// one processor, so rows are n doubles (n-2 over Int). The lengths sit on
+// both sides of wideMin; the table they make is the measurement behind it.
+var kernelRowLens = []int{8, 16, 32, 96, 512}
+
+func benchShape(b *testing.B, stmt string, n int, force bool) {
 	b.Helper()
 	src := fmt.Sprintf(kernelBenchSrc, stmt)
 	ast, err := zpl.Parse(src)
@@ -61,7 +66,7 @@ func benchShape(b *testing.B, stmt string, force bool) {
 		b.Fatalf("lower: %v", err)
 	}
 	plan := comm.BuildPlan(prog, comm.PL())
-	cfg := Config{Machine: machine.T3D(), Library: "pvm", Procs: 1, ForceInterpreter: force}
+	cfg := Config{Machine: machine.T3D(), Library: "pvm", Procs: 1, ForceInterpreter: force, ConfigVars: map[string]float64{"n": float64(n)}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -71,18 +76,21 @@ func benchShape(b *testing.B, stmt string, force bool) {
 	}
 }
 
-// BenchmarkKernels measures each execution-engine shape with compiled
-// kernels and with the interpreter oracle on one simulated processor, so
-// the numbers isolate array evaluation from messaging.
+// BenchmarkKernels measures each execution-engine shape at each row length
+// with compiled kernels and with the interpreter oracle on one simulated
+// processor, so the numbers isolate array evaluation from messaging.
 func BenchmarkKernels(b *testing.B) {
 	for _, sh := range kernelShapes {
-		b.Run(sh.name+"/kernel", func(b *testing.B) { benchShape(b, sh.stmt, false) })
-		b.Run(sh.name+"/interp", func(b *testing.B) { benchShape(b, sh.stmt, true) })
+		for _, n := range kernelRowLens {
+			b.Run(fmt.Sprintf("%s/n=%d/kernel", sh.name, n), func(b *testing.B) { benchShape(b, sh.stmt, n, false) })
+			b.Run(fmt.Sprintf("%s/n=%d/interp", sh.name, n), func(b *testing.B) { benchShape(b, sh.stmt, n, true) })
+		}
 	}
 }
 
 // TestEmitBenchJSON regenerates BENCH_rt.json, the checked-in snapshot of
-// the kernel-versus-interpreter micro-benchmarks. It is skipped unless
+// the kernel-versus-interpreter micro-benchmarks, one row per shape and
+// row length. It is skipped unless
 // BENCH_RT_JSON names the output file:
 //
 //	BENCH_RT_JSON=$PWD/BENCH_rt.json go test ./internal/rt -run TestEmitBenchJSON -count=1
@@ -93,6 +101,7 @@ func TestEmitBenchJSON(t *testing.T) {
 	}
 	type row struct {
 		Shape        string  `json:"shape"`
+		N            int     `json:"n"`
 		KernelNsOp   int64   `json:"kernel_ns_per_op"`
 		InterpNsOp   int64   `json:"interp_ns_per_op"`
 		KernelAllocs int64   `json:"kernel_allocs_per_op"`
@@ -104,18 +113,21 @@ func TestEmitBenchJSON(t *testing.T) {
 		Grid      string `json:"grid"`
 		Procs     int    `json:"procs"`
 		Shapes    []row  `json:"shapes"`
-	}{Benchmark: "BenchmarkKernels", Grid: "96x96, 40 iterations", Procs: 1}
+	}{Benchmark: "BenchmarkKernels", Grid: "n x n, 40 iterations", Procs: 1}
 	for _, sh := range kernelShapes {
-		kr := testing.Benchmark(func(b *testing.B) { benchShape(b, sh.stmt, false) })
-		or := testing.Benchmark(func(b *testing.B) { benchShape(b, sh.stmt, true) })
-		report.Shapes = append(report.Shapes, row{
-			Shape:        sh.name,
-			KernelNsOp:   kr.NsPerOp(),
-			InterpNsOp:   or.NsPerOp(),
-			KernelAllocs: kr.AllocsPerOp(),
-			InterpAllocs: or.AllocsPerOp(),
-			Speedup:      float64(or.NsPerOp()) / float64(kr.NsPerOp()),
-		})
+		for _, n := range kernelRowLens {
+			kr := testing.Benchmark(func(b *testing.B) { benchShape(b, sh.stmt, n, false) })
+			or := testing.Benchmark(func(b *testing.B) { benchShape(b, sh.stmt, n, true) })
+			report.Shapes = append(report.Shapes, row{
+				Shape:        sh.name,
+				N:            n,
+				KernelNsOp:   kr.NsPerOp(),
+				InterpNsOp:   or.NsPerOp(),
+				KernelAllocs: kr.AllocsPerOp(),
+				InterpAllocs: or.AllocsPerOp(),
+				Speedup:      float64(or.NsPerOp()) / float64(kr.NsPerOp()),
+			})
+		}
 	}
 	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

@@ -158,6 +158,16 @@ type procMetrics struct {
 	stmtsByEn [3]int64                                   // statement executions by trace engine code
 	caches    [len(cacheKinds)][len(cacheOutcomes)]int64 // site lookups (site.go)
 	regions   [len(slotOutcomes)]int64                   // literal regions entered (site.go)
+	elems     [2]int64                                   // elements kernels computed: in rows the Go loops ran, in rows the wide loops ran
+}
+
+// countElems books one kernel execution: n elements in rows of L.
+func (m *procMetrics) countElems(L, n int) {
+	if wide(L) {
+		m.elems[1] += int64(n)
+	} else {
+		m.elems[0] += int64(n)
+	}
 }
 
 func newProcMetrics() *procMetrics {
@@ -188,6 +198,8 @@ func (w *world) gatherMetrics() *metrics.Registry {
 		reg.Counter("stmts_scalar").Add(p.met.stmtsByEn[0])
 		reg.Counter("stmts_kernel").Add(p.met.stmtsByEn[1])
 		reg.Counter("stmts_interp").Add(p.met.stmtsByEn[2])
+		reg.Counter("kernel_elems_scalar").Add(p.met.elems[0])
+		reg.Counter("kernel_elems_wide").Add(p.met.elems[1])
 		for kind, name := range cacheKinds {
 			for outcome, what := range cacheOutcomes {
 				reg.Counter(name + "_cache_" + what).Add(p.met.caches[kind][outcome])

@@ -301,6 +301,23 @@ func TestMetricsMatchResult(t *testing.T) {
 	}
 }
 
+// The two kernel_elems counters split every element a kernel computed —
+// assignments and reduction partials alike — by the row loops its rows ran
+// in, so they sum to the statements' region sizes whatever the machine.
+func TestKernelElemsCounters(t *testing.T) {
+	for _, n := range []int{8, 80} { // on 2x2: rows of 3-4 and of 39-40
+		res := runSrc(t, laplaceSrc, comm.PL(), Config{Metrics: true, ConfigVars: map[string]float64{"n": float64(n)}})
+		scalar, wideN := res.Metrics.Counter("kernel_elems_scalar").N, res.Metrics.Counter("kernel_elems_wide").N
+		total := int64(n*n + 3*3*(n-2)*(n-2)) // U's initialisation, then V, the partial and U in each of 3 iterations
+		if scalar+wideN != total {
+			t.Errorf("n=%d: %d scalar + %d wide elements, want %d in all", n, scalar, wideN, total)
+		}
+		if want := wide(n/2 - 1); (wideN > 0) != want || (scalar > 0) == want {
+			t.Errorf("n=%d: %d scalar and %d wide elements, but wide(%d) is %v", n, scalar, wideN, n/2-1, want)
+		}
+	}
+}
+
 // Results without observability enabled leave the optional fields nil.
 func TestObservabilityOffByDefault(t *testing.T) {
 	res := runSrc(t, laplaceSrc, comm.PL(), Config{})

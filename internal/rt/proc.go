@@ -506,6 +506,9 @@ func (p *proc) assignArray(s *ir.AssignArray) {
 		if pl.k != nil {
 			p.engine = trace.EngineKernel
 			pl.k.run(p)
+			if p.met != nil {
+				p.met.countElems(pl.k.L, pl.size)
+			}
 		} else {
 			p.engine = trace.EngineInterp
 			p.assignArrayInterp(s, p.fields[s.LHS.ID], p.abs(pl.local), pl.size)
@@ -551,6 +554,9 @@ func (p *proc) evalWithReduce(e ir.Expr, re *ir.RegionExpr, local grid.Region) f
 		var acc float64
 		if k := p.reduceKernel(e, re, local); k != nil {
 			acc = k.run(p)
+			if p.met != nil {
+				p.met.countElems(k.L, local.Size())
+			}
 		} else {
 			fn := p.compile(e.X)
 			acc = e.Op.Identity()

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/debug"
 
@@ -60,7 +61,7 @@ func main() {
 		}
 		r.TraceDir = *traceDir
 	}
-	err = run(*exp, r)
+	err = run(os.Stdout, *exp, r)
 	if perr := stopProfiles(); err == nil {
 		err = perr
 	}
@@ -70,8 +71,7 @@ func main() {
 	}
 }
 
-func run(exp string, r *experiments.Runner) error {
-	w := os.Stdout
+func run(w io.Writer, exp string, r *experiments.Runner) error {
 	table := func(t *report.Table, err error) error {
 		if err != nil {
 			return err

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,8 @@ import (
 
 	"commopt/internal/trace"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 const laplaceSrc = `program tiny;
 config var n : integer = 8;
@@ -174,7 +177,7 @@ func TestConfigFlags(t *testing.T) {
 // The -trace flag writes schema-valid, byte-deterministic Chrome trace
 // JSON with one named timeline row per processor and the IRONMAN call
 // spans visible, matching the checked-in golden file. Regenerate with
-// GOLDEN_UPDATE=1 go test ./cmd/zplrun -run TestRunTraceFlag.
+// go test ./cmd/zplrun -run TestRunTraceFlag -update.
 func TestRunTraceFlag(t *testing.T) {
 	emit := func() []byte {
 		t.Helper()
@@ -207,7 +210,7 @@ func TestRunTraceFlag(t *testing.T) {
 		t.Error("two runs produced different trace bytes")
 	}
 	golden := filepath.Join("testdata", "tiny_trace.json")
-	if os.Getenv("GOLDEN_UPDATE") != "" {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +223,7 @@ func TestRunTraceFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, want) {
-		t.Errorf("trace differs from %s (GOLDEN_UPDATE=1 to regenerate)", golden)
+		t.Errorf("trace differs from %s (-update to regenerate)", golden)
 	}
 }
 

@@ -50,6 +50,33 @@ func TestScalingDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestScalingLaw: the grid × partition × level sweep renders one row per
+// (grid, partition), the same bytes at any worker count, and refuses an
+// empty partition list or an unknown benchmark.
+func TestScalingLaw(t *testing.T) {
+	render := func(workers int) string {
+		tbl, err := ScalingLaw("simple", []int{4, 16}, true, workers)
+		if err != nil {
+			t.Fatalf("ScalingLaw with %d workers: %v", workers, err)
+		}
+		if len(tbl.Rows) != 4 { // 2 grids x 2 partitions
+			t.Fatalf("rows = %d, want 4", len(tbl.Rows))
+		}
+		var buf bytes.Buffer
+		tbl.Render(&buf)
+		return buf.String()
+	}
+	if serial, parallel := render(1), render(2); serial != parallel {
+		t.Errorf("ScalingLaw output differs between 1 and 2 workers:\nserial:\n%s\nparallel:\n%s", serial, parallel)
+	}
+	if _, err := ScalingLaw("simple", nil, true, 1); err == nil {
+		t.Error("empty partition list accepted")
+	}
+	if _, err := ScalingLaw("nothing", []int{4}, true, 1); err == nil {
+		t.Error("unknown benchmark accepted")
+	}
+}
+
 // TestCellSharedAcrossConcurrentRequests checks the once-per-cell cache:
 // concurrent requests for the same cell return the same measurement.
 func TestCellSharedAcrossConcurrentRequests(t *testing.T) {

@@ -17,7 +17,8 @@ import (
 // survive when fixed per-message software costs drop ~100x and the
 // fabric gets ~400x faster? Static and dynamic counts are machine-
 // independent, so only the execution-time column moves; the committed
-// results_rdma.txt and BENCH_rdma.json snapshots pin the answer.
+// results_rdma.txt pins the answer at full size, testdata/quick_cells.golden
+// at quick size.
 
 // RDMAExperiments returns the optimization ladder bound to the RDMA
 // cluster's verbs library, in the paper's order.

@@ -1,13 +1,9 @@
 // Allreduce benchmarks live in package rt_test beside the scheduler
-// benchmarks so the emitters share idioms without import cycles.
+// benchmarks.
 package rt_test
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"commopt/internal/collective"
 	"commopt/internal/comm"
@@ -80,131 +76,6 @@ func BenchmarkAllreduceStar4096(b *testing.B)      { benchAllreduce(b, 4096, col
 func BenchmarkAllreduceTree4096(b *testing.B)      { benchAllreduce(b, 4096, collective.Tree) }
 func BenchmarkAllreduceButterfly4096(b *testing.B) { benchAllreduce(b, 4096, collective.Butterfly) }
 
-// collBenchReport is the wire form of BENCH_collective.json.
-type collBenchReport struct {
-	Benchmark string `json:"benchmark"`
-	Grid      string `json:"grid"`
-
-	Rows []collBenchRow `json:"rows"`
-}
-
-type collBenchRow struct {
-	Procs int    `json:"procs"`
-	Alg   string `json:"alg"`
-	NsOp  int64  `json:"ns_per_op"`
-
-	// Simulated results for the same run, so the snapshot records both
-	// sides of the trade: host time (what the scheduler pays to move the
-	// hops) and virtual time (what the machine model charges for them).
-	SimSeconds float64 `json:"sim_seconds"`
-	Messages   int     `json:"messages"`
-}
-
-// TestEmitCollectiveBenchJSON regenerates BENCH_collective.json, the
-// checked-in snapshot of the allreduce benchmarks. Skipped unless
-// BENCH_COLLECTIVE_JSON names the output file:
-//
-//	BENCH_COLLECTIVE_JSON=$PWD/BENCH_collective.json go test ./internal/rt -run TestEmitCollectiveBenchJSON -count=1
-func TestEmitCollectiveBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_COLLECTIVE_JSON")
-	if path == "" {
-		t.Skip("set BENCH_COLLECTIVE_JSON=<output path> to emit allreduce benchmark numbers")
-	}
-	report := collBenchReport{Benchmark: "BenchmarkAllreduce", Grid: "128x128, 20 reductions"}
-	prog, plan := collBenchPlan(t)
-	for _, bench := range []struct {
-		procs int
-		alg   collective.Alg
-		fn    func(*testing.B)
-	}{
-		{64, collective.Star, BenchmarkAllreduceStar64},
-		{64, collective.Tree, BenchmarkAllreduceTree64},
-		{64, collective.Butterfly, BenchmarkAllreduceButterfly64},
-		{1024, collective.Star, BenchmarkAllreduceStar1024},
-		{1024, collective.Tree, BenchmarkAllreduceTree1024},
-		{1024, collective.Butterfly, BenchmarkAllreduceButterfly1024},
-		{4096, collective.Star, BenchmarkAllreduceStar4096},
-		{4096, collective.Tree, BenchmarkAllreduceTree4096},
-		{4096, collective.Butterfly, BenchmarkAllreduceButterfly4096},
-	} {
-		r := testing.Benchmark(bench.fn)
-		res, err := rt.Run(prog, plan, rt.Config{
-			Machine: machine.T3D(), Library: "pvm", Procs: bench.procs, Collective: bench.alg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		report.Rows = append(report.Rows, collBenchRow{
-			Procs: bench.procs, Alg: bench.alg.String(), NsOp: r.NsPerOp(),
-			SimSeconds: res.ExecTime.Seconds(), Messages: res.Messages,
-		})
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCollectiveHostGate is the CI regression gate for the tentpole's
-// claim that tree allreduce beats star at large P by eliminating rank
-// 0's serialized P-message fold. The claim has two halves with very
-// different portability:
-//
-//   - Simulated time: tree must beat star at ≥1024 procs. This is the
-//     machine-model fact the scaling-law experiment rests on, it is
-//     deterministic, and it fails loudly if a schedule or cost
-//     regression ever flattens the tree back into a star.
-//   - Host time: star and tree move the same 2(P-1) hops, so on a
-//     single-CPU host star is actually the cheapest schedule to REPLAY
-//     (its root drains pre-arrived messages without parking, while
-//     tree's level dependencies force extra park/resume rounds); the
-//     host-time win for spreading algorithms needs real cores to
-//     reclaim the root's serialized mailbox. The gate therefore bounds
-//     tree's host-time overhead instead of requiring a win: if tree
-//     ever costs more than hostSlack× star wall-clock, the collective
-//     hot path (payload-free board, exact-key wakeups, direct handoff)
-//     has regressed. Measured headroom: tree/star ≈ 1.4 on one CPU.
-//
-// Runs only when COLLECTIVE_BENCH is set (the CI collective job).
-func TestCollectiveHostGate(t *testing.T) {
-	if os.Getenv("COLLECTIVE_BENCH") == "" {
-		t.Skip("set COLLECTIVE_BENCH=1 to run the allreduce host-time gate")
-	}
-	const hostSlack = 1.75
-	prog, plan := collBenchPlan(t)
-	run := func(procs int, alg collective.Alg) (host float64, sim float64, chosen collective.Alg) {
-		start := time.Now()
-		res, err := rt.Run(prog, plan, rt.Config{
-			Machine: machine.T3D(), Library: "pvm", Procs: procs, Collective: alg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start).Seconds(), res.ExecTime.Seconds(), res.Collective
-	}
-	for _, procs := range []int{1024, 4096} {
-		starHost, starSim, _ := run(procs, collective.Star)
-		treeHost, treeSim, _ := run(procs, collective.Tree)
-		t.Logf("%d procs: star %.2fs host / %.4fs sim, tree %.2fs host / %.4fs sim (NumCPU=%d, GOMAXPROCS=%d)",
-			procs, starHost, starSim, treeHost, treeSim, runtime.NumCPU(), runtime.GOMAXPROCS(0))
-		if treeSim >= starSim {
-			t.Errorf("%d procs: tree simulated time %.4fs does not beat star %.4fs", procs, treeSim, starSim)
-		}
-		if treeHost > hostSlack*starHost {
-			t.Errorf("%d procs: tree host time %.2fs exceeds %.2fx star (%.2fs); collective hot path regressed",
-				procs, treeHost, hostSlack, starHost)
-		}
-	}
-	// Auto must resolve away from star at scale — the selection the
-	// scaling-law experiment exercises.
-	if _, _, chosen := run(4096, collective.Auto); chosen == collective.Star || chosen == collective.Auto {
-		t.Errorf("auto resolved to %v at 4096 procs, want a spreading algorithm", chosen)
-	}
-}
-
 // TestCollBenchBlocksFit pins the benchmark's geometry assumption: the
 // grid must keep every partition in the sweep legal, so a config edit
 // cannot silently turn the 4096-proc benchmark into an error path.
@@ -225,37 +96,41 @@ func TestCollBenchBlocksFit(t *testing.T) {
 	}
 }
 
-// TestCollBenchAlgorithmsDiffer pins that the benchmark actually
-// exercises different hop patterns. Star and tree move the same number
-// of messages (2(P-1) hops per reduction), so message totals cannot
-// discriminate; the schedules differ in shape, which simulated time
-// does see — all three forced algorithms must report pairwise different
-// ExecTime, otherwise a resolution bug could silently collapse the
-// sweep into one algorithm benchmarked three times.
+// TestCollBenchAlgorithmsDiffer pins what the benchmark program costs on
+// the simulated machine, to the nanosecond and the message. Star and tree
+// move the same 2(P-1) hops per reduction, so message totals cannot tell
+// them apart; the schedules differ in shape, which simulated time sees —
+// a resolution bug that collapsed the sweep into one algorithm run three
+// times, or a schedule or cost change that flattened the tree back into a
+// star, moves a row. Simulated time at 4096 processors is held by bench's
+// scale_4096 workload (rt.sim_s, exact under -compare).
 func TestCollBenchAlgorithmsDiffer(t *testing.T) {
 	prog, plan := collBenchPlan(t)
-	times := map[string]float64{}
-	for _, alg := range []collective.Alg{collective.Star, collective.Tree, collective.Butterfly} {
+	for _, want := range []struct {
+		procs    int
+		alg      collective.Alg
+		simNs    int64
+		messages int
+	}{
+		{64, collective.Star, 203_017_507, 2_520},
+		{64, collective.Tree, 41_219_469, 2_520},
+		{64, collective.Butterfly, 21_375_562, 7_680},
+		{1024, collective.Star, 3_280_269_131, 40_920},
+		{1024, collective.Tree, 77_518_997, 40_920},
+		{1024, collective.Butterfly, 44_410_511, 204_800},
+	} {
 		res, err := rt.Run(prog, plan, rt.Config{
-			Machine: machine.T3D(), Library: "pvm", Procs: 64, Collective: alg,
-			ConfigVars: map[string]float64{"iters": 2},
+			Machine: machine.T3D(), Library: "pvm", Procs: want.procs, Collective: want.alg,
 		})
 		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
+			t.Fatalf("%d procs, %v: %v", want.procs, want.alg, err)
 		}
-		if res.Collective != alg {
-			t.Errorf("forced %v, runtime reports %v", alg, res.Collective)
+		if res.Collective != want.alg {
+			t.Errorf("%d procs: forced %v, runtime reports %v", want.procs, want.alg, res.Collective)
 		}
-		times[alg.String()] = res.ExecTime.Seconds()
-	}
-	seen := map[float64]string{}
-	for alg, s := range times {
-		if prev, dup := seen[s]; dup {
-			t.Errorf("%s and %s report identical simulated time (%.6fs); hop patterns not distinct", prev, alg, s)
+		if int64(res.ExecTime) != want.simNs || res.Messages != want.messages {
+			t.Errorf("%d procs, %v: %d ns / %d messages, want %d / %d",
+				want.procs, want.alg, int64(res.ExecTime), res.Messages, want.simNs, want.messages)
 		}
-		seen[s] = alg
-	}
-	if t.Failed() {
-		t.Logf("simulated times: %v", times)
 	}
 }

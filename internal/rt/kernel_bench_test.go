@@ -1,9 +1,7 @@
 package rt
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"commopt/internal/comm"
@@ -85,55 +83,5 @@ func BenchmarkKernels(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d/kernel", sh.name, n), func(b *testing.B) { benchShape(b, sh.stmt, n, false) })
 			b.Run(fmt.Sprintf("%s/n=%d/interp", sh.name, n), func(b *testing.B) { benchShape(b, sh.stmt, n, true) })
 		}
-	}
-}
-
-// TestEmitBenchJSON regenerates BENCH_rt.json, the checked-in snapshot of
-// the kernel-versus-interpreter micro-benchmarks, one row per shape and
-// row length. It is skipped unless
-// BENCH_RT_JSON names the output file:
-//
-//	BENCH_RT_JSON=$PWD/BENCH_rt.json go test ./internal/rt -run TestEmitBenchJSON -count=1
-func TestEmitBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_RT_JSON")
-	if path == "" {
-		t.Skip("set BENCH_RT_JSON=<output path> to emit kernel benchmark numbers")
-	}
-	type row struct {
-		Shape        string  `json:"shape"`
-		N            int     `json:"n"`
-		KernelNsOp   int64   `json:"kernel_ns_per_op"`
-		InterpNsOp   int64   `json:"interp_ns_per_op"`
-		KernelAllocs int64   `json:"kernel_allocs_per_op"`
-		InterpAllocs int64   `json:"interp_allocs_per_op"`
-		Speedup      float64 `json:"speedup"`
-	}
-	report := struct {
-		Benchmark string `json:"benchmark"`
-		Grid      string `json:"grid"`
-		Procs     int    `json:"procs"`
-		Shapes    []row  `json:"shapes"`
-	}{Benchmark: "BenchmarkKernels", Grid: "n x n, 40 iterations", Procs: 1}
-	for _, sh := range kernelShapes {
-		for _, n := range kernelRowLens {
-			kr := testing.Benchmark(func(b *testing.B) { benchShape(b, sh.stmt, n, false) })
-			or := testing.Benchmark(func(b *testing.B) { benchShape(b, sh.stmt, n, true) })
-			report.Shapes = append(report.Shapes, row{
-				Shape:        sh.name,
-				N:            n,
-				KernelNsOp:   kr.NsPerOp(),
-				InterpNsOp:   or.NsPerOp(),
-				KernelAllocs: kr.AllocsPerOp(),
-				InterpAllocs: or.AllocsPerOp(),
-				Speedup:      float64(or.NsPerOp()) / float64(kr.NsPerOp()),
-			})
-		}
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -252,22 +251,5 @@ func TestMatchFlowsDeterministic(t *testing.T) {
 		if b[k] != v {
 			t.Errorf("endpoint %v: %+v vs %+v", k, v, b[k])
 		}
-	}
-}
-
-// TestValidateTraceFile validates an externally produced trace file (CI
-// runs zplrun -trace and points TRACE_FILE here); it is skipped when the
-// variable is unset so the tier-1 suite stays hermetic.
-func TestValidateTraceFile(t *testing.T) {
-	path := os.Getenv("TRACE_FILE")
-	if path == "" {
-		t.Skip("TRACE_FILE not set")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateChrome(data); err != nil {
-		t.Fatalf("%s: %v", path, err)
 	}
 }

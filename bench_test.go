@@ -199,10 +199,7 @@ func BenchmarkTable3Simple(b *testing.B)  { benchTable(b, "simple") }
 func BenchmarkTable4SP(b *testing.B)      { benchTable(b, "sp") }
 
 // BenchmarkRunEndToEnd measures a full simulated run of every suite
-// program at test size on 16 processors — compile and plan excluded — with
-// the compiled-kernel engine and with the interpreter oracle, so the
-// execution engine's end-to-end effect is visible as the kernel/interp
-// ratio.
+// program at test size on 16 processors, compile and plan excluded.
 func BenchmarkRunEndToEnd(b *testing.B) {
 	for _, bench := range programs.Suite() {
 		prog, err := Compile(bench.Source)
@@ -210,19 +207,14 @@ func BenchmarkRunEndToEnd(b *testing.B) {
 			b.Fatal(err)
 		}
 		plan := prog.Plan(comm.PL())
-		for _, mode := range []struct {
-			name  string
-			force bool
-		}{{"kernel", false}, {"interp", true}} {
-			b.Run(bench.Name+"/"+mode.name, func(b *testing.B) {
-				opts := RunOptions{Procs: 16, Configs: bench.TestConfig, ForceInterpreter: mode.force}
-				for i := 0; i < b.N; i++ {
-					if _, err := prog.Run(plan, opts); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(bench.Name, func(b *testing.B) {
+			opts := RunOptions{Procs: 16, Configs: bench.TestConfig}
+			for i := 0; i < b.N; i++ {
+				if _, err := prog.Run(plan, opts); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -104,11 +104,6 @@ type RunOptions struct {
 	// reduction results are bit-identical across all algorithms.
 	Collective string
 
-	// ForceInterpreter runs array statements on the closure interpreter
-	// instead of compiled kernels (differential-testing oracle; results
-	// are identical, only host wall-clock differs).
-	ForceInterpreter bool
-
 	// SchedWorkers bounds the M:N scheduler's worker pool
 	// (0 = GOMAXPROCS). With 1, processors are stepped one at a time —
 	// the scheduler's differential-testing reference; results are
@@ -139,12 +134,11 @@ func (p *Program) Run(plan *comm.Plan, opts RunOptions) (*rt.Result, error) {
 		return nil, err
 	}
 	return rt.Run(p.IR, plan, rt.Config{
-		Machine:          mach,
-		Library:          opts.Library,
-		Procs:            opts.Procs,
-		Collective:       alg,
-		ConfigVars:       opts.Configs,
-		ForceInterpreter: opts.ForceInterpreter,
-		SchedWorkers:     opts.SchedWorkers,
+		Machine:      mach,
+		Library:      opts.Library,
+		Procs:        opts.Procs,
+		Collective:   alg,
+		ConfigVars:   opts.Configs,
+		SchedWorkers: opts.SchedWorkers,
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,14 +12,15 @@ import (
 	"commopt/internal/critpath"
 	"commopt/internal/machine"
 	"commopt/internal/programs"
+	"commopt/internal/ref"
 	"commopt/internal/rt"
 	"commopt/internal/trace"
 )
 
 // This file is the differential harness: one corpus, one comparison and one
 // default run per corpus cell, which the suites hold the runtime's mechanisms
-// to. The paper's premise is that optimizations — and here, execution
-// engines — change what a run costs, never what it computes.
+// to. The paper's premise is that optimizations change what a run costs,
+// never what it computes.
 
 var diffLevels = []struct {
 	name string
@@ -113,6 +115,33 @@ func arrayDiffs(got, want *rt.Result) []string {
 	for _, name := range strings.Fields(want.DumpArrays()) {
 		if d := got.MaxAbsDiff(want, name); d != 0 {
 			diffs = append(diffs, fmt.Sprintf("array %s: max abs diff %g, want bit-identical", name, d))
+		}
+	}
+	return diffs
+}
+
+// refDiffs names the arrays of got that are not bit-identical to
+// internal/ref's (NaN matching NaN).
+func refDiffs(got *rt.Result, want *ref.Result) []string {
+	var diffs []string
+	for _, name := range slices.Sorted(maps.Keys(want.Arrays)) {
+		w, g := want.Arrays[name], got.Array(name)
+		if g == nil || g.Reg != w.Reg {
+			diffs = append(diffs, fmt.Sprintf("array %s: missing or not over %v", name, w.Reg))
+			continue
+		}
+		bad, s := 0, w.Reg.Spans
+		for i := s[0].Lo; i <= s[0].Hi; i++ {
+			for j := s[1].Lo; j <= s[1].Hi; j++ {
+				for k := s[2].Lo; k <= s[2].Hi; k++ {
+					if v, u := g.At(i, j, k), w.At(i, j, k); v != u && (v == v || u == u) {
+						bad++
+					}
+				}
+			}
+		}
+		if bad > 0 {
+			diffs = append(diffs, fmt.Sprintf("array %s: %d elements differ from internal/ref's", name, bad))
 		}
 	}
 	return diffs
@@ -283,17 +312,40 @@ func TestSchedMatchesGoroutineOracle(t *testing.T) {
 	eachCell(t, libFirst, variant(func(o *RunOptions) { o.SchedWorkers = 1 }))
 }
 
-// TestKernelsMatchInterpreter: compiled kernels against the closure
-// interpreter. (The suite once ran on pvm alone; those cells keep the names
-// without a library.)
+// TestKernelsMatchInterpreter holds what the kernels compute to the
+// language's definition: internal/ref, a dense evaluator off the AST that
+// shares no code with the runtime, run once per target. Every cell's arrays
+// must be its target's, and a one-processor cell's output too. The
+// one-processor cells are the check; the others reach the same reference
+// through TestCommMatchesLegacy and cost an array comparison here. (Until
+// PR 25 the reference was the runtime's closure interpreter, as the name
+// recalls; the test IDs outlive it, and so do the names without a library
+// of the cells the suite once ran on pvm alone.)
 func TestKernelsMatchInterpreter(t *testing.T) {
+	refs := map[string]*ref.Result{}
 	eachCell(t, func(c *cell) string {
 		name := fmt.Sprintf("%s/%s/p%d", c.tgt.name, c.level, c.procs)
 		if c.lib != "pvm" {
 			name += "/" + c.lib
 		}
 		return name
-	}, variant(func(o *RunOptions) { o.ForceInterpreter = true }))
+	}, func(t *testing.T, c *cell) {
+		want := refs[c.tgt.name]
+		if want == nil {
+			var err error
+			if want, err = ref.Run(c.tgt.prog.AST, c.tgt.cfg); err != nil {
+				t.Fatalf("ref: %v", err)
+			}
+			refs[c.tgt.name] = want
+		}
+		got := c.run(t)
+		for _, d := range refDiffs(got, want) {
+			t.Error(d)
+		}
+		if c.procs == 1 && got.Output != want.Output {
+			t.Errorf("output %q, internal/ref's %q", got.Output, want.Output)
+		}
+	})
 }
 
 // TestFusionMatchesUnfused holds rt.Config's promise that no recorder ever

@@ -1,10 +1,10 @@
 package rt
 
 // arena is a per-processor scratch allocator for kernel temporaries: the
-// whole-array staging buffer of assignArray and the per-node scratch rows
-// of compiled kernels. One arena lives in each proc and is reused across
-// every statement execution, replacing the per-execution tmp := make(...)
-// of the interpreter. Allocation is stack-like: callers record a mark,
+// staging rows and whole-result buffers of storeRow and storeFull kernels
+// and the per-node scratch rows. One arena lives in each proc and is reused
+// across every statement execution, so steady-state execution allocates
+// nothing per statement. Allocation is stack-like: callers record a mark,
 // allocate, and release back to the mark when the statement completes.
 // Each proc runs on a single goroutine, so no locking is needed.
 type arena struct {

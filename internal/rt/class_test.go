@@ -7,6 +7,7 @@ import (
 	"commopt/internal/grid"
 	"commopt/internal/machine"
 	"commopt/internal/programs"
+	"commopt/internal/vtime"
 )
 
 // jacobiSrc is bench/workloads/jacobi.zpl: every region declared, one
@@ -163,11 +164,11 @@ func TestCompilesIndependentOfProcs(t *testing.T) {
 
 // TestSharedKernelsAreRaceFree runs tomcatv (literal-bound sweeps, reduction
 // kernels over an intrinsic) and swm (the deepest expression trees) on 64
-// processors stepped by several workers, so class-mates execute the same
-// compiled rows and schedules concurrently, and by one worker, where nothing
-// is concurrent. Arrays must match the interpreter's bit for bit either way;
-// the race detector (CI's go test -race) checks that the sharing itself is
-// sound.
+// processors stepped by one worker, where nothing is concurrent, and by
+// several, so class-mates execute the same compiled rows and schedules
+// concurrently. Arrays must match internal/ref's bit for bit either way, and
+// the time the one-worker run's; the race detector (CI's go test -race)
+// checks that the sharing itself is sound.
 func TestSharedKernelsAreRaceFree(t *testing.T) {
 	for _, name := range []string{"tomcatv", "swm"} {
 		bench, err := programs.ByName(name)
@@ -175,22 +176,23 @@ func TestSharedKernelsAreRaceFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		prog, plan := compile(t, bench.Source)
+		want := refRun(t, bench.Source, bench.TestConfig)
 		cfg := Config{Machine: machine.T3D(), Library: "shmem", Procs: 64, ConfigVars: bench.TestConfig, Metrics: true}
-		oracle := cfg
-		oracle.ForceInterpreter = true
-		want, err := Run(prog, plan, oracle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{4, 1} {
+		var oneWorker vtime.Duration
+		for _, workers := range []int{1, 4} {
 			c := cfg
 			c.SchedWorkers = workers
 			got, err := Run(prog, plan, c)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
-			if got.ExecTime != want.ExecTime || !sameArrays(got, want) {
-				t.Errorf("%s workers=%d: time %v or arrays differ from the interpreter's (%v)", name, workers, got.ExecTime, want.ExecTime)
+			for _, d := range refDiffs(got, want) {
+				t.Errorf("%s workers=%d: %s", name, workers, d)
+			}
+			if workers == 1 {
+				oneWorker = got.ExecTime
+			} else if got.ExecTime != oneWorker {
+				t.Errorf("%s workers=%d: time %v, the one-worker run's %v", name, workers, got.ExecTime, oneWorker)
 			}
 			if shared, ran := got.Metrics.Counter("kernel_cache_hits_class").N, got.Metrics.Counter("stmts_kernel").N; shared == 0 || ran == 0 {
 				t.Errorf("%s workers=%d: no kernel was shared (%d class hits, %d kernel statements)", name, workers, shared, ran)

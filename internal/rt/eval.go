@@ -9,95 +9,6 @@ import (
 	"commopt/internal/zpl"
 )
 
-// evalFn evaluates an expression at global index point (i, j, k).
-type evalFn func(i, j, k int) float64
-
-// compile translates an IR expression into a closure tree, cached per
-// processor. Reductions never appear here; they are handled at statement
-// level (evalWithReduce).
-func (p *proc) compile(e ir.Expr) evalFn {
-	if f, ok := p.fnCache[e]; ok {
-		return f
-	}
-	f := p.compile1(e)
-	if p.fnCache == nil {
-		p.fnCache = map[ir.Expr]evalFn{}
-	}
-	p.fnCache[e] = f
-	return f
-}
-
-func (p *proc) compile1(e ir.Expr) evalFn {
-	switch e := e.(type) {
-	case *ir.Const:
-		v := e.Val
-		return func(i, j, k int) float64 { return v }
-
-	case *ir.ScalarRef:
-		id := e.Sym.ID
-		sc := p.scalars
-		return func(i, j, k int) float64 { return sc[id] }
-
-	case *ir.ArrayRef:
-		f := p.fields[e.Array.ID]
-		o0, o1, o2 := e.Off[0], e.Off[1], e.Off[2]
-		if o0 == 0 && o1 == 0 && o2 == 0 {
-			return func(i, j, k int) float64 { return f.At(i, j, k) }
-		}
-		return func(i, j, k int) float64 { return f.At(i+o0, j+o1, k+o2) }
-
-	case *ir.IndexRef:
-		switch e.Dim {
-		case 1:
-			return func(i, j, k int) float64 { return float64(i) }
-		case 2:
-			return func(i, j, k int) float64 { return float64(j) }
-		default:
-			return func(i, j, k int) float64 { return float64(k) }
-		}
-
-	case *ir.Unary:
-		x := p.compile(e.X)
-		if e.Op == zpl.MINUS {
-			return func(i, j, k int) float64 { return -x(i, j, k) }
-		}
-		return func(i, j, k int) float64 { return boolVal(x(i, j, k) == 0) }
-
-	case *ir.Binary:
-		x := p.compile(e.X)
-		y := p.compile(e.Y)
-		switch e.Op {
-		case zpl.PLUS:
-			return func(i, j, k int) float64 { return x(i, j, k) + y(i, j, k) }
-		case zpl.MINUS:
-			return func(i, j, k int) float64 { return x(i, j, k) - y(i, j, k) }
-		case zpl.STAR:
-			return func(i, j, k int) float64 { return x(i, j, k) * y(i, j, k) }
-		case zpl.SLASH:
-			return func(i, j, k int) float64 { return x(i, j, k) / y(i, j, k) }
-		default:
-			op := e.Op
-			return func(i, j, k int) float64 { return evalBinary(op, x(i, j, k), y(i, j, k)) }
-		}
-
-	case *ir.Intrinsic:
-		args := make([]evalFn, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = p.compile(a)
-		}
-		if fn := unaryFns[e.Fn]; fn != nil {
-			x := args[0]
-			return func(i, j, k int) float64 { return fn(x(i, j, k)) }
-		}
-		fn, x, y := binaryFns[e.Fn], args[0], args[1]
-		return func(i, j, k int) float64 { return fn(x(i, j, k), y(i, j, k)) }
-
-	case *ir.Reduce:
-		panic("rt: reduction expression outside a scalar assignment")
-	}
-	panic(fmt.Sprintf("rt: cannot compile %T", e))
-}
-
 func boolVal(b bool) float64 {
 	if b {
 		return 1
@@ -149,9 +60,8 @@ func evalBinary(op zpl.Kind, x, y float64) float64 {
 
 // unaryFns and binaryFns are the intrinsics as the Go functions they
 // denote, by ir.IntrinsicFn: each is in exactly one of the two tables (nil
-// in the other), by its arity. The closure interpreter, the scalar
-// evaluators (evalIntrinsic) and the kernels' row loops all call through
-// them, so the engines cannot drift apart.
+// in the other), by its arity. The scalar evaluators (evalIntrinsic) and
+// the kernels' row loops both call through them.
 var (
 	unaryFns = [...]func(float64) float64{
 		ir.FnAbs: math.Abs, ir.FnSqrt: math.Sqrt, ir.FnExp: math.Exp, ir.FnLog: math.Log,
@@ -183,15 +93,10 @@ func evalIntrinsic(fn ir.IntrinsicFn, args []float64) float64 {
 // initializers, region bounds), a processor's own for its control flow —
 // loop bounds, conditions, scalar assignments — and inside the kernels it
 // runs (kctx.env). Such expressions evaluate in a handful of arithmetic
-// ops, so the walk deliberately skips the closure compiler: compiling would
-// mint one closure tree per (processor, expression) pair per run, which at
-// 4096 processors is pure allocation and cache-lookup overhead.
+// ops, so nothing is compiled for them: at 4096 processors one compiled
+// form per (processor, expression) pair would be pure allocation.
 type scalarEnv struct {
 	vals []float64
-	// p's closure compiler evaluates, at point (0,0,0), a node that can
-	// legally appear only in array context. nil at setup, where no such
-	// node is valid.
-	p *proc
 }
 
 func (e *scalarEnv) eval(x ir.Expr) float64 {
@@ -211,10 +116,7 @@ func (e *scalarEnv) eval(x ir.Expr) float64 {
 		}
 		return evalIntrinsic(x.Fn, args[:len(x.Args)])
 	}
-	if e.p == nil {
-		panic(fmt.Sprintf("rt: expression %T not valid at setup time", x))
-	}
-	return e.p.compile(x)(0, 0, 0)
+	panic(fmt.Sprintf("rt: %T in a scalar expression (ir.Lower rejects it)", x))
 }
 
 func evalRegionBounds(ev *scalarEnv, rank int, bounds [grid.MaxRank][2]ir.Expr) (grid.Region, error) {

@@ -1,6 +1,8 @@
 package rt
 
 import (
+	"fmt"
+
 	"commopt/internal/grid"
 	"commopt/internal/ir"
 	"commopt/internal/zpl"
@@ -21,9 +23,9 @@ import (
 // scalars and the origin from the executing processor's kctx — so every
 // processor of a shape class runs the same one (class.go). Virtual-time
 // charges are computed from size*Flops exactly as before, so simulated
-// results are unaffected; only host wall-clock changes. The closure
-// interpreter (eval.go) remains both the fallback for shapes the compiler
-// rejects and the differential-testing oracle (Config.ForceInterpreter).
+// results are unaffected; only host wall-clock changes. It is the only
+// engine: what it cannot lower is a program error (addrOf), and the tests
+// hold what it computes to internal/ref.
 
 // storeMode says how an assignment kernel honors whole-array semantics
 // (the RHS is fully evaluated before the store).
@@ -125,9 +127,9 @@ func forRows(reg grid.Region, inner int, fn func(i, j, k int)) {
 // stmtPlan is what one array statement means on the processors of one
 // shape class for one resolved statement region.
 type stmtPlan struct {
-	local grid.Region // the processor's part of the region, clipped to the LHS allocation, relative to the block origin
+	local grid.Region // the processor's part of the region, clipped to the LHS's block, relative to the block origin
 	size  int         // local.Size(); 0 when the processor has no part
-	k     *kernel     // nil: the closure interpreter executes the statement
+	k     *kernel     // nil exactly when size is 0
 }
 
 // noPlan is every statement's plan where the processor has no part of the
@@ -135,59 +137,37 @@ type stmtPlan struct {
 var noPlan stmtPlan
 
 // planFor returns the statement's plan at its currently resolved region,
-// compiling on the class's first use. A nil kernel is cached like any
-// other, so compile-time validation is paid once.
+// compiling on the class's first use. The part of the region outside the
+// block's share of the LHS is dropped: where the LHS's region ends, and on
+// a processor that holds none of it, the whole statement.
 func (p *proc) planFor(s *ir.AssignArray) *stmtPlan {
 	w, cl := p.w, p.cls
 	return resolve(p, &p.stmts[s.ID], &w.stmtCC[s.ID], &cl.frame, cl.id, &s.Region, cacheKernel, func(local grid.Region) *stmtPlan {
-		pl := &stmtPlan{local: cl.owned(s.LHS.ID, local)}
+		pl := &stmtPlan{local: local.Intersect(cl.locals[s.LHS.ID])}
 		if !pl.local.Empty() {
 			pl.size = pl.local.Size()
-			if !w.interp {
-				pl.k = newKcompiler(cl, pl.local).assign(s)
-			}
+			pl.k = newKcompiler(cl, pl.local, s.Pos).assign(s)
 		}
 		return pl
 	})
 }
 
-// owned clips a block's part of a statement region to what the block holds
-// of the statement's LHS array.
-func (cl *shapeClass) owned(lhs int, local grid.Region) grid.Region {
-	if cl.fields[lhs].Allocated() {
-		local = local.Intersect(cl.locals[lhs])
-	}
-	return local
-}
-
-// noKernel is what a reduction resolves to that the compiler rejects.
-var noKernel reduceKernel
-
 // reduceKernel is the reduction-partial counterpart, over local, the
-// processor's part of the enclosing statement's region re. nil means "use
-// the interpreter", whose ForEach also handles empty regions.
-func (p *proc) reduceKernel(e *ir.Reduce, re *ir.RegionExpr, local grid.Region) *reduceKernel {
-	if p.w.interp || local.Empty() {
+// processor's part of the region of s, the statement the reduction is in;
+// nil where that is empty.
+func (p *proc) reduceKernel(e *ir.Reduce, s *ir.AssignScalar, local grid.Region) *reduceKernel {
+	if local.Empty() {
 		return nil
 	}
 	cl := p.cls
-	k := resolve(p, &p.reduces[e.ID], &p.w.reduceCC[e.ID], &cl.frame, cl.id, re, cacheReduce, func(local grid.Region) *reduceKernel {
-		kc := newKcompiler(cl, local)
-		if row := kc.node(e.X); kc.ok {
-			return &reduceKernel{op: e.Op, local: local, inner: kc.inner, L: kc.L, slots: kc.slots, row: row}
-		}
-		return &noKernel
+	return resolve(p, &p.reduces[e.ID], &p.w.reduceCC[e.ID], &cl.frame, cl.id, &s.Region, cacheReduce, func(local grid.Region) *reduceKernel {
+		kc := newKcompiler(cl, local, s.Pos)
+		row := kc.node(e.X)
+		return &reduceKernel{op: e.Op, local: local, inner: kc.inner, L: kc.L, slots: kc.slots, row: row}
 	})
-	if k == &noKernel {
-		return nil
-	}
-	return k
 }
 
-// assign lowers one assignment over the compiler's local region, or returns
-// nil when the interpreter must handle it (unallocated LHS, reads outside
-// the halo — which the interpreter turns into its precise panic — or a
-// non-contiguous row).
+// assign lowers one assignment over the compiler's local region.
 func (kc *kcompiler) assign(s *ir.AssignArray) *kernel {
 	k := &kernel{
 		lhs:   kc.addrOf(s.LHS.ID, grid.Offset{}),
@@ -196,13 +176,7 @@ func (kc *kcompiler) assign(s *ir.AssignArray) *kernel {
 		L:     kc.L,
 		rows:  kc.local.Size() / kc.L,
 		mode:  storeModeFor(s, kc.inner),
-	}
-	if !kc.ok {
-		return nil
-	}
-	k.row = kc.root(s.RHS)
-	if !kc.ok {
-		return nil
+		row:   kc.root(s.RHS),
 	}
 	k.slots = kc.slots
 	return k
@@ -277,8 +251,8 @@ func (k *kernel) run(p *proc) {
 	p.arena.release(m)
 }
 
-// run computes the reduction's local partial, folding elements in the
-// same row-major order as the interpreter so floating-point results are
+// run computes the reduction's local partial, folding elements in
+// row-major order, as internal/ref does, so floating-point results are
 // bit-identical.
 func (k *reduceKernel) run(p *proc) float64 {
 	c := &p.kctx
@@ -326,13 +300,13 @@ type kcompiler struct {
 	inner int
 	L     int
 	slots int
-	fills int // rows broadcast from a scalar (fill): statement roots only
-	ok    bool
+	fills int     // rows broadcast from a scalar (fill): statement roots only
+	pos   zpl.Pos // the statement's, for the errors addrOf raises
 }
 
-func newKcompiler(cl *shapeClass, local grid.Region) *kcompiler {
+func newKcompiler(cl *shapeClass, local grid.Region, pos zpl.Pos) *kcompiler {
 	inner := local.Rank - 1
-	return &kcompiler{cl: cl, local: local, inner: inner, L: local.Spans[inner].Len(), ok: true}
+	return &kcompiler{cl: cl, local: local, inner: inner, L: local.Spans[inner].Len(), pos: pos}
 }
 
 // slot reserves a fresh scratch row and returns its index.
@@ -363,18 +337,21 @@ func scalarOnly(e ir.Expr) bool {
 }
 
 // addrOf validates a reference to the array at offset off against the
-// region and returns where its rows start. A reference whose shifted rows
-// are not contiguous inside the halo rejects the kernel; the interpreter
-// then reproduces the exact out-of-halo panic for genuinely broken
-// programs. The layout is read off the class representative's field, where
-// it has the reference's rows: base makes the region's first relative point
-// land on the flat index that point has there, as it does on every member.
+// region and returns where its rows start. The layout is read off the class
+// representative's field, where it has the reference's rows: base makes the
+// region's first relative point land on the flat index that point has
+// there, as it does on every member. A reference whose shifted rows are not
+// contiguous inside the halo is a program error, raised through the run's
+// abort path (LANGUAGE.md, "Distribution model").
 func (kc *kcompiler) addrOf(id int, off grid.Offset) addr {
 	f := kc.cl.fields[id]
 	rows := shiftDist(kc.local.Shift(off), kc.cl.org, 1)
 	if !f.Allocated() || f.Stride(kc.inner) != 1 || !f.Contains(rows) {
-		kc.ok = false
-		return addr{}
+		what := "reads outside the halo the processor holds"
+		if !f.Allocated() {
+			what = "reads an array the processor holds none of"
+		}
+		panic(fmt.Sprintf("%v: %s@%v %s", kc.pos, f.Name, off, what))
 	}
 	a := addr{id: id, s0: f.Stride(0), s1: f.Stride(1)}
 	at, rel := rows.Spans, kc.local.Spans
@@ -417,7 +394,7 @@ func (kc *kcompiler) root(e ir.Expr) vec {
 // axpy recognizes s*X ± Y, X*s ± Y and Y + s*X (s scalar, X/Y array
 // references) and fuses them into one loop (axpyRow, which keeps the
 // product a rounded double so results stay bit-identical to the
-// interpreter's two-step evaluation).
+// two-step evaluation).
 func (kc *kcompiler) axpy(e ir.Expr) vec {
 	b, isBin := e.(*ir.Binary)
 	if !isBin || (b.Op != zpl.PLUS && b.Op != zpl.MINUS) {
@@ -450,9 +427,6 @@ func (kc *kcompiler) axpy(e ir.Expr) vec {
 		return nil
 	}
 	xv, yv := kc.viewOf(x), kc.viewOf(y)
-	if !kc.ok {
-		return nil
-	}
 	return func(c *kctx, dst []float64) []float64 {
 		axpyRow(form, dst, c.env.eval(s), xv(c, nil), yv(c, nil))
 		return dst
@@ -461,9 +435,9 @@ func (kc *kcompiler) axpy(e ir.Expr) vec {
 
 // node is the generic tree compiler: every operator becomes one loop over
 // rows (rowops.go), with subexpression results flowing through views or
-// scratch slots. Each node performs exactly the interpreter's arithmetic
+// scratch slots. Each node performs exactly the expression's arithmetic
 // per element (one operation per loop, no refactoring), so values are
-// bit-identical.
+// bit-identical to internal/ref's.
 func (kc *kcompiler) node(e ir.Expr) vec {
 	if scalarOnly(e) {
 		return kc.fill(e)
@@ -512,9 +486,7 @@ func (kc *kcompiler) node(e ir.Expr) vec {
 		}
 		return kc.binary(rowOp{kind: opFn, fn: binaryFns[e.Fn]}, e.Args[0], e.Args[1])
 	}
-	// Reductions never appear below statement level (see eval.go).
-	kc.ok = false
-	return nil
+	panic(fmt.Sprintf("rt: %T below statement level (ir.Lower rejects it)", e))
 }
 
 // rowOpOf is a binary operator's rowOp.

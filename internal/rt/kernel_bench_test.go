@@ -12,9 +12,7 @@ import (
 
 // kernelShapes lists one statement per shape of array statement — a name
 // here is a statement, not a compile path: "bin" is the tree compiler's
-// view∘view node, "stencil" its scalar∘row over view sums — so
-// BenchmarkKernels pits the kernels against the closure interpreter on the
-// same program.
+// view∘view node, "stencil" its scalar∘row over view sums.
 var kernelShapes = []struct {
 	name string
 	stmt string
@@ -52,7 +50,7 @@ end;
 // both sides of wideMin; the table they make is the measurement behind it.
 var kernelRowLens = []int{8, 16, 32, 96, 512}
 
-func benchShape(b *testing.B, stmt string, n int, force bool) {
+func benchShape(b *testing.B, stmt string, n int) {
 	b.Helper()
 	src := fmt.Sprintf(kernelBenchSrc, stmt)
 	ast, err := zpl.Parse(src)
@@ -64,7 +62,7 @@ func benchShape(b *testing.B, stmt string, n int, force bool) {
 		b.Fatalf("lower: %v", err)
 	}
 	plan := comm.BuildPlan(prog, comm.PL())
-	cfg := Config{Machine: machine.T3D(), Library: "pvm", Procs: 1, ForceInterpreter: force, ConfigVars: map[string]float64{"n": float64(n)}}
+	cfg := Config{Machine: machine.T3D(), Library: "pvm", Procs: 1, ConfigVars: map[string]float64{"n": float64(n)}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -74,14 +72,13 @@ func benchShape(b *testing.B, stmt string, n int, force bool) {
 	}
 }
 
-// BenchmarkKernels measures each execution-engine shape at each row length
-// with compiled kernels and with the interpreter oracle on one simulated
-// processor, so the numbers isolate array evaluation from messaging.
+// BenchmarkKernels measures each statement shape at each row length on one
+// simulated processor, so the numbers isolate array evaluation from
+// messaging.
 func BenchmarkKernels(b *testing.B) {
 	for _, sh := range kernelShapes {
 		for _, n := range kernelRowLens {
-			b.Run(fmt.Sprintf("%s/n=%d/kernel", sh.name, n), func(b *testing.B) { benchShape(b, sh.stmt, n, false) })
-			b.Run(fmt.Sprintf("%s/n=%d/interp", sh.name, n), func(b *testing.B) { benchShape(b, sh.stmt, n, true) })
+			b.Run(fmt.Sprintf("%s/n=%d", sh.name, n), func(b *testing.B) { benchShape(b, sh.stmt, n) })
 		}
 	}
 }

@@ -35,10 +35,8 @@ func TestScalarOperandsAreValues(t *testing.T) {
 				continue
 			}
 			seen[s.LHS.Name] = true
-			kc := newKcompiler(p.cls, p.planFor(s).local)
-			if kc.root(s.RHS); !kc.ok {
-				t.Fatalf("%s (%s): kernel compilation failed", s.LHS.Name, s.Pos)
-			}
+			kc := newKcompiler(p.cls, p.planFor(s).local, s.Pos)
+			kc.root(s.RHS)
 			if kc.slots != slots {
 				t.Errorf("%s (%s): %d scratch slots, want %d", s.LHS.Name, s.Pos, kc.slots, slots)
 			}

@@ -155,7 +155,7 @@ type procMetrics struct {
 	waitDur   *metrics.Histogram
 	stmtDur   *metrics.Histogram
 	calls     [4]int64                                   // IRONMAN call executions by comm.CallKind
-	stmtsByEn [3]int64                                   // statement executions by trace engine code
+	stmtsByEn [2]int64                                   // statement executions by trace engine code
 	caches    [len(cacheKinds)][len(cacheOutcomes)]int64 // site lookups (site.go)
 	regions   [len(slotOutcomes)]int64                   // literal regions entered (site.go)
 	elems     [2]int64                                   // elements kernels computed: in rows the Go loops ran, in rows the wide loops ran
@@ -197,7 +197,6 @@ func (w *world) gatherMetrics() *metrics.Registry {
 		}
 		reg.Counter("stmts_scalar").Add(p.met.stmtsByEn[0])
 		reg.Counter("stmts_kernel").Add(p.met.stmtsByEn[1])
-		reg.Counter("stmts_interp").Add(p.met.stmtsByEn[2])
 		reg.Counter("kernel_elems_scalar").Add(p.met.elems[0])
 		reg.Counter("kernel_elems_wide").Add(p.met.elems[1])
 		for kind, name := range cacheKinds {

@@ -31,7 +31,6 @@ type proc struct {
 	clock     vtime.Time
 	fields    []*field.Field // by ArraySym.ID
 	scalars   []float64      // by ScalarSym.ID
-	fnCache   map[ir.Expr]evalFn
 	neighbors []int          // mesh-neighbor ranks in deterministic (dr,dc) order
 	nbr       [3][3]neighbor // nbr[dr+1][dc+1]: the neighbor at mesh displacement (dr,dc)
 	// pending[slot][tag] stashes out-of-order messages. The whole structure
@@ -129,11 +128,6 @@ type neighbor struct {
 
 func newProc(w *world, rank int) *proc {
 	r, c := w.mesh.Coord(rank)
-	// fnCache holds interpreter closures only — for the statements the
-	// kernel compiler rejects, or all of them under ForceInterpreter — so
-	// compile makes it on first use: on scale_4096 the 32-entry map every
-	// processor used to get here measured 22 MB of allocation and 8 MB of
-	// peak RSS that most never touched.
 	p := &proc{
 		w: w, rank: rank, row: r, col: c,
 		xfers:   make([]xferSite, w.plan.NumTransfers()),
@@ -170,7 +164,7 @@ func (p *proc) allocate(locals []grid.Region) {
 	w.classify(p, locals)
 	p.scalars = make([]float64, len(w.prog.Scalars))
 	copy(p.scalars, w.configVals)
-	p.kctx.env = scalarEnv{vals: p.scalars, p: p}
+	p.kctx.env = scalarEnv{vals: p.scalars}
 	p.kctx.data = make([][]float64, len(p.fields))
 	for id, f := range p.fields {
 		p.kctx.data[id] = f.Data()
@@ -245,7 +239,7 @@ type procStat struct {
 }
 
 // finish records this processor's statistics and releases what only its
-// body used: the sites' and slots' tables, interpreter closures, message pools
+// body used: the sites' and slots' tables, message pools
 // and the arena are dead once the body returns, and dropping them as each
 // processor completes caps peak memory at high processor counts. What the
 // sites pointed at belongs to the world's class caches and lives on for the
@@ -267,7 +261,7 @@ func (p *proc) finish() {
 	w.statsMu.Lock()
 	w.stats = append(w.stats, st)
 	w.statsMu.Unlock()
-	p.xfers, p.stmts, p.reduces, p.regions, p.fnCache = nil, nil, nil, nil, nil
+	p.xfers, p.stmts, p.reduces, p.regions = nil, nil, nil, nil
 	p.sendPool, p.retPool, p.pending = nil, nil, nil
 	if p.met != nil {
 		p.met.reg.Gauge("arena_hiwater_doubles").Observe(int64(len(p.arena.buf)))
@@ -503,33 +497,13 @@ func (p *proc) assignArray(s *ir.AssignArray) {
 	w := p.w
 	pl := p.planFor(s)
 	if pl.size > 0 {
-		if pl.k != nil {
-			p.engine = trace.EngineKernel
-			pl.k.run(p)
-			if p.met != nil {
-				p.met.countElems(pl.k.L, pl.size)
-			}
-		} else {
-			p.engine = trace.EngineInterp
-			p.assignArrayInterp(s, p.fields[s.LHS.ID], p.abs(pl.local), pl.size)
+		p.engine = trace.EngineKernel
+		pl.k.run(p)
+		if p.met != nil {
+			p.met.countElems(pl.k.L, pl.size)
 		}
 	}
 	p.charge(w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(pl.size)*int64(s.Flops))*w.mach.OpTime))
-}
-
-// assignArrayInterp is the closure-interpreter execution of an array
-// assignment: the generic fallback for statements the kernel compiler
-// rejects and the differential-testing oracle (Config.ForceInterpreter).
-func (p *proc) assignArrayInterp(s *ir.AssignArray, f *field.Field, local grid.Region, size int) {
-	fn := p.compile(s.RHS)
-	// Whole-array semantics: the RHS is fully evaluated before the
-	// store, so statements like A := A@east are well defined.
-	m := p.arena.mark()
-	tmp := p.arena.alloc(size)[:0]
-	field.ForEach(local, func(i, j, k int) { tmp = append(tmp, fn(i, j, k)) })
-	n := 0
-	field.ForEach(local, func(i, j, k int) { f.Set(i, j, k, tmp[n]); n++ })
-	p.arena.release(m)
 }
 
 func (p *proc) assignScalar(s *ir.AssignScalar) {
@@ -540,39 +514,35 @@ func (p *proc) assignScalar(s *ir.AssignScalar) {
 	}
 	local := p.cls.clip(p.here(&s.Region))
 	size := local.Size()
-	p.scalars[s.LHS.ID] = p.evalWithReduce(s.RHS, &s.Region, local)
+	p.scalars[s.LHS.ID] = p.evalWithReduce(s.RHS, s, local)
 	p.charge(p.w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(size)*int64(s.Flops))*p.w.mach.OpTime))
 }
 
-// evalWithReduce evaluates a scalar RHS that may contain reductions; each
+// evalWithReduce evaluates s's RHS e, which may contain reductions; each
 // reduction computes a local partial over this processor's part (local,
-// relative to the block origin) of the statement region re and then
+// relative to the block origin) of the statement's region and then
 // performs a global combine.
-func (p *proc) evalWithReduce(e ir.Expr, re *ir.RegionExpr, local grid.Region) float64 {
+func (p *proc) evalWithReduce(e ir.Expr, s *ir.AssignScalar, local grid.Region) float64 {
 	switch e := e.(type) {
 	case *ir.Reduce:
-		var acc float64
-		if k := p.reduceKernel(e, re, local); k != nil {
+		acc := e.Op.Identity()
+		if k := p.reduceKernel(e, s, local); k != nil {
 			acc = k.run(p)
 			if p.met != nil {
 				p.met.countElems(k.L, local.Size())
 			}
-		} else {
-			fn := p.compile(e.X)
-			acc = e.Op.Identity()
-			field.ForEach(p.abs(local), func(i, j, k int) { acc = e.Op.Combine(acc, fn(i, j, k)) })
 		}
 		return p.allreduce(e, acc)
 	case *ir.Unary:
-		return evalUnary(e.Op, p.evalWithReduce(e.X, re, local))
+		return evalUnary(e.Op, p.evalWithReduce(e.X, s, local))
 	case *ir.Binary:
-		x := p.evalWithReduce(e.X, re, local)
-		y := p.evalWithReduce(e.Y, re, local)
+		x := p.evalWithReduce(e.X, s, local)
+		y := p.evalWithReduce(e.Y, s, local)
 		return evalBinary(e.Op, x, y)
 	case *ir.Intrinsic:
 		var args [2]float64 // ir.Lower checks arities: one or two arguments
 		for i, a := range e.Args {
-			args[i] = p.evalWithReduce(a, re, local)
+			args[i] = p.evalWithReduce(a, s, local)
 		}
 		return evalIntrinsic(e.Fn, args[:len(e.Args)])
 	default:

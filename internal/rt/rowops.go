@@ -3,8 +3,8 @@ package rt
 import "math"
 
 // This file holds the row primitives: the loops every compiled kernel
-// bottoms out in, one IEEE operation per element in the interpreter's
-// operand order. Each checks once, on entry, that its operand rows cover
+// bottoms out in, one IEEE operation per element in the program's operand
+// order. Each checks once, on entry, that its operand rows cover
 // dst, so the compiler proves every index in range and the loops carry no
 // per-element bounds check. CI holds them to that:
 //
@@ -33,7 +33,9 @@ import "math"
 // starts in. With fillRow and negRow where they are, every + and * loop and
 // a·x + y sit inside a line in the bench binary; CI prints where binRow,
 // rowScalar and scalarRow landed (EXPERIMENTS.md, "Wide rows", has the
-// table). The wide loops are aligned by the assembler and do not care.
+// table). sqrtRow stands first because PR 25's deletions in files that sort
+// before this one moved everything here by 32 bytes; its 224 bytes move it
+// back. The wide loops are aligned by the assembler and do not care.
 
 // covers panics unless row xs is at least as long as dst. Only a bug in the
 // kernel compiler can make it fire: every row of a kernel has the kernel's L.
@@ -70,6 +72,18 @@ const (
 	wideAbs
 	wideSqrt
 )
+
+// sqrtRow is dst = √xs.
+func sqrtRow(dst, xs []float64) {
+	covers(dst, xs)
+	if wide(len(dst)) {
+		wideRow(wideSqrt, &dst[0], &xs[0], nil, len(dst), 0)
+		return
+	}
+	for n := range dst {
+		dst[n] = math.Sqrt(xs[n])
+	}
+}
 
 // binRow is dst = xs ∘ ys.
 func binRow(op rowOp, dst, xs, ys []float64) {
@@ -233,17 +247,5 @@ func absRow(dst, xs []float64) {
 	}
 	for n := range dst {
 		dst[n] = math.Abs(xs[n])
-	}
-}
-
-// sqrtRow is dst = √xs.
-func sqrtRow(dst, xs []float64) {
-	covers(dst, xs)
-	if wide(len(dst)) {
-		wideRow(wideSqrt, &dst[0], &xs[0], nil, len(dst), 0)
-		return
-	}
-	for n := range dst {
-		dst[n] = math.Sqrt(xs[n])
 	}
 }

@@ -39,12 +39,6 @@ type Config struct {
 	// ConfigVars overrides the program's config variable defaults by name.
 	ConfigVars map[string]float64
 
-	// ForceInterpreter disables the kernel-compiled execution engine and
-	// evaluates every array statement and reduction partial through the
-	// closure interpreter. Simulated results must be identical either
-	// way; the flag exists for differential testing and benchmarking.
-	ForceInterpreter bool
-
 	// Collective selects the allreduce algorithm (package collective).
 	// The default, collective.Auto, picks the cheapest eligible algorithm
 	// for the (machine, library, mesh) binding by simulated critical-path
@@ -231,8 +225,6 @@ type world struct {
 	lib  *machine.Lib
 	mesh grid.Mesh
 
-	interp bool // run array statements on the interpreter, not kernels
-
 	// main is the program body as setup bound it (proc.go: seg): every
 	// block resolved to its plan and every control statement to its bodies.
 	// Read-only once the processors run, so they walk it without locks or
@@ -344,12 +336,11 @@ func Run(prog *ir.Program, plan *comm.Plan, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
 	w := &world{
-		prog:   prog,
-		plan:   plan,
-		mach:   cfg.Machine,
-		lib:    lib,
-		mesh:   mesh,
-		interp: cfg.ForceInterpreter,
+		prog: prog,
+		plan: plan,
+		mach: cfg.Machine,
+		lib:  lib,
+		mesh: mesh,
 	}
 	if err := w.setup(cfg); err != nil {
 		return nil, err

@@ -1,12 +1,16 @@
 package rt
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
 	"commopt/internal/comm"
 	"commopt/internal/ir"
 	"commopt/internal/machine"
+	"commopt/internal/ref"
 	"commopt/internal/zpl"
 )
 
@@ -31,6 +35,43 @@ func run(t *testing.T, src string, procs int, lib string, cfg map[string]float64
 		t.Fatalf("run: %v", err)
 	}
 	return res
+}
+
+// refRun is internal/ref's run of src: what every run of it must compute.
+func refRun(t *testing.T, src string, vars map[string]float64) *ref.Result {
+	t.Helper()
+	ast, err := zpl.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	want, err := ref.Run(ast, vars)
+	if err != nil {
+		t.Fatalf("ref: %v", err)
+	}
+	return want
+}
+
+// refDiffs names the arrays of got that are not bit-identical to want's
+// (NaN matching NaN).
+func refDiffs(got *Result, want *ref.Result) []string {
+	var diffs []string
+	for _, name := range slices.Sorted(maps.Keys(want.Arrays)) {
+		w, g := want.Arrays[name], got.arrays[name]
+		if g == nil || g.Reg != w.Reg {
+			diffs = append(diffs, fmt.Sprintf("array %s: missing or not over %v", name, w.Reg))
+			continue
+		}
+		bad := 0
+		for i, v := range g.data {
+			if u := w.Data[i]; v != u && (v == v || u == u) {
+				bad++
+			}
+		}
+		if bad > 0 {
+			diffs = append(diffs, fmt.Sprintf("array %s: %d elements differ from internal/ref's", name, bad))
+		}
+	}
+	return diffs
 }
 
 func TestScalarControlFlow(t *testing.T) {

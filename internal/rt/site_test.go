@@ -94,24 +94,22 @@ end;
 `
 
 func TestSiteMispredictionStillRight(t *testing.T) {
-	for _, interp := range []bool{false, true} {
-		res := runSrc(t, updownSrc, comm.PL(), Config{Procs: 1, Metrics: true, ForceInterpreter: interp})
-		got := counters(res, "region_slot_adds", "region_slot_hits_index", "region_slot_hits_successor")
-		if want := []int64{18 + 10, 18, 18}; fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("interp=%v: adds, index hits, successor hits = %v, want %v", interp, got, want)
+	res := runSrc(t, updownSrc, comm.PL(), Config{Procs: 1, Metrics: true})
+	got := counters(res, "region_slot_adds", "region_slot_hits_index", "region_slot_hits_successor")
+	if want := []int64{18 + 10, 18, 18}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("adds, index hits, successor hits = %v, want %v", got, want)
+	}
+	a := res.Array("A")
+	for i := 1; i <= 32; i++ {
+		want := 0
+		switch {
+		case i >= 3 && i <= 20:
+			want = 3 * i
+		case i >= 21 && i <= 30:
+			want = i
 		}
-		a := res.Array("A")
-		for i := 1; i <= 32; i++ {
-			want := 0
-			switch {
-			case i >= 3 && i <= 20:
-				want = 3 * i
-			case i >= 21 && i <= 30:
-				want = i
-			}
-			if got := a.At(i, 4, 1); got != float64(want) {
-				t.Errorf("interp=%v: A(%d,4) = %v, want %d", interp, i, got, want)
-			}
+		if got := a.At(i, 4, 1); got != float64(want) {
+			t.Errorf("A(%d,4) = %v, want %d", i, got, want)
 		}
 	}
 }
@@ -427,21 +425,28 @@ end;
 
 // TestSlotLifetime runs every case on meshes that leave a region inside,
 // beside and outside a processor's neighbourhood, under both libraries,
-// against the values written out above and against the interpreter, which
-// resolves regions through the same slots but compiles nothing under them.
+// against the values written out above and against two references:
+// internal/ref, which has no slots, for arrays (and for output on one
+// processor), and the one-worker run for time and messages.
 func TestSlotLifetime(t *testing.T) {
 	for _, c := range lifetimeCases {
+		want := refRun(t, c.src, nil)
 		for _, procs := range []int{1, 4, 16} {
 			for _, lib := range []string{"pvm", "shmem"} {
 				t.Run(fmt.Sprintf("%s/%d/%s", c.name, procs, lib), func(t *testing.T) {
 					cfg := Config{Procs: procs, Library: lib}
 					got := runSrc(t, c.src, c.opts, cfg)
 					c.check(t, got)
-					cfg.ForceInterpreter = true
-					want := runSrc(t, c.src, c.opts, cfg)
-					if got.ExecTime != want.ExecTime || got.Output != want.Output || got.Messages != want.Messages || !sameArrays(got, want) {
-						t.Errorf("kernels and interpreter differ: time %v vs %v, output %q vs %q, messages %d vs %d, or arrays",
-							got.ExecTime, want.ExecTime, got.Output, want.Output, got.Messages, want.Messages)
+					for _, d := range refDiffs(got, want) {
+						t.Error(d)
+					}
+					if procs == 1 && got.Output != want.Output {
+						t.Errorf("output %q, internal/ref's %q", got.Output, want.Output)
+					}
+					cfg.SchedWorkers = 1
+					one := runSrc(t, c.src, c.opts, cfg)
+					if got.ExecTime != one.ExecTime || got.Messages != one.Messages {
+						t.Errorf("time %v and %d messages, the one-worker run's %v and %d", got.ExecTime, got.Messages, one.ExecTime, one.Messages)
 					}
 				})
 			}

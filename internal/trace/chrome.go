@@ -183,11 +183,8 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 				ce.Ph = "X"
 				ce.Dur = float64(e.Dur) / 1000
 				engine := "scalar"
-				switch e.A0 {
-				case EngineKernel:
+				if e.A0 == EngineKernel {
 					engine = "kernel"
-				case EngineInterp:
-					engine = "interp"
 				}
 				ce.Args = map[string]any{"engine": engine}
 			case KindReduce:

@@ -3,11 +3,91 @@ package commopt
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"commopt/internal/comm"
 	"commopt/internal/cost"
 	"commopt/internal/machine"
+	"commopt/internal/ref"
 )
+
+// TestRegressMatchesRef holds every program in testdata/regress — each a
+// miscompile or a runtime bug once, or a shape no corpus statement has — to
+// internal/ref at the paper's levels on 1, 4, 16 and 64 processors under
+// both libraries: its arrays on every run, its output on one processor.
+// whole_array.zpl is the one statement in the repository that reads its own
+// LHS across rows; lhs_outside_region.zpl failed on 64 processors, where some
+// hold none of the LHS.
+func TestRegressMatchesRef(t *testing.T) {
+	files, err := filepath.Glob("testdata/regress/*.zpl")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no regress programs: %v", err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := Compile(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		want, err := ref.Run(prog.AST, nil)
+		if err != nil {
+			t.Fatalf("%s: ref: %v", file, err)
+		}
+		name := strings.TrimSuffix(filepath.Base(file), ".zpl")
+		for _, lv := range diffLevels[:4] { // baseline, rr, cc, pl
+			plan := prog.Plan(lv.opts)
+			for _, procs := range []int{1, 4, 16, 64} {
+				for _, lib := range []string{"pvm", "shmem"} {
+					t.Run(fmt.Sprintf("%s/%s/p%d/%s", name, lv.name, procs, lib), func(t *testing.T) {
+						got := mustRun(t, prog, plan, RunOptions{Procs: procs, Library: lib})
+						for _, d := range refDiffs(got, want) {
+							t.Error(d)
+						}
+						if procs == 1 && got.Output != want.Output {
+							t.Errorf("output %q, internal/ref's %q", got.Output, want.Output)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestReadOutsideHaloIsPositioned: a read the processor cannot serve from
+// what it holds of an array — past the array's ghost width, or of an array it
+// holds none of — fails the run on every partition with the processor, the
+// statement's position, the array and the offset, and no Go stack.
+func TestReadOutsideHaloIsPositioned(t *testing.T) {
+	prog, err := Compile(`program halo;
+config var n : integer = 8;
+region R = [1..n, 1..n];
+region Int = [2..n-1, 2..n-1];
+direction east = [0, 1];
+var A : [R] float;
+var B : [Int] float;
+procedure main();
+begin
+  [Int] B := Index1;
+  [R] A := B@east;
+end;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := prog.Plan(comm.PL())
+	for _, procs := range []int{1, 4, 64} {
+		_, err := prog.Run(plan, RunOptions{Procs: procs})
+		if msg := fmt.Sprint(err); err == nil || !strings.Contains(msg, "processor ") ||
+			!strings.Contains(msg, "11:7: B@[0,1,0] reads") || strings.Contains(msg, "goroutine ") {
+			t.Errorf("%d procs: error %q, want one naming the processor, 11:7 and B@[0,1,0]", procs, msg)
+		}
+	}
+}
 
 // TestMidBlockScalarWrite holds testdata/regress/midblock_scalar.zpl to the
 // values written out here — the one-processor run resolves its regions the

@@ -2,7 +2,7 @@
 // recovered parse diagnostics, the source linter (internal/lint), and
 // translation validation of the communication optimizer — every
 // optimization level's plan re-checked against independently derived
-// communication requirements (internal/comm's verifier).
+// communication requirements and IRONMAN call rules (comm.CheckPlan).
 //
 // Usage:
 //
@@ -10,12 +10,14 @@
 //	zplvet -bench tomcatv         analyze one bundled benchmark
 //	zplvet -bench all             analyze every bundled benchmark
 //	zplvet -json file.zpl         machine-readable findings (for CI)
-//	zplvet -rules                 list every lint and verifier rule
+//	zplvet -rules                 list every lint, plan and protocol rule
 //	zplvet -protocol file.zpl     IRONMAN protocol check, all machine bindings
 //	zplvet -cost -bench simple    closed-form communication cost prediction
 //
-// -protocol runs the static IRONMAN checker (internal/cost) over every
-// optimization level × machine × library binding at -procs processors.
+// The plan rules run in the default mode. -protocol runs instead the
+// rules that need a machine binding (internal/cost: pairing symmetry,
+// in-flight bounds, collective schedules) over every optimization level ×
+// machine × library binding at -procs processors.
 // -cost prints the predicted per-level communication volume and cost for
 // one -machine/-lib binding; it reports, it does not judge, so it always
 // exits 0 unless the prediction itself fails.
@@ -79,7 +81,7 @@ func parseArgs(args []string) (*config, error) {
 	fs.BoolVar(&cfg.json, "json", false, "emit findings as a JSON array")
 	fs.BoolVar(&cfg.rules, "rules", false, "list every rule and exit")
 	fs.StringVar(&cfg.bench, "bench", "", "analyze a bundled benchmark (tomcatv, swm, simple, sp) or \"all\"")
-	fs.BoolVar(&cfg.protocol, "protocol", false, "run the IRONMAN protocol checker instead of lint+verify")
+	fs.BoolVar(&cfg.protocol, "protocol", false, "run the binding-dependent protocol checker instead of lint+plan checks")
 	fs.BoolVar(&cfg.costMode, "cost", false, "print the closed-form communication cost prediction instead of findings")
 	fs.IntVar(&cfg.procs, "procs", 64, "processor count for -protocol and -cost")
 	fs.StringVar(&cfg.mach, "machine", "t3d", "machine model for -cost: t3d or paragon")
@@ -241,29 +243,22 @@ func printCost(w io.Writer, name, src string, cfg *config) error {
 	return nil
 }
 
-// printRules lists every registered lint rule, the driver rules, and the
-// plan verifier's rule IDs.
+// printRules lists every registered lint rule, the driver rules, the plan
+// checker's rules and the protocol checker's.
 func printRules(w io.Writer) {
 	fmt.Fprintln(w, "front end:")
-	fmt.Fprintf(w, "  %-22s %s\n", vet.RuleParse, "syntax error (parse recovers and reports all)")
-	fmt.Fprintf(w, "  %-22s %s\n", vet.RuleSema, "lowering/semantic error")
+	fmt.Fprintf(w, "  %-23s %s\n", vet.RuleParse, "syntax error (parse recovers and reports all)")
+	fmt.Fprintf(w, "  %-23s %s\n", vet.RuleSema, "lowering/semantic error")
 	fmt.Fprintln(w, "lint:")
 	for _, r := range lint.Rules() {
-		fmt.Fprintf(w, "  %-22s %s\n", r.ID, r.Doc)
+		fmt.Fprintf(w, "  %-23s %s\n", r.ID, r.Doc)
 	}
-	fmt.Fprintln(w, "plan verifier (per optimization level):")
-	for _, r := range []struct{ id, doc string }{
-		{comm.RuleCallOrder, "IRONMAN calls violate DR <= SR <= DN, SR <= SV"},
-		{comm.RuleInflight, "carried array written between send-ready and source-volatile"},
-		{comm.RuleHoistedVariant, "hoisted transfer's data varies across loop iterations"},
-		{comm.RuleMissing, "required use has no transfer at all"},
-		{comm.RuleStale, "required use has only stale or late transfers"},
-		{comm.RuleOverwide, "transfer carries data no use requires (over-wide merge)"},
-	} {
-		fmt.Fprintf(w, "  %-22s %s\n", r.id, r.doc)
+	fmt.Fprintln(w, "plan checker (per optimization level):")
+	for _, r := range comm.Rules() {
+		fmt.Fprintf(w, "  %-23s %s\n", r[0], r[1])
 	}
 	fmt.Fprintln(w, "protocol checker (-protocol, per level x machine x binding):")
 	for _, r := range cost.ProtoRules() {
-		fmt.Fprintf(w, "  %-22s %s\n", r[0], r[1])
+		fmt.Fprintf(w, "  %-23s %s\n", r[0], r[1])
 	}
 }

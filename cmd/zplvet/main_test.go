@@ -215,7 +215,7 @@ func TestRunRules(t *testing.T) {
 		t.Fatalf("code=%d err=%v", code, err)
 	}
 	out := buf.String()
-	for _, want := range []string{"unused-var", "plan-missing-transfer", "parse-error", "proto-call-set", "proto-rendezvous-cycle"} {
+	for _, want := range []string{"unused-var", "plan-missing-transfer", "parse-error", "plan-call-set", "plan-bound-write", "proto-pair-asymmetry"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rule listing missing %s:\n%s", want, out)
 		}

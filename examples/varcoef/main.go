@@ -77,8 +77,8 @@ func main() {
 	var ref *commopt.Program
 	for _, v := range variants {
 		plan := v.prog.Plan(v.opts)
-		if err := comm.CheckPlan(plan); err != nil {
-			log.Fatalf("%s: invalid plan: %v", v.name, err)
+		if fs := comm.CheckPlan(plan); len(fs) > 0 {
+			log.Fatalf("%s: invalid plan: %v", v.name, fs[0])
 		}
 		res, err := v.prog.Run(plan, commopt.RunOptions{Procs: 16})
 		if err != nil {

@@ -42,8 +42,8 @@ func TestHoistInvariantCounts(t *testing.T) {
 	opts := comm.PL()
 	opts.HoistInvariant = true
 	hoisted := prog.Plan(opts)
-	if err := comm.CheckPlan(hoisted); err != nil {
-		t.Fatalf("hoisted plan invalid: %v", err)
+	if fs := comm.CheckPlan(hoisted); len(fs) > 0 {
+		t.Fatalf("hoisted plan invalid: %v", fs)
 	}
 	if hoisted.HoistedCount() != 2 {
 		t.Fatalf("hoisted = %d transfers, want 2 (K@north, K@south)", hoisted.HoistedCount())
@@ -102,8 +102,8 @@ func TestHoistOnSuite(t *testing.T) {
 		opts := comm.PL()
 		opts.HoistInvariant = true
 		plan := prog.Plan(opts)
-		if err := comm.CheckPlan(plan); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if fs := comm.CheckPlan(plan); len(fs) > 0 {
+			t.Fatalf("%s: %v", name, fs)
 		}
 		if n := plan.HoistedCount(); n != want[name] {
 			t.Errorf("%s: hoisted %d transfers, want %d", name, n, want[name])

@@ -37,8 +37,8 @@ func TestInliningExposesRedundancy(t *testing.T) {
 	}
 	plain := prog.Plan(comm.RR())
 	inlined := prog.Inlined().Plan(comm.RR())
-	if err := comm.CheckPlan(inlined); err != nil {
-		t.Fatalf("inlined plan invalid: %v", err)
+	if fs := comm.CheckPlan(inlined); len(fs) > 0 {
+		t.Fatalf("inlined plan invalid: %v", fs)
 	}
 	if plain.StaticCount != 3 {
 		t.Fatalf("plain static = %d, want 3 (three separate blocks)", plain.StaticCount)
@@ -78,8 +78,8 @@ func TestInliningOnSuite(t *testing.T) {
 		prog := mustSuiteProgram(t, name)
 		plain := prog.Plan(comm.PL())
 		inlined := prog.Inlined().Plan(comm.PL())
-		if err := comm.CheckPlan(inlined); err != nil {
-			t.Fatalf("%s: inlined plan invalid: %v", name, err)
+		if fs := comm.CheckPlan(inlined); len(fs) > 0 {
+			t.Fatalf("%s: inlined plan invalid: %v", name, fs)
 		}
 		if inlined.StaticCount > plain.StaticCount {
 			t.Errorf("%s: inlining increased static count %d -> %d", name, plain.StaticCount, inlined.StaticCount)

@@ -7,10 +7,10 @@ import (
 )
 
 // BlockAnalysis is the shared dataflow substrate of one basic block,
-// computed once per block and consumed by every pipeline pass and by the
-// plan validity checker: definition tables (last-write and next-write
-// queries), first-use indexes, the block's kill set, and prefix-summed
-// flop weights for latency-hiding distance queries. Passes must not
+// computed once per block and consumed by every pipeline pass — never by
+// the plan checker, which derives its own: definition tables (last-write
+// and next-write queries), first-use indexes, the block's kill set, and
+// prefix-summed flop weights for latency-hiding distance queries. Passes must not
 // mutate the statements, so the analysis stays valid across the whole
 // pipeline.
 type BlockAnalysis struct {

@@ -6,8 +6,8 @@
 // pipelining (pass_pl.go) and loop-invariant hoisting (pass_hoist.go),
 // all running over a shared per-block dataflow analysis (analysis.go),
 // together with IRONMAN call placement, per-pass trace accounting
-// (pipeline.go), static count accounting and an independent plan validity
-// checker (check.go).
+// (pipeline.go), static count accounting and the one plan checker
+// (check.go), which shares none of that analysis.
 //
 // The optimizer's scope is a single source-level basic block: a maximal
 // straight-line run of whole-array statements. Control statements bound

@@ -69,8 +69,8 @@ func planOf(t *testing.T, stmts []ir.Stmt, opts Options) *BlockPlan {
 	t.Helper()
 	bp, _ := blockOf(t, stmts, opts)
 	plan := &Plan{Blocks: []*BlockPlan{bp}}
-	if err := CheckPlan(plan); err != nil {
-		t.Fatalf("plan invalid under %v: %v", opts, err)
+	if fs := CheckPlan(plan); len(fs) > 0 {
+		t.Fatalf("plan invalid under %v: %v", opts, fs)
 	}
 	return bp
 }
@@ -225,9 +225,7 @@ func TestCheckPlanCatchesLateDelivery(t *testing.T) {
 	stmts := []ir.Stmt{stmt(as["A"], 2, use(as["B"], east))}
 	bp := mustBlock(t, stmts, Baseline())
 	bp.Transfers[0].DNPos = 1 // delivered after the use
-	if err := CheckPlan(&Plan{Blocks: []*BlockPlan{bp}}); err == nil {
-		t.Fatal("CheckPlan accepted a transfer delivered after its use")
-	}
+	assertRule(t, CheckPlan(&Plan{Blocks: []*BlockPlan{bp}}), RuleStale)
 }
 
 func TestCheckPlanCatchesStaleSend(t *testing.T) {
@@ -239,9 +237,7 @@ func TestCheckPlanCatchesStaleSend(t *testing.T) {
 	bp := mustBlock(t, stmts, PL())
 	bp.Transfers[0].SRPos = 0 // captured before B's definition: stale
 	bp.Transfers[0].DRPos = 0
-	if err := CheckPlan(&Plan{Blocks: []*BlockPlan{bp}}); err == nil {
-		t.Fatal("CheckPlan accepted a stale send")
-	}
+	assertRule(t, CheckPlan(&Plan{Blocks: []*BlockPlan{bp}}), RuleStale)
 }
 
 func TestCheckPlanCatchesInFlightOverwrite(t *testing.T) {
@@ -252,8 +248,31 @@ func TestCheckPlanCatchesInFlightOverwrite(t *testing.T) {
 	}
 	bp := mustBlock(t, stmts, PL())
 	bp.Transfers[0].SVPos = 2 // SV after B's overwrite
-	if err := CheckPlan(&Plan{Blocks: []*BlockPlan{bp}}); err == nil {
-		t.Fatal("CheckPlan accepted an in-flight overwrite")
+	assertRule(t, CheckPlan(&Plan{Blocks: []*BlockPlan{bp}}), RuleInflight)
+}
+
+// TestCheckPlanCatchesBoundWrite: inside one block, a statement whose
+// literal region bound reads k may not follow an assignment to k — the
+// runtime evaluates the region once, at block entry. One finding per
+// statement, though both bounds of the row read k.
+func TestCheckPlanCatchesBoundWrite(t *testing.T) {
+	as := arrays("B")
+	k, n := &ir.ScalarSym{Name: "k"}, &ir.ScalarSym{Name: "n"}
+	setK := &ir.AssignScalar{LHS: k, RHS: &ir.Const{Val: 5}}
+	row := stmt(as["B"], 1)
+	row.Region = ir.RegionExpr{RankN: 2}
+	row.Region.Bounds[0] = [2]ir.Expr{&ir.ScalarRef{Sym: k}, &ir.ScalarRef{Sym: k}}
+	row.Region.Bounds[1] = [2]ir.Expr{&ir.Const{Val: 1}, &ir.ScalarRef{Sym: n}}
+	bp := mustBlock(t, []ir.Stmt{setK, row}, Baseline())
+	fs := CheckPlan(&Plan{Blocks: []*BlockPlan{bp}})
+	if len(fs) != 1 || fs[0].Rule != RuleBoundWrite {
+		t.Fatalf("want one %s finding, got %v", RuleBoundWrite, fs)
+	}
+	// The same statements split where SplitSegments splits them are clean.
+	for _, seg := range SplitSegments([]ir.Stmt{setK, row}) {
+		if fs := CheckPlan(&Plan{Blocks: []*BlockPlan{mustBlock(t, seg.Block, Baseline())}}); len(fs) > 0 {
+			t.Errorf("split block flagged: %v", fs)
+		}
 	}
 }
 
@@ -352,8 +371,8 @@ func TestPlanPropertyValidity(t *testing.T) {
 				t.Logf("seed %d opts %+v: %v", spec.Seed, opts, err)
 				return false
 			}
-			if err := CheckPlan(&Plan{Blocks: []*BlockPlan{bp}}); err != nil {
-				t.Logf("seed %d opts %+v: %v", spec.Seed, opts, err)
+			if fs := CheckPlan(&Plan{Blocks: []*BlockPlan{bp}}); len(fs) > 0 {
+				t.Logf("seed %d opts %+v: %v", spec.Seed, opts, fs)
 				return false
 			}
 			// The trace must account for the block exactly: each stage's

@@ -24,9 +24,9 @@ import (
 //	hoist — loop-invariant communication hoisting (pass_hoist.go)
 //
 // Every pass leaves the plan valid: emit and cc place (or re-place)
-// transfers synchronously, so the validity checker can run after any
-// stage, which Debug mode uses to attribute an invalid intermediate plan
-// to the pass that broke it.
+// transfers synchronously, so the plan checker can run after any stage,
+// which Debug mode uses to attribute an invalid intermediate plan to the
+// pass that broke it.
 
 // Pass is one stage of the per-block optimization pipeline.
 type Pass interface {
@@ -127,9 +127,10 @@ type Pipeline struct {
 	passes []Pass
 	hoist  bool
 
-	// Debug runs the plan validity checker after every pass of every
-	// block, so Build reports the pass that produced an invalid
-	// intermediate plan instead of failing at the end.
+	// Debug runs the plan checker (CheckPlan's block rules) after every
+	// pass of every block, so Build reports the pass that produced an
+	// invalid intermediate plan instead of failing at the end, and
+	// CheckPlan once over the finished plan.
 	Debug bool
 }
 
@@ -260,18 +261,12 @@ func (pl *Pipeline) Build(prog *ir.Program) (*Plan, error) {
 			Pass: "hoist", Before: p.StaticCount, After: p.StaticCount,
 			PassStats: PassStats{Moved: moved},
 		})
-		if pl.Debug {
-			if err := CheckPlan(p); err != nil {
-				return nil, fmt.Errorf("pass hoist: %w", err)
-			}
-		}
 	}
 	if pl.Debug {
-		// Translation validation of the finished plan: VerifyPlan re-derives
-		// required communication from the IR alone (see verify.go), so this
-		// catches plan/analysis disagreements the per-pass checks share.
-		if fs := VerifyPlan(p); len(fs) > 0 {
-			return nil, fmt.Errorf("verify: %s", fs[0])
+		// The whole plan once more, calls and preheaders included: what the
+		// per-pass checks cannot see yet, and what hoist did.
+		if fs := CheckPlan(p); len(fs) > 0 {
+			return nil, fmt.Errorf("plan: %s", fs[0])
 		}
 	}
 	p.Trace = &Trace{Passes: trace}
@@ -363,8 +358,8 @@ func (pl *Pipeline) runBlock(stmts []ir.Stmt, killed map[*ir.ArraySym]bool, trac
 			trace[i].add(stats)
 		}
 		if pl.Debug {
-			if err := checkTransfers(stmts, c.Transfers, c.Analysis); err != nil {
-				return nil, fmt.Errorf("pass %s: %w", pass.Name(), err)
+			if fs := checkBlock(stmts, c.Transfers); len(fs) > 0 {
+				return nil, fmt.Errorf("pass %s: %s", pass.Name(), fs[0])
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"commopt/internal/diag"
@@ -10,12 +12,12 @@ import (
 	"commopt/internal/zpl"
 )
 
-// Mutation tests: each hand-corrupted plan must be flagged by VerifyPlan
-// with the corruption's own rule ID, so a verifier regression on any one
+// Mutation tests: each hand-corrupted plan must be flagged by CheckPlan
+// with the corruption's own rule ID, so a checker regression on any one
 // rule is caught by name.
 
 func verifyBlock(bp *BlockPlan) []diag.Finding {
-	return VerifyPlan(&Plan{Blocks: []*BlockPlan{bp}})
+	return CheckPlan(&Plan{Blocks: []*BlockPlan{bp}})
 }
 
 func hasRule(fs []diag.Finding, rule string) bool {
@@ -165,10 +167,12 @@ func TestVerifyHoistedVariant(t *testing.T) {
 	assertRule(t, verifyBlock(bp), RuleHoistedVariant)
 }
 
-// TestVerifyRuleIDsDistinct pins the six rule IDs: mutation coverage
-// depends on each corruption keeping its own name.
+// TestVerifyRuleIDsDistinct pins the eight rule IDs: mutation coverage
+// depends on each corruption keeping its own name, and Rules lists each
+// exactly once.
 func TestVerifyRuleIDsDistinct(t *testing.T) {
-	ids := []string{RuleCallOrder, RuleInflight, RuleHoistedVariant, RuleMissing, RuleStale, RuleOverwide}
+	ids := []string{RuleCallSet, RuleCallOrder, RuleInflight, RuleHoistedVariant,
+		RuleMissing, RuleStale, RuleOverwide, RuleBoundWrite}
 	seen := map[string]bool{}
 	for _, id := range ids {
 		if seen[id] {
@@ -176,29 +180,60 @@ func TestVerifyRuleIDsDistinct(t *testing.T) {
 		}
 		seen[id] = true
 	}
+	listed := Rules()
+	if len(listed) != len(ids) {
+		t.Errorf("Rules() lists %d rules, want %d", len(listed), len(ids))
+	}
+	for _, r := range listed {
+		if !seen[r[0]] || r[1] == "" {
+			t.Errorf("Rules() entry %q: unknown ID or no doc", r[0])
+		}
+	}
 }
 
-// TestVerifyBenchmarksAllLevels runs the validator over every benchmark
-// program at every optimization level — the translation-validation
-// acceptance bar for the shipped pipeline.
+// TestVerifyBenchmarksAllLevels runs the checker over every benchmark,
+// example and regress program at every optimization level, plain and
+// inlined — the translation-validation acceptance bar for the shipped
+// pipeline. On inlined plans it is also where the checker's own
+// sameElementSet is held to the passes' regionsCompatible.
 func TestVerifyBenchmarksAllLevels(t *testing.T) {
 	levels := []Options{
 		Baseline(), RR(), CC(), PL(), PLMaxLatency(),
 		{RemoveRedundant: true, Combine: true, Pipeline: true, HoistInvariant: true},
 	}
+	srcs := map[string]string{}
 	for _, b := range programs.Suite() {
-		ast, err := zpl.Parse(b.Source)
+		srcs[b.Name] = b.Source
+	}
+	for _, pat := range []string{"../../examples/zpl/*.zpl", "../../testdata/regress/*.zpl"} {
+		files, _ := filepath.Glob(pat)
+		if len(files) == 0 {
+			t.Fatalf("%s: no programs", pat)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcs[filepath.Base(f)] = string(data)
+		}
+	}
+	for name, src := range srcs {
+		ast, err := zpl.Parse(src)
 		if err != nil {
-			t.Fatalf("%s: parse: %v", b.Name, err)
+			t.Fatalf("%s: parse: %v", name, err)
 		}
 		prog, err := ir.Lower(ast)
 		if err != nil {
-			t.Fatalf("%s: lower: %v", b.Name, err)
+			t.Fatalf("%s: lower: %v", name, err)
 		}
-		for _, opts := range levels {
-			plan := BuildPlan(prog, opts)
-			if fs := VerifyPlan(plan); len(fs) != 0 {
-				t.Errorf("%s under %v: %d findings, first: %v", b.Name, opts, len(fs), fs[0])
+		for _, variant := range []*ir.Program{prog, ir.Inline(prog)} {
+			for _, opts := range levels {
+				plan := BuildPlan(variant, opts)
+				if fs := CheckPlan(plan); len(fs) != 0 {
+					t.Errorf("%s (inlined %v) under %v: %d findings, first: %v",
+						name, variant != prog, opts, len(fs), fs[0])
+				}
 			}
 		}
 	}

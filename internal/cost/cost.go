@@ -13,16 +13,16 @@
 // values exactly — the differential gate TestPredictMatchesRuntime in
 // internal/experiments holds the two accountings together.
 //
-// The protocol checker (Check/CheckPlan) verifies IRONMAN
-// well-formedness from the plan alone: call sets and placement,
-// SPMD call order, absence of rendezvous wait cycles, cross-processor
-// pairing symmetry, and the per-(proc,peer) in-flight bound the
-// runtime's mailbox budget (rt.PairChanCap) rests on. It turns the
-// prose deadlock-freedom arguments of DESIGN.md §13/§14 into checked
-// analysis with distinct rule IDs (see protocol.go), surfaced through
-// internal/diag like the plan verifier.
+// The protocol checker (Check) verifies what IRONMAN well-formedness
+// needs a machine binding for: cross-processor pairing symmetry, the
+// per-(proc,peer) in-flight bound the runtime's mailbox budget
+// (rt.PairChanCap) rests on, and the collective schedules. Call sets,
+// placement and SPMD call order need no binding and are
+// comm.CheckPlan's. It turns the prose deadlock-freedom arguments of
+// DESIGN.md §13/§14 into checked analysis with distinct rule IDs (see
+// protocol.go), surfaced through internal/diag like the plan checker.
 //
-// Like the verifier (DESIGN.md §10), this package deliberately imports
+// Like the plan checker (DESIGN.md §10), this package deliberately imports
 // nothing from internal/rt: the distribution arithmetic, geometry and
 // call accounting are re-derived from grid/machine primitives, so the
 // predictor is an independent oracle rather than a restatement of the
@@ -69,6 +69,6 @@ func (c Config) validate() (*machine.Lib, error) {
 // ErrNotStatic marks programs whose communication volume is not
 // statically predictable: some control decision (loop trip count, branch
 // condition, literal region bound) depends on computed array data, so the
-// walk cannot fold it. Protocol structure checks still apply to such
-// programs (CheckPlan); only the shape-dependent analyses need the walk.
+// walk cannot fold it. The plan checker (comm.CheckPlan) still applies to
+// such programs; only the binding-dependent analyses need the walk.
 var ErrNotStatic = errors.New("not statically predictable")

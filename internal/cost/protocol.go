@@ -11,25 +11,13 @@ import (
 	"commopt/internal/zpl"
 )
 
-// Protocol checker rule IDs. Each corruption class the mutation tests
-// exercise maps to exactly one of these, and all are distinct from the
-// plan verifier's plan-* rules: the verifier proves the plan moves the
-// right data; this checker proves the four IRONMAN calls that move it
-// are well-formed under a concrete machine binding.
+// Protocol checker rule IDs: the rules that need a machine binding. Each
+// corruption class the mutation tests exercise maps to exactly one of
+// these, and all are distinct from comm.CheckPlan's plan-* rules: that
+// checker proves the plan moves the right data in well-formed IRONMAN
+// calls; this one proves the calls pair up, fit the runtime's channels
+// and reduce correctly on a concrete mesh and library.
 const (
-	// RuleCallSet: a transfer's calls are missing, duplicated, placed at a
-	// position other than the recorded one, or (for hoisted transfers)
-	// present in the block / absent from every preheader.
-	RuleCallSet = "proto-call-set"
-	// RuleCallOrder: the block's SPMD call sequence violates
-	// DR < SR < DN and SR < SV for some transfer — the Fig. 5 binding
-	// cannot map such a sequence onto any library.
-	RuleCallOrder = "proto-call-order"
-	// RuleRendezvousCycle: under a rendezvous (SHMEM synch) binding, a
-	// transfer with real cross-processor pairs reaches SR before its own
-	// DR in the SPMD sequence: every participant blocks in SR awaiting a
-	// destination-ready token no processor has sent — a global wait cycle.
-	RuleRendezvousCycle = "proto-rendezvous-cycle"
 	// RulePairAsymmetry: the derived per-processor send/receive tables of
 	// some transfer shape are not transpose-symmetric on the mesh — both
 	// sides of a pair must compute identical rectangles from replicated
@@ -60,9 +48,6 @@ const (
 // zplvet -rules.
 func ProtoRules() [][2]string {
 	return [][2]string{
-		{RuleCallSet, "transfer's IRONMAN calls missing, duplicated or misplaced"},
-		{RuleCallOrder, "SPMD call sequence violates DR < SR < DN, SR < SV"},
-		{RuleRendezvousCycle, "rendezvous binding: SR precedes its own DR (global wait cycle)"},
 		{RulePairAsymmetry, "send/receive pair tables not transpose-symmetric on the mesh"},
 		{RuleInflightOverflow, "per-pair in-flight transfers exceed the runtime channel capacity"},
 		{RuleCollPairing, "collective schedule hops not pairwise matched across ranks"},
@@ -71,29 +56,18 @@ func ProtoRules() [][2]string {
 	}
 }
 
-// CheckPlan runs the structural half of the protocol checker: call sets,
-// placement and SPMD call order, from the plan alone. It applies to any
-// program, static or not.
-func CheckPlan(plan *comm.Plan) []diag.Finding {
-	c := &checker{plan: plan}
-	c.structure()
-	return c.findings
-}
-
-// Check runs the full protocol checker for one machine binding: the
-// structural checks of CheckPlan plus the shape-dependent analyses —
-// pairing symmetry, rendezvous wait cycles and the in-flight bound
-// against capacity (pass rt.PairChanCap(plan), or a mailbox bound).
+// Check runs the protocol checker for one machine binding: pairing
+// symmetry, the in-flight bound against capacity (pass
+// rt.PairChanCap(plan), or a mailbox bound) and the collective rules. The
+// plan's own structure is comm.CheckPlan's to check.
 //
-// For programs that are not statically predictable the structural
-// findings are still returned, alongside an error wrapping ErrNotStatic;
-// any other analysis error is returned as-is.
+// For programs that are not statically predictable it returns an error
+// wrapping ErrNotStatic; any other analysis error is returned as-is.
 func Check(prog *ir.Program, plan *comm.Plan, cfg Config, capacity int) ([]diag.Finding, error) {
 	c := &checker{plan: plan}
-	c.structure()
 	w, err := analyze(prog, plan, cfg)
 	if err != nil {
-		return c.findings, err
+		return nil, err
 	}
 	c.shapes(w, capacity)
 	c.collectives(w)
@@ -119,153 +93,8 @@ func transferPos(t *comm.Transfer) zpl.Pos {
 	return zpl.Pos{}
 }
 
-// seqCall is one element of a block's flattened SPMD call sequence.
-type seqCall struct {
-	kind comm.CallKind
-	t    *comm.Transfer
-	pos  int // statement-boundary position the call is placed at
-}
-
-func flatten(bp *comm.BlockPlan) []seqCall {
-	var seq []seqCall
-	for pos, calls := range bp.Calls {
-		for _, call := range calls {
-			seq = append(seq, seqCall{kind: call.Kind, t: call.T, pos: pos})
-		}
-	}
-	return seq
-}
-
-// structure checks call sets, recorded placement and SPMD order on every
-// block, and that hoisted transfers live in exactly one preheader.
-func (c *checker) structure() {
-	hoistedIn := map[*comm.Transfer]int{}
-	for _, loop := range planLoops(c.plan.Program) {
-		for _, t := range c.plan.Preheader(loop) {
-			hoistedIn[t]++
-			if !t.Hoisted {
-				c.report(RuleCallSet, transferPos(t),
-					"transfer %v scheduled in a loop preheader but not marked hoisted", t)
-			}
-		}
-	}
-
-	for i, bp := range c.plan.Blocks {
-		seq := flatten(bp)
-		known := map[*comm.Transfer]bool{}
-		for _, t := range bp.Transfers {
-			known[t] = true
-		}
-		for _, sc := range seq {
-			if !known[sc.t] {
-				c.report(RuleCallSet, transferPos(sc.t),
-					"block %d: %s call for transfer %v the block does not declare", i, sc.kind, sc.t)
-			}
-		}
-		for _, t := range bp.Transfers {
-			// Index of each kind's call in the flat sequence; -1 missing,
-			// -2 duplicated.
-			idx := [4]int{-1, -1, -1, -1}
-			for n, sc := range seq {
-				if sc.t != t {
-					continue
-				}
-				if idx[sc.kind] != -1 {
-					idx[sc.kind] = -2
-				} else {
-					idx[sc.kind] = n
-				}
-			}
-			if t.Hoisted {
-				for kind := comm.DR; kind <= comm.SV; kind++ {
-					if idx[kind] != -1 {
-						c.report(RuleCallSet, transferPos(t),
-							"block %d: hoisted transfer %v still has a %s call in the block", i, t, kind)
-					}
-				}
-				if hoistedIn[t] == 0 {
-					c.report(RuleCallSet, transferPos(t),
-						"hoisted transfer %v appears in no loop preheader", t)
-				} else if hoistedIn[t] > 1 {
-					c.report(RuleCallSet, transferPos(t),
-						"hoisted transfer %v appears in %d loop preheaders", t, hoistedIn[t])
-				}
-				continue
-			}
-			ok := true
-			for kind := comm.DR; kind <= comm.SV; kind++ {
-				switch idx[kind] {
-				case -1:
-					c.report(RuleCallSet, transferPos(t),
-						"block %d: transfer %v has no %s call", i, t, kind)
-					ok = false
-				case -2:
-					c.report(RuleCallSet, transferPos(t),
-						"block %d: transfer %v has duplicate %s calls", i, t, kind)
-					ok = false
-				default:
-					if got := seq[idx[kind]].pos; got != t.CallPos(kind) {
-						c.report(RuleCallSet, transferPos(t),
-							"block %d: transfer %v's %s call placed at position %d, recorded %d",
-							i, t, kind, got, t.CallPos(kind))
-					}
-				}
-			}
-			if !ok {
-				continue // order is meaningless with calls missing
-			}
-			// Every processor executes the same sequence; the Fig. 5
-			// binding needs DR before SR before DN, and SR before SV.
-			if !(idx[comm.DR] < idx[comm.SR] && idx[comm.SR] < idx[comm.DN]) ||
-				!(idx[comm.SR] < idx[comm.SV]) {
-				c.report(RuleCallOrder, transferPos(t),
-					"block %d: transfer %v call sequence violates DR < SR < DN, SR < SV (DR@%d SR@%d DN@%d SV@%d)",
-					i, t, idx[comm.DR], idx[comm.SR], idx[comm.DN], idx[comm.SV])
-			}
-		}
-	}
-}
-
-// planLoops enumerates every loop statement reachable from the program,
-// in source order (preheader transfers attach to these).
-func planLoops(prog *ir.Program) []ir.Stmt {
-	var loops []ir.Stmt
-	var walk func(stmts []ir.Stmt)
-	walk = func(stmts []ir.Stmt) {
-		for _, s := range stmts {
-			switch s := s.(type) {
-			case *ir.If:
-				walk(s.Then)
-				walk(s.Else)
-			case *ir.Repeat:
-				loops = append(loops, s)
-				walk(s.Body)
-			case *ir.While:
-				loops = append(loops, s)
-				walk(s.Body)
-			case *ir.For:
-				loops = append(loops, s)
-				walk(s.Body)
-			}
-		}
-	}
-	// Main is itself one of Procs; walking the list covers it.
-	seen := false
-	for _, pr := range prog.Procs {
-		if pr == prog.Main {
-			seen = true
-		}
-		walk(pr.Body)
-	}
-	if !seen {
-		walk(prog.Main.Body)
-	}
-	return loops
-}
-
 // shapes runs the shape-dependent checks over everything the walk
-// resolved: pairing symmetry per shape, rendezvous cycles and the
-// in-flight bound per block.
+// resolved: pairing symmetry per shape and the in-flight bound per block.
 func (c *checker) shapes(w *walker, capacity int) {
 	// Deterministic order over the shape cache.
 	keys := make([]shapeKey, 0, len(w.shapes))
@@ -285,12 +114,9 @@ func (c *checker) shapes(w *walker, capacity int) {
 
 	active := activeSets(w)
 	for i, bp := range c.plan.Blocks {
-		c.checkRendezvous(i, bp, w, active)
 		c.checkInflight(i, bp, active, capacity)
 	}
-	for _, loop := range planLoops(c.plan.Program) {
-		c.checkPreheaderInflight(c.plan.Preheader(loop), active, capacity)
-	}
+	c.checkPreheaderInflight(active, capacity)
 }
 
 // checkPairing verifies one shape's send table is the exact transpose of
@@ -362,50 +188,6 @@ func activeSets(w *walker) map[*comm.Transfer]*activeSet {
 	return out
 }
 
-// checkRendezvous verifies that under a rendezvous binding no transfer
-// with real cross-processor pairs reaches SR before its own DR in the
-// block's SPMD sequence. SR blocks until the partner's DR token arrives;
-// since every processor runs the same sequence, SR-before-DR means every
-// participant waits on a token nobody has sent — an unsatisfiable cycle.
-func (c *checker) checkRendezvous(blk int, bp *comm.BlockPlan, w *walker, active map[*comm.Transfer]*activeSet) {
-	if !w.lib.Rendezvous {
-		return
-	}
-	seq := flatten(bp)
-	for _, t := range bp.Transfers {
-		as := active[t]
-		if as == nil || len(as.sends) == 0 {
-			continue // never executed, or no participating pair
-		}
-		drIdx, srIdx := -1, -1
-		for n, sc := range seq {
-			if sc.t != t {
-				continue
-			}
-			switch sc.kind {
-			case comm.DR:
-				if drIdx == -1 {
-					drIdx = n
-				}
-			case comm.SR:
-				if srIdx == -1 {
-					srIdx = n
-				}
-			}
-		}
-		if srIdx != -1 && (drIdx == -1 || drIdx > srIdx) {
-			var ex [2]int
-			for p := range as.sends {
-				ex = p
-				break
-			}
-			c.report(RuleRendezvousCycle, transferPos(t),
-				"block %d: transfer %v reaches SR before its DR under rendezvous binding %s: procs %d and %d block forever awaiting ready tokens",
-				blk, t, w.lib.Name, ex[0], ex[1])
-		}
-	}
-}
-
 // checkInflight bounds, per directed processor pair, how many transfers
 // can be in flight (SR executed, DN not yet) at once within one block
 // execution, and verifies the runtime's channel capacity covers two full
@@ -415,22 +197,24 @@ func (c *checker) checkRendezvous(blk int, bp *comm.BlockPlan, w *walker, active
 func (c *checker) checkInflight(blk int, bp *comm.BlockPlan, active map[*comm.Transfer]*activeSet, capacity int) {
 	counts := map[[2]int]int{}
 	maxIn := map[[2]int]int{}
-	for _, sc := range flatten(bp) {
-		as := active[sc.t]
-		if as == nil {
-			continue
-		}
-		switch sc.kind {
-		case comm.SR:
-			for p := range as.sends {
-				counts[p]++
-				if counts[p] > maxIn[p] {
-					maxIn[p] = counts[p]
-				}
+	for _, calls := range bp.Calls {
+		for _, call := range calls {
+			as := active[call.T]
+			if as == nil {
+				continue
 			}
-		case comm.DN:
-			for p := range as.recvs {
-				counts[p]--
+			switch call.Kind {
+			case comm.SR:
+				for p := range as.sends {
+					counts[p]++
+					if counts[p] > maxIn[p] {
+						maxIn[p] = counts[p]
+					}
+				}
+			case comm.DN:
+				for p := range as.recvs {
+					counts[p]--
+				}
 			}
 		}
 	}
@@ -440,18 +224,18 @@ func (c *checker) checkInflight(blk int, bp *comm.BlockPlan, active map[*comm.Tr
 	}, bp.Transfers)
 }
 
-// checkPreheaderInflight applies the same bound to a preheader sequence,
-// where each hoisted transfer runs DR..SV synchronously (at most one in
-// flight each).
-func (c *checker) checkPreheaderInflight(ts []*comm.Transfer, active map[*comm.Transfer]*activeSet, capacity int) {
-	if len(ts) == 0 {
-		return
-	}
+// checkPreheaderInflight applies the same bound to the preheaders, where
+// each hoisted transfer runs DR..SV synchronously: at most one in flight
+// on any pair, whichever loop's preheader lists it. Hoisted transfers stay
+// listed on their blocks, so no loop walk is needed to find them.
+func (c *checker) checkPreheaderInflight(active map[*comm.Transfer]*activeSet, capacity int) {
 	maxIn := map[[2]int]int{}
-	for _, t := range ts {
-		if as := active[t]; as != nil {
-			for p := range as.sends {
-				if 1 > maxIn[p] {
+	var ts []*comm.Transfer
+	for _, bp := range c.plan.Blocks {
+		for _, t := range bp.Transfers {
+			if as := active[t]; t.Hoisted && as != nil {
+				ts = append(ts, t)
+				for p := range as.sends {
 					maxIn[p] = 1
 				}
 			}

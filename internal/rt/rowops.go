@@ -33,9 +33,11 @@ import "math"
 // starts in. With fillRow and negRow where they are, every + and * loop and
 // a·x + y sit inside a line in the bench binary; CI prints where binRow,
 // rowScalar and scalarRow landed (EXPERIMENTS.md, "Wide rows", has the
-// table). sqrtRow stands first because PR 25's deletions in files that sort
-// before this one moved everything here by 32 bytes; its 224 bytes move it
-// back. The wide loops are aligned by the assembler and do not care.
+// table). sqrtRow, 224 bytes, is the lever: when code laid out before this
+// file grows or shrinks by an odd number of 32-byte units, everything here
+// moves by 32 bytes, and moving sqrtRow between first and last in the file
+// moves the rest back. The wide loops are aligned by the assembler and do
+// not care.
 
 // covers panics unless row xs is at least as long as dst. Only a bug in the
 // kernel compiler can make it fire: every row of a kernel has the kernel's L.
@@ -72,18 +74,6 @@ const (
 	wideAbs
 	wideSqrt
 )
-
-// sqrtRow is dst = √xs.
-func sqrtRow(dst, xs []float64) {
-	covers(dst, xs)
-	if wide(len(dst)) {
-		wideRow(wideSqrt, &dst[0], &xs[0], nil, len(dst), 0)
-		return
-	}
-	for n := range dst {
-		dst[n] = math.Sqrt(xs[n])
-	}
-}
 
 // binRow is dst = xs ∘ ys.
 func binRow(op rowOp, dst, xs, ys []float64) {
@@ -247,5 +237,17 @@ func absRow(dst, xs []float64) {
 	}
 	for n := range dst {
 		dst[n] = math.Abs(xs[n])
+	}
+}
+
+// sqrtRow is dst = √xs.
+func sqrtRow(dst, xs []float64) {
+	covers(dst, xs)
+	if wide(len(dst)) {
+		wideRow(wideSqrt, &dst[0], &xs[0], nil, len(dst), 0)
+		return
+	}
+	for n := range dst {
+		dst[n] = math.Sqrt(xs[n])
 	}
 }

@@ -1,7 +1,7 @@
 // Package vet is the shared static-analysis driver behind cmd/zplvet and
 // zplc -vet: it carries one ZPL source file through every layer —
 // recovered parse diagnostics, the source linter, lowering, and the
-// communication-plan verifier at every optimization level — and collects
+// communication-plan checker at every optimization level — and collects
 // the findings in one diag.List.
 package vet
 
@@ -26,7 +26,7 @@ const (
 	RuleSema  = "sema-error"
 )
 
-// Level is one optimizer configuration the plan verifier checks.
+// Level is one optimizer configuration the plan checker checks.
 type Level struct {
 	Name string
 	Opts comm.Options
@@ -48,7 +48,7 @@ func Levels() []Level {
 
 // Source analyzes one ZPL source file and returns its sorted findings.
 // Parse errors stop the run (later layers would only cascade); lint
-// findings do not, so a warning never masks a plan-verification error.
+// findings do not, so a warning never masks a plan-checker error.
 func Source(name, src string) *diag.List {
 	list := diag.NewList(name, src)
 
@@ -78,7 +78,7 @@ func Source(name, src string) *diag.List {
 	// the independently re-derived communication requirements.
 	for _, lv := range Levels() {
 		plan := comm.BuildPlan(prog, lv.Opts)
-		for _, f := range comm.VerifyPlan(plan) {
+		for _, f := range comm.CheckPlan(plan) {
 			f.Msg = fmt.Sprintf("[%s] %s", lv.Name, f.Msg)
 			list.Extend(f)
 		}
@@ -89,12 +89,11 @@ func Source(name, src string) *diag.List {
 
 // Protocol runs the IRONMAN protocol checker for one source file across
 // every optimization level, every simulated machine and every library
-// binding, at the given processor count. Structural violations are
-// machine-independent and reported once per level; the shape-dependent
-// checks (pairing symmetry, rendezvous cycles, in-flight bounds against
-// the runtime's channel capacity) run per binding. Programs whose
-// communication is not statically predictable keep their structural
-// findings; the shape half is skipped silently — it needs the walk.
+// binding, at the given processor count: the binding-dependent rules
+// (pairing symmetry, in-flight bounds against the runtime's channel
+// capacity, collective schedules). The plan rules, machine-independent,
+// are Source's. Programs whose communication is not statically
+// predictable are skipped silently — the checker needs the walk.
 func Protocol(name, src string, procs int) (*diag.List, error) {
 	list := diag.NewList(name, src)
 
@@ -109,11 +108,6 @@ func Protocol(name, src string, procs int) (*diag.List, error) {
 
 	for _, lv := range Levels() {
 		plan := comm.BuildPlan(prog, lv.Opts)
-		structural := cost.CheckPlan(plan)
-		for _, f := range structural {
-			f.Msg = fmt.Sprintf("[%s] %s", lv.Name, f.Msg)
-			list.Extend(f)
-		}
 		capacity := rt.PairChanCap(plan)
 		for _, m := range machine.All() {
 			for _, libName := range m.LibNames() {
@@ -125,9 +119,7 @@ func Protocol(name, src string, procs int) (*diag.List, error) {
 					}
 					return nil, fmt.Errorf("[%s/%s/%s] %w", lv.Name, m.Name, libName, err)
 				}
-				// Structural findings were already reported above,
-				// machine-independently; keep only the shape-dependent rest.
-				for _, f := range fs[len(structural):] {
+				for _, f := range fs {
 					f.Msg = fmt.Sprintf("[%s/%s/%s] %s", lv.Name, m.Name, libName, f.Msg)
 					list.Extend(f)
 				}

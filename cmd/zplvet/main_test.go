@@ -221,3 +221,26 @@ func TestRunRules(t *testing.T) {
 		}
 	}
 }
+
+// A config initializer that reads a variable is a sema error, the one
+// zplrun and zplc report, not a lint warning beside a clean plan check.
+func TestRunConfigReadingVariable(t *testing.T) {
+	const src = `program cfgvar;
+var k : integer;
+config var n : integer = 8 + k;
+region R = [1..n, 1..n];
+var A : [R] float;
+procedure main();
+begin
+  [R] A := 1.0;
+end;
+`
+	var buf bytes.Buffer
+	code, err := run(&buf, []string{writeTemp(t, src)})
+	if err != nil || code != 1 {
+		t.Fatalf("code=%d err=%v, want 1 and no error", code, err)
+	}
+	if want := `3:1: error[sema-error]: config "n" initializer reads "k"`; !strings.Contains(buf.String(), want) {
+		t.Errorf("output missing %q:\n%s", want, buf.String())
+	}
+}

@@ -23,10 +23,10 @@
 // protocol.go), surfaced through internal/diag like the plan checker.
 //
 // Like the plan checker (DESIGN.md §10), this package deliberately imports
-// nothing from internal/rt: the distribution arithmetic, geometry and
-// call accounting are re-derived from grid/machine primitives, so the
-// predictor is an independent oracle rather than a restatement of the
-// runtime.
+// nothing from internal/rt. The scalar operators and the setup are ir's, so
+// both read the same program; block ownership, geometry and call accounting
+// are re-derived from grid/machine primitives, so the predictor is an
+// independent oracle rather than a restatement of the runtime.
 package cost
 
 import (

@@ -1,136 +1,24 @@
 package cost
 
-import (
-	"math"
+import "commopt/internal/ir"
 
-	"commopt/internal/ir"
-	"commopt/internal/zpl"
-)
-
-// value is a scalar whose runtime value is either statically known or
-// not. The operator semantics below mirror the runtime's evaluators
-// (rt/eval.go) exactly — same float arithmetic, same boolean encoding —
-// so a folded control decision is the decision every processor takes.
-type value struct {
-	f     float64
-	known bool
+// eval folds a scalar expression of the walk — a control decision, a
+// literal region bound, a scalar assignment or argument — with ir's
+// evaluator, the one the runtime runs, so a folded decision is the one
+// every processor takes. Its value is statically known when every scalar
+// it reads is: a scalar assigned from a reduction depends on array data,
+// and so does everything computed from it.
+func (w *walker) eval(e ir.Expr) (float64, bool) {
+	known := true
+	ir.EachScalarRef(e, func(s *ir.ScalarSym) { known = known && !w.unknown[s.ID] })
+	if !known {
+		return 0, false
+	}
+	return ir.Eval(e, w.vals), true
 }
 
-func known(f float64) value { return value{f: f, known: true} }
-
-var unknown = value{}
-
-// evalExpr folds a scalar IR expression over the known-value store.
-// Array reads, index references and reductions are never statically
-// known; anything built from them degrades to unknown.
-func evalExpr(e ir.Expr, scalars []value) value {
-	switch e := e.(type) {
-	case *ir.Const:
-		return known(e.Val)
-	case *ir.ScalarRef:
-		return scalars[e.Sym.ID]
-	case *ir.Unary:
-		x := evalExpr(e.X, scalars)
-		if !x.known {
-			return unknown
-		}
-		return known(evalUnary(e.Op, x.f))
-	case *ir.Binary:
-		x := evalExpr(e.X, scalars)
-		y := evalExpr(e.Y, scalars)
-		if !x.known || !y.known {
-			return unknown
-		}
-		return evalBinary(e.Op, x.f, y.f)
-	case *ir.Intrinsic:
-		args := make([]float64, len(e.Args))
-		for i, a := range e.Args {
-			v := evalExpr(a, scalars)
-			if !v.known {
-				return unknown
-			}
-			args[i] = v.f
-		}
-		return evalIntrinsic(e.Fn, args)
-	}
-	return unknown
-}
-
-func boolVal(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func evalUnary(op zpl.Kind, v float64) float64 {
-	if op == zpl.MINUS {
-		return -v
-	}
-	return boolVal(v == 0) // not
-}
-
-func evalBinary(op zpl.Kind, x, y float64) value {
-	switch op {
-	case zpl.PLUS:
-		return known(x + y)
-	case zpl.MINUS:
-		return known(x - y)
-	case zpl.STAR:
-		return known(x * y)
-	case zpl.SLASH:
-		return known(x / y)
-	case zpl.PERCENT:
-		return known(math.Mod(x, y))
-	case zpl.EQ:
-		return known(boolVal(x == y))
-	case zpl.NE:
-		return known(boolVal(x != y))
-	case zpl.LT:
-		return known(boolVal(x < y))
-	case zpl.LE:
-		return known(boolVal(x <= y))
-	case zpl.GT:
-		return known(boolVal(x > y))
-	case zpl.GE:
-		return known(boolVal(x >= y))
-	case zpl.KWAND:
-		return known(boolVal(x != 0 && y != 0))
-	case zpl.KWOR:
-		return known(boolVal(x != 0 || y != 0))
-	}
-	return unknown
-}
-
-func evalIntrinsic(fn ir.IntrinsicFn, args []float64) value {
-	switch fn {
-	case ir.FnAbs:
-		return known(math.Abs(args[0]))
-	case ir.FnSqrt:
-		return known(math.Sqrt(args[0]))
-	case ir.FnExp:
-		return known(math.Exp(args[0]))
-	case ir.FnLog:
-		return known(math.Log(args[0]))
-	case ir.FnSin:
-		return known(math.Sin(args[0]))
-	case ir.FnCos:
-		return known(math.Cos(args[0]))
-	case ir.FnMin:
-		return known(math.Min(args[0], args[1]))
-	case ir.FnMax:
-		return known(math.Max(args[0], args[1]))
-	case ir.FnPow:
-		return known(math.Pow(args[0], args[1]))
-	case ir.FnSign:
-		if args[0] > 0 {
-			return known(1)
-		} else if args[0] < 0 {
-			return known(-1)
-		}
-		return known(0)
-	case ir.FnFloor:
-		return known(math.Floor(args[0]))
-	}
-	return unknown
+// assign stores e's value, known or not, to s.
+func (w *walker) assign(s *ir.ScalarSym, e ir.Expr) {
+	v, ok := w.eval(e)
+	w.vals[s.ID], w.unknown[s.ID] = v, !ok
 }

@@ -2,23 +2,18 @@ package cost
 
 import (
 	"fmt"
-	"math"
 
 	"commopt/internal/grid"
 	"commopt/internal/ir"
 )
 
-// layout mirrors the runtime's program setup: config and constant
-// evaluation in declaration order with overrides, region bound
-// evaluation, the master-region anchoring of the block distribution and
-// the ghost-width feasibility check. A program rt.Run would reject at
-// setup is rejected here with the same shape of error, and a program it
-// accepts distributes identically.
+// layout is the program's setup on the prediction's mesh — ir's, the one
+// the runtime builds, so a program rt.Run would reject at setup is
+// rejected here and one it accepts distributes identically — plus the
+// block ownership the walk prices transfers with.
 type layout struct {
-	mesh       grid.Mesh
-	master     [2]grid.Span
-	configVals []float64     // by ScalarSym.ID; zero for non-config scalars
-	regionVals []grid.Region // by RegionSym.ID
+	*ir.Setup
+	mesh grid.Mesh
 }
 
 func newLayout(prog *ir.Program, cfg Config) (*layout, error) {
@@ -26,95 +21,11 @@ func newLayout(prog *ir.Program, cfg Config) (*layout, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cost: %w", err)
 	}
-	l := &layout{mesh: mesh}
-
-	// Configs and constants evaluate in declaration order; later ones may
-	// reference earlier ones. Overrides apply before dependent constants.
-	vals := make([]value, len(prog.Scalars))
-	l.configVals = make([]float64, len(prog.Scalars))
-	for _, c := range prog.Configs {
-		v := evalExpr(c.Init, vals)
-		if !v.known {
-			return nil, fmt.Errorf("cost: config %s initializer is not statically evaluable", c.Name)
-		}
-		if ov, ok := cfg.ConfigVars[c.Name]; ok {
-			v = known(ov)
-		}
-		vals[c.ID] = v
-		l.configVals[c.ID] = v.f
+	s, err := prog.Setup(cfg.ConfigVars, mesh)
+	if err != nil {
+		return nil, fmt.Errorf("cost: %w", err)
 	}
-	for name := range cfg.ConfigVars {
-		if prog.LookupConfig(name) == nil {
-			return nil, fmt.Errorf("cost: program has no config variable %q", name)
-		}
-	}
-	for _, c := range prog.Consts {
-		v := evalExpr(c.Init, vals)
-		if !v.known {
-			return nil, fmt.Errorf("cost: constant %s initializer is not statically evaluable", c.Name)
-		}
-		vals[c.ID] = v
-		l.configVals[c.ID] = v.f
-	}
-
-	l.regionVals = make([]grid.Region, len(prog.Regions))
-	for _, r := range prog.Regions {
-		spans := make([]grid.Span, r.RankN)
-		for d := 0; d < r.RankN; d++ {
-			lo := evalExpr(r.Bounds[d][0], vals)
-			hi := evalExpr(r.Bounds[d][1], vals)
-			if !lo.known || !hi.known {
-				return nil, fmt.Errorf("cost: region %s: bounds are not statically evaluable", r.Name)
-			}
-			if lo.f != math.Trunc(lo.f) || hi.f != math.Trunc(hi.f) {
-				return nil, fmt.Errorf("cost: region %s: non-integer bounds %g..%g", r.Name, lo.f, hi.f)
-			}
-			spans[d] = grid.Span{Lo: int(lo.f), Hi: int(hi.f)}
-		}
-		reg := grid.NewRegion(r.RankN, spans...)
-		if reg.Empty() {
-			return nil, fmt.Errorf("cost: region %s is empty: %v", r.Name, reg)
-		}
-		l.regionVals[r.ID] = reg
-	}
-
-	// The first declared region of rank >= 2 anchors the block
-	// distribution in both distributed dimensions; a rank-1 first region
-	// anchors dimension 0 only.
-	anchored := false
-	for _, r := range prog.Regions {
-		reg := l.regionVals[r.ID]
-		if r.RankN >= 2 {
-			l.master[0], l.master[1] = reg.Spans[0], reg.Spans[1]
-			anchored = true
-			break
-		}
-		if !anchored {
-			l.master[0] = reg.Spans[0]
-			l.master[1] = grid.Span{Lo: 1, Hi: 1}
-			anchored = true
-		}
-	}
-	if !anchored {
-		return nil, fmt.Errorf("cost: program declares no regions")
-	}
-
-	// Ghost widths must fit inside the smallest block.
-	maxGhost := 0
-	for _, a := range prog.Arrays {
-		if a.Ghost > maxGhost {
-			maxGhost = a.Ghost
-		}
-	}
-	minBlock := l.master[0].Len() / mesh.Rows
-	if c := l.master[1].Len() / mesh.Cols; mesh.Cols > 1 && c < minBlock {
-		minBlock = c
-	}
-	if maxGhost > 0 && minBlock < maxGhost {
-		return nil, fmt.Errorf("cost: %d processors partition the %dx%d problem as a %s mesh, leaving blocks %d wide — smaller than the %d-wide ghost region",
-			mesh.Size(), l.master[0].Len(), l.master[1].Len(), mesh, minBlock, maxGhost)
-	}
-	return l, nil
+	return &layout{Setup: s, mesh: mesh}, nil
 }
 
 // localSpan intersects a declared span with the indices owned by block b
@@ -140,9 +51,9 @@ func localSpan(master, declared grid.Span, p, b int) grid.Span {
 // mesh position (row, col).
 func (l *layout) localRegion(reg grid.Region, row, col int) grid.Region {
 	out := reg
-	out.Spans[0] = localSpan(l.master[0], reg.Spans[0], l.mesh.Rows, row)
+	out.Spans[0] = localSpan(l.Master[0], reg.Spans[0], l.mesh.Rows, row)
 	if reg.Rank >= 2 {
-		out.Spans[1] = localSpan(l.master[1], reg.Spans[1], l.mesh.Cols, col)
+		out.Spans[1] = localSpan(l.Master[1], reg.Spans[1], l.mesh.Cols, col)
 	} else if col != 0 {
 		out.Spans[0] = grid.Span{Lo: 1, Hi: 0} // rank-1 data lives on column 0
 	}

@@ -3,6 +3,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -116,7 +117,8 @@ type walker struct {
 	lay  *layout
 	lib  *machine.Lib
 
-	scalars []value
+	vals    []float64 // by ScalarSym.ID
+	unknown []bool    // by ScalarSym.ID: the value depends on array data
 	shapes  map[shapeKey]*shape
 	open    map[*comm.Transfer]*shape
 	segs    map[*ir.Stmt][]comm.Segment
@@ -157,7 +159,8 @@ func analyze(prog *ir.Program, plan *comm.Plan, cfg Config) (*walker, error) {
 	}
 	w := &walker{
 		prog: prog, plan: plan, lay: lay, lib: lib,
-		scalars:  make([]value, len(prog.Scalars)),
+		vals:     slices.Clone(lay.Vals),
+		unknown:  make([]bool, len(prog.Scalars)),
 		shapes:   map[shapeKey]*shape{},
 		open:     map[*comm.Transfer]*shape{},
 		segs:     map[*ir.Stmt][]comm.Segment{},
@@ -165,11 +168,6 @@ func analyze(prog *ir.Program, plan *comm.Plan, cfg Config) (*walker, error) {
 		procMsgs: make([]int, lay.mesh.Size()),
 		sites:    map[*comm.Transfer]*siteAcc{},
 		csites:   map[*comm.Collective]*siteAcc{},
-	}
-	// Every scalar slot starts at its config/constant value — zero for
-	// plain variables, exactly as the runtime seeds p.scalars.
-	for i, v := range lay.configVals {
-		w.scalars[i] = known(v)
 	}
 	// Resolve the collective algorithm exactly as rt's setup does: only
 	// when the plan carries reduction sites and the mesh is bigger than a
@@ -348,11 +346,11 @@ func (w *walker) stmt(s ir.Stmt) error {
 		return nil
 	case *ir.AssignScalar:
 		if !s.HasReduce {
-			w.scalars[s.LHS.ID] = evalExpr(s.RHS, w.scalars)
+			w.assign(s.LHS, s.RHS)
 			return nil
 		}
 		w.countReduces(s.RHS)
-		w.scalars[s.LHS.ID] = unknown // value depends on array data
+		w.unknown[s.LHS.ID] = true // value depends on array data
 		return nil
 	case *ir.Write:
 		return nil
@@ -466,7 +464,7 @@ func (w *walker) control(s ir.Stmt) error {
 			step = -1 // downto: iterate from lo down to hi
 		}
 		for v := lo; (step > 0 && v <= hi) || (step < 0 && v >= hi); v += step {
-			w.scalars[s.Var.ID] = known(float64(v))
+			w.vals[s.Var.ID], w.unknown[s.Var.ID] = float64(v), false
 			if err := w.body(s.Body); err != nil {
 				return err
 			}
@@ -474,7 +472,7 @@ func (w *walker) control(s ir.Stmt) error {
 		return nil
 	case *ir.Call:
 		for i, a := range s.Args {
-			w.scalars[s.Proc.Params[i].ID] = evalExpr(a, w.scalars)
+			w.assign(s.Proc.Params[i], a)
 		}
 		return w.body(s.Proc.Body)
 	}
@@ -496,11 +494,11 @@ func (w *walker) preheader(loop ir.Stmt) error {
 }
 
 func (w *walker) needVal(e ir.Expr, pos zpl.Pos, what string) (float64, error) {
-	v := evalExpr(e, w.scalars)
-	if !v.known {
+	v, ok := w.eval(e)
+	if !ok {
 		return 0, fmt.Errorf("cost: %s at %s depends on computed data: %w", what, pos, ErrNotStatic)
 	}
-	return v.f, nil
+	return v, nil
 }
 
 func (w *walker) needInt(e ir.Expr, pos zpl.Pos, what string) (int, error) {
@@ -516,7 +514,7 @@ func (w *walker) needInt(e ir.Expr, pos zpl.Pos, what string) (int, error) {
 
 func (w *walker) evalRegion(re ir.RegionExpr) (grid.Region, error) {
 	if re.Sym != nil {
-		return w.lay.regionVals[re.Sym.ID], nil
+		return w.lay.Regions[re.Sym.ID], nil
 	}
 	spans := make([]grid.Span, re.RankN)
 	for d := 0; d < re.RankN; d++ {

@@ -96,7 +96,7 @@ func buildShape(lay *layout, lib *machine.Lib, t *comm.Transfer, reg grid.Region
 				srcRow, srcCol := lay.mesh.Coord(src)
 				pr := pair{peer: src}
 				for _, a := range t.Items {
-					owned := lay.localRegion(lay.regionVals[a.Region.ID], srcRow, srcCol)
+					owned := lay.localRegion(lay.Regions[a.Region.ID], srcRow, srcCol)
 					rect := iterMe.Shift(t.Offset).Intersect(owned)
 					if !rect.Empty() {
 						pr.bytes += rect.Size() * 8
@@ -111,7 +111,7 @@ func buildShape(lay *layout, lib *machine.Lib, t *comm.Transfer, reg grid.Region
 				iterDst := lay.localRegion(reg, dstRow, dstCol)
 				pr := pair{peer: dst}
 				for _, a := range t.Items {
-					owned := lay.localRegion(lay.regionVals[a.Region.ID], row, col)
+					owned := lay.localRegion(lay.Regions[a.Region.ID], row, col)
 					rect := iterDst.Shift(t.Offset).Intersect(owned)
 					if !rect.Empty() {
 						pr.bytes += rect.Size() * 8

@@ -9,10 +9,7 @@
 // offset is non-zero in one of the first two dimensions.
 package grid
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // MaxRank is the highest array rank supported by the runtime.
 const MaxRank = 3
@@ -177,24 +174,6 @@ func BlockSpan(n, p, b int) Span {
 	return Span{Lo: lo, Hi: lo + size - 1}
 }
 
-// OwnerOf returns which of p blocks owns global index i in [1, n].
-func OwnerOf(n, p, i int) int {
-	if i < 1 || i > n {
-		panic(fmt.Sprintf("grid: index %d out of [1,%d]", i, n))
-	}
-	q, r := n/p, n%p
-	// Indices 1..r*(q+1) live in the first r (larger) blocks.
-	big := r * (q + 1)
-	if i <= big {
-		return (i - 1) / (q + 1)
-	}
-	if q == 0 {
-		// All indices were covered by the big blocks.
-		panic("grid: unreachable owner")
-	}
-	return r + (i-1-big)/q
-}
-
 // Region is a rectangular set of global indices, one Span per dimension.
 // Unused trailing dimensions hold the degenerate span [1,1].
 type Region struct {
@@ -268,73 +247,4 @@ func (g Region) String() string {
 		s += fmt.Sprintf("%d..%d", g.Spans[i].Lo, g.Spans[i].Hi)
 	}
 	return s + "]"
-}
-
-// Decomposition describes how a declared region is laid out on a mesh.
-// The first dimension is distributed over mesh rows, the second over mesh
-// columns; the third dimension (if any) is local everywhere.
-type Decomposition struct {
-	Mesh   Mesh
-	Global Region
-}
-
-// LocalRegion returns the sub-region of the global region owned by the
-// processor with the given rank. Spans are in global coordinates. For rank-1
-// declared regions the mesh columns are unused (every processor in column
-// c>0 owns an empty region), mirroring ZPL's flooding of 1D regions onto a
-// 2D grid row.
-func (d Decomposition) LocalRegion(rank int) Region {
-	r, c := d.Mesh.Coord(rank)
-	out := d.Global
-	for dim := 0; dim < 2 && dim < d.Global.Rank; dim++ {
-		span := d.Global.Spans[dim]
-		var p, b int
-		if dim == 0 {
-			p, b = d.Mesh.Rows, r
-		} else {
-			p, b = d.Mesh.Cols, c
-		}
-		n := span.Len()
-		bs := BlockSpan(n, p, b)
-		// BlockSpan is 1-based over the span length; translate to global.
-		out.Spans[dim] = Span{Lo: span.Lo + bs.Lo - 1, Hi: span.Lo + bs.Hi - 1}
-		if bs.Empty() {
-			out.Spans[dim] = Span{Lo: 1, Hi: 0}
-		}
-	}
-	if d.Global.Rank == 1 && c != 0 {
-		// 1D regions live on the first mesh column only.
-		out.Spans[0] = Span{Lo: 1, Hi: 0}
-	}
-	return out
-}
-
-// OwnerRank returns the rank of the processor owning global point (i, j)
-// of the decomposition's global region.
-func (d Decomposition) OwnerRank(i, j int) int {
-	g := d.Global
-	r := 0
-	if g.Rank >= 1 {
-		r = OwnerOf(g.Spans[0].Len(), d.Mesh.Rows, i-g.Spans[0].Lo+1)
-	}
-	c := 0
-	if g.Rank >= 2 {
-		c = OwnerOf(g.Spans[1].Len(), d.Mesh.Cols, j-g.Spans[1].Lo+1)
-	}
-	return d.Mesh.Rank(r, c)
-}
-
-// SurfaceToVolume returns the ratio of boundary points to interior points
-// of the local block on processor 0, a rough communication intensity
-// metric used by the experiment harness for sanity reporting.
-func (d Decomposition) SurfaceToVolume() float64 {
-	loc := d.LocalRegion(0)
-	if loc.Empty() {
-		return math.Inf(1)
-	}
-	vol := loc.Size()
-	rows := loc.Spans[0].Len()
-	cols := loc.Spans[1].Len()
-	surf := 2*rows + 2*cols
-	return float64(surf) / float64(vol)
 }

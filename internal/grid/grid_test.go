@@ -127,24 +127,6 @@ func TestBlockSizesBalanced(t *testing.T) {
 	}
 }
 
-// TestOwnerOfMatchesBlockSpan: OwnerOf inverts BlockSpan.
-func TestOwnerOfMatchesBlockSpan(t *testing.T) {
-	prop := func(n, p uint8) bool {
-		nn := 1 + int(n%150)
-		pp := 1 + int(p%16)
-		for i := 1; i <= nn; i++ {
-			b := OwnerOf(nn, pp, i)
-			if !BlockSpan(nn, pp, b).Contains(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSpanOps(t *testing.T) {
 	a := Span{2, 10}
 	b := Span{5, 20}
@@ -186,35 +168,5 @@ func TestOffsetProperties(t *testing.T) {
 	}
 	if got := (Offset{1, -2, 0}).Neg(); got != (Offset{-1, 2, 0}) {
 		t.Errorf("neg = %v", got)
-	}
-}
-
-func TestDecompositionCoversRegion(t *testing.T) {
-	prop := func(n1, n2, p uint8) bool {
-		g := NewRegion(2, Span{1, 1 + int(n1%60)}, Span{1, 1 + int(n2%60)})
-		mesh := SquarestMesh(1 + int(p%16))
-		d := Decomposition{Mesh: mesh, Global: g}
-		seen := 0
-		for rank := 0; rank < mesh.Size(); rank++ {
-			seen += d.LocalRegion(rank).Size()
-		}
-		return seen == g.Size()
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecompositionOwnerConsistent(t *testing.T) {
-	g := NewRegion(2, Span{1, 13}, Span{1, 9})
-	d := Decomposition{Mesh: NewMesh(3, 2), Global: g}
-	for i := 1; i <= 13; i++ {
-		for j := 1; j <= 9; j++ {
-			rank := d.OwnerRank(i, j)
-			loc := d.LocalRegion(rank)
-			if !loc.Spans[0].Contains(i) || !loc.Spans[1].Contains(j) {
-				t.Fatalf("owner of (%d,%d) = %d but local region %v", i, j, rank, loc)
-			}
-		}
 	}
 }

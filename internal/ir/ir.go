@@ -333,18 +333,6 @@ var intrinsicNames = map[string]IntrinsicFn{
 	"min": FnMin, "max": FnMax, "pow": FnPow, "sign": FnSign, "floor": FnFloor,
 }
 
-var intrinsicArity = map[IntrinsicFn]int{
-	FnAbs: 1, FnSqrt: 1, FnExp: 1, FnLog: 1, FnSin: 1, FnCos: 1,
-	FnMin: 2, FnMax: 2, FnPow: 2, FnSign: 1, FnFloor: 1,
-}
-
-// intrinsicFlops approximates the per-element cost of each intrinsic in
-// equivalent arithmetic operations.
-var intrinsicFlops = map[IntrinsicFn]int{
-	FnAbs: 1, FnSqrt: 6, FnExp: 10, FnLog: 10, FnSin: 10, FnCos: 10,
-	FnMin: 1, FnMax: 1, FnPow: 12, FnSign: 1, FnFloor: 1,
-}
-
 // Intrinsic invokes a built-in function.
 type Intrinsic struct {
 	Fn   IntrinsicFn

@@ -238,3 +238,78 @@ func TestReduceOps(t *testing.T) {
 func TestIntrinsicArityChecked(t *testing.T) {
 	lowerErr(t, header+`procedure main(); begin s := sqrt(1.0, 2.0); end;`, "argument")
 }
+
+// Setup evaluates config, constant and declared-region initializers before
+// any variable has a value, so Lower admits only literals, configs and
+// constants there, with an error at the declaration.
+func TestSetupInitializersReadOnlyConstants(t *testing.T) {
+	for _, c := range []struct{ decl, want string }{
+		{`config var n : integer = 8 + k;`, `config "n" initializer reads "k"`},
+		{`constant c : integer = k * 2;`, `constant "c" reads "k"`},
+		{`region R = [1..k, 1..4];`, `region "R" bound reads "k"`},
+	} {
+		ast, err := zpl.Parse("program t;\nvar k : integer;\n" + c.decl + "\nprocedure main(); begin end;")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Lower(ast)
+		if e, ok := err.(*zpl.Error); !ok || e.Pos.Line != 3 || !strings.Contains(e.Msg, c.want) {
+			t.Errorf("%s: error %v, want one at line 3 containing %q", c.decl, err, c.want)
+		}
+	}
+	lower(t, `program t;
+	config var n : integer = 8;
+	constant m : integer = n - 1;
+	config var h : float = 1.0 / m + sqrt(n);
+	region R = [1..m, 1..n];
+	procedure main(); begin end;`)
+}
+
+// A direction component folds with the language's operators: `/` is real
+// division, and the result must be an integer.
+func TestDirectionRealDivision(t *testing.T) {
+	for _, comp := range []string{"3/2", "1/0", "0/0"} {
+		lowerErr(t, `program t; direction odd = [0, `+comp+`]; procedure main(); begin end;`, "is not a constant integer")
+	}
+	p := lower(t, `program t; constant h : float = 0.5; direction d = [3/2*2, h*4, 7 % 4]; procedure main(); begin end;`)
+	if off := p.Dirs[0].Off; off != (grid.Offset{3, 2, 3}) {
+		t.Errorf("direction d = %v, want [3,2,3]", off)
+	}
+}
+
+func TestSetup(t *testing.T) {
+	p := lower(t, `program t;
+	config var n : integer = 8;
+	constant m : integer = n / 2;
+	region L = [1..n];
+	region R = [0..m, 1..n];
+	var A : [R] float;
+	procedure main(); begin [R] A := A@[1, 0]; end;`)
+	s, err := p.Setup(map[string]float64{"n": 12}, grid.NewMesh(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Vals[p.Consts[0].ID]; got != 6 {
+		t.Errorf("m = %g under n = 12, want 6", got)
+	}
+	if got := s.Regions[1].String(); got != "[0..6, 1..12]" {
+		t.Errorf("R = %s", got)
+	}
+	if s.Master != [2]grid.Span{{Lo: 0, Hi: 6}, {Lo: 1, Hi: 12}} {
+		t.Errorf("master = %v: the first rank-2 region anchors both dimensions", s.Master)
+	}
+	for _, c := range []struct {
+		vars map[string]float64
+		mesh grid.Mesh
+		want string
+	}{
+		{map[string]float64{"q": 1}, grid.NewMesh(1, 1), `no config variable "q"`},
+		{map[string]float64{"n": 7}, grid.NewMesh(1, 1), "non-integer bounds 0..3.5"},
+		{map[string]float64{"n": 0}, grid.NewMesh(1, 1), "region L is empty"},
+		{nil, grid.NewMesh(8, 1), "smaller than the 1-wide ghost region"},
+	} {
+		if _, err := p.Setup(c.vars, c.mesh); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Setup(%v, %v) = %v, want an error containing %q", c.vars, c.mesh, err, c.want)
+		}
+	}
+}

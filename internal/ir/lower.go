@@ -145,6 +145,7 @@ func (lw *lowerer) decl(d zpl.Decl) {
 				lw.fail(d.Pos, "config %q initializer must be scalar", name)
 				return
 			}
+			lw.setupOnly(d.Pos, init, fmt.Sprintf("config %q initializer", name))
 			s := lw.newScalar(name, typeOf(d.Type), ConfigVar, init)
 			lw.scalars[name] = s
 			lw.prog.Configs = append(lw.prog.Configs, s)
@@ -158,6 +159,7 @@ func (lw *lowerer) decl(d zpl.Decl) {
 			lw.fail(d.Pos, "constant %q must be scalar", d.Name)
 			return
 		}
+		lw.setupOnly(d.Pos, val, fmt.Sprintf("constant %q", d.Name))
 		s := lw.newScalar(d.Name, typeOf(d.Type), ConstVar, val)
 		lw.scalars[d.Name] = s
 		lw.prog.Consts = append(lw.prog.Consts, s)
@@ -178,6 +180,8 @@ func (lw *lowerer) decl(d zpl.Decl) {
 				lw.fail(d.Pos, "region %q bounds must be scalar", d.Name)
 				return
 			}
+			lw.setupOnly(d.Pos, lo, fmt.Sprintf("region %q bound", d.Name))
+			lw.setupOnly(d.Pos, hi, fmt.Sprintf("region %q bound", d.Name))
 			r.Bounds[i] = [2]Expr{lo, hi}
 		}
 		lw.regions[d.Name] = r
@@ -254,51 +258,45 @@ func (lw *lowerer) varDecl(d *zpl.VarDecl, kind ScalarKind, procPrefix string) {
 	}
 }
 
-// constInt evaluates a compile-time integer expression (direction
-// components): literals, constants with literal values, unary minus and
-// the four integer operators.
+// setupOnly fails unless e, a config, constant or declared-region
+// initializer, reads only configs and constants: setup (Program.Setup)
+// evaluates it before any other scalar has a value.
+func (lw *lowerer) setupOnly(pos zpl.Pos, e Expr, what string) {
+	EachScalarRef(e, func(s *ScalarSym) {
+		if s.Kind != ConfigVar && s.Kind != ConstVar {
+			lw.fail(pos, "%s reads %q: only literals, configs and constants may appear here", what, s.Name)
+		}
+	})
+}
+
+// constInt folds a direction component, which must be an integer at
+// compile time: literals and constants with literal values under the
+// operators of eval.go, so `/` is real division here too.
 func (lw *lowerer) constInt(e zpl.Expr) (int, bool) {
+	v, ok := lw.constVal(e)
+	if !ok || v != math.Trunc(v) || math.IsInf(v, 0) {
+		return 0, false
+	}
+	return int(v), true
+}
+
+func (lw *lowerer) constVal(e zpl.Expr) (float64, bool) {
 	switch e := e.(type) {
 	case *zpl.NumLit:
-		if e.Value != math.Trunc(e.Value) {
-			return 0, false
-		}
-		return int(e.Value), true
+		return e.Value, true
 	case *zpl.UnaryExpr:
-		if e.Op != zpl.MINUS {
-			return 0, false
-		}
-		v, ok := lw.constInt(e.X)
-		return -v, ok
+		x, ok := lw.constVal(e.X)
+		return EvalUnary(e.Op, x), ok
 	case *zpl.BinaryExpr:
-		x, okx := lw.constInt(e.X)
-		y, oky := lw.constInt(e.Y)
-		if !okx || !oky {
-			return 0, false
-		}
-		switch e.Op {
-		case zpl.PLUS:
-			return x + y, true
-		case zpl.MINUS:
-			return x - y, true
-		case zpl.STAR:
-			return x * y, true
-		case zpl.SLASH:
-			if y == 0 {
-				return 0, false
-			}
-			return x / y, true
-		}
-		return 0, false
+		x, okx := lw.constVal(e.X)
+		y, oky := lw.constVal(e.Y)
+		return EvalBinary(e.Op, x, y), okx && oky
 	case *zpl.Ident:
-		s := lw.scalars[e.Name]
-		if s == nil || s.Kind != ConstVar {
-			return 0, false
+		if s := lw.scalars[e.Name]; s != nil && s.Kind == ConstVar {
+			if c, ok := s.Init.(*Const); ok {
+				return c.Val, true
+			}
 		}
-		if c, ok := s.Init.(*Const); ok && c.Val == math.Trunc(c.Val) {
-			return int(c.Val), true
-		}
-		return 0, false
 	}
 	return 0, false
 }
@@ -703,8 +701,8 @@ func (lw *lowerer) expr(e zpl.Expr, ctx exprCtx) (Expr, shape) {
 			lw.fail(e.Pos, "unknown function %q", e.Name)
 			return &Const{}, scalarShape
 		}
-		if len(e.Args) != intrinsicArity[fn] {
-			lw.fail(e.Pos, "%s takes %d arguments, got %d", e.Name, intrinsicArity[fn], len(e.Args))
+		if n := Intrinsics[fn].arity(); len(e.Args) != n {
+			lw.fail(e.Pos, "%s takes %d arguments, got %d", e.Name, n, len(e.Args))
 			return &Const{}, scalarShape
 		}
 		out := &Intrinsic{Fn: fn}
@@ -810,7 +808,7 @@ func countFlops(e Expr) int {
 	case *Binary:
 		return 1 + countFlops(e.X) + countFlops(e.Y)
 	case *Intrinsic:
-		n := intrinsicFlops[e.Fn]
+		n := Intrinsics[e.Fn].flops
 		for _, a := range e.Args {
 			n += countFlops(a)
 		}

@@ -1,11 +1,16 @@
 package lint
 
-import "commopt/internal/zpl"
+import (
+	"math"
 
-// Compile-time expression evaluation under the default config values.
-// The linter only needs enough arithmetic to resolve region bounds and
-// direction offsets; anything it cannot fold (loop variables, runtime
-// scalars) simply opts the dependent rule out rather than guessing.
+	"commopt/internal/ir"
+	"commopt/internal/zpl"
+)
+
+// Compile-time expression evaluation under the default config values,
+// with ir's operators. Anything the linter cannot fold (loop variables,
+// runtime scalars, intrinsics) simply opts the dependent rule out rather
+// than guessing.
 
 // evalConst folds e to a number using env (config defaults and declared
 // constants). The second result is false when e is not compile-time
@@ -19,29 +24,11 @@ func evalConst(e zpl.Expr, env map[string]float64) (float64, bool) {
 		return v, ok
 	case *zpl.UnaryExpr:
 		x, ok := evalConst(e.X, env)
-		if !ok || e.Op != zpl.MINUS {
-			return 0, false
-		}
-		return -x, true
+		return ir.EvalUnary(e.Op, x), ok
 	case *zpl.BinaryExpr:
 		x, okx := evalConst(e.X, env)
 		y, oky := evalConst(e.Y, env)
-		if !okx || !oky {
-			return 0, false
-		}
-		switch e.Op {
-		case zpl.PLUS:
-			return x + y, true
-		case zpl.MINUS:
-			return x - y, true
-		case zpl.STAR:
-			return x * y, true
-		case zpl.SLASH:
-			if y == 0 {
-				return 0, false
-			}
-			return x / y, true
-		}
+		return ir.EvalBinary(e.Op, x, y), okx && oky
 	}
 	return 0, false
 }
@@ -49,7 +36,7 @@ func evalConst(e zpl.Expr, env map[string]float64) (float64, bool) {
 // evalInt folds e to an integer, failing on non-integral results.
 func evalInt(e zpl.Expr, env map[string]float64) (int, bool) {
 	v, ok := evalConst(e, env)
-	if !ok || v != float64(int(v)) {
+	if !ok || v != math.Trunc(v) || math.IsInf(v, 0) {
 		return 0, false
 	}
 	return int(v), true

@@ -51,9 +51,9 @@ type kctx struct {
 	i, j, k int       // coordinates of the row's first element, relative to org
 	scratch []float64 // slot rows for intermediate results, arena-backed
 
-	data [][]float64 // the processor's field backing slices, by ArraySym.ID
-	env  scalarEnv   // its scalar store
-	org  [2]int      // global coordinates of its block origin
+	data    [][]float64 // the processor's field backing slices, by ArraySym.ID
+	scalars []float64   // its scalar store, by ScalarSym.ID
+	org     [2]int      // global coordinates of its block origin
 }
 
 // coord returns the row-start's global coordinate along dimension d; dist
@@ -377,7 +377,7 @@ func (kc *kcompiler) viewOf(e *ir.ArrayRef) vec {
 func (kc *kcompiler) fill(e ir.Expr) vec {
 	kc.fills++
 	return func(c *kctx, dst []float64) []float64 {
-		fillRow(dst, c.env.eval(e))
+		fillRow(dst, ir.Eval(e, c.scalars))
 		return dst
 	}
 }
@@ -428,7 +428,7 @@ func (kc *kcompiler) axpy(e ir.Expr) vec {
 	}
 	xv, yv := kc.viewOf(x), kc.viewOf(y)
 	return func(c *kctx, dst []float64) []float64 {
-		axpyRow(form, dst, c.env.eval(s), xv(c, nil), yv(c, nil))
+		axpyRow(form, dst, ir.Eval(s, c.scalars), xv(c, nil), yv(c, nil))
 		return dst
 	}
 }
@@ -466,10 +466,11 @@ func (kc *kcompiler) node(e ir.Expr) vec {
 		}
 
 	case *ir.Unary:
-		if e.Op != zpl.MINUS {
-			return kc.unary(mapping(not), e.X)
+		if e.Op == zpl.MINUS {
+			return kc.unary(negRow, e.X)
 		}
-		return kc.unary(negRow, e.X)
+		op := e.Op
+		return kc.unary(mapping(func(v float64) float64 { return ir.EvalUnary(op, v) }), e.X)
 
 	case *ir.Binary:
 		return kc.binary(rowOpOf(e.Op), e.X, e.Y)
@@ -481,10 +482,11 @@ func (kc *kcompiler) node(e ir.Expr) vec {
 		case ir.FnSqrt:
 			return kc.unary(sqrtRow, e.Args[0])
 		}
-		if fn := unaryFns[e.Fn]; fn != nil {
-			return kc.unary(mapping(fn), e.Args[0])
+		d := &ir.Intrinsics[e.Fn]
+		if d.Unary != nil {
+			return kc.unary(mapping(d.Unary), e.Args[0])
 		}
-		return kc.binary(rowOp{kind: opFn, fn: binaryFns[e.Fn]}, e.Args[0], e.Args[1])
+		return kc.binary(rowOp{kind: opFn, fn: d.Binary}, e.Args[0], e.Args[1])
 	}
 	panic(fmt.Sprintf("rt: %T below statement level (ir.Lower rejects it)", e))
 }
@@ -501,7 +503,7 @@ func rowOpOf(k zpl.Kind) rowOp {
 	case zpl.SLASH:
 		return rowOp{kind: opDiv}
 	}
-	return rowOp{kind: opFn, fn: func(x, y float64) float64 { return evalBinary(k, x, y) }}
+	return rowOp{kind: opFn, fn: func(x, y float64) float64 { return ir.EvalBinary(k, x, y) }}
 }
 
 // unary compiles a one-operand row loop — negRow, absRow, sqrtRow, or any
@@ -534,13 +536,13 @@ func (kc *kcompiler) binary(op rowOp, ex, ey ir.Expr) vec {
 	case scalarOnly(ey):
 		x := kc.node(ex)
 		return func(c *kctx, dst []float64) []float64 {
-			rowScalar(op, dst, x(c, dst), c.env.eval(ey))
+			rowScalar(op, dst, x(c, dst), ir.Eval(ey, c.scalars))
 			return dst
 		}
 	case scalarOnly(ex):
 		y := kc.node(ey)
 		return func(c *kctx, dst []float64) []float64 {
-			scalarRow(op, dst, c.env.eval(ex), y(c, dst))
+			scalarRow(op, dst, ir.Eval(ex, c.scalars), y(c, dst))
 			return dst
 		}
 	}

@@ -164,7 +164,7 @@ func (p *proc) allocate(locals []grid.Region) {
 	w.classify(p, locals)
 	p.scalars = make([]float64, len(w.prog.Scalars))
 	copy(p.scalars, w.configVals)
-	p.kctx.env = scalarEnv{vals: p.scalars}
+	p.kctx.scalars = p.scalars
 	p.kctx.data = make([][]float64, len(p.fields))
 	for id, f := range p.fields {
 		p.kctx.data[id] = f.Data()
@@ -534,17 +534,17 @@ func (p *proc) evalWithReduce(e ir.Expr, s *ir.AssignScalar, local grid.Region) 
 		}
 		return p.allreduce(e, acc)
 	case *ir.Unary:
-		return evalUnary(e.Op, p.evalWithReduce(e.X, s, local))
+		return ir.EvalUnary(e.Op, p.evalWithReduce(e.X, s, local))
 	case *ir.Binary:
 		x := p.evalWithReduce(e.X, s, local)
 		y := p.evalWithReduce(e.Y, s, local)
-		return evalBinary(e.Op, x, y)
+		return ir.EvalBinary(e.Op, x, y)
 	case *ir.Intrinsic:
 		var args [2]float64 // ir.Lower checks arities: one or two arguments
 		for i, a := range e.Args {
 			args[i] = p.evalWithReduce(a, s, local)
 		}
-		return evalIntrinsic(e.Fn, args[:len(e.Args)])
+		return e.Fn.Apply(args[:len(e.Args)])
 	default:
 		return p.evalScalar(e)
 	}
@@ -573,7 +573,7 @@ func (p *proc) write(s *ir.Write) {
 
 // evalScalar evaluates a pure scalar expression (no array references)
 // against this processor's scalars.
-func (p *proc) evalScalar(e ir.Expr) float64 { return p.kctx.env.eval(e) }
+func (p *proc) evalScalar(e ir.Expr) float64 { return ir.Eval(e, p.scalars) }
 
 func (p *proc) evalInt(e ir.Expr, what string) int {
 	v := p.evalScalar(e)

@@ -352,84 +352,20 @@ func Run(prog *ir.Program, plan *comm.Plan, cfg Config) (*Result, error) {
 	return w.gather(), nil
 }
 
-// setup evaluates configs, constants and regions, builds the distribution,
+// setup evaluates configs, constants and regions (ir's Program.Setup),
 // binds the program body and allocates every processor's fields.
 func (w *world) setup(cfg Config) error {
 	prog := w.prog
-	w.configVals = make([]float64, len(prog.Scalars))
-	// Configs and constants evaluate in declaration order; later ones may
-	// reference earlier ones. Config overrides apply before constants that
-	// depend on them are computed.
-	ev := &scalarEnv{vals: w.configVals}
-	for _, c := range prog.Configs {
-		v := ev.eval(c.Init)
-		if ov, ok := cfg.ConfigVars[c.Name]; ok {
-			v = ov
-		}
-		w.configVals[c.ID] = v
+	s, err := prog.Setup(cfg.ConfigVars, w.mesh)
+	if err != nil {
+		return fmt.Errorf("rt: %w", err)
 	}
-	for name := range cfg.ConfigVars {
-		if prog.LookupConfig(name) == nil {
-			return fmt.Errorf("rt: program has no config variable %q", name)
-		}
-	}
-	for _, c := range prog.Consts {
-		w.configVals[c.ID] = ev.eval(c.Init)
-	}
-
-	w.regionVals = make([]grid.Region, len(prog.Regions))
-	for _, r := range prog.Regions {
-		reg, err := evalRegionBounds(ev, r.RankN, r.Bounds)
-		if err != nil {
-			return fmt.Errorf("rt: region %s: %w", r.Name, err)
-		}
-		if reg.Empty() {
-			return fmt.Errorf("rt: region %s is empty: %v", r.Name, reg)
-		}
-		w.regionVals[r.ID] = reg
-	}
-
-	// The first declared region of rank >= 2 anchors the block
-	// distribution in both distributed dimensions (ZPL's trivial
-	// alignment); a rank-1 first region anchors dimension 0 only.
-	anchored := false
-	for _, r := range prog.Regions {
-		reg := w.regionVals[r.ID]
-		if r.RankN >= 2 {
-			w.master[0], w.master[1] = reg.Spans[0], reg.Spans[1]
-			anchored = true
-			break
-		}
-		if !anchored {
-			w.master[0] = reg.Spans[0]
-			w.master[1] = grid.Span{Lo: 1, Hi: 1}
-			anchored = true
-		}
-	}
-	if !anchored {
-		return fmt.Errorf("rt: program declares no regions")
-	}
-
-	// Ghost widths must fit inside the smallest block.
-	maxGhost := 0
-	for _, a := range prog.Arrays {
-		if a.Ghost > maxGhost {
-			maxGhost = a.Ghost
-		}
-	}
-	minBlock := w.master[0].Len() / w.mesh.Rows
-	if c := w.master[1].Len() / w.mesh.Cols; w.mesh.Cols > 1 && c < minBlock {
-		minBlock = c
-	}
-	if maxGhost > 0 && minBlock < maxGhost {
-		return fmt.Errorf("rt: %d processors partition the %dx%d problem as a %s mesh, leaving blocks %d wide — smaller than the %d-wide ghost region; use fewer processors or a larger problem",
-			w.mesh.Size(), w.master[0].Len(), w.master[1].Len(), w.mesh, minBlock, maxGhost)
-	}
+	w.configVals, w.regionVals, w.master = s.Vals, s.Regions, s.Master
 
 	// Bind every statement list the program can reach, once, shared by all
 	// processors, and give every dispatch site its class cache with the
 	// value it has wherever its region clips to nothing.
-	w.foldLiterals(ev)
+	w.foldLiterals()
 	w.main = w.bind(prog.Main.Body, map[*ir.Proc][]seg{})
 	w.xferCC = make([]classCache[*commSched], w.plan.NumTransfers())
 	w.eachTransfer(func(t *comm.Transfer) { w.xferCC[t.Slot].empty = emptySched(t) })

@@ -35,7 +35,7 @@ type site[T comparable] struct {
 // evaluated that reads only constants and config variables, which no
 // statement can assign (ir.Lower): [i..i, 2..n-1] costs a processor two
 // loads and two constants per evaluation.
-func (w *world) foldLiterals(ev *scalarEnv) {
+func (w *world) foldLiterals() {
 	w.literals = slices.Clone(w.prog.Literals)
 	for id := range w.literals {
 		re := &w.literals[id]
@@ -44,7 +44,7 @@ func (w *world) foldLiterals(ev *scalarEnv) {
 				fold := true
 				ir.EachScalarRef(e, func(s *ir.ScalarSym) { fold = fold && (s.Kind == ir.ConfigVar || s.Kind == ir.ConstVar) })
 				if fold {
-					re.Bounds[d][side] = &ir.Const{Val: ev.eval(e)}
+					re.Bounds[d][side] = &ir.Const{Val: ir.Eval(e, w.configVals)}
 				}
 			}
 		}

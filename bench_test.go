@@ -316,7 +316,9 @@ func estimateSWMBytes(*ir.ArraySym, grid.Offset) int { return 64 * 8 }
 // experiment for SWM and reports the 16-processor speedup.
 func BenchmarkScalingSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Scaling("swm", []int{1, 4, 16}, true, 1); err != nil {
+		r := experiments.NewRunner(0)
+		r.Quick, r.Workers = true, 1
+		if _, err := experiments.Scaling(r, "swm", []int{1, 4, 16}); err != nil {
 			b.Fatal(err)
 		}
 	}

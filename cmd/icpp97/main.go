@@ -106,16 +106,16 @@ func run(w io.Writer, exp string, r *experiments.Runner) error {
 		return table(experiments.Fig12(r))
 	case "scaling":
 		for _, name := range experiments.BenchNames() {
-			t, err := experiments.Scaling(name, experiments.DefaultScalingProcs, r.Quick, r.Workers)
+			t, err := experiments.Scaling(r, name, experiments.DefaultScalingProcs)
 			if err != nil {
 				return err
 			}
 			t.Render(w)
 		}
 	case "scalinglaw":
-		return table(experiments.ScalingLaw("simple", experiments.DefaultScalingLawProcs, r.Quick, r.Workers))
+		return table(experiments.ScalingLaw(r, "simple", experiments.DefaultScalingLawProcs))
 	case "collective":
-		return table(experiments.CollectiveTable("simple", experiments.DefaultCollectiveProcs, r.Quick, r.Workers))
+		return table(experiments.CollectiveTable(r, "simple", experiments.DefaultCollectiveProcs))
 	case "profile":
 		// Opt-in only: the profile appendix is never part of "all", so the
 		// figure and table outputs stay byte-identical with and without

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"commopt/internal/experiments"
@@ -50,5 +52,31 @@ func TestRunEveryExperiment(t *testing.T) {
 	err := run(&out, "x", r)
 	if err == nil || err.Error() != `unknown experiment "x"` || out.Len() != 0 {
 		t.Errorf(`-exp x: err %v, %d bytes of output; want unknown experiment "x" and none`, err, out.Len())
+	}
+}
+
+// The committed results files are the product's output at full size: all
+// and rdma, rendered on one Runner (the T3D cells are shared), must equal
+// results_full.txt and results_rdma.txt byte for byte.
+func TestResultsFiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full-size suite")
+	}
+	r := experiments.NewRunner(64)
+	for _, c := range []struct{ exp, file string }{
+		{"all", "results_full.txt"},
+		{"rdma", "results_rdma.txt"},
+	} {
+		want, err := os.ReadFile(filepath.Join("..", "..", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run(&out, c.exp, r); err != nil {
+			t.Fatalf("-exp %s: %v", c.exp, err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("-exp %s differs from %s:\n%s", c.exp, c.file, out.String())
+		}
 	}
 }

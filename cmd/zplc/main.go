@@ -87,7 +87,7 @@ func parseArgs(args []string) (*config, error) {
 	fs.BoolVar(&cfg.vet, "vet", false, "run the static-analysis suite (lint + plan verification, like zplvet) and fail on findings")
 	fs.BoolVar(&cfg.predict, "predict", false, "print the closed-form communication forecast for the selected -O level")
 	fs.IntVar(&cfg.procs, "procs", 64, "processor count for -predict")
-	fs.StringVar(&cfg.mach, "machine", "t3d", "machine model for -predict: t3d or paragon")
+	fs.StringVar(&cfg.mach, "machine", "t3d", "machine model for -predict: t3d, paragon or rdma")
 	fs.StringVar(&cfg.lib, "lib", "pvm", "library binding for -predict (e.g. pvm, shmem, csend)")
 	fs.StringVar(&cfg.coll, "collective", "auto", "allreduce algorithm for -predict: auto, star, tree, butterfly, twolevel")
 	fs.StringVar(&cfg.bench, "bench", "", "compile a bundled benchmark (tomcatv, swm, simple, sp) instead of a file")
@@ -119,22 +119,9 @@ func parseArgs(args []string) (*config, error) {
 	return cfg, nil
 }
 
-// OptionsByName maps command-line level names to optimizer options.
-func OptionsByName(name string) (comm.Options, error) {
-	switch name {
-	case "baseline":
-		return comm.Baseline(), nil
-	case "rr":
-		return comm.RR(), nil
-	case "cc":
-		return comm.CC(), nil
-	case "pl":
-		return comm.PL(), nil
-	case "pl-maxlat":
-		return comm.PLMaxLatency(), nil
-	}
-	return comm.Options{}, fmt.Errorf("unknown optimization level %q (known: baseline, rr, cc, pl, pl-maxlat)", name)
-}
+// OptionsByName maps command-line level names to optimizer options: the
+// one -O table, which zplrun shares.
+var OptionsByName = comm.OptionsByName
 
 // pipelineFor builds the pass pipeline the command line selects: either
 // the -O level (plus -hoist), or the explicit -passes list.
@@ -245,14 +232,9 @@ func run(w io.Writer, cfg *config) error {
 // the static cost model derives from the block distribution and the
 // machine library's primitive costs.
 func renderPrediction(w io.Writer, prog *ir.Program, plan *comm.Plan, cfg *config) error {
-	var m *machine.Machine
-	switch cfg.mach {
-	case "t3d":
-		m = machine.T3D()
-	case "paragon":
-		m = machine.Paragon()
-	default:
-		return fmt.Errorf("unknown machine %q (have t3d, paragon)", cfg.mach)
+	m, err := machine.ByName(cfg.mach)
+	if err != nil {
+		return err
 	}
 	alg, err := collective.ParseAlg(cfg.coll)
 	if err != nil {

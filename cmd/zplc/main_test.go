@@ -183,6 +183,21 @@ func TestRunPredict(t *testing.T) {
 	}
 }
 
+// -machine takes every machine.ByName model, the rdma cluster included.
+func TestRunPredictRDMA(t *testing.T) {
+	var buf bytes.Buffer
+	cfg, err := parseArgs([]string{"-bench", "tomcatv", "-predict", "-procs", "4", "-machine", "rdma", "-lib", "verbs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&buf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if want := "predicted communication on rdma/verbs, 4 procs"; !strings.Contains(buf.String(), want) {
+		t.Errorf("predict output missing %q:\n%s", want, buf.String())
+	}
+}
+
 func TestRunPredictUnknownMachine(t *testing.T) {
 	var buf bytes.Buffer
 	cfg, err := parseArgs([]string{"-bench", "simple", "-predict", "-machine", "vax"})

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	zplrun [-machine t3d|paragon] [-lib pvm|shmem|csend|isend|hsend]
+//	zplrun [-machine t3d|paragon|rdma] [-lib pvm|shmem|csend|isend|hsend|verbs]
 //	       [-procs N] [-O level] [-set name=value]...
 //	       [-collective auto|star|tree|butterfly|twolevel]
 //	       [-sched-workers N]
@@ -79,7 +79,7 @@ type options struct {
 
 func main() {
 	o := options{cfg: configFlags{}}
-	flag.StringVar(&o.mach, "machine", "t3d", "simulated machine: t3d or paragon")
+	flag.StringVar(&o.mach, "machine", "t3d", "simulated machine: t3d, paragon or rdma")
 	flag.StringVar(&o.lib, "lib", "pvm", "communication library binding")
 	flag.IntVar(&o.procs, "procs", 64, fmt.Sprintf("virtual processor count (1..%d)", grid.MaxProcs))
 	flag.StringVar(&o.level, "O", "pl", "optimization level: baseline, rr, cc, pl, pl-maxlat")
@@ -101,22 +101,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "zplrun:", err)
 		os.Exit(1)
 	}
-}
-
-func optionsByName(name string) (comm.Options, error) {
-	switch name {
-	case "baseline":
-		return comm.Baseline(), nil
-	case "rr":
-		return comm.RR(), nil
-	case "cc":
-		return comm.CC(), nil
-	case "pl":
-		return comm.PL(), nil
-	case "pl-maxlat":
-		return comm.PLMaxLatency(), nil
-	}
-	return comm.Options{}, fmt.Errorf("unknown optimization level %q", name)
 }
 
 func run(w io.Writer, o options) error {
@@ -146,7 +130,7 @@ func run(w io.Writer, o options) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", name, err)
 	}
-	opts, err := optionsByName(o.level)
+	opts, err := comm.OptionsByName(o.level)
 	if err != nil {
 		return err
 	}

@@ -84,7 +84,7 @@ func parseArgs(args []string) (*config, error) {
 	fs.BoolVar(&cfg.protocol, "protocol", false, "run the binding-dependent protocol checker instead of lint+plan checks")
 	fs.BoolVar(&cfg.costMode, "cost", false, "print the closed-form communication cost prediction instead of findings")
 	fs.IntVar(&cfg.procs, "procs", 64, "processor count for -protocol and -cost")
-	fs.StringVar(&cfg.mach, "machine", "t3d", "machine model for -cost: t3d or paragon")
+	fs.StringVar(&cfg.mach, "machine", "t3d", "machine model for -cost: t3d, paragon or rdma")
 	fs.StringVar(&cfg.lib, "lib", "pvm", "library binding for -cost (e.g. pvm, shmem, csend)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -103,17 +103,6 @@ func parseArgs(args []string) (*config, error) {
 		return nil, fmt.Errorf("-procs %d: need at least one processor", cfg.procs)
 	}
 	return cfg, nil
-}
-
-// machineFor maps the -machine flag to a model.
-func machineFor(name string) (*machine.Machine, error) {
-	switch name {
-	case "t3d":
-		return machine.T3D(), nil
-	case "paragon":
-		return machine.Paragon(), nil
-	}
-	return nil, fmt.Errorf("unknown machine %q (have t3d, paragon)", name)
 }
 
 func run(w io.Writer, args []string) (int, error) {
@@ -195,7 +184,7 @@ func run(w io.Writer, args []string) (int, error) {
 // optimization level. Programs whose communication is not statically
 // predictable get a note instead of a table; that is not a finding.
 func printCost(w io.Writer, name, src string, cfg *config) error {
-	m, err := machineFor(cfg.mach)
+	m, err := machine.ByName(cfg.mach)
 	if err != nil {
 		return err
 	}

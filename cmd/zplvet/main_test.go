@@ -180,6 +180,18 @@ func TestRunCost(t *testing.T) {
 	}
 }
 
+// -machine takes every machine.ByName model, the rdma cluster included.
+func TestRunCostRDMA(t *testing.T) {
+	var buf bytes.Buffer
+	code, err := run(&buf, []string{"-cost", "-procs", "4", "-machine", "rdma", "-lib", "verbs", "-bench", "tomcatv"})
+	if err != nil || code != 0 {
+		t.Fatalf("code=%d err=%v output:\n%s", code, err, buf.String())
+	}
+	if want := "tomcatv: predicted communication (rdma/verbs, 4 procs)"; !strings.Contains(buf.String(), want) {
+		t.Errorf("cost output missing %q:\n%s", want, buf.String())
+	}
+}
+
 // A program whose loop bounds depend on computed data has no closed-form
 // prediction; -cost says so and still exits 0 (it is not a finding).
 func TestRunCostNotStatic(t *testing.T) {

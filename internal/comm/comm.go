@@ -90,6 +90,24 @@ func PLMaxLatency() Options {
 	return Options{RemoveRedundant: true, Combine: true, Pipeline: true, Heuristic: MaxLatencyHiding}
 }
 
+// OptionsByName maps the command-line level names (the -O flag of zplc and
+// zplrun) to the options above.
+func OptionsByName(name string) (Options, error) {
+	switch name {
+	case "baseline":
+		return Baseline(), nil
+	case "rr":
+		return RR(), nil
+	case "cc":
+		return CC(), nil
+	case "pl":
+		return PL(), nil
+	case "pl-maxlat":
+		return PLMaxLatency(), nil
+	}
+	return Options{}, fmt.Errorf("unknown optimization level %q (known: baseline, rr, cc, pl, pl-maxlat)", name)
+}
+
 // String summarizes enabled optimizations.
 func (o Options) String() string {
 	switch {

@@ -79,10 +79,6 @@ type PassTrace struct {
 	PassStats
 }
 
-// Delta returns the stage's static-count change (negative when the stage
-// removed transfers).
-func (t PassTrace) Delta() int { return t.After - t.Before }
-
 // Trace records what every pipeline stage did while building a plan.
 type Trace struct {
 	Passes []PassTrace

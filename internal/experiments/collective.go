@@ -2,16 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"commopt/internal/collective"
-	"commopt/internal/comm"
-	"commopt/internal/cost"
 	"commopt/internal/grid"
-	"commopt/internal/machine"
-	"commopt/internal/programs"
 	"commopt/internal/report"
-	"commopt/internal/rt"
 )
 
 // CollectiveTable sweeps the allreduce algorithms across partition sizes
@@ -29,156 +23,85 @@ import (
 // recursive-doubling butterfly is only defined on power-of-two meshes,
 // so eligibility (not just cost) drives the crossover there.
 //
-// Cells are independent simulations over one shared compiled program and
-// run concurrently on up to workers goroutines, merging positionally;
-// the rendered table is byte-identical at any worker count.
-func CollectiveTable(benchName string, procCounts []int, quick bool, workers int) (*report.Table, error) {
+// Cells run on the Runner's worker pool and merge positionally; the
+// rendered table is byte-identical at any worker count.
+func CollectiveTable(r *Runner, benchName string, procCounts []int) (*report.Table, error) {
 	if len(procCounts) == 0 {
 		return nil, fmt.Errorf("experiments: collective sweep needs at least one proc count")
 	}
-	bench, err := programs.ByName(benchName)
+	// pl on each T3D library.
+	ladder := []struct{ lib, exp string }{{"pvm", "pl"}, {"shmem", "pl with shmem"}}
+	_, plan, _, err := r.setup(cell{bench: benchName, exp: "pl", procs: procCounts[0]})
 	if err != nil {
 		return nil, err
 	}
-	cfgVars := bench.PaperConfig
-	if quick {
-		cfgVars = bench.CalibConfig
-	}
-
-	r := NewRunner(procCounts[0])
-	r.Workers = workers
-	r.mu.Lock()
-	c, err := r.compiledFor(benchName)
-	r.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	plan := comm.BuildPlan(c.prog, comm.PL())
 	if len(plan.Collectives) == 0 {
 		return nil, fmt.Errorf("experiments: benchmark %q performs no reductions", benchName)
 	}
-	mach := machine.T3D()
-	libs := []string{"pvm", "shmem"}
 	algs := collective.Algorithms()
 
-	// One job per (library, procs, algorithm∪auto) cell.
-	type cellKey struct {
-		lib, procs int
-		alg        collective.Alg // collective.Auto for the resolution run
-	}
-	var keys []cellKey
-	for li := range libs {
-		for pi, procs := range procCounts {
+	// Per (library, procs): the auto-resolution cell, then one cell per
+	// eligible forced algorithm.
+	var cs []cell
+	for _, l := range ladder {
+		for _, procs := range procCounts {
 			mesh := grid.SquarestMesh(procs)
-			keys = append(keys, cellKey{li, pi, collective.Auto})
+			cs = append(cs, cell{bench: benchName, exp: l.exp, procs: procs})
 			for _, a := range algs {
 				if collective.Eligible(a, mesh) {
-					keys = append(keys, cellKey{li, pi, a})
+					cs = append(cs, cell{bench: benchName, exp: l.exp, procs: procs, alg: a})
 				}
 			}
 		}
 	}
-
-	cells := map[cellKey]*rt.Result{}
-	cellErrs := map[cellKey]error{}
-	var mu sync.Mutex
-	n := r.workers()
-	if n > len(keys) {
-		n = len(keys)
+	outs, err := r.measureAll(cs)
+	if err != nil {
+		return nil, err
 	}
-	jobs := make(chan cellKey)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range jobs {
-				rtCfg := rt.Config{
-					Machine:    mach,
-					Library:    libs[k.lib],
-					Procs:      procCounts[k.procs],
-					ConfigVars: cfgVars,
-					Collective: k.alg,
-				}
-				if n > 1 {
-					// Same policy as Runner.runCell: spend the process-wide
-					// step budget on cell-level parallelism rather than
-					// intra-world worker contention.
-					rtCfg.SchedWorkers = 1
-				}
-				res, err := rt.Run(c.prog, plan, rtCfg)
-				mu.Lock()
-				if err != nil {
-					cellErrs[k] = fmt.Errorf("%s at %d procs (%s, %v): %w",
-						benchName, procCounts[k.procs], libs[k.lib], k.alg, err)
-				} else {
-					cells[k] = res
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, k := range keys {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
 
 	t := &report.Table{
 		Title: fmt.Sprintf("allreduce algorithms: %s (T3D), measured across partition and library", benchName),
 		Headers: []string{"library", "processors", "mesh",
 			"star (s)", "tree (s)", "butterfly (s)", "twolevel (s)", "selected", "predicted"},
 	}
-	for li, lib := range libs {
-		for pi, procs := range procCounts {
+	i := 0
+	for _, l := range ladder {
+		for _, procs := range procCounts {
 			mesh := grid.SquarestMesh(procs)
-			auto := cellKey{li, pi, collective.Auto}
-			if err := cellErrs[auto]; err != nil {
-				return nil, err
-			}
-			sel := cells[auto]
+			auto, sel := cs[i], outs[i]
+			i++
 
 			// The predictor must independently land on the algorithm the
 			// runtime executed: both sides call collective.Resolve, and this
 			// experiment is where that contract is exercised end to end.
-			pred, err := cost.Predict(c.prog, plan, cost.Config{
-				Machine: mach, Library: lib, Procs: procs,
-				Collective: collective.Auto, ConfigVars: cfgVars,
-			})
+			pred, err := r.predict(auto)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: predict %s at %d procs (%s): %w", benchName, procs, lib, err)
+				return nil, err
 			}
-			if pred.Collective != sel.Collective {
+			if pred.Collective != sel.alg {
 				return nil, fmt.Errorf("experiments: %s at %d procs (%s): runtime executed %v but cost.Predict selected %v",
-					benchName, procs, lib, sel.Collective, pred.Collective)
+					benchName, procs, l.lib, sel.alg, pred.Collective)
 			}
 
-			var algCols []string
+			row := []any{l.lib, procs, mesh.String()}
 			for _, a := range algs {
-				k := cellKey{li, pi, a}
 				if !collective.Eligible(a, mesh) {
-					algCols = append(algCols, "-")
+					row = append(row, "-")
 					continue
 				}
-				if err := cellErrs[k]; err != nil {
-					return nil, err
-				}
-				res := cells[k]
-				if res.Collective == sel.Collective && res.ExecTime > sel.ExecTime {
+				res := outs[i]
+				i++
+				if res.alg == sel.alg && res.Time > sel.Time {
 					return nil, fmt.Errorf("experiments: %s at %d procs (%s): auto run slower than forced %v (%v > %v)",
-						benchName, procs, lib, a, sel.ExecTime, res.ExecTime)
+						benchName, procs, l.lib, a, sel.Time, res.Time)
 				}
-				if res.ExecTime < sel.ExecTime {
+				if res.Time < sel.Time {
 					return nil, fmt.Errorf("experiments: %s at %d procs (%s): selected %v (%v) loses to forced %v (%v)",
-						benchName, procs, lib, sel.Collective, sel.ExecTime, a, res.ExecTime)
+						benchName, procs, l.lib, sel.alg, sel.Time, a, res.Time)
 				}
-				algCols = append(algCols, fmt.Sprintf("%.6f", res.ExecTime.Seconds()))
+				row = append(row, fmt.Sprintf("%.6f", res.Time.Seconds()))
 			}
-			row := []any{lib, procs, mesh.String()}
-			for _, col := range algCols {
-				row = append(row, col)
-			}
-			row = append(row, sel.Collective.String(), pred.Collective.String())
+			row = append(row, sel.alg.String(), pred.Collective.String())
 			t.AddRow(row...)
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // mesh (butterfly eligible) and a non-power-of-two one (butterfly must
 // render as "-") and checks the table shape.
 func TestCollectiveTable(t *testing.T) {
-	tbl, err := CollectiveTable("simple", []int{16, 12}, true, 1)
+	tbl, err := CollectiveTable(sweepRunner(1), "simple", []int{16, 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestCollectiveTable(t *testing.T) {
 // the rendered table is byte-identical at any worker count.
 func TestCollectiveTableDeterministicAcrossWorkers(t *testing.T) {
 	render := func(workers int) string {
-		tbl, err := CollectiveTable("simple", []int{16, 12}, true, workers)
+		tbl, err := CollectiveTable(sweepRunner(workers), "simple", []int{16, 12})
 		if err != nil {
 			t.Fatalf("CollectiveTable with %d workers: %v", workers, err)
 		}

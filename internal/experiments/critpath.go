@@ -4,86 +4,17 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"commopt/internal/critpath"
-	"commopt/internal/machine"
 	"commopt/internal/report"
-	"commopt/internal/rt"
 )
 
-// critEntry is one critical-path cell's compute-once slot, mirroring
-// cellEntry: the once runs outside the Runner lock so independent cells
-// analyze in parallel while two requests for the same cell share one run.
-type critEntry struct {
-	once sync.Once
-	path *critpath.Path
-	err  error
-}
-
-// CritpathFor runs (or recalls) one benchmark under one experiment with
-// critical-path recording enabled and returns the analyzed path.
-// Instrumented runs are cached separately from Cell's so the figure and
-// table outputs stay the product of instrumentation-free runs. Every
-// cell re-proves the conservation invariant: the analyzed path must sum
-// exactly — to the nanosecond — to the run's simulated execution time,
-// so a table that renders at all is a table whose attribution is
-// complete.
+// CritpathFor runs (or recalls) one benchmark under one experiment as an
+// instrumented cell and returns its analyzed critical path, which sums
+// exactly to the run's execution time (Runner.run checks it).
 func (r *Runner) CritpathFor(benchName, expKey string) (*critpath.Path, error) {
-	r.mu.Lock()
-	cacheKey := benchName + "/" + expKey
-	e := r.critpaths[cacheKey]
-	if e == nil {
-		e = &critEntry{}
-		r.critpaths[cacheKey] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() { e.path, e.err = r.runCritpath(benchName, expKey) })
-	return e.path, e.err
-}
-
-// runCritpath executes one instrumented cell and analyzes it.
-func (r *Runner) runCritpath(benchName, expKey string) (*critpath.Path, error) {
-	exp, err := ExperimentByKey(expKey)
-	if err != nil {
-		return nil, err
-	}
-	c, plan, err := r.planFor(benchName, exp)
-	if err != nil {
-		return nil, err
-	}
-	cfg := c.bench.PaperConfig
-	if r.Quick {
-		cfg = c.bench.CalibConfig
-	}
-	rec := critpath.NewRecorder()
-	rtCfg := rt.Config{
-		Machine:    machine.T3D(),
-		Library:    exp.Library,
-		Procs:      r.Procs,
-		ConfigVars: cfg,
-		Critpath:   rec,
-	}
-	if r.workers() > 1 {
-		// Same policy as Runner.runCell: spend the process-wide step
-		// budget on cell-level parallelism rather than intra-world worker
-		// contention. The recorded path is a pure function of virtual
-		// time, so it is identical at any worker count regardless.
-		rtCfg.SchedWorkers = 1
-	}
-	res, err := rt.Run(c.prog, plan, rtCfg)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", benchName, expKey, err)
-	}
-	p, err := critpath.Analyze(rec)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", benchName, expKey, err)
-	}
-	if p.Finish != res.ExecTime {
-		return nil, fmt.Errorf("%s/%s: critical path sums to %v but the run finished at %v — attribution is not conservative",
-			benchName, expKey, p.Finish, res.ExecTime)
-	}
-	return p, nil
+	o, err := r.instrumented(benchName, expKey)
+	return o.path, err
 }
 
 // CritpathTable builds the critical-path decomposition of one benchmark
@@ -171,33 +102,9 @@ func critpathMonotone(r *Runner, benchName string) (bool, []string, error) {
 // regression this experiment exists to catch.
 func RunCritpath(w io.Writer, r *Runner) error {
 	benches := BenchNames()
-	// Warm the cache on a worker pool; errors surface on the ordered
+	// Warm the cache on the worker pool; errors surface on the ordered
 	// reads below, exactly as Runner.prefetch does for Cell.
-	n := len(benches) * len(ExpKeys())
-	if wk := r.workers(); wk < n {
-		n = wk
-	}
-	if n > 1 {
-		type job struct{ bench, key string }
-		jobs := make(chan job)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range jobs {
-					r.CritpathFor(j.bench, j.key) //nolint:errcheck // surfaced on the ordered read
-				}
-			}()
-		}
-		for _, b := range benches {
-			for _, k := range ExpKeys() {
-				jobs <- job{b, k}
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	r.measureAll(r.gridCells(benches, ExpKeys(), true)) //nolint:errcheck // surfaced on the ordered read
 
 	for _, name := range benches {
 		t, err := CritpathTable(r, name)

@@ -8,13 +8,19 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 
+	"commopt/internal/collective"
 	"commopt/internal/comm"
+	"commopt/internal/cost"
+	"commopt/internal/critpath"
+	"commopt/internal/grid"
 	"commopt/internal/ir"
 	"commopt/internal/machine"
 	"commopt/internal/programs"
@@ -81,38 +87,65 @@ type Cell struct {
 	Comm vtime.Duration
 }
 
-// Runner executes and caches benchmark runs on the simulated T3D.
-// Independent cells may execute concurrently (see Workers and prefetch):
-// every rt.Run owns its world and virtual time is deterministic, so the
-// measured cells — and therefore every rendered figure and table — are
-// byte-identical at any worker count.
+// Runner executes and caches benchmark runs on the simulated machines.
+// Every figure, sweep, profile, critical path and prediction describes
+// what it needs as cells and runs them through one path (setup, run), one
+// compute-once memo and one worker pool (parallel). Every rt.Run owns its
+// world and virtual time is deterministic, so the measured cells — and
+// therefore every rendered figure and table — are byte-identical at any
+// worker count.
 type Runner struct {
 	Procs int  // default 64
 	Quick bool // use the reduced calibration sizes
 
-	// Workers bounds how many benchmark×experiment cells execute
-	// concurrently when a figure prefetches its inputs. Zero means
-	// GOMAXPROCS; one disables concurrency entirely.
+	// Workers bounds how many cells execute concurrently when a figure
+	// prefetches its inputs. Zero means GOMAXPROCS; one disables
+	// concurrency entirely.
 	Workers int
 
 	// TraceDir, when non-empty, writes a Chrome trace-event JSON timeline
-	// (virtual time, one row per processor) for every benchmark×experiment
-	// run into the directory, named <bench>_<experiment>.trace.json.
+	// (virtual time, one row per processor) for every run into the
+	// directory, named <label>.trace.json after the cell's label.
 	TraceDir string
 
-	mu        sync.Mutex // guards the maps and compiled programs/plans
-	programs  map[string]*compiled
-	cells     map[string]*cellEntry
-	profiles  map[string]profileEntry
-	critpaths map[string]*critEntry
+	mu       sync.Mutex // guards the maps and compiled programs/plans
+	programs map[string]*compiled
+	memo     map[string]*entry
 }
 
-// cellEntry is one cell's compute-once slot. The once runs outside the
-// Runner lock so independent cells can execute in parallel, while two
-// requests for the same cell still share one run.
-type cellEntry struct {
+// cell is one point of the experiment space: a benchmark under an
+// experiment on a partition. Sweeps vary the grid size and the allreduce
+// algorithm; an instrumented cell also records the per-callsite profile
+// and the critical path, and is memoized apart from the plain cell so the
+// figures stay the product of uninstrumented runs.
+type cell struct {
+	bench, exp   string
+	procs        int
+	n            float64        // grid size override; 0 keeps the benchmark's
+	alg          collective.Alg // forced allreduce algorithm; Auto resolves
+	instrumented bool
+}
+
+// outcome is what the tables read off one run. It never holds the
+// *rt.Result: the gathered arrays would stay live for the Runner's life.
+type outcome struct {
+	Cell
+	mesh      grid.Mesh
+	breakdown rt.Breakdown
+	alg       collective.Alg // the allreduce algorithm the run executed
+
+	// Instrumented cells only.
+	profile []rt.CallsiteProfile
+	sched   *rt.SchedStats
+	path    *critpath.Path
+}
+
+// entry is one cell's compute-once slot. The once runs outside the Runner
+// lock so independent cells execute in parallel, while two requests for
+// the same cell still share one run.
+type entry struct {
 	once sync.Once
-	cell Cell
+	out  outcome
 	err  error
 }
 
@@ -128,7 +161,7 @@ func NewRunner(procs int) *Runner {
 	if procs == 0 {
 		procs = 64
 	}
-	return &Runner{Procs: procs, programs: map[string]*compiled{}, cells: map[string]*cellEntry{}, profiles: map[string]profileEntry{}, critpaths: map[string]*critEntry{}}
+	return &Runner{Procs: procs, programs: map[string]*compiled{}, memo: map[string]*entry{}}
 }
 
 // workers resolves the effective worker count.
@@ -137,6 +170,39 @@ func (r *Runner) workers() int {
 		return r.Workers
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// parallel calls fn for 0..n-1 on up to workers goroutines, handing out
+// indices in order; with one worker it calls them in order on the caller.
+func (r *Runner) parallel(n int, fn func(int)) {
+	w := min(r.workers(), n)
+	if w <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for range w {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// configVars returns the config variables a benchmark runs with at the
+// Runner's sizes: the paper's, or the reduced calibration sizes.
+func (r *Runner) configVars(b programs.Benchmark) map[string]float64 {
+	if r.Quick {
+		return b.CalibConfig
+	}
+	return b.PaperConfig
 }
 
 // compiledFor parses and lowers one benchmark, cached. Callers must hold
@@ -180,122 +246,206 @@ func (r *Runner) planFor(benchName string, exp Experiment) (*compiled, *comm.Pla
 	return c, plan, nil
 }
 
-// Cell runs (or recalls) one benchmark under one experiment.
-func (r *Runner) Cell(benchName, expKey string) (Cell, error) {
-	r.mu.Lock()
-	cacheKey := benchName + "/" + expKey
-	e := r.cells[cacheKey]
-	if e == nil {
-		e = &cellEntry{}
-		r.cells[cacheKey] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() { e.cell, e.err = r.runCell(benchName, expKey) })
-	return e.cell, e.err
+// gridCell is one benchmark under one experiment on the Runner's
+// partition: a cell of the paper's grid.
+func (r *Runner) gridCell(benchName, expKey string) cell {
+	return cell{bench: benchName, exp: expKey, procs: r.Procs}
 }
 
-// runCell executes one cell. Compilation and plan construction go through
-// the Runner lock; the simulated run itself is lock-free, so cells
-// prefetched by different workers execute truly in parallel.
-func (r *Runner) runCell(benchName, expKey string) (Cell, error) {
-	exp, err := ExperimentByKey(expKey)
+// label names a cell: its memo key, its error prefix and its trace file
+// name. Grid cells are <bench>_<exp> (spaces dashed, so "pl with shmem"
+// gives a shell-friendly name); a cell adds what differs from the grid.
+func (r *Runner) label(c cell) string {
+	s := c.bench + "_" + strings.ReplaceAll(c.exp, " ", "-")
+	if c.procs != r.Procs {
+		s += fmt.Sprintf("_p%d", c.procs)
+	}
+	if c.n != 0 {
+		s += fmt.Sprintf("_n%g", c.n)
+	}
+	if c.alg != collective.Auto {
+		s += "_" + c.alg.String()
+	}
+	if c.instrumented {
+		s += "_instrumented"
+	}
+	return s
+}
+
+// setup turns a cell into the program, the plan and the one config that
+// rt.Run and cost.Predict both read: the experiment's machine and library,
+// the Runner's sizes, and one scheduler worker per run whenever cells run
+// concurrently — independent simulations scale across cores, while
+// workers inside one world mostly wait on each other's virtual times.
+func (r *Runner) setup(c cell) (*ir.Program, *comm.Plan, rt.Config, error) {
+	exp, err := ExperimentByKey(c.exp)
 	if err != nil {
-		return Cell{}, err
+		return nil, nil, rt.Config{}, err
 	}
-	c, plan, err := r.planFor(benchName, exp)
+	comp, plan, err := r.planFor(c.bench, exp)
 	if err != nil {
-		return Cell{}, err
+		return nil, nil, rt.Config{}, err
 	}
-	cfg := c.bench.PaperConfig
-	if r.Quick {
-		cfg = c.bench.CalibConfig
+	name := exp.Machine
+	if name == "" {
+		name = "t3d"
 	}
-	mach := machine.T3D()
-	if exp.Machine != "" {
-		if mach, err = machine.ByName(exp.Machine); err != nil {
-			return Cell{}, err
-		}
+	mach, err := machine.ByName(name)
+	if err != nil {
+		return nil, nil, rt.Config{}, err
 	}
-	rtCfg := rt.Config{
-		Machine:    mach,
-		Library:    exp.Library,
-		Procs:      r.Procs,
-		ConfigVars: cfg,
+	vars := r.configVars(comp.bench)
+	if c.n != 0 {
+		vars = maps.Clone(vars)
+		vars["n"] = c.n
 	}
+	cfg := rt.Config{Machine: mach, Library: exp.Library, Procs: c.procs, ConfigVars: vars, Collective: c.alg}
 	if r.workers() > 1 {
-		// Concurrent cells are independent simulations, so they scale
-		// perfectly across cores; workers inside one world mostly wait on
-		// each other's virtual times. One scheduler worker per cell lets
-		// the process-wide step budget spend the host on cell-level
-		// parallelism instead of intra-world contention.
-		rtCfg.SchedWorkers = 1
+		cfg.SchedWorkers = 1
 	}
-	var rec *trace.Recorder
-	if r.TraceDir != "" {
-		rec = trace.NewRecorder()
-		rtCfg.Trace = rec
+	return comp.prog, plan, cfg, nil
+}
+
+// measure runs (or recalls) one cell.
+func (r *Runner) measure(c cell) (*outcome, error) {
+	label := r.label(c)
+	r.mu.Lock()
+	e := r.memo[label]
+	if e == nil {
+		e = &entry{}
+		r.memo[label] = e
 	}
-	res, err := rt.Run(c.prog, plan, rtCfg)
-	if err != nil {
-		return Cell{}, fmt.Errorf("%s/%s: %w", benchName, expKey, err)
-	}
-	if rec != nil {
-		if err := writeTraceFile(r.TraceDir, benchName, expKey, rec); err != nil {
-			return Cell{}, err
+	r.mu.Unlock()
+	e.once.Do(func() {
+		if e.err = r.run(c, label, &e.out); e.err != nil {
+			e.err = fmt.Errorf("%s: %w", label, e.err)
 		}
+	})
+	return &e.out, e.err
+}
+
+// run executes one cell into out. Compilation and plan construction go
+// through the Runner lock; the simulated run itself is lock-free, so cells
+// on different workers execute truly in parallel. An instrumented run
+// re-proves the conservation invariant: the analyzed critical path must sum
+// exactly — to the nanosecond — to the run's execution time, so a table
+// that renders at all is a table whose attribution is complete.
+func (r *Runner) run(c cell, label string, out *outcome) error {
+	prog, plan, cfg, err := r.setup(c)
+	if err != nil {
+		return err
+	}
+	if r.TraceDir != "" {
+		cfg.Trace = trace.NewRecorder()
+	}
+	if c.instrumented {
+		cfg.Profile = true
+		cfg.Critpath = critpath.NewRecorder()
+	}
+	res, err := rt.Run(prog, plan, cfg)
+	if err != nil {
+		return err
+	}
+	if cfg.Trace != nil {
+		if err := writeTraceFile(filepath.Join(r.TraceDir, label+".trace.json"), cfg.Trace); err != nil {
+			return err
+		}
+	}
+	if c.instrumented {
+		p, err := critpath.Analyze(cfg.Critpath)
+		if err != nil {
+			return err
+		}
+		if p.Finish != res.ExecTime {
+			return fmt.Errorf("critical path sums to %v but the run finished at %v — attribution is not conservative",
+				p.Finish, res.ExecTime)
+		}
+		out.profile, out.sched, out.path = res.Profile, res.Sched, p
 	}
 	var maxComm vtime.Duration
 	for _, bd := range res.PerProc {
-		if bd.Comm > maxComm {
-			maxComm = bd.Comm
-		}
+		maxComm = max(maxComm, bd.Comm)
 	}
 	// The static count comes off the pipeline trace: the final pass's
 	// output count, which Build also records as plan.StaticCount.
-	return Cell{
+	out.Cell = Cell{
 		Static:   plan.Trace.Final(),
 		Dynamic:  res.DynamicTransfers,
 		Time:     res.ExecTime,
 		Messages: res.Messages,
 		Bytes:    res.BytesSent,
 		Comm:     maxComm,
-	}, nil
+	}
+	out.mesh, out.breakdown, out.alg = res.Mesh, res.Breakdown, res.Collective
+	return nil
+}
+
+// predict runs the closed-form cost predictor on one cell, under the
+// config the cell's run measures under.
+func (r *Runner) predict(c cell) (*cost.Prediction, error) {
+	prog, plan, cfg, err := r.setup(c)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", r.label(c), err)
+	}
+	pred, err := cost.Predict(prog, plan, cost.Config{
+		Machine: cfg.Machine, Library: cfg.Library, Procs: cfg.Procs,
+		Collective: cfg.Collective, ConfigVars: cfg.ConfigVars,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", r.label(c), err)
+	}
+	return pred, nil
+}
+
+// measureAll computes cells on the worker pool and returns their outcomes
+// in order, or the first error in that order.
+func (r *Runner) measureAll(cs []cell) ([]*outcome, error) {
+	outs := make([]*outcome, len(cs))
+	errs := make([]error, len(cs))
+	r.parallel(len(cs), func(i int) { outs[i], errs[i] = r.measure(cs[i]) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return outs, nil
+}
+
+// gridCells returns the cells of benches × keys in that order.
+func (r *Runner) gridCells(benches, keys []string, instrumented bool) []cell {
+	var cs []cell
+	for _, b := range benches {
+		for _, k := range keys {
+			c := r.gridCell(b, k)
+			c.instrumented = instrumented
+			cs = append(cs, c)
+		}
+	}
+	return cs
+}
+
+// Cell runs (or recalls) one benchmark under one experiment.
+func (r *Runner) Cell(benchName, expKey string) (Cell, error) {
+	o, err := r.measure(r.gridCell(benchName, expKey))
+	return o.Cell, err
+}
+
+// instrumented runs (or recalls) one grid cell with the profile and the
+// critical path recorded.
+func (r *Runner) instrumented(benchName, expKey string) (*outcome, error) {
+	c := r.gridCell(benchName, expKey)
+	c.instrumented = true
+	return r.measure(c)
 }
 
 // prefetch computes the cross product of benchmarks × experiment keys on
-// a worker pool, so a figure's later sequential Cell reads all hit the
+// the worker pool, so a figure's later sequential Cell reads all hit the
 // cache. Errors are not reported here: the figure re-requests each cell
 // in its own deterministic order and surfaces the cached error from the
-// first failing cell it reads, exactly as the serial runner did. Cells
-// already computed cost one once-check, so overlapping prefetches are
-// free.
+// first failing cell it reads. Cells already computed cost one
+// once-check, so overlapping prefetches are free.
 func (r *Runner) prefetch(benches, keys []string) {
-	n := len(benches) * len(keys)
-	if w := r.workers(); w < n {
-		n = w
-	}
-	if n <= 1 {
-		return
-	}
-	type job struct{ bench, key string }
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				r.Cell(j.bench, j.key) //nolint:errcheck // surfaced on the ordered read
-			}
-		}()
-	}
-	for _, b := range benches {
-		for _, k := range keys {
-			jobs <- job{b, k}
-		}
-	}
-	close(jobs)
-	wg.Wait()
+	r.measureAll(r.gridCells(benches, keys, false)) //nolint:errcheck // surfaced on the ordered read
 }
 
 // ExpKeys returns every experiment key in Figure 9 order.
@@ -307,12 +457,9 @@ func ExpKeys() []string {
 	return out
 }
 
-// writeTraceFile renders one recorded run as Chrome trace-event JSON in
-// dir, named <bench>_<experiment>.trace.json with spaces dashed so the
-// "pl with shmem" key produces a shell-friendly name.
-func writeTraceFile(dir, benchName, expKey string, rec *trace.Recorder) error {
-	name := benchName + "_" + strings.ReplaceAll(expKey, " ", "-") + ".trace.json"
-	f, err := os.Create(filepath.Join(dir, name))
+// writeTraceFile renders one recorded run as Chrome trace-event JSON.
+func writeTraceFile(path string, rec *trace.Recorder) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}

@@ -238,22 +238,12 @@ func Fig12(r *Runner) (*report.Table, error) {
 // AppendixTable reproduces Tables 1-4: absolute static count, dynamic
 // count and execution time for one benchmark under every experiment.
 func AppendixTable(r *Runner, benchName string) (*report.Table, error) {
-	bench, err := programs.ByName(benchName)
+	title, err := resultsTitle(r, benchName)
 	if err != nil {
 		return nil, err
 	}
-	cfg := bench.PaperConfig
-	if r.Quick {
-		cfg = bench.CalibConfig
-	}
-	size := ""
-	if nz, ok := cfg["nz"]; ok {
-		size = fmt.Sprintf("%gx%gx%g", cfg["n"], cfg["n"], nz)
-	} else {
-		size = fmt.Sprintf("%gx%g", cfg["n"], cfg["n"])
-	}
 	t := &report.Table{
-		Title:   fmt.Sprintf("Results for %s %s on %d processors (%g iterations)", size, benchName, r.Procs, cfg["iters"]),
+		Title:   "Results for " + title,
 		Headers: []string{"experiment", "static count", "dynamic count", "execution time (s)"},
 	}
 	r.prefetch([]string{benchName}, ExpKeys())
@@ -265,6 +255,21 @@ func AppendixTable(r *Runner, benchName string) (*report.Table, error) {
 		t.AddRow(e.Key, c.Static, c.Dynamic, fmt.Sprintf("%.6f", c.Time.Seconds()))
 	}
 	return t, nil
+}
+
+// resultsTitle is the tail of a per-benchmark results table's title: the
+// problem size, the benchmark, the partition and the iteration count.
+func resultsTitle(r *Runner, benchName string) (string, error) {
+	bench, err := programs.ByName(benchName)
+	if err != nil {
+		return "", err
+	}
+	cfg := r.configVars(bench)
+	size := fmt.Sprintf("%gx%g", cfg["n"], cfg["n"])
+	if nz, ok := cfg["nz"]; ok {
+		size += fmt.Sprintf("x%g", nz)
+	}
+	return fmt.Sprintf("%s %s on %d processors (%g iterations)", size, benchName, r.Procs, cfg["iters"]), nil
 }
 
 // RunAll regenerates every figure and table in order, writing the

@@ -94,7 +94,7 @@ func TestCellCaching(t *testing.T) {
 // beat serial, and the communication share of the critical path grows
 // with the partition (surface-to-volume).
 func TestScaling(t *testing.T) {
-	tbl, err := Scaling("swm", []int{1, 4, 16}, true, 1)
+	tbl, err := Scaling(sweepRunner(1), "swm", []int{1, 4, 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,12 +30,19 @@ func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// sweepRunner is a fresh quick-size Runner for the sweep experiments.
+func sweepRunner(workers int) *Runner {
+	r := NewRunner(0)
+	r.Quick, r.Workers = true, workers
+	return r
+}
+
 // TestScalingDeterministicAcrossWorkers checks the concurrent partition
 // sweep merges its rows positionally: same table bytes at any worker
 // count, including the speedup column based on the first row.
 func TestScalingDeterministicAcrossWorkers(t *testing.T) {
 	render := func(workers int) string {
-		tbl, err := Scaling("swm", []int{1, 4, 16}, true, workers)
+		tbl, err := Scaling(sweepRunner(workers), "swm", []int{1, 4, 16})
 		if err != nil {
 			t.Fatalf("Scaling with %d workers: %v", workers, err)
 		}
@@ -55,7 +62,7 @@ func TestScalingDeterministicAcrossWorkers(t *testing.T) {
 // empty partition list or an unknown benchmark.
 func TestScalingLaw(t *testing.T) {
 	render := func(workers int) string {
-		tbl, err := ScalingLaw("simple", []int{4, 16}, true, workers)
+		tbl, err := ScalingLaw(sweepRunner(workers), "simple", []int{4, 16})
 		if err != nil {
 			t.Fatalf("ScalingLaw with %d workers: %v", workers, err)
 		}
@@ -69,10 +76,10 @@ func TestScalingLaw(t *testing.T) {
 	if serial, parallel := render(1), render(2); serial != parallel {
 		t.Errorf("ScalingLaw output differs between 1 and 2 workers:\nserial:\n%s\nparallel:\n%s", serial, parallel)
 	}
-	if _, err := ScalingLaw("simple", nil, true, 1); err == nil {
+	if _, err := ScalingLaw(sweepRunner(1), "simple", nil); err == nil {
 		t.Error("empty partition list accepted")
 	}
-	if _, err := ScalingLaw("nothing", []int{4}, true, 1); err == nil {
+	if _, err := ScalingLaw(sweepRunner(1), "nothing", []int{4}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }

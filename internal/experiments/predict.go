@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"commopt/internal/cost"
-	"commopt/internal/machine"
 	"commopt/internal/report"
 )
 
@@ -25,11 +23,7 @@ func PredictTable(r *Runner) (*report.Table, error) {
 	}
 	for _, bench := range BenchNames() {
 		for _, key := range keys {
-			exp, err := ExperimentByKey(key)
-			if err != nil {
-				return nil, err
-			}
-			pred, err := r.Predict(bench, exp)
+			pred, err := r.predict(r.gridCell(bench, key))
 			if err != nil {
 				return nil, err
 			}
@@ -44,27 +38,4 @@ func PredictTable(r *Runner) (*report.Table, error) {
 		}
 	}
 	return t, nil
-}
-
-// Predict runs the closed-form cost predictor for one benchmark under
-// one experiment, with the same configuration Cell measures under.
-func (r *Runner) Predict(benchName string, exp Experiment) (*cost.Prediction, error) {
-	c, plan, err := r.planFor(benchName, exp)
-	if err != nil {
-		return nil, err
-	}
-	cfg := c.bench.PaperConfig
-	if r.Quick {
-		cfg = c.bench.CalibConfig
-	}
-	pred, err := cost.Predict(c.prog, plan, cost.Config{
-		Machine:    machine.T3D(),
-		Library:    exp.Library,
-		Procs:      r.Procs,
-		ConfigVars: cfg,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", benchName, exp.Key, err)
-	}
-	return pred, nil
 }

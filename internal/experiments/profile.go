@@ -5,69 +5,9 @@ import (
 	"io"
 	"strings"
 
-	"commopt/internal/comm"
-	"commopt/internal/machine"
 	"commopt/internal/report"
 	"commopt/internal/rt"
 )
-
-// profileEntry caches one instrumented run: the per-callsite rows plus
-// the scheduler's observability counters from the same run.
-type profileEntry struct {
-	rows  []rt.CallsiteProfile
-	sched *rt.SchedStats
-}
-
-// profileFor runs (or recalls) one benchmark under one experiment with
-// per-callsite profiling enabled. Profiled runs are cached separately
-// from Cell's so that the figure and table outputs are produced by
-// instrumentation-free runs.
-func (r *Runner) profileFor(benchName, expKey string) (profileEntry, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cacheKey := benchName + "/" + expKey
-	if e, ok := r.profiles[cacheKey]; ok {
-		return e, nil
-	}
-	exp, err := ExperimentByKey(expKey)
-	if err != nil {
-		return profileEntry{}, err
-	}
-	c, err := r.compiledFor(benchName)
-	if err != nil {
-		return profileEntry{}, err
-	}
-	optKey := exp.Options.String()
-	plan, ok := c.plans[optKey]
-	if !ok {
-		plan = comm.BuildPlan(c.prog, exp.Options)
-		c.plans[optKey] = plan
-	}
-	cfg := c.bench.PaperConfig
-	if r.Quick {
-		cfg = c.bench.CalibConfig
-	}
-	res, err := rt.Run(c.prog, plan, rt.Config{
-		Machine:    machine.T3D(),
-		Library:    exp.Library,
-		Procs:      r.Procs,
-		ConfigVars: cfg,
-		Profile:    true,
-	})
-	if err != nil {
-		return profileEntry{}, fmt.Errorf("%s/%s: %w", benchName, expKey, err)
-	}
-	e := profileEntry{rows: res.Profile, sched: res.Sched}
-	r.profiles[cacheKey] = e
-	return e, nil
-}
-
-// ProfileRows returns the per-callsite profile rows of one benchmark
-// under one experiment.
-func (r *Runner) ProfileRows(benchName, expKey string) ([]rt.CallsiteProfile, error) {
-	e, err := r.profileFor(benchName, expKey)
-	return e.rows, err
-}
 
 // schedNote summarizes one run's scheduler counters for a table note:
 // how many host workers stepped how many processor turns, why processors
@@ -96,17 +36,16 @@ func schedNote(st *rt.SchedStats) string {
 // source with the messages, bytes, communication overhead and blocking
 // wait attributed to it across all processors.
 func ProfileAppendix(r *Runner, benchName, expKey string) (*report.Table, error) {
-	e, err := r.profileFor(benchName, expKey)
+	o, err := r.instrumented(benchName, expKey)
 	if err != nil {
 		return nil, err
 	}
-	rows := e.rows
 	t := &report.Table{
 		Title:   fmt.Sprintf("Where did the time go: %s under %s (all processors, virtual time)", benchName, expKey),
-		Note:    schedNote(e.sched),
+		Note:    schedNote(o.sched),
 		Headers: []string{"callsite", "transfer", "hoisted", "SR calls", "messages", "KB", "comm ms", "wait ms", "also covers"},
 	}
-	for _, row := range rows {
+	for _, row := range o.profile {
 		hoisted := ""
 		if row.Hoisted {
 			hoisted = "yes"
@@ -130,8 +69,10 @@ func ProfileAppendix(r *Runner, benchName, expKey string) (*report.Table, error)
 // of RunAll: the figure and table outputs stay byte-identical whether or
 // not profiling is ever requested.
 func RunProfiles(w io.Writer, r *Runner) error {
+	keys := []string{"baseline", "pl"}
+	r.measureAll(r.gridCells(BenchNames(), keys, true)) //nolint:errcheck // surfaced on the ordered read
 	for _, name := range BenchNames() {
-		for _, key := range []string{"baseline", "pl"} {
+		for _, key := range keys {
 			t, err := ProfileAppendix(r, name, key)
 			if err != nil {
 				return err

@@ -6,7 +6,6 @@ import (
 
 	"commopt/internal/comm"
 	"commopt/internal/machine"
-	"commopt/internal/programs"
 	"commopt/internal/report"
 )
 
@@ -47,22 +46,12 @@ func RDMAExpKeys() []string {
 // made explicit here because it is the number the machine comparison is
 // about).
 func RDMATable(r *Runner, benchName string) (*report.Table, error) {
-	bench, err := programs.ByName(benchName)
+	title, err := resultsTitle(r, benchName)
 	if err != nil {
 		return nil, err
 	}
-	cfg := bench.PaperConfig
-	if r.Quick {
-		cfg = bench.CalibConfig
-	}
-	size := ""
-	if nz, ok := cfg["nz"]; ok {
-		size = fmt.Sprintf("%gx%gx%g", cfg["n"], cfg["n"], nz)
-	} else {
-		size = fmt.Sprintf("%gx%g", cfg["n"], cfg["n"])
-	}
 	t := &report.Table{
-		Title:   fmt.Sprintf("RDMA results for %s %s on %d processors (%g iterations)", size, benchName, r.Procs, cfg["iters"]),
+		Title:   "RDMA results for " + title,
 		Headers: []string{"experiment", "static count", "dynamic count", "execution time (s)", "% of rdma baseline"},
 	}
 	r.prefetch([]string{benchName}, RDMAExpKeys())

@@ -26,3 +26,33 @@ func TestRDMATableDeterministic(t *testing.T) {
 		t.Fatalf("RDMA table not deterministic:\n%s\n--- vs ---\n%s", a, b)
 	}
 }
+
+// TestRDMACellsOnEveryPath: an rdma cell runs on its own machine on every
+// path — measured, instrumented and predicted — so each rdma key's
+// critical path finishes when its cell does, and its prediction counts
+// the cell's messages and bytes.
+func TestRDMACellsOnEveryPath(t *testing.T) {
+	r := NewRunner(16)
+	r.Quick = true
+	for _, key := range RDMAExpKeys() {
+		c, err := r.Cell("tomcatv", key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := r.CritpathFor("tomcatv", key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Finish != c.Time {
+			t.Errorf("%s: critical path finishes at %v, cell at %v", key, p.Finish, c.Time)
+		}
+		pred, err := r.predict(r.gridCell("tomcatv", key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred.Messages != c.Messages || pred.BytesSent != c.Bytes {
+			t.Errorf("%s: predicted %d messages, %d bytes; cell has %d, %d",
+				key, pred.Messages, pred.BytesSent, c.Messages, c.Bytes)
+		}
+	}
+}

@@ -2,13 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
-	"commopt/internal/comm"
-	"commopt/internal/machine"
-	"commopt/internal/programs"
 	"commopt/internal/report"
-	"commopt/internal/rt"
 )
 
 // Scaling runs one benchmark at a fixed problem size across a sweep of
@@ -19,81 +14,29 @@ import (
 // surface-to-volume effect that makes the optimizations matter more as
 // partitions grow.
 //
-// The partition sizes are independent simulations over one shared
-// compiled program and plan, so they run concurrently on up to workers
-// goroutines (0 = GOMAXPROCS) and merge positionally: the rows, and the
-// speedup base taken from the first row, come out identical to a serial
-// sweep.
-func Scaling(benchName string, procCounts []int, quick bool, workers int) (*report.Table, error) {
-	bench, err := programs.ByName(benchName)
+// The partition sizes are pl cells on the Runner's worker pool and merge
+// positionally: the rows, and the speedup base taken from the first row,
+// come out identical to a serial sweep.
+func Scaling(r *Runner, benchName string, procCounts []int) (*report.Table, error) {
+	cs := make([]cell, len(procCounts))
+	for i, procs := range procCounts {
+		cs[i] = cell{bench: benchName, exp: "pl", procs: procs}
+	}
+	outs, err := r.measureAll(cs)
 	if err != nil {
 		return nil, err
 	}
-	r := NewRunner(procCounts[0])
-	r.Workers = workers
-	r.mu.Lock()
-	c, err := r.compiledFor(benchName)
-	r.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	plan := comm.BuildPlan(c.prog, comm.PL())
-	cfg := bench.PaperConfig
-	if quick {
-		cfg = bench.CalibConfig
-	}
-
-	results := make([]*rt.Result, len(procCounts))
-	errs := make([]error, len(procCounts))
-	n := r.workers()
-	if n > len(procCounts) {
-		n = len(procCounts)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				res, err := rt.Run(c.prog, plan, rt.Config{
-					Machine:    machine.T3D(),
-					Library:    "pvm",
-					Procs:      procCounts[idx],
-					ConfigVars: cfg,
-				})
-				if err != nil {
-					errs[idx] = fmt.Errorf("%s at %d procs: %w", benchName, procCounts[idx], err)
-					continue
-				}
-				results[idx] = res
-			}
-		}()
-	}
-	for idx := range procCounts {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-
 	t := &report.Table{
 		Title:   fmt.Sprintf("scaling: %s (pl, T3D/PVM) across partition sizes", benchName),
 		Headers: []string{"processors", "mesh", "time (s)", "speedup", "comm+wait share"},
 	}
-	var base float64
-	for idx, procs := range procCounts {
-		if errs[idx] != nil {
-			return nil, errs[idx]
-		}
-		res := results[idx]
-		secs := res.ExecTime.Seconds()
-		if base == 0 {
-			base = secs
-		}
-		t.AddRow(procs, res.Mesh.String(),
+	base := outs[0].Time.Seconds()
+	for i, o := range outs {
+		secs := o.Time.Seconds()
+		t.AddRow(procCounts[i], o.mesh.String(),
 			fmt.Sprintf("%.6f", secs),
 			fmt.Sprintf("%.2fx", base/secs),
-			fmt.Sprintf("%.0f%%", 100*res.Breakdown.CommFraction()))
+			fmt.Sprintf("%.0f%%", 100*o.breakdown.CommFraction()))
 	}
 	return t, nil
 }

@@ -2,13 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
-	"commopt/internal/comm"
-	"commopt/internal/machine"
 	"commopt/internal/programs"
 	"commopt/internal/report"
-	"commopt/internal/rt"
 )
 
 // ScalingLaw sweeps one benchmark across partition sizes well beyond the
@@ -19,13 +15,12 @@ import (
 // partition (communication surface shrinks slower than compute volume)
 // and where each problem size stops scaling entirely.
 //
-// Every (grid, procs, level) cell is an independent simulation over one
-// shared compiled program, so cells run concurrently on up to workers
-// goroutines and merge positionally; the rendered table is byte-identical
-// at any worker count. Inside each run the M:N scheduler keeps thousands
-// of virtual processors on a fixed worker pool, and the process-wide step
-// budget keeps the sweep itself from oversubscribing the host.
-func ScalingLaw(benchName string, procCounts []int, quick bool, workers int) (*report.Table, error) {
+// Every (grid, procs, level) cell runs on the Runner's worker pool and
+// merges positionally; the rendered table is byte-identical at any worker
+// count. Inside each run the M:N scheduler keeps thousands of virtual
+// processors on a fixed worker pool, and the process-wide step budget
+// keeps the sweep itself from oversubscribing the host.
+func ScalingLaw(r *Runner, benchName string, procCounts []int) (*report.Table, error) {
 	if len(procCounts) == 0 {
 		return nil, fmt.Errorf("experiments: scaling law needs at least one proc count")
 	}
@@ -33,119 +28,43 @@ func ScalingLaw(benchName string, procCounts []int, quick bool, workers int) (*r
 	if err != nil {
 		return nil, err
 	}
-	base := bench.PaperConfig
-	if quick {
-		base = bench.CalibConfig
-	}
-	if _, ok := base["n"]; !ok {
+	n, ok := r.configVars(bench)["n"]
+	if !ok {
 		return nil, fmt.Errorf("experiments: benchmark %q has no grid config n", benchName)
 	}
 
-	// Two problem sizes: the paper's and its double (strong scaling at
-	// each; the pair shows the weak-scaling shift of the crossover).
-	sizes := []float64{base["n"], 2 * base["n"]}
-	levels := []struct {
-		name string
-		opts comm.Options
-	}{
-		{"baseline", comm.Baseline()},
-		{"pl", comm.PL()},
-	}
-
-	r := NewRunner(procCounts[0])
-	r.Workers = workers
-	r.mu.Lock()
-	c, err := r.compiledFor(benchName)
-	r.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	plans := make([]*comm.Plan, len(levels))
-	for i, lv := range levels {
-		plans[i] = comm.BuildPlan(c.prog, lv.opts)
-	}
-
-	type cellKey struct{ size, procs, level int }
-	cells := map[cellKey]*rt.Result{}
-	cellErrs := map[cellKey]error{}
-	var keys []cellKey
-	for si := range sizes {
-		for pi := range procCounts {
-			for li := range levels {
-				keys = append(keys, cellKey{si, pi, li})
+	// Two problem sizes: the benchmark's own (no override) and its double
+	// (strong scaling at each; the pair shows the weak-scaling shift of
+	// the crossover). Each (size, procs) pair is a baseline and a pl cell.
+	var cs []cell
+	for _, size := range []float64{0, 2 * n} {
+		for _, procs := range procCounts {
+			for _, key := range []string{"baseline", "pl"} {
+				cs = append(cs, cell{bench: benchName, exp: key, procs: procs, n: size})
 			}
 		}
 	}
-
-	var mu sync.Mutex
-	n := r.workers()
-	if n > len(keys) {
-		n = len(keys)
+	outs, err := r.measureAll(cs)
+	if err != nil {
+		return nil, err
 	}
-	jobs := make(chan cellKey)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range jobs {
-				cfg := make(map[string]float64, len(base)+1)
-				for name, v := range base {
-					cfg[name] = v
-				}
-				cfg["n"] = sizes[k.size]
-				rtCfg := rt.Config{
-					Machine:    machine.T3D(),
-					Library:    "pvm",
-					Procs:      procCounts[k.procs],
-					ConfigVars: cfg,
-				}
-				if n > 1 {
-					// Same policy as Runner.runCell: concurrent cells are
-					// independent simulations, so spend the process-wide
-					// step budget on cell-level parallelism rather than
-					// intra-world worker contention.
-					rtCfg.SchedWorkers = 1
-				}
-				res, err := rt.Run(c.prog, plans[k.level], rtCfg)
-				mu.Lock()
-				if err != nil {
-					cellErrs[k] = fmt.Errorf("%s n=%g at %d procs (%s): %w",
-						benchName, sizes[k.size], procCounts[k.procs], levels[k.level].name, err)
-				} else {
-					cells[k] = res
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, k := range keys {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
 
 	t := &report.Table{
 		Title: fmt.Sprintf("scaling law: %s (T3D/PVM), baseline vs pl across partition and problem size", benchName),
 		Headers: []string{"grid", "processors", "mesh",
 			"baseline (s)", "pl (s)", "pl gain", "pl comm+wait share"},
 	}
-	for si, size := range sizes {
-		for pi, procs := range procCounts {
-			kb := cellKey{si, pi, 0}
-			kp := cellKey{si, pi, 1}
-			for _, k := range []cellKey{kb, kp} {
-				if err := cellErrs[k]; err != nil {
-					return nil, err
-				}
-			}
-			bl, pl := cells[kb], cells[kp]
-			t.AddRow(fmt.Sprintf("%gx%g", size, size), procs, bl.Mesh.String(),
-				fmt.Sprintf("%.6f", bl.ExecTime.Seconds()),
-				fmt.Sprintf("%.6f", pl.ExecTime.Seconds()),
-				fmt.Sprintf("%.2fx", bl.ExecTime.Seconds()/pl.ExecTime.Seconds()),
-				fmt.Sprintf("%.0f%%", 100*pl.Breakdown.CommFraction()))
+	for i := 0; i < len(outs); i += 2 {
+		size := cs[i].n
+		if size == 0 {
+			size = n
 		}
+		bl, pl := outs[i], outs[i+1]
+		t.AddRow(fmt.Sprintf("%gx%g", size, size), cs[i].procs, bl.mesh.String(),
+			fmt.Sprintf("%.6f", bl.Time.Seconds()),
+			fmt.Sprintf("%.6f", pl.Time.Seconds()),
+			fmt.Sprintf("%.2fx", bl.Time.Seconds()/pl.Time.Seconds()),
+			fmt.Sprintf("%.0f%%", 100*pl.breakdown.CommFraction()))
 	}
 	return t, nil
 }

@@ -211,21 +211,3 @@ func ForEach(reg grid.Region, fn func(i, j, k int)) {
 		}
 	}
 }
-
-// GhostNeed returns the region of non-local points this processor must have
-// cached before evaluating a reference shifted by off over statement region
-// stmt: the shifted read set minus the owned block, clipped to the halo.
-// The result may be empty (interior processors reading a zero offset, or
-// statements whose shifted reads stay inside the block).
-func (f *Field) GhostNeed(stmt grid.Region, off grid.Offset) grid.Region {
-	if !f.Allocated() {
-		empty := grid.Span{Lo: 1, Hi: 0}
-		return grid.Region{Rank: f.Rank, Spans: [grid.MaxRank]grid.Span{empty, empty, empty}}
-	}
-	// Read set: the statement's local portion shifted by off.
-	local := stmt.Intersect(f.Local)
-	read := local.Shift(off)
-	// Clip to halo; anything outside the halo would be outside the global
-	// array too and is a program error caught at access time.
-	return read.Intersect(f.Halo())
-}

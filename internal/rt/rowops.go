@@ -75,6 +75,13 @@ const (
 	wideSqrt
 )
 
+// fillRow broadcasts v over dst.
+func fillRow(dst []float64, v float64) {
+	for n := range dst {
+		dst[n] = v
+	}
+}
+
 // binRow is dst = xs ∘ ys.
 func binRow(op rowOp, dst, xs, ys []float64) {
 	covers(dst, xs)
@@ -138,10 +145,15 @@ func rowScalar(op rowOp, dst, xs []float64, v float64) {
 	}
 }
 
-// fillRow broadcasts v over dst.
-func fillRow(dst []float64, v float64) {
+// negRow is dst = -xs.
+func negRow(dst, xs []float64) {
+	covers(dst, xs)
+	if wide(len(dst)) {
+		wideRow(wideNeg, &dst[0], &xs[0], nil, len(dst), 0)
+		return
+	}
 	for n := range dst {
-		dst[n] = v
+		dst[n] = -xs[n]
 	}
 }
 
@@ -173,18 +185,6 @@ func scalarRow(op rowOp, dst []float64, v float64, ys []float64) {
 		for n := range dst {
 			dst[n] = op.fn(v, ys[n])
 		}
-	}
-}
-
-// negRow is dst = -xs.
-func negRow(dst, xs []float64) {
-	covers(dst, xs)
-	if wide(len(dst)) {
-		wideRow(wideNeg, &dst[0], &xs[0], nil, len(dst), 0)
-		return
-	}
-	for n := range dst {
-		dst[n] = -xs[n]
 	}
 }
 

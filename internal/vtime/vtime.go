@@ -4,10 +4,7 @@
 // deterministic and reproducible.
 package vtime
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a point on a virtual processor's clock, in nanoseconds since the
 // start of the simulated execution. The zero value is the start of time.
@@ -50,9 +47,6 @@ func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
 
 // Seconds reports the duration in fractional seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
-
-// Std converts d to a standard library time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
 
 // Max returns the later of a and b.
 func Max(a, b Time) Time {

@@ -108,9 +108,6 @@ type RegionRef struct {
 	Ranges []Range
 }
 
-// IsZeroRef reports whether the reference is absent.
-func (r RegionRef) IsZeroRef() bool { return r.Name == "" && r.Ranges == nil }
-
 // DirRef names a direction: either declared (Name != "") or an inline
 // literal offset vector.
 type DirRef struct {

@@ -55,9 +55,10 @@ func neighborDirs(off grid.Offset) (dirs [3][2]int, n int) {
 // processor's origin — and compiles each into its pack/unpack run. Both
 // sides of every pair compute identical rectangles from replicated state, so
 // message contents never need negotiation. Send rectangles lie inside the
-// owned block and receive rectangles inside the halo, so field.Run's
-// containment check can only fail on a geometry bug; it panics rather than
-// silently corrupting data. Layout comes from the class representative's
+// owned block; a receive rectangle lies outside the halo when the program
+// reads past the array's ghost width, or reads an array the processor holds
+// none of, and that is the positioned program error addrOf raises, at the
+// transfer's first use. Layout comes from the class representative's
 // fields, at its origin, and all pairs' runs are carved from one block.
 func (nc *nbhdClass) geometry(t *comm.Transfer, reg grid.Region) *commSched {
 	dirs, nd := neighborDirs(t.Offset)
@@ -80,8 +81,12 @@ func (nc *nbhdClass) geometry(t *comm.Transfer, reg grid.Region) *commSched {
 			if rect.Empty() {
 				continue
 			}
+			f, at := me.fields[a.ID], shiftDist(rect, me.org, 1)
+			if !f.Contains(at) {
+				panic(unheldRead(t.Sites[0].Pos, f, t.Offset))
+			}
 			pr.doubles += rect.Size()
-			runs = append(runs, packRun{id: a.ID, RectRun: me.fields[a.ID].Run(shiftDist(rect, me.org, 1))})
+			runs = append(runs, packRun{id: a.ID, RectRun: f.Run(at)})
 		}
 		pr.bytes = pr.doubles * 8
 		pr.runs = runs[start:len(runs):len(runs)]

@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 
+	"commopt/internal/field"
 	"commopt/internal/grid"
 	"commopt/internal/ir"
 	"commopt/internal/zpl"
@@ -347,16 +348,22 @@ func (kc *kcompiler) addrOf(id int, off grid.Offset) addr {
 	f := kc.cl.fields[id]
 	rows := shiftDist(kc.local.Shift(off), kc.cl.org, 1)
 	if !f.Allocated() || f.Stride(kc.inner) != 1 || !f.Contains(rows) {
-		what := "reads outside the halo the processor holds"
-		if !f.Allocated() {
-			what = "reads an array the processor holds none of"
-		}
-		panic(fmt.Sprintf("%v: %s@%v %s", kc.pos, f.Name, off, what))
+		panic(unheldRead(kc.pos, f, off))
 	}
 	a := addr{id: id, s0: f.Stride(0), s1: f.Stride(1)}
 	at, rel := rows.Spans, kc.local.Spans
 	a.base = f.IndexOf(at[0].Lo, at[1].Lo, at[2].Lo) - a.at(rel[0].Lo, rel[1].Lo, rel[2].Lo)
 	return a
+}
+
+// unheldRead is the program error of a read at pos, of f at offset off, that
+// the processor cannot serve from what it holds of f.
+func unheldRead(pos zpl.Pos, f *field.Field, off grid.Offset) string {
+	what := "reads outside the halo the processor holds"
+	if !f.Allocated() {
+		what = "reads an array the processor holds none of"
+	}
+	return fmt.Sprintf("%v: %s@%v %s", pos, f.Name, off, what)
 }
 
 // viewOf compiles an array reference to a zero-copy row view.

@@ -213,6 +213,7 @@ func (w *world) gatherMetrics() *metrics.Registry {
 	if st := w.schedStats; st != nil {
 		reg.Counter("sched_workers").Add(int64(st.Workers))
 		reg.Counter("sched_steps").Add(st.TotalSteps())
+		reg.Counter("sched_steals").Add(st.Steals)
 		for r, n := range st.Parks {
 			if waitReason(r) == waitNone {
 				continue

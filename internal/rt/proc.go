@@ -42,8 +42,9 @@ type proc struct {
 	// next switches a worker into it until it parks or returns (false,
 	// once), toWorker is the switch back (false when stopped), and stop
 	// ends it wherever it stands. mb is the mailbox peers deliver events
-	// into.
+	// into; home is the worker whose run queue it joins when woken.
 	mb       mbox
+	home     int
 	next     func() (struct{}, bool)
 	stop     func()
 	toWorker func(struct{}) bool

@@ -75,13 +75,6 @@ const (
 	wideSqrt
 )
 
-// fillRow broadcasts v over dst.
-func fillRow(dst []float64, v float64) {
-	for n := range dst {
-		dst[n] = v
-	}
-}
-
 // binRow is dst = xs ∘ ys.
 func binRow(op rowOp, dst, xs, ys []float64) {
 	covers(dst, xs)
@@ -249,5 +242,12 @@ func sqrtRow(dst, xs []float64) {
 	}
 	for n := range dst {
 		dst[n] = math.Sqrt(xs[n])
+	}
+}
+
+// fillRow broadcasts v over dst.
+func fillRow(dst []float64, v float64) {
+	for n := range dst {
+		dst[n] = v
 	}
 }

@@ -380,6 +380,34 @@ end;
 	}
 }
 
+// TestUnheldReadPositionedAtAnyWorkerCount: a read of B past what a
+// processor holds fails the run with the same positioned error whichever
+// processor meets it first and wherever: at the statement's operand check,
+// or at the receive geometry of the transfer that serves the read, which a
+// processor stepped before rank 0 fails reaches first.
+func TestUnheldReadPositionedAtAnyWorkerCount(t *testing.T) {
+	src := `program halo;
+config var n : integer = 8;
+region R = [1..n, 1..n];
+region Int = [2..n-1, 2..n-1];
+direction east = [0, 1];
+var A : [R] float;
+var B : [Int] float;
+procedure main();
+begin
+  [Int] B := Index1;
+  [R] A := B@east;
+end;
+`
+	prog, plan := compile(t, src)
+	for _, workers := range []int{1, 2, 3, 8} {
+		_, err := Run(prog, plan, Config{Machine: machine.T3D(), Library: "shmem", Procs: 64, SchedWorkers: workers})
+		if msg := fmt.Sprint(err); err == nil || !strings.Contains(msg, "11:7: B@[0,1,0] reads") {
+			t.Errorf("workers=%d: error %q, want one naming 11:7 and B@[0,1,0]", workers, msg)
+		}
+	}
+}
+
 func TestUnknownLibraryRejected(t *testing.T) {
 	src := "program p; region R = [1..4, 1..4]; var A : [R] float; procedure main(); begin [R] A := 1.0; end;"
 	prog, plan := compile(t, src)

@@ -25,6 +25,12 @@ import (
 // blocked OS thread. With one worker (Config.SchedWorkers) processors run
 // strictly one at a time.
 //
+// Each worker owns a FIFO run queue; a processor joins that of its fixed home
+// worker, rank*workers/procs — a band of mesh rows, so neighbours mostly share
+// one and run where their data is. A worker steals another queue's head only
+// when its own is empty and sleeps only when all are; a wake-up signals the
+// home worker if it sleeps, else a sleeper if the home queue holds two.
+//
 // Deadlock freedom: event delivery never blocks the sender (mailbox queues
 // grow as needed; PairChanCap in rt.go is what a plan budgets them for). A
 // processor therefore only ever blocks as a *parked* state visible to the
@@ -108,17 +114,26 @@ type scheduler struct {
 	w *world
 
 	mu      sync.Mutex
-	cond    *sync.Cond
-	runq    []*proc
-	head    int
-	running int // processors currently being stepped by a worker
-	live    int // processors whose body has not completed
-	runqHi  int // high-water runnable-queue depth (under mu)
+	queues  []runq        // queues[wi]: worker wi's home queue
+	queued  int           // runnable processors, summed over the queues
+	running int           // processors currently being stepped by a worker
+	live    int           // processors whose body has not completed
+	runqHi  int           // high-water mark of queued
+	steals  int64         // pops a worker took from a queue not its own
+	budget  chan struct{} // budgetTokens(); next returns its token to sleep
 
 	// stop ends the run (completion, abort or deadlock). Stored under mu,
 	// so a worker blocked in next cannot miss it; resumed processors read
 	// it without the lock.
 	stop atomic.Bool
+}
+
+// runq is one worker's FIFO, popped by advancing head, under scheduler.mu.
+type runq struct {
+	ps   []*proc
+	head int
+	cond sync.Cond
+	idle bool // the worker waits on cond; whoever signals it clears this
 }
 
 // SchedStats reports the M:N scheduler's observability counters for one
@@ -134,8 +149,9 @@ type SchedStats struct {
 	// with no run-queue transit. Like Steps it depends on host
 	// interleaving, not on the simulated program alone.
 	ParksAverted int64
-	RunqHiWater  int // deepest the runnable queue ever got
-	MboxHiWater  int // deepest any single mailbox queue ever got
+	Steals       int64 // pops from another worker's queue, its own empty
+	RunqHiWater  int   // most processors ever runnable at once, over all queues
+	MboxHiWater  int   // deepest any single mailbox queue ever got
 }
 
 // TotalSteps sums the per-worker step counts.
@@ -169,13 +185,13 @@ func (s *SchedStats) TotalParks() int64 {
 // budget).
 //
 // Tokens are held across consecutive steps, not re-acquired per step: a
-// worker keeps its token while its runq has work and releases it only
-// before blocking (on an empty runq, or on exit). Per-step acquire would
+// worker keeps its token while any queue has work and gives it back only
+// while it sleeps (every queue empty) or on exit. Per-step acquire would
 // round-robin the host across every concurrent world at step granularity
 // — two extra channel handoffs and a world switch per step — which on a
 // single-CPU host made a nominally parallel harness measurably slower
 // than the serial one. Holding is starvation-bounded: a holder releases
-// no later than its world's completion, because a drained runq or the
+// no later than its world's completion, because drained queues or the
 // stop flag forces it through the release path.
 var (
 	stepBudgetOnce sync.Once
@@ -198,8 +214,7 @@ func budgetTokens() chan struct{} {
 // per-processor entry point (normally proc.run; tests substitute bodies
 // that park forever to exercise deadlock detection).
 func (w *world) runSched(workers int, body func(p *proc)) {
-	s := &scheduler{w: w, live: len(w.procs)}
-	s.cond = sync.NewCond(&s.mu)
+	s := &scheduler{w: w, live: len(w.procs), budget: budgetTokens()}
 	w.sched = s
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -207,16 +222,20 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 	if workers > len(w.procs) {
 		workers = len(w.procs)
 	}
+	s.queues = make([]runq, workers)
+	for wi := range s.queues {
+		s.queues[wi].cond.L = &s.mu
+	}
 
-	// Every processor starts runnable in rank order; its coroutine exists
-	// from here on and first runs when a worker first steps it.
+	// Every processor starts runnable on its home queue, in rank order; its
+	// coroutine first runs when a worker first steps it.
 	for _, p := range w.procs {
 		p.next, p.stop = iter.Pull(p.coroutine(body))
+		p.home = p.rank * workers / len(w.procs)
+		s.queues[p.home].ps = append(s.queues[p.home].ps, p)
 	}
-	s.runq = append(make([]*proc, 0, len(w.procs)), w.procs...)
-	s.runqHi = len(s.runq)
+	s.queued, s.runqHi = len(w.procs), len(w.procs)
 
-	budget := budgetTokens()
 	steps := make([]int64, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -224,16 +243,15 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 		go func(wi int) {
 			defer wg.Done()
 			var n int64 // steps[wi], kept off the line the other workers write
-			for p := s.next(); p != nil; p = s.next() {
-				// The token is held across consecutive steps and given
-				// back before next can block, so workers of other
-				// concurrent worlds can run.
-				<-budget
+			// The token is held across steps and given back while next
+			// sleeps: only a token holder claims a processor.
+			<-s.budget
+			for p := s.next(wi); p != nil; p = s.next(wi) {
 				for p != nil {
-					p = s.stepped(s.step(p, &n))
+					p = s.stepped(wi, s.step(p, &n))
 				}
-				budget <- struct{}{}
 			}
+			s.budget <- struct{}{}
 			steps[wi] = n
 		}(i)
 	}
@@ -250,7 +268,7 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 
 	// Fold the run's scheduler counters. No worker or processor is live,
 	// so the per-proc fields are quiescent.
-	st := &SchedStats{Workers: workers, Steps: steps, RunqHiWater: s.runqHi}
+	st := &SchedStats{Workers: workers, Steps: steps, Steals: s.steals, RunqHiWater: s.runqHi}
 	for _, p := range w.procs {
 		for r, n := range p.parks {
 			st.Parks[r] += n
@@ -263,38 +281,55 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 	w.schedStats = st
 }
 
-// popLocked removes and claims the runq head. Caller holds s.mu and has
-// checked the queue is non-empty.
-func (s *scheduler) popLocked() *proc {
-	p := s.runq[s.head]
-	s.runq[s.head] = nil
-	s.head++
-	if s.head > 64 && 2*s.head >= len(s.runq) {
-		s.runq = append(s.runq[:0], s.runq[s.head:]...)
-		s.head = 0
+// popLocked claims the head of worker wi's queue or, that being empty, steals
+// the head of the next non-empty one; nil when none is. Caller holds s.mu.
+func (s *scheduler) popLocked(wi int) *proc {
+	q, i := &s.queues[wi], 0
+	for q.head == len(q.ps) {
+		if i++; i == len(s.queues) {
+			return nil
+		}
+		q = &s.queues[(wi+i)%len(s.queues)]
 	}
+	p := q.ps[q.head]
+	q.ps[q.head] = nil
+	q.head++
+	if q.head > 64 && 2*q.head >= len(q.ps) {
+		q.ps = append(q.ps[:0], q.ps[q.head:]...)
+		q.head = 0
+	}
+	if i > 0 {
+		s.steals++
+	}
+	s.queued--
 	s.running++
 	return p
 }
 
-// next pops the next runnable processor, blocking until one appears, the
-// run ends, or a deadlock is detected.
-func (s *scheduler) next() *proc {
+// broadcastLocked wakes every waiting worker to see the run stop or end.
+func (s *scheduler) broadcastLocked() {
+	for wi := range s.queues {
+		s.queues[wi].cond.Broadcast()
+	}
+}
+
+// next pops worker wi's next runnable processor, blocking until one
+// appears, the run ends, or a deadlock is detected.
+func (s *scheduler) next(wi int) *proc {
 	s.mu.Lock()
 	for {
 		if s.stop.Load() {
 			s.mu.Unlock()
 			return nil
 		}
-		if s.head < len(s.runq) {
-			p := s.popLocked()
+		if p := s.popLocked(wi); p != nil {
 			s.mu.Unlock()
 			return p
 		}
 		if s.running == 0 {
 			s.stop.Store(true)
 			deadlocked := s.live > 0
-			s.cond.Broadcast()
+			s.broadcastLocked()
 			// fail re-enters the scheduler (halt), so report outside the
 			// lock.
 			s.mu.Unlock()
@@ -307,7 +342,13 @@ func (s *scheduler) next() *proc {
 			}
 			return nil
 		}
-		s.cond.Wait()
+		s.queues[wi].idle = true
+		s.budget <- struct{}{} // never blocks: this worker holds a token
+		s.queues[wi].cond.Wait()
+		s.queues[wi].idle = false
+		s.mu.Unlock()
+		<-s.budget
+		s.mu.Lock()
 	}
 }
 
@@ -335,35 +376,44 @@ func (s *scheduler) step(p *proc, steps *int64) (done bool) {
 	}
 }
 
-// stepped retires one step's bookkeeping and, in the same critical
-// section, claims the next runnable processor: nil when the queue is empty
-// or the run is stopping, which is also when blocked workers are woken to
-// see whether the run has ended (all done, or deadlocked).
-func (s *scheduler) stepped(done bool) *proc {
+// stepped retires worker wi's step bookkeeping and, in the same critical
+// section, claims its next runnable processor: nil when every queue is
+// empty or the run is stopping, which is also when blocked workers are
+// woken to see whether the run has ended (all done, or deadlocked).
+func (s *scheduler) stepped(wi int, done bool) *proc {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.running--
 	if done {
 		s.live--
 	}
-	if !s.stop.Load() && s.head < len(s.runq) {
-		return s.popLocked()
+	var p *proc
+	if !s.stop.Load() {
+		p = s.popLocked(wi)
 	}
-	if s.running == 0 {
-		s.cond.Broadcast()
+	if p == nil && s.running == 0 {
+		s.broadcastLocked()
 	}
-	return nil
+	return p
 }
 
-// enqueue re-queues a processor whose awaited event arrived. Called by
-// the deliverer after wakeLocked ended the target's committed park.
+// enqueue re-queues a processor whose awaited event arrived, on its home
+// queue. Called by the deliverer after wakeLocked ended its committed park.
 func (s *scheduler) enqueue(p *proc) {
 	s.mu.Lock()
-	s.runq = append(s.runq, p)
-	if d := len(s.runq) - s.head; d > s.runqHi {
-		s.runqHi = d
+	q := &s.queues[p.home]
+	q.ps = append(q.ps, p)
+	s.queued++
+	s.runqHi = max(s.runqHi, s.queued)
+	if q.idle || len(s.queues) > 1 && len(q.ps)-q.head > 1 {
+		for i := range s.queues { // the home worker first
+			if o := &s.queues[(p.home+i)%len(s.queues)]; o.idle {
+				o.idle = false
+				o.cond.Signal()
+				break
+			}
+		}
 	}
-	s.cond.Signal()
 	s.mu.Unlock()
 }
 
@@ -371,7 +421,7 @@ func (s *scheduler) enqueue(p *proc) {
 func (s *scheduler) halt() {
 	s.mu.Lock()
 	s.stop.Store(true)
-	s.cond.Broadcast()
+	s.broadcastLocked()
 	s.mu.Unlock()
 }
 

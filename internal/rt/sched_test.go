@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"commopt/internal/comm"
 	"commopt/internal/machine"
+	"commopt/internal/programs"
 	"commopt/internal/vtime"
 )
 
@@ -259,30 +261,108 @@ func TestSchedulerParkStepHandshake(t *testing.T) {
 // TestSchedulerWorkerCountsAgree: the same program must produce
 // identical simulated results and arrays at any worker-pool size. The
 // reference is the one-worker run, where processors are stepped one at a
-// time and host scheduling has nothing to reorder.
+// time and host scheduling has nothing to reorder. Besides a small stencil,
+// it holds the shapes the paper's SHMEM penalty comes from — tomcatv's and
+// sp's serialized wavefront phases, under shmem at pl and under pvm at
+// baseline — at 64 processors, where 3 workers make uneven home bands (22,
+// 21 and 21 ranks), so steals and wake-ups across bands both occur.
 func TestSchedulerWorkerCountsAgree(t *testing.T) {
+	type agreeCase struct {
+		name, src, lib string
+		opts           comm.Options
+		procs          int
+		vars           map[string]float64
+		workers        []int
+	}
+	cases := []agreeCase{{"schedtest", schedTestSrc, "pvm", comm.PL(), 16, nil, []int{2, 8, 64}}}
+	for _, w := range []struct {
+		bench, lib string
+		opts       comm.Options
+	}{{"tomcatv", "shmem", comm.PL()}, {"sp", "pvm", comm.Baseline()}} {
+		bench, err := programs.ByName(w.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, agreeCase{w.bench + "/" + w.lib, bench.Source, w.lib, w.opts, 64, bench.TestConfig, []int{2, 3, 8}})
+	}
+	for _, c := range cases {
+		prog, _ := compile(t, c.src)
+		plan := comm.BuildPlan(prog, c.opts)
+		run := func(workers int) *Result {
+			res, err := Run(prog, plan, Config{Machine: machine.T3D(), Library: c.lib, Procs: c.procs,
+				ConfigVars: c.vars, SchedWorkers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
+			}
+			return res
+		}
+		base := run(1)
+		for _, workers := range c.workers {
+			res := run(workers)
+			if res.ExecTime != base.ExecTime || res.Output != base.Output {
+				t.Errorf("%s workers=%d: ExecTime %v Output %q; one worker %v %q",
+					c.name, workers, res.ExecTime, res.Output, base.ExecTime, base.Output)
+			}
+			for r := range res.PerProc {
+				if res.PerProc[r] != base.PerProc[r] {
+					t.Errorf("%s workers=%d: PerProc[%d] = %+v, one worker %+v", c.name, workers, r, res.PerProc[r], base.PerProc[r])
+				}
+			}
+			if !sameArrays(res, base) {
+				t.Errorf("%s workers=%d: arrays differ from the one-worker run's", c.name, workers)
+			}
+		}
+	}
+}
+
+// TestSchedulerStealsFromBusyHome: a runnable processor whose home worker
+// is busy must still run. Ranks 0 and 1 share worker 0's queue, ranks 2 and
+// 3 worker 1's; whichever of 0 and 1 a worker takes first spins until rank 1
+// has run, which the other worker can only do by stealing once its own
+// queue is drained. Without the steal, rank 1 waits out the spin's
+// deadline.
+func TestSchedulerStealsFromBusyHome(t *testing.T) {
+	if cap(budgetTokens()) < 2 {
+		t.Skip("the step budget admits one worker at a time: a spinning processor starves the other")
+	}
+	w := testWorld(t, 4)
+	var ran1, ranInTime atomic.Bool
+	w.runSched(2, func(p *proc) {
+		switch p.rank {
+		case 0:
+			for deadline := time.Now().Add(5 * time.Second); !ran1.Load() && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+			ranInTime.Store(ran1.Load())
+		case 1:
+			ran1.Store(true)
+		}
+	})
+	if w.abortErr != nil {
+		t.Fatalf("unexpected abort: %v", w.abortErr)
+	}
+	if !ranInTime.Load() {
+		t.Fatal("rank 1 did not run while its home worker was busy with rank 0")
+	}
+	if w.schedStats.Steals == 0 {
+		t.Error("no steal counted")
+	}
+}
+
+// TestSchedulerStealsCounted: the sched_steals counter is SchedStats.Steals,
+// and one worker, with no queue but its own, never steals.
+func TestSchedulerStealsCounted(t *testing.T) {
 	prog, plan := compile(t, schedTestSrc)
-	run := func(workers int) *Result {
-		res, err := Run(prog, plan, Config{Machine: machine.T3D(), Library: "pvm", Procs: 16, SchedWorkers: workers})
+	for _, workers := range []int{1, 2} {
+		res, err := Run(prog, plan, Config{Machine: machine.T3D(), Library: "pvm", Procs: 64, SchedWorkers: workers, Metrics: true})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return res
-	}
-	base := run(1)
-	for _, workers := range []int{2, 8, 64} {
-		res := run(workers)
-		if res.ExecTime != base.ExecTime || res.Output != base.Output {
-			t.Errorf("workers=%d: ExecTime %v Output %q; one worker %v %q",
-				workers, res.ExecTime, res.Output, base.ExecTime, base.Output)
+		if got := res.Metrics.Counter("sched_steals").N; got != res.Sched.Steals {
+			t.Errorf("workers=%d: sched_steals counter %d, SchedStats.Steals %d", workers, got, res.Sched.Steals)
 		}
-		for r := range res.PerProc {
-			if res.PerProc[r] != base.PerProc[r] {
-				t.Errorf("workers=%d: PerProc[%d] = %+v, one worker %+v", workers, r, res.PerProc[r], base.PerProc[r])
-			}
-		}
-		if !sameArrays(res, base) {
-			t.Errorf("workers=%d: arrays differ from the one-worker run's", workers)
+		if workers == 1 && res.Sched.Steals != 0 {
+			t.Errorf("one worker stole %d times", res.Sched.Steals)
 		}
 	}
 }

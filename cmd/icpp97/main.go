@@ -20,6 +20,7 @@ import (
 	"io"
 	"os"
 	"runtime/debug"
+	"strings"
 
 	"commopt/internal/experiments"
 	"commopt/internal/hostprof"
@@ -36,7 +37,7 @@ func main() {
 	if target, ok := defaultGCPercent(os.Getenv("GOGC"), 300); ok {
 		debug.SetGCPercent(target)
 	}
-	exp := flag.String("exp", "all", "which experiment to run: all, fig3, fig5, fig6, fig7, fig8, fig9, fig10a, fig10b, fig11, fig12, table1..table4, scaling, scalinglaw, collective, profile, predict, critpath, rdma")
+	exp := flag.String("exp", "all", "which experiment to run: "+strings.Join(expKeys(), ", "))
 	procs := flag.Int("procs", 64, "processors in the simulated partition")
 	quick := flag.Bool("quick", false, "use reduced problem sizes")
 	workers := flag.Int("workers", 0, "benchmark×experiment cells simulated concurrently (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
@@ -71,40 +72,37 @@ func main() {
 	}
 }
 
-func run(w io.Writer, exp string, r *experiments.Runner) error {
-	table := func(t *report.Table, err error) error {
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
-	}
-	switch exp {
-	case "all":
-		return experiments.RunAll(w, r)
-	case "fig3":
-		experiments.Fig3().Render(w)
-	case "fig5":
-		experiments.Fig5().Render(w)
-	case "fig6":
+// experiment is one -exp key: the one table it renders, or how it writes
+// its output.
+type experiment struct {
+	key   string
+	table func(*experiments.Runner) (*report.Table, error)
+	write func(io.Writer, *experiments.Runner) error
+}
+
+// exps is the -exp table, in the order the usage lists it.
+var exps = []experiment{
+	{key: "all", write: experiments.RunAll},
+	{key: "fig3", table: static(experiments.Fig3)},
+	{key: "fig5", table: static(experiments.Fig5)},
+	{key: "fig6", write: func(w io.Writer, _ *experiments.Runner) error {
 		for _, s := range experiments.Fig6() {
 			s.Render(w)
 		}
-	case "fig7":
-		experiments.Fig7().Render(w)
-	case "fig8":
-		return table(experiments.Fig8(r))
-	case "fig9":
-		experiments.Fig9().Render(w)
-	case "fig10a":
-		return table(experiments.Fig10a(r))
-	case "fig10b":
-		return table(experiments.Fig10b(r))
-	case "fig11":
-		return table(experiments.Fig11(r))
-	case "fig12":
-		return table(experiments.Fig12(r))
-	case "scaling":
+		return nil
+	}},
+	{key: "fig7", table: static(experiments.Fig7)},
+	{key: "fig8", table: experiments.Fig8},
+	{key: "fig9", table: static(experiments.Fig9)},
+	{key: "fig10a", table: experiments.Fig10a},
+	{key: "fig10b", table: experiments.Fig10b},
+	{key: "fig11", table: experiments.Fig11},
+	{key: "fig12", table: experiments.Fig12},
+	{key: "table1", table: appendix(0)},
+	{key: "table2", table: appendix(1)},
+	{key: "table3", table: appendix(2)},
+	{key: "table4", table: appendix(3)},
+	{key: "scaling", write: func(w io.Writer, r *experiments.Runner) error {
 		for _, name := range experiments.BenchNames() {
 			t, err := experiments.Scaling(r, name, experiments.DefaultScalingProcs)
 			if err != nil {
@@ -112,37 +110,63 @@ func run(w io.Writer, exp string, r *experiments.Runner) error {
 			}
 			t.Render(w)
 		}
-	case "scalinglaw":
-		return table(experiments.ScalingLaw(r, "simple", experiments.DefaultScalingLawProcs))
-	case "collective":
-		return table(experiments.CollectiveTable(r, "simple", experiments.DefaultCollectiveProcs))
-	case "profile":
-		// Opt-in only: the profile appendix is never part of "all", so the
-		// figure and table outputs stay byte-identical with and without
-		// observability built in.
-		return experiments.RunProfiles(w, r)
-	case "critpath":
-		// Opt-in only, like profile: the decomposition is recorded by
-		// instrumented runs cached apart from the figures' cells, and it
-		// enforces its own acceptance gate (comm-bound path time must
-		// shrink monotonically across the pvm ladder on >= 3 of the 4
-		// benchmarks).
-		return experiments.RunCritpath(w, r)
-	case "rdma":
-		// Opt-in only, like profile: the RDMA re-run is the extension
-		// experiment, not one of the paper's figures, so "all" stays
-		// byte-identical.
-		return experiments.RunRDMA(w, r)
-	case "predict":
-		// Opt-in only, like profile: predicted-vs-measured is a validation
-		// appendix, not one of the paper's figures, so "all" stays
-		// byte-identical.
-		return table(experiments.PredictTable(r))
-	case "table1", "table2", "table3", "table4":
-		idx := int(exp[5] - '1')
-		return table(experiments.AppendixTable(r, experiments.BenchNames()[idx]))
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
+		return nil
+	}},
+	{key: "scalinglaw", table: func(r *experiments.Runner) (*report.Table, error) {
+		return experiments.ScalingLaw(r, "simple", experiments.DefaultScalingLawProcs)
+	}},
+	{key: "collective", table: func(r *experiments.Runner) (*report.Table, error) {
+		return experiments.CollectiveTable(r, "simple", experiments.DefaultCollectiveProcs)
+	}},
+	// profile, predict, critpath and rdma are opt-in appendices, never part
+	// of "all", so the figure and table outputs stay byte-identical with
+	// and without them. critpath enforces its own acceptance gate
+	// (comm-bound path time must shrink monotonically across the pvm
+	// ladder on >= 3 of the 4 benchmarks); rdma re-runs the ladder on the
+	// extension machine.
+	{key: "profile", write: experiments.RunProfiles},
+	{key: "predict", table: experiments.PredictTable},
+	{key: "critpath", write: experiments.RunCritpath},
+	{key: "rdma", write: experiments.RunRDMA},
+}
+
+// static adapts a table that needs no runs.
+func static(t func() *report.Table) func(*experiments.Runner) (*report.Table, error) {
+	return func(*experiments.Runner) (*report.Table, error) {
+		return t(), nil
 	}
-	return nil
+}
+
+// appendix is Table i+1, the appendix table of the i-th benchmark.
+func appendix(i int) func(*experiments.Runner) (*report.Table, error) {
+	return func(r *experiments.Runner) (*report.Table, error) {
+		return experiments.AppendixTable(r, experiments.BenchNames()[i])
+	}
+}
+
+// expKeys returns the -exp keys in table order.
+func expKeys() []string {
+	keys := make([]string, len(exps))
+	for i, e := range exps {
+		keys[i] = e.key
+	}
+	return keys
+}
+
+func run(w io.Writer, exp string, r *experiments.Runner) error {
+	for _, e := range exps {
+		if e.key != exp {
+			continue
+		}
+		if e.write != nil {
+			return e.write(w, r)
+		}
+		t, err := e.table(r)
+		if err != nil {
+			return err
+		}
+		t.Render(w)
+		return nil
+	}
+	return fmt.Errorf("unknown experiment %q", exp)
 }

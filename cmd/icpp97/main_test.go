@@ -24,10 +24,10 @@ func quickRunner() *experiments.Runner {
 // to 4096 and cost 12 s each.
 func TestRunEveryExperiment(t *testing.T) {
 	r := quickRunner()
-	for _, exp := range []string{
-		"all", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10a", "fig10b", "fig11", "fig12",
-		"table1", "table2", "table3", "table4", "scaling", "profile", "predict", "critpath", "rdma",
-	} {
+	for _, exp := range expKeys() {
+		if exp == "collective" || exp == "scalinglaw" {
+			continue
+		}
 		var out bytes.Buffer
 		if err := run(&out, exp, r); err != nil {
 			t.Errorf("-exp %s: %v", exp, err)

@@ -10,11 +10,17 @@
 //	zplc -bench tomcatv -explain        # per-pass trace
 //	zplc -passes emit,rr,pl file.zpl    # run an explicit pass list
 //	zplc -bench simple -predict -procs 64 -lib shmem
-//	                                    # closed-form communication forecast
-//	                                    # at the selected -O level
+//	                                    # closed-form communication forecast:
+//	                                    # one row per level, then every
+//	                                    # transfer of the selected -O level
+//
+// The whole -predict binding (machine, library, processor count and
+// collective) is resolved first, and the output is written only once
+// every step has succeeded, so a failing run prints nothing.
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -26,11 +32,9 @@ import (
 	"commopt/internal/comm"
 	"commopt/internal/cost"
 	"commopt/internal/ir"
-	"commopt/internal/machine"
 	"commopt/internal/programs"
 	"commopt/internal/report"
 	"commopt/internal/vet"
-	"commopt/internal/zpl"
 )
 
 func main() {
@@ -53,7 +57,6 @@ type config struct {
 	dump    bool
 	counts  bool
 	explain bool
-	vet     bool
 	predict bool
 	procs   int
 	mach    string
@@ -80,12 +83,11 @@ func parseArgs(args []string) (*config, error) {
 		fs.PrintDefaults()
 		fs.SetOutput(io.Discard)
 	}
-	fs.StringVar(&cfg.level, "O", "pl", "optimization level: baseline, rr, cc, pl, pl-maxlat")
+	fs.StringVar(&cfg.level, "O", "pl", "optimization level: "+strings.Join(comm.LevelNames(), ", "))
 	fs.BoolVar(&cfg.dump, "dump", false, "dump every basic block's transfers and call placements")
 	fs.BoolVar(&cfg.counts, "counts", false, "print static counts under every optimization level")
 	fs.BoolVar(&cfg.explain, "explain", false, "print the per-pass pipeline trace (what each pass emitted, dropped, merged, moved)")
-	fs.BoolVar(&cfg.vet, "vet", false, "run the static-analysis suite (lint + plan verification, like zplvet) and fail on findings")
-	fs.BoolVar(&cfg.predict, "predict", false, "print the closed-form communication forecast for the selected -O level")
+	fs.BoolVar(&cfg.predict, "predict", false, "print the closed-form communication forecast: per level, and per transfer at the selected -O level")
 	fs.IntVar(&cfg.procs, "procs", 64, "processor count for -predict")
 	fs.StringVar(&cfg.mach, "machine", "t3d", "machine model for -predict: t3d, paragon or rdma")
 	fs.StringVar(&cfg.lib, "lib", "pvm", "library binding for -predict (e.g. pvm, shmem, csend)")
@@ -103,7 +105,7 @@ func parseArgs(args []string) (*config, error) {
 			cfg.passes[i] = strings.TrimSpace(cfg.passes[i])
 		}
 	}
-	if _, err := OptionsByName(cfg.level); err != nil {
+	if _, err := comm.OptionsByName(cfg.level); err != nil {
 		return nil, err
 	}
 	if cfg.procs < 1 {
@@ -119,14 +121,10 @@ func parseArgs(args []string) (*config, error) {
 	return cfg, nil
 }
 
-// OptionsByName maps command-line level names to optimizer options: the
-// one -O table, which zplrun shares.
-var OptionsByName = comm.OptionsByName
-
 // pipelineFor builds the pass pipeline the command line selects: either
 // the -O level (plus -hoist), or the explicit -passes list.
 func pipelineFor(cfg *config) (*comm.Pipeline, error) {
-	opts, err := OptionsByName(cfg.level)
+	opts, err := comm.OptionsByName(cfg.level)
 	if err != nil {
 		return nil, err
 	}
@@ -138,46 +136,24 @@ func pipelineFor(cfg *config) (*comm.Pipeline, error) {
 }
 
 func run(w io.Writer, cfg *config) error {
-	var src, name string
-	switch {
-	case cfg.bench != "":
-		b, err := programs.ByName(cfg.bench)
-		if err != nil {
-			return err
-		}
-		src, name = b.Source, b.Name
-	default:
-		data, err := os.ReadFile(cfg.file)
-		if err != nil {
-			return err
-		}
-		src, name = string(data), cfg.file
-	}
-
-	if cfg.vet {
-		list := vet.Source(name, src)
-		list.Text(w, true)
-		if !list.Empty() {
-			return fmt.Errorf("%s: vet reported %d findings", name, len(list.Findings))
-		}
-	}
-
-	ast, perrs := zpl.ParseAll(src)
-	if len(perrs) > 0 {
-		// The recovering parser reports every syntax error, not just the
-		// first; surface them all before giving up.
-		var b strings.Builder
-		for i, e := range perrs {
-			if i > 0 {
-				b.WriteByte('\n')
-			}
-			fmt.Fprintf(&b, "%s:%v", name, e)
-		}
-		return fmt.Errorf("%s", b.String())
-	}
-	prog, err := ir.Lower(ast)
+	bind, err := cost.Bind(cfg.mach, cfg.lib, cfg.procs, cfg.coll)
 	if err != nil {
-		return fmt.Errorf("%s: %w", name, err)
+		return err
+	}
+	var files []string
+	if cfg.file != "" {
+		files = []string{cfg.file}
+	}
+	ins, err := programs.Load(cfg.bench, files)
+	if err != nil {
+		return err
+	}
+	if len(ins) != 1 {
+		return fmt.Errorf("usage: zplc [flags] file.zpl (or -bench name)")
+	}
+	_, prog, err := ir.Compile(ins[0].Name, ins[0].Source)
+	if err != nil {
+		return err
 	}
 	if cfg.inline {
 		prog = ir.Inline(prog)
@@ -193,61 +169,49 @@ func run(w io.Writer, cfg *config) error {
 	}
 	opts := pipeline.Options()
 
-	fmt.Fprintf(w, "program %s: %d arrays, %d regions, %d directions, %d procedures\n",
+	// Nothing reaches w unless every step succeeds.
+	var out bytes.Buffer
+	fmt.Fprintf(&out, "program %s: %d arrays, %d regions, %d directions, %d procedures\n",
 		prog.Name, len(prog.Arrays), len(prog.Regions), len(prog.Dirs), len(prog.Procs))
 	if cfg.passes != nil {
-		fmt.Fprintf(w, "passes %s: %d static communications", strings.Join(pipeline.Names(), ","), plan.StaticCount)
+		fmt.Fprintf(&out, "passes %s: %d static communications", strings.Join(pipeline.Names(), ","), plan.StaticCount)
 	} else {
-		fmt.Fprintf(w, "optimization %s: %d static communications", opts, plan.StaticCount)
+		fmt.Fprintf(&out, "optimization %s: %d static communications", opts, plan.StaticCount)
 	}
 	if opts.HoistInvariant {
-		fmt.Fprintf(w, " (%d hoisted to loop preheaders)", plan.HoistedCount())
+		fmt.Fprintf(&out, " (%d hoisted to loop preheaders)", plan.HoistedCount())
 	}
-	fmt.Fprint(w, "\n\n")
+	fmt.Fprint(&out, "\n\n")
 
 	if cfg.explain {
-		explainTrace(w, plan.Trace)
+		explainTrace(&out, plan.Trace)
 	}
-
 	if cfg.counts {
-		if err := renderCounts(w, prog); err != nil {
-			return err
-		}
+		renderCounts(&out, prog)
 	}
-
 	if cfg.dump {
-		dumpBlocks(w, plan)
+		dumpBlocks(&out, plan)
 	}
-
 	if cfg.predict {
-		if err := renderPrediction(w, prog, plan, cfg); err != nil {
+		if err := renderPrediction(&out, prog, plan, cfg, bind); err != nil {
 			return err
 		}
 	}
-	return nil
+	_, err = w.Write(out.Bytes())
+	return err
 }
 
-// renderPrediction prints the closed-form communication forecast of the
-// compiled plan: the whole-program totals and the per-transfer breakdown
-// the static cost model derives from the block distribution and the
-// machine library's primitive costs.
-func renderPrediction(w io.Writer, prog *ir.Program, plan *comm.Plan, cfg *config) error {
-	m, err := machine.ByName(cfg.mach)
-	if err != nil {
-		return err
+// renderPrediction prints the closed-form communication forecast: the
+// plan's whole-program totals, one summary row per vet.Levels entry, and
+// the plan's per-transfer breakdown, which the static cost model derives
+// from the block distribution and the machine library's primitive costs.
+func renderPrediction(w io.Writer, prog *ir.Program, plan *comm.Plan, cfg *config, bind cost.Config) error {
+	pred, err := cost.Predict(prog, plan, bind)
+	if errors.Is(err, cost.ErrNotStatic) {
+		fmt.Fprintf(w, "prediction: not statically predictable: %v\n", err)
+		return nil
 	}
-	alg, err := collective.ParseAlg(cfg.coll)
 	if err != nil {
-		return err
-	}
-	pred, err := cost.Predict(prog, plan, cost.Config{
-		Machine: m, Library: cfg.lib, Procs: cfg.procs, Collective: alg,
-	})
-	if err != nil {
-		if errors.Is(err, cost.ErrNotStatic) {
-			fmt.Fprintf(w, "prediction: not statically predictable: %v\n", err)
-			return nil
-		}
 		return err
 	}
 	fmt.Fprintf(w, "predicted communication on %s/%s, %d procs (%s mesh):\n",
@@ -258,12 +222,28 @@ func renderPrediction(w io.Writer, prog *ir.Program, plan *comm.Plan, cfg *confi
 		pred.CommTime(), pred.ReductionComm)
 	if pred.Reductions > 0 && pred.Collective != collective.Auto {
 		how := "selected by cost over star, tree, butterfly, twolevel"
-		if alg != collective.Auto {
+		if bind.Collective != collective.Auto {
 			how = "forced by -collective"
 		}
 		fmt.Fprintf(w, "  reductions run the %s algorithm (%s)\n", pred.Collective, how)
 	}
 	fmt.Fprintln(w)
+
+	levels := &report.Table{
+		Title:   "predicted communication by optimization level",
+		Headers: []string{"level", "static", "dynamic", "messages", "bytes", "reductions", "comm (critical path)"},
+	}
+	for _, lv := range vet.Levels() {
+		lplan := comm.BuildPlan(prog, lv.Opts)
+		lpred, err := cost.Predict(prog, lplan, bind)
+		if err != nil {
+			return fmt.Errorf("[%s] %w", lv.Name, err)
+		}
+		levels.AddRow(lv.Name, lplan.StaticCount, lpred.DynamicTransfers,
+			lpred.Messages, lpred.BytesSent, lpred.Reductions, lpred.CommTime().String())
+	}
+	levels.Render(w)
+
 	t := &report.Table{
 		Title:   "per-transfer forecast",
 		Headers: []string{"site", "transfer", "hoisted", "executions", "messages", "bytes", "comm (all procs)"},
@@ -290,41 +270,25 @@ func explainTrace(w io.Writer, tr *comm.Trace) {
 	fmt.Fprintf(w, "pipeline: %s\n\n", tr)
 }
 
-// renderCounts prints the per-level static count table. The baseline, rr,
-// cc and pl rows all come from ONE full-pipeline trace (each stage's
-// output count is exactly that level's static count); only the
-// alternative combining heuristic needs a second build.
-func renderCounts(w io.Writer, prog *ir.Program) error {
-	plan, err := comm.NewPipeline(comm.PL()).Build(prog)
-	if err != nil {
-		return err
-	}
-	tr := plan.Trace
-	maxlat, err := comm.NewPipeline(comm.PLMaxLatency()).Build(prog)
-	if err != nil {
-		return err
-	}
-	byLevel := map[string]int{
-		"baseline":  tr.ByName("emit").After,
-		"rr":        tr.ByName("rr").After,
-		"cc":        tr.ByName("cc").After,
-		"pl":        tr.ByName("pl").After,
-		"pl-maxlat": maxlat.StaticCount,
-	}
+// renderCounts prints the static count of every level of the -O table.
+func renderCounts(w io.Writer, prog *ir.Program) {
 	t := &report.Table{
 		Title:   "static communication counts by optimization level",
 		Headers: []string{"level", "static count", "% of baseline"},
 	}
-	base := byLevel["baseline"]
-	for _, lv := range []string{"baseline", "rr", "cc", "pl", "pl-maxlat"} {
-		pctS := "n/a"
-		if base > 0 {
-			pctS = fmt.Sprintf("%.0f%%", 100*float64(byLevel[lv])/float64(base))
+	var base int
+	for i, lv := range comm.Levels() {
+		n := comm.BuildPlan(prog, lv.Opts).StaticCount
+		if i == 0 {
+			base = n
 		}
-		t.AddRow(lv, byLevel[lv], pctS)
+		pct := "n/a"
+		if base > 0 {
+			pct = fmt.Sprintf("%.0f%%", 100*float64(n)/float64(base))
+		}
+		t.AddRow(lv.Name, n, pct)
 	}
 	t.Render(w)
-	return nil
 }
 
 func dumpBlocks(w io.Writer, plan *comm.Plan) {
@@ -334,15 +298,8 @@ func dumpBlocks(w io.Writer, plan *comm.Plan) {
 		}
 		fmt.Fprintf(w, "basic block %d (%d statements):\n", bi, len(bp.Stmts))
 		for _, tr := range bp.Transfers {
-			items := ""
-			for i, a := range tr.Items {
-				if i > 0 {
-					items += ","
-				}
-				items += a.Name
-			}
 			fmt.Fprintf(w, "  transfer %-24s offset %-10v DR@%-3d SR@%-3d DN@%-3d SV@%-3d\n",
-				items, tr.Offset, tr.DRPos, tr.SRPos, tr.DNPos, tr.SVPos)
+				tr.Arrays(), tr.Offset, tr.DRPos, tr.SRPos, tr.DNPos, tr.SVPos)
 		}
 	}
 }

@@ -20,7 +20,6 @@ func TestParseArgsValid(t *testing.T) {
 			config{level: "pl", bench: "swm", dump: true, inline: true, hoist: true}},
 		{[]string{"-passes", "emit, rr ,pl", "-bench", "sp"},
 			config{level: "pl", bench: "sp", passes: []string{"emit", "rr", "pl"}}},
-		{[]string{"-vet", "-bench", "simple"}, config{level: "pl", bench: "simple", vet: true}},
 	}
 	for _, c := range cases {
 		got, err := parseArgs(c.args)
@@ -29,7 +28,7 @@ func TestParseArgsValid(t *testing.T) {
 			continue
 		}
 		if got.level != c.want.level || got.dump != c.want.dump || got.counts != c.want.counts ||
-			got.explain != c.want.explain || got.vet != c.want.vet ||
+			got.explain != c.want.explain ||
 			got.bench != c.want.bench || got.inline != c.want.inline ||
 			got.hoist != c.want.hoist || got.file != c.want.file ||
 			strings.Join(got.passes, ",") != strings.Join(c.want.passes, ",") {
@@ -93,50 +92,6 @@ func writeTemp(t *testing.T, src string) string {
 		t.Fatal(err)
 	}
 	return path
-}
-
-// -vet on a clean benchmark reports nothing and the normal compilation
-// output follows.
-func TestRunVetCleanBench(t *testing.T) {
-	cfg, err := parseArgs([]string{"-vet", "-bench", "simple"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := run(&buf, cfg); err != nil {
-		t.Fatalf("run: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "program simple") {
-		t.Errorf("normal output missing after clean vet:\n%s", buf.String())
-	}
-}
-
-// -vet on a program with findings prints them and fails the run.
-func TestRunVetDirtyFile(t *testing.T) {
-	const src = `program dirty;
-config var n : integer = 8;
-region R = [1..n, 1..n];
-var A : [R] float;
-var unread : float;
-procedure main();
-begin
-  [R] A := 1.0;
-  unread := 2.0;
-  writeln(A);
-end;
-`
-	cfg, err := parseArgs([]string{"-vet", writeTemp(t, src)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	err = run(&buf, cfg)
-	if err == nil || !strings.Contains(err.Error(), "vet reported") {
-		t.Fatalf("run error = %v, want vet failure; output:\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "write-only-var") {
-		t.Errorf("findings missing from output:\n%s", buf.String())
-	}
 }
 
 // A file with several syntax errors reports them all, not just the first.
@@ -209,21 +164,148 @@ func TestRunPredictUnknownMachine(t *testing.T) {
 	}
 }
 
-func TestOptionsByName(t *testing.T) {
-	want := map[string]string{
-		"baseline": "baseline", "rr": "rr", "cc": "cc", "pl": "pl",
-		"pl-maxlat": "pl/max-latency",
+// -predict prints one summary row per level, the pl+hoist extension
+// included, beside the per-transfer forecast of the -O level.
+func TestRunPredictLevels(t *testing.T) {
+	var buf bytes.Buffer
+	cfg, err := parseArgs([]string{"-predict", "-procs", "4", writeTemp(t, cleanSrc)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, s := range want {
-		opts, err := OptionsByName(name)
-		if err != nil {
-			t.Errorf("OptionsByName(%q): %v", name, err)
-		}
-		if opts.String() != s {
-			t.Errorf("OptionsByName(%q).String() = %q, want %q", name, opts.String(), s)
+	if err := run(&buf, cfg); err != nil {
+		t.Fatalf("run: %v\n%s", err, buf.String())
+	}
+	out := buf.String()
+	for _, want := range []string{"predicted communication", "  baseline ", "  pl+hoist ", "per-transfer forecast", "B@[0,1,0]"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("predict output missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := OptionsByName("o3"); err == nil {
-		t.Error("OptionsByName accepted an unknown level")
+}
+
+// The per-level summary takes every machine.ByName model, the rdma
+// cluster included.
+func TestRunPredictLevelsRDMA(t *testing.T) {
+	var buf bytes.Buffer
+	cfg, err := parseArgs([]string{"-predict", "-procs", "4", "-machine", "rdma", "-lib", "verbs", "-bench", "tomcatv"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&buf, cfg); err != nil {
+		t.Fatalf("run: %v\n%s", err, buf.String())
+	}
+	out := buf.String()
+	for _, want := range []string{"predicted communication on rdma/verbs, 4 procs", "predicted communication by optimization level", "  pl-maxlat ", "  pl+hoist "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("predict output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// A program whose loop bounds depend on computed data has no closed-form
+// prediction; -predict says so and still succeeds.
+func TestRunPredictNotStatic(t *testing.T) {
+	const src = `program dyn;
+config var n : integer = 8;
+region R = [1..n, 1..n];
+direction east = [0, 1];
+var A, B : [R] float;
+var err : float;
+procedure main();
+begin
+  [R] B := 1.0;
+  repeat
+    [R] A := B@east;
+    [R] err := +<< A;
+  until err < 0.5;
+end;
+`
+	var buf bytes.Buffer
+	cfg, err := parseArgs([]string{"-predict", "-procs", "4", writeTemp(t, src)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&buf, cfg); err != nil {
+		t.Fatalf("run: %v\n%s", err, buf.String())
+	}
+	if !strings.Contains(buf.String(), "not statically predictable") {
+		t.Errorf("missing not-static note:\n%s", buf.String())
+	}
+}
+
+const cleanSrc = `program clean;
+config var n : integer = 8;
+region R = [1..n, 1..n];
+region Int = [2..n-1, 2..n-1];
+direction east = [0, 1];
+var A, B : [R] float;
+var total : float;
+procedure main();
+begin
+  [R] B := 1.0;
+  [Int] A := B@east;
+  [R] total := +<< A;
+  writeln(total);
+end;
+`
+
+// twoErrors has two syntax errors; zplrun reports them in the same words.
+const twoErrors = `program broken;
+region R = [1..8];
+var A : [R] float;
+procedure main();
+begin
+  A := ;
+  A := 1.0 +;
+  [R] A := 2.0;
+end;
+`
+
+// Bad input of every kind fails with one error, writes nothing to stdout
+// (a bad -predict binding used to fail after the plan was printed) and
+// never surfaces a Go stack trace.
+func TestRunBadInput(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name, src string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	bad := file("bad.zpl", twoErrors)
+	for _, c := range []struct {
+		name string
+		args []string
+		want string // the whole error, when set
+	}{
+		{"empty file", []string{file("empty.zpl", "")}, ""},
+		{"1 MB of [", []string{file("open.zpl", strings.Repeat("[", 1<<20))}, ""},
+		{"two syntax errors", []string{bad}, bad + `:6:8: expected expression, found ; ";"` + "\n" +
+			bad + `:7:13: expected expression, found ; ";"`},
+		{"-procs 0", []string{"-predict", "-procs", "0", "-bench", "simple"}, ""},
+		{"-procs 65537", []string{"-predict", "-procs", "65537", "-bench", "simple"}, ""},
+		{"unknown machine", []string{"-predict", "-machine", "nope", "-bench", "simple"}, ""},
+		{"unknown library", []string{"-predict", "-lib", "nope", "-bench", "simple"}, ""},
+		{"butterfly on 6", []string{"-predict", "-procs", "6", "-collective", "butterfly", "-bench", "simple"}, ""},
+		{"unknown collective", []string{"-predict", "-collective", "ring", "-bench", "simple"}, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var out bytes.Buffer
+			cfg, err := parseArgs(c.args)
+			if err == nil {
+				err = run(&out, cfg)
+			}
+			switch {
+			case err == nil:
+				t.Fatalf("accepted; output:\n%s", out.String())
+			case out.Len() != 0:
+				t.Errorf("wrote %d bytes to stdout before failing", out.Len())
+			case strings.Contains(err.Error(), "goroutine "):
+				t.Errorf("error carries a stack trace: %v", err)
+			case c.want != "" && err.Error() != c.want:
+				t.Errorf("error\n%v\nwant\n%s", err, c.want)
+			}
+		})
 	}
 }

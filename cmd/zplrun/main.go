@@ -27,17 +27,17 @@ import (
 
 	"commopt/internal/collective"
 	"commopt/internal/comm"
+	"commopt/internal/cost"
 	"commopt/internal/critpath"
+	"commopt/internal/experiments"
 	"commopt/internal/grid"
 	"commopt/internal/hostprof"
 	"commopt/internal/ir"
-	"commopt/internal/machine"
 	"commopt/internal/programs"
 	"commopt/internal/report"
 	"commopt/internal/rt"
 	"commopt/internal/trace"
 	"commopt/internal/vtime"
-	"commopt/internal/zpl"
 )
 
 type configFlags map[string]float64
@@ -78,79 +78,80 @@ type options struct {
 }
 
 func main() {
-	o := options{cfg: configFlags{}}
-	flag.StringVar(&o.mach, "machine", "t3d", "simulated machine: t3d, paragon or rdma")
-	flag.StringVar(&o.lib, "lib", "pvm", "communication library binding")
-	flag.IntVar(&o.procs, "procs", 64, fmt.Sprintf("virtual processor count (1..%d)", grid.MaxProcs))
-	flag.StringVar(&o.level, "O", "pl", "optimization level: baseline, rr, cc, pl, pl-maxlat")
-	flag.StringVar(&o.coll, "collective", "auto", "allreduce algorithm: auto, star, tree, butterfly, twolevel (auto = cheapest eligible under the cost model)")
-	flag.StringVar(&o.bench, "bench", "", "run a bundled benchmark instead of a file")
-	flag.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON timeline (virtual time) to `file`")
-	flag.BoolVar(&o.critpath, "critpath", false, "record the happens-before DAG and print the critical-path analysis (every nanosecond attributed to a statement, callsite or hop)")
-	flag.BoolVar(&o.profile, "profile", false, "print the per-callsite communication profile")
-	flag.BoolVar(&o.metrics, "metrics", false, "print the run's metrics registry (counters and histograms)")
-	flag.StringVar(&o.metricsJSON, "metrics-json", "", "write the metrics registry as JSON to `file`")
-	flag.IntVar(&o.schedWork, "sched-workers", 0, "M:N scheduler worker-pool size (0 = GOMAXPROCS); results are identical at any setting")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the simulator itself (host time, not virtual) to `file`")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile of the simulator itself to `file` after the run")
-	flag.Var(o.cfg, "set", "override a config variable, e.g. -set n=64 (repeatable)")
-	flag.Parse()
-	o.args = flag.Args()
-
-	if err := run(os.Stdout, o); err != nil {
+	o, err := parseArgs(os.Args[1:])
+	if err == flag.ErrHelp {
+		return
+	}
+	if err == nil {
+		err = run(os.Stdout, o)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "zplrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, o options) error {
-	var src, name string
-	switch {
-	case o.bench != "":
-		b, err := programs.ByName(o.bench)
-		if err != nil {
-			return err
-		}
-		src, name = b.Source, b.Name
-	case len(o.args) == 1:
-		data, err := os.ReadFile(o.args[0])
-		if err != nil {
-			return err
-		}
-		src, name = string(data), o.args[0]
-	default:
-		return fmt.Errorf("usage: zplrun [flags] file.zpl (or -bench name)")
+// parseArgs parses the command line, returning an error (never exiting)
+// for unknown flags and malformed values; run checks the rest before it
+// prints anything. It returns flag.ErrHelp when usage was requested.
+func parseArgs(args []string) (options, error) {
+	o := options{cfg: configFlags{}}
+	fs := flag.NewFlagSet("zplrun", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // errors are reported by the caller, once
+	fs.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: zplrun [flags] file.zpl (or -bench name)")
+		fs.SetOutput(os.Stderr)
+		fs.PrintDefaults()
+		fs.SetOutput(io.Discard)
 	}
+	fs.StringVar(&o.mach, "machine", "t3d", "simulated machine: t3d, paragon or rdma")
+	fs.StringVar(&o.lib, "lib", "pvm", "communication library binding")
+	fs.IntVar(&o.procs, "procs", 64, fmt.Sprintf("virtual processor count (1..%d)", grid.MaxProcs))
+	fs.StringVar(&o.level, "O", "pl", "optimization level: "+strings.Join(comm.LevelNames(), ", "))
+	fs.StringVar(&o.coll, "collective", "auto", "allreduce algorithm: auto, star, tree, butterfly, twolevel (auto = cheapest eligible under the cost model)")
+	fs.StringVar(&o.bench, "bench", "", "run a bundled benchmark instead of a file")
+	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON timeline (virtual time) to `file`")
+	fs.BoolVar(&o.critpath, "critpath", false, "record the happens-before DAG and print the critical-path analysis (every nanosecond attributed to a statement, callsite or hop)")
+	fs.BoolVar(&o.profile, "profile", false, "print the per-callsite communication profile")
+	fs.BoolVar(&o.metrics, "metrics", false, "print the run's metrics registry (counters and histograms)")
+	fs.StringVar(&o.metricsJSON, "metrics-json", "", "write the metrics registry as JSON to `file`")
+	fs.IntVar(&o.schedWork, "sched-workers", 0, "M:N scheduler worker-pool size (0 = GOMAXPROCS); results are identical at any setting")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the simulator itself (host time, not virtual) to `file`")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile of the simulator itself to `file` after the run")
+	fs.Var(o.cfg, "set", "override a config variable, e.g. -set n=64 (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	o.args = fs.Args()
+	return o, nil
+}
 
-	ast, err := zpl.Parse(src)
+func run(w io.Writer, o options) error {
+	bind, err := cost.Bind(o.mach, o.lib, o.procs, o.coll)
 	if err != nil {
-		return fmt.Errorf("%s: %w", name, err)
-	}
-	prog, err := ir.Lower(ast)
-	if err != nil {
-		return fmt.Errorf("%s: %w", name, err)
+		return err
 	}
 	opts, err := comm.OptionsByName(o.level)
 	if err != nil {
 		return err
 	}
-	mach, err := machine.ByName(o.mach)
+	ins, err := programs.Load(o.bench, o.args)
 	if err != nil {
 		return err
 	}
-	if o.coll == "" {
-		o.coll = "auto" // zero options value (tests construct options directly)
+	if len(ins) != 1 {
+		return fmt.Errorf("usage: zplrun [flags] file.zpl (or -bench name)")
 	}
-	alg, err := collective.ParseAlg(o.coll)
+	_, prog, err := ir.Compile(ins[0].Name, ins[0].Source)
 	if err != nil {
 		return err
 	}
 	plan := comm.BuildPlan(prog, opts)
 	cfg := rt.Config{
-		Machine:      mach,
-		Library:      o.lib,
-		Procs:        o.procs,
-		Collective:   alg,
+		Machine:      bind.Machine,
+		Library:      bind.Library,
+		Procs:        bind.Procs,
+		Collective:   bind.Collective,
 		ConfigVars:   o.cfg,
 		Profile:      o.profile,
 		Metrics:      o.metrics || o.metricsJSON != "",
@@ -178,10 +179,8 @@ func run(w io.Writer, o options) error {
 		return err
 	}
 
-	if res.Output != "" {
-		fmt.Fprint(w, res.Output)
-	}
-	fmt.Fprintf(w, "-- %s on %d-node %s (%s), optimization %s\n", prog.Name, o.procs, mach.Name, o.lib, opts)
+	fmt.Fprint(w, res.Output)
+	fmt.Fprintf(w, "-- %s on %d-node %s (%s), optimization %s\n", prog.Name, o.procs, bind.Machine.Name, o.lib, opts)
 	fmt.Fprintf(w, "-- execution time   %.6f s (simulated)\n", res.ExecTime.Seconds())
 	fmt.Fprintf(w, "-- communications   %d static, %d dynamic (per processor)\n", plan.StaticCount, res.DynamicTransfers)
 	fmt.Fprintf(w, "-- messages         %d (transfers + reduction hops), %.1f KB total, %d reductions",
@@ -203,7 +202,7 @@ func run(w io.Writer, o options) error {
 	}
 	if o.profile {
 		fmt.Fprintln(w)
-		profileTable(res).Render(w)
+		experiments.ProfileTable("Per-callsite communication profile (all processors, virtual time)", "", res.Profile).Render(w)
 	}
 	if o.metrics {
 		fmt.Fprintln(w)
@@ -211,29 +210,18 @@ func run(w io.Writer, o options) error {
 	}
 	if o.metricsJSON != "" {
 		f, err := os.Create(o.metricsJSON)
+		if err == nil {
+			err = res.Metrics.WriteJSON(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
 		if err != nil {
-			return fmt.Errorf("metrics: %w", err)
-		}
-		if err := res.Metrics.WriteJSON(f); err != nil {
-			f.Close()
-			return fmt.Errorf("metrics: %w", err)
-		}
-		if err := f.Close(); err != nil {
 			return fmt.Errorf("metrics: %w", err)
 		}
 	}
 	if rec != nil {
-		f, err := os.Create(o.tracePath)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		if err := trace.WriteChrome(f, rec); err != nil {
-			f.Close()
-			return fmt.Errorf("trace: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
+		return trace.WriteChromeFile(o.tracePath, rec)
 	}
 	return nil
 }
@@ -302,30 +290,4 @@ func critpathReport(w io.Writer, res *rt.Result, cpr *critpath.Recorder) error {
 	fmt.Fprintln(w)
 	ct.Render(w)
 	return nil
-}
-
-// profileTable renders the per-callsite communication profile: one row
-// per plan transfer, attributed to the source position of its earliest
-// use, with any callsites folded in by rr/cc listed alongside.
-func profileTable(res *rt.Result) *report.Table {
-	t := &report.Table{
-		Title:   "Per-callsite communication profile (all processors, virtual time)",
-		Headers: []string{"callsite", "transfer", "hoisted", "SR calls", "messages", "KB", "comm ms", "wait ms", "also covers"},
-	}
-	for _, row := range res.Profile {
-		hoisted := ""
-		if row.Hoisted {
-			hoisted = "yes"
-		}
-		covers := make([]string, 0, len(row.Covers))
-		for _, p := range row.Covers {
-			covers = append(covers, p.String())
-		}
-		t.AddRow(row.Pos.String(), row.Label, hoisted, row.Calls, row.Messages,
-			fmt.Sprintf("%.1f", float64(row.Bytes)/1024),
-			fmt.Sprintf("%.3f", float64(row.Comm)/1e6),
-			fmt.Sprintf("%.3f", float64(row.Wait)/1e6),
-			strings.Join(covers, " "))
-	}
-	return t
 }

@@ -351,3 +351,84 @@ func TestRunObservabilityErrors(t *testing.T) {
 		t.Errorf("unwritable -memprofile path: err = %v", err)
 	}
 }
+
+// twoErrors has two syntax errors; zplc reports them in the same words.
+const twoErrors = `program broken;
+region R = [1..8];
+var A : [R] float;
+procedure main();
+begin
+  A := ;
+  A := 1.0 +;
+  [R] A := 2.0;
+end;
+`
+
+// Bad input of every kind fails with one error, writes nothing to stdout
+// and never surfaces a Go stack trace.
+func TestRunBadInput(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name, src string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	bad, good := file("bad.zpl", twoErrors), file("good.zpl", laplaceSrc)
+	for _, c := range []struct {
+		name string
+		args []string
+		want string // the whole error, when set
+	}{
+		{"empty file", []string{file("empty.zpl", "")}, ""},
+		{"1 MB of [", []string{file("open.zpl", strings.Repeat("[", 1<<20))}, ""},
+		{"two syntax errors", []string{bad}, bad + `:6:8: expected expression, found ; ";"` + "\n" +
+			bad + `:7:13: expected expression, found ; ";"`},
+		{"-procs 0", []string{"-procs", "0", good}, ""},
+		{"-procs 65537", []string{"-procs", "65537", good}, ""},
+		{"unknown machine", []string{"-machine", "nope", good}, ""},
+		{"unknown library", []string{"-lib", "nope", good}, ""},
+		{"butterfly on 6", []string{"-procs", "6", "-collective", "butterfly", good}, ""},
+		{"-set n=-1", []string{"-procs", "4", "-set", "n=-1", good}, "rt: 4:1: region R is empty: [1..-1, 1..-1]"},
+		{"a 0.5 bound", []string{"-procs", "4", file("half.zpl", strings.Replace(laplaceSrc, "[1..n, 1..n]", "[1..0.5, 1..n]", 1))},
+			"rt: 4:1: region R: non-integer bounds 1..0.5"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var out bytes.Buffer
+			o, err := parseArgs(c.args)
+			if err == nil {
+				err = run(&out, o)
+			}
+			switch {
+			case err == nil:
+				t.Fatalf("accepted; output:\n%s", out.String())
+			case out.Len() != 0:
+				t.Errorf("wrote %d bytes to stdout before failing", out.Len())
+			case strings.Contains(err.Error(), "goroutine "):
+				t.Errorf("error carries a stack trace: %v", err)
+			case c.want != "" && err.Error() != c.want:
+				t.Errorf("error\n%v\nwant\n%s", err, c.want)
+			}
+		})
+	}
+}
+
+// parseArgs reads every flag into options, in-process.
+func TestParseArgs(t *testing.T) {
+	o, err := parseArgs([]string{"-machine", "rdma", "-lib", "verbs", "-procs", "16", "-O", "cc",
+		"-collective", "tree", "-set", "n=24", "-set", "iters=2", "-profile", "-critpath", "-metrics", "prog.zpl"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.mach != "rdma" || o.lib != "verbs" || o.procs != 16 || o.level != "cc" || o.coll != "tree" ||
+		o.cfg["n"] != 24 || o.cfg["iters"] != 2 || !o.profile || !o.critpath || !o.metrics ||
+		len(o.args) != 1 || o.args[0] != "prog.zpl" {
+		t.Errorf("parseArgs = %+v", o)
+	}
+	for _, args := range [][]string{{"-wat"}, {"-procs", "many"}, {"-set", "n"}} {
+		if _, err := parseArgs(args); err == nil {
+			t.Errorf("parseArgs(%v) accepted bad flags", args)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,13 +20,15 @@ func TestParseArgs(t *testing.T) {
 		{[]string{"-bench", "all"}, false},
 		{[]string{"-rules"}, false},
 		{[]string{"-protocol", "file.zpl"}, false},
-		{[]string{"-cost", "-bench", "simple"}, false},
-		{[]string{"-cost", "-machine", "paragon", "-lib", "csend", "file.zpl"}, false},
-		{[]string{}, true},                              // no inputs
-		{[]string{"-nonsense"}, true},                   // unknown flag
-		{[]string{"-protocol", "-cost", "a.zpl"}, true}, // mutually exclusive
-		{[]string{"-cost", "-json", "a.zpl"}, true},     // tables have no JSON form
+		{[]string{}, true},                               // no inputs
+		{[]string{"-nonsense"}, true},                    // unknown flag
+		{[]string{"-cost", "-bench", "simple"}, true},    // the forecast is zplc -predict's
+		{[]string{"-machine", "paragon", "a.zpl"}, true}, // so are its bindings
+		{[]string{"-lib", "csend", "a.zpl"}, true},
+		{[]string{"-protocol", "-cost", "a.zpl"}, true},
+		{[]string{"-cost", "-json", "a.zpl"}, true},
 		{[]string{"-protocol", "-procs", "0", "a.zpl"}, true},
+		{[]string{"-protocol", "-procs", "65537", "a.zpl"}, true},
 	}
 	for _, c := range cases {
 		_, err := parseArgs(c.args)
@@ -166,60 +169,6 @@ func TestRunProtocolJSON(t *testing.T) {
 	}
 }
 
-func TestRunCost(t *testing.T) {
-	var buf bytes.Buffer
-	code, err := run(&buf, []string{"-cost", "-procs", "4", writeTemp(t, cleanSrc)})
-	if err != nil || code != 0 {
-		t.Fatalf("code=%d err=%v output:\n%s", code, err, buf.String())
-	}
-	out := buf.String()
-	for _, want := range []string{"predicted communication", "baseline", "pl+hoist", "per-transfer breakdown", "B@[0,1,0]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("cost output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// -machine takes every machine.ByName model, the rdma cluster included.
-func TestRunCostRDMA(t *testing.T) {
-	var buf bytes.Buffer
-	code, err := run(&buf, []string{"-cost", "-procs", "4", "-machine", "rdma", "-lib", "verbs", "-bench", "tomcatv"})
-	if err != nil || code != 0 {
-		t.Fatalf("code=%d err=%v output:\n%s", code, err, buf.String())
-	}
-	if want := "tomcatv: predicted communication (rdma/verbs, 4 procs)"; !strings.Contains(buf.String(), want) {
-		t.Errorf("cost output missing %q:\n%s", want, buf.String())
-	}
-}
-
-// A program whose loop bounds depend on computed data has no closed-form
-// prediction; -cost says so and still exits 0 (it is not a finding).
-func TestRunCostNotStatic(t *testing.T) {
-	const src = `program dyn;
-config var n : integer = 8;
-region R = [1..n, 1..n];
-direction east = [0, 1];
-var A, B : [R] float;
-var err : float;
-procedure main();
-begin
-  [R] B := 1.0;
-  repeat
-    [R] A := B@east;
-    [R] err := +<< A;
-  until err < 0.5;
-end;
-`
-	var buf bytes.Buffer
-	code, errRun := run(&buf, []string{"-cost", "-procs", "4", writeTemp(t, src)})
-	if errRun != nil || code != 0 {
-		t.Fatalf("code=%d err=%v output:\n%s", code, errRun, buf.String())
-	}
-	if !strings.Contains(buf.String(), "not statically predictable") {
-		t.Errorf("missing not-static note:\n%s", buf.String())
-	}
-}
-
 func TestRunRules(t *testing.T) {
 	var buf bytes.Buffer
 	code, err := run(&buf, []string{"-rules"})
@@ -254,5 +203,45 @@ end;
 	}
 	if want := `3:1: error[sema-error]: config "n" initializer reads "k"`; !strings.Contains(buf.String(), want) {
 		t.Errorf("output missing %q:\n%s", want, buf.String())
+	}
+}
+
+// Bad input of every kind gets the documented exit code — 1 for a file
+// the analysis rejects, 2 for a bad command line — and never a Go stack
+// trace.
+func TestRunBadInput(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name, src string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	good := file("good.zpl", cleanSrc)
+	for _, c := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"empty file", []string{file("empty.zpl", "")}, 1},
+		{"1 MB of [", []string{file("open.zpl", strings.Repeat("[", 1<<20))}, 1},
+		{"two syntax errors", []string{file("bad.zpl", "program p;\nbegin\n  A := ;\n  A := 1.0 +;\nend;\n")}, 1},
+		{"-procs 0", []string{"-protocol", "-procs", "0", good}, 2},
+		{"-procs 65537", []string{"-protocol", "-procs", "65537", good}, 2},
+		{"unknown machine", []string{"-machine", "nope", good}, 2},
+		{"unknown library", []string{"-lib", "nope", good}, 2},
+		{"butterfly on 6", []string{"-procs", "6", "-collective", "butterfly", good}, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var out bytes.Buffer
+			code, err := run(&out, c.args)
+			if code != c.code {
+				t.Errorf("exit code %d (err %v), want %d", code, err, c.code)
+			}
+			if strings.Contains(fmt.Sprint(err), "goroutine ") || strings.Contains(out.String(), "goroutine ") {
+				t.Errorf("stack trace in the report: %v", err)
+			}
+		})
 	}
 }

@@ -17,12 +17,9 @@
 package commopt
 
 import (
-	"fmt"
-
-	"commopt/internal/collective"
 	"commopt/internal/comm"
+	"commopt/internal/cost"
 	"commopt/internal/ir"
-	"commopt/internal/machine"
 	"commopt/internal/rt"
 	"commopt/internal/zpl"
 )
@@ -33,15 +30,12 @@ type Program struct {
 	IR  *ir.Program
 }
 
-// Compile parses and lowers ZPL source text.
+// Compile parses and lowers ZPL source text. Its error lists every
+// syntax error, one line:col: msg per line.
 func Compile(src string) (*Program, error) {
-	ast, err := zpl.Parse(src)
+	ast, low, err := ir.Compile("", src)
 	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
-	}
-	low, err := ir.Lower(ast)
-	if err != nil {
-		return nil, fmt.Errorf("check: %w", err)
+		return nil, err
 	}
 	return &Program{AST: ast, IR: low}, nil
 }
@@ -122,22 +116,15 @@ func (p *Program) Run(plan *comm.Plan, opts RunOptions) (*rt.Result, error) {
 	if opts.Procs == 0 {
 		opts.Procs = 64
 	}
-	mach, err := machine.ByName(opts.Machine)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Collective == "" {
-		opts.Collective = "auto"
-	}
-	alg, err := collective.ParseAlg(opts.Collective)
+	bind, err := cost.Bind(opts.Machine, opts.Library, opts.Procs, opts.Collective)
 	if err != nil {
 		return nil, err
 	}
 	return rt.Run(p.IR, plan, rt.Config{
-		Machine:      mach,
-		Library:      opts.Library,
-		Procs:        opts.Procs,
-		Collective:   alg,
+		Machine:      bind.Machine,
+		Library:      bind.Library,
+		Procs:        bind.Procs,
+		Collective:   bind.Collective,
 		ConfigVars:   opts.Configs,
 		SchedWorkers: opts.SchedWorkers,
 	})

@@ -16,6 +16,7 @@ package comm
 
 import (
 	"fmt"
+	"strings"
 
 	"commopt/internal/grid"
 	"commopt/internal/ir"
@@ -90,22 +91,42 @@ func PLMaxLatency() Options {
 	return Options{RemoveRedundant: true, Combine: true, Pipeline: true, Heuristic: MaxLatencyHiding}
 }
 
-// OptionsByName maps the command-line level names (the -O flag of zplc and
-// zplrun) to the options above.
-func OptionsByName(name string) (Options, error) {
-	switch name {
-	case "baseline":
-		return Baseline(), nil
-	case "rr":
-		return RR(), nil
-	case "cc":
-		return CC(), nil
-	case "pl":
-		return PL(), nil
-	case "pl-maxlat":
-		return PLMaxLatency(), nil
+// Level is one named optimizer configuration: one value of the -O flag
+// of zplc and zplrun.
+type Level struct {
+	Name string
+	Opts Options
+}
+
+// Levels returns the -O table: the paper's ladder, then the alternative
+// combining heuristic.
+func Levels() []Level {
+	return []Level{
+		{"baseline", Baseline()},
+		{"rr", RR()},
+		{"cc", CC()},
+		{"pl", PL()},
+		{"pl-maxlat", PLMaxLatency()},
 	}
-	return Options{}, fmt.Errorf("unknown optimization level %q (known: baseline, rr, cc, pl, pl-maxlat)", name)
+}
+
+// LevelNames returns the names of Levels, in order.
+func LevelNames() []string {
+	var names []string
+	for _, lv := range Levels() {
+		names = append(names, lv.Name)
+	}
+	return names
+}
+
+// OptionsByName looks a level up by name in Levels.
+func OptionsByName(name string) (Options, error) {
+	for _, lv := range Levels() {
+		if lv.Name == name {
+			return lv.Opts, nil
+		}
+	}
+	return Options{}, fmt.Errorf("unknown optimization level %q (known: %s)", name, strings.Join(LevelNames(), ", "))
 }
 
 // String summarizes enabled optimizations.
@@ -237,15 +258,21 @@ func (t *Transfer) Carries(a *ir.ArraySym) bool {
 
 // String renders the transfer compactly.
 func (t *Transfer) String() string {
-	names := ""
-	for i, it := range t.Items {
-		if i > 0 {
-			names += ","
-		}
-		names += it.Name
-	}
-	return fmt.Sprintf("T%d(%s@%v SR@%d DN@%d)", t.ID, names, t.Offset, t.SRPos, t.DNPos)
+	return fmt.Sprintf("T%d(%s SR@%d DN@%d)", t.ID, t.Label(), t.SRPos, t.DNPos)
 }
+
+// Arrays names the arrays the transfer carries, comma-separated.
+func (t *Transfer) Arrays() string {
+	names := make([]string, len(t.Items))
+	for i, it := range t.Items {
+		names[i] = it.Name
+	}
+	return strings.Join(names, ",")
+}
+
+// Label renders the carried arrays and the offset, e.g. "U,V@[0,1,0]":
+// the transfer column of the callsite profile and of the forecast.
+func (t *Transfer) Label() string { return t.Arrays() + "@" + t.Offset.String() }
 
 // Call is one placed IRONMAN call.
 type Call struct {

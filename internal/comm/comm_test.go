@@ -2,6 +2,7 @@ package comm
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -458,5 +459,34 @@ func TestCombineLimitBytes(t *testing.T) {
 		if len(tr.Items)*512 > 1024 {
 			t.Fatalf("transfer %v exceeds cap", tr)
 		}
+	}
+}
+
+// Every level of the -O table resolves by name, and the error for an
+// unknown name lists exactly the table's names, in order.
+func TestOptionsByName(t *testing.T) {
+	want := map[string]string{
+		"baseline": "baseline", "rr": "rr", "cc": "cc", "pl": "pl",
+		"pl-maxlat": "pl/max-latency",
+	}
+	if len(Levels()) != len(want) {
+		t.Errorf("%d levels, want %d", len(Levels()), len(want))
+	}
+	for _, lv := range Levels() {
+		opts, err := OptionsByName(lv.Name)
+		if err != nil {
+			t.Errorf("OptionsByName(%q): %v", lv.Name, err)
+		}
+		if opts.String() != want[lv.Name] {
+			t.Errorf("OptionsByName(%q) = %v, want %s", lv.Name, opts, want[lv.Name])
+		}
+	}
+	_, err := OptionsByName("o3")
+	if err == nil {
+		t.Fatal("OptionsByName accepted an unknown level")
+	}
+	known := "(known: " + strings.Join(LevelNames(), ", ") + ")"
+	if !strings.HasSuffix(err.Error(), known) || known != "(known: baseline, rr, cc, pl, pl-maxlat)" {
+		t.Errorf("unknown-level error %q does not end in the table's names", err)
 	}
 }

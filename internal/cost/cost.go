@@ -31,9 +31,9 @@ package cost
 
 import (
 	"errors"
-	"fmt"
 
 	"commopt/internal/collective"
+	"commopt/internal/grid"
 	"commopt/internal/machine"
 )
 
@@ -56,10 +56,41 @@ type Config struct {
 	ConfigVars map[string]float64
 }
 
-func (c Config) validate() (*machine.Lib, error) {
-	if c.Procs < 1 {
-		return nil, fmt.Errorf("cost: processor count %d < 1", c.Procs)
+// Bind resolves a command line's binding by name before anything runs:
+// the machine model, its library, the mesh of procs processors and the
+// allreduce algorithm ("" is auto), which when forced must be eligible on
+// that mesh (a lone processor runs no collective, so it takes any). A
+// command that binds first fails on a bad binding before it prints
+// anything.
+func Bind(mach, lib string, procs int, coll string) (Config, error) {
+	if coll == "" {
+		coll = collective.Auto.String()
 	}
+	m, err := machine.ByName(mach)
+	if err != nil {
+		return Config{}, err
+	}
+	l, err := m.Lib(lib)
+	if err != nil {
+		return Config{}, err
+	}
+	mesh, err := grid.MeshFor(procs)
+	if err != nil {
+		return Config{}, err
+	}
+	alg, err := collective.ParseAlg(coll)
+	if err != nil {
+		return Config{}, err
+	}
+	if mesh.Size() > 1 {
+		if _, err := collective.Resolve(alg, l, mesh); err != nil {
+			return Config{}, err
+		}
+	}
+	return Config{Machine: m, Library: lib, Procs: procs, Collective: alg}, nil
+}
+
+func (c Config) validate() (*machine.Lib, error) {
 	if c.Machine == nil {
 		return nil, errors.New("cost: no machine model")
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 
 	"commopt/internal/collective"
 	"commopt/internal/comm"
@@ -210,7 +209,7 @@ func (w *walker) prediction() *Prediction {
 			pos = t.Sites[0].Pos
 		}
 		pred.Sites = append(pred.Sites, SiteCost{
-			Pos: pos, Label: transferLabel(t), Hoisted: t.Hoisted,
+			Pos: pos, Label: t.Label(), Hoisted: t.Hoisted,
 			Executions: acc.execs, Messages: acc.msgs, Bytes: acc.bytes, Comm: acc.comm,
 		})
 	}
@@ -231,14 +230,6 @@ func (w *walker) prediction() *Prediction {
 		return a.Label < b.Label
 	})
 	return pred
-}
-
-func transferLabel(t *comm.Transfer) string {
-	names := make([]string, len(t.Items))
-	for i, it := range t.Items {
-		names[i] = it.Name
-	}
-	return strings.Join(names, ",") + "@" + t.Offset.String()
 }
 
 func (w *walker) segments(stmts []ir.Stmt) []comm.Segment {

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"strings"
 	"testing"
 
 	"commopt/internal/collective"
@@ -400,5 +401,36 @@ func TestCheckValidatesCollectives(t *testing.T) {
 	}
 	if len(fs) != 0 {
 		t.Fatalf("clean plan produced findings: %v", fs)
+	}
+}
+
+// Bind resolves a binding by name or names the field that is wrong; a
+// forced collective must be eligible on the mesh unless the mesh is one
+// processor.
+func TestBind(t *testing.T) {
+	cfg, err := Bind("paragon", "csend", 16, "")
+	if err != nil || cfg.Machine.Name != machine.Paragon().Name || cfg.Library != "csend" ||
+		cfg.Procs != 16 || cfg.Collective != collective.Auto {
+		t.Errorf("Bind(paragon, csend, 16, \"\") = %+v, %v", cfg, err)
+	}
+	if cfg, err := Bind("t3d", "pvm", 1, "twolevel"); err != nil || cfg.Collective != collective.TwoLevel {
+		t.Errorf("a lone processor takes any collective: %+v, %v", cfg, err)
+	}
+	for _, c := range []struct {
+		mach, lib string
+		procs     int
+		coll      string
+		want      string
+	}{
+		{"vax", "pvm", 4, "auto", "unknown machine"},
+		{"t3d", "mpi", 4, "auto", `unknown library "mpi" (have [pvm shmem])`},
+		{"t3d", "pvm", 0, "auto", "processor count 0"},
+		{"t3d", "pvm", grid.MaxProcs + 1, "auto", "processor count 65537"},
+		{"t3d", "pvm", 4, "ring", "unknown algorithm"},
+		{"t3d", "pvm", 6, "butterfly", "not eligible on a 3x2 mesh"},
+	} {
+		if _, err := Bind(c.mach, c.lib, c.procs, c.coll); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Bind(%s, %s, %d, %s) = %v, want an error containing %q", c.mach, c.lib, c.procs, c.coll, err, c.want)
+		}
 	}
 }

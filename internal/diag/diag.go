@@ -4,7 +4,7 @@
 // source excerpts) or machine-readable JSON. The ZPL source linter
 // (internal/lint), the communication-plan verifier (internal/comm) and
 // the front end's recovered parse errors all report through it, so
-// cmd/zplvet and zplc -vet present one uniform finding stream.
+// cmd/zplvet presents one uniform finding stream.
 package diag
 
 import (

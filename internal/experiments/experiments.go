@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"maps"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -27,7 +26,6 @@ import (
 	"commopt/internal/rt"
 	"commopt/internal/trace"
 	"commopt/internal/vtime"
-	"commopt/internal/zpl"
 )
 
 // Experiment is one row of Figure 9's key: an optimizer configuration
@@ -215,13 +213,9 @@ func (r *Runner) compiledFor(name string) (*compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	ast, err := zpl.Parse(bench.Source)
+	_, prog, err := ir.Compile(name, bench.Source)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	prog, err := ir.Lower(ast)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil, err
 	}
 	c := &compiled{bench: bench, prog: prog, plans: map[string]*comm.Plan{}}
 	r.programs[name] = c
@@ -347,7 +341,7 @@ func (r *Runner) run(c cell, label string, out *outcome) error {
 		return err
 	}
 	if cfg.Trace != nil {
-		if err := writeTraceFile(filepath.Join(r.TraceDir, label+".trace.json"), cfg.Trace); err != nil {
+		if err := trace.WriteChromeFile(filepath.Join(r.TraceDir, label+".trace.json"), cfg.Trace); err != nil {
 			return err
 		}
 	}
@@ -455,22 +449,6 @@ func ExpKeys() []string {
 		out = append(out, e.Key)
 	}
 	return out
-}
-
-// writeTraceFile renders one recorded run as Chrome trace-event JSON.
-func writeTraceFile(path string, rec *trace.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := trace.WriteChrome(f, rec); err != nil {
-		f.Close()
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	return nil
 }
 
 // BenchNames returns the suite's benchmark names in the paper's order.

@@ -40,12 +40,21 @@ func ProfileAppendix(r *Runner, benchName, expKey string) (*report.Table, error)
 	if err != nil {
 		return nil, err
 	}
+	return ProfileTable(fmt.Sprintf("Where did the time go: %s under %s (all processors, virtual time)", benchName, expKey),
+		schedNote(o.sched), o.profile), nil
+}
+
+// ProfileTable renders per-callsite profile rows under title and note (""
+// for none): one row per plan transfer, attributed to the source position
+// of its earliest use, with any callsites folded in by rr/cc listed
+// alongside. zplrun -profile prints the same table.
+func ProfileTable(title, note string, rows []rt.CallsiteProfile) *report.Table {
 	t := &report.Table{
-		Title:   fmt.Sprintf("Where did the time go: %s under %s (all processors, virtual time)", benchName, expKey),
-		Note:    schedNote(o.sched),
+		Title:   title,
+		Note:    note,
 		Headers: []string{"callsite", "transfer", "hoisted", "SR calls", "messages", "KB", "comm ms", "wait ms", "also covers"},
 	}
-	for _, row := range o.profile {
+	for _, row := range rows {
 		hoisted := ""
 		if row.Hoisted {
 			hoisted = "yes"
@@ -60,7 +69,7 @@ func ProfileAppendix(r *Runner, benchName, expKey string) (*report.Table, error)
 			fmt.Sprintf("%.3f", float64(row.Wait)/1e6),
 			strings.Join(covers, " "))
 	}
-	return t, nil
+	return t
 }
 
 // RunProfiles writes the profile appendix of every benchmark under the

@@ -63,6 +63,7 @@ type DirSym struct {
 // once at program setup (they may reference configs and constants).
 type RegionSym struct {
 	Name   string
+	Pos    zpl.Pos // the declaration's, for Setup's errors
 	RankN  int
 	Bounds [grid.MaxRank][2]Expr // lo/hi per dimension; nil beyond RankN
 	ID     int

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -311,5 +312,49 @@ func TestSetup(t *testing.T) {
 		if _, err := p.Setup(c.vars, c.mesh); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Setup(%v, %v) = %v, want an error containing %q", c.vars, c.mesh, err, c.want)
 		}
+	}
+}
+
+// A region whose bounds evaluate to non-integers, or to nothing, is an
+// error at the region's declaration.
+func TestSetupRegionErrorsArePositioned(t *testing.T) {
+	p := lower(t, `program half;
+config var n : integer = 4;
+  region R = [1..n/8, 1..n];
+var A : [R] float;
+procedure main(); begin [R] A := 1.0; end;`)
+	for _, c := range []struct {
+		vars map[string]float64
+		want string
+	}{
+		{nil, "region R: non-integer bounds 1..0.5"},
+		{map[string]float64{"n": -8}, "region R is empty"},
+	} {
+		_, err := p.Setup(c.vars, grid.NewMesh(1, 1))
+		var e *zpl.Error
+		if !errors.As(err, &e) {
+			t.Fatalf("Setup(%v) = %v, want a *zpl.Error", c.vars, err)
+		}
+		if e.Pos.Line != 3 || e.Pos.Col != 3 || !strings.HasPrefix(e.Msg, c.want) {
+			t.Errorf("Setup(%v) = %v, want 3:3: %s", c.vars, err, c.want)
+		}
+	}
+}
+
+// Compile names every syntax error with the file and its position, and a
+// lowering error the same way.
+func TestCompileNamesErrors(t *testing.T) {
+	_, _, err := Compile("bad.zpl", "program p;\nvar A : float;\nprocedure main();\nbegin\n  A := ;\n  A := 1.0 +;\nend;\n")
+	want := "bad.zpl:5:8: expected expression, found ; \";\"\nbad.zpl:6:13: expected expression, found ; \";\""
+	if err == nil || err.Error() != want {
+		t.Errorf("two syntax errors: %v, want\n%s", err, want)
+	}
+	_, _, err = Compile("sema.zpl", "program p;\nprocedure main();\nbegin\n  x := 1.0;\nend;\n")
+	var e *zpl.Error
+	if !errors.As(err, &e) || !strings.HasPrefix(err.Error(), "sema.zpl:4:") {
+		t.Errorf("lowering error %v, want a *zpl.Error named sema.zpl:4:", err)
+	}
+	if ast, prog, err := Compile("ok.zpl", "program p;\nregion R = [1..4];\nprocedure main(); begin end;\n"); err != nil || ast == nil || prog.Name != "p" {
+		t.Errorf("Compile of a clean file: %v", err)
 	}
 }

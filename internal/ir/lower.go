@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -12,6 +13,39 @@ var (
 	negInf = math.Inf(-1)
 	posInf = math.Inf(1)
 )
+
+// Compile parses and lowers one ZPL source file: the front end that the
+// commands, the experiments and the commopt facade share. It reports every
+// syntax error the recovering parser finds, one per line, and each
+// positioned error as name:line:col: msg, so a file's diagnostics read
+// the same from every command.
+func Compile(name, src string) (*zpl.Program, *Program, error) {
+	ast, errs := zpl.ParseAll(src)
+	if len(errs) > 0 {
+		named := make([]error, len(errs))
+		for i, e := range errs {
+			named[i] = nameErr(name, e)
+		}
+		return nil, nil, errors.Join(named...)
+	}
+	prog, err := Lower(ast)
+	if err != nil {
+		return nil, nil, nameErr(name, err)
+	}
+	return ast, prog, nil
+}
+
+// nameErr prefixes an error with the source file's name: name:line:col:
+// for a positioned error, name: for any other; an empty name adds nothing.
+func nameErr(name string, err error) error {
+	switch _, positioned := err.(*zpl.Error); {
+	case name == "":
+		return err
+	case positioned:
+		return fmt.Errorf("%s:%w", name, err)
+	}
+	return fmt.Errorf("%s: %w", name, err)
+}
 
 // Lower type-checks a parsed program and lowers it to IR. It resolves
 // every symbol, checks scalar/array shape rules, evaluates direction
@@ -172,7 +206,7 @@ func (lw *lowerer) decl(d zpl.Decl) {
 			lw.fail(d.Pos, "region %q must have rank 1..%d", d.Name, grid.MaxRank)
 			return
 		}
-		r := &RegionSym{Name: d.Name, RankN: len(d.Ranges), ID: len(lw.prog.Regions)}
+		r := &RegionSym{Name: d.Name, Pos: d.Pos, RankN: len(d.Ranges), ID: len(lw.prog.Regions)}
 		for i, rg := range d.Ranges {
 			lo, shLo := lw.expr(rg.Lo, exprCtx{})
 			hi, shHi := lw.expr(rg.Hi, exprCtx{})

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"commopt/internal/grid"
+	"commopt/internal/zpl"
 )
 
 // Setup is a program's static state on one mesh: what the runtime builds
@@ -20,7 +21,8 @@ type Setup struct {
 // may read the ones before it (Lower admits nothing else). It anchors the
 // block distribution and checks that every ghost region fits inside the
 // smallest block of mesh. Errors carry no package prefix: callers add
-// their own.
+// their own. A region whose bounds are not integers or that is empty is a
+// *zpl.Error at the region's declaration.
 func (p *Program) Setup(vars map[string]float64, mesh grid.Mesh) (*Setup, error) {
 	s := &Setup{Vals: make([]float64, len(p.Scalars)), Regions: make([]grid.Region, len(p.Regions))}
 	for _, c := range p.Configs {
@@ -44,13 +46,13 @@ func (p *Program) Setup(vars map[string]float64, mesh grid.Mesh) (*Setup, error)
 		for d := range spans {
 			lo, hi := Eval(r.Bounds[d][0], s.Vals), Eval(r.Bounds[d][1], s.Vals)
 			if lo != math.Trunc(lo) || hi != math.Trunc(hi) {
-				return nil, fmt.Errorf("region %s: non-integer bounds %g..%g", r.Name, lo, hi)
+				return nil, zpl.Errorf(r.Pos, "region %s: non-integer bounds %g..%g", r.Name, lo, hi)
 			}
 			spans[d] = grid.Span{Lo: int(lo), Hi: int(hi)}
 		}
 		reg := grid.NewRegion(r.RankN, spans...)
 		if reg.Empty() {
-			return nil, fmt.Errorf("region %s is empty: %v", r.Name, reg)
+			return nil, zpl.Errorf(r.Pos, "region %s is empty: %v", r.Name, reg)
 		}
 		s.Regions[r.ID] = reg
 	}

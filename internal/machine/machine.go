@@ -107,11 +107,7 @@ func (m *Machine) Lib(name string) (*Lib, error) {
 	if l, ok := m.Libs[name]; ok {
 		return l, nil
 	}
-	names := make([]string, 0, len(m.Libs))
-	for n := range m.Libs {
-		names = append(names, n)
-	}
-	return nil, fmt.Errorf("machine %s: unknown library %q (have %v)", m.Name, name, names)
+	return nil, fmt.Errorf("machine %s: unknown library %q (have %v)", m.Name, name, m.LibNames())
 }
 
 func us(v float64) vtime.Duration { return vtime.FromMicros(v) }

@@ -10,6 +10,7 @@ package programs
 import (
 	_ "embed"
 	"fmt"
+	"os"
 )
 
 //go:embed src/tomcatv.zpl
@@ -99,4 +100,37 @@ func ByName(name string) (Benchmark, error) {
 		}
 	}
 	return Benchmark{}, fmt.Errorf("programs: unknown benchmark %q", name)
+}
+
+// Input is one program text and the name its diagnostics carry: a file's
+// path or a benchmark's name.
+type Input struct {
+	Name, Source string
+}
+
+// Load reads a command's inputs: every named file, then the bundled
+// benchmark bench names ("all" names the whole suite, "" none).
+func Load(bench string, files []string) ([]Input, error) {
+	var ins []Input
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			return nil, err
+		}
+		ins = append(ins, Input{f, string(data)})
+	}
+	switch bench {
+	case "":
+	case "all":
+		for _, b := range Suite() {
+			ins = append(ins, Input{b.Name, b.Source})
+		}
+	default:
+		b, err := ByName(bench)
+		if err != nil {
+			return nil, err
+		}
+		ins = append(ins, Input{b.Name, b.Source})
+	}
+	return ins, nil
 }

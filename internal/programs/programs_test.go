@@ -2,6 +2,9 @@ package programs_test
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"commopt"
@@ -92,4 +95,36 @@ func mustT3DLib(t *testing.T, name string) *machine.Lib {
 		t.Fatal(err)
 	}
 	return lib
+}
+
+// Load reads the named files first, then the benchmark ("all" is the
+// suite), and fails on a missing file or an unknown benchmark.
+func TestLoad(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.zpl")
+	if err := os.WriteFile(path, []byte("program p;"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ins, err := programs.Load("all", []string{path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, in := range ins {
+		names = append(names, in.Name)
+	}
+	if got, want := strings.Join(names, " "), path+" tomcatv swm simple sp"; got != want {
+		t.Errorf("Load(all, %s) names %q, want %q", path, got, want)
+	}
+	if ins[0].Source != "program p;" || ins[3].Source != programs.Suite()[2].Source {
+		t.Error("Load returned the wrong sources")
+	}
+	if ins, err := programs.Load("", nil); err != nil || len(ins) != 0 {
+		t.Errorf("Load with no inputs = %v, %v", ins, err)
+	}
+	if _, err := programs.Load("nosuch", nil); err == nil {
+		t.Error("Load accepted an unknown benchmark")
+	}
+	if _, err := programs.Load("", []string{filepath.Join(t.TempDir(), "missing.zpl")}); err == nil {
+		t.Error("Load accepted a missing file")
+	}
 }

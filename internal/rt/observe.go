@@ -52,21 +52,6 @@ func (g *profAcc) add(a profAcc) {
 	g.wait += a.wait
 }
 
-// transferLabel renders a transfer's carried arrays and offset for
-// profile rows and trace event names.
-func transferLabel(t *comm.Transfer) string {
-	var b strings.Builder
-	for i, it := range t.Items {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(it.Name)
-	}
-	b.WriteByte('@')
-	b.WriteString(t.Offset.String())
-	return b.String()
-}
-
 // gatherProfile merges the per-processor accumulators into source-sorted
 // profile rows (nil when profiling was off).
 func (w *world) gatherProfile() []CallsiteProfile {
@@ -99,7 +84,7 @@ func (w *world) gatherProfile() []CallsiteProfile {
 			return
 		}
 		row := CallsiteProfile{
-			Label:   transferLabel(t),
+			Label:   t.Label(),
 			Hoisted: t.Hoisted,
 			Calls:   a.calls, Messages: a.msgs, Bytes: a.bytes,
 			Comm: a.comm, Wait: a.wait,
@@ -278,7 +263,7 @@ func (w *world) nameCalls() {
 	w.eachTransfer(func(t *comm.Transfer) {
 		cn := &w.callNames[t.Slot]
 		for k := comm.DR; k <= comm.SV; k++ {
-			cn.labels[k] = k.String() + " " + transferLabel(t)
+			cn.labels[k] = k.String() + " " + t.Label()
 		}
 		if len(t.Sites) > 0 {
 			cn.site = t.Sites[0].Pos.String()

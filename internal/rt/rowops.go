@@ -75,6 +75,18 @@ const (
 	wideSqrt
 )
 
+// sqrtRow is dst = √xs.
+func sqrtRow(dst, xs []float64) {
+	covers(dst, xs)
+	if wide(len(dst)) {
+		wideRow(wideSqrt, &dst[0], &xs[0], nil, len(dst), 0)
+		return
+	}
+	for n := range dst {
+		dst[n] = math.Sqrt(xs[n])
+	}
+}
+
 // binRow is dst = xs ∘ ys.
 func binRow(op rowOp, dst, xs, ys []float64) {
 	covers(dst, xs)
@@ -230,18 +242,6 @@ func absRow(dst, xs []float64) {
 	}
 	for n := range dst {
 		dst[n] = math.Abs(xs[n])
-	}
-}
-
-// sqrtRow is dst = √xs.
-func sqrtRow(dst, xs []float64) {
-	covers(dst, xs)
-	if wide(len(dst)) {
-		wideRow(wideSqrt, &dst[0], &xs[0], nil, len(dst), 0)
-		return
-	}
-	for n := range dst {
-		dst[n] = math.Sqrt(xs[n])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -218,4 +219,20 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 	}
 	_, err := fmt.Fprintf(w, "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"virtual\",\"droppedEvents\":%d}}\n", r.Dropped())
 	return err
+}
+
+// WriteChromeFile writes WriteChrome's output to the file at path. Every
+// error it returns starts with "trace: ".
+func WriteChromeFile(path string, r *Recorder) error {
+	f, err := os.Create(path)
+	if err == nil {
+		err = WriteChrome(f, r)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	return nil
 }

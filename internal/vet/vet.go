@@ -1,6 +1,5 @@
-// Package vet is the shared static-analysis driver behind cmd/zplvet and
-// zplc -vet: it carries one ZPL source file through every layer —
-// recovered parse diagnostics, the source linter, lowering, and the
+// Package vet is the static-analysis driver behind cmd/zplvet: it
+// carries one ZPL source file through every layer — recovered parse diagnostics, the source linter, lowering, and the
 // communication-plan checker at every optimization level — and collects
 // the findings in one diag.List.
 package vet
@@ -26,24 +25,13 @@ const (
 	RuleSema  = "sema-error"
 )
 
-// Level is one optimizer configuration the plan checker checks.
-type Level struct {
-	Name string
-	Opts comm.Options
-}
-
-// Levels returns every optimization level zplvet validates: the paper's
-// four levels, the alternative combining heuristic, and the hoisting
+// Levels returns every optimization level zplvet validates and zplc
+// -predict forecasts: the -O table (comm.Levels) and the hoisting
 // extension.
-func Levels() []Level {
-	return []Level{
-		{"baseline", comm.Baseline()},
-		{"rr", comm.RR()},
-		{"cc", comm.CC()},
-		{"pl", comm.PL()},
-		{"pl-maxlat", comm.PLMaxLatency()},
-		{"pl+hoist", comm.Options{RemoveRedundant: true, Combine: true, Pipeline: true, HoistInvariant: true}},
-	}
+func Levels() []comm.Level {
+	hoist := comm.PL()
+	hoist.HoistInvariant = true
+	return append(comm.Levels(), comm.Level{Name: "pl+hoist", Opts: hoist})
 }
 
 // Source analyzes one ZPL source file and returns its sorted findings.
@@ -93,15 +81,12 @@ func Source(name, src string) *diag.List {
 // (pairing symmetry, in-flight bounds against the runtime's channel
 // capacity, collective schedules). The plan rules, machine-independent,
 // are Source's. Programs whose communication is not statically
-// predictable are skipped silently — the checker needs the walk.
+// predictable are skipped silently — the checker needs the walk. Errors
+// start with the file's name.
 func Protocol(name, src string, procs int) (*diag.List, error) {
 	list := diag.NewList(name, src)
 
-	ast, err := zpl.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := ir.Lower(ast)
+	_, prog, err := ir.Compile(name, src)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +102,7 @@ func Protocol(name, src string, procs int) (*diag.List, error) {
 					if errors.Is(err, cost.ErrNotStatic) {
 						continue
 					}
-					return nil, fmt.Errorf("[%s/%s/%s] %w", lv.Name, m.Name, libName, err)
+					return nil, fmt.Errorf("%s: [%s/%s/%s] %w", name, lv.Name, m.Name, libName, err)
 				}
 				for _, f := range fs {
 					f.Msg = fmt.Sprintf("[%s/%s/%s] %s", lv.Name, m.Name, libName, f.Msg)

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,6 +39,7 @@ import (
 	"commopt/internal/rt"
 	"commopt/internal/trace"
 	"commopt/internal/vtime"
+	"commopt/internal/zpl"
 )
 
 type configFlags map[string]float64
@@ -176,7 +178,7 @@ func run(w io.Writer, o options) error {
 		err = perr
 	}
 	if err != nil {
-		return err
+		return runErr(ins[0].Name, err)
 	}
 
 	fmt.Fprint(w, res.Output)
@@ -224,6 +226,17 @@ func run(w io.Writer, o options) error {
 		return trace.WriteChromeFile(o.tracePath, rec)
 	}
 	return nil
+}
+
+// runErr names a run error at a declaration or statement the way
+// ir.Compile names a compile error, name:line:col: first, and keeps
+// the rest of what rt said, the processor's rank included.
+func runErr(name string, err error) error {
+	var e *zpl.Error
+	if !errors.As(err, &e) {
+		return err
+	}
+	return fmt.Errorf("%s:%s: %s", name, e.Pos, strings.Replace(err.Error(), e.Error(), e.Msg, 1))
 }
 
 // critpathReport analyzes the recorded happens-before DAG and prints the

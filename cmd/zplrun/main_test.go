@@ -364,6 +364,22 @@ begin
 end;
 `
 
+// unheldSrc's last statement runs on processor 0 alone, the owner of its one
+// point, which holds none of B on 64 processors.
+const unheldSrc = `program unheld;
+config var n : integer = 8;
+region R = [1..n, 1..n];
+region Int = [2..n, 2..n];
+direction east = [0, 1];
+var A : [R] float;
+var B : [Int] float;
+procedure main();
+begin
+  [Int] B := 1.0;
+  [1..1, 1..1] A := B@east + 5.0;
+end;
+`
+
 // Bad input of every kind fails with one error, writes nothing to stdout
 // and never surfaces a Go stack trace.
 func TestRunBadInput(t *testing.T) {
@@ -376,6 +392,8 @@ func TestRunBadInput(t *testing.T) {
 		return path
 	}
 	bad, good := file("bad.zpl", twoErrors), file("good.zpl", laplaceSrc)
+	half := file("half.zpl", strings.Replace(laplaceSrc, "[1..n, 1..n]", "[1..0.5, 1..n]", 1))
+	unheld := file("unheld.zpl", unheldSrc)
 	for _, c := range []struct {
 		name string
 		args []string
@@ -390,9 +408,11 @@ func TestRunBadInput(t *testing.T) {
 		{"unknown machine", []string{"-machine", "nope", good}, ""},
 		{"unknown library", []string{"-lib", "nope", good}, ""},
 		{"butterfly on 6", []string{"-procs", "6", "-collective", "butterfly", good}, ""},
-		{"-set n=-1", []string{"-procs", "4", "-set", "n=-1", good}, "rt: 4:1: region R is empty: [1..-1, 1..-1]"},
-		{"a 0.5 bound", []string{"-procs", "4", file("half.zpl", strings.Replace(laplaceSrc, "[1..n, 1..n]", "[1..0.5, 1..n]", 1))},
-			"rt: 4:1: region R: non-integer bounds 1..0.5"},
+		{"-set n=-1", []string{"-procs", "4", "-set", "n=-1", good}, good + ":4:1: rt: region R is empty: [1..-1, 1..-1]"},
+		{"a 0.5 bound", []string{"-procs", "4", half}, half + ":4:1: rt: region R: non-integer bounds 1..0.5"},
+		{"tomcatv -set n=2", []string{"-bench", "tomcatv", "-set", "n=2"}, "tomcatv:16:1: rt: region Int is empty: [2..1, 2..1]"},
+		{"unheld read", []string{"-procs", "64", unheld},
+			unheld + ":11:16: rt: processor 0: B@[0,1,0] reads an array the processor holds none of"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var out bytes.Buffer

@@ -45,39 +45,6 @@ func (p *Program) Plan(opts comm.Options) *comm.Plan {
 	return comm.BuildPlan(p.IR, opts)
 }
 
-// The optimizer's pass-pipeline API, re-exported so callers can select
-// pass lists, read per-pass traces, and enable inter-pass validation
-// without importing the internal package directly.
-type (
-	// Pipeline is an ordered list of optimizer passes over shared block
-	// analyses.
-	Pipeline = comm.Pipeline
-	// Pass is one stage of the pipeline.
-	Pass = comm.Pass
-	// Trace records what every pass did during a build.
-	Trace = comm.Trace
-	// PassTrace is one pass's entry in a Trace.
-	PassTrace = comm.PassTrace
-)
-
-// NewPipeline returns the pass pipeline the options select.
-func NewPipeline(opts comm.Options) *Pipeline {
-	return comm.NewPipeline(opts)
-}
-
-// PipelineFor returns a pipeline running exactly the named passes (see
-// comm.PassNames), validating the list.
-func PipelineFor(opts comm.Options, names []string) (*Pipeline, error) {
-	return comm.PipelineFor(opts, names)
-}
-
-// PlanWith runs an explicit pass pipeline over the program. With
-// pl.Debug set, the plan is validity-checked after every pass and the
-// first pass to break it is named in the error.
-func (p *Program) PlanWith(pl *Pipeline) (*comm.Plan, error) {
-	return pl.Build(p.IR)
-}
-
 // Inlined returns a copy of the program with every procedure call
 // expanded in place (the paper's Section 4 inlining extension), widening
 // the basic blocks the communication optimizer works over.

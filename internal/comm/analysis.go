@@ -19,28 +19,21 @@ type BlockAnalysis struct {
 	// Kill is the set of arrays the block assigns.
 	Kill map[*ir.ArraySym]bool
 
-	defs     map[*ir.ArraySym][]int // ascending statement indexes of definitions
-	firstUse map[ir.ArrayUse]int    // earliest statement index using (array, offset)
-	flops    []int                  // flops[i] = total flop weight of Stmts[:i]
+	defs  map[*ir.ArraySym][]int // ascending statement indexes of definitions
+	flops []int                  // flops[i] = total flop weight of Stmts[:i]
 }
 
 // AnalyzeBlock computes the block analysis for a straight-line statement
 // sequence.
 func AnalyzeBlock(stmts []ir.Stmt) *BlockAnalysis {
 	a := &BlockAnalysis{
-		Stmts:    stmts,
-		Kill:     map[*ir.ArraySym]bool{},
-		defs:     map[*ir.ArraySym][]int{},
-		firstUse: map[ir.ArrayUse]int{},
-		flops:    make([]int, len(stmts)+1),
+		Stmts: stmts,
+		Kill:  map[*ir.ArraySym]bool{},
+		defs:  map[*ir.ArraySym][]int{},
+		flops: make([]int, len(stmts)+1),
 	}
 	for i, s := range stmts {
 		a.flops[i+1] = a.flops[i] + ir.FlopsOf(s)
-		for _, u := range ir.UsesOf(s) {
-			if _, ok := a.firstUse[u]; !ok {
-				a.firstUse[u] = i
-			}
-		}
 		if d := ir.DefOf(s); d != nil {
 			a.defs[d] = append(a.defs[d], i)
 			a.Kill[d] = true
@@ -69,15 +62,6 @@ func (a *BlockAnalysis) NextDefFrom(arr *ir.ArraySym, pos int) int {
 		return len(a.Stmts)
 	}
 	return ds[i]
-}
-
-// FirstUse returns the earliest statement index that reads u, or -1 if
-// the block never does.
-func (a *BlockAnalysis) FirstUse(u ir.ArrayUse) int {
-	if i, ok := a.firstUse[u]; ok {
-		return i
-	}
-	return -1
 }
 
 // Weight returns the flop weight of statements [from, to) — the paper's

@@ -39,16 +39,6 @@ func TestBlockAnalysisTables(t *testing.T) {
 		t.Errorf("NextDefFrom(C, 3) = %d, want %d (none)", got, len(stmts))
 	}
 
-	if got := a.FirstUse(use(as["B"], east)); got != 0 {
-		t.Errorf("FirstUse(B@east) = %d, want 0", got)
-	}
-	if got := a.FirstUse(use(as["A"], west)); got != 2 {
-		t.Errorf("FirstUse(A@west) = %d, want 2", got)
-	}
-	if got := a.FirstUse(use(as["C"], east)); got != -1 {
-		t.Errorf("FirstUse(C@east) = %d, want -1 (never used)", got)
-	}
-
 	if !a.Kill[as["A"]] || !a.Kill[as["B"]] || !a.Kill[as["C"]] {
 		t.Errorf("kill set %v missing definitions", a.Kill)
 	}

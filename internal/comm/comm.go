@@ -27,15 +27,11 @@ import (
 // against latency-hiding potential (Section 2 of the paper).
 type Heuristic int
 
-// Combining heuristics.
-const (
-	// MaxCombining merges whenever legal, minimizing message count.
-	MaxCombining Heuristic = iota
-	// MaxLatencyHiding merges transfers only when the combined
-	// send-to-receive distance is no smaller than any member's own
-	// distance, so combining never reduces latency-hiding potential.
-	MaxLatencyHiding
-)
+// MaxLatencyHiding merges transfers only when the combined send-to-receive
+// distance is no smaller than any member's own distance, so combining
+// never reduces latency-hiding potential. The zero Heuristic, maximum
+// combining, merges whenever legal, minimizing message count.
+const MaxLatencyHiding Heuristic = 1
 
 // String names the heuristic.
 func (h Heuristic) String() string {

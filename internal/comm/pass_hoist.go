@@ -26,8 +26,6 @@ import (
 // studying.
 type hoistPass struct{}
 
-func (hoistPass) Name() string { return "hoist" }
-
 // RunProgram hoists every invariant transfer of the plan and returns how
 // many moved to loop preheaders.
 func (hoistPass) RunProgram(p *Plan) int {

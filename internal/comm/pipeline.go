@@ -84,16 +84,6 @@ type Trace struct {
 	Passes []PassTrace
 }
 
-// ByName returns the trace entry of the named stage, or nil.
-func (tr *Trace) ByName(name string) *PassTrace {
-	for i := range tr.Passes {
-		if tr.Passes[i].Pass == name {
-			return &tr.Passes[i]
-		}
-	}
-	return nil
-}
-
 // Final returns the program's static communication count after the last
 // stage.
 func (tr *Trace) Final() int {
@@ -267,23 +257,6 @@ func (pl *Pipeline) Build(prog *ir.Program) (*Plan, error) {
 	}
 	p.Trace = &Trace{Passes: trace}
 	return p, nil
-}
-
-// PlanBlock runs the block passes over one standalone basic block and
-// returns its schedule with the per-pass trace. It exists for tests and
-// tools that probe a single block; Build is the whole-program entry
-// point. killed is the innermost enclosing loop's kill set (nil outside
-// loops or with hoisting disabled).
-func (pl *Pipeline) PlanBlock(stmts []ir.Stmt, killed map[*ir.ArraySym]bool) (*BlockPlan, *Trace, error) {
-	trace := make([]PassTrace, len(pl.passes))
-	for i, pass := range pl.passes {
-		trace[i].Pass = pass.Name()
-	}
-	bp, err := pl.runBlock(stmts, killed, trace)
-	if err != nil {
-		return nil, nil, err
-	}
-	return bp, &Trace{Passes: trace}, nil
 }
 
 // body plans every basic block of a structured body. killed is the

@@ -86,13 +86,13 @@ func TestPipelineTrace(t *testing.T) {
 			t.Errorf("pass %d = %s %d->%d, want %s %d->%d", i, pt.Pass, pt.Before, pt.After, w.pass, w.before, w.after)
 		}
 	}
-	if got := tr.ByName("emit").Emitted; got != 3 {
+	if got := passNamed(tr, "emit").Emitted; got != 3 {
 		t.Errorf("emit emitted %d, want 3", got)
 	}
-	if got := tr.ByName("rr").Dropped; got != 1 {
+	if got := passNamed(tr, "rr").Dropped; got != 1 {
 		t.Errorf("rr dropped %d, want 1", got)
 	}
-	if got := tr.ByName("cc").Merged; got != 1 {
+	if got := passNamed(tr, "cc").Merged; got != 1 {
 		t.Errorf("cc merged %d, want 1", got)
 	}
 	if tr.Final() != 1 {
@@ -126,7 +126,7 @@ func TestDebugCatchesBreakingPass(t *testing.T) {
 	pl := NewPipeline(PL())
 	pl.passes = append(pl.passes, breakerPass{})
 	pl.Debug = true
-	_, _, err := pl.PlanBlock(stmts, nil)
+	_, _, err := planBlock(pl, stmts)
 	if err == nil {
 		t.Fatal("debug pipeline accepted a plan a pass had broken")
 	}
@@ -137,7 +137,7 @@ func TestDebugCatchesBreakingPass(t *testing.T) {
 	// The same pipeline without the breaker is clean.
 	pl = NewPipeline(PL())
 	pl.Debug = true
-	if _, _, err := pl.PlanBlock(stmts, nil); err != nil {
+	if _, _, err := planBlock(pl, stmts); err != nil {
 		t.Fatalf("clean pipeline reported %v", err)
 	}
 }

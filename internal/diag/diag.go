@@ -116,19 +116,6 @@ func (l *List) Sort() {
 	})
 }
 
-// Empty reports whether the list has no findings.
-func (l *List) Empty() bool { return len(l.Findings) == 0 }
-
-// HasErrors reports whether any finding has Error severity.
-func (l *List) HasErrors() bool {
-	for _, f := range l.Findings {
-		if f.Severity >= Error {
-			return true
-		}
-	}
-	return false
-}
-
 // splitLines splits source text into lines without the trailing newline.
 func splitLines(src string) []string {
 	if src == "" {

@@ -79,19 +79,10 @@ func TestTextExcerpts(t *testing.T) {
 	}
 }
 
-func TestHasErrors(t *testing.T) {
+func TestExtendStampsFile(t *testing.T) {
 	l := NewList("f.zpl", "")
-	if !l.Empty() || l.HasErrors() {
-		t.Fatal("fresh list should be empty without errors")
-	}
 	l.Add("r", Warning, zpl.Pos{}, "w")
-	if l.HasErrors() {
-		t.Fatal("warnings alone should not report errors")
-	}
 	l.Extend(Finding{Rule: "r2", Severity: Error, Msg: "boom"})
-	if !l.HasErrors() {
-		t.Fatal("extended error finding should report errors")
-	}
 	if l.Findings[1].File != "f.zpl" {
 		t.Fatalf("Extend should stamp the list file, got %q", l.Findings[1].File)
 	}

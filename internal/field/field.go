@@ -59,7 +59,7 @@ func (f *Field) Allocated() bool { return len(f.data) > 0 }
 
 // Data exposes the raw backing slice (nil for an unallocated field). The
 // layout is row major with the strides reported by Stride; compiled
-// kernels walk it directly instead of going through At/Set bounds checks.
+// kernels and the communication engine walk it directly.
 func (f *Field) Data() []float64 { return f.data }
 
 // Stride returns the flat-index distance between consecutive points along
@@ -106,54 +106,14 @@ func (f *Field) index(i, j, k int) int {
 	return (i-f.base[0])*f.stride[0] + (j-f.base[1])*f.stride[1] + (k - f.base[2])
 }
 
-// In reports whether global point (i,j,k) lies inside the allocated halo.
-func (f *Field) In(i, j, k int) bool {
-	pt := [grid.MaxRank]int{i, j, k}
-	for d := 0; d < grid.MaxRank; d++ {
-		if pt[d] < f.base[d] || pt[d] >= f.base[d]+f.extent[d] {
-			return false
-		}
-	}
-	return true
-}
-
-// At returns the value at global point (i,j,k). Points of rank < 3 use 1
-// for the unused trailing coordinates.
-func (f *Field) At(i, j, k int) float64 {
-	if !f.In(i, j, k) {
-		panic(fmt.Sprintf("field %s: read (%d,%d,%d) outside halo %v", f.Name, i, j, k, f.Halo()))
-	}
-	return f.data[f.index(i, j, k)]
-}
-
-// Set stores v at global point (i,j,k).
-func (f *Field) Set(i, j, k int, v float64) {
-	if !f.In(i, j, k) {
-		panic(fmt.Sprintf("field %s: write (%d,%d,%d) outside halo %v", f.Name, i, j, k, f.Halo()))
-	}
-	f.data[f.index(i, j, k)] = v
-}
-
-// Fill sets every point of reg (which must lie inside the halo) to v.
-func (f *Field) Fill(reg grid.Region, v float64) {
-	ForEach(reg, func(i, j, k int) { f.Set(i, j, k, v) })
-}
-
-// ExtractRect copies the values of reg (inside the halo) into a fresh slice
-// in row-major (i, then j, then k) order.
-func (f *Field) ExtractRect(reg grid.Region) []float64 {
-	out := make([]float64, 0, reg.Size())
-	ForEach(reg, func(i, j, k int) { out = append(out, f.At(i, j, k)) })
-	return out
-}
-
 // RectRun describes a rectangle of the field as a flat copy plan over the
 // backing slice: n0 × n1 rows of rowLen contiguous doubles, the outer
 // index advancing by s0 and the middle by s1 from base. Visiting the rows
-// in (outer, middle) order and each row left to right enumerates exactly
-// the points ForEach visits, so a run-driven copy is order-identical to
-// ExtractRect/InsertRect. The communication engine compiles one RectRun
-// per transfer rectangle so the per-message path does no geometry work.
+// in (outer, middle) order and each row left to right enumerates the
+// rectangle's points in row-major (i, then j, then k) order, the order
+// both sides of a message agree on. The communication engine compiles one
+// RectRun per transfer rectangle so the per-message path does no geometry
+// work.
 type RectRun struct {
 	Base   int // flat index of the rectangle's first element
 	S0, S1 int // outer and middle stride between row starts
@@ -183,31 +143,6 @@ func (f *Field) Run(reg grid.Region) RectRun {
 			S0:   f.stride[0], N0: s[0].Len(),
 			S1: f.stride[1], N1: s[1].Len(),
 			RowLen: s[2].Len(),
-		}
-	}
-}
-
-// InsertRect stores vals (row-major) into reg. len(vals) must equal
-// reg.Size().
-func (f *Field) InsertRect(reg grid.Region, vals []float64) {
-	if len(vals) != reg.Size() {
-		panic(fmt.Sprintf("field %s: insert size %d != region %v size %d", f.Name, len(vals), reg, reg.Size()))
-	}
-	n := 0
-	ForEach(reg, func(i, j, k int) { f.Set(i, j, k, vals[n]); n++ })
-}
-
-// ForEach visits every point of reg in row-major order. Regions of rank <3
-// are visited with trailing coordinates fixed at their degenerate span.
-func ForEach(reg grid.Region, fn func(i, j, k int)) {
-	if reg.Empty() {
-		return
-	}
-	for i := reg.Spans[0].Lo; i <= reg.Spans[0].Hi; i++ {
-		for j := reg.Spans[1].Lo; j <= reg.Spans[1].Hi; j++ {
-			for k := reg.Spans[2].Lo; k <= reg.Spans[2].Hi; k++ {
-				fn(i, j, k)
-			}
 		}
 	}
 }

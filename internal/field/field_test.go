@@ -21,7 +21,7 @@ func TestNewAndHalo(t *testing.T) {
 		t.Fatalf("halo = %v", h)
 	}
 	// Ghost cells read as zero before any communication.
-	if v := f.At(4, 3, 1); v != 0 {
+	if v := f.Data()[f.IndexOf(4, 3, 1)]; v != 0 {
 		t.Fatalf("uninitialized ghost = %v", v)
 	}
 }
@@ -33,36 +33,26 @@ func TestEmptyField(t *testing.T) {
 	}
 }
 
-func TestSetAtRoundTrip(t *testing.T) {
-	f := New("A", region2(1, 4, 1, 4), 1)
-	n := 0.0
-	ForEach(f.Local, func(i, j, k int) { f.Set(i, j, k, n); n++ })
-	n = 0
-	ForEach(f.Local, func(i, j, k int) {
-		if f.At(i, j, k) != n {
-			t.Fatalf("At(%d,%d,%d) = %v, want %v", i, j, k, f.At(i, j, k), n)
-		}
-		n++
-	})
-}
-
 func TestOutOfHaloPanics(t *testing.T) {
 	f := New("A", region2(1, 4, 1, 4), 1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic reading outside the halo")
+			t.Fatal("expected panic compiling a run outside the halo")
 		}
 	}()
-	f.At(7, 1, 1)
+	f.Run(region2(7, 7, 1, 1))
 }
 
-// TestExtractInsertRoundTrip: extracting a rectangle and inserting it into
-// another field reproduces the values exactly, for arbitrary rectangles.
+// TestExtractInsertRoundTrip: copying a rectangle's rows, as its RectRun
+// lays them out, from one field into another of the same shape reproduces
+// the rectangle's values exactly and writes nothing else, for arbitrary
+// rectangles.
 func TestExtractInsertRoundTrip(t *testing.T) {
 	prop := func(lo1, len1, lo2, len2 uint8) bool {
 		src := New("S", region2(1, 12, 1, 12), 2)
-		v := 1.0
-		ForEach(src.Halo(), func(i, j, k int) { src.Set(i, j, k, v); v++ })
+		for i := range src.Data() {
+			src.Data()[i] = float64(i + 1)
+		}
 
 		r1 := grid.Span{Lo: 1 + int(lo1%8), Hi: 0}
 		r1.Hi = r1.Lo + int(len1%4)
@@ -70,93 +60,73 @@ func TestExtractInsertRoundTrip(t *testing.T) {
 		r2.Hi = r2.Lo + int(len2%4)
 		rect := grid.NewRegion(2, r1, r2)
 
-		vals := src.ExtractRect(rect)
+		r := src.Run(rect)
 		dst := New("D", region2(1, 12, 1, 12), 2)
-		dst.InsertRect(rect, vals)
-		ok := true
-		ForEach(rect, func(i, j, k int) {
-			if dst.At(i, j, k) != src.At(i, j, k) {
-				ok = false
+		for a := 0; a < r.N0; a++ {
+			for b := 0; b < r.N1; b++ {
+				row := r.Base + a*r.S0 + b*r.S1
+				copy(dst.Data()[row:row+r.RowLen], src.Data()[row:row+r.RowLen])
 			}
-		})
-		return ok && len(vals) == rect.Size()
+		}
+		for i := r1.Lo; i <= r1.Hi; i++ {
+			for j := r2.Lo; j <= r2.Hi; j++ {
+				if x := dst.IndexOf(i, j, 1); dst.Data()[x] != src.Data()[x] {
+					return false
+				}
+			}
+		}
+		written := 0
+		for _, v := range dst.Data() {
+			if v != 0 {
+				written++
+			}
+		}
+		return written == rect.Size()
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestFill(t *testing.T) {
-	f := New("A", region2(1, 4, 1, 4), 0)
-	f.Fill(f.Local, 3.5)
-	ForEach(f.Local, func(i, j, k int) {
-		if f.At(i, j, k) != 3.5 {
-			t.Fatalf("fill missed (%d,%d,%d)", i, j, k)
-		}
-	})
-}
-
 func TestRank3Field(t *testing.T) {
 	local := grid.NewRegion(3, grid.Span{Lo: 1, Hi: 2}, grid.Span{Lo: 1, Hi: 2}, grid.Span{Lo: 1, Hi: 8})
 	f := New("U", local, 1)
-	f.Set(1, 1, 5, 42)
-	if f.At(1, 1, 5) != 42 {
-		t.Fatal("rank-3 set/at failed")
+	point := func(i, j, k int) grid.Region {
+		return grid.NewRegion(3, grid.Span{Lo: i, Hi: i}, grid.Span{Lo: j, Hi: j}, grid.Span{Lo: k, Hi: k})
 	}
-	// Third-dimension ghost exists.
-	if !f.In(1, 1, 0) || !f.In(2, 2, 9) {
-		t.Fatal("rank-3 ghost planes missing")
+	// Third-dimension ghost planes exist, and nothing beyond them.
+	if !f.Contains(point(1, 1, 0)) || !f.Contains(point(2, 2, 9)) || f.Contains(point(1, 1, 10)) {
+		t.Fatal("rank-3 ghost planes wrong")
 	}
-}
-
-func TestInsertSizeMismatchPanics(t *testing.T) {
-	f := New("A", region2(1, 4, 1, 4), 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on size mismatch")
-		}
-	}()
-	f.InsertRect(region2(1, 2, 1, 2), []float64{1})
-}
-
-func TestForEachOrderRowMajor(t *testing.T) {
-	var pts [][3]int
-	ForEach(region2(1, 2, 3, 4), func(i, j, k int) { pts = append(pts, [3]int{i, j, k}) })
-	want := [][3]int{{1, 3, 1}, {1, 4, 1}, {2, 3, 1}, {2, 4, 1}}
-	if len(pts) != len(want) {
-		t.Fatalf("points = %v", pts)
+	if got, want := len(f.Data()), 4*4*10; got != want {
+		t.Fatalf("rank-3 field holds %d doubles, want %d", got, want)
 	}
-	for i := range want {
-		if pts[i] != want[i] {
-			t.Fatalf("order %v, want %v", pts, want)
-		}
+	if f.IndexOf(1, 1, 5)-f.IndexOf(1, 1, 4) != 1 {
+		t.Fatal("rank-3 rows not contiguous along k")
 	}
 }
 
-// TestRawAccessors: the flat view kernels use (Data/Stride/IndexOf) agrees
-// with At over the whole halo, the last dimension is contiguous, and rows
-// along it are consecutive runs of the backing slice.
+// TestRawAccessors: IndexOf numbers the halo's points 0, 1, 2, ... in
+// row-major order, so the flat view kernels use (Data/Stride/IndexOf)
+// covers the backing slice exactly and rows along the last dimension of
+// the rank are consecutive runs of it.
 func TestRawAccessors(t *testing.T) {
 	f := New("A", region2(5, 8, 3, 10), 1)
-	n := 0.0
-	ForEach(f.Halo(), func(i, j, k int) { f.Set(i, j, k, n); n++ })
-	if f.Stride(2) != 1 {
-		t.Fatalf("Stride(2) = %d, want 1", f.Stride(2))
+	if f.Stride(2) != 1 || f.Stride(1) != 1 || f.Stride(0) != 10 {
+		t.Fatalf("strides %d %d %d, want 10 1 1", f.Stride(0), f.Stride(1), f.Stride(2))
 	}
-	data := f.Data()
-	ForEach(f.Halo(), func(i, j, k int) {
-		if data[f.IndexOf(i, j, k)] != f.At(i, j, k) {
-			t.Fatalf("Data[IndexOf(%d,%d,%d)] = %v, At = %v", i, j, k, data[f.IndexOf(i, j, k)], f.At(i, j, k))
-		}
-	})
-	// A row along the innermost rank dimension is one contiguous slice.
 	h := f.Halo()
-	lo, hi := h.Spans[1].Lo, h.Spans[1].Hi
-	b := f.IndexOf(5, lo, 1)
-	for j := lo; j <= hi; j++ {
-		if data[b+j-lo] != f.At(5, j, 1) {
-			t.Fatalf("row not contiguous at j=%d", j)
+	n := 0
+	for i := h.Spans[0].Lo; i <= h.Spans[0].Hi; i++ {
+		for j := h.Spans[1].Lo; j <= h.Spans[1].Hi; j++ {
+			if got := f.IndexOf(i, j, 1); got != n {
+				t.Fatalf("IndexOf(%d,%d,1) = %d, want %d", i, j, got, n)
+			}
+			n++
 		}
+	}
+	if n != len(f.Data()) {
+		t.Fatalf("halo has %d points, Data %d", n, len(f.Data()))
 	}
 }
 

@@ -22,15 +22,6 @@ type Offset [MaxRank]int
 // IsZero reports whether the offset implies a purely local access.
 func (o Offset) IsZero() bool { return o == Offset{} }
 
-// Neg returns the component-wise negation of o.
-func (o Offset) Neg() Offset {
-	var n Offset
-	for i, v := range o {
-		n[i] = -v
-	}
-	return n
-}
-
 // NeedsComm reports whether a reference shifted by o requires communication
 // under the block distribution: any non-zero component in a distributed
 // dimension (the first two) does.
@@ -42,14 +33,6 @@ func (o Offset) String() string { return fmt.Sprintf("[%d,%d,%d]", o[0], o[1], o
 // Mesh is a two dimensional virtual processor mesh.
 type Mesh struct {
 	Rows, Cols int
-}
-
-// NewMesh returns an r×c mesh. It panics if either dimension is < 1.
-func NewMesh(r, c int) Mesh {
-	if r < 1 || c < 1 {
-		panic(fmt.Sprintf("grid: invalid mesh %dx%d", r, c))
-	}
-	return Mesh{Rows: r, Cols: c}
 }
 
 // SquarestMesh returns the mesh for p processors whose aspect ratio is as

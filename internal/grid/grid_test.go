@@ -57,7 +57,7 @@ func TestMeshForRejectsBadCounts(t *testing.T) {
 }
 
 func TestMeshRankCoordRoundTrip(t *testing.T) {
-	m := NewMesh(5, 7)
+	m := Mesh{Rows: 5, Cols: 7}
 	for r := 0; r < m.Rows; r++ {
 		for c := 0; c < m.Cols; c++ {
 			gr, gc := m.Coord(m.Rank(r, c))
@@ -69,7 +69,7 @@ func TestMeshRankCoordRoundTrip(t *testing.T) {
 }
 
 func TestNeighborEdges(t *testing.T) {
-	m := NewMesh(3, 3)
+	m := Mesh{Rows: 3, Cols: 3}
 	if _, ok := m.Neighbor(0, -1, 0); ok {
 		t.Error("rank 0 should have no north neighbor")
 	}
@@ -165,8 +165,5 @@ func TestOffsetProperties(t *testing.T) {
 	}
 	if (Offset{0, 0, 1}).NeedsComm() {
 		t.Error("third-dimension offsets are processor-local")
-	}
-	if got := (Offset{1, -2, 0}).Neg(); got != (Offset{-1, 2, 0}) {
-		t.Errorf("neg = %v", got)
 	}
 }

@@ -98,9 +98,6 @@ type RegionExpr struct {
 	Slot int
 }
 
-// Static reports whether the reference names a declared region.
-func (r RegionExpr) Static() bool { return r.Sym != nil }
-
 // Rank returns the region's rank.
 func (r RegionExpr) Rank() int {
 	if r.Sym != nil {
@@ -144,31 +141,11 @@ type Proc struct {
 	Body   []Stmt
 }
 
-// LookupArray finds an array symbol by source name (first match).
-func (p *Program) LookupArray(name string) *ArraySym {
-	for _, a := range p.Arrays {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // LookupConfig finds a config symbol by name.
 func (p *Program) LookupConfig(name string) *ScalarSym {
 	for _, c := range p.Configs {
 		if c.Name == name {
 			return c
-		}
-	}
-	return nil
-}
-
-// LookupProc finds a procedure by name.
-func (p *Program) LookupProc(name string) *Proc {
-	for _, pr := range p.Procs {
-		if pr.Name == name {
-			return pr
 		}
 	}
 	return nil

@@ -22,6 +22,28 @@ func lower(t *testing.T, src string) *Program {
 	return prog
 }
 
+// arrayNamed finds an array symbol by source name.
+func arrayNamed(t *testing.T, p *Program, name string) *ArraySym {
+	t.Helper()
+	for _, a := range p.Arrays {
+		if a.Name == name {
+			return a
+		}
+	}
+	t.Fatalf("no array %q", name)
+	return nil
+}
+
+// meshFor is the processor mesh the runtime lays p processors out on.
+func meshFor(t *testing.T, p int) grid.Mesh {
+	t.Helper()
+	m, err := grid.MeshFor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func lowerErr(t *testing.T, src, wantSub string) {
 	t.Helper()
 	ast, err := zpl.Parse(src)
@@ -68,10 +90,10 @@ func TestLowerBasics(t *testing.T) {
 
 func TestGhostWidths(t *testing.T) {
 	p := lower(t, header+`procedure main(); begin [R] A := B@east + B@se2; [R] B := A; end;`)
-	if g := p.LookupArray("B").Ghost; g != 2 {
+	if g := arrayNamed(t, p, "B").Ghost; g != 2 {
 		t.Errorf("B ghost = %d, want 2 (from se2)", g)
 	}
-	if g := p.LookupArray("A").Ghost; g != 0 {
+	if g := arrayNamed(t, p, "A").Ghost; g != 0 {
 		t.Errorf("A ghost = %d, want 0 (never shifted)", g)
 	}
 }
@@ -137,17 +159,14 @@ func TestProcParamsAndLocals(t *testing.T) {
 	  [R] L := A + y;
 	end;
 	procedure main(); begin f(1.0); end;`)
-	f := p.LookupProc("f")
+	f := p.Main.Body[0].(*Call).Proc
+	if f != p.Procs[0] || f.Name != "f" {
+		t.Fatalf("call target %s, want f", f.Name)
+	}
 	if len(f.Params) != 1 || f.Params[0].Kind != ParamVar {
 		t.Fatalf("params = %v", f.Params)
 	}
-	if p.LookupArray("f.L") == nil {
-		t.Error("local array not hoisted with procedure prefix")
-	}
-	call := p.Main.Body[0].(*Call)
-	if call.Proc != f {
-		t.Error("call target wrong")
-	}
+	arrayNamed(t, p, "f.L") // the local array, hoisted with the procedure prefix
 }
 
 func TestScalarIDsDense(t *testing.T) {
@@ -194,7 +213,7 @@ func TestDirectionConstFolding(t *testing.T) {
 	if off := p.Dirs[0].Off; off != (grid.Offset{4, -2, 0}) {
 		t.Errorf("direction far = %v", off)
 	}
-	if g := p.LookupArray("B").Ghost; g != 4 {
+	if g := arrayNamed(t, p, "B").Ghost; g != 4 {
 		t.Errorf("ghost = %d, want 4", g)
 	}
 }
@@ -286,7 +305,7 @@ func TestSetup(t *testing.T) {
 	region R = [0..m, 1..n];
 	var A : [R] float;
 	procedure main(); begin [R] A := A@[1, 0]; end;`)
-	s, err := p.Setup(map[string]float64{"n": 12}, grid.NewMesh(2, 2))
+	s, err := p.Setup(map[string]float64{"n": 12}, meshFor(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,10 +323,10 @@ func TestSetup(t *testing.T) {
 		mesh grid.Mesh
 		want string
 	}{
-		{map[string]float64{"q": 1}, grid.NewMesh(1, 1), `no config variable "q"`},
-		{map[string]float64{"n": 7}, grid.NewMesh(1, 1), "non-integer bounds 0..3.5"},
-		{map[string]float64{"n": 0}, grid.NewMesh(1, 1), "region L is empty"},
-		{nil, grid.NewMesh(8, 1), "smaller than the 1-wide ghost region"},
+		{map[string]float64{"q": 1}, meshFor(t, 1), `no config variable "q"`},
+		{map[string]float64{"n": 7}, meshFor(t, 1), "non-integer bounds 0..3.5"},
+		{map[string]float64{"n": 0}, meshFor(t, 1), "region L is empty"},
+		{nil, meshFor(t, 64), "smaller than the 1-wide ghost region"},
 	} {
 		if _, err := p.Setup(c.vars, c.mesh); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Setup(%v, %v) = %v, want an error containing %q", c.vars, c.mesh, err, c.want)
@@ -330,7 +349,7 @@ procedure main(); begin [R] A := 1.0; end;`)
 		{nil, "region R: non-integer bounds 1..0.5"},
 		{map[string]float64{"n": -8}, "region R is empty"},
 	} {
-		_, err := p.Setup(c.vars, grid.NewMesh(1, 1))
+		_, err := p.Setup(c.vars, meshFor(t, 1))
 		var e *zpl.Error
 		if !errors.As(err, &e) {
 			t.Fatalf("Setup(%v) = %v, want a *zpl.Error", c.vars, err)

@@ -26,13 +26,3 @@ var Bindings = []Binding{
 	{Machine: "Cray T3D", Library: "PVM", DR: "no-op", SR: "pvm_send", DN: "pvm_recv", SV: "no-op"},
 	{Machine: "Cray T3D", Library: "SHMEM", DR: "synch", SR: "shmem_put", DN: "synch", SV: "no-op"},
 }
-
-// Lookup returns the binding for a machine/library pair, or nil.
-func Lookup(machine, library string) *Binding {
-	for i := range Bindings {
-		if Bindings[i].Machine == machine && Bindings[i].Library == library {
-			return &Bindings[i]
-		}
-	}
-	return nil
-}

@@ -2,34 +2,22 @@ package ironman
 
 import "testing"
 
-// TestFigure5Contents checks the binding table against the paper.
+// TestFigure5Contents checks the binding table against the paper, row by
+// row in the figure's order.
 func TestFigure5Contents(t *testing.T) {
-	cases := []struct {
-		machine, library string
-		dr, sr, dn, sv   string
-	}{
+	want := []Binding{
 		{"Intel Paragon", "message passing", "no-op", "csend", "crecv", "no-op"},
 		{"Intel Paragon", "asynchronous", "irecv", "isend", "msgwait", "msgwait"},
 		{"Intel Paragon", "callback", "hprobe", "hsend", "hrecv", "msgwait"},
 		{"Cray T3D", "PVM", "no-op", "pvm_send", "pvm_recv", "no-op"},
 		{"Cray T3D", "SHMEM", "synch", "shmem_put", "synch", "no-op"},
 	}
-	if len(Bindings) != len(cases) {
-		t.Fatalf("bindings = %d rows, want %d", len(Bindings), len(cases))
+	if len(Bindings) != len(want) {
+		t.Fatalf("bindings = %d rows, want %d", len(Bindings), len(want))
 	}
-	for _, c := range cases {
-		b := Lookup(c.machine, c.library)
-		if b == nil {
-			t.Fatalf("missing binding %s/%s", c.machine, c.library)
+	for i, w := range want {
+		if Bindings[i] != w {
+			t.Errorf("row %d = %+v, want %+v", i, Bindings[i], w)
 		}
-		if b.DR != c.dr || b.SR != c.sr || b.DN != c.dn || b.SV != c.sv {
-			t.Errorf("%s/%s = %+v, want DR=%s SR=%s DN=%s SV=%s", c.machine, c.library, b, c.dr, c.sr, c.dn, c.sv)
-		}
-	}
-}
-
-func TestLookupMiss(t *testing.T) {
-	if Lookup("Cray T3E", "SHMEM") != nil {
-		t.Error("lookup of unknown machine should return nil")
 	}
 }

@@ -98,12 +98,12 @@ func TestCleanCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if list := lintSource(t, filepath.Base(f), string(src)); !list.Empty() {
+		if list := lintSource(t, filepath.Base(f), string(src)); len(list.Findings) > 0 {
 			t.Errorf("%s not clean:\n%v", f, list.Findings)
 		}
 	}
 	for _, b := range programs.Suite() {
-		if list := lintSource(t, b.Name, b.Source); !list.Empty() {
+		if list := lintSource(t, b.Name, b.Source); len(list.Findings) > 0 {
 			t.Errorf("benchmark %s not clean:\n%v", b.Name, list.Findings)
 		}
 	}

@@ -70,24 +70,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum += v
 }
 
-// Count returns how many values were observed.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Sum returns the exact sum of observed values.
-func (h *Histogram) Sum() int64 { return h.sum }
-
-// Min and Max return the exact observed extremes (0 when empty).
-func (h *Histogram) Min() int64 { return h.min }
-
-// Max returns the exact observed maximum (0 when empty).
-func (h *Histogram) Max() int64 { return h.max }
-
-// Bounds returns the bucket upper bounds.
-func (h *Histogram) Bounds() []int64 { return h.bounds }
-
-// Bucket returns the count of bucket i (i == len(Bounds()) is overflow).
-func (h *Histogram) Bucket(i int) int64 { return h.counts[i] }
-
 // ExpBounds builds n exponential bucket bounds lo, lo*factor, ... —
 // the fixed geometry used for size and duration distributions.
 func ExpBounds(lo, factor int64, n int) []int64 {

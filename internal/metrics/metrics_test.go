@@ -7,6 +7,26 @@ import (
 	"testing"
 )
 
+// histogram reads the named histogram back from the registry's JSON.
+func histogram(t *testing.T, r *Registry, name string) jsonHistogram {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out jsonRegistry
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range out.Histograms {
+		if h.Name == name {
+			return h
+		}
+	}
+	t.Fatalf("no histogram %q in\n%s", name, buf.String())
+	return jsonHistogram{}
+}
+
 func TestCounter(t *testing.T) {
 	r := New()
 	r.Counter("messages").Add(3)
@@ -31,18 +51,22 @@ func TestExpBounds(t *testing.T) {
 
 func TestHistogramObserve(t *testing.T) {
 	r := New()
-	h := r.Histogram("size", "bytes", []int64{10, 100, 1000})
+	obs := r.Histogram("size", "bytes", []int64{10, 100, 1000})
 	for _, v := range []int64{5, 10, 11, 100, 5000} {
-		h.Observe(v)
+		obs.Observe(v)
 	}
-	if h.Count() != 5 || h.Sum() != 5126 || h.Min() != 5 || h.Max() != 5000 {
-		t.Fatalf("count=%d sum=%d min=%d max=%d", h.Count(), h.Sum(), h.Min(), h.Max())
+	h := histogram(t, r, "size")
+	if h.Count != 5 || h.Sum != 5126 || h.Min != 5 || h.Max != 5000 {
+		t.Fatalf("count=%d sum=%d min=%d max=%d", h.Count, h.Sum, h.Min, h.Max)
 	}
 	// Bounds are inclusive: 10 lands in bucket 0, 100 in bucket 1,
 	// 5000 overflows.
 	wantBuckets := []int64{2, 2, 0, 1}
+	if len(h.Buckets) != len(wantBuckets) {
+		t.Fatalf("buckets = %+v, want %d", h.Buckets, len(wantBuckets))
+	}
 	for i, want := range wantBuckets {
-		if got := h.Bucket(i); got != want {
+		if got := h.Buckets[i].Count; got != want {
 			t.Fatalf("bucket %d = %d, want %d (all %v)", i, got, want, wantBuckets)
 		}
 	}
@@ -80,12 +104,12 @@ func TestMerge(t *testing.T) {
 	if got := a.Counter("only-b").N; got != 5 {
 		t.Fatalf("counter absent from dst = %d, want 5", got)
 	}
-	h := a.Histogram("h", "u", bounds)
-	if h.Count() != 2 || h.Min() != 5 || h.Max() != 500 || h.Sum() != 505 {
-		t.Fatalf("merged hist: count=%d min=%d max=%d sum=%d", h.Count(), h.Min(), h.Max(), h.Sum())
+	h := histogram(t, a, "h")
+	if h.Count != 2 || h.Min != 5 || h.Max != 500 || h.Sum != 505 {
+		t.Fatalf("merged hist: count=%d min=%d max=%d sum=%d", h.Count, h.Min, h.Max, h.Sum)
 	}
-	if h.Bucket(0) != 1 || h.Bucket(2) != 1 {
-		t.Fatalf("merged buckets: %d %d %d", h.Bucket(0), h.Bucket(1), h.Bucket(2))
+	if h.Buckets[0].Count != 1 || h.Buckets[1].Count != 0 || h.Buckets[2].Count != 1 {
+		t.Fatalf("merged buckets: %+v", h.Buckets)
 	}
 }
 
@@ -97,9 +121,9 @@ func TestMergeIntoEmptyHistogram(t *testing.T) {
 	a.Histogram("h", "u", bounds) // created but never observed
 	b.Histogram("h", "u", bounds).Observe(7)
 	a.Merge(b)
-	h := a.Histogram("h", "u", bounds)
-	if h.Min() != 7 || h.Max() != 7 || h.Count() != 1 {
-		t.Fatalf("min=%d max=%d count=%d", h.Min(), h.Max(), h.Count())
+	h := histogram(t, a, "h")
+	if h.Min != 7 || h.Max != 7 || h.Count != 1 {
+		t.Fatalf("min=%d max=%d count=%d", h.Min, h.Max, h.Count)
 	}
 }
 

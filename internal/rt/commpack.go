@@ -17,7 +17,7 @@ import (
 // Both sides of a pair compute identical rectangles from replicated state
 // (see geometry), so the pack order on the sender always matches the
 // unpack order on the receiver. The element order within a rectangle is
-// field.ExtractRect's, which commpack_test.go holds the row copier to.
+// row-major, which commpack_test.go holds the row copier to.
 
 // packRun is one rectangle's compiled copy plan: a field.RectRun over the
 // backing slice of the executing processor's field of one array. The flat
@@ -53,7 +53,7 @@ func copyRun(dst []float64, to field.RectRun, src []float64, from field.RectRun)
 }
 
 // packed is r's rectangle laid out contiguously from offset off of a flat
-// buffer, rows in the order ExtractRect uses.
+// buffer, rows in row-major order.
 func packed(off int, r field.RectRun) field.RectRun {
 	return field.RectRun{Base: off, S0: r.N1 * r.RowLen, N0: r.N0, S1: r.RowLen, N1: r.N1, RowLen: r.RowLen}
 }

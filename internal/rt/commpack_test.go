@@ -15,15 +15,40 @@ func sp(lo, hi int) grid.Span { return grid.Span{Lo: lo, Hi: hi} }
 // value, so any misplaced or reordered element shows.
 func numbered(name string, local grid.Region, ghost int, from float64) *field.Field {
 	f := field.New(name, local, ghost)
-	field.ForEach(f.Halo(), func(i, j, k int) { f.Set(i, j, k, from); from++ })
+	forEach(f.Halo(), func(i, j, k int) { f.Data()[f.IndexOf(i, j, k)] = from; from++ })
 	return f
+}
+
+// forEach visits every point of reg in row-major (i, then j, then k)
+// order; a region of rank < 3 has its trailing coordinates fixed.
+func forEach(reg grid.Region, fn func(i, j, k int)) {
+	for i := reg.Spans[0].Lo; i <= reg.Spans[0].Hi; i++ {
+		for j := reg.Spans[1].Lo; j <= reg.Spans[1].Hi; j++ {
+			for k := reg.Spans[2].Lo; k <= reg.Spans[2].Hi; k++ {
+				fn(i, j, k)
+			}
+		}
+	}
+}
+
+// extractRect and insertRect are the per-element reference the row copier
+// replaced: the values of reg, which lies inside f's halo, in row-major
+// order.
+func extractRect(f *field.Field, reg grid.Region) []float64 {
+	var out []float64
+	forEach(reg, func(i, j, k int) { out = append(out, f.Data()[f.IndexOf(i, j, k)]) })
+	return out
+}
+
+func insertRect(f *field.Field, reg grid.Region, vals []float64) {
+	forEach(reg, func(i, j, k int) { f.Data()[f.IndexOf(i, j, k)] = vals[0]; vals = vals[1:] })
 }
 
 // TestPackMatchesExtractRect holds the row copier to the element-order
 // contract both sides of a message rely on, against the per-element
 // reference it replaced: packing a rectangle by its compiled run yields
-// exactly field.ExtractRect's slice, and unpacking that into an empty field
-// stores exactly what field.InsertRect does — for every rank and ghost width,
+// exactly extractRect's slice, and unpacking that into an empty field
+// stores exactly what insertRect does — for every rank and ghost width,
 // over rectangles that are one row, one column, a whole halo edge, the
 // interior, a corner block reaching into the halo, and a single point.
 func TestPackMatchesExtractRect(t *testing.T) {
@@ -71,7 +96,7 @@ func TestPackMatchesExtractRect(t *testing.T) {
 				rect := within(pick)
 				t.Run(fmt.Sprintf("rank%d/ghost%d/%s", local.Rank, ghost, pick), func(t *testing.T) {
 					r := f.Run(rect)
-					want := f.ExtractRect(rect)
+					want := extractRect(f, rect)
 					flat := make([]float64, rect.Size())
 					copyRun(flat, packed(0, r), f.Data(), r)
 					if !slices.Equal(flat, want) {
@@ -80,9 +105,9 @@ func TestPackMatchesExtractRect(t *testing.T) {
 					got, ref := field.New("G", local, ghost), field.New("R", local, ghost)
 					pr := packPair{doubles: len(flat), runs: []packRun{{id: 0, RectRun: r}}}
 					pr.unpack(flat, [][]float64{got.Data()})
-					ref.InsertRect(rect, want)
+					insertRect(ref, rect, want)
 					if !slices.Equal(got.Data(), ref.Data()) {
-						t.Fatalf("unpacked %v of halo %v: field differs from InsertRect's", rect, halo)
+						t.Fatalf("unpacked %v of halo %v: field differs from insertRect's", rect, halo)
 					}
 				})
 			}
@@ -113,7 +138,7 @@ func TestPackPairConcatenatesInItemOrder(t *testing.T) {
 	for _, it := range items {
 		pr.runs = append(pr.runs, packRun{id: it.id, RectRun: src[it.id].Run(it.rect)})
 		pr.doubles += it.rect.Size()
-		want = append(want, src[it.id].ExtractRect(it.rect)...)
+		want = append(want, extractRect(src[it.id], it.rect)...)
 	}
 	data := func(fs []*field.Field) [][]float64 {
 		return [][]float64{fs[0].Data(), fs[1].Data(), fs[2].Data()}
@@ -130,11 +155,11 @@ func TestPackPairConcatenatesInItemOrder(t *testing.T) {
 	}
 	pr.unpack(flat, data(got))
 	for _, it := range items {
-		ref[it.id].InsertRect(it.rect, src[it.id].ExtractRect(it.rect))
+		insertRect(ref[it.id], it.rect, extractRect(src[it.id], it.rect))
 	}
 	for i := range src {
 		if !slices.Equal(got[i].Data(), ref[i].Data()) {
-			t.Errorf("unpack: field %s differs from InsertRect's", src[i].Name)
+			t.Errorf("unpack: field %s differs from insertRect's", src[i].Name)
 		}
 	}
 }

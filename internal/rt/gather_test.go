@@ -65,9 +65,9 @@ func TestGatherMatchesOwners(t *testing.T) {
 						if !f.Allocated() {
 							continue
 						}
-						field.ForEach(f.Local, func(i, j, k int) {
+						forEach(f.Local, func(i, j, k int) {
 							owned++
-							if got, want := d.At(i, j, k), f.At(i, j, k); got != want && bad < 5 {
+							if got, want := d.At(i, j, k), f.Data()[f.IndexOf(i, j, k)]; got != want && bad < 5 {
 								bad++
 								t.Errorf("%s(%d,%d,%d) = %g, owner %d holds %g", a.Name, i, j, k, got, p.rank, want)
 							}

@@ -358,12 +358,12 @@ func (kc *kcompiler) addrOf(id int, off grid.Offset) addr {
 
 // unheldRead is the program error of a read at pos, of f at offset off, that
 // the processor cannot serve from what it holds of f.
-func unheldRead(pos zpl.Pos, f *field.Field, off grid.Offset) string {
+func unheldRead(pos zpl.Pos, f *field.Field, off grid.Offset) *zpl.Error {
 	what := "reads outside the halo the processor holds"
 	if !f.Allocated() {
 		what = "reads an array the processor holds none of"
 	}
-	return fmt.Sprintf("%v: %s@%v %s", pos, f.Name, off, what)
+	return zpl.Errorf(pos, "%s@%v %s", f.Name, off, what)
 }
 
 // viewOf compiles an array reference to a zero-copy row view.

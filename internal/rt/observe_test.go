@@ -1,6 +1,8 @@
 package rt
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"commopt/internal/comm"
@@ -152,25 +154,6 @@ func TestBreakdownSumsToFinish(t *testing.T) {
 	}
 }
 
-// ProcBreakdown gives checked rank access to the PerProc rows.
-func TestProcBreakdown(t *testing.T) {
-	res := runSrc(t, laplaceSrc, comm.PL(), Config{Procs: 4})
-	if len(res.PerProc) != 4 {
-		t.Fatalf("PerProc has %d rows, want 4", len(res.PerProc))
-	}
-	for rank := 0; rank < 4; rank++ {
-		bd, ok := res.ProcBreakdown(rank)
-		if !ok || bd != res.PerProc[rank] {
-			t.Errorf("ProcBreakdown(%d) = %+v, %v; want PerProc row", rank, bd, ok)
-		}
-	}
-	for _, rank := range []int{-1, 4, 100} {
-		if _, ok := res.ProcBreakdown(rank); ok {
-			t.Errorf("ProcBreakdown(%d) accepted out-of-range rank", rank)
-		}
-	}
-}
-
 // Turning on every observability feature must not perturb the simulation:
 // same virtual times, same traffic, same program output, same data.
 func TestObservabilityDoesNotChangeResults(t *testing.T) {
@@ -272,12 +255,34 @@ func TestMetricsMatchResult(t *testing.T) {
 	if got := reg.Counter("dynamic_transfers").N; got != int64(res.DynamicTransfers) {
 		t.Errorf("dynamic_transfers counter %d != Result.DynamicTransfers %d", got, res.DynamicTransfers)
 	}
-	h := reg.Histogram("message_size_bytes", "bytes", msgSizeBounds)
-	if h.Count() != int64(res.Messages) {
-		t.Errorf("message size histogram count %d != Result.Messages %d", h.Count(), res.Messages)
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if h.Sum() != res.BytesSent {
-		t.Errorf("message size histogram sum %d != Result.BytesSent %d", h.Sum(), res.BytesSent)
+	var out struct {
+		Histograms []struct {
+			Name       string
+			Count, Sum int64
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	var sizes int
+	for _, h := range out.Histograms {
+		if h.Name != "message_size_bytes" {
+			continue
+		}
+		sizes++
+		if h.Count != int64(res.Messages) {
+			t.Errorf("message size histogram count %d != Result.Messages %d", h.Count, res.Messages)
+		}
+		if h.Sum != res.BytesSent {
+			t.Errorf("message size histogram sum %d != Result.BytesSent %d", h.Sum, res.BytesSent)
+		}
+	}
+	if sizes != 1 {
+		t.Errorf("%d message_size_bytes histograms in the registry's JSON, want 1", sizes)
 	}
 	// The residual reduction stages its rows in the arena, which first
 	// grows to 1024 doubles; the gauge is the largest over all processors.

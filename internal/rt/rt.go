@@ -113,8 +113,7 @@ type Result struct {
 	// computation, communication software overhead (the paper's "exposed"
 	// cost) and blocking waits. PerProc holds every processor's split,
 	// ordered by processor rank: PerProc[r] belongs to the processor with
-	// rank r (row-major mesh order, rank = row*Cols + col); use
-	// ProcBreakdown for checked access.
+	// rank r (row-major mesh order, rank = row*Cols + col).
 	Breakdown Breakdown
 	PerProc   []Breakdown
 
@@ -134,15 +133,6 @@ type Result struct {
 
 	Mesh   grid.Mesh
 	arrays map[string]*Dense
-}
-
-// ProcBreakdown returns the virtual-time breakdown of the processor with
-// the given rank, and whether the rank is in range.
-func (r *Result) ProcBreakdown(rank int) (Breakdown, bool) {
-	if rank < 0 || rank >= len(r.PerProc) {
-		return Breakdown{}, false
-	}
-	return r.PerProc[rank], true
 }
 
 // Breakdown is one processor's virtual-time attribution. Every clock

@@ -460,7 +460,11 @@ func (p *proc) coroutine(body func(p *proc)) iter.Seq[struct{}] {
 		p.toWorker = yield
 		defer func() {
 			if r := recover(); r != nil && r != errAborted {
-				p.w.fail(fmt.Errorf("rt: processor %d: %v", p.rank, r))
+				err, ok := r.(error) // a program error keeps its position for errors.As
+				if !ok {
+					err = fmt.Errorf("%v", r)
+				}
+				p.w.fail(fmt.Errorf("rt: processor %d: %w", p.rank, err))
 			}
 		}()
 		body(p)

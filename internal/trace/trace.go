@@ -100,9 +100,6 @@ func (b *Buffer) Add(e Event) {
 // Len returns the number of retained events.
 func (b *Buffer) Len() int { return len(b.ev) }
 
-// Dropped returns how many events were evicted by ring wraparound.
-func (b *Buffer) Dropped() int { return b.dropped }
-
 // Events returns the retained events in record order.
 func (b *Buffer) Events() []Event {
 	if b.head == 0 {

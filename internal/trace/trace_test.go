@@ -18,8 +18,8 @@ func TestBufferNoWrap(t *testing.T) {
 	b := newBuffer(4)
 	b.Add(ev(1, "a"))
 	b.Add(ev(2, "b"))
-	if b.Len() != 2 || b.Dropped() != 0 {
-		t.Fatalf("len=%d dropped=%d", b.Len(), b.Dropped())
+	if b.Len() != 2 || b.dropped != 0 {
+		t.Fatalf("len=%d dropped=%d", b.Len(), b.dropped)
 	}
 	got := b.Events()
 	if got[0].Name != "a" || got[1].Name != "b" {
@@ -37,8 +37,8 @@ func TestBufferWrap(t *testing.T) {
 	if b.Len() != 3 {
 		t.Fatalf("len = %d, want 3", b.Len())
 	}
-	if b.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", b.Dropped())
+	if b.dropped != 2 {
+		t.Fatalf("dropped = %d, want 2", b.dropped)
 	}
 	var names []string
 	for _, e := range b.Events() {

@@ -27,11 +27,6 @@ func FromMicros(us float64) Duration {
 	return Duration(us * float64(Microsecond))
 }
 
-// FromSeconds converts a duration expressed in seconds to a Duration.
-func FromSeconds(s float64) Duration {
-	return Duration(s * float64(Second))
-}
-
 // Add returns the time d after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
@@ -47,14 +42,6 @@ func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
 
 // Seconds reports the duration in fractional seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
-
-// Max returns the later of a and b.
-func Max(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // String formats the time as seconds with microsecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }

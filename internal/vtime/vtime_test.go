@@ -9,9 +9,6 @@ func TestConversions(t *testing.T) {
 	if FromMicros(1.5) != 1500 {
 		t.Errorf("FromMicros(1.5) = %d", FromMicros(1.5))
 	}
-	if FromSeconds(2) != 2*Second {
-		t.Errorf("FromSeconds(2) = %d", FromSeconds(2))
-	}
 	if d := Duration(2500); d.Micros() != 2.5 {
 		t.Errorf("Micros = %v", d.Micros())
 	}
@@ -28,12 +25,6 @@ func TestAddSub(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMax(t *testing.T) {
-	if Max(3, 5) != 5 || Max(5, 3) != 5 || Max(4, 4) != 4 {
-		t.Fatal("Max broken")
 	}
 }
 

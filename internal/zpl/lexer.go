@@ -208,19 +208,3 @@ func (l *Lexer) lexNumber(pos Pos) (Token, error) {
 	}
 	return Token{Kind: NUMBER, Text: l.src[start:l.off], Pos: pos}, nil
 }
-
-// LexAll tokenizes the entire input, for testing.
-func LexAll(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var out []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == EOF {
-			return out, nil
-		}
-	}
-}

@@ -5,7 +5,8 @@ import (
 	"strings"
 )
 
-// Print renders a program back to parseable ZPL source text.
+// Print renders a program back to parseable ZPL source text: the
+// round-trip tests parse what it prints.
 func Print(p *Program) string {
 	var b strings.Builder
 	pr := &printer{b: &b}

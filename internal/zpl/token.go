@@ -1,6 +1,6 @@
 // Package zpl implements the front end for the ZPL subset used by the
-// benchmark suite: a lexer, parser, AST and source printer for a data
-// parallel array language with regions, directions, the @ shift operator
+// benchmark suite: a lexer, parser and AST for a data parallel array
+// language with regions, directions, the @ shift operator
 // and full-array reductions.
 //
 // The subset covers everything the paper's four benchmark programs need:
@@ -23,29 +23,28 @@ const (
 	STRING
 
 	// Operators and punctuation.
-	PLUS      // +
-	MINUS     // -
-	STAR      // *
-	SLASH     // /
-	PERCENT   // %
-	ASSIGN    // :=
-	EQ        // =
-	NE        // !=
-	LT        // <
-	LE        // <=
-	GT        // >
-	GE        // >=
-	LPAREN    // (
-	RPAREN    // )
-	LBRACK    // [
-	RBRACK    // ]
-	COMMA     // ,
-	SEMI      // ;
-	COLON     // :
-	DOTDOT    // ..
-	AT        // @
-	REDUCE    // <<
-	APOSTROPH // ' (unused, reserved)
+	PLUS    // +
+	MINUS   // -
+	STAR    // *
+	SLASH   // /
+	PERCENT // %
+	ASSIGN  // :=
+	EQ      // =
+	NE      // !=
+	LT      // <
+	LE      // <=
+	GT      // >
+	GE      // >=
+	LPAREN  // (
+	RPAREN  // )
+	LBRACK  // [
+	RBRACK  // ]
+	COMMA   // ,
+	SEMI    // ;
+	COLON   // :
+	DOTDOT  // ..
+	AT      // @
+	REDUCE  // <<
 
 	// Keywords.
 	KWPROGRAM

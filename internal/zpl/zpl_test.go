@@ -7,6 +7,22 @@ import (
 	"testing/quick"
 )
 
+// LexAll tokenizes the entire input.
+func LexAll(src string) ([]Token, error) {
+	l := NewLexer(src)
+	var out []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.Kind == EOF {
+			return out, nil
+		}
+	}
+}
+
 func TestLexBasics(t *testing.T) {
 	toks, err := LexAll(`program p; -- comment to end of line
 region R = [1..n, 1..n];

@@ -12,8 +12,6 @@ import (
 
 	"commopt/internal/comm"
 	"commopt/internal/experiments"
-	"commopt/internal/grid"
-	"commopt/internal/ir"
 	"commopt/internal/machine"
 	"commopt/internal/programs"
 )
@@ -279,38 +277,6 @@ func BenchmarkRuntimeMessaging(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationCombineCap sweeps the 512-double knee cap extension:
-// how capping combined-transfer size changes SWM's plan (the Section 4
-// "machine specific characteristics in the optimizer" direction).
-func BenchmarkAblationCombineCap(b *testing.B) {
-	bench, _ := programs.ByName("swm")
-	prog, err := Compile(bench.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		for _, capBytes := range []int{0, 4096, 1024, 256} {
-			opts := comm.PL()
-			opts.CombineLimitBytes = capBytes
-			opts.EstimateBytes = estimateSWMBytes
-			plan := prog.Plan(opts)
-			if plan.StaticCount == 0 {
-				b.Fatal("no transfers")
-			}
-			if capBytes == 256 {
-				b.ReportMetric(float64(plan.StaticCount), "static_cap256")
-			}
-			if capBytes == 0 {
-				b.ReportMetric(float64(plan.StaticCount), "static_uncapped")
-			}
-		}
-	}
-}
-
-// estimateSWMBytes approximates a transfer item's payload for SWM at the
-// paper size: a 64-double block edge (512 x 512 over an 8 x 8 mesh).
-func estimateSWMBytes(*ir.ArraySym, grid.Offset) int { return 64 * 8 }
 
 // BenchmarkScalingSweep regenerates the processor-scaling extension
 // experiment for SWM and reports the 16-processor speedup.

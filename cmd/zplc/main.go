@@ -5,10 +5,9 @@
 //
 // Usage:
 //
-//	zplc [-O baseline|rr|cc|pl|pl-maxlat] [-dump] [-counts] [-explain] file.zpl
+//	zplc [-O baseline|rr|cc|pl|pl-maxlat|pl+hoist] [-dump] [-counts] [-explain] file.zpl
 //	zplc -bench tomcatv -counts         # compile a bundled benchmark
 //	zplc -bench tomcatv -explain        # per-pass trace
-//	zplc -passes emit,rr,pl file.zpl    # run an explicit pass list
 //	zplc -bench simple -predict -procs 64 -lib shmem
 //	                                    # closed-form communication forecast:
 //	                                    # one row per level, then every
@@ -34,7 +33,6 @@ import (
 	"commopt/internal/ir"
 	"commopt/internal/programs"
 	"commopt/internal/report"
-	"commopt/internal/vet"
 )
 
 func main() {
@@ -64,15 +62,13 @@ type config struct {
 	coll    string // allreduce algorithm for -predict
 	bench   string
 	inline  bool
-	hoist   bool
-	passes  []string // nil: the pass list the -O level selects
-	file    string   // empty when bench is set
+	file    string // empty when bench is set
 }
 
 // parseArgs parses the command line, returning an error (never exiting or
-// panicking) for unknown flags, unknown optimization levels, malformed
-// pass lists or missing inputs, so the caller can report it cleanly. It
-// returns flag.ErrHelp when usage was requested.
+// panicking) for unknown flags, unknown optimization levels or missing
+// inputs, so the caller can report it cleanly. It returns flag.ErrHelp
+// when usage was requested.
 func parseArgs(args []string) (*config, error) {
 	cfg := &config{}
 	fs := flag.NewFlagSet("zplc", flag.ContinueOnError)
@@ -94,16 +90,8 @@ func parseArgs(args []string) (*config, error) {
 	fs.StringVar(&cfg.coll, "collective", "auto", "allreduce algorithm for -predict: auto, star, tree, butterfly, twolevel")
 	fs.StringVar(&cfg.bench, "bench", "", "compile a bundled benchmark (tomcatv, swm, simple, sp) instead of a file")
 	fs.BoolVar(&cfg.inline, "inline", false, "inline procedure calls before communication analysis (Section 4 extension)")
-	fs.BoolVar(&cfg.hoist, "hoist", false, "hoist loop-invariant communication to loop preheaders (Section 4 extension)")
-	passList := fs.String("passes", "", "explicit comma-separated pass list overriding -O/-hoist (e.g. emit,rr,pl; known: "+strings.Join(comm.PassNames(), ",")+")")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
-	}
-	if *passList != "" {
-		cfg.passes = strings.Split(*passList, ",")
-		for i := range cfg.passes {
-			cfg.passes[i] = strings.TrimSpace(cfg.passes[i])
-		}
 	}
 	if _, err := comm.OptionsByName(cfg.level); err != nil {
 		return nil, err
@@ -119,20 +107,6 @@ func parseArgs(args []string) (*config, error) {
 		return nil, fmt.Errorf("usage: zplc [flags] file.zpl (or -bench name)")
 	}
 	return cfg, nil
-}
-
-// pipelineFor builds the pass pipeline the command line selects: either
-// the -O level (plus -hoist), or the explicit -passes list.
-func pipelineFor(cfg *config) (*comm.Pipeline, error) {
-	opts, err := comm.OptionsByName(cfg.level)
-	if err != nil {
-		return nil, err
-	}
-	opts.HoistInvariant = cfg.hoist
-	if cfg.passes != nil {
-		return comm.PipelineFor(opts, cfg.passes)
-	}
-	return comm.NewPipeline(opts), nil
 }
 
 func run(w io.Writer, cfg *config) error {
@@ -158,26 +132,22 @@ func run(w io.Writer, cfg *config) error {
 	if cfg.inline {
 		prog = ir.Inline(prog)
 	}
-	pipeline, err := pipelineFor(cfg)
+	opts, err := comm.OptionsByName(cfg.level)
 	if err != nil {
 		return err
 	}
+	pipeline := comm.NewPipeline(opts)
 	pipeline.Debug = true // catch an invalid plan at the pass that broke it
 	plan, err := pipeline.Build(prog)
 	if err != nil {
 		return fmt.Errorf("internal error: invalid plan: %w", err)
 	}
-	opts := pipeline.Options()
 
 	// Nothing reaches w unless every step succeeds.
 	var out bytes.Buffer
 	fmt.Fprintf(&out, "program %s: %d arrays, %d regions, %d directions, %d procedures\n",
 		prog.Name, len(prog.Arrays), len(prog.Regions), len(prog.Dirs), len(prog.Procs))
-	if cfg.passes != nil {
-		fmt.Fprintf(&out, "passes %s: %d static communications", strings.Join(pipeline.Names(), ","), plan.StaticCount)
-	} else {
-		fmt.Fprintf(&out, "optimization %s: %d static communications", opts, plan.StaticCount)
-	}
+	fmt.Fprintf(&out, "optimization %s: %d static communications", opts, plan.StaticCount)
 	if opts.HoistInvariant {
 		fmt.Fprintf(&out, " (%d hoisted to loop preheaders)", plan.HoistedCount())
 	}
@@ -202,9 +172,10 @@ func run(w io.Writer, cfg *config) error {
 }
 
 // renderPrediction prints the closed-form communication forecast: the
-// plan's whole-program totals, one summary row per vet.Levels entry, and
-// the plan's per-transfer breakdown, which the static cost model derives
-// from the block distribution and the machine library's primitive costs.
+// plan's whole-program totals, one summary row per level of the -O table,
+// and the plan's per-transfer breakdown, which the static cost model
+// derives from the block distribution and the machine library's primitive
+// costs.
 func renderPrediction(w io.Writer, prog *ir.Program, plan *comm.Plan, cfg *config, bind cost.Config) error {
 	pred, err := cost.Predict(prog, plan, bind)
 	if errors.Is(err, cost.ErrNotStatic) {
@@ -233,7 +204,7 @@ func renderPrediction(w io.Writer, prog *ir.Program, plan *comm.Plan, cfg *confi
 		Title:   "predicted communication by optimization level",
 		Headers: []string{"level", "static", "dynamic", "messages", "bytes", "reductions", "comm (critical path)"},
 	}
-	for _, lv := range vet.Levels() {
+	for _, lv := range comm.Levels() {
 		lplan := comm.BuildPlan(prog, lv.Opts)
 		lpred, err := cost.Predict(prog, lplan, bind)
 		if err != nil {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"commopt/internal/comm"
 )
 
 func TestParseArgsValid(t *testing.T) {
@@ -16,10 +19,8 @@ func TestParseArgsValid(t *testing.T) {
 		{[]string{"prog.zpl"}, config{level: "pl", file: "prog.zpl"}},
 		{[]string{"-O", "rr", "-counts", "prog.zpl"}, config{level: "rr", counts: true, file: "prog.zpl"}},
 		{[]string{"-bench", "tomcatv", "-explain"}, config{level: "pl", bench: "tomcatv", explain: true}},
-		{[]string{"-bench", "swm", "-dump", "-inline", "-hoist"},
-			config{level: "pl", bench: "swm", dump: true, inline: true, hoist: true}},
-		{[]string{"-passes", "emit, rr ,pl", "-bench", "sp"},
-			config{level: "pl", bench: "sp", passes: []string{"emit", "rr", "pl"}}},
+		{[]string{"-bench", "swm", "-dump", "-inline", "-O", "pl+hoist"},
+			config{level: "pl+hoist", bench: "swm", dump: true, inline: true}},
 	}
 	for _, c := range cases {
 		got, err := parseArgs(c.args)
@@ -30,8 +31,7 @@ func TestParseArgsValid(t *testing.T) {
 		if got.level != c.want.level || got.dump != c.want.dump || got.counts != c.want.counts ||
 			got.explain != c.want.explain ||
 			got.bench != c.want.bench || got.inline != c.want.inline ||
-			got.hoist != c.want.hoist || got.file != c.want.file ||
-			strings.Join(got.passes, ",") != strings.Join(c.want.passes, ",") {
+			got.file != c.want.file {
 			t.Errorf("parseArgs(%v) = %+v, want %+v", c.args, *got, c.want)
 		}
 	}
@@ -61,27 +61,30 @@ func TestParseArgsErrors(t *testing.T) {
 	}
 }
 
-// Bad pass lists parse at the flag layer but are rejected when the
-// pipeline is constructed, with an error naming the problem.
-func TestPipelineForRejectsBadPassFlag(t *testing.T) {
-	cases := []struct {
-		passes  string
-		wantErr string
-	}{
-		{"rr,cc", "emit"},
-		{"emit,frobnicate", "frobnicate"},
-		{"emit,hoist,pl", "hoist"},
-	}
-	for _, c := range cases {
-		cfg, err := parseArgs([]string{"-passes", c.passes, "-bench", "tomcatv"})
+// -counts prints one row per level of the -O table, pl+hoist included,
+// and -O pl+hoist reports how many transfers it hoisted.
+func TestRunCountsEveryLevel(t *testing.T) {
+	runArgs := func(args ...string) string {
+		t.Helper()
+		cfg, err := parseArgs(args)
 		if err != nil {
-			t.Fatalf("parseArgs(-passes %s): %v", c.passes, err)
+			t.Fatal(err)
 		}
-		if _, err := pipelineFor(cfg); err == nil {
-			t.Errorf("pipelineFor accepted -passes %s", c.passes)
-		} else if !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("-passes %s error %q does not mention %q", c.passes, err, c.wantErr)
+		var buf bytes.Buffer
+		if err := run(&buf, cfg); err != nil {
+			t.Fatal(err)
 		}
+		return buf.String()
+	}
+	out := runArgs("-bench", "simple", "-counts")
+	for _, lv := range comm.Levels() {
+		if n := strings.Count(out, "\n  "+lv.Name+" "); n != 1 {
+			t.Errorf("-counts has %d rows for %s, want 1:\n%s", n, lv.Name, out)
+		}
+	}
+	out = runArgs("-bench", "simple", "-O", "pl+hoist")
+	if !regexp.MustCompile(`optimization pl: \d+ static communications \([1-9]\d* hoisted to loop preheaders\)`).MatchString(out) {
+		t.Errorf("-O pl+hoist does not report its hoisted transfers:\n%s", out)
 	}
 }
 

@@ -121,6 +121,51 @@ func TestRunBundledBench(t *testing.T) {
 	}
 }
 
+// -O pl+hoist runs a hoisted plan: K's exchange leaves the loop, so fewer
+// transfers execute, and the program prints what it prints under -O pl.
+func TestRunHoistedPlan(t *testing.T) {
+	const src = `program hoist;
+config var n : integer = 8;
+config var iters : integer = 3;
+region R = [1..n, 1..n];
+region Int = [2..n-1, 2..n-1];
+direction east = [0, 1]; west = [0, -1];
+var K, T, Tn : [R] float;
+var tsum : float;
+procedure main();
+begin
+  [R] K := Index1;
+  [R] T := Index2;
+  for t := 1 to iters do
+    [Int] begin
+      Tn := T + 0.1 * K@east * (T@west - T);
+      T := Tn;
+    end;
+  end;
+  [R] tsum := +<< T;
+  writeln("tsum = ", tsum);
+end;
+`
+	path := writeTemp(t, src)
+	split := func(level string) (prints, stats string) {
+		t.Helper()
+		out, err := runArgs(t, "t3d", "pvm", 4, level, "", configFlags{}, []string{path})
+		if err != nil {
+			t.Fatalf("-O %s: %v", level, err)
+		}
+		prints, stats, _ = strings.Cut(out, "-- ")
+		return prints, stats
+	}
+	plPrints, plStats := split("pl")
+	hoistPrints, hoistStats := split("pl+hoist")
+	if !strings.HasPrefix(plPrints, "tsum = ") || hoistPrints != plPrints {
+		t.Errorf("-O pl+hoist printed %q, -O pl printed %q", hoistPrints, plPrints)
+	}
+	if hoistStats == plStats {
+		t.Errorf("-O pl+hoist reports the same statistics as -O pl:\n%s", plStats)
+	}
+}
+
 // Every failure mode surfaces as an error (the main function turns these
 // into exit code 1), with a message naming the problem.
 func TestRunErrors(t *testing.T) {

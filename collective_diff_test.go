@@ -28,7 +28,7 @@ func TestCollectiveAlgorithmsAgree(t *testing.T) {
 		// for the 32×32 mesh below, still block-distribute.
 		for _, tgt := range corpus(t)[:5] {
 			for _, lv := range diffLevels {
-				plan := tgt.prog.Plan(lv.opts)
+				plan := tgt.prog.Plan(lv.Opts)
 				if len(plan.Collectives) == 0 {
 					continue // no reductions: algorithm choice can't matter
 				}
@@ -36,7 +36,7 @@ func TestCollectiveAlgorithmsAgree(t *testing.T) {
 				// exercise every algorithm at scale, and the small-mesh
 				// sweep already covers level × algorithm interactions.
 				procCounts := []int{1, 4, 64}
-				if lv.name == "pl" && !testing.Short() {
+				if lv.Name == "pl" && !testing.Short() {
 					procCounts = append(procCounts, 1024)
 				}
 				for _, procs := range procCounts {
@@ -62,13 +62,13 @@ func TestCollectiveAlgorithmsAgree(t *testing.T) {
 						Collective: "star",
 					})
 					if err != nil {
-						t.Fatalf("%s/%s/%s/p%d: star run: %v", lib, tgt.name, lv.name, procs, err)
+						t.Fatalf("%s/%s/%s/p%d: star run: %v", lib, tgt.name, lv.Name, procs, err)
 					}
 					for _, alg := range []collective.Alg{collective.Tree, collective.Butterfly, collective.TwoLevel} {
 						if !collective.Eligible(alg, mesh) {
 							continue
 						}
-						t.Run(fmt.Sprintf("%s/%s/%s/p%d/%s", lib, tgt.name, lv.name, procs, alg), func(t *testing.T) {
+						t.Run(fmt.Sprintf("%s/%s/%s/p%d/%s", lib, tgt.name, lv.Name, procs, alg), func(t *testing.T) {
 							got, err := tgt.prog.Run(plan, RunOptions{
 								Library:    lib,
 								Procs:      procs,

@@ -22,17 +22,16 @@ import (
 // to. The paper's premise is that optimizations change what a run costs,
 // never what it computes.
 
-var diffLevels = []struct {
-	name string
-	opts comm.Options
-}{
-	{"baseline", comm.Baseline()},
-	{"rr", comm.RR()},
-	{"cc", comm.CC()},
-	{"pl", comm.PL()},
-	{"pl-maxlat", comm.PLMaxLatency()},
-	{"pl-hoist", comm.Options{RemoveRedundant: true, Combine: true, Pipeline: true, HoistInvariant: true}},
-}
+// diffLevels is comm.Levels() under the names the suites' subtest IDs
+// use: those IDs predate the pl+hoist row joining the table and spell it
+// pl-hoist, and the IDs are kept so test histories stay comparable.
+var diffLevels = func() []comm.Level {
+	lvs := comm.Levels()
+	for i := range lvs {
+		lvs[i].Name = strings.ReplaceAll(lvs[i].Name, "+", "-")
+	}
+	return lvs
+}()
 
 type target struct {
 	name string
@@ -190,13 +189,13 @@ func TestOverlapMatchesSynchronous(t *testing.T) {
 	lap := pick(t, "laplace")
 	cfg := map[string]float64{"n": 2048, "iters": 3}
 	for _, lv := range diffLevels {
-		if lv.name != "baseline" && lv.name != "pl" {
+		if lv.Name != "baseline" && lv.Name != "pl" {
 			continue
 		}
-		plan := lap.prog.Plan(lv.opts)
+		plan := lap.prog.Plan(lv.Opts)
 		serial := mustRun(t, lap.prog, plan, RunOptions{Procs: 1, Configs: cfg})
 		for _, lib := range []string{"pvm", "shmem"} {
-			t.Run(lv.name+"/"+lib, func(t *testing.T) {
+			t.Run(lv.Name+"/"+lib, func(t *testing.T) {
 				opts := RunOptions{Library: lib, Procs: 4, Configs: cfg}
 				par := mustRun(t, lap.prog, plan, opts)
 				for _, d := range arrayDiffs(par, serial) {
@@ -235,10 +234,10 @@ func cells(t *testing.T) []*cell {
 	for _, lib := range []string{"pvm", "shmem"} {
 		for _, tgt := range corpus(t) {
 			for _, lv := range diffLevels {
-				plan := tgt.prog.Plan(lv.opts)
+				plan := tgt.prog.Plan(lv.Opts)
 				var serial *cell
 				for _, procs := range []int{1, 4, 64} {
-					c := &cell{lib: lib, tgt: tgt, level: lv.name, plan: plan, procs: procs}
+					c := &cell{lib: lib, tgt: tgt, level: lv.Name, plan: plan, procs: procs}
 					if procs == 1 {
 						serial = c
 					}

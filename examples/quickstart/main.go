@@ -54,14 +54,14 @@ func main() {
 
 	// Plan communication at each optimization level and compare.
 	fmt.Println("optimization level -> static communications, simulated time on 16-node T3D/PVM")
-	for _, opts := range []comm.Options{comm.Baseline(), comm.RR(), comm.CC(), comm.PL()} {
-		plan := prog.Plan(opts)
+	for _, lv := range comm.Levels()[:4] { // the paper's ladder: baseline, rr, cc, pl
+		plan := prog.Plan(lv.Opts)
 		res, err := prog.Run(plan, commopt.RunOptions{Procs: 16})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-9s  static=%-3d dynamic=%-4d time=%.6fs\n",
-			opts, plan.StaticCount, res.DynamicTransfers, res.ExecTime.Seconds())
+			lv.Name, plan.StaticCount, res.DynamicTransfers, res.ExecTime.Seconds())
 	}
 
 	// Run the fully optimized program and show its output and a value.

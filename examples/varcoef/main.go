@@ -62,12 +62,10 @@ func main() {
 		prog *commopt.Program
 		opts comm.Options
 	}
-	hoistOpts := comm.PL()
-	hoistOpts.HoistInvariant = true
 	variants := []variant{
 		{"pl (paper)", base, comm.PL()},
 		{"pl + inlining", base.Inlined(), comm.PL()},
-		{"pl + inlining + hoisting", base.Inlined(), hoistOpts},
+		{"pl + inlining + hoisting", base.Inlined(), comm.PLHoist()},
 	}
 
 	t := &report.Table{

@@ -39,8 +39,7 @@ func TestHoistInvariantCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := prog.Plan(comm.PL())
-	opts := comm.PL()
-	opts.HoistInvariant = true
+	opts := comm.PLHoist()
 	hoisted := prog.Plan(opts)
 	if fs := comm.CheckPlan(hoisted); len(fs) > 0 {
 		t.Fatalf("hoisted plan invalid: %v", fs)
@@ -70,8 +69,7 @@ func TestHoistPreservesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := comm.PL()
-	opts.HoistInvariant = true
+	opts := comm.PLHoist()
 	for _, lib := range []string{"pvm", "shmem"} {
 		plain, err := prog.Run(prog.Plan(comm.PL()), RunOptions{Procs: 4, Library: lib})
 		if err != nil {
@@ -99,8 +97,7 @@ func TestHoistOnSuite(t *testing.T) {
 	want := map[string]int{"tomcatv": 0, "swm": 0, "simple": 4, "sp": 0}
 	for _, name := range []string{"tomcatv", "swm", "simple", "sp"} {
 		prog := mustSuiteProgram(t, name)
-		opts := comm.PL()
-		opts.HoistInvariant = true
+		opts := comm.PLHoist()
 		plan := prog.Plan(opts)
 		if fs := comm.CheckPlan(plan); len(fs) > 0 {
 			t.Fatalf("%s: %v", name, fs)
@@ -124,8 +121,7 @@ func TestHoistOnSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := comm.PL()
-	opts.HoistInvariant = true
+	opts := comm.PLHoist()
 	hoisted, err := prog.Run(prog.Plan(opts), RunOptions{Procs: 4, Configs: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -162,8 +158,7 @@ end;
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := comm.PL()
-	opts.HoistInvariant = true
+	opts := comm.PLHoist()
 	plan := prog.Plan(opts)
 	if n := plan.HoistedCount(); n != 0 {
 		t.Fatalf("hoisted %d transfers out of a loop-variant region", n)

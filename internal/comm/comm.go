@@ -55,14 +55,6 @@ type Options struct {
 	// data is identical on every iteration of an enclosing loop execute
 	// once in the loop's preheader (see pass_hoist.go).
 	HoistInvariant bool
-
-	// CombineLimitBytes caps the estimated size of a combined transfer
-	// (the 512-double knee of Figure 6, as an optimizer extension). Zero
-	// disables the cap. EstimateBytes must be set for the cap to apply;
-	// it is provided by the driver, which knows config values and the
-	// mesh.
-	CombineLimitBytes int
-	EstimateBytes     func(a *ir.ArraySym, off grid.Offset) int
 }
 
 // Baseline returns message vectorization only.
@@ -87,6 +79,11 @@ func PLMaxLatency() Options {
 	return Options{RemoveRedundant: true, Combine: true, Pipeline: true, Heuristic: MaxLatencyHiding}
 }
 
+// PLHoist returns PL with loop-invariant communication hoisting.
+func PLHoist() Options {
+	return Options{RemoveRedundant: true, Combine: true, Pipeline: true, HoistInvariant: true}
+}
+
 // Level is one named optimizer configuration: one value of the -O flag
 // of zplc and zplrun.
 type Level struct {
@@ -94,8 +91,9 @@ type Level struct {
 	Opts Options
 }
 
-// Levels returns the -O table: the paper's ladder, then the alternative
-// combining heuristic.
+// Levels returns the -O table, the one list of optimizer configurations
+// every command, experiment and test reads: the paper's ladder, then the
+// alternative combining heuristic and the hoisting extension.
 func Levels() []Level {
 	return []Level{
 		{"baseline", Baseline()},
@@ -103,6 +101,7 @@ func Levels() []Level {
 		{"cc", CC()},
 		{"pl", PL()},
 		{"pl-maxlat", PLMaxLatency()},
+		{"pl+hoist", PLHoist()},
 	}
 }
 
@@ -394,9 +393,8 @@ func boundScalars(body []ir.Stmt) map[*ir.ScalarSym]bool {
 
 // BuildPlan runs the optimization pipeline selected by opts over every
 // basic block of every procedure and returns the program's communication
-// plan. It is the convenience entry point; use NewPipeline or PipelineFor
-// directly for per-pass control, tracing and debug-mode inter-pass
-// validity checking.
+// plan. It is the convenience entry point; use NewPipeline directly for
+// debug-mode inter-pass validity checking.
 func BuildPlan(prog *ir.Program, opts Options) *Plan {
 	p, err := NewPipeline(opts).Build(prog)
 	if err != nil {

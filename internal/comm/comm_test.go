@@ -380,12 +380,14 @@ func TestPlanPropertyValidity(t *testing.T) {
 	prop := func(spec blockSpec) bool {
 		stmts := buildRandomBlock(spec.Seed)
 		counts := map[string]int{}
-		canonical := []Options{Baseline(), RR(), CC(), PL(), PLMaxLatency()}
-		extra := []Options{
+		all := []Options{
 			{Combine: true}, {Pipeline: true}, {RemoveRedundant: true, Pipeline: true},
 			{Combine: true, Pipeline: true, Heuristic: MaxLatencyHiding},
 		}
-		for _, opts := range append(append([]Options{}, canonical...), extra...) {
+		for _, lv := range Levels() {
+			all = append(all, lv.Opts)
+		}
+		for _, opts := range all {
 			// Debug mode re-runs the validity checker after every stage, so
 			// any intermediate breakage surfaces as a per-pass error here.
 			pl := NewPipeline(opts)
@@ -408,8 +410,8 @@ func TestPlanPropertyValidity(t *testing.T) {
 					return false
 				}
 			}
-			if tr.Final() != len(bp.Transfers) {
-				t.Logf("seed %d opts %+v: trace final %d != %d transfers", spec.Seed, opts, tr.Final(), len(bp.Transfers))
+			if last := tr.Passes[len(tr.Passes)-1].After; last != len(bp.Transfers) {
+				t.Logf("seed %d opts %+v: trace ends at %d != %d transfers", spec.Seed, opts, last, len(bp.Transfers))
 				return false
 			}
 			// Static counts are monotonically non-increasing across the
@@ -423,17 +425,17 @@ func TestPlanPropertyValidity(t *testing.T) {
 				return false
 			}
 		}
-		for _, opts := range canonical {
-			bp, tr, err := planBlock(NewPipeline(opts), stmts)
+		for _, lv := range Levels() {
+			bp, tr, err := planBlock(NewPipeline(lv.Opts), stmts)
 			if err != nil {
-				t.Logf("seed %d opts %+v: %v", spec.Seed, opts, err)
+				t.Logf("seed %d opts %+v: %v", spec.Seed, lv.Opts, err)
 				return false
 			}
 			if passNamed(tr, "emit").After != len(planEmitOnly(stmts)) {
 				t.Logf("seed %d: emit trace disagrees with baseline emission", spec.Seed)
 				return false
 			}
-			counts[opts.String()] = len(bp.Transfers)
+			counts[lv.Name] = len(bp.Transfers)
 		}
 		if counts["rr"] > counts["baseline"] || counts["cc"] > counts["rr"] {
 			t.Logf("seed %d: counts not monotone: %v", spec.Seed, counts)
@@ -443,7 +445,7 @@ func TestPlanPropertyValidity(t *testing.T) {
 			t.Logf("seed %d: pipelining changed the count: %v", spec.Seed, counts)
 			return false
 		}
-		if counts["pl/max-latency"] < counts["cc"] || counts["pl/max-latency"] > counts["rr"] {
+		if counts["pl-maxlat"] < counts["cc"] || counts["pl-maxlat"] > counts["rr"] {
 			t.Logf("seed %d: max-latency outside [cc, rr]: %v", spec.Seed, counts)
 			return false
 		}
@@ -464,33 +466,13 @@ func planEmitOnly(stmts []ir.Stmt) []*Transfer {
 	return bp.Transfers
 }
 
-// TestCombineLimitBytes: the knee-cap extension keeps combined transfers
-// under the size limit.
-func TestCombineLimitBytes(t *testing.T) {
-	as := arrays("A", "B", "C", "D")
-	stmts := []ir.Stmt{
-		stmt(as["A"], 1, use(as["B"], east), use(as["C"], east), use(as["D"], east)),
-	}
-	opts := CC()
-	opts.CombineLimitBytes = 1024
-	opts.EstimateBytes = func(*ir.ArraySym, grid.Offset) int { return 512 }
-	bp := planOf(t, stmts, opts)
-	if len(bp.Transfers) != 2 {
-		t.Fatalf("capped transfers = %d, want 2 (two per 1024-byte cap)", len(bp.Transfers))
-	}
-	for _, tr := range bp.Transfers {
-		if len(tr.Items)*512 > 1024 {
-			t.Fatalf("transfer %v exceeds cap", tr)
-		}
-	}
-}
-
-// Every level of the -O table resolves by name, and the error for an
-// unknown name lists exactly the table's names, in order.
+// Every level of the -O table — the paper's ladder, the max-latency
+// heuristic and the hoisting extension — resolves by name, and the error
+// for an unknown name lists exactly the table's names, in order.
 func TestOptionsByName(t *testing.T) {
 	want := map[string]string{
 		"baseline": "baseline", "rr": "rr", "cc": "cc", "pl": "pl",
-		"pl-maxlat": "pl/max-latency",
+		"pl-maxlat": "pl/max-latency", "pl+hoist": "pl",
 	}
 	if len(Levels()) != len(want) {
 		t.Errorf("%d levels, want %d", len(Levels()), len(want))
@@ -509,7 +491,7 @@ func TestOptionsByName(t *testing.T) {
 		t.Fatal("OptionsByName accepted an unknown level")
 	}
 	known := "(known: " + strings.Join(LevelNames(), ", ") + ")"
-	if !strings.HasSuffix(err.Error(), known) || known != "(known: baseline, rr, cc, pl, pl-maxlat)" {
+	if !strings.HasSuffix(err.Error(), known) || known != "(known: baseline, rr, cc, pl, pl-maxlat, pl+hoist)" {
 		t.Errorf("unknown-level error %q does not end in the table's names", err)
 	}
 }

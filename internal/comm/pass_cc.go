@@ -65,15 +65,6 @@ func (ccPass) Run(c *BlockContext) {
 					continue
 				}
 			}
-			if c.Opts.CombineLimitBytes > 0 && c.Opts.EstimateBytes != nil {
-				size := c.Opts.EstimateBytes(t.Items[0], t.Offset)
-				for _, it := range g.Items {
-					size += c.Opts.EstimateBytes(it, g.Offset)
-				}
-				if size > c.Opts.CombineLimitBytes {
-					continue
-				}
-			}
 			g.Items = append(g.Items, t.Items[0])
 			g.absorbSites(t)
 			placeSync(c, g)

@@ -10,9 +10,9 @@ import (
 
 // The optimizer is organized as a pass pipeline: each optimization is one
 // Pass transforming a block's working transfer list over the shared
-// BlockAnalysis substrate, so stages can be observed, reordered, selected
-// individually and verified between stages. The registered block passes,
-// in canonical order:
+// BlockAnalysis substrate, so stages can be observed and verified between
+// stages. The Options booleans select the block passes, which run in this
+// order:
 //
 //	emit  — message-vectorized baseline generation (pass_emit.go)
 //	rr    — redundant communication removal (pass_rr.go)
@@ -30,7 +30,7 @@ import (
 
 // Pass is one stage of the per-block optimization pipeline.
 type Pass interface {
-	// Name is the stage's registry name (see PassNames).
+	// Name is the stage's name in the trace.
 	Name() string
 	// Run transforms the context's transfer list in place.
 	Run(c *BlockContext)
@@ -84,15 +84,6 @@ type Trace struct {
 	Passes []PassTrace
 }
 
-// Final returns the program's static communication count after the last
-// stage.
-func (tr *Trace) Final() int {
-	if len(tr.Passes) == 0 {
-		return 0
-	}
-	return tr.Passes[len(tr.Passes)-1].After
-}
-
 // String summarizes the trace as "emit 56 → rr 31 → cc 15".
 func (tr *Trace) String() string {
 	var b strings.Builder
@@ -105,13 +96,10 @@ func (tr *Trace) String() string {
 	return b.String()
 }
 
-// Pipeline is a configured sequence of optimization passes. Build it with
-// NewPipeline (the pass list opts selects) or PipelineFor (an explicit
-// pass list).
+// Pipeline is the sequence of optimization passes an option set selects.
 type Pipeline struct {
 	opts   Options
 	passes []Pass
-	hoist  bool
 
 	// Debug runs the plan checker (CheckPlan's block rules) after every
 	// pass of every block, so Build reports the pass that produced an
@@ -120,98 +108,20 @@ type Pipeline struct {
 	Debug bool
 }
 
-// PassNames returns every registered pass name in canonical order.
-func PassNames() []string { return []string{"emit", "rr", "cc", "pl", "hoist"} }
-
-// DefaultPassNames returns the pass list the option set selects.
-func DefaultPassNames(opts Options) []string {
-	names := []string{"emit"}
+// NewPipeline returns the pipeline the option set selects: emit, then rr,
+// cc and pl as enabled, then hoist over the whole plan when enabled.
+func NewPipeline(opts Options) *Pipeline {
+	pl := &Pipeline{opts: opts, passes: []Pass{emitPass{}}}
 	if opts.RemoveRedundant {
-		names = append(names, "rr")
+		pl.passes = append(pl.passes, rrPass{})
 	}
 	if opts.Combine {
-		names = append(names, "cc")
+		pl.passes = append(pl.passes, ccPass{})
 	}
 	if opts.Pipeline {
-		names = append(names, "pl")
-	}
-	if opts.HoistInvariant {
-		names = append(names, "hoist")
-	}
-	return names
-}
-
-// NewPipeline returns the pipeline the option set selects.
-func NewPipeline(opts Options) *Pipeline {
-	pl, err := PipelineFor(opts, DefaultPassNames(opts))
-	if err != nil {
-		panic("comm: default pass list invalid: " + err.Error())
+		pl.passes = append(pl.passes, plPass{})
 	}
 	return pl
-}
-
-// PipelineFor builds a pipeline from an explicit pass list. The list must
-// start with "emit", contain no duplicates, and place "hoist" (if present)
-// last. The boolean pass-selection fields of opts are overridden to match
-// the list, so Options stays consistent with what actually runs; the
-// remaining fields (Heuristic, CombineLimitBytes, EstimateBytes) tune the
-// listed passes as usual.
-func PipelineFor(opts Options, names []string) (*Pipeline, error) {
-	if len(names) == 0 {
-		return nil, fmt.Errorf("comm: empty pass list")
-	}
-	seen := map[string]bool{}
-	pl := &Pipeline{}
-	for i, n := range names {
-		if seen[n] {
-			return nil, fmt.Errorf("comm: duplicate pass %q", n)
-		}
-		seen[n] = true
-		switch n {
-		case "emit":
-			if i != 0 {
-				return nil, fmt.Errorf("comm: pass %q must come first", n)
-			}
-			pl.passes = append(pl.passes, emitPass{})
-		case "rr":
-			pl.passes = append(pl.passes, rrPass{})
-		case "cc":
-			pl.passes = append(pl.passes, ccPass{})
-		case "pl":
-			pl.passes = append(pl.passes, plPass{})
-		case "hoist":
-			if i != len(names)-1 {
-				return nil, fmt.Errorf("comm: pass %q must come last", n)
-			}
-			pl.hoist = true
-		default:
-			return nil, fmt.Errorf("comm: unknown pass %q (known: %s)", n, strings.Join(PassNames(), ", "))
-		}
-	}
-	if !seen["emit"] {
-		return nil, fmt.Errorf("comm: pass list must include %q", "emit")
-	}
-	opts.RemoveRedundant = seen["rr"]
-	opts.Combine = seen["cc"]
-	opts.Pipeline = seen["pl"]
-	opts.HoistInvariant = seen["hoist"]
-	pl.opts = opts
-	return pl, nil
-}
-
-// Options returns the pipeline's effective option set.
-func (pl *Pipeline) Options() Options { return pl.opts }
-
-// Names returns the pipeline's pass list.
-func (pl *Pipeline) Names() []string {
-	var names []string
-	for _, p := range pl.passes {
-		names = append(names, p.Name())
-	}
-	if pl.hoist {
-		names = append(names, "hoist")
-	}
-	return names
 }
 
 // Build runs the pipeline over every basic block of every procedure and
@@ -241,7 +151,7 @@ func (pl *Pipeline) Build(prog *ir.Program) (*Plan, error) {
 			p.StaticCount++
 		}
 	}
-	if pl.hoist {
+	if pl.opts.HoistInvariant {
 		moved := hoistPass{}.RunProgram(p)
 		trace = append(trace, PassTrace{
 			Pass: "hoist", Before: p.StaticCount, After: p.StaticCount,

@@ -7,54 +7,35 @@ import (
 	"commopt/internal/ir"
 )
 
+// Every level's plan trace lists exactly the passes its Options enable,
+// in canonical order.
 func TestDefaultPassNames(t *testing.T) {
-	cases := []struct {
-		opts Options
-		want string
-	}{
-		{Baseline(), "emit"},
-		{RR(), "emit,rr"},
-		{CC(), "emit,rr,cc"},
-		{PL(), "emit,rr,cc,pl"},
-		{Options{RemoveRedundant: true, Combine: true, Pipeline: true, HoistInvariant: true}, "emit,rr,cc,pl,hoist"},
-		{Options{Pipeline: true}, "emit,pl"},
-	}
-	for _, c := range cases {
-		if got := strings.Join(DefaultPassNames(c.opts), ","); got != c.want {
-			t.Errorf("DefaultPassNames(%v) = %s, want %s", c.opts, got, c.want)
+	as := arrays("A", "B")
+	prog := &ir.Program{Procs: []*ir.Proc{{Name: "main", Body: []ir.Stmt{
+		stmt(as["A"], 2, use(as["B"], east)),
+	}}}}
+	for _, lv := range Levels() {
+		want := []string{"emit"}
+		for _, p := range []struct {
+			on   bool
+			name string
+		}{
+			{lv.Opts.RemoveRedundant, "rr"},
+			{lv.Opts.Combine, "cc"},
+			{lv.Opts.Pipeline, "pl"},
+			{lv.Opts.HoistInvariant, "hoist"},
+		} {
+			if p.on {
+				want = append(want, p.name)
+			}
 		}
-		if got := strings.Join(NewPipeline(c.opts).Names(), ","); got != c.want {
-			t.Errorf("NewPipeline(%v).Names() = %s, want %s", c.opts, got, c.want)
+		var got []string
+		for _, pt := range BuildPlan(prog, lv.Opts).Trace.Passes {
+			got = append(got, pt.Pass)
 		}
-	}
-}
-
-func TestPipelineForRejectsBadLists(t *testing.T) {
-	for _, names := range [][]string{
-		nil,                     // empty
-		{"rr"},                  // missing emit
-		{"rr", "emit"},          // emit not first
-		{"emit", "rr", "rr"},    // duplicate
-		{"emit", "hoist", "pl"}, // hoist not last
-		{"emit", "frobnicate"},  // unknown
-	} {
-		if _, err := PipelineFor(PL(), names); err == nil {
-			t.Errorf("PipelineFor(%v) accepted an invalid pass list", names)
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("%s: trace passes %v, want %v", lv.Name, got, want)
 		}
-	}
-}
-
-func TestPipelineForOverridesOptionFlags(t *testing.T) {
-	pl, err := PipelineFor(PL(), []string{"emit", "rr"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := pl.Options()
-	if !opts.RemoveRedundant || opts.Combine || opts.Pipeline || opts.HoistInvariant {
-		t.Fatalf("effective options %+v do not match pass list emit,rr", opts)
-	}
-	if opts.String() != "rr" {
-		t.Fatalf("options string = %q, want rr", opts.String())
 	}
 }
 
@@ -94,9 +75,6 @@ func TestPipelineTrace(t *testing.T) {
 	}
 	if got := passNamed(tr, "cc").Merged; got != 1 {
 		t.Errorf("cc merged %d, want 1", got)
-	}
-	if tr.Final() != 1 {
-		t.Errorf("final static count %d, want 1", tr.Final())
 	}
 	if s := tr.String(); s != "emit 3 → rr 2 → cc 1 → pl 1" {
 		t.Errorf("trace string = %q", s)
@@ -142,9 +120,8 @@ func TestDebugCatchesBreakingPass(t *testing.T) {
 	}
 }
 
-// TestBuildPlanTraceMatchesStaticCount: the whole-program trace's final
-// count is exactly the plan's static count, for every canonical option
-// set (this is what lets the experiment layer read counts off the trace).
+// TestBuildPlanTraceMatchesStaticCount: the whole-program trace's last
+// count is exactly the plan's static count, at every level.
 func TestBuildPlanTraceMatchesStaticCount(t *testing.T) {
 	as := arrays("A", "B", "C")
 	body := []ir.Stmt{
@@ -156,13 +133,13 @@ func TestBuildPlanTraceMatchesStaticCount(t *testing.T) {
 		stmt(as["C"], 2, use(as["A"], east)),
 	}
 	prog := &ir.Program{Procs: []*ir.Proc{{Name: "main", Body: body}}}
-	for _, opts := range []Options{Baseline(), RR(), CC(), PL(), PLMaxLatency()} {
-		plan := BuildPlan(prog, opts)
+	for _, lv := range Levels() {
+		plan := BuildPlan(prog, lv.Opts)
 		if plan.Trace == nil {
-			t.Fatalf("%v: plan has no trace", opts)
+			t.Fatalf("%s: plan has no trace", lv.Name)
 		}
-		if plan.Trace.Final() != plan.StaticCount {
-			t.Errorf("%v: trace final %d != static count %d", opts, plan.Trace.Final(), plan.StaticCount)
+		if last := plan.Trace.Passes[len(plan.Trace.Passes)-1]; last.After != plan.StaticCount {
+			t.Errorf("%s: trace ends at %d != static count %d", lv.Name, last.After, plan.StaticCount)
 		}
 	}
 }

@@ -53,10 +53,10 @@ func TestVerifyCleanBlock(t *testing.T) {
 		stmt(as["A"], 1, use(as["B"], grid.Offset{})),
 		stmt(as["C"], 1, use(as["A"], east)),
 	}
-	for _, opts := range []Options{Baseline(), RR(), CC(), PL(), PLMaxLatency()} {
-		bp := mustBlock(t, stmts, opts)
+	for _, lv := range Levels() {
+		bp := mustBlock(t, stmts, lv.Opts)
 		if fs := verifyBlock(bp); len(fs) != 0 {
-			t.Errorf("%v: clean plan flagged: %v", opts, fs)
+			t.Errorf("%s: clean plan flagged: %v", lv.Name, fs)
 		}
 	}
 }
@@ -197,10 +197,6 @@ func TestVerifyRuleIDsDistinct(t *testing.T) {
 // pipeline. On inlined plans it is also where the checker's own
 // sameElementSet is held to the passes' regionsCompatible.
 func TestVerifyBenchmarksAllLevels(t *testing.T) {
-	levels := []Options{
-		Baseline(), RR(), CC(), PL(), PLMaxLatency(),
-		{RemoveRedundant: true, Combine: true, Pipeline: true, HoistInvariant: true},
-	}
 	srcs := map[string]string{}
 	for _, b := range programs.Suite() {
 		srcs[b.Name] = b.Source
@@ -228,11 +224,11 @@ func TestVerifyBenchmarksAllLevels(t *testing.T) {
 			t.Fatalf("%s: lower: %v", name, err)
 		}
 		for _, variant := range []*ir.Program{prog, ir.Inline(prog)} {
-			for _, opts := range levels {
-				plan := BuildPlan(variant, opts)
+			for _, lv := range Levels() {
+				plan := BuildPlan(variant, lv.Opts)
 				if fs := CheckPlan(plan); len(fs) != 0 {
-					t.Errorf("%s (inlined %v) under %v: %d findings, first: %v",
-						name, variant != prog, opts, len(fs), fs[0])
+					t.Errorf("%s (inlined %v) under %s: %d findings, first: %v",
+						name, variant != prog, lv.Name, len(fs), fs[0])
 				}
 			}
 		}

@@ -213,9 +213,7 @@ func TestMutationInflightOverflow(t *testing.T) {
 // TestMutationHoistedCallInBlock re-adds a hoisted transfer's calls to
 // its origin block, the inverse of the hoist pass's contract.
 func TestMutationHoistedCallInBlock(t *testing.T) {
-	_, plan, _ := compileBench(t, "simple", comm.Options{
-		RemoveRedundant: true, Combine: true, Pipeline: true, HoistInvariant: true,
-	})
+	_, plan, _ := compileBench(t, "simple", comm.PLHoist())
 	var hoisted *comm.Transfer
 	var bp *comm.BlockPlan
 	for _, b := range plan.Blocks {

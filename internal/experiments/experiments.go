@@ -150,7 +150,7 @@ type entry struct {
 type compiled struct {
 	bench programs.Benchmark
 	prog  *ir.Program
-	plans map[string]*comm.Plan
+	plans map[comm.Options]*comm.Plan
 }
 
 // NewRunner returns a Runner for the given processor count (64 if zero,
@@ -217,7 +217,7 @@ func (r *Runner) compiledFor(name string) (*compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &compiled{bench: bench, prog: prog, plans: map[string]*comm.Plan{}}
+	c := &compiled{bench: bench, prog: prog, plans: map[comm.Options]*comm.Plan{}}
 	r.programs[name] = c
 	return c, nil
 }
@@ -231,11 +231,10 @@ func (r *Runner) planFor(benchName string, exp Experiment) (*compiled, *comm.Pla
 	if err != nil {
 		return nil, nil, err
 	}
-	optKey := exp.Options.String()
-	plan, ok := c.plans[optKey]
+	plan, ok := c.plans[exp.Options]
 	if !ok {
 		plan = comm.BuildPlan(c.prog, exp.Options)
-		c.plans[optKey] = plan
+		c.plans[exp.Options] = plan
 	}
 	return c, plan, nil
 }
@@ -360,10 +359,8 @@ func (r *Runner) run(c cell, label string, out *outcome) error {
 	for _, bd := range res.PerProc {
 		maxComm = max(maxComm, bd.Comm)
 	}
-	// The static count comes off the pipeline trace: the final pass's
-	// output count, which Build also records as plan.StaticCount.
 	out.Cell = Cell{
-		Static:   plan.Trace.Final(),
+		Static:   plan.StaticCount,
 		Dynamic:  res.DynamicTransfers,
 		Time:     res.ExecTime,
 		Messages: res.Messages,

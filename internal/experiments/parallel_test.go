@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"testing"
+
+	"commopt/internal/comm"
 )
 
 // TestRunAllDeterministicAcrossWorkers is the determinism gate for the
@@ -110,5 +112,23 @@ func TestCellSharedAcrossConcurrentRequests(t *testing.T) {
 		if cells[i] != cells[0] {
 			t.Errorf("request %d saw %+v, request 0 saw %+v", i, cells[i], cells[0])
 		}
+	}
+}
+
+// Plans are cached by the whole option set: PL and PL with hoisting share
+// an Options.String() but are two plans of one benchmark.
+func TestPlanCacheKeysOnOptions(t *testing.T) {
+	r := NewRunner(4)
+	c, pl, err := r.planFor("simple", Experiment{Options: comm.PL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hoist, err := r.planFor("simple", Experiment{Options: comm.PLHoist()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.plans) != 2 || pl == hoist || hoist.HoistedCount() == 0 {
+		t.Errorf("%d cached plans (same plan: %v, %d hoisted), want PL and PL+hoist apart",
+			len(c.plans), pl == hoist, hoist.HoistedCount())
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"commopt/internal/machine"
 	"commopt/internal/programs"
 	"commopt/internal/rt"
-	"commopt/internal/vet"
 	"commopt/internal/zpl"
 )
 
@@ -36,7 +35,7 @@ func TestPredictMatchesRuntime(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: lower: %v", bench.Name, err)
 		}
-		for _, lv := range vet.Levels() {
+		for _, lv := range comm.Levels() {
 			plan := comm.BuildPlan(prog, lv.Opts)
 			for _, lib := range []string{"pvm", "shmem"} {
 				for _, procs := range []int{1, 4, 64} {

@@ -22,16 +22,16 @@ func TestSuiteCompiles(t *testing.T) {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
 		prev := 1 << 30
-		for _, opts := range []comm.Options{comm.Baseline(), comm.RR(), comm.CC(), comm.PL()} {
-			plan := prog.Plan(opts)
+		for _, lv := range comm.Levels()[:4] { // the paper's ladder: baseline, rr, cc, pl
+			plan := prog.Plan(lv.Opts)
 			if plan.StaticCount == 0 {
-				t.Fatalf("%s/%v: no transfers", b.Name, opts)
+				t.Fatalf("%s/%s: no transfers", b.Name, lv.Name)
 			}
 			if plan.StaticCount > prev {
-				t.Errorf("%s/%v: static count %d grew from %d", b.Name, opts, plan.StaticCount, prev)
+				t.Errorf("%s/%s: static count %d grew from %d", b.Name, lv.Name, plan.StaticCount, prev)
 			}
 			prev = plan.StaticCount
-			t.Logf("%s/%-8v static=%d", b.Name, opts, plan.StaticCount)
+			t.Logf("%s/%-8s static=%d", b.Name, lv.Name, plan.StaticCount)
 		}
 		// Max-latency-hiding sits between rr and cc.
 		ml := prog.Plan(comm.PLMaxLatency())
@@ -62,16 +62,16 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("serial run: %v", err)
 			}
 			arrays := arrayNames(prog)
-			for _, opts := range []comm.Options{comm.Baseline(), comm.RR(), comm.CC(), comm.PL(), comm.PLMaxLatency()} {
-				plan := prog.Plan(opts)
+			for _, lv := range comm.Levels() {
+				plan := prog.Plan(lv.Opts)
 				for _, lib := range []string{"pvm", "shmem"} {
 					res, err := prog.Run(plan, commopt.RunOptions{Library: lib, Procs: 16, Configs: b.TestConfig})
 					if err != nil {
-						t.Fatalf("%v/%s: %v", opts, lib, err)
+						t.Fatalf("%s/%s: %v", lv.Name, lib, err)
 					}
 					for _, name := range arrays {
 						if d := res.MaxAbsDiff(ref, name); d > 1e-9 || math.IsNaN(d) {
-							t.Errorf("%v/%s: array %s differs from serial by %g", opts, lib, name, d)
+							t.Errorf("%s/%s: array %s differs from serial by %g", lv.Name, lib, name, d)
 						}
 					}
 				}

@@ -219,9 +219,7 @@ func TestPipelinedSendsHoistEarlier(t *testing.T) {
 // With the hoist extension enabled, the profile marks loop-hoisted
 // transfers (C@east is invariant in pipeSrc's loop).
 func TestProfileMarksHoisted(t *testing.T) {
-	opts := comm.PL()
-	opts.HoistInvariant = true
-	res := runSrc(t, pipeSrc, opts, Config{Profile: true})
+	res := runSrc(t, pipeSrc, comm.PLHoist(), Config{Profile: true})
 	hoisted := 0
 	for _, row := range res.Profile {
 		if row.Hoisted {

@@ -219,49 +219,22 @@ func (p *proc) waitUntil(t vtime.Time) {
 	}
 }
 
-// run executes the program body and folds this processor's statistics
-// into the world. It is the body runSched gives every processor's
-// coroutine; on panic the fold is skipped (the run is aborting anyway).
+// run executes the program body and releases what only the body used. It
+// is the body runSched gives every processor's coroutine; on panic the
+// release is skipped (the run is aborting anyway).
 func (p *proc) run() {
 	p.body(p.w.main)
 	p.finish()
 }
 
-// procStat is one processor's contribution to the run's Result, folded
-// into world.stats when its body completes. Completion order depends on
-// scheduling; gather merges by the recorded rank so results do not.
-type procStat struct {
-	rank         int
-	bd           Breakdown
-	messages     int
-	bytesSent    int64
-	dynTransfers int
-	reductions   int
-}
-
-// finish records this processor's statistics and releases what only its
-// body used: the sites' and slots' tables, message pools
-// and the arena are dead once the body returns, and dropping them as each
-// processor completes caps peak memory at high processor counts. What the
-// sites pointed at belongs to the world's class caches and lives on for the
-// processors still running. Fields, output and observability state survive
-// — gather still reads them.
+// finish releases what only this processor's body used: the sites' and
+// slots' tables, message pools and the arena are dead once the body
+// returns, and dropping them as each processor completes caps peak memory
+// at high processor counts. What the sites pointed at belongs to the
+// world's class caches and lives on for the processors still running.
+// Fields, clocks, counters, output and observability state survive —
+// gather still reads them.
 func (p *proc) finish() {
-	w := p.w
-	st := procStat{
-		rank: p.rank,
-		bd: Breakdown{
-			Compute: p.computeT, Comm: p.commT, Wait: p.waitT,
-			Finish: vtime.Duration(p.clock),
-		},
-		messages:     p.messages,
-		bytesSent:    p.bytesSent,
-		dynTransfers: p.dynTransfers,
-		reductions:   p.reductions,
-	}
-	w.statsMu.Lock()
-	w.stats = append(w.stats, st)
-	w.statsMu.Unlock()
 	p.xfers, p.stmts, p.reduces, p.regions = nil, nil, nil, nil
 	p.sendPool, p.retPool, p.pending = nil, nil, nil
 	if p.met != nil {

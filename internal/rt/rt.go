@@ -247,12 +247,6 @@ type world struct {
 	sched      *scheduler  // set by runSched
 	schedStats *SchedStats // counters folded at the end of runSched
 
-	// stats collects each processor's contribution as its body completes.
-	// Append order follows completion order — which under the scheduler
-	// depends on worker interleaving — so gather merges by rank.
-	stats   []procStat
-	statsMu sync.Mutex
-
 	// Collective execution state: the algorithm resolved for this run and
 	// every rank's hop schedule (collSteps[r], see collective.go). Both
 	// stay nil/zero when the program has no reductions or runs on one
@@ -382,7 +376,6 @@ func (w *world) setup(cfg Config) error {
 		w.collFold[0].seq = -1
 		w.collFold[1].seq = -1
 	}
-	w.stats = make([]procStat, 0, w.mesh.Size())
 	w.procs = make([]*proc, w.mesh.Size())
 	w.nbhds = map[[3][3]int32]*nbhdClass{}
 	locals := make([]grid.Region, len(prog.Arrays))
@@ -427,25 +420,23 @@ func (w *world) setup(cfg Config) error {
 	return nil
 }
 
-// gather assembles the final global arrays and statistics from the
-// per-processor stats folded in at completion. world.stats is in
-// completion order — under the scheduler that order depends on worker
-// interleaving — so every merge here keys on the recorded rank, never on
-// arrival position.
+// gather assembles the final global arrays and statistics from every
+// processor, in rank order, once all of them have finished.
 func (w *world) gather() *Result {
 	res := &Result{Mesh: w.mesh, arrays: map[string]*Dense{}, Collective: w.collAlg}
 	res.PerProc = make([]Breakdown, len(w.procs))
 	res.PerProcMsgs = make([]int, len(w.procs))
-	for _, st := range w.stats {
-		res.PerProc[st.rank] = st.bd
-		res.PerProcMsgs[st.rank] = st.messages
-		res.Messages += st.messages
-		res.BytesSent += st.bytesSent
-		if st.rank == 0 {
-			res.DynamicTransfers = st.dynTransfers
-			res.Reductions = st.reductions
+	for rank, p := range w.procs {
+		res.PerProc[rank] = Breakdown{
+			Compute: p.computeT, Comm: p.commT, Wait: p.waitT,
+			Finish: vtime.Duration(p.clock),
 		}
+		res.PerProcMsgs[rank] = p.messages
+		res.Messages += p.messages
+		res.BytesSent += p.bytesSent
 	}
+	res.DynamicTransfers = w.procs[0].dynTransfers
+	res.Reductions = w.procs[0].reductions
 	// Critical path: among processors tied for the latest finish, the
 	// lowest rank wins, independent of completion order.
 	for _, bd := range res.PerProc {

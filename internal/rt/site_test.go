@@ -375,7 +375,7 @@ begin
   end;
 end;
 `,
-		opts: comm.Options{RemoveRedundant: true, Combine: true, Pipeline: true, HoistInvariant: true},
+		opts: comm.PLHoist(),
 		check: func(t *testing.T, res *Result) {
 			want := 1.0
 			for i := 2; i <= 12; i++ {

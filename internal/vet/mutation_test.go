@@ -14,7 +14,7 @@ import (
 
 // The plan checker is scored against every single-step mutant of every
 // plan the corpus yields: the bundled benchmarks, examples/zpl and
-// testdata/regress, each at every level of Levels(), plain and inlined.
+// testdata/regress, each at every level of comm.Levels(), plain and inlined.
 // A mutant is applied to one block in place, checked, and undone, so the
 // whole enumeration costs one plan build per (program, level).
 
@@ -246,7 +246,7 @@ func scoreMutants(t *testing.T, rejects func(*comm.Plan) bool) map[string]mutant
 	}
 	slices.Sort(names)
 	for _, name := range names {
-		for _, lv := range Levels() {
+		for _, lv := range comm.Levels() {
 			plan := comm.BuildPlan(corpus[name], lv.Opts)
 			if rejects(plan) {
 				t.Fatalf("%s [%s]: unmutated plan rejected", name, lv.Name)

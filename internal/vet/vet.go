@@ -25,15 +25,6 @@ const (
 	RuleSema  = "sema-error"
 )
 
-// Levels returns every optimization level zplvet validates and zplc
-// -predict forecasts: the -O table (comm.Levels) and the hoisting
-// extension.
-func Levels() []comm.Level {
-	hoist := comm.PL()
-	hoist.HoistInvariant = true
-	return append(comm.Levels(), comm.Level{Name: "pl+hoist", Opts: hoist})
-}
-
 // Source analyzes one ZPL source file and returns its sorted findings.
 // Parse errors stop the run (later layers would only cascade); lint
 // findings do not, so a warning never masks a plan-checker error.
@@ -64,7 +55,7 @@ func Source(name, src string) *diag.List {
 
 	// Translation validation: every optimization level's plan must satisfy
 	// the independently re-derived communication requirements.
-	for _, lv := range Levels() {
+	for _, lv := range comm.Levels() {
 		plan := comm.BuildPlan(prog, lv.Opts)
 		for _, f := range comm.CheckPlan(plan) {
 			f.Msg = fmt.Sprintf("[%s] %s", lv.Name, f.Msg)
@@ -91,7 +82,7 @@ func Protocol(name, src string, procs int) (*diag.List, error) {
 		return nil, err
 	}
 
-	for _, lv := range Levels() {
+	for _, lv := range comm.Levels() {
 		plan := comm.BuildPlan(prog, lv.Opts)
 		capacity := rt.PairChanCap(plan)
 		for _, m := range machine.All() {

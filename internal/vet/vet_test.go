@@ -7,18 +7,6 @@ import (
 	"commopt/internal/programs"
 )
 
-func TestLevelsCoverPaperAndExtensions(t *testing.T) {
-	var names []string
-	for _, lv := range Levels() {
-		names = append(names, lv.Name)
-	}
-	got := strings.Join(names, ",")
-	want := "baseline,rr,cc,pl,pl-maxlat,pl+hoist"
-	if got != want {
-		t.Errorf("Levels() = %s, want %s", got, want)
-	}
-}
-
 func TestSourceCleanBenchmarks(t *testing.T) {
 	for _, b := range programs.Suite() {
 		if list := Source(b.Name, b.Source); len(list.Findings) > 0 {

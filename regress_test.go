@@ -40,10 +40,10 @@ func TestRegressMatchesRef(t *testing.T) {
 		}
 		name := strings.TrimSuffix(filepath.Base(file), ".zpl")
 		for _, lv := range diffLevels[:4] { // baseline, rr, cc, pl
-			plan := prog.Plan(lv.opts)
+			plan := prog.Plan(lv.Opts)
 			for _, procs := range []int{1, 4, 16, 64} {
 				for _, lib := range []string{"pvm", "shmem"} {
-					t.Run(fmt.Sprintf("%s/%s/p%d/%s", name, lv.name, procs, lib), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/%s/p%d/%s", name, lv.Name, procs, lib), func(t *testing.T) {
 						got := mustRun(t, prog, plan, RunOptions{Procs: procs, Library: lib})
 						for _, d := range refDiffs(got, want) {
 							t.Error(d)
@@ -119,10 +119,10 @@ func TestMidBlockScalarWrite(t *testing.T) {
 		return 0
 	}
 	for _, lv := range diffLevels[:4] { // baseline, rr, cc, pl
-		plan := prog.Plan(lv.opts)
+		plan := prog.Plan(lv.Opts)
 		for _, procs := range []int{1, 4, 16, 64} {
 			for _, lib := range []string{"pvm", "shmem"} {
-				t.Run(fmt.Sprintf("%s/p%d/%s", lv.name, procs, lib), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/p%d/%s", lv.Name, procs, lib), func(t *testing.T) {
 					res := mustRun(t, prog, plan, RunOptions{Procs: procs, Library: lib})
 					for _, name := range []string{"X", "C", "D"} {
 						for i := 1; i <= n; i++ {
@@ -184,7 +184,7 @@ end;
 	inl := prog.Inlined()
 	for _, lv := range diffLevels[:4] {
 		for _, procs := range []int{1, 16} {
-			res := mustRun(t, inl, inl.Plan(lv.opts), RunOptions{Procs: procs, Library: "shmem"})
+			res := mustRun(t, inl, inl.Plan(lv.Opts), RunOptions{Procs: procs, Library: "shmem"})
 			for i := 1; i <= 12; i++ {
 				want := float64(i)
 				switch i {
@@ -194,7 +194,7 @@ end;
 					want = 26 // A(6) + 20
 				}
 				if got := res.Array("A").At(i, 5, 1); got != want {
-					t.Errorf("%s/p%d: A(%d,5) = %v, want %v", lv.name, procs, i, got, want)
+					t.Errorf("%s/p%d: A(%d,5) = %v, want %v", lv.Name, procs, i, got, want)
 				}
 			}
 		}

@@ -45,24 +45,24 @@ func TestSmokeEndToEnd(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	var results []float64
-	for _, opts := range []comm.Options{comm.Baseline(), comm.RR(), comm.CC(), comm.PL(), comm.PLMaxLatency()} {
-		plan := prog.Plan(opts)
+	for _, lv := range comm.Levels() {
+		plan := prog.Plan(lv.Opts)
 		if plan.StaticCount == 0 {
-			t.Fatalf("%v: no transfers planned", opts)
+			t.Fatalf("%s: no transfers planned", lv.Name)
 		}
 		for _, lib := range []string{"pvm", "shmem"} {
 			for _, procs := range []int{1, 4, 16} {
 				res, err := prog.Run(plan, RunOptions{Library: lib, Procs: procs})
 				if err != nil {
-					t.Fatalf("%v/%s/p%d: %v", opts, lib, procs, err)
+					t.Fatalf("%s/%s/p%d: %v", lv.Name, lib, procs, err)
 				}
 				if res.ExecTime <= 0 {
-					t.Errorf("%v/%s/p%d: nonpositive exec time", opts, lib, procs)
+					t.Errorf("%s/%s/p%d: nonpositive exec time", lv.Name, lib, procs)
 				}
 				v := res.Array("A").At(8, 8, 1)
 				results = append(results, v)
 				if v != results[0] {
-					t.Errorf("%v/%s/p%d: A(8,8)=%v, want %v (baseline)", opts, lib, procs, v, results[0])
+					t.Errorf("%s/%s/p%d: A(8,8)=%v, want %v (baseline)", lv.Name, lib, procs, v, results[0])
 				}
 			}
 		}

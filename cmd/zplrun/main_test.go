@@ -457,7 +457,7 @@ func TestRunBadInput(t *testing.T) {
 		{"a 0.5 bound", []string{"-procs", "4", half}, half + ":4:1: rt: region R: non-integer bounds 1..0.5"},
 		{"tomcatv -set n=2", []string{"-bench", "tomcatv", "-set", "n=2"}, "tomcatv:16:1: rt: region Int is empty: [2..1, 2..1]"},
 		{"unheld read", []string{"-procs", "64", unheld},
-			unheld + ":11:16: rt: processor 0: B@[0,1,0] reads an array the processor holds none of"},
+			unheld + ":11:16: rt: processor 0: B@[0,1] reads an array the processor holds none of"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var out bytes.Buffer

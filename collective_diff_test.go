@@ -100,8 +100,8 @@ func TestCollectiveAlgorithmsAgree(t *testing.T) {
 
 // TestCollectiveSchedOracle is TestDifferential's one-worker check on the
 // collective-heavy benchmarks with the non-star algorithms forced: multi-hop
-// reduction schedules park and resume processors mid-reduction on keyed
-// mailbox slots, and the worker pool must not let the order in which those
+// reduction schedules park and resume processors mid-reduction on their
+// receive slots, and the worker pool must not let the order in which those
 // hops are delivered reach the simulation.
 func TestCollectiveSchedOracle(t *testing.T) {
 	for _, bench := range []string{"simple", "tomcatv"} {

@@ -23,7 +23,7 @@
 // (DR posting readiness plus DN completion), and the payload adds the
 // per-byte and wire terms. Unlike point-to-point rendezvous transfers,
 // the sender never blocks on the receiver's readiness: collective slots
-// are preallocated and keyed by (sequence, source), so readiness is
+// are preallocated, one per receive and sequence parity, so readiness is
 // posted ahead of the put — DR remains a software charge on the
 // receiving rank, not a synchronization. What distinguishes algorithms
 // is therefore only their hop pattern. The runtime charges exactly these

@@ -31,8 +31,8 @@ const (
 	// RuleCollPairing: a collective schedule's hops are not pairwise
 	// matched — some send has no receive with the same payload on the
 	// other end (or vice versa), or one directed edge carries more than
-	// one message per reduction, which the runtime's keyed (sequence,
-	// source) delivery cannot represent.
+	// one message per reduction, which the runtime's one slot per
+	// receive (rt's collective inbox) cannot represent.
 	RuleCollPairing = "proto-coll-pairing"
 	// RuleCollCoverage: replaying a collective schedule's data flow, some
 	// rank folds without holding all P contributions, receives a window
@@ -279,7 +279,7 @@ type collEdge struct{ src, dst int }
 // collPairing checks that every send has exactly one matching receive
 // with the same payload on its directed edge and vice versa, and that no
 // edge carries two messages in one reduction — the invariant the
-// runtime's keyed (sequence, source) mailbox delivery rests on. Returns
+// runtime's one-slot-per-receive collective inbox rests on. Returns
 // false when the schedule is too malformed for the replay to add signal.
 func (c *checker) collPairing(name string, steps [][]collective.Step, pos zpl.Pos) bool {
 	sends := map[collEdge][]collective.Step{}
@@ -299,7 +299,7 @@ func (c *checker) collPairing(name string, steps [][]collective.Step, pos zpl.Po
 	for e, ss := range sends {
 		if len(ss) > 1 {
 			c.report(RuleCollPairing, pos,
-				"collective %s: rank %d sends %d messages to rank %d in one reduction; keyed delivery admits one",
+				"collective %s: rank %d sends %d messages to rank %d in one reduction; one slot per receive admits one",
 				name, e.src, len(ss), e.dst)
 			ok = false
 			continue

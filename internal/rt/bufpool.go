@@ -12,20 +12,21 @@ import "commopt/internal/vtime"
 //     to the sender. The token delivery already exists, so recycling
 //     costs no extra synchronization.
 //   - Message-passing libraries (PVM, NX): there is no token traffic, so
-//     the receiver hands finished messages back through the sender's
-//     mailbox (deliverRet), and the sender drains them before allocating
-//     (drainRets). Either side may drop a buffer when full — recycling is
-//     best-effort and purely host-side.
+//     the receiver hands finished messages back through the back-channel
+//     of the sender's mailbox slot (deliverRet), and the sender drains
+//     them before allocating (drainRets). Either side may drop a buffer
+//     when full — recycling is best-effort and purely host-side.
 //
-// A message returned through either path was fully unpacked before the
-// mailbox delivery, and the sender reuses it only after taking it out under
-// the same mutex, so every buffer reuse is ordered (go test -race runs the
-// differential suite to prove it).
+// A message returned through either path was fully unpacked before its
+// producer pushed it, and the sender reuses it only after popping it: the
+// FIFO's tail store and load (fifo.go) order the reuse after the unpack
+// (go test -race runs the differential suite to prove it).
 
-// readyTok travels dst→src through the mailbox token FIFOs: the rendezvous
-// token of the destination-ready protocol plus, optionally, a recycled
-// message for the sender's free list. m is nil when the destination has
-// nothing to return.
+// readyTok travels dst→src through a mailbox slot's back-channel: the
+// rendezvous token of the destination-ready protocol plus, optionally, a
+// recycled message for the sender's free list (m is nil when the
+// destination has nothing to return). Under message passing the
+// back-channel carries returned buffers alone, as tokens with only m set.
 type readyTok struct {
 	t vtime.Time
 	m *dataMsg

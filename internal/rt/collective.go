@@ -35,11 +35,10 @@ import (
 // is the virtual time the message reaches the receiver. Keeping the
 // message constant-size regardless of window width is what makes wide
 // butterfly hops as cheap to deliver in host time as scalar star hops
-// even though they are charged the full per-byte virtual cost.
+// even though they are charged the full per-byte virtual cost. The
+// receive slot it lands in (mbox.coll) names its sequence and source.
 type collMsg struct {
-	seq   int
-	src   int
-	start int
+	start int32 // grid.MaxProcs is 2^16
 	val   float64
 	sent  vtime.Time // sender's clock when the hop departed (critical-path edge)
 	t     vtime.Time
@@ -76,13 +75,77 @@ func (w *world) foldOf(seq int, op ir.ReduceOp) float64 {
 	return v
 }
 
-// collKey builds the mailbox key of one hop's message. Matching is by
-// (sequence, source): each reduction sends a rank at most one gather and
-// one broadcast message from any given source *after the previous one
-// from that source was consumed*, and sequences retire in order, so the
-// pair is unique among undelivered messages. Source ranks fit 17 bits
-// (grid.MaxProcs is 2^16).
-func collKey(seq, src int) uint64 { return uint64(seq)<<17 | uint64(src) }
+// collInbox numbers every rank's receives and points each send at the
+// receive that takes it: to[r][i] is, for rank r's step i, its receive
+// slot when it is a receive and the peer's slot for it when it is a send.
+// The protocol checker's pairing rule (cost, coll-pairing) holds every
+// directed edge to one message per reduction, so a sender's slot at the
+// peer is the peer's receive from it. Receivers are visited in rank order
+// and each sender's steps are searched on from its previous match, which
+// keeps this near-linear for the schedules package collective builds: a
+// star root, say, broadcasts in rank order.
+func collInbox(steps [][]collective.Step) (to [][]int32) {
+	n := 0
+	for _, ss := range steps {
+		n += len(ss)
+	}
+	flat, to := make([]int32, n), make([][]int32, len(steps))
+	for r, ss := range steps {
+		to[r], flat = flat[:len(ss):len(ss)], flat[len(ss):]
+	}
+	cur := make([]int32, len(steps)) // where the last search of each sender's steps ended
+	for q, ss := range steps {
+		var k int32
+		for i, st := range ss {
+			if st.Kind != collective.Recv {
+				continue
+			}
+			to[q][i] = k
+			src := steps[st.Peer]
+			for j := range src {
+				if at := (int(cur[st.Peer]) + j) % len(src); src[at].Kind == collective.Send && src[at].Peer == q {
+					to[st.Peer][at], cur[st.Peer] = k, int32(at+1)
+					break
+				}
+			}
+			k++
+		}
+	}
+	return to
+}
+
+// openInboxes gives every processor its collective slots: two per receive
+// step, one for each reduction parity, all carved from one allocation.
+func (w *world) openInboxes() {
+	recvs := func(r int) (k int) {
+		for _, st := range w.collSteps[r] {
+			if st.Kind == collective.Recv {
+				k++
+			}
+		}
+		return k
+	}
+	n := 0
+	for r := range w.collSteps {
+		n += recvs(r)
+	}
+	slots := make([]collSlot, 2*n)
+	for r := range w.collSteps {
+		k := 2 * recvs(r)
+		w.procs[r].mb.coll, slots = slots[:k:k], slots[k:]
+	}
+}
+
+// collPeer is the rank that sends into receive slot k of rank, for the
+// deadlock diagnostic.
+func (w *world) collPeer(rank, k int) int {
+	for i, st := range w.collSteps[rank] {
+		if st.Kind == collective.Recv && int(w.collTo[rank][i]) == k {
+			return st.Peer
+		}
+	}
+	return -1
+}
 
 // allreduce combines one value across all processors using the world's
 // resolved collective algorithm, deterministically folding in rank
@@ -125,7 +188,8 @@ func (p *proc) allreduce(node *ir.Reduce, val float64) float64 {
 		}
 	}
 
-	for _, st := range w.collSteps[p.rank] {
+	for i, st := range w.collSteps[p.rank] {
+		k := int(w.collTo[p.rank][i])
 		if p.cpl != nil {
 			pl, ps := p.cpl.Context(collStepName(st), csite)
 			if cplFirst {
@@ -134,7 +198,7 @@ func (p *proc) allreduce(node *ir.Reduce, val float64) float64 {
 		}
 		bytes := collective.ValBytes * st.Count
 		if st.Kind == collective.Send {
-			m := collMsg{seq: seq, src: p.rank}
+			var m collMsg
 			if st.Bcast {
 				if !haveResult {
 					result, haveResult = fold(), true
@@ -144,7 +208,7 @@ func (p *proc) allreduce(node *ir.Reduce, val float64) float64 {
 				if st.Count != cnt {
 					panic(fmt.Sprintf("rt: proc %d sends %d reduction values but window holds %d", p.rank, st.Count, cnt))
 				}
-				m.start = base
+				m.start = int32(base)
 			}
 			start := p.clock
 			p.chargeComm(collective.SendCost(w.lib, st.Count))
@@ -159,24 +223,24 @@ func (p *proc) allreduce(node *ir.Reduce, val float64) float64 {
 				p.tr.Add(trace.Event{Kind: trace.KindReduce, Start: start, Dur: p.clock.Sub(start),
 					Name: collStepName(st), A0: int64(st.Level), A1: int64(bytes), A2: int64(st.Peer)})
 			}
-			p.deliverColl(w.procs[st.Peer], collKey(seq, p.rank), m)
+			p.deliverColl(w.procs[st.Peer], seq, k, m)
 		} else {
 			start := p.clock
 			// Receives follow the rank's deterministic schedule order, not
 			// arrival order — the virtual clock's wait/charge sequence must
-			// not depend on scheduling — so early arrivals wait in the
-			// keyed mailbox.
-			m := p.nextColl(collKey(seq, st.Peer))
+			// not depend on scheduling — so early arrivals wait in their
+			// receive slots.
+			m := p.nextColl(seq, k)
 			p.waitEdge(m.t, "wait reduce", critpath.Reduce, st.Peer, m.sent)
 			p.chargeComm(collective.RecvCost(w.lib, st.Count))
 			if st.Bcast {
 				result, haveResult = m.val, true
 			} else {
 				switch {
-				case m.start == base+cnt:
+				case int(m.start) == base+cnt:
 					cnt += st.Count
-				case m.start+st.Count == base:
-					base, cnt = m.start, cnt+st.Count
+				case int(m.start)+st.Count == base:
+					base, cnt = int(m.start), cnt+st.Count
 				default:
 					panic(fmt.Sprintf("rt: proc %d non-contiguous reduction gather: window [%d,+%d), got start %d",
 						p.rank, base, cnt, m.start))

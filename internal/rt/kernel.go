@@ -2,6 +2,8 @@ package rt
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"commopt/internal/field"
 	"commopt/internal/grid"
@@ -363,7 +365,11 @@ func unheldRead(pos zpl.Pos, f *field.Field, off grid.Offset) *zpl.Error {
 	if !f.Allocated() {
 		what = "reads an array the processor holds none of"
 	}
-	return zpl.Errorf(pos, "%s@%v %s", f.Name, off, what)
+	at := make([]string, f.Rank) // the offset in the array's rank, as the program wrote it
+	for d := range at {
+		at[d] = strconv.Itoa(off[d])
+	}
+	return zpl.Errorf(pos, "%s@[%s] %s", f.Name, strings.Join(at, ","), what)
 }
 
 // viewOf compiles an array reference to a zero-copy row view.

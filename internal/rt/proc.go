@@ -95,11 +95,12 @@ type proc struct {
 	engine     int64                         // trace engine code of the last array statement
 	stmtLabels map[ir.Stmt]string
 
-	// Scheduler observability (folded by runSched; parks is written only
-	// by this processor's own coroutine, parksAverted by the worker
-	// stepping it, mb.hi under mb.mu by deliverers).
+	// Scheduler observability (folded by runSched; parks and mbHi are
+	// written only by this processor's own coroutine, parksAverted by the
+	// worker stepping it).
 	parks        [4]int64 // park requests by waitReason
 	parksAverted int64    // requests whose event arrived before the commit
+	mbHi         int      // deepest queue this processor's deliveries left a peer's mailbox at
 }
 
 // jittered scales a compute cost by the machine's jitter factor, drawn
@@ -150,11 +151,7 @@ func newProc(w *world, rank int) *proc {
 	n := len(p.neighbors)
 	p.sendPool = make([][]*dataMsg, n)
 	p.retPool = make([][]*dataMsg, n)
-	p.mb.data = make([][]*dataMsg, n)
-	p.mb.dataHead = make([]int, n)
-	p.mb.toks = make([][]readyTok, n)
-	p.mb.toksHead = make([]int, n)
-	p.mb.rets = make([][]*dataMsg, n)
+	p.mb.slots = make([]slotBox, n)
 	return p
 }
 

@@ -253,13 +253,14 @@ type world struct {
 	// processor.
 	collAlg   collective.Alg
 	collSteps [][]collective.Step
+	collTo    [][]int32 // collTo[r][i]: the receive slot rank r's step i fills (collInbox)
 
 	// collContrib is the shared contribution board: collContrib[s&1][r] is
 	// rank r's raw input to reduction sequence s. Hop messages carry no
 	// payload — every processor lives in one address space, so a gather
 	// hop only needs to say *which* window it hands over; the values are
 	// read off the board. The happens-before edges of the hop messages
-	// themselves (the mailbox mutex) make the reads safe: a rank's window
+	// themselves (a slot's stamp store and load) make the reads safe: a rank's window
 	// covers slot j only after a message chain rooted at rank j's
 	// contribution write. Two boards
 	// suffice because a rank entering sequence s proves every rank
@@ -371,6 +372,7 @@ func (w *world) setup(cfg Config) error {
 		}
 		w.collAlg = alg
 		w.collSteps = collective.AllSteps(alg, w.mesh)
+		w.collTo = collInbox(w.collSteps)
 		w.collContrib[0] = make([]float64, w.mesh.Size())
 		w.collContrib[1] = make([]float64, w.mesh.Size())
 		w.collFold[0].seq = -1
@@ -385,6 +387,9 @@ func (w *world) setup(cfg Config) error {
 	}
 	for _, p := range w.procs {
 		p.meet()
+	}
+	if w.collTo != nil {
+		w.openInboxes()
 	}
 
 	// Observability wiring: each processor gets its own ring buffer,

@@ -402,8 +402,8 @@ end;
 	prog, plan := compile(t, src)
 	for _, workers := range []int{1, 2, 3, 8} {
 		_, err := Run(prog, plan, Config{Machine: machine.T3D(), Library: "shmem", Procs: 64, SchedWorkers: workers})
-		if msg := fmt.Sprint(err); err == nil || !strings.Contains(msg, "11:7: B@[0,1,0] reads") {
-			t.Errorf("workers=%d: error %q, want one naming 11:7 and B@[0,1,0]", workers, msg)
+		if msg := fmt.Sprint(err); err == nil || !strings.Contains(msg, "11:7: B@[0,1] reads") {
+			t.Errorf("workers=%d: error %q, want one naming 11:7 and B@[0,1]", workers, msg)
 		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"commopt/internal/vtime"
 )
 
 // This file implements the M:N virtual-processor scheduler, the runtime's
@@ -25,9 +27,13 @@ import (
 // blocked OS thread. With one worker (Config.SchedWorkers) processors run
 // strictly one at a time.
 //
-// Each worker owns a FIFO run queue; a processor joins that of its fixed home
-// worker, rank*workers/procs — a band of mesh rows, so neighbours mostly share
-// one and run where their data is. A worker steals another queue's head only
+// Nothing on that path takes a lock all workers share. A processor's wait
+// is one atomic word (the park word below); every mailbox queue has one
+// producer and one consumer (fifo.go); a collective hop lands in a slot
+// only its sender writes. Each worker owns a FIFO run queue under its own
+// short lock; a processor joins that of its fixed home worker,
+// rank*workers/procs — a band of mesh rows, so neighbours mostly share one
+// and run where their data is. A worker steals another queue's head only
 // when its own is empty and sleeps only when all are; a wake-up signals the
 // home worker if it sleeps, else a sleeper if the home queue holds two.
 //
@@ -35,7 +41,7 @@ import (
 // grow as needed; PairChanCap in rt.go is what a plan budgets them for). A
 // processor therefore only ever blocks as a *parked* state visible to the
 // scheduler, and the scheduler can prove a global deadlock exactly: no
-// processor runnable, none running, some still live means every live
+// processor queued, none running, some still live means every live
 // processor is parked on an event that no running processor can ever
 // deliver — an immediate error naming each waiter, not a hang.
 
@@ -61,85 +67,102 @@ func (r waitReason) String() string {
 	return "nothing"
 }
 
+// The park word (mbox.park) spells the park protocol in one atomic word:
+// bits 0-1 the phase, bits 2-3 the waitReason, the rest what the processor
+// waits on — a neighbour slot, or a reduction's sequence and receive slot
+// (collOn). Zero means no wait. The owner requests a park by storing the
+// word with parkRequested, re-checks its queue once (withdrawing the
+// request if the event is there) and switches to its worker; the worker
+// commits the park with one CAS, requested → parkCommitted. A deliverer
+// publishes its event first, then loads the word: if it waits on exactly
+// this event, a CAS clears it, and the deliverer enqueues the owner only
+// when the park it cleared was committed — before that the worker still
+// holds the processor and, its CAS failing, simply steps it again. The
+// owner's store-then-recheck and the deliverer's publish-then-load cannot
+// both miss each other.
+const (
+	parkRequested = 1
+	parkCommitted = 2
+	parkPhase     = 3
+)
+
+func parkWord(reason waitReason, on uint64) uint64 { return on<<4 | uint64(reason)<<2 }
+
+// collOn is what a reduction wait waits on: sequence seq's message into
+// receive slot k. A rank has fewer than 2^collSlotBits receives (a star
+// root at grid.MaxProcs has 2^16-1).
+func collOn(seq, k int) uint64 { return uint64(seq)<<collSlotBits | uint64(k) }
+
+const collSlotBits = 20
+
 // mbox is a processor's mailbox: the events peers deliver while it is
-// parked or running elsewhere, plus the wait those deliveries inspect to
-// decide whether to re-queue it. One mutex guards the whole box; senders
-// lock only the destination's box, never their own, so there is no lock
-// ordering to violate.
-//
-// wait and parked spell the park protocol. The owner requests a park by
-// setting wait (and waitOn) and switching to its worker; the worker commits
-// it by setting parked. A delivery of exactly the awaited event clears
-// wait either way (wakeLocked) and re-queues the owner only if the park
-// was committed — before that the worker still holds the processor and,
-// finding wait cleared, simply steps it again.
+// parked or running elsewhere, and the park word those deliveries inspect
+// to decide whether to re-queue it.
 type mbox struct {
-	mu     sync.Mutex
-	wait   waitReason
-	waitOn uint64 // neighbor slot for waitData/waitReady, collKey for waitRed
-	parked bool   // the worker that stepped the owner committed the park
+	park  atomic.Uint64
+	slots []slotBox // by neighbour slot
+	// coll is the collective inbox, one slot per receive step of the rank's
+	// hop schedule and reduction parity: coll[(seq&1)*n+k] takes sequence
+	// seq's message into receive slot k, n = len(coll)/2 (world.collTo
+	// numbers them). Receives follow the rank's deterministic hop schedule,
+	// not arrival order, so a slot per receive replaces what a FIFO would
+	// force into an O(P) scan at the star root.
+	coll []collSlot
+}
 
-	// The data and token FIFOs pop by advancing a head index and reset
-	// to the front once drained, so one backing array per slot is reused
-	// for the whole run. (Popping by reslicing walked the slice off the
-	// front of its array, forcing the next append to reallocate — one
-	// fresh array per fill/drain cycle, pure garbage at 4096 procs.)
-	data     [][]*dataMsg // data[slot]: message FIFO from that neighbor
-	dataHead []int
-	toks     [][]readyTok // toks[slot]: rendezvous token FIFO from that neighbor
-	toksHead []int
-	rets     [][]*dataMsg // rets[slot]: recycled buffers returned by that neighbor
-	// coll is the collective inbox, keyed by (sequence, source) — see
-	// collKey. Receives follow the rank's deterministic hop schedule, not
-	// arrival order, so a keyed lookup replaces what a FIFO would force
-	// into an O(P) scan at the star root. Allocated on first delivery;
-	// reduction-free programs never pay for it. When the delivery is the
-	// exact key the owner waits on, the message instead lands in the
-	// direct slot (collDirect/collOk) — the owner consumes it on its next
-	// step without a map insert/lookup/delete round trip.
-	coll       map[uint64]collMsg
-	collDirect collMsg
-	collOk     bool
+// slotBox is what one neighbour delivers: its data messages, and a
+// back-channel that carries rendezvous ready tokens under rendezvous
+// libraries and returned buffers under message passing (bufpool.go) — one
+// run never uses both.
+type slotBox struct {
+	data fifo[*dataMsg]
+	back fifo[readyTok]
+}
 
-	// hi is the high-water depth of any single inbox queue (one slot's
-	// data FIFO, one slot's token FIFO, or the keyed collective inbox) —
-	// how far ahead a peer ever ran of this processor's consumption.
-	// Written by deliverers under mu, folded into SchedStats at the end
-	// of the run.
-	hi int
+// collSlot holds one hop message, its fields spelled out so the stamp
+// packs beside start (32 bytes, not 40: a 4096-processor butterfly world
+// has 98,304 slots). Its one sender writes the message, then stores seq+1
+// in stamp; the owner takes the message once stamp names the sequence it
+// waits for. A sender of sequence seq+2 into the same slot proves the owner
+// finished seq (see world.collContrib), so a slot never holds two.
+type collSlot struct {
+	stamp   atomic.Uint32
+	start   int32
+	val     float64
+	sent, t vtime.Time
 }
 
 // scheduler runs one world's processors on a bounded worker pool.
 type scheduler struct {
-	w *world
+	w      *world
+	queues []runq        // queues[wi]: worker wi's home queue
+	busy   atomic.Int64  // processors queued or being stepped
+	live   atomic.Int64  // processors whose body has not completed
+	idle   atomic.Int32  // workers registered as sleepers
+	budget chan struct{} // budgetTokens(); a sleeping worker returns its token
 
-	mu      sync.Mutex
-	queues  []runq        // queues[wi]: worker wi's home queue
-	queued  int           // runnable processors, summed over the queues
-	running int           // processors currently being stepped by a worker
-	live    int           // processors whose body has not completed
-	runqHi  int           // high-water mark of queued
-	steals  int64         // pops a worker took from a queue not its own
-	budget  chan struct{} // budgetTokens(); next returns its token to sleep
-
-	// stop ends the run (completion, abort or deadlock). Stored under mu,
-	// so a worker blocked in next cannot miss it; resumed processors read
-	// it without the lock.
+	// stop ends the run (completion, abort or deadlock). A sleeper
+	// registers before it loads stop, and the stopper stores stop before
+	// it wakes the registered, so no worker sleeps through it.
 	stop atomic.Bool
 }
 
-// runq is one worker's FIFO, popped by advancing head, under scheduler.mu.
+// runq is one worker's FIFO, popped by advancing head, under its own lock.
+// idle says the worker sleeps on wake; whoever clears idle sends the one
+// wake-up.
 type runq struct {
+	mu   sync.Mutex
 	ps   []*proc
 	head int
-	cond sync.Cond
-	idle bool // the worker waits on cond; whoever signals it clears this
+	idle atomic.Bool
+	wake chan struct{}
+	_    [64]byte // keeps workers' queues off each other's cache lines
 }
 
 // SchedStats reports the M:N scheduler's observability counters for one
-// run (Result.Sched). The counters are collected unconditionally: every increment sits on a park or delivery
-// path that already holds the relevant mutex, never on a clock-charge
-// fast path.
+// run (Result.Sched). The counters are collected unconditionally: each is
+// a plain field of the one worker or processor that writes it, folded at
+// the end of the run, never a shared write on a clock-charge fast path.
 type SchedStats struct {
 	Workers int      // worker pool size the run actually used
 	Steps   []int64  // processor steps executed by each worker
@@ -150,8 +173,15 @@ type SchedStats struct {
 	// interleaving, not on the simulated program alone.
 	ParksAverted int64
 	Steals       int64 // pops from another worker's queue, its own empty
-	RunqHiWater  int   // most processors ever runnable at once, over all queues
-	MboxHiWater  int   // deepest any single mailbox queue ever got
+	// RunqHiWater is the most processors ever runnable at once, over all
+	// queues: every processor starts runnable and none is ever queued
+	// twice, so it is the initial fill, the processor count.
+	RunqHiWater int
+	// MboxHiWater is the deepest any single mailbox queue ever got — one
+	// slot's data messages or ready tokens, as the producer saw it after a
+	// push (returned buffers are not counted). A collective slot holds one
+	// message, so a run with reduction hops reports at least one.
+	MboxHiWater int
 }
 
 // TotalSteps sums the per-worker step counts.
@@ -214,7 +244,7 @@ func budgetTokens() chan struct{} {
 // per-processor entry point (normally proc.run; tests substitute bodies
 // that park forever to exercise deadlock detection).
 func (w *world) runSched(workers int, body func(p *proc)) {
-	s := &scheduler{w: w, live: len(w.procs), budget: budgetTokens()}
+	s := &scheduler{w: w, budget: budgetTokens()}
 	w.sched = s
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -224,7 +254,7 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 	}
 	s.queues = make([]runq, workers)
 	for wi := range s.queues {
-		s.queues[wi].cond.L = &s.mu
+		s.queues[wi].wake = make(chan struct{}, 1)
 	}
 
 	// Every processor starts runnable on its home queue, in rank order; its
@@ -234,25 +264,33 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 		p.home = p.rank * workers / len(w.procs)
 		s.queues[p.home].ps = append(s.queues[p.home].ps, p)
 	}
-	s.queued, s.runqHi = len(w.procs), len(w.procs)
+	s.busy.Store(int64(len(w.procs)))
+	s.live.Store(int64(len(w.procs)))
 
 	steps := make([]int64, workers)
+	steals := make([]int64, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			var n int64 // steps[wi], kept off the line the other workers write
-			// The token is held across steps and given back while next
-			// sleeps: only a token holder claims a processor.
+			var n, stole int64 // steps[wi], steals[wi], kept off the lines the other workers write
+			// The token is held across steps and given back while the
+			// worker sleeps: only a token holder claims a processor.
 			<-s.budget
-			for p := s.next(wi); p != nil; p = s.next(wi) {
-				for p != nil {
-					p = s.stepped(wi, s.step(p, &n))
+			for !s.stop.Load() {
+				p, stolen := s.pop(wi)
+				if p == nil {
+					s.sleep(wi)
+					continue
 				}
+				if stolen {
+					stole++
+				}
+				s.retire(s.step(p, &n))
 			}
 			s.budget <- struct{}{}
-			steps[wi] = n
+			steps[wi], steals[wi] = n, stole
 		}(i)
 	}
 	wg.Wait()
@@ -268,179 +306,166 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 
 	// Fold the run's scheduler counters. No worker or processor is live,
 	// so the per-proc fields are quiescent.
-	st := &SchedStats{Workers: workers, Steps: steps, Steals: s.steals, RunqHiWater: s.runqHi}
+	st := &SchedStats{Workers: workers, Steps: steps, RunqHiWater: len(w.procs)}
+	for _, n := range steals {
+		st.Steals += n
+	}
 	for _, p := range w.procs {
 		for r, n := range p.parks {
 			st.Parks[r] += n
 		}
 		st.ParksAverted += p.parksAverted
-		if p.mb.hi > st.MboxHiWater {
-			st.MboxHiWater = p.mb.hi
-		}
+		st.MboxHiWater = max(st.MboxHiWater, p.mbHi)
 	}
 	w.schedStats = st
 }
 
-// popLocked claims the head of worker wi's queue or, that being empty, steals
-// the head of the next non-empty one; nil when none is. Caller holds s.mu.
-func (s *scheduler) popLocked(wi int) *proc {
-	q, i := &s.queues[wi], 0
-	for q.head == len(q.ps) {
-		if i++; i == len(s.queues) {
-			return nil
+// pop claims the head of worker wi's queue or, that being empty, steals
+// the head of the next non-empty one, reporting whether it stole; nil when
+// every queue is empty. Each queue's own lock covers the look into it.
+func (s *scheduler) pop(wi int) (*proc, bool) {
+	for i := range s.queues {
+		q := &s.queues[(wi+i)%len(s.queues)]
+		q.mu.Lock()
+		if q.head == len(q.ps) {
+			q.mu.Unlock()
+			continue
 		}
-		q = &s.queues[(wi+i)%len(s.queues)]
+		p := q.ps[q.head]
+		q.ps[q.head] = nil
+		q.head++
+		if q.head > 64 && 2*q.head >= len(q.ps) || q.head == len(q.ps) {
+			q.ps = append(q.ps[:0], q.ps[q.head:]...)
+			q.head = 0
+		}
+		q.mu.Unlock()
+		return p, i > 0
 	}
-	p := q.ps[q.head]
-	q.ps[q.head] = nil
-	q.head++
-	if q.head > 64 && 2*q.head >= len(q.ps) {
-		q.ps = append(q.ps[:0], q.ps[q.head:]...)
-		q.head = 0
-	}
-	if i > 0 {
-		s.steals++
-	}
-	s.queued--
-	s.running++
-	return p
+	return nil, false
 }
 
-// broadcastLocked wakes every waiting worker to see the run stop or end.
-func (s *scheduler) broadcastLocked() {
-	for wi := range s.queues {
-		s.queues[wi].cond.Broadcast()
+// sleep blocks worker wi until an enqueue or the run's end wakes it. The
+// worker registers before it re-checks the queues and stop, and an enqueuer
+// pushes under the queue's lock before it looks for sleepers, so a wake-up
+// cannot fall between the two.
+func (s *scheduler) sleep(wi int) {
+	q := &s.queues[wi]
+	s.idle.Add(1) // before the flag a waker clears, so the count never runs short
+	q.idle.Store(true)
+	queued := false
+	for i := range s.queues {
+		o := &s.queues[i]
+		o.mu.Lock()
+		queued = queued || o.head < len(o.ps)
+		o.mu.Unlock()
 	}
+	if queued || s.stop.Load() {
+		if q.idle.CompareAndSwap(true, false) {
+			s.idle.Add(-1)
+		} else {
+			<-q.wake // a waker claimed this sleep first: take its signal
+		}
+		return
+	}
+	s.budget <- struct{}{} // never blocks: this worker holds a token
+	<-q.wake
+	<-s.budget
 }
 
-// next pops worker wi's next runnable processor, blocking until one
-// appears, the run ends, or a deadlock is detected.
-func (s *scheduler) next(wi int) *proc {
-	s.mu.Lock()
-	for {
-		if s.stop.Load() {
-			s.mu.Unlock()
-			return nil
+// wakeOne wakes the first sleeping worker from `from` on, reporting
+// whether there was one.
+func (s *scheduler) wakeOne(from int) bool {
+	for i := range s.queues {
+		if o := &s.queues[(from+i)%len(s.queues)]; o.idle.CompareAndSwap(true, false) {
+			s.idle.Add(-1)
+			o.wake <- struct{}{}
+			return true
 		}
-		if p := s.popLocked(wi); p != nil {
-			s.mu.Unlock()
-			return p
-		}
-		if s.running == 0 {
-			s.stop.Store(true)
-			deadlocked := s.live > 0
-			s.broadcastLocked()
-			// fail re-enters the scheduler (halt), so report outside the
-			// lock.
-			s.mu.Unlock()
-			if deadlocked {
-				// Nothing runnable, nothing running, bodies unfinished:
-				// every live processor is parked on an event no one can
-				// deliver. (Events are only delivered by running
-				// processors, and there are none.)
-				s.w.fail(fmt.Errorf("rt: scheduler deadlock: %s", s.parkedSummary()))
-			}
-			return nil
-		}
-		s.queues[wi].idle = true
-		s.budget <- struct{}{} // never blocks: this worker holds a token
-		s.queues[wi].cond.Wait()
-		s.queues[wi].idle = false
-		s.mu.Unlock()
-		<-s.budget
-		s.mu.Lock()
 	}
+	return false
 }
 
 // step runs one processor until it parks for good or completes, counting
 // each switch into it in *steps, and reports whether its body finished
 // (next says so exactly once). A processor that comes back with a park
 // request still belongs to this worker — nobody else can step it, and
-// deliveries do not enqueue it — until the park is committed here, under
-// its mailbox lock: if the awaited event arrived first (wakeLocked cleared
-// the wait), the park is averted and the processor runs on.
+// deliveries do not enqueue it — until the CAS here commits the park: if
+// the awaited event arrived first (wake cleared the request), the CAS
+// fails, the park is averted and the processor runs on.
 func (s *scheduler) step(p *proc, steps *int64) (done bool) {
 	for {
 		*steps++
 		if _, more := p.next(); !more {
 			return true
 		}
-		p.mb.mu.Lock()
-		if p.mb.wait != waitNone {
-			p.mb.parked = true
-			p.mb.mu.Unlock()
+		if w := p.mb.park.Load(); w != 0 && p.mb.park.CompareAndSwap(w, w&^parkPhase|parkCommitted) {
 			return false
 		}
 		p.parksAverted++
-		p.mb.mu.Unlock()
 	}
 }
 
-// stepped retires worker wi's step bookkeeping and, in the same critical
-// section, claims its next runnable processor: nil when every queue is
-// empty or the run is stopping, which is also when blocked workers are
-// woken to see whether the run has ended (all done, or deadlocked).
-func (s *scheduler) stepped(wi int, done bool) *proc {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.running--
+// retire ends a step's claim on its processor. The worker whose retirement
+// leaves nothing queued or running ends the run: every body is done, or
+// every live one is parked on an event that no one is left to deliver
+// (only running processors deliver, and an enqueue counts itself busy
+// before its deliverer retires).
+func (s *scheduler) retire(done bool) {
 	if done {
-		s.live--
+		s.live.Add(-1)
 	}
-	var p *proc
-	if !s.stop.Load() {
-		p = s.popLocked(wi)
+	if s.busy.Add(-1) != 0 {
+		return
 	}
-	if p == nil && s.running == 0 {
-		s.broadcastLocked()
+	s.halt()
+	if s.live.Load() > 0 {
+		s.w.fail(fmt.Errorf("rt: scheduler deadlock: %s", s.parkedSummary()))
 	}
-	return p
 }
 
 // enqueue re-queues a processor whose awaited event arrived, on its home
-// queue. Called by the deliverer after wakeLocked ended its committed park.
+// queue, and wakes a sleeper only when one is registered. Called by the
+// deliverer after wake cleared its committed park.
 func (s *scheduler) enqueue(p *proc) {
-	s.mu.Lock()
+	s.busy.Add(1)
 	q := &s.queues[p.home]
+	q.mu.Lock()
 	q.ps = append(q.ps, p)
-	s.queued++
-	s.runqHi = max(s.runqHi, s.queued)
-	if q.idle || len(s.queues) > 1 && len(q.ps)-q.head > 1 {
-		for i := range s.queues { // the home worker first
-			if o := &s.queues[(p.home+i)%len(s.queues)]; o.idle {
-				o.idle = false
-				o.cond.Signal()
-				break
-			}
+	n := len(q.ps) - q.head
+	q.mu.Unlock()
+	if s.idle.Load() > 0 && (q.idle.Load() || n > 1) {
+		s.wakeOne(p.home) // the home worker first
+	}
+}
+
+// halt stops the worker pool (completion, abort or deadlock) and wakes
+// every sleeper to see it. A worker still registering sees stop itself
+// and withdraws; until it has, yield to it.
+func (s *scheduler) halt() {
+	s.stop.Store(true)
+	for s.idle.Load() > 0 {
+		if !s.wakeOne(0) {
+			runtime.Gosched()
 		}
 	}
-	s.mu.Unlock()
 }
 
-// halt stops the worker pool (abort path).
-func (s *scheduler) halt() {
-	s.mu.Lock()
-	s.stop.Store(true)
-	s.broadcastLocked()
-	s.mu.Unlock()
-}
-
-// parkedSummary names every parked processor and its wait reason, for the
-// deadlock error.
+// parkedSummary names every parked processor and what it waits for, for
+// the deadlock error.
 func (s *scheduler) parkedSummary() string {
 	var parts []string
 	for _, p := range s.w.procs {
-		p.mb.mu.Lock()
-		parked, wait, on := p.mb.parked, p.mb.wait, p.mb.waitOn
-		p.mb.mu.Unlock()
-		if !parked {
+		w := p.mb.park.Load()
+		if w&parkPhase != parkCommitted {
 			continue
 		}
+		wait, on := waitReason(w>>2&3), w>>4
 		switch wait {
 		case waitData, waitReady:
 			parts = append(parts, fmt.Sprintf("proc %d waits for %s from proc %d", p.rank, wait, p.neighbors[on]))
 		default:
-			parts = append(parts, fmt.Sprintf("proc %d waits for %s", p.rank, wait))
+			parts = append(parts, fmt.Sprintf("proc %d waits for %s %d from proc %d",
+				p.rank, wait, on>>collSlotBits, s.w.collPeer(p.rank, int(on&(1<<collSlotBits-1)))))
 		}
 	}
 	sort.Strings(parts)
@@ -451,8 +476,8 @@ func (s *scheduler) parkedSummary() string {
 }
 
 // coroutine is the sequence iter.Pull runs as the processor's coroutine:
-// the body, with every switch back to the worker (parkLocked) as one
-// yield. The recover sits inside the sequence because iter.Pull re-raises a
+// the body, with every switch back to the worker (park) as one yield. The
+// recover sits inside the sequence because iter.Pull re-raises a
 // coroutine's panic in whoever called next or stop — a worker, or the kill
 // pass.
 func (p *proc) coroutine(body func(p *proc)) iter.Seq[struct{}] {
@@ -471,192 +496,134 @@ func (p *proc) coroutine(body func(p *proc)) iter.Seq[struct{}] {
 	}
 }
 
-// parkLocked blocks the processor until its awaited event arrives. The
-// caller holds p.mb.mu and found the event missing; parkLocked records the
-// wait as a request, releases the lock and switches to the worker that
-// stepped us, which commits the park or — the event having arrived in
-// between — switches straight back (scheduler.step). It returns once a
-// worker steps us again; the caller re-locks and re-checks its condition
-// in a loop. A false yield is the kill pass stopping us.
-func (p *proc) parkLocked(reason waitReason, on uint64) {
+// request publishes a park request for (reason, on); the caller re-checks
+// its queue once, then withdraws the request or parks.
+func (p *proc) request(reason waitReason, on uint64) {
+	p.mb.park.Store(parkWord(reason, on) | parkRequested)
+}
+
+// park switches to the worker that stepped us, which commits the request
+// or — the event having arrived in between — switches straight back
+// (scheduler.step). It returns once a worker steps us again; the caller
+// re-checks its queue in a loop. A false yield is the kill pass stopping
+// us.
+func (p *proc) park(reason waitReason) {
 	p.parks[reason]++
-	p.mb.wait, p.mb.waitOn = reason, on
-	p.mb.mu.Unlock()
 	if !p.toWorker(struct{}{}) || p.w.sched.stop.Load() {
 		panic(errAborted)
 	}
 }
 
-// wakeLocked ends the owner's wait if it is for exactly this event,
-// returning whether the caller must enqueue it: only when the park was
-// already committed — a park still at the request stage is averted by the
-// worker holding the processor. Runs under the owner's mb.mu, on a peer's
-// coroutine.
-func (mb *mbox) wakeLocked(reason waitReason, on uint64) bool {
-	if mb.wait != reason || mb.waitOn != on {
-		return false
+// wake ends dst's wait if it is for exactly this event, which the caller
+// has already published, and enqueues dst if its park was committed. A
+// failed CAS means the word moved under us — the worker committed the
+// request, or the owner withdrew it — so look again.
+func (p *proc) wake(dst *proc, reason waitReason, on uint64) {
+	want := parkWord(reason, on)
+	for {
+		w := dst.mb.park.Load()
+		if w&^parkPhase != want {
+			return
+		}
+		if dst.mb.park.CompareAndSwap(w, 0) {
+			if w&parkPhase == parkCommitted {
+				p.w.sched.enqueue(dst)
+			}
+			return
+		}
 	}
-	mb.wait = waitNone
-	wake := mb.parked
-	mb.parked = false
-	return wake
 }
+
+// pushed records the depth a delivery left a queue at (MboxHiWater).
+func (p *proc) pushed(depth int) { p.mbHi = max(p.mbHi, depth) }
 
 // deliverData appends a message to dst's inbox from neighbor slot `slot`
 // (dst-relative) and wakes dst when it waits on that slot. It never
 // blocks: the queue holds whatever is in flight (see PairChanCap).
 func (p *proc) deliverData(dst *proc, slot int, m *dataMsg) {
-	dst.mb.mu.Lock()
-	dst.mb.data[slot] = append(dst.mb.data[slot], m)
-	if d := len(dst.mb.data[slot]) - dst.mb.dataHead[slot]; d > dst.mb.hi {
-		dst.mb.hi = d
-	}
-	wake := dst.mb.wakeLocked(waitData, uint64(slot))
-	dst.mb.mu.Unlock()
-	if wake {
-		p.w.sched.enqueue(dst)
-	}
+	p.pushed(dst.mb.slots[slot].data.push(m))
+	p.wake(dst, waitData, uint64(slot))
 }
 
-// deliverTok appends a rendezvous ready token to dst's inbox.
+// deliverTok appends a rendezvous ready token to dst's back-channel.
 func (p *proc) deliverTok(dst *proc, slot int, tok readyTok) {
-	dst.mb.mu.Lock()
-	dst.mb.toks[slot] = append(dst.mb.toks[slot], tok)
-	if d := len(dst.mb.toks[slot]) - dst.mb.toksHead[slot]; d > dst.mb.hi {
-		dst.mb.hi = d
-	}
-	wake := dst.mb.wakeLocked(waitReady, uint64(slot))
-	dst.mb.mu.Unlock()
-	if wake {
-		p.w.sched.enqueue(dst)
-	}
+	p.pushed(dst.mb.slots[slot].back.push(tok))
+	p.wake(dst, waitReady, uint64(slot))
 }
 
-// deliverRet hands a recycled buffer back to its sender, best-effort:
-// nobody ever waits on returns, and the stash is bounded like the free
-// lists.
+// deliverRet hands a recycled buffer back to its sender through the
+// back-channel, best-effort: nobody ever waits on returns, and the stash
+// is bounded like the free lists.
 func (p *proc) deliverRet(dst *proc, slot int, m *dataMsg) {
-	dst.mb.mu.Lock()
-	if len(dst.mb.rets[slot]) < poolCap {
-		dst.mb.rets[slot] = append(dst.mb.rets[slot], m)
+	if b := &dst.mb.slots[slot].back; b.len() < poolCap {
+		b.push(readyTok{m: m})
 	}
-	dst.mb.mu.Unlock()
 }
 
-// deliverColl inserts a collective hop message into dst's keyed inbox.
-// The (sequence, source) key is unique among undelivered messages (see
-// collKey); a duplicate insert means the schedules are corrupt, which
-// must abort rather than silently overwrite a value. Only the delivery
-// of the exact key the receiver waits on wakes it: a rank blocked at
-// one hop routinely sees early arrivals (its peers' next-level hops, or
-// the next reduction's first sends), and waking it for those would cost
-// a full spurious park/resume round trip per early message.
-func (p *proc) deliverColl(dst *proc, key uint64, m collMsg) {
-	dst.mb.mu.Lock()
-	if dst.mb.wait == waitRed && dst.mb.waitOn == key {
-		// The owner waits on exactly this message: hand it over
-		// directly. The direct slot cannot be occupied — the owner
-		// consumes it before parking again.
-		dst.mb.collDirect = m
-		dst.mb.collOk = true
-		wake := dst.mb.wakeLocked(waitRed, key)
-		dst.mb.mu.Unlock()
-		if wake {
-			p.w.sched.enqueue(dst)
+// deliverColl puts sequence seq's hop message into dst's receive slot k. A
+// slot already holding seq means two senders share it: the schedules are
+// corrupt, which must abort rather than silently overwrite a value. Only
+// the owner's wait on exactly this slot and sequence wakes it: a rank
+// blocked at one hop routinely sees early arrivals (its peers' next-level
+// hops, or the next reduction's first sends), and waking it for those
+// would cost a full spurious park/resume round trip per early message.
+func (p *proc) deliverColl(dst *proc, seq, k int, m collMsg) {
+	s := &dst.mb.coll[(seq&1)*(len(dst.mb.coll)/2)+k]
+	if s.stamp.Load() == uint32(seq)+1 {
+		panic(fmt.Sprintf("rt: proc %d: duplicate reduction message seq %d from proc %d", dst.rank, seq, p.rank))
+	}
+	s.start, s.val, s.sent, s.t = m.start, m.val, m.sent, m.t
+	s.stamp.Store(uint32(seq) + 1)
+	p.pushed(1)
+	p.wake(dst, waitRed, collOn(seq, k))
+}
+
+// next pops the next entry of one of the processor's FIFOs, parking until
+// one arrives.
+func next[T any](p *proc, f *fifo[T], reason waitReason, slot int) T {
+	for {
+		if v, ok := f.pop(); ok {
+			return v
 		}
-		return
+		p.request(reason, uint64(slot))
+		if v, ok := f.pop(); ok {
+			p.mb.park.Store(0)
+			return v
+		}
+		p.park(reason)
 	}
-	if dst.mb.coll == nil {
-		dst.mb.coll = map[uint64]collMsg{}
-	} else if _, dup := dst.mb.coll[key]; dup {
-		dst.mb.mu.Unlock()
-		panic(fmt.Sprintf("rt: proc %d: duplicate reduction message seq %d from proc %d", dst.rank, m.seq, m.src))
-	}
-	dst.mb.coll[key] = m
-	d := len(dst.mb.coll)
-	if dst.mb.collOk {
-		d++
-	}
-	if d > dst.mb.hi {
-		dst.mb.hi = d
-	}
-	dst.mb.mu.Unlock()
 }
 
 // nextData pops the next message from a neighbor slot, parking until one
 // arrives.
-func (p *proc) nextData(slot int) *dataMsg {
-	for {
-		p.mb.mu.Lock()
-		if q, h := p.mb.data[slot], p.mb.dataHead[slot]; h < len(q) {
-			m := q[h]
-			q[h] = nil
-			if h+1 == len(q) {
-				p.mb.data[slot] = q[:0]
-				p.mb.dataHead[slot] = 0
-			} else {
-				p.mb.dataHead[slot] = h + 1
-			}
-			p.mb.mu.Unlock()
-			return m
-		}
-		p.parkLocked(waitData, uint64(slot))
-	}
-}
+func (p *proc) nextData(slot int) *dataMsg { return next(p, &p.mb.slots[slot].data, waitData, slot) }
 
 // nextTok pops the next rendezvous token from a neighbor slot, parking
 // until one arrives.
-func (p *proc) nextTok(slot int) readyTok {
-	for {
-		p.mb.mu.Lock()
-		if q, h := p.mb.toks[slot], p.mb.toksHead[slot]; h < len(q) {
-			tok := q[h]
-			q[h] = readyTok{}
-			if h+1 == len(q) {
-				p.mb.toks[slot] = q[:0]
-				p.mb.toksHead[slot] = 0
-			} else {
-				p.mb.toksHead[slot] = h + 1
-			}
-			p.mb.mu.Unlock()
-			return tok
-		}
-		p.parkLocked(waitReady, uint64(slot))
-	}
-}
+func (p *proc) nextTok(slot int) readyTok { return next(p, &p.mb.slots[slot].back, waitReady, slot) }
 
-// nextColl takes the collective message with the given key, parking
-// until exactly that key is delivered (deliverColl's wake condition);
-// the loop guards against any residual spurious resume.
-func (p *proc) nextColl(key uint64) collMsg {
-	for {
-		p.mb.mu.Lock()
-		if p.mb.collOk {
-			m := p.mb.collDirect
-			p.mb.collOk = false
-			p.mb.mu.Unlock()
-			return m
+// nextColl takes sequence seq's message from receive slot k, parking
+// until exactly that message is delivered (deliverColl's wake condition).
+func (p *proc) nextColl(seq, k int) collMsg {
+	s, want := &p.mb.coll[(seq&1)*(len(p.mb.coll)/2)+k], uint32(seq)+1
+	for s.stamp.Load() != want {
+		p.request(waitRed, collOn(seq, k))
+		if s.stamp.Load() == want {
+			p.mb.park.Store(0)
+			break
 		}
-		if m, ok := p.mb.coll[key]; ok {
-			delete(p.mb.coll, key)
-			p.mb.mu.Unlock()
-			return m
-		}
-		p.parkLocked(waitRed, key)
+		p.park(waitRed)
 	}
+	return collMsg{s.start, s.val, s.sent, s.t}
 }
 
 // drainRets moves every buffer a peer returned into the send free list
 // (message-passing recycling).
 func (p *proc) drainRets(slot int) {
-	p.mb.mu.Lock()
-	q := p.mb.rets[slot]
-	p.mb.rets[slot] = q[:0]
-	for _, m := range q {
-		if len(p.sendPool[slot]) >= poolCap {
-			break
+	b := &p.mb.slots[slot].back
+	for tok, ok := b.pop(); ok; tok, ok = b.pop() {
+		if len(p.sendPool[slot]) < poolCap {
+			p.sendPool[slot] = append(p.sendPool[slot], tok.m)
 		}
-		p.sendPool[slot] = append(p.sendPool[slot], m)
 	}
-	p.mb.mu.Unlock()
 }

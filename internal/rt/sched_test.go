@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"commopt/internal/collective"
 	"commopt/internal/comm"
+	"commopt/internal/grid"
 	"commopt/internal/machine"
 	"commopt/internal/programs"
 	"commopt/internal/vtime"
@@ -130,10 +132,10 @@ func TestSchedulerPanicAfterWake(t *testing.T) {
 		w.runSched(workers, func(p *proc) {
 			switch p.rank {
 			case 0:
-				p.nextColl(collKey(0, 1)) // parks: rank order runs us first
+				p.nextColl(0, 0) // parks: rank order runs us first
 				panic("late boom")
 			case 1:
-				p.deliverColl(w.procs[0], collKey(0, 1), collMsg{src: 1})
+				p.deliverColl(w.procs[0], 0, 0, collMsg{})
 			default:
 				p.nextData(0) // parked when the abort comes
 			}
@@ -199,15 +201,16 @@ func init() {
 }
 
 // TestSchedulerParkStepHandshake hammers the one window the park protocol
-// has: between a processor's park request (wait set under mb.mu, then the
-// switch to its worker) and that worker's commit (parked set under mb.mu).
-// A delivery before the commit must avert the park — clear the wait,
-// enqueue nothing, the worker steps the processor again — and a delivery
-// after it must wake and enqueue exactly once; either way no second worker
-// may ever be inside the processor (iter.Pull panics "next called again
-// before yield", -race reports it), every body completes and live reaches
-// zero. Even ranks park once on a reduction message and finish on wake-up;
-// each odd rank watches its even neighbour's mailbox and delivers the
+// has: between a processor's park request (the park word stored with
+// parkRequested, then the switch to its worker) and that worker's commit
+// (the CAS to parkCommitted). A delivery before the commit must avert the
+// park — clear the word, enqueue nothing, the worker steps the processor
+// again — and a delivery after it must wake and enqueue exactly once;
+// either way no second worker may ever be inside the processor (iter.Pull
+// panics "next called again before yield", -race reports it), every body
+// completes and live reaches zero. Even ranks park once on a data message,
+// a ready token or a reduction message and finish on wake-up; each odd
+// rank, their east neighbour, watches the park word and delivers the
 // moment the request shows, so deliveries land on both sides of the
 // commit. A waker whose target has not asked within the deadline (its
 // worker starved of a step-budget token, say) delivers anyway and the
@@ -215,47 +218,142 @@ func init() {
 // switch out of a processor is its completion, an averted park or a
 // committed one.
 func TestSchedulerParkStepHandshake(t *testing.T) {
-	const procs, rounds = 16, 400
-	var averted, requested int64
-	for round := 0; round < rounds; round++ {
-		w := testWorld(t, procs)
-		var done atomic.Int32
-		w.runSched(8, func(p *proc) {
-			if p.rank%2 == 0 {
-				p.nextColl(collKey(0, p.rank+1))
-			} else {
-				dst := w.procs[p.rank-1]
-				for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); runtime.Gosched() {
-					dst.mb.mu.Lock()
-					asked := dst.mb.wait == waitRed
-					dst.mb.mu.Unlock()
-					if asked {
-						break
+	const procs, rounds = 16, 200
+	for _, reason := range []waitReason{waitData, waitReady, waitRed} {
+		var averted, requested int64
+		for round := 0; round < rounds; round++ {
+			w := testWorld(t, procs)
+			var done atomic.Int32
+			w.runSched(8, func(p *proc) {
+				if p.rank%2 == 0 {
+					switch slot := p.nbr[1][2].slot; reason {
+					case waitData:
+						p.nextData(slot)
+					case waitReady:
+						p.nextTok(slot)
+					default:
+						p.nextColl(0, 0)
+					}
+				} else {
+					dst := w.procs[p.rank-1]
+					for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); runtime.Gosched() {
+						if waitReason(dst.mb.park.Load()>>2&3) == reason {
+							break
+						}
+					}
+					switch back := p.nbr[1][0].back; reason {
+					case waitData:
+						p.deliverData(dst, back, &dataMsg{})
+					case waitReady:
+						p.deliverTok(dst, back, readyTok{})
+					default:
+						p.deliverColl(dst, 0, 0, collMsg{})
 					}
 				}
-				p.deliverColl(dst, collKey(0, p.rank), collMsg{src: p.rank})
+				done.Add(1)
+			})
+			if w.abortErr != nil {
+				t.Fatalf("%s round %d: unexpected abort: %v", reason, round, w.abortErr)
 			}
-			done.Add(1)
-		})
-		if w.abortErr != nil {
-			t.Fatalf("round %d: unexpected abort: %v", round, w.abortErr)
+			if n := done.Load(); n != procs {
+				t.Fatalf("%s round %d: %d of %d bodies completed", reason, round, n, procs)
+			}
+			if n := w.sched.live.Load(); n != 0 {
+				t.Fatalf("%s round %d: scheduler live = %d after completion, want 0", reason, round, n)
+			}
+			st := w.schedStats
+			committed := st.TotalSteps() - procs - st.ParksAverted // steps that ended in neither completion nor an averted park
+			if committed < 0 || st.ParksAverted+committed != st.TotalParks() || st.TotalParks() != st.Parks[reason] {
+				t.Fatalf("%s round %d: %d parks averted + %d committed, %d requested (%d steps, by reason %v)",
+					reason, round, st.ParksAverted, committed, st.TotalParks(), st.TotalSteps(), st.Parks)
+			}
+			averted += st.ParksAverted
+			requested += st.TotalParks()
 		}
-		if n := done.Load(); n != procs {
-			t.Fatalf("round %d: %d of %d bodies completed", round, n, procs)
-		}
-		if w.sched.live != 0 {
-			t.Fatalf("round %d: scheduler live = %d after completion, want 0", round, w.sched.live)
-		}
-		st := w.schedStats
-		committed := st.TotalSteps() - procs - st.ParksAverted // steps that ended in neither completion nor an averted park
-		if committed < 0 || st.ParksAverted+committed != st.TotalParks() {
-			t.Fatalf("round %d: %d parks averted + %d committed, %d requested (%d steps)",
-				round, st.ParksAverted, committed, st.TotalParks(), st.TotalSteps())
-		}
-		averted += st.ParksAverted
-		requested += st.TotalParks()
+		t.Logf("%s: %d rounds: %d parks requested, %d averted by a delivery before the commit", reason, rounds, requested, averted)
 	}
-	t.Logf("%d rounds: %d parks requested, %d averted by a delivery before the commit", rounds, requested, averted)
+}
+
+// TestSchedulerMailboxOverflow: one slot receives 8 × PairChanCap messages
+// before its owner pops — far past the inline ring — and they arrive in
+// order, without the sender ever blocking (with one worker, a blocked
+// sender would be a deadlock), with MboxHiWater at the depth. Once the
+// FIFO has grown, a second fill and drain allocates nothing.
+func TestSchedulerMailboxOverflow(t *testing.T) {
+	w := testWorld(t, 4)
+	depth := 8 * PairChanCap(w.plan)
+	slot := w.procs[0].nbr[1][2].slot // rank 0's slot for rank 1, its east neighbour
+	var got []int
+	w.runSched(1, func(p *proc) {
+		switch p.rank {
+		case 0:
+			p.nextTok(slot) // rank 1 has sent everything
+			for range depth {
+				got = append(got, p.nextData(slot).tag)
+			}
+		case 1:
+			back := p.nbr[1][0].back
+			for i := range depth {
+				p.deliverData(w.procs[0], back, &dataMsg{tag: i})
+			}
+			p.deliverTok(w.procs[0], back, readyTok{})
+		}
+	})
+	if w.abortErr != nil {
+		t.Fatal(w.abortErr)
+	}
+	for i, tag := range got {
+		if tag != i {
+			t.Fatalf("message %d of %d carries tag %d: order lost past the inline ring", i, depth, tag)
+		}
+	}
+	if len(got) != depth {
+		t.Fatalf("%d of %d messages arrived", len(got), depth)
+	}
+	if hi := w.schedStats.MboxHiWater; hi != depth {
+		t.Errorf("MboxHiWater = %d, want the fill depth %d", hi, depth)
+	}
+	f, m := &w.procs[0].mb.slots[slot].data, &dataMsg{}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for range depth {
+			f.push(m)
+		}
+		for range depth {
+			f.pop()
+		}
+	}); allocs != 0 {
+		t.Errorf("a second fill and drain of %d allocates %.0f times, want 0", depth, allocs)
+	}
+}
+
+// TestSchedulerDeadlockOnReduction: the deadlock diagnostic names what a
+// processor stuck in a reduction waits for — the sequence and the rank
+// that owes it the message — from the receive slot in its park word.
+func TestSchedulerDeadlockOnReduction(t *testing.T) {
+	w := testWorld(t, 16)
+	k := -1
+	for i, st := range w.collSteps[13] {
+		if st.Kind == collective.Recv && st.Peer == 12 {
+			k = int(w.collTo[13][i])
+		}
+	}
+	if k < 0 {
+		t.Fatalf("rank 13 receives nothing from rank 12 under %s", w.collAlg)
+	}
+	base := runtime.NumGoroutine()
+	w.runSched(2, func(p *proc) {
+		if p.rank == 13 {
+			p.nextColl(2, k) // rank 12 never sends: parks forever
+		}
+	})
+	if w.abortErr == nil {
+		t.Fatal("deadlocked run reported no error")
+	}
+	msg := w.abortErr.Error()
+	if !strings.Contains(msg, "scheduler deadlock") || !strings.Contains(msg, "proc 13 waits for reduction 2 from proc 12") {
+		t.Errorf("error %q does not name the reduction rank 13 waits for", msg)
+	}
+	noGoroutinesLeft(t, base)
 }
 
 // TestSchedulerWorkerCountsAgree: the same program must produce
@@ -364,5 +462,82 @@ func TestSchedulerStealsCounted(t *testing.T) {
 		if workers == 1 && res.Sched.Steals != 0 {
 			t.Errorf("one worker stole %d times", res.Sched.Steals)
 		}
+	}
+}
+
+// TestSchedulerCollectiveSlotsPair: collInbox numbers each rank's receives
+// 0, 1, ... in schedule order and gives every send the number of the
+// receive that takes it at the peer, for every algorithm on meshes where it
+// is eligible — the slot a sender fills is the one its receiver waits on.
+func TestSchedulerCollectiveSlotsPair(t *testing.T) {
+	for _, mesh := range []grid.Mesh{{Rows: 1, Cols: 2}, {Rows: 2, Cols: 2}, {Rows: 3, Cols: 5}, {Rows: 8, Cols: 8}, {Rows: 16, Cols: 8}} {
+		for _, alg := range collective.Algorithms() {
+			if !collective.Eligible(alg, mesh) {
+				continue
+			}
+			steps := collective.AllSteps(alg, mesh)
+			to := collInbox(steps)
+			for q, ss := range steps {
+				var k int32
+				for i, st := range ss {
+					if st.Kind != collective.Recv {
+						continue
+					}
+					if to[q][i] != k {
+						t.Fatalf("%s on %dx%d: rank %d's receive %d numbered %d", alg, mesh.Rows, mesh.Cols, q, k, to[q][i])
+					}
+					sent := false
+					for j, ps := range steps[st.Peer] {
+						sent = sent || ps.Kind == collective.Send && ps.Peer == q && to[st.Peer][j] == k
+					}
+					if !sent {
+						t.Fatalf("%s on %dx%d: rank %d's send to rank %d does not fill its receive slot %d", alg, mesh.Rows, mesh.Cols, st.Peer, q, k)
+					}
+					k++
+				}
+			}
+		}
+	}
+}
+
+// TestSchedulerFIFOConcurrentOrder: a producer 64 entries ahead before its
+// consumer starts — past the inline ring, on a heap ring — and pushing on,
+// growing the ring while the consumer pops on another goroutine, delivers
+// every entry once and in order (-race checks how entries and rings are
+// published).
+func TestSchedulerFIFOConcurrentOrder(t *testing.T) {
+	const n = 20000
+	var f fifo[int]
+	ahead, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range n {
+			f.push(i)
+			if i == 64 {
+				close(ahead) // past the inline ring: the consumer starts on a heap ring
+			}
+			if i%1000 == 0 {
+				runtime.Gosched()
+			}
+		}
+	}()
+	<-ahead
+	for want := 0; want < n; {
+		v, ok := f.pop()
+		if !ok {
+			runtime.Gosched()
+			continue
+		}
+		if v != want {
+			t.Fatalf("popped %d, want %d", v, want)
+		}
+		want++
+	}
+	<-done
+	if _, ok := f.pop(); ok {
+		t.Fatal("an entry beyond the last push")
+	}
+	if b := f.heap.Load(); b == nil || len(*b) < 128 {
+		t.Fatal("the ring never moved to a heap ring of the producer's lead")
 	}
 }

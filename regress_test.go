@@ -83,8 +83,8 @@ end;
 	for _, procs := range []int{1, 4, 64} {
 		_, err := prog.Run(plan, RunOptions{Procs: procs})
 		if msg := fmt.Sprint(err); err == nil || !strings.Contains(msg, "processor ") ||
-			!strings.Contains(msg, "11:7: B@[0,1,0] reads") || strings.Contains(msg, "goroutine ") {
-			t.Errorf("%d procs: error %q, want one naming the processor, 11:7 and B@[0,1,0]", procs, msg)
+			!strings.Contains(msg, "11:7: B@[0,1] reads") || strings.Contains(msg, "goroutine ") {
+			t.Errorf("%d procs: error %q, want one naming the processor, 11:7 and B@[0,1]", procs, msg)
 		}
 	}
 }

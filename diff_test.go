@@ -351,10 +351,10 @@ func TestKernelsMatchInterpreter(t *testing.T) {
 // changes simulated results, on every cell: the run with the event trace
 // (rings small enough to wrap), the callsite profile, the metrics registry
 // and the critical-path log all on is indistinguishable from the default run,
-// and the recorded path sums to the run's execution time. The recorders move
-// statements, IRONMAN calls and waits onto their bracketing paths
-// (proc.stmt, execCall, waitFor, waitEdge), which no other corpus suite
-// runs. (Until PR 19 adjacent statements could run as one fused sweep and
+// and the recorded path sums to the run's execution time. Observing moves
+// statements, IRONMAN calls and waits onto the paths that record them into
+// the processor's event log (proc.stmt, execCall, waitFor), which no other
+// corpus suite runs. (Until PR 19 adjacent statements could run as one fused sweep and
 // the reference was every statement on its own, as the name recalls; the
 // test IDs outlive it.)
 func TestFusionMatchesUnfused(t *testing.T) {

@@ -95,13 +95,15 @@ func Analyze(r *Recorder) (*Path, error) {
 		if steps > total+n {
 			return nil, fmt.Errorf("critpath: path walk exceeded %d steps (cyclic edges?)", total+n)
 		}
-		segs := r.Log(rank).Segs()
+		log := r.Log(rank)
+		segs := log.Segs()
 		// Greatest segment with Start < t; tiling guarantees it contains t.
 		i := sort.Search(len(segs), func(i int) bool { return segs[i].Start >= t }) - 1
 		if i < 0 || segs[i].End() < t {
 			return nil, fmt.Errorf("critpath: proc %d has no segment containing time %v", rank, t)
 		}
 		seg := segs[i]
+		c := log.ctxs[seg.ctx]
 		if seg.Kind == Wait && seg.From != NoSender {
 			from := int(seg.From)
 			if from < 0 || from >= n || from == rank {
@@ -120,7 +122,7 @@ func Analyze(r *Recorder) (*Path, error) {
 			if t > seg.SendT {
 				rev = append(rev, PathSeg{
 					Rank: rank, Start: seg.SendT, Dur: t.Sub(seg.SendT), Kind: Wait,
-					Reason: seg.Reason, From: from, Label: seg.Label, Site: seg.Site,
+					Reason: seg.Reason, From: from, Label: c.label, Site: c.site,
 				})
 			}
 			p.Hops++
@@ -129,7 +131,7 @@ func Analyze(r *Recorder) (*Path, error) {
 		}
 		rev = append(rev, PathSeg{
 			Rank: rank, Start: seg.Start, Dur: t.Sub(seg.Start), Kind: seg.Kind,
-			Reason: seg.Reason, From: -1, Label: seg.Label, Site: seg.Site,
+			Reason: seg.Reason, From: -1, Label: c.label, Site: c.site,
 		})
 		t = seg.Start
 	}

@@ -1,22 +1,21 @@
 // Package critpath records and analyzes the happens-before DAG of one
-// simulated run in virtual time. The runtime appends one segment per
-// clock advance into a per-processor log — compute charges, communication
-// software overhead, and blocking waits — and tags every wait whose end
-// was caused by another processor's message with a cross-processor edge:
-// the sending rank and the sender's clock value at the moment the message
-// left. Because the virtual clock only ever moves through three funnels
-// (charge, chargeComm, waitUntil), the segments of one processor tile its
-// timeline exactly: they are contiguous from time zero and their
-// durations sum to the processor's finish time. The analyzer (analyze.go)
-// walks the DAG backward from the latest finisher and extracts the
-// critical path — the chain of segments and message edges that bounds the
-// run's simulated execution time — attributing every nanosecond of it to
-// a specific statement, transfer callsite or collective hop.
+// simulated run in virtual time. A Log holds one processor's segments, one
+// per clock advance — compute charges, communication software overhead,
+// and blocking waits — and tags every wait whose end was caused by another
+// processor's message with a cross-processor edge: the sending rank and
+// the sender's clock value at the moment the message left. The runtime's
+// virtual clock only ever moves by charges and waits, so the segments of
+// one processor tile its timeline exactly: they are contiguous from time
+// zero and their durations sum to the processor's finish time. The
+// analyzer (analyze.go) walks the DAG backward from the latest finisher
+// and extracts the critical path — the chain of segments and message edges
+// that bounds the run's simulated execution time — attributing every
+// nanosecond of it to a specific statement, transfer callsite or
+// collective hop.
 //
-// Recording follows the observability pattern of package trace: one log
-// per virtual processor, single-writer, no locks, and a nil *Log on the
-// disabled path so the cost of having the subsystem compiled in is one
-// pointer check per clock advance.
+// The runtime folds its per-processor event logs (internal/rt/observe.go)
+// into Logs through Context, Compute, Comm and Wait. A Log names each
+// context once, so a segment is 40 bytes however long its labels are.
 package critpath
 
 import (
@@ -48,9 +47,10 @@ func (k Kind) String() string {
 	return "?"
 }
 
-// Reason says which event a Wait segment blocked on. The names mirror the
-// scheduler's waitReason strings (internal/rt/sched.go), so a critical-
-// path report and a deadlock report speak the same vocabulary.
+// Reason says which event a Wait segment blocked on. The runtime's
+// scheduler parks processors for the same reasons (internal/rt/sched.go),
+// so a critical-path report and a deadlock report speak the same
+// vocabulary.
 type Reason uint8
 
 // Wait reasons.
@@ -82,38 +82,50 @@ const NoSender = int32(-1)
 // segments additionally carry the happens-before edge that ended them:
 // From is the sending rank and SendT the sender's clock when the message
 // departed (the wait's end minus SendT is wire latency plus any time the
-// message spent queued before this processor consumed it).
+// message spent queued before this processor consumed it). The context's
+// label and site are the Log's (Log.Context names them once, not per
+// segment).
 type Seg struct {
 	Start  vtime.Time
 	Dur    vtime.Duration
+	SendT  vtime.Time
+	From   int32 // sending rank of the edge; NoSender when local
 	Kind   Kind
 	Reason Reason // None unless Kind == Wait
-	From   int32  // sending rank of the edge; NoSender when local
-	SendT  vtime.Time
-	Label  string // statement, IRONMAN call or collective hop
-	Site   string // source position ("" when the label carries it)
+	ctx    int32  // the Log's context id
 }
 
 // End returns the segment's end time.
 func (s Seg) End() vtime.Time { return s.Start.Add(s.Dur) }
+
+// context is one attribution context: a label and its source position.
+type context struct{ label, site string }
 
 // Log is one processor's segment sequence, appended in program order (and
 // therefore in nondecreasing virtual time). The current attribution
 // context — set around statements, IRONMAN calls and collective hops —
 // labels every segment recorded while it is in force.
 type Log struct {
-	segs  []Seg
-	label string
-	site  string
+	segs []Seg
+	ctxs []context         // by context id; ctxs[0] is the empty context
+	ids  map[context]int32 // context ids
+	cur  int32
 }
 
-// Context replaces the attribution context and returns the previous one,
-// so callers can bracket nested scopes (a reduction hop inside a
-// statement) and restore on the way out.
-func (l *Log) Context(label, site string) (prevLabel, prevSite string) {
-	prevLabel, prevSite = l.label, l.site
-	l.label, l.site = label, site
-	return prevLabel, prevSite
+// Context sets the attribution context of the segments recorded next:
+// the statement, IRONMAN call or collective hop and its source position.
+func (l *Log) Context(label, site string) {
+	c := context{label, site}
+	if l.ids == nil {
+		l.ctxs, l.ids = []context{{}}, map[context]int32{{}: 0}
+	}
+	id, ok := l.ids[c]
+	if !ok {
+		id = int32(len(l.ctxs))
+		l.ctxs = append(l.ctxs, c)
+		l.ids[c] = id
+	}
+	l.cur = id
 }
 
 // Compute records a compute-side clock advance of d starting at start.
@@ -130,13 +142,12 @@ func (l *Log) local(k Kind, start vtime.Time, d vtime.Duration) {
 	}
 	if n := len(l.segs); n > 0 {
 		last := &l.segs[n-1]
-		if last.Kind == k && last.Reason == None && last.End() == start &&
-			last.Label == l.label && last.Site == l.site {
+		if last.Kind == k && last.Reason == None && last.End() == start && last.ctx == l.cur {
 			last.Dur += d
 			return
 		}
 	}
-	l.segs = append(l.segs, Seg{Start: start, Dur: d, Kind: k, From: NoSender, Label: l.label, Site: l.site})
+	l.segs = append(l.segs, Seg{Start: start, Dur: d, Kind: k, From: NoSender, ctx: l.cur})
 }
 
 // Wait records a blocking interval ended by a message from rank `from`
@@ -148,7 +159,7 @@ func (l *Log) Wait(start vtime.Time, d vtime.Duration, reason Reason, from int, 
 	}
 	l.segs = append(l.segs, Seg{
 		Start: start, Dur: d, Kind: Wait, Reason: reason,
-		From: int32(from), SendT: sendT, Label: l.label, Site: l.site,
+		From: int32(from), SendT: sendT, ctx: l.cur,
 	})
 }
 
@@ -194,7 +205,7 @@ func NewRecorder() *Recorder { return &Recorder{} }
 func (r *Recorder) Init(procs int) {
 	r.logs = make([]*Log, procs)
 	for i := range r.logs {
-		r.logs[i] = &Log{}
+		r.logs[i] = &Log{ctxs: []context{{}}}
 	}
 }
 

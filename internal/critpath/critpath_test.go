@@ -2,6 +2,7 @@ package critpath
 
 import (
 	"testing"
+	"unsafe"
 
 	"commopt/internal/vtime"
 )
@@ -225,5 +226,13 @@ func TestAnalyzeEmptyRun(t *testing.T) {
 	}
 	if p.Finish != 0 || len(p.Segs) != 0 {
 		t.Fatalf("empty run produced path %+v", p)
+	}
+}
+
+// A run keeps every processor's segments until Analyze, so a segment
+// names its context by id and stays within 40 bytes.
+func TestSegSize(t *testing.T) {
+	if n := unsafe.Sizeof(Seg{}); n > 40 {
+		t.Errorf("a segment is %d bytes, want at most 40", n)
 	}
 }

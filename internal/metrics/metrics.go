@@ -1,10 +1,10 @@
 // Package metrics is a small registry of named counters and fixed-bucket
 // histograms for the simulator's observability subsystem: message sizes,
-// wait durations, statement times and call counts. Registries are
-// single-writer (the runtime keeps one per virtual processor and merges
-// them after the run), render as aligned text or as JSON following the
+// wait durations, statement times and call counts. A registry is
+// single-writer (the runtime folds every processor's observations into
+// one under a lock), renders as aligned text or as JSON following the
 // internal/diag wire conventions (stable structs, two-space indent), and
-// are fully deterministic: fixed bucket bounds, name-sorted output.
+// is fully deterministic: fixed bucket bounds, name-sorted output.
 package metrics
 
 import (
@@ -25,8 +25,8 @@ func (c *Counter) Add(n int64) { c.N += n }
 
 // Gauge is a named maximum: Observe keeps the largest value seen. The
 // runtime uses gauges for high-water marks (runnable-queue depth,
-// mailbox depth), which under Merge take the max across processors
-// where counters would wrongly sum.
+// mailbox depth), which take the max across processors where counters
+// would wrongly sum.
 type Gauge struct {
 	Name string
 	V    int64
@@ -82,8 +82,7 @@ func ExpBounds(lo, factor int64, n int) []int64 {
 	return out
 }
 
-// Registry holds one run's (or one processor's) counters, gauges and
-// histograms.
+// Registry holds one run's counters, gauges and histograms.
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -116,8 +115,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the named histogram, creating it with the given unit
-// and bounds on first use. Bounds must be ascending and non-empty; a
-// later call for the same name must agree on the bounds.
+// and bounds on first use (a later call's are ignored). Bounds must be
+// ascending and non-empty.
 func (r *Registry) Histogram(name, unit string, bounds []int64) *Histogram {
 	h := r.hists[name]
 	if h == nil {
@@ -133,43 +132,6 @@ func (r *Registry) Histogram(name, unit string, bounds []int64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Merge folds another registry into r: counters add, gauges take the
-// max, histograms add bucket-wise (their bounds must match).
-func (r *Registry) Merge(o *Registry) {
-	for name, c := range o.counters {
-		r.Counter(name).Add(c.N)
-	}
-	for name, g := range o.gauges {
-		if g.set {
-			r.Gauge(name).Observe(g.V)
-		}
-	}
-	for name, h := range o.hists {
-		dst := r.Histogram(name, h.Unit, h.bounds)
-		if len(dst.bounds) != len(h.bounds) {
-			panic(fmt.Sprintf("metrics: merge of histogram %q with different bounds", name))
-		}
-		for i := range dst.bounds {
-			if dst.bounds[i] != h.bounds[i] {
-				panic(fmt.Sprintf("metrics: merge of histogram %q with different bounds", name))
-			}
-		}
-		for i, n := range h.counts {
-			dst.counts[i] += n
-		}
-		if h.count > 0 {
-			if dst.count == 0 || h.min < dst.min {
-				dst.min = h.min
-			}
-			if dst.count == 0 || h.max > dst.max {
-				dst.max = h.max
-			}
-			dst.count += h.count
-			dst.sum += h.sum
-		}
-	}
 }
 
 // Counters returns every counter sorted by name.

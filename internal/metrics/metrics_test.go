@@ -89,56 +89,6 @@ func TestHistogramBadBoundsPanics(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	bounds := []int64{10, 100}
-	a, b := New(), New()
-	a.Counter("n").Add(1)
-	b.Counter("n").Add(2)
-	b.Counter("only-b").Add(5)
-	a.Histogram("h", "u", bounds).Observe(5)
-	b.Histogram("h", "u", bounds).Observe(500)
-	a.Merge(b)
-	if got := a.Counter("n").N; got != 3 {
-		t.Fatalf("merged counter = %d, want 3", got)
-	}
-	if got := a.Counter("only-b").N; got != 5 {
-		t.Fatalf("counter absent from dst = %d, want 5", got)
-	}
-	h := histogram(t, a, "h")
-	if h.Count != 2 || h.Min != 5 || h.Max != 500 || h.Sum != 505 {
-		t.Fatalf("merged hist: count=%d min=%d max=%d sum=%d", h.Count, h.Min, h.Max, h.Sum)
-	}
-	if h.Buckets[0].Count != 1 || h.Buckets[1].Count != 0 || h.Buckets[2].Count != 1 {
-		t.Fatalf("merged buckets: %+v", h.Buckets)
-	}
-}
-
-// Merging into a registry whose histogram is empty must adopt the
-// source's extremes, not keep zero mins.
-func TestMergeIntoEmptyHistogram(t *testing.T) {
-	bounds := []int64{10}
-	a, b := New(), New()
-	a.Histogram("h", "u", bounds) // created but never observed
-	b.Histogram("h", "u", bounds).Observe(7)
-	a.Merge(b)
-	h := histogram(t, a, "h")
-	if h.Min != 7 || h.Max != 7 || h.Count != 1 {
-		t.Fatalf("min=%d max=%d count=%d", h.Min, h.Max, h.Count)
-	}
-}
-
-func TestMergeBoundsMismatchPanics(t *testing.T) {
-	a, b := New(), New()
-	a.Histogram("h", "u", []int64{10})
-	b.Histogram("h", "u", []int64{20})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merge with different bounds accepted")
-		}
-	}()
-	a.Merge(b)
-}
-
 func TestText(t *testing.T) {
 	r := New()
 	r.Counter("bytes_sent").Add(2048)

@@ -193,20 +193,20 @@ type classCache[T any] struct {
 // where that is — compiling it under the lock when no processor of the
 // class has met the region yet; the compilation counts for the processor
 // that ran it, so the processors' counts sum to the world's.
-func (c *classCache[T]) get(cls int32, key grid.Region, m *procMetrics, kind int, build func(grid.Region) T) T {
+func (c *classCache[T]) get(cls int32, key grid.Region, count *[len(cacheOutcomes)]int64, build func(grid.Region) T) T {
 	if key.Empty() {
-		m.count(kind, hitEmpty)
+		count[hitEmpty]++
 		return c.empty
 	}
 	k := classKey{cls, key}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if v, ok := c.m[k]; ok {
-		m.count(kind, hitClass)
+		count[hitClass]++
 		return v
 	}
 	v := build(key)
-	m.count(kind, compiled)
+	count[compiled]++
 	if c.m == nil || len(c.m) >= classCacheLimit {
 		c.m = map[classKey]T{}
 	}

@@ -5,9 +5,7 @@ import (
 	"sync"
 
 	"commopt/internal/collective"
-	"commopt/internal/critpath"
 	"commopt/internal/ir"
-	"commopt/internal/trace"
 	"commopt/internal/vtime"
 )
 
@@ -162,8 +160,12 @@ func (p *proc) allreduce(node *ir.Reduce, val float64) float64 {
 	}
 
 	redStart := p.clock
-	msgs0, bytes0 := p.messages, p.bytesSent
-	comm0, wait0 := p.commT, p.waitT
+	var cid int
+	var prev ctx
+	if p.obs != nil {
+		cid = w.plan.CollectiveFor(node).ID
+		prev = p.obs.ctx
+	}
 
 	w.collContrib[seq&1][p.rank] = val
 	base, cnt := p.rank, 1
@@ -177,26 +179,15 @@ func (p *proc) allreduce(node *ir.Reduce, val float64) float64 {
 		return w.foldOf(seq, op)
 	}
 
-	// Critical-path attribution: each hop gets its own context naming the
-	// step, tagged with the reduction's source position; the surrounding
-	// statement context is restored after the last hop.
-	var csite, prevLabel, prevSite string
-	cplFirst := true
-	if p.cpl != nil {
-		if c := w.plan.CollectiveFor(node); c != nil {
-			csite = c.Pos.String()
-		}
-	}
-
 	for i, st := range w.collSteps[p.rank] {
 		k := int(w.collTo[p.rank][i])
-		if p.cpl != nil {
-			pl, ps := p.cpl.Context(collStepName(st), csite)
-			if cplFirst {
-				prevLabel, prevSite, cplFirst = pl, ps, false
-			}
+		if p.obs != nil {
+			// Each hop is its own context, named for the step and tagged
+			// with the reduction's source position.
+			p.obs.ctx = ctx{w.obs.hops[p.rank][i], w.obs.collSite(cid)}
 		}
 		bytes := collective.ValBytes * st.Count
+		start := p.clock
 		if st.Kind == collective.Send {
 			var m collMsg
 			if st.Bcast {
@@ -210,28 +201,22 @@ func (p *proc) allreduce(node *ir.Reduce, val float64) float64 {
 				}
 				m.start = int32(base)
 			}
-			start := p.clock
 			p.chargeComm(collective.SendCost(w.lib, st.Count))
 			m.sent = p.clock
 			m.t = p.clock.Add(collective.WireDelay(w.lib, st.Count))
 			p.messages++
 			p.bytesSent += int64(bytes)
-			if p.met != nil {
-				p.met.msgSize.Observe(int64(bytes))
-			}
-			if p.tr != nil {
-				p.tr.Add(trace.Event{Kind: trace.KindReduce, Start: start, Dur: p.clock.Sub(start),
-					Name: collStepName(st), A0: int64(st.Level), A1: int64(bytes), A2: int64(st.Peer)})
+			if p.obs != nil {
+				p.obs.add(event{kind: evHopSend, d: p.clock.Sub(start), v: int64(bytes), peer: int32(st.Peer), x: uint8(st.Level)})
 			}
 			p.deliverColl(w.procs[st.Peer], seq, k, m)
 		} else {
-			start := p.clock
 			// Receives follow the rank's deterministic schedule order, not
 			// arrival order — the virtual clock's wait/charge sequence must
 			// not depend on scheduling — so early arrivals wait in their
 			// receive slots.
 			m := p.nextColl(seq, k)
-			p.waitEdge(m.t, "wait reduce", critpath.Reduce, st.Peer, m.sent)
+			p.waitFor(m.t, waitRed, st.Peer, m.sent)
 			p.chargeComm(collective.RecvCost(w.lib, st.Count))
 			if st.Bcast {
 				result, haveResult = m.val, true
@@ -246,52 +231,32 @@ func (p *proc) allreduce(node *ir.Reduce, val float64) float64 {
 						p.rank, base, cnt, m.start))
 				}
 			}
-			if p.tr != nil {
-				p.tr.Add(trace.Event{Kind: trace.KindReduce, Start: start, Dur: p.clock.Sub(start),
-					Name: collStepName(st), A0: int64(st.Level), A1: int64(bytes), A2: int64(st.Peer)})
+			if p.obs != nil {
+				p.obs.add(event{kind: evHopRecv, d: p.clock.Sub(start), v: int64(bytes), peer: int32(st.Peer), x: uint8(st.Level)})
 			}
 		}
-	}
-	if p.cpl != nil && !cplFirst {
-		p.cpl.Context(prevLabel, prevSite)
 	}
 	if !haveResult {
 		// Butterfly: no broadcast phase — every rank holds the full
 		// vector and folds locally, in the same rank order.
 		result = fold()
 	}
-
-	if p.tr != nil {
-		p.tr.Add(trace.Event{Kind: trace.KindReduce, Start: redStart, Dur: p.clock.Sub(redStart),
-			Name: "allreduce " + op.String() + " (" + w.collAlg.String() + ")", A0: -1})
-	}
-	if p.cprof != nil {
-		if c := w.plan.CollectiveFor(node); c != nil {
-			a := p.cprof[c]
-			if a == nil {
-				a = &profAcc{}
-				p.cprof[c] = a
-			}
-			a.calls++
-			a.msgs += p.messages - msgs0
-			a.bytes += p.bytesSent - bytes0
-			a.comm += p.commT - comm0
-			a.wait += p.waitT - wait0
-		}
+	if p.obs != nil {
+		p.obs.ctx = ctx{w.obs.phase(cid), w.obs.collSite(cid)}
+		p.obs.add(event{kind: evPhase, d: p.clock.Sub(redStart)})
+		p.obs.ctx = prev
 	}
 	return result
 }
 
-// collStepName labels one hop's trace span: direction, round and peer.
+// collStepName labels one hop: direction, round and peer.
 func collStepName(st collective.Step) string {
-	verb := "send"
-	prep := "to"
+	step := "send L%d to %d"
 	if st.Kind == collective.Recv {
-		verb = "recv"
-		prep = "from"
+		step = "recv L%d from %d"
 	}
 	if st.Bcast {
-		verb = "bcast " + verb
+		step = "bcast " + step
 	}
-	return fmt.Sprintf("red %s L%d %s %d", verb, st.Level, prep, st.Peer)
+	return fmt.Sprintf("red "+step, st.Level, st.Peer)
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"commopt/internal/comm"
-	"commopt/internal/critpath"
 	"commopt/internal/grid"
 	"commopt/internal/machine"
-	"commopt/internal/trace"
 	"commopt/internal/vtime"
 )
 
@@ -121,45 +119,20 @@ func emptySched(t *comm.Transfer) *commSched {
 }
 
 // execCall performs one IRONMAN call under the current library binding.
-// With observability enabled it brackets the call to attribute the
-// clock's communication and wait deltas (and any messages sent) to the
-// transfer's source callsites, and records the call as a trace span.
+// An observed call is a span in the transfer's context, so its charges,
+// waits and messages count toward the transfer's source callsites.
 func (p *proc) execCall(c comm.Call) {
-	if p.tr == nil && p.prof == nil && p.met == nil && p.cpl == nil {
+	if p.obs == nil {
 		p.dispatchCall(c)
 		return
 	}
-	var prevLabel, prevSite string
-	if p.cpl != nil {
-		cn := &p.w.callNames[c.T.Slot]
-		prevLabel, prevSite = p.cpl.Context(cn.labels[c.Kind], cn.site)
-	}
-	start := p.clock
-	comm0, wait0 := p.commT, p.waitT
-	msgs0, bytes0 := p.messages, p.bytesSent
+	o := p.w.obs
+	prev := p.obs.ctx
+	p.obs.ctx = ctx{o.call(c.T.Slot, c.Kind), o.site(c.T.Slot)}
+	start, bytes0 := p.clock, p.bytesSent
 	p.dispatchCall(c)
-	if p.cpl != nil {
-		p.cpl.Context(prevLabel, prevSite)
-	}
-	if p.met != nil {
-		p.met.calls[c.Kind]++
-	}
-	if p.prof != nil {
-		a := &p.prof[c.T.Slot]
-		a.comm += p.commT - comm0
-		a.wait += p.waitT - wait0
-		a.msgs += p.messages - msgs0
-		a.bytes += p.bytesSent - bytes0
-		if c.Kind == comm.SR {
-			a.calls++
-		}
-	}
-	if p.tr != nil {
-		p.tr.Add(trace.Event{
-			Kind: trace.KindCall, Start: start, Dur: p.clock.Sub(start),
-			Name: p.w.callNames[c.T.Slot].labels[c.Kind], A0: int64(c.Kind), A1: p.bytesSent - bytes0,
-		})
-	}
+	p.obs.add(event{kind: evCall, d: p.clock.Sub(start), v: p.bytesSent - bytes0, x: uint8(c.Kind)})
+	p.obs.ctx = prev
 }
 
 // dispatchCall routes one IRONMAN call to its executor.
@@ -236,7 +209,7 @@ func (p *proc) execSR(t *comm.Transfer, st *commSched, lib *machine.Lib) {
 			}
 			// The token's timestamp is the destination's clock when it
 			// posted ready — the departure time of the unblocking event.
-			p.waitEdge(tok.t, "wait ready", critpath.Ready, nb.rank, tok.t)
+			p.waitFor(tok.t, waitReady, nb.rank, tok.t)
 		}
 		if pr.bytes > 0 {
 			p.chargeComm(lib.SRCost + machine.PerByteDur(lib.SRPerByte, pr.bytes))
@@ -260,11 +233,8 @@ func (p *proc) send(t *comm.Transfer, pr *packPair, nb *neighbor, lib *machine.L
 	if pr.bytes > 0 {
 		p.messages++
 		p.bytesSent += int64(pr.bytes)
-		if p.met != nil {
-			p.met.msgSize.Observe(int64(pr.bytes))
-		}
-		if p.tr != nil {
-			p.tr.Add(trace.Event{Kind: trace.KindSend, Start: p.clock, Name: "send", A0: int64(nb.rank), A1: int64(pr.bytes), A2: int64(t.ID)})
+		if p.obs != nil {
+			p.obs.add(event{kind: evSend, v: int64(pr.bytes), peer: int32(nb.rank)})
 		}
 	}
 	pr.pack(m.flat, p.kctx.data)
@@ -282,11 +252,11 @@ func (p *proc) execDN(t *comm.Transfer, st *commSched, lib *machine.Lib) {
 		if m.bytes != pr.bytes {
 			panic(fmt.Sprintf("rt: message size mismatch from %d: got %d want %d bytes", nb.rank, m.bytes, pr.bytes))
 		}
-		p.waitEdge(m.avail, "wait data", critpath.Data, nb.rank, m.sent)
+		p.waitFor(m.avail, waitData, nb.rank, m.sent)
 		if pr.bytes > 0 {
 			p.chargeComm(lib.DNCost + machine.PerByteDur(lib.DNPerByte, pr.bytes))
-			if p.tr != nil {
-				p.tr.Add(trace.Event{Kind: trace.KindRecv, Start: p.clock, Name: "recv", A0: int64(nb.rank), A1: int64(pr.bytes), A2: int64(t.ID)})
+			if p.obs != nil {
+				p.obs.add(event{kind: evRecv, v: int64(pr.bytes), peer: int32(nb.rank)})
 			}
 		} else {
 			p.chargeComm(lib.SynchEmptyCost)

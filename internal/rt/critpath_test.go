@@ -10,7 +10,7 @@ import (
 )
 
 // Conservation by construction: the virtual clock only moves through
-// charge, chargeComm and waitUntil, and the critpath recorder hooks all
+// charge, chargeComm and waitFor, and the one event log records all
 // three, so each processor's segment log must tile its timeline exactly
 // — per-kind sums equal to the breakdown categories and the analyzer's
 // path summing exactly to the run's finish time — under every optimizer

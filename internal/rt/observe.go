@@ -1,126 +1,83 @@
 package rt
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
 	"commopt/internal/comm"
+	"commopt/internal/critpath"
 	"commopt/internal/ir"
 	"commopt/internal/metrics"
+	"commopt/internal/trace"
 	"commopt/internal/vtime"
 	"commopt/internal/zpl"
 )
 
-// This file is the runtime half of the observability subsystem: the
-// per-callsite communication profile and the metrics registry. Both are
-// recorded per processor without locks (profAcc slices and procMetrics
-// registries are single-writer) and merged deterministically at gather.
-// Event tracing shares the same per-processor pattern; its recording
-// points live next to the code they observe in proc.go and commexec.go.
+// This file is the runtime's one observer. Every processor records what it
+// does, once, into its own log of fixed-size events (obsLog): clock advances
+// in the context they were charged in, messages, and the ends of statement,
+// IRONMAN call, collective hop and reduction spans. The log folds into the
+// trace ring, the critical-path segments, the callsite profile and the
+// metrics registry through those packages' APIs: a processor folds its log
+// each time it fills, and gather folds the rest. Only this file and rt.go's
+// Config and Result name those packages. Events carry no timestamp: the
+// clock moves only by charges and waits, which are events, so a fold sums
+// them, and a span ending at the clock began its length before it.
 
-// CallsiteProfile attributes one plan transfer's executed communication
-// back to ZPL source positions: the primary callsite (the earliest use
-// whose data the transfer delivers), any further callsites folded in by
-// redundancy removal or combining, and the transfer's dynamic totals
-// across all processors.
-type CallsiteProfile struct {
-	Pos     zpl.Pos   // primary callsite (Sites[0] of the transfer)
-	Label   string    // carried arrays and offset, e.g. "U,V@[0,1,0]"
-	Covers  []zpl.Pos // additional callsites this transfer serves
-	Hoisted bool      // executed in a loop preheader
+// observers is what one run observes: the reports Config asked for, the
+// world's label table, and, under mu, the profile rows and metrics every
+// processor's log folds into (kept whatever Config asked for; gather
+// reports what it did).
+type observers struct {
+	cfg Config // what the run asked for
 
-	Calls    int            // SR executions summed over all processors
-	Messages int            // non-empty point-to-point messages sent
-	Bytes    int64          // payload bytes sent
-	Comm     vtime.Duration // communication software overhead in the transfer's calls
-	Wait     vtime.Duration // blocking waits inside the transfer's calls
+	// names is the label table: every statement, call, hop, reduction-phase
+	// and site string of the run, once, by label id. 0 is the empty label;
+	// calls, the sites of the profile's rows (transfers, then collectives)
+	// and reduction phases follow at fixed offsets (call, site, phase), then
+	// the statements (stmts) and the hops (hops[r][i] names rank r's
+	// collective step i).
+	names  []string
+	xfers  []*comm.Transfer // by Transfer.Slot
+	stmts  map[ir.Stmt]int32
+	hops   [][]int32
+	intern map[string]int32
+
+	mu                        sync.Mutex
+	reg                       *metrics.Registry
+	msgSize, waitDur, stmtDur *metrics.Histogram
+	calls                     [4]int64          // IRONMAN calls by comm.CallKind
+	stmtsBy                   [2]int64          // statements by engine
+	rows                      []CallsiteProfile // by Transfer.Slot, then by Collective.ID
+	noRow                     CallsiteProfile   // what no row attributes
 }
 
-// profAcc is one processor's accumulator for one transfer.
-type profAcc struct {
-	calls, msgs int
-	bytes       int64
-	comm, wait  vtime.Duration
+func (o *observers) call(slot int, k comm.CallKind) int32 { return int32(1 + 4*slot + int(k)) }
+func (o *observers) site(row int) int32                   { return int32(1 + 4*len(o.xfers) + row) }
+func (o *observers) collSite(c int) int32                 { return o.site(len(o.xfers) + c) }
+func (o *observers) phase(c int) int32                    { return o.site(len(o.rows) + c) }
+
+// label returns the id of name, adding it to the table on first sight.
+func (o *observers) label(name string) int32 {
+	id, ok := o.intern[name]
+	if !ok {
+		id = int32(len(o.names))
+		o.names = append(o.names, name)
+		o.intern[name] = id
+	}
+	return id
 }
 
-func (g *profAcc) add(a profAcc) {
-	g.calls += a.calls
-	g.msgs += a.msgs
-	g.bytes += a.bytes
-	g.comm += a.comm
-	g.wait += a.wait
-}
-
-// gatherProfile merges the per-processor accumulators into source-sorted
-// profile rows (nil when profiling was off).
-func (w *world) gatherProfile() []CallsiteProfile {
-	if w.procs[0].prof == nil {
-		return nil
+// row returns the profile row that charges, waits and messages in context c
+// count toward: by the site of its call's transfer or its hop's collective.
+func (o *observers) row(c ctx) *CallsiteProfile {
+	if i := int(c.site - o.site(0)); c.site >= o.site(0) && i < len(o.rows) {
+		return &o.rows[i]
 	}
-	agg := make([]profAcc, w.plan.NumTransfers())
-	for _, p := range w.procs {
-		for slot, a := range p.prof {
-			agg[slot].add(a)
-		}
-	}
-	cagg := map[*comm.Collective]*profAcc{}
-	for _, p := range w.procs {
-		for c, a := range p.cprof {
-			g := cagg[c]
-			if g == nil {
-				g = &profAcc{}
-				cagg[c] = g
-			}
-			g.add(*a)
-		}
-	}
-	rows := make([]CallsiteProfile, 0, len(agg)+len(cagg))
-	w.eachTransfer(func(t *comm.Transfer) {
-		// Rows exist for executed transfers only; every executed DR..SV
-		// sequence counts a call at its SR.
-		a := agg[t.Slot]
-		if a.calls == 0 {
-			return
-		}
-		row := CallsiteProfile{
-			Label:   t.Label(),
-			Hoisted: t.Hoisted,
-			Calls:   a.calls, Messages: a.msgs, Bytes: a.bytes,
-			Comm: a.comm, Wait: a.wait,
-		}
-		if len(t.Sites) > 0 {
-			row.Pos = t.Sites[0].Pos
-			for _, s := range t.Sites[1:] {
-				row.Covers = append(row.Covers, s.Pos)
-			}
-		}
-		rows = append(rows, row)
-	})
-	// Collective rows: one per reduction site, labeled with the operator
-	// and the algorithm that executed it. Calls counts executions on rank
-	// 0 only (one per global reduction, matching Result.Reductions);
-	// messages/bytes/comm/wait sum over every rank's hops, so profile
-	// rows keep summing exactly to Result.Messages/BytesSent.
-	for c, a := range cagg {
-		rows = append(rows, CallsiteProfile{
-			Pos:   c.Pos,
-			Label: c.Op.String() + " (" + w.collAlg.String() + ")",
-			Calls: a.calls / len(w.procs), Messages: a.msgs, Bytes: a.bytes,
-			Comm: a.comm, Wait: a.wait,
-		})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Col != b.Pos.Col {
-			return a.Pos.Col < b.Pos.Col
-		}
-		return a.Label < b.Label
-	})
-	return rows
+	return &o.noRow
 }
 
 // Fixed bucket geometries for the runtime's histograms: message sizes in
@@ -131,67 +88,357 @@ var (
 	durationBounds = metrics.ExpBounds(1000, 4, 10)
 )
 
-// procMetrics is one processor's live metric instruments. Counters that
-// mirror fields the runtime already maintains (messages, reductions,
-// call counts) are folded in at gather instead of on the hot path.
-type procMetrics struct {
-	reg       *metrics.Registry
-	msgSize   *metrics.Histogram
-	waitDur   *metrics.Histogram
-	stmtDur   *metrics.Histogram
-	calls     [4]int64                                   // IRONMAN call executions by comm.CallKind
-	stmtsByEn [2]int64                                   // statement executions by trace engine code
-	caches    [len(cacheKinds)][len(cacheOutcomes)]int64 // site lookups (site.go)
-	regions   [len(slotOutcomes)]int64                   // literal regions entered (site.go)
-	elems     [2]int64                                   // elements kernels computed: in rows the Go loops ran, in rows the wide loops ran
-}
-
-// countElems books one kernel execution: n elements in rows of L.
-func (m *procMetrics) countElems(L, n int) {
-	if wide(L) {
-		m.elems[1] += int64(n)
-	} else {
-		m.elems[0] += int64(n)
+// observe gives the world its observers and every processor an empty log
+// when cfg asks for any report.
+func (w *world) observe(cfg Config) {
+	if cfg.Trace == nil && cfg.Critpath == nil && !cfg.Profile && !cfg.Metrics {
+		return
 	}
-}
-
-func newProcMetrics() *procMetrics {
-	reg := metrics.New()
-	return &procMetrics{
-		reg:     reg,
-		msgSize: reg.Histogram("message_size_bytes", "bytes", msgSizeBounds),
-		waitDur: reg.Histogram("wait_duration_ns", "virtual ns", durationBounds),
-		stmtDur: reg.Histogram("stmt_duration_ns", "virtual ns", durationBounds),
+	n := w.plan.NumTransfers()
+	o := &observers{
+		cfg: cfg, xfers: make([]*comm.Transfer, n),
+		stmts: map[ir.Stmt]int32{}, intern: map[string]int32{},
+		reg:  metrics.New(),
+		rows: make([]CallsiteProfile, n+len(w.plan.Collectives)),
 	}
-}
-
-// gatherMetrics merges every processor's registry and folds in the
-// counters kept as plain fields (nil when metrics were off).
-func (w *world) gatherMetrics() *metrics.Registry {
-	if w.procs[0].met == nil {
-		return nil
+	o.msgSize = o.reg.Histogram("message_size_bytes", "bytes", msgSizeBounds)
+	o.waitDur = o.reg.Histogram("wait_duration_ns", "virtual ns", durationBounds)
+	o.stmtDur = o.reg.Histogram("stmt_duration_ns", "virtual ns", durationBounds)
+	o.names = make([]string, o.phase(len(w.plan.Collectives)))
+	for _, bp := range w.plan.Blocks {
+		for _, s := range bp.Stmts {
+			o.stmts[s] = o.label(stmtName(s))
+		}
+		for _, t := range bp.Transfers {
+			o.xfers[t.Slot] = t
+			for k := comm.DR; k <= comm.SV; k++ {
+				o.names[o.call(t.Slot, k)] = k.String() + " " + t.Label()
+			}
+			if len(t.Sites) > 0 {
+				o.names[o.site(t.Slot)] = t.Sites[0].Pos.String()
+			}
+		}
 	}
-	reg := metrics.New()
+	for _, c := range w.plan.Collectives {
+		o.names[o.collSite(c.ID)] = c.Pos.String()
+		o.names[o.phase(c.ID)] = "allreduce " + c.Op.String() + " (" + w.collAlg.String() + ")"
+	}
+	o.hops = make([][]int32, len(w.collSteps))
+	for r, steps := range w.collSteps {
+		o.hops[r] = make([]int32, len(steps))
+		for i, st := range steps {
+			o.hops[r][i] = o.label(collStepName(st))
+		}
+	}
+	if cfg.Trace != nil {
+		cfg.Trace.Init(len(w.procs))
+	}
+	if cfg.Critpath != nil {
+		cfg.Critpath.Init(len(w.procs))
+	}
+	w.obs = o
 	for _, p := range w.procs {
-		reg.Merge(p.met.reg)
+		p.obs = &obsLog{o: o, ev: make([]event, 0, obsChunk)}
+		if cfg.Trace != nil {
+			p.obs.tb = cfg.Trace.Buffer(p.rank)
+			cfg.Trace.SetProcLabel(p.rank, fmt.Sprintf("proc %d (%d,%d)", p.rank, p.row, p.col))
+		}
+		if cfg.Critpath != nil {
+			p.obs.cl = cfg.Critpath.Log(p.rank)
+		}
+	}
+}
+
+// stmtName names a statement for the trace and the critical path.
+func stmtName(s ir.Stmt) string {
+	switch s := s.(type) {
+	case *ir.AssignArray:
+		return fmt.Sprintf("%s := ... (%s)", s.LHS.Name, s.Pos)
+	case *ir.AssignScalar:
+		if s.HasReduce {
+			return fmt.Sprintf("%s := reduce (%s)", s.LHS.Name, s.Pos)
+		}
+		return fmt.Sprintf("%s := scalar (%s)", s.LHS.Name, s.Pos)
+	case *ir.Write:
+		return fmt.Sprintf("writeln (%s)", s.Pos)
+	}
+	return fmt.Sprintf("%T", s)
+}
+
+// obsLog is one processor's observation log: its events not yet folded,
+// in program order, the clock where they begin, and the context it
+// records them in; and the processor's trace ring and critical-path log
+// (nil when not asked for).
+type obsLog struct {
+	o   *observers
+	ev  []event
+	at  vtime.Time
+	ctx ctx
+	tb  *trace.Buffer
+	cl  *critpath.Log
+}
+
+// obsChunk is how many events a log holds before its processor folds them.
+const obsChunk = 256
+
+// ctx is an attribution context, as label ids: the statement, call or hop
+// executing and the source position it answers to (0 where the label
+// carries it).
+type ctx struct{ label, site int32 }
+
+// event is one record of an obsLog, 32 bytes. Compute, comm and wait
+// advance the clock by d; send and receive happen at the clock; the span
+// kinds (stmt, call, hops, phase) end at the clock, d after they began.
+type event struct {
+	d    vtime.Duration
+	v    int64 // wait: the sender's clock at departure; send, recv, call, hops: bytes
+	ctx  ctx   // where it happened; a span's own
+	peer int32 // wait: the sender; send, recv, hops: the other rank
+	kind evKind
+	x    uint8 // wait: waitReason; stmt: engine; call: comm.CallKind; hops: level
+}
+
+type evKind uint8
+
+const (
+	evCompute evKind = iota
+	evComm
+	evWait
+	evSend
+	evRecv
+	evStmt
+	evCall
+	evHopSend
+	evHopRecv
+	evPhase
+)
+
+// Statement engines as a stmt event records them: trace's engine codes.
+const (
+	engineScalar = uint8(trace.EngineScalar)
+	engineKernel = uint8(trace.EngineKernel)
+)
+
+// waitReason says which event a parked or waiting processor is blocked
+// on: the critical path's reasons, so a critical-path report and a
+// deadlock report (sched.go) speak the same vocabulary.
+type waitReason = critpath.Reason
+
+const (
+	waitNone  = critpath.None
+	waitData  = critpath.Data   // message from a neighbor slot
+	waitReady = critpath.Ready  // rendezvous ready token from a neighbor slot
+	waitRed   = critpath.Reduce // reduction contribution or broadcast
+)
+
+// waitNames names a wait by its reason in the trace.
+var waitNames = [...]string{waitData: "wait data", waitReady: "wait ready", waitRed: "wait reduce"}
+
+// charge records a clock advance of d (compute or comm), merged into the
+// last event when that is an advance of the same kind and context.
+func (l *obsLog) charge(kind evKind, d vtime.Duration) {
+	if d <= 0 {
+		return
+	}
+	if n := len(l.ev); n > 0 && l.ev[n-1].kind == kind && l.ev[n-1].ctx == l.ctx {
+		l.ev[n-1].d += d
+		return
+	}
+	l.add(event{kind: kind, d: d})
+}
+
+// add records e in the current context, folding the log first if full.
+func (l *obsLog) add(e event) {
+	if len(l.ev) == obsChunk {
+		l.flush()
+	}
+	e.ctx = l.ctx
+	l.ev = append(l.ev, e)
+}
+
+// flush folds the log's events into the processor's trace ring and
+// critical-path log and into the run's profile rows and metrics, and
+// empties it. Rows and metrics only add or keep maxima, so the order in
+// which processors fold does not show.
+func (l *obsLog) flush() {
+	o, tb, cl := l.o, l.tb, l.cl
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	now := l.at
+	for _, e := range l.ev {
+		row, name, start := o.row(e.ctx), o.names[e.ctx.label], now.Add(-e.d)
+		if e.kind <= evWait {
+			start, now = now, now.Add(e.d)
+			if cl != nil {
+				cl.Context(name, o.names[e.ctx.site])
+				switch e.kind {
+				case evCompute:
+					cl.Compute(start, e.d)
+				case evComm:
+					cl.Comm(start, e.d)
+				default:
+					cl.Wait(start, e.d, waitReason(e.x), int(e.peer), vtime.Time(e.v))
+				}
+			}
+		}
+		var ev trace.Event
+		switch e.kind {
+		case evComm:
+			row.Comm += e.d
+		case evWait:
+			ev = trace.Event{Kind: trace.KindWait, Start: start, Dur: e.d, Name: waitNames[e.x]}
+			o.waitDur.Observe(int64(e.d))
+			row.Wait += e.d
+		case evSend, evRecv:
+			ev = trace.Event{Kind: trace.KindSend, Start: now, Name: "send", A0: int64(e.peer), A1: e.v, A2: int64(o.xfers[e.ctx.site-o.site(0)].ID)}
+			if e.kind == evRecv {
+				ev.Kind, ev.Name = trace.KindRecv, "recv"
+			} else {
+				o.send(row, e.v)
+			}
+		case evStmt:
+			ev = trace.Event{Kind: trace.KindStmt, Start: start, Dur: e.d, Name: name, A0: int64(e.x)}
+			o.stmtDur.Observe(int64(e.d))
+			o.stmtsBy[e.x]++
+		case evCall:
+			ev = trace.Event{Kind: trace.KindCall, Start: start, Dur: e.d, Name: name, A0: int64(e.x), A1: e.v}
+			o.calls[e.x]++
+			if comm.CallKind(e.x) == comm.SR {
+				row.Calls++
+			}
+		case evHopSend, evHopRecv:
+			ev = trace.Event{Kind: trace.KindReduce, Start: start, Dur: e.d, Name: name, A0: int64(e.x), A1: e.v, A2: int64(e.peer)}
+			if e.kind == evHopSend {
+				o.send(row, e.v)
+			}
+		case evPhase:
+			ev = trace.Event{Kind: trace.KindReduce, Start: start, Dur: e.d, Name: name, A0: -1}
+			row.Calls++
+		}
+		if tb != nil && ev.Name != "" {
+			tb.Add(ev)
+		}
+	}
+	l.at = now
+	l.ev = l.ev[:0]
+}
+
+// send books one message of the given bytes.
+func (o *observers) send(row *CallsiteProfile, bytes int64) {
+	o.msgSize.Observe(bytes)
+	row.Messages++
+	row.Bytes += bytes
+}
+
+// report folds what is left of every processor's log, drops the logs and
+// completes the reports Config asked for.
+func (w *world) report(res *Result) {
+	o := w.obs
+	if o == nil {
+		return
+	}
+	for _, p := range w.procs {
+		p.obs.flush()
+		p.obs = nil
+	}
+	if o.cfg.Profile {
+		res.Profile = w.profile()
+	}
+	if o.cfg.Metrics {
+		res.Metrics = w.metrics()
+	}
+}
+
+// CallsiteProfile attributes one plan transfer's executed communication
+// back to ZPL source positions: the primary callsite (the earliest use
+// whose data the transfer delivers), any further callsites folded in by
+// redundancy removal or combining, and the transfer's dynamic totals
+// across all processors.
+type CallsiteProfile struct {
+	Pos     zpl.Pos   // primary callsite (Sites[0] of the transfer)
+	Label   string    // carried arrays and offset, e.g. "U,V@[0,1,0]"
+	Covers  []zpl.Pos // further callsites this transfer serves: distinct, not Pos, in source order
+	Hoisted bool      // executed in a loop preheader
+
+	Calls    int            // SR executions summed over all processors
+	Messages int            // non-empty point-to-point messages sent
+	Bytes    int64          // payload bytes sent
+	Comm     vtime.Duration // communication software overhead in the transfer's calls
+	Wait     vtime.Duration // blocking waits inside the transfer's calls
+}
+
+// profile makes the folded rows source-sorted profile rows: one per
+// executed transfer, then one per executed reduction site.
+func (w *world) profile() []CallsiteProfile {
+	o := w.obs
+	rows := make([]CallsiteProfile, 0, len(o.rows))
+	for _, t := range o.xfers {
+		// Rows exist for executed transfers only; every executed DR..SV
+		// sequence counts a call at its SR.
+		row := o.rows[t.Slot]
+		if row.Calls == 0 {
+			continue
+		}
+		row.Label, row.Hoisted = t.Label(), t.Hoisted
+		if len(t.Sites) > 0 {
+			row.Pos = t.Sites[0].Pos
+			for _, s := range t.Sites[1:] {
+				if s.Pos != row.Pos {
+					row.Covers = append(row.Covers, s.Pos)
+				}
+			}
+			slices.SortFunc(row.Covers, cmpPos)
+			row.Covers = slices.Compact(row.Covers)
+		}
+		rows = append(rows, row)
+	}
+	// Collective rows: one per reduction site, labeled with the operator
+	// and the algorithm that executed it. Calls counts executions per rank
+	// (one per global reduction, matching Result.Reductions); messages,
+	// bytes, comm and wait sum over every rank's hops, so profile rows keep
+	// summing exactly to Result.Messages and BytesSent.
+	for _, c := range w.plan.Collectives {
+		row := o.rows[len(o.xfers)+c.ID]
+		if row.Calls == 0 {
+			continue
+		}
+		row.Pos, row.Label = c.Pos, c.Op.String()+" ("+w.collAlg.String()+")"
+		row.Calls /= len(w.procs)
+		rows = append(rows, row)
+	}
+	slices.SortStableFunc(rows, func(a, b CallsiteProfile) int {
+		return cmp.Or(cmpPos(a.Pos, b.Pos), strings.Compare(a.Label, b.Label))
+	})
+	return rows
+}
+
+func cmpPos(a, b zpl.Pos) int { return cmp.Or(cmp.Compare(a.Line, b.Line), cmp.Compare(a.Col, b.Col)) }
+
+// metrics completes the folded registry with the counters every processor
+// keeps as plain fields and the scheduler's statistics.
+func (w *world) metrics() *metrics.Registry {
+	o := w.obs
+	reg := o.reg
+	for k, n := range o.calls {
+		reg.Counter("ironman_calls_" + strings.ToLower(comm.CallKind(k).String())).Add(n)
+	}
+	reg.Counter("stmts_scalar").Add(o.stmtsBy[engineScalar])
+	reg.Counter("stmts_kernel").Add(o.stmtsBy[engineKernel])
+	for _, p := range w.procs {
 		reg.Counter("messages").Add(int64(p.messages))
 		reg.Counter("bytes_sent").Add(p.bytesSent)
 		reg.Counter("reductions").Add(int64(p.reductions))
-		for k, n := range p.met.calls {
-			reg.Counter("ironman_calls_" + strings.ToLower(comm.CallKind(k).String())).Add(n)
-		}
-		reg.Counter("stmts_scalar").Add(p.met.stmtsByEn[0])
-		reg.Counter("stmts_kernel").Add(p.met.stmtsByEn[1])
-		reg.Counter("kernel_elems_scalar").Add(p.met.elems[0])
-		reg.Counter("kernel_elems_wide").Add(p.met.elems[1])
+		reg.Counter("kernel_elems_scalar").Add(p.elems[0])
+		reg.Counter("kernel_elems_wide").Add(p.elems[1])
 		for kind, name := range cacheKinds {
 			for outcome, what := range cacheOutcomes {
-				reg.Counter(name + "_cache_" + what).Add(p.met.caches[kind][outcome])
+				reg.Counter(name + "_cache_" + what).Add(p.caches[kind][outcome])
 			}
 		}
 		for outcome, what := range slotOutcomes {
-			reg.Counter("region_slot_" + what).Add(p.met.regions[outcome])
+			reg.Counter("region_slot_" + what).Add(p.regionCounts[outcome])
 		}
+		reg.Gauge("arena_hiwater_doubles").Observe(int64(p.arenaHi))
 	}
 	reg.Counter("dynamic_transfers").Add(int64(w.procs[0].dynTransfers))
 	reg.Gauge("shape_classes").Observe(int64(len(w.classes)))
@@ -210,63 +457,4 @@ func (w *world) gatherMetrics() *metrics.Registry {
 		reg.Gauge("sched_mbox_hiwater").Observe(int64(st.MboxHiWater))
 	}
 	return reg
-}
-
-// stmtLabel names a statement for trace events, cached per processor.
-func (p *proc) stmtLabel(s ir.Stmt) string {
-	if l, ok := p.stmtLabels[s]; ok {
-		return l
-	}
-	var l string
-	switch s := s.(type) {
-	case *ir.AssignArray:
-		l = fmt.Sprintf("%s := ... (%s)", s.LHS.Name, s.Pos)
-	case *ir.AssignScalar:
-		if s.HasReduce {
-			l = fmt.Sprintf("%s := reduce (%s)", s.LHS.Name, s.Pos)
-		} else {
-			l = fmt.Sprintf("%s := scalar (%s)", s.LHS.Name, s.Pos)
-		}
-	case *ir.Write:
-		l = fmt.Sprintf("writeln (%s)", s.Pos)
-	default:
-		l = fmt.Sprintf("%T", s)
-	}
-	if p.stmtLabels == nil {
-		p.stmtLabels = map[ir.Stmt]string{}
-	}
-	p.stmtLabels[s] = l
-	return l
-}
-
-// eachTransfer visits every transfer of the plan (Slot order).
-func (w *world) eachTransfer(fn func(t *comm.Transfer)) {
-	for _, bp := range w.plan.Blocks {
-		for _, t := range bp.Transfers {
-			fn(t)
-		}
-	}
-}
-
-// callName is one transfer's observability strings: the names of its
-// IRONMAN call events (trace) and its primary callsite position (critical-
-// path attribution).
-type callName struct {
-	labels [4]string // by comm.CallKind
-	site   string
-}
-
-// nameCalls builds every transfer's callName, by Transfer.Slot, for all
-// processors to share.
-func (w *world) nameCalls() {
-	w.callNames = make([]callName, w.plan.NumTransfers())
-	w.eachTransfer(func(t *comm.Transfer) {
-		cn := &w.callNames[t.Slot]
-		for k := comm.DR; k <= comm.SV; k++ {
-			cn.labels[k] = k.String() + " " + t.Label()
-		}
-		if len(t.Sites) > 0 {
-			cn.site = t.Sites[0].Pos.String()
-		}
-	})
 }

@@ -3,11 +3,16 @@ package rt
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"regexp"
 	"testing"
+	"unsafe"
 
 	"commopt/internal/comm"
+	"commopt/internal/critpath"
 	"commopt/internal/ir"
 	"commopt/internal/machine"
+	"commopt/internal/programs"
 	"commopt/internal/trace"
 	"commopt/internal/vtime"
 	"commopt/internal/zpl"
@@ -329,5 +334,150 @@ func TestObservabilityOffByDefault(t *testing.T) {
 	}
 	if res.Metrics != nil {
 		t.Error("Metrics non-nil without Config.Metrics")
+	}
+}
+
+// A row's further callsites are distinct, leave out the row's own callsite
+// and run in source order. sp's transfers list callsites more than once and
+// out of order (72:7 serves 76:7 twice, after 80:7), and the 92:9 row's
+// transfer lists its own callsite among the rest.
+func TestProfileCovers(t *testing.T) {
+	sp, err := programs.ByName("sp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runSrc(t, sp.Source, comm.PL(), Config{Procs: 16, Profile: true, ConfigVars: map[string]float64{"iters": 2}})
+	want := map[string]string{"72:7": "74:7 76:7 78:7 80:7", "92:9": "93:9 94:9 95:9 96:9 97:9"}
+	found := map[string]bool{}
+	for _, row := range res.Profile {
+		got := ""
+		for i, p := range row.Covers {
+			if i > 0 {
+				got += " "
+			}
+			got += p.String()
+		}
+		if w, ok := want[row.Pos.String()]; ok {
+			found[row.Pos.String()] = true
+			if got != w {
+				t.Errorf("%s %s covers %q, want %q", row.Pos, row.Label, got, w)
+			}
+		}
+		for i, p := range row.Covers {
+			if p == row.Pos || i > 0 && cmpPos(row.Covers[i-1], p) >= 0 {
+				t.Errorf("%s %s covers %q: want distinct positions other than its own, in source order", row.Pos, row.Label, got)
+				break
+			}
+		}
+	}
+	for pos := range want {
+		if !found[pos] {
+			t.Errorf("no profile row at %s", pos)
+		}
+	}
+}
+
+// The four observers fold one event log per processor, and none may leak
+// into another's report: each report is the same when its observer runs
+// alone, with the other three on, and on one scheduler worker or three.
+// The trace ring is small enough to wrap, so what it keeps and what it
+// drops are held too. The scheduler's own counters describe the host's
+// stepping, not the run, and are left out across worker counts.
+func TestObserversAgree(t *testing.T) {
+	tomcatv, err := programs.ByName("tomcatv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := programs.ByName("sp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reports struct {
+		trace   string
+		dropped int
+		path    []critpath.PathSeg
+		profile []CallsiteProfile
+		metrics string
+	}
+	sched := regexp.MustCompile(`(?m)^\w+ +sched_.*\n`)
+	for _, c := range []struct {
+		name, lib, src string
+		vars           map[string]float64
+	}{
+		{"tomcatv/shmem", "shmem", tomcatv.Source, map[string]float64{"n": 32, "iters": 4}},
+		{"sp/pvm", "pvm", sp.Source, map[string]float64{"n": 16, "nz": 8, "iters": 4}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(workers int, tr, prof, met, cp bool) reports {
+				cfg := Config{Library: c.lib, Procs: 16, ConfigVars: c.vars, SchedWorkers: workers, Profile: prof, Metrics: met}
+				if tr {
+					cfg.Trace = &trace.Recorder{Cap: 512}
+				}
+				if cp {
+					cfg.Critpath = critpath.NewRecorder()
+				}
+				res := runSrc(t, c.src, comm.PL(), cfg)
+				out := reports{profile: res.Profile}
+				if tr {
+					var b bytes.Buffer
+					if err := trace.WriteChrome(&b, cfg.Trace); err != nil {
+						t.Fatal(err)
+					}
+					out.trace, out.dropped = b.String(), cfg.Trace.Dropped()
+				}
+				if cp {
+					p, err := critpath.Analyze(cfg.Critpath)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out.path = p.Segs
+				}
+				if met {
+					var b bytes.Buffer
+					res.Metrics.Text(&b)
+					out.metrics = b.String()
+				}
+				return out
+			}
+			all := run(1, true, true, true, true)
+			if all.dropped == 0 {
+				t.Fatal("the trace ring did not wrap")
+			}
+			tr := run(1, true, false, false, false)
+			alone := reports{
+				trace: tr.trace, dropped: tr.dropped,
+				path:    run(1, false, false, false, true).path,
+				profile: run(1, false, true, false, false).profile,
+				metrics: run(1, false, false, true, false).metrics,
+			}
+			three := run(3, true, true, true, true)
+			three.metrics = sched.ReplaceAllString(three.metrics, "")
+			for _, cmp := range []struct {
+				what    string
+				r       reports
+				metrics string
+			}{{"alone", alone, all.metrics}, {"on 3 workers", three, sched.ReplaceAllString(all.metrics, "")}} {
+				if cmp.r.trace != all.trace || cmp.r.dropped != all.dropped {
+					t.Errorf("trace %s differs from all four on one worker (%d and %d events dropped)", cmp.what, cmp.r.dropped, all.dropped)
+				}
+				if !reflect.DeepEqual(cmp.r.path, all.path) {
+					t.Errorf("critical path %s differs from all four on one worker", cmp.what)
+				}
+				if !reflect.DeepEqual(cmp.r.profile, all.profile) {
+					t.Errorf("profile %s differs from all four on one worker", cmp.what)
+				}
+				if cmp.r.metrics != cmp.metrics {
+					t.Errorf("metrics %s differ from all four on one worker:\n%s\nwant\n%s", cmp.what, cmp.r.metrics, cmp.metrics)
+				}
+			}
+		})
+	}
+}
+
+// Every processor of an observed run holds up to obsChunk events, so an
+// event stays within 32 bytes.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 32 {
+		t.Errorf("an event is %d bytes, want at most 32", n)
 	}
 }

@@ -6,11 +6,9 @@ import (
 	"strings"
 
 	"commopt/internal/comm"
-	"commopt/internal/critpath"
 	"commopt/internal/field"
 	"commopt/internal/grid"
 	"commopt/internal/ir"
-	"commopt/internal/trace"
 	"commopt/internal/vtime"
 )
 
@@ -85,15 +83,16 @@ type proc struct {
 
 	rng uint64 // deterministic per-processor jitter stream
 
-	// Observability (all nil/zero when disabled, so every recording point
-	// is a single nil check on the fast path; see observe.go).
-	tr         *trace.Buffer                 // virtual-time event ring
-	prof       []profAcc                     // per-callsite communication profile, by Transfer.Slot
-	cprof      map[*comm.Collective]*profAcc // per-callsite collective profile
-	met        *procMetrics                  // metric instruments
-	cpl        *critpath.Log                 // happens-before segment log
-	engine     int64                         // trace engine code of the last array statement
-	stmtLabels map[ir.Stmt]string
+	// Counters the metrics report folds in: site lookups and literal regions
+	// entered by outcome (site.go), kernel elements in Go and in wide row
+	// loops, and the arena's size when the body finished.
+	caches       [len(cacheKinds)][len(cacheOutcomes)]int64
+	regionCounts [len(slotOutcomes)]int64
+	elems        [2]int64
+	arenaHi      int
+
+	obs    *obsLog // nil unless the run observes (observe.go)
+	engine uint8   // engine of the statement executing: engineScalar or engineKernel
 
 	// Scheduler observability (folded by runSched; parks and mbHi are
 	// written only by this processor's own coroutine, parksAverted by the
@@ -190,8 +189,8 @@ func (p *proc) abs(reg grid.Region) grid.Region { return shiftDist(reg, p.kctx.o
 
 // charge advances the virtual clock for compute-side work.
 func (p *proc) charge(d vtime.Duration) {
-	if p.cpl != nil {
-		p.cpl.Compute(p.clock, d)
+	if p.obs != nil {
+		p.obs.charge(evCompute, d)
 	}
 	p.clock = p.clock.Add(d)
 	p.computeT += d
@@ -200,20 +199,28 @@ func (p *proc) charge(d vtime.Duration) {
 // chargeComm advances the virtual clock for communication software
 // overhead (the "exposed" cost of the paper).
 func (p *proc) chargeComm(d vtime.Duration) {
-	if p.cpl != nil {
-		p.cpl.Comm(p.clock, d)
+	if p.obs != nil {
+		p.obs.charge(evComm, d)
 	}
 	p.clock = p.clock.Add(d)
 	p.commT += d
 }
 
-// waitUntil advances the clock to at least t, accounting the jump as wait
-// time (blocking on data, rendezvous tokens or reduction results).
-func (p *proc) waitUntil(t vtime.Time) {
-	if t > p.clock {
-		p.waitT += vtime.Duration(t - p.clock)
-		p.clock = t
+// waitFor advances the clock to at least t, accounting the jump as wait
+// time, ended by a message from rank `from` that departed its sender at
+// virtual time sendT. The runtime's three blocking points all come through
+// here: data messages (execDN), rendezvous ready tokens (execSR) and
+// collective hops (allreduce).
+func (p *proc) waitFor(t vtime.Time, reason waitReason, from int, sendT vtime.Time) {
+	if t <= p.clock {
+		return
 	}
+	d := t.Sub(p.clock)
+	if p.obs != nil {
+		p.obs.add(event{kind: evWait, d: d, v: int64(sendT), peer: int32(from), x: uint8(reason)})
+	}
+	p.waitT += d
+	p.clock = t
 }
 
 // run executes the program body and releases what only the body used. It
@@ -234,9 +241,7 @@ func (p *proc) run() {
 func (p *proc) finish() {
 	p.xfers, p.stmts, p.reduces, p.regions = nil, nil, nil, nil
 	p.sendPool, p.retPool, p.pending = nil, nil, nil
-	if p.met != nil {
-		p.met.reg.Gauge("arena_hiwater_doubles").Observe(int64(len(p.arena.buf)))
-	}
+	p.arenaHi = len(p.arena.buf)
 	p.arena = arena{}
 }
 
@@ -387,28 +392,17 @@ func (p *proc) block(sg *seg) {
 }
 
 func (p *proc) stmt(s ir.Stmt) {
-	if p.tr == nil && p.met == nil && p.cpl == nil {
+	if p.obs == nil {
 		p.stmtExec(s)
 		return
 	}
-	var prevLabel, prevSite string
-	if p.cpl != nil {
-		prevLabel, prevSite = p.cpl.Context(p.stmtLabel(s), "")
-	}
+	prev := p.obs.ctx
+	p.obs.ctx = ctx{label: p.w.obs.stmts[s]}
 	start := p.clock
-	p.engine = trace.EngineScalar
+	p.engine = engineScalar
 	p.stmtExec(s)
-	if p.cpl != nil {
-		p.cpl.Context(prevLabel, prevSite)
-	}
-	d := p.clock.Sub(start)
-	if p.met != nil {
-		p.met.stmtDur.Observe(int64(d))
-		p.met.stmtsByEn[p.engine]++
-	}
-	if p.tr != nil {
-		p.tr.Add(trace.Event{Kind: trace.KindStmt, Start: start, Dur: d, Name: p.stmtLabel(s), A0: p.engine})
-	}
+	p.obs.add(event{kind: evStmt, d: p.clock.Sub(start), x: p.engine})
+	p.obs.ctx = prev
 }
 
 func (p *proc) stmtExec(s ir.Stmt) {
@@ -424,43 +418,12 @@ func (p *proc) stmtExec(s ir.Stmt) {
 	}
 }
 
-// waitFor advances the clock to at least t like waitUntil, additionally
-// recording a non-empty blocked interval as a wait event and a wait-
-// duration observation. The runtime's blocking points (message data,
-// rendezvous tokens, reduction results) all come through here.
-func (p *proc) waitFor(t vtime.Time, what string) {
-	if p.tr == nil && p.met == nil {
-		p.waitUntil(t)
-		return
-	}
-	start := p.clock
-	p.waitUntil(t)
-	d := p.clock.Sub(start)
-	if d <= 0 {
-		return
-	}
-	if p.met != nil {
-		p.met.waitDur.Observe(int64(d))
-	}
-	if p.tr != nil {
-		p.tr.Add(trace.Event{Kind: trace.KindWait, Start: start, Dur: d, Name: what})
-	}
-}
-
-// waitEdge is waitFor plus the happens-before edge for the critical-path
-// log: the wait was ended by a message from rank `from` that departed its
-// sender at virtual time sendT. The runtime's three blocking points map
-// their unblocking events here — data messages (execDN), rendezvous
-// ready tokens (execSR) and collective hops (allreduce).
-func (p *proc) waitEdge(t vtime.Time, what string, reason critpath.Reason, from int, sendT vtime.Time) {
-	if p.cpl == nil {
-		p.waitFor(t, what)
-		return
-	}
-	start := p.clock
-	p.waitFor(t, what)
-	if d := p.clock.Sub(start); d > 0 {
-		p.cpl.Wait(start, d, reason, from, sendT)
+// countElems books one kernel execution: n elements in rows of L.
+func (p *proc) countElems(L, n int) {
+	if wide(L) {
+		p.elems[1] += int64(n)
+	} else {
+		p.elems[0] += int64(n)
 	}
 }
 
@@ -468,11 +431,9 @@ func (p *proc) assignArray(s *ir.AssignArray) {
 	w := p.w
 	pl := p.planFor(s)
 	if pl.size > 0 {
-		p.engine = trace.EngineKernel
+		p.engine = engineKernel
 		pl.k.run(p)
-		if p.met != nil {
-			p.met.countElems(pl.k.L, pl.size)
-		}
+		p.countElems(pl.k.L, pl.size)
 	}
 	p.charge(w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(pl.size)*int64(s.Flops))*w.mach.OpTime))
 }
@@ -499,9 +460,7 @@ func (p *proc) evalWithReduce(e ir.Expr, s *ir.AssignScalar, local grid.Region) 
 		acc := e.Op.Identity()
 		if k := p.reduceKernel(e, s, local); k != nil {
 			acc = k.run(p)
-			if p.met != nil {
-				p.met.countElems(k.L, local.Size())
-			}
+			p.countElems(k.L, local.Size())
 		}
 		return p.allreduce(e, acc)
 	case *ir.Unary:

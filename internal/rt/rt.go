@@ -59,11 +59,13 @@ type Config struct {
 	// one-worker run the scheduler's differential-testing reference.
 	SchedWorkers int
 
-	// Trace, when non-nil, records virtual-time-stamped events (IRONMAN
+	// The four observers select the reports one event log per processor
+	// folds into (observe.go); with none set the runtime's fast path is one
+	// nil check per recording point. Observing never changes results.
+	//
+	// Trace, when non-nil, receives virtual-time-stamped events (IRONMAN
 	// calls, message sends/receives, statement executions, reductions and
-	// blocking waits) into the recorder's per-processor ring buffers.
-	// Tracing never changes simulated results; when nil, the runtime's
-	// fast path is a single pointer check per instrumentation point.
+	// blocking waits) in the recorder's per-processor ring buffers.
 	Trace *trace.Recorder
 
 	// Profile enables the per-callsite communication profile
@@ -77,13 +79,11 @@ type Config struct {
 	// durations and statement times.
 	Metrics bool
 
-	// Critpath, when non-nil, records the run's happens-before DAG in
-	// virtual time into the recorder's per-processor segment logs: every
+	// Critpath, when non-nil, receives the run's happens-before DAG in
+	// virtual time in the recorder's per-processor segment logs: every
 	// clock advance tagged with its attribution context, every blocking
 	// wait with the message edge that ended it. Pass the finished
 	// recorder to critpath.Analyze to extract the critical path.
-	// Recording never changes simulated results; when nil, the fast path
-	// is a single pointer check per clock advance.
 	Critpath *critpath.Recorder
 }
 
@@ -234,10 +234,9 @@ type world struct {
 	// (site.go), by ir.RegionExpr.Slot.
 	literals []ir.RegionExpr
 
-	// callNames holds every transfer's event and callsite strings by
-	// Transfer.Slot (observe.go); nil unless tracing or critical-path
-	// recording is on.
-	callNames []callName
+	// obs is what the run observes and its label table (observe.go); nil
+	// unless Config asks for a report.
+	obs *observers
 
 	configVals []float64     // by ScalarSym.ID, configs+consts evaluated
 	regionVals []grid.Region // by RegionSym.ID, evaluated declared regions
@@ -353,7 +352,11 @@ func (w *world) setup(cfg Config) error {
 	w.foldLiterals()
 	w.main = w.bind(prog.Main.Body, map[*ir.Proc][]seg{})
 	w.xferCC = make([]classCache[*commSched], w.plan.NumTransfers())
-	w.eachTransfer(func(t *comm.Transfer) { w.xferCC[t.Slot].empty = emptySched(t) })
+	for _, bp := range w.plan.Blocks {
+		for _, t := range bp.Transfers {
+			w.xferCC[t.Slot].empty = emptySched(t)
+		}
+	}
 	w.stmtCC = make([]classCache[*stmtPlan], prog.NumArrayStmts)
 	for i := range w.stmtCC {
 		w.stmtCC[i].empty = &noPlan
@@ -392,36 +395,7 @@ func (w *world) setup(cfg Config) error {
 		w.openInboxes()
 	}
 
-	// Observability wiring: each processor gets its own ring buffer,
-	// profile accumulators and metrics registry, so recording needs no
-	// locks and the disabled fast path stays a nil check.
-	if cfg.Trace != nil || cfg.Critpath != nil {
-		w.nameCalls()
-	}
-	if cfg.Trace != nil {
-		cfg.Trace.Init(w.mesh.Size())
-		for _, p := range w.procs {
-			p.tr = cfg.Trace.Buffer(p.rank)
-			cfg.Trace.SetProcLabel(p.rank, fmt.Sprintf("proc %d (%d,%d)", p.rank, p.row, p.col))
-		}
-	}
-	if cfg.Profile {
-		for _, p := range w.procs {
-			p.prof = make([]profAcc, w.plan.NumTransfers())
-			p.cprof = map[*comm.Collective]*profAcc{}
-		}
-	}
-	if cfg.Metrics {
-		for _, p := range w.procs {
-			p.met = newProcMetrics()
-		}
-	}
-	if cfg.Critpath != nil {
-		cfg.Critpath.Init(w.mesh.Size())
-		for _, p := range w.procs {
-			p.cpl = cfg.Critpath.Log(p.rank)
-		}
-	}
+	w.observe(cfg)
 	return nil
 }
 
@@ -451,8 +425,7 @@ func (w *world) gather() *Result {
 		}
 	}
 	res.Output = w.procs[0].output.String()
-	res.Profile = w.gatherProfile()
-	res.Metrics = w.gatherMetrics()
+	w.report(res)
 	res.Sched = w.schedStats
 
 	for _, a := range w.prog.Arrays {

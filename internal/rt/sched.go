@@ -45,28 +45,6 @@ import (
 // processor is parked on an event that no running processor can ever
 // deliver — an immediate error naming each waiter, not a hang.
 
-// waitReason says which event a parked processor is blocked on.
-type waitReason int
-
-const (
-	waitNone  waitReason = iota
-	waitData             // message from a neighbor slot (recvFrom)
-	waitReady            // rendezvous ready token from a neighbor slot
-	waitRed              // reduction contribution or broadcast
-)
-
-func (r waitReason) String() string {
-	switch r {
-	case waitData:
-		return "data"
-	case waitReady:
-		return "ready token"
-	case waitRed:
-		return "reduction"
-	}
-	return "nothing"
-}
-
 // The park word (mbox.park) spells the park protocol in one atomic word:
 // bits 0-1 the phase, bits 2-3 the waitReason, the rest what the processor
 // waits on — a neighbour slot, or a reduction's sequence and receive slot

@@ -118,7 +118,7 @@ func (p *proc) enter(slots []int) {
 				reg.Spans[d] = grid.Span{Lo: p.evalInt(re.Bounds[d][0], "region bound"), Hi: p.evalInt(re.Bounds[d][1], "region bound")}
 			}
 		}
-		p.met.countSlot(slotEval)
+		p.regionCounts[slotEval]++
 		key := p.ncls.clip(p.rel(reg))
 		if key.Empty() {
 			s.ri = 0
@@ -126,12 +126,12 @@ func (p *proc) enter(slots []int) {
 		}
 		n := s.next
 		if n != 0 && s.keys[n] == key {
-			p.met.countSlot(slotSuccessor)
+			p.regionCounts[slotSuccessor]++
 		} else if i, ok := s.index[key]; ok {
-			p.met.countSlot(slotIndex)
+			p.regionCounts[slotIndex]++
 			n = i
 		} else {
-			p.met.countSlot(slotAdd)
+			p.regionCounts[slotAdd]++
 			if len(s.keys) > siteCacheLimit {
 				p.dropSlot(s)
 			}
@@ -165,11 +165,11 @@ func (p *proc) dropSlot(s *regionSlot) {
 		p.reduces[i].vals = nil
 	}
 	for kind := range cacheKinds {
-		p.met.count(kind, dropped)
+		p.caches[kind][dropped]++
 	}
 }
 
-// Site kinds and lookup outcomes, indexing procMetrics.caches; the name
+// Site kinds and lookup outcomes, indexing proc.caches; the name
 // tables spell the metrics registry's "<kind>_cache_<outcome>" counters.
 const (
 	cacheSched = iota
@@ -197,19 +197,6 @@ var (
 	cacheOutcomes = [...]string{"hits_static", "hits_slot", "hits_empty", "hits_class", "compiles", "drops"}
 )
 
-// count records one lookup outcome; a no-op unless Config.Metrics is on.
-func (m *procMetrics) count(kind, outcome int) {
-	if m != nil {
-		m.caches[kind][outcome]++
-	}
-}
-
-func (m *procMetrics) countSlot(outcome int) {
-	if m != nil {
-		m.regions[outcome]++
-	}
-}
-
 // resolve returns what site s means for the region re denotes on p right
 // now. On first sight the region is clipped to fr, the frame of p's class
 // cls, which is the key of the class's cache cc; an empty key — nothing of
@@ -231,9 +218,9 @@ func resolve[T comparable](p *proc, s *site[T], cc *classCache[T], fr *frame, cl
 		}
 	}
 	if *at == zero {
-		*at = cc.get(cls, fr.clip(p.here(re)), p.met, kind, build)
+		*at = cc.get(cls, fr.clip(p.here(re)), &p.caches[kind], build)
 	} else {
-		p.met.count(kind, hit)
+		p.caches[kind][hit]++
 	}
 	return *at
 }

@@ -198,7 +198,6 @@ end;
 func TestSiteStaticResolvesOnce(t *testing.T) {
 	w := classWorld(t, jacobiSrc, 1, nil)
 	p := w.procs[0]
-	p.met = newProcMetrics()
 	s := w.plan.Blocks[0].Stmts[0].(*ir.AssignArray)
 	first := p.planFor(s)
 	for n := 0; n < 4; n++ {
@@ -206,7 +205,7 @@ func TestSiteStaticResolvesOnce(t *testing.T) {
 			t.Fatal("a declared-region site resolved to two plans")
 		}
 	}
-	st := p.met.caches[cacheKernel]
+	st := p.caches[cacheKernel]
 	if st[compiled] != 1 || st[hitStatic] != 4 || p.stmts[s.ID].vals != nil {
 		t.Errorf("outcomes %v, table %v; want one compilation, four static hits and no table", st, p.stmts[s.ID].vals)
 	}

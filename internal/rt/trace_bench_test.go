@@ -35,10 +35,11 @@ begin
 end;
 `
 
-// benchObserved runs traceBenchSrc with the given observability settings
-// applied to the base config. withTrace and critpath allocate a fresh
-// recorder per iteration, matching how an instrumented run is actually
-// invoked.
+// benchObserved runs traceBenchSrc with the given observers applied to
+// the base config. withTrace and critpath allocate a fresh recorder per
+// iteration, matching how an instrumented run is actually invoked. Every
+// observer records the same event log; they differ only in what it folds
+// into.
 func benchObserved(b *testing.B, withTrace, profile, metrics, cpath bool) {
 	b.Helper()
 	ast, err := zpl.Parse(traceBenchSrc)
@@ -66,19 +67,20 @@ func benchObserved(b *testing.B, withTrace, profile, metrics, cpath bool) {
 	}
 }
 
-// BenchmarkTraceOff is the disabled fast path: every instrumentation
-// point reduces to a nil pointer check.
+// BenchmarkTraceOff is the disabled fast path: every recording point
+// reduces to one nil check of the processor's event log.
 func BenchmarkTraceOff(b *testing.B) { benchObserved(b, false, false, false, false) }
 
-// BenchmarkTraceOn records every event kind into per-processor rings.
+// BenchmarkTraceOn folds the event logs into per-processor rings.
 func BenchmarkTraceOn(b *testing.B) { benchObserved(b, true, false, false, false) }
 
-// BenchmarkProfileOn accumulates the per-callsite profile only.
+// BenchmarkProfileOn folds the event logs into the per-callsite profile
+// only.
 func BenchmarkProfileOn(b *testing.B) { benchObserved(b, false, true, false, false) }
 
-// BenchmarkMetricsOn feeds the per-processor metric registries only.
+// BenchmarkMetricsOn folds the event logs into the metrics registry only.
 func BenchmarkMetricsOn(b *testing.B) { benchObserved(b, false, false, true, false) }
 
-// BenchmarkCritpathOn records the happens-before log for the exact
-// critical-path analyzer only.
+// BenchmarkCritpathOn folds the event logs into the happens-before
+// segments of the exact critical-path analyzer only.
 func BenchmarkCritpathOn(b *testing.B) { benchObserved(b, false, false, false, true) }

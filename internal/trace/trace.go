@@ -1,17 +1,17 @@
 // Package trace records virtual-time-stamped events from the SPMD
 // runtime: IRONMAN calls, point-to-point message sends and receives,
 // statement executions, reduction phases and blocking-wait intervals.
-// Each virtual processor writes into its own fixed-capacity ring buffer,
-// so recording never synchronizes between processors and never grows
-// without bound; because the clock is virtual, a recorded trace is
-// byte-for-byte reproducible across hosts and runs.
+// Each virtual processor has its own fixed-capacity ring buffer, so a
+// recording never grows without bound; because the clock is virtual, a
+// recorded trace is byte-for-byte reproducible across hosts and runs.
 //
-// The runtime holds a nil *Buffer when tracing is disabled, so the
-// disabled fast path is a single pointer check (benchmarked in
-// internal/rt/trace_bench_test.go). A finished recording renders as
-// Chrome trace-event JSON (chrome.go) loadable in Perfetto or
-// chrome://tracing, with virtual time as the clock and one timeline row
-// per virtual processor.
+// The runtime records one event log per processor whatever the run
+// observes (internal/rt/observe.go) and folds it into the processor's
+// ring with Buffer.Add, in record order, so the ring keeps the tail of the
+// run and Dropped counts the rest. A finished recording renders as Chrome
+// trace-event JSON (chrome.go) loadable in Perfetto or chrome://tracing,
+// with virtual time as the clock and one timeline row per virtual
+// processor.
 package trace
 
 import "commopt/internal/vtime"

@@ -9,8 +9,11 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -33,24 +36,7 @@ var unreachedExempt = map[string]string{
 // String and Error through interfaces nothing in the module names. Code only
 // tests call belongs in the tests' own files.
 func TestInternalCodeIsReached(t *testing.T) {
-	l := newModuleLoader()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-			return filepath.SkipDir
-		}
-		if _, err := l.load(filepath.ToSlash(filepath.Join(modulePath, path))); err != nil {
-			if _, none := err.(*build.NoGoError); !none {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := loadModule(t)
 
 	// Every candidate declaration and the source range it spans: a use
 	// inside that range (recursion, a method naming its own receiver type)
@@ -170,6 +156,146 @@ func TestInternalCodeIsReached(t *testing.T) {
 }
 
 const modulePath = "commopt"
+
+// loaded is the module as loadModule type-checked it, once for every test
+// that reads it.
+var loaded struct {
+	once sync.Once
+	l    *moduleLoader
+	err  error
+}
+
+// loadModule type-checks every package of the module from its non-test
+// files.
+func loadModule(t *testing.T) *moduleLoader {
+	t.Helper()
+	loaded.once.Do(func() {
+		l := newModuleLoader()
+		loaded.l, loaded.err = l, filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			if _, err := l.load(filepath.ToSlash(filepath.Join(modulePath, path))); err != nil {
+				if _, none := err.(*build.NoGoError); !none {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	if loaded.err != nil {
+		t.Fatal(loaded.err)
+	}
+	return loaded.l
+}
+
+// observerPkgs are the reports internal/rt folds its event logs into.
+var observerPkgs = map[string]bool{
+	modulePath + "/internal/trace":    true,
+	modulePath + "/internal/critpath": true,
+	modulePath + "/internal/metrics":  true,
+}
+
+// TestArchitectureRules fails, naming file:line, on every breach of the
+// rules that keep one copy of each design decision in the module's
+// non-test code:
+//
+//   - one operator table outside the oracle: the scalar operators live in
+//     internal/ir (and, independently, internal/ref), so math.Mod or a
+//     case on zpl.KWAND anywhere else is a copy of them;
+//   - one front end: ir.Compile parses and lowers for every command, the
+//     experiments and the facade, so zpl.Parse, zpl.ParseAll or ir.Lower
+//     appear only in internal/ir, in internal/vet/vet.go (which turns each
+//     error into a finding and lints the AST) and in bench (which times the
+//     layers one by one);
+//   - one level table: comm.Levels() is the only way to choose the
+//     optimizer, so a comm.Level literal or a write of HoistInvariant
+//     outside internal/comm is a second table;
+//   - internal/ref, the language's definition the tests hold the runtime
+//     to, is imported by tests only;
+//   - one observer: in internal/rt only rt.go (Config and Result) and
+//     observe.go name trace, critpath or metrics; every other file records
+//     into the processor's one event log.
+//
+// The rules read the type-checked load, so an alias, a dot-import or a
+// renamed import breaks a rule as plainly as the package's own name does.
+func TestArchitectureRules(t *testing.T) {
+	l := loadModule(t)
+	under := func(file string, dirs ...string) bool {
+		for _, d := range dirs {
+			if file == d || strings.HasPrefix(file, d+"/") {
+				return true
+			}
+		}
+		return false
+	}
+	for _, p := range l.sorted() {
+		for _, f := range p.files {
+			file := filepath.ToSlash(l.fset.Position(f.Pos()).Filename)
+			fail := func(n ast.Node, rule string) { t.Errorf("%s: %s", l.fset.Position(n.Pos()), rule) }
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				if path == modulePath+"/internal/ref" && !under(file, "internal/ref") {
+					fail(imp, "internal/ref is imported by tests only")
+				}
+				if observerPkgs[path] && under(file, "internal/rt") && file != "internal/rt/rt.go" && file != "internal/rt/observe.go" {
+					fail(imp, "in internal/rt only rt.go and observe.go name "+path+": record into the event log (observe.go)")
+				}
+			}
+			uses := func(e ast.Node, names ...string) bool {
+				found := false
+				ast.Inspect(e, func(n ast.Node) bool {
+					// A package's uses of its own declarations define them.
+					if id, ok := n.(*ast.Ident); ok {
+						if obj := p.info.Uses[id]; obj != nil && obj.Pkg() != nil && obj.Pkg() != p.pkg {
+							found = found || slices.Contains(names, obj.Pkg().Path()+"."+obj.Name())
+						}
+					}
+					return !found
+				})
+				return found
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if !under(file, "internal/ir", "internal/ref") && uses(n, "math.Mod") {
+						fail(n, "one operator table outside the oracle: math.Mod belongs to internal/ir")
+					}
+					if !under(file, "internal/ir", "internal/vet/vet.go", "bench") &&
+						uses(n, modulePath+"/internal/zpl.Parse", modulePath+"/internal/zpl.ParseAll", modulePath+"/internal/ir.Lower") {
+						fail(n, "one front end: parse and lower through ir.Compile")
+					}
+				case *ast.CaseClause:
+					for _, e := range n.List {
+						if !under(file, "internal/ir", "internal/ref") && uses(e, modulePath+"/internal/zpl.KWAND") {
+							fail(e, "one operator table outside the oracle: `and` is evaluated in internal/ir")
+						}
+					}
+				case *ast.CompositeLit:
+					if named, ok := p.info.TypeOf(n).(*types.Named); ok && !under(file, "internal/comm") &&
+						named.Obj().Pkg() != nil && named.Obj().Pkg().Path()+"."+named.Obj().Name() == modulePath+"/internal/comm.Level" {
+						fail(n, "one level table: a comm.Level is built by comm.Levels only")
+					}
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok && !under(file, "internal/comm") && uses(kv.Key, modulePath+"/internal/comm.HoistInvariant") {
+							fail(kv, "one level table: HoistInvariant is set by comm.Levels only")
+						}
+					}
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						if !under(file, "internal/comm") && uses(e, modulePath+"/internal/comm.HoistInvariant") {
+							fail(e, "one level table: HoistInvariant is set by comm.Levels only")
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+}
 
 // declName is a declaration's name as the exemption table and the failure
 // message spell it: pkg.Name, or pkg.Type.Method for a method.

@@ -1,10 +1,11 @@
 // Package collective defines the allreduce algorithms the runtime can
 // execute and the closed-form machinery that picks between them: per-rank
-// hop schedules (Steps), eligibility per mesh (Eligible), LogGP-style hop
-// pricing shared with the runtime and the static predictor (SendCost,
-// RecvCost, WireDelay), an exact virtual-time mini-simulator over the
-// schedules (Simulate, Cost), per-rank message/byte/overhead profiles
-// (Profile) and cost-model-driven selection (Select).
+// hop schedules, built and paired once per algorithm and mesh (Schedule,
+// Build), eligibility per mesh (Eligible), LogGP-style hop pricing shared
+// with the runtime and the static predictor (SendCost, RecvCost,
+// WireDelay), an exact virtual-time replay of a schedule over its receive
+// slots (Schedule.Simulate), per-rank message/byte/overhead profiles
+// (Schedule.Profile) and cost-model-driven selection (Choose, Select).
 //
 // Every algorithm is expressed as the same thing the runtime executes: a
 // per-rank sequence of point-to-point hops. A hop either contributes raw
@@ -32,7 +33,10 @@
 package collective
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"commopt/internal/grid"
 	"commopt/internal/machine"
@@ -89,7 +93,7 @@ func ParseAlg(s string) (Alg, error) {
 func Algorithms() []Alg { return []Alg{Star, Tree, Butterfly, TwoLevel} }
 
 // StepKind distinguishes the two hop directions of a schedule.
-type StepKind int
+type StepKind uint8
 
 const (
 	Send StepKind = iota
@@ -102,10 +106,10 @@ const (
 // belongs to, used for trace labeling and nothing else.
 type Step struct {
 	Kind  StepKind
+	Bcast bool
 	Peer  int
 	Count int
 	Level int
-	Bcast bool
 }
 
 // Eligible reports whether the algorithm can run on the mesh. Star and
@@ -127,8 +131,7 @@ func Eligible(a Alg, mesh grid.Mesh) bool {
 
 // Resolve turns a configured algorithm into the concrete one a run will
 // execute: Auto selects by cost, anything else is validated against the
-// mesh. The runtime and the static predictor both resolve through here,
-// which is what keeps their choices identical.
+// mesh, and an ineligible one is an error.
 func Resolve(a Alg, lib *machine.Lib, mesh grid.Mesh) (Alg, error) {
 	if a == Auto {
 		return Select(lib, mesh), nil
@@ -140,47 +143,75 @@ func Resolve(a Alg, lib *machine.Lib, mesh grid.Mesh) (Alg, error) {
 	return a, nil
 }
 
-// Steps returns rank's hop schedule for the algorithm on the mesh, in
-// execution order. It panics on an ineligible algorithm — Resolve
-// validates eligibility before any schedule is built. A 1-proc mesh has
-// no hops under any algorithm.
-func Steps(a Alg, mesh grid.Mesh, rank int) []Step {
+// Schedule is one algorithm's hops on one mesh, built once and paired
+// once. Steps[r] is rank r's hops in execution order. To[r][i] is the
+// receive slot step i names: its own when it is a receive, the one it
+// fills at its peer when it is a send. A rank's receive slots are
+// numbered 0, 1, ... in schedule order. Every rank's steps are slices of
+// one backing array, and so are their slots. The runtime executes it, the
+// predictor prices it and Select replays it, none of them rebuilding it.
+type Schedule struct {
+	Alg   Alg
+	Steps [][]Step
+	To    [][]int32
+	first []int32 // first[r]: rank r's slot 0 among every rank's slots; first[len(Steps)] counts them all
+}
+
+// Recvs is the number of receive slots rank r has.
+func (s *Schedule) Recvs(r int) int { return int(s.first[r+1] - s.first[r]) }
+
+// Build returns the algorithm's paired schedule on the mesh. It panics on
+// an ineligible algorithm, as AllSteps does, and on a schedule that does
+// not pair, which would be a bug in the generator itself.
+func Build(a Alg, mesh grid.Mesh) *Schedule {
+	s, err := pair(AllSteps(a, mesh))
+	if err != nil {
+		panic(err)
+	}
+	s.Alg = a
+	return s
+}
+
+// AllSteps returns every rank's hop schedule for the algorithm on the
+// mesh, in execution order, all slices of one backing array. It panics on
+// an ineligible algorithm — Resolve validates eligibility before any
+// schedule is built. A 1-proc mesh has no hops under any algorithm.
+func AllSteps(a Alg, mesh grid.Mesh) [][]Step {
 	if !Eligible(a, mesh) {
 		panic(fmt.Sprintf("collective: %s not eligible on %dx%d", a, mesh.Rows, mesh.Cols))
 	}
 	p := mesh.Size()
-	if p == 1 {
-		return nil
+	n := 4 * (p - 1) // gather and broadcast: 2(P-1) messages, a send and a receive each
+	if a == Butterfly {
+		n = 2 * p * bits.Len(uint(p-1)) // P·log2 P messages
 	}
-	switch a {
-	case Star:
-		return starSteps(p, rank)
-	case Tree:
-		return treeSteps(p, rank)
-	case Butterfly:
-		return butterflySteps(p, rank)
-	case TwoLevel:
-		return twoLevelSteps(mesh, rank)
+	flat, steps := make([]Step, 0, n), make([][]Step, p)
+	for r := range steps {
+		at := len(flat)
+		switch a {
+		case Star:
+			flat = starSteps(flat, p, r)
+		case Tree:
+			flat = treeSteps(flat, p, r)
+		case Butterfly:
+			flat = butterflySteps(flat, p, r)
+		case TwoLevel:
+			flat = twoLevelSteps(flat, mesh, r)
+		}
+		steps[r] = flat[at:len(flat):len(flat)]
 	}
-	panic(fmt.Sprintf("collective: no schedule for %s", a))
-}
-
-// AllSteps returns every rank's schedule (AllSteps(a, m)[r] == Steps(a, m, r)).
-func AllSteps(a Alg, mesh grid.Mesh) [][]Step {
-	out := make([][]Step, mesh.Size())
-	for r := range out {
-		out[r] = Steps(a, mesh, r)
+	if len(flat) != n {
+		panic(fmt.Sprintf("collective: %s on %dx%d has %d steps, want %d", a, mesh.Rows, mesh.Cols, len(flat), n))
 	}
-	return out
+	return steps
 }
 
 // starSteps: every rank sends its contribution to rank 0; rank 0 folds
 // and sends the result back to each rank. Receives happen in rank order
 // — the root's fold is over the rank-indexed vector either way, but the
 // deterministic order is what the scheduler's virtual clock replays.
-func starSteps(p, rank int) []Step {
+func starSteps(steps []Step, p, rank int) []Step {
 	if rank == 0 {
-		steps := make([]Step, 0, 2*(p-1))
 		for r := 1; r < p; r++ {
 			steps = append(steps, Step{Kind: Recv, Peer: r, Count: 1, Level: 0})
 		}
@@ -189,10 +220,9 @@ func starSteps(p, rank int) []Step {
 		}
 		return steps
 	}
-	return []Step{
-		{Kind: Send, Peer: 0, Count: 1, Level: 0},
-		{Kind: Recv, Peer: 0, Count: 1, Level: 1, Bcast: true},
-	}
+	return append(steps,
+		Step{Kind: Send, Peer: 0, Count: 1, Level: 0},
+		Step{Kind: Recv, Peer: 0, Count: 1, Level: 1, Bcast: true})
 }
 
 // treeSteps: binomial gather then a mirrored binomial broadcast. At
@@ -202,24 +232,20 @@ func starSteps(p, rank int) []Step {
 // broadcast retraces the same edges: each rank receives the result from
 // the parent it gathered into and forwards it to the children it
 // gathered from, highest level first.
-func treeSteps(p, rank int) []Step {
-	var steps []Step
-	levels := 0
-	for 1<<levels < p {
-		levels++
-	}
+func treeSteps(steps []Step, p, rank int) []Step {
+	levels := bits.Len(uint(p - 1))
 	// Gather phase.
 	sentAt := levels // first level at which this rank has already sent
 	for k := 0; k < levels; k++ {
 		mask := 1 << k
 		if rank&mask != 0 {
-			cnt := minInt(rank+mask, p) - rank
+			cnt := min(rank+mask, p) - rank
 			steps = append(steps, Step{Kind: Send, Peer: rank - mask, Count: cnt, Level: k})
 			sentAt = k
 			break
 		}
 		if q := rank + mask; q < p {
-			cnt := minInt(q+mask, p) - q
+			cnt := min(q+mask, p) - q
 			steps = append(steps, Step{Kind: Recv, Peer: q, Count: cnt, Level: k})
 		}
 	}
@@ -240,8 +266,7 @@ func treeSteps(p, rank int) []Step {
 // window [rank &^ (2^k - 1), +2^k); it swaps windows with rank ^ 2^k,
 // doubling the window each round. After log2 P rounds every rank holds
 // all P contributions and folds locally — there is no broadcast phase.
-func butterflySteps(p, rank int) []Step {
-	var steps []Step
+func butterflySteps(steps []Step, p, rank int) []Step {
 	for k := 0; 1<<k < p; k++ {
 		peer := rank ^ 1<<k
 		cnt := 1 << k
@@ -257,17 +282,15 @@ func butterflySteps(p, rank int) []Step {
 // leaders (levels 2 and 3). Row-major rank order makes each row's
 // contributions a contiguous window, so the leader forwards one message
 // of Cols values.
-func twoLevelSteps(mesh grid.Mesh, rank int) []Step {
+func twoLevelSteps(steps []Step, mesh grid.Mesh, rank int) []Step {
 	rows, cols := mesh.Rows, mesh.Cols
 	row := rank / cols
 	leader := row * cols
 	if rank != leader {
-		return []Step{
-			{Kind: Send, Peer: leader, Count: 1, Level: 0},
-			{Kind: Recv, Peer: leader, Count: 1, Level: 3, Bcast: true},
-		}
+		return append(steps,
+			Step{Kind: Send, Peer: leader, Count: 1, Level: 0},
+			Step{Kind: Recv, Peer: leader, Count: 1, Level: 3, Bcast: true})
 	}
-	var steps []Step
 	for c := 1; c < cols; c++ {
 		steps = append(steps, Step{Kind: Recv, Peer: leader + c, Count: 1, Level: 0})
 	}
@@ -289,6 +312,71 @@ func twoLevelSteps(mesh grid.Mesh, rank int) []Step {
 	return steps
 }
 
+// send is one send for pairing: its source and destination ranks and its
+// index in the source's schedule.
+type send struct{ src, dst, step int32 }
+
+// pair numbers every rank's receives in schedule order and points each
+// send at the receive that takes it: the n-th send from rank s to rank q
+// fills the n-th receive at q from s, as one FIFO per directed edge would
+// deliver them. A counting sort orders the sends by destination, keeping
+// rank order within each, so a receive finds its send by a binary search
+// of its own rank's sends. A send no receive takes, or a receive no send
+// fills, is an error.
+func pair(steps [][]Step) (*Schedule, error) {
+	p := len(steps)
+	s := &Schedule{Steps: steps, To: make([][]int32, p), first: make([]int32, p+1)}
+	n, at := 0, make([]int32, p+1) // at[q+1] counts the sends to rank q
+	for _, ss := range steps {
+		n += len(ss)
+		for _, st := range ss {
+			if st.Kind == Send {
+				at[st.Peer+1]++
+			}
+		}
+	}
+	for q := 1; q <= p; q++ {
+		at[q] += at[q-1]
+	}
+	sends, to := make([]send, at[p]), make([]int32, n)
+	next := slices.Clone(at[:p])
+	for r, ss := range steps {
+		s.To[r], to = to[:len(ss):len(ss)], to[len(ss):]
+		for i, st := range ss {
+			if st.Kind == Send {
+				sends[next[st.Peer]] = send{int32(r), int32(st.Peer), int32(i)}
+				next[st.Peer]++
+			}
+		}
+	}
+	for q, ss := range steps {
+		into := sends[at[q]:at[q+1]] // by source, then step
+		k := int32(0)
+		for i, st := range ss {
+			if st.Kind != Recv {
+				continue
+			}
+			j, _ := slices.BinarySearchFunc(into, int32(st.Peer), func(m send, src int32) int { return cmp.Compare(m.src, src) })
+			for j < len(into) && into[j].src == int32(st.Peer) && into[j].step < 0 {
+				j++ // taken by an earlier receive on this edge
+			}
+			if j == len(into) || into[j].src != int32(st.Peer) {
+				return nil, fmt.Errorf("collective: rank %d's step %d receives from rank %d, which never sends to it", q, i, st.Peer)
+			}
+			s.To[q][i], s.To[st.Peer][into[j].step] = k, k
+			into[j].step = -1
+			k++
+		}
+		s.first[q+1] = s.first[q] + k
+	}
+	for _, m := range sends {
+		if m.step >= 0 {
+			return nil, fmt.Errorf("collective: rank %d's step %d sends to rank %d, which never receives from it", m.src, m.step, m.dst)
+		}
+	}
+	return s, nil
+}
+
 // SendCost is the sender-side software overhead of one hop carrying
 // count values: SR initiation, SV buffer reclaim and per-byte injection.
 func SendCost(lib *machine.Lib, count int) vtime.Duration {
@@ -308,82 +396,62 @@ func WireDelay(lib *machine.Lib, count int) vtime.Duration {
 	return lib.Latency + machine.PerByteDur(lib.WirePerByte, ValBytes*count)
 }
 
-// Simulate replays a full schedule set (steps[r] is rank r's hops) on
-// per-rank virtual clocks exactly the way the runtime executes it: a
-// send charges SendCost and makes the message available WireDelay later;
-// a receive blocks until its message is available, then charges
-// RecvCost. It returns the latest rank's finish time, or an error naming
-// a stuck rank if the schedules cannot complete — which is how the
-// protocol checker's progress rule detects corrupted schedules.
-func Simulate(steps [][]Step, lib *machine.Lib) (vtime.Duration, error) {
-	p := len(steps)
+// unsent marks a receive slot no send has filled yet.
+const unsent vtime.Time = -1
+
+// Simulate replays the schedule on per-rank virtual clocks exactly the
+// way the runtime executes it: a send charges SendCost and fills its
+// peer's receive slot with the time the message arrives, WireDelay later;
+// a receive waits until its slot is filled, then charges RecvCost. One
+// arrival time per receive slot and one cursor per rank hold the whole
+// state. It returns the latest rank's finish time, or an error naming a
+// stuck rank if the schedule cannot complete — which is how a
+// deadlocking hop order shows.
+func (s *Schedule) Simulate(lib *machine.Lib) (vtime.Duration, error) {
+	p := len(s.Steps)
 	clocks := make([]vtime.Time, p)
 	idx := make([]int, p)
-	type edge struct{ src, dst int }
-	inflight := map[edge][]vtime.Time{}
+	avail := make([]vtime.Time, s.first[p])
+	for i := range avail {
+		avail[i] = unsent
+	}
 	remaining := 0
-	for _, s := range steps {
-		remaining += len(s)
+	for _, ss := range s.Steps {
+		remaining += len(ss)
 	}
 	for remaining > 0 {
 		progress := false
-		for r := 0; r < p; r++ {
-			for idx[r] < len(steps[r]) {
-				st := steps[r][idx[r]]
+		for r, ss := range s.Steps {
+			i := idx[r]
+			for ; i < len(ss); i++ {
+				st, k := ss[i], s.To[r][i]
 				if st.Kind == Send {
 					clocks[r] = clocks[r].Add(SendCost(lib, st.Count))
-					e := edge{r, st.Peer}
-					inflight[e] = append(inflight[e], clocks[r].Add(WireDelay(lib, st.Count)))
-				} else {
-					e := edge{st.Peer, r}
-					q := inflight[e]
-					if len(q) == 0 {
-						break // blocked; revisit after the peer progresses
-					}
-					avail := q[0]
-					inflight[e] = q[1:]
-					if avail > clocks[r] {
-						clocks[r] = avail
-					}
-					clocks[r] = clocks[r].Add(RecvCost(lib, st.Count))
+					avail[s.first[st.Peer]+k] = clocks[r].Add(WireDelay(lib, st.Count))
+					continue
 				}
-				idx[r]++
-				remaining--
-				progress = true
+				t := avail[s.first[r]+k]
+				if t == unsent {
+					break // blocked; revisit after the peer progresses
+				}
+				clocks[r] = max(clocks[r], t).Add(RecvCost(lib, st.Count))
+			}
+			if i > idx[r] {
+				remaining -= i - idx[r]
+				idx[r], progress = i, true
 			}
 		}
 		if !progress {
-			for r := 0; r < p; r++ {
-				if idx[r] < len(steps[r]) {
-					st := steps[r][idx[r]]
+			for r, ss := range s.Steps {
+				if idx[r] < len(ss) {
+					st := ss[idx[r]]
 					return 0, fmt.Errorf("collective: rank %d stuck at step %d waiting for a level-%d message from rank %d that is never sent",
 						r, idx[r], st.Level, st.Peer)
 				}
 			}
 		}
 	}
-	var d vtime.Duration
-	for _, c := range clocks {
-		if vtime.Duration(c) > d {
-			d = vtime.Duration(c)
-		}
-	}
-	return d, nil
-}
-
-// Cost prices one reduction under the algorithm on the mesh: the
-// critical-path virtual time of its full schedule. Zero on one proc.
-func Cost(a Alg, lib *machine.Lib, mesh grid.Mesh) vtime.Duration {
-	if mesh.Size() == 1 {
-		return 0
-	}
-	d, err := Simulate(AllSteps(a, mesh), lib)
-	if err != nil {
-		// Schedules generated by Steps always complete; a stall here is a
-		// bug in the generator itself.
-		panic(err)
-	}
-	return d
+	return vtime.Duration(slices.Max(clocks)), nil
 }
 
 // RankCost is one rank's share of a reduction: its software overhead
@@ -398,13 +466,10 @@ type RankCost struct {
 }
 
 // Profile returns every rank's RankCost for one reduction.
-func Profile(a Alg, lib *machine.Lib, mesh grid.Mesh) []RankCost {
-	out := make([]RankCost, mesh.Size())
-	if mesh.Size() == 1 {
-		return out
-	}
-	for r := range out {
-		for _, st := range Steps(a, mesh, r) {
+func (s *Schedule) Profile(lib *machine.Lib) []RankCost {
+	out := make([]RankCost, len(s.Steps))
+	for r, ss := range s.Steps {
+		for _, st := range ss {
 			if st.Kind == Send {
 				out[r].Comm += SendCost(lib, st.Count)
 				out[r].Msgs++
@@ -419,25 +484,40 @@ func Profile(a Alg, lib *machine.Lib, mesh grid.Mesh) []RankCost {
 
 // Select returns the cheapest eligible algorithm for the binding, by
 // simulated critical-path cost; ties break toward the earlier entry of
-// Algorithms. Auto resolves through here on both the runtime and the
-// predictor, so a run and its prediction always execute the same shape.
+// Algorithms.
 func Select(lib *machine.Lib, mesh grid.Mesh) Alg {
-	best, bestCost := Auto, vtime.Duration(0)
+	s, _ := Choose(Auto, lib, mesh)
+	return s.Alg
+}
+
+// Choose resolves a configured algorithm as Resolve does and returns the
+// schedule a run executes. Under Auto it builds and replays every
+// eligible schedule once and keeps the cheapest, so nothing is built
+// twice. The runtime and the static predictor both choose through here,
+// so a run and its prediction always execute the same shape.
+func Choose(a Alg, lib *machine.Lib, mesh grid.Mesh) (*Schedule, error) {
+	if a != Auto {
+		if _, err := Resolve(a, lib, mesh); err != nil {
+			return nil, err
+		}
+		return Build(a, mesh), nil
+	}
+	var best *Schedule
+	var bestCost vtime.Duration
 	for _, a := range Algorithms() {
 		if !Eligible(a, mesh) {
 			continue
 		}
-		c := Cost(a, lib, mesh)
-		if best == Auto || c < bestCost {
-			best, bestCost = a, c
+		s := Build(a, mesh)
+		c, err := s.Simulate(lib)
+		if err != nil {
+			// Schedules Build pairs always complete; a stall here is a
+			// bug in the generator itself.
+			panic(err)
+		}
+		if best == nil || c < bestCost {
+			best, bestCost = s, c
 		}
 	}
-	return best
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return best, nil
 }

@@ -1,11 +1,105 @@
 package collective
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"commopt/internal/grid"
 	"commopt/internal/machine"
+	"commopt/internal/vtime"
 )
+
+// Steps is one rank's schedule, as AllSteps builds it.
+func Steps(a Alg, mesh grid.Mesh, rank int) []Step { return AllSteps(a, mesh)[rank] }
+
+// Profile is Build(a, mesh).Profile(lib).
+func Profile(a Alg, lib *machine.Lib, mesh grid.Mesh) []RankCost { return Build(a, mesh).Profile(lib) }
+
+// Cost prices one reduction under the algorithm on the mesh: the
+// critical-path virtual time of its full schedule. Zero on one proc.
+func Cost(a Alg, lib *machine.Lib, mesh grid.Mesh) vtime.Duration {
+	d, err := Build(a, mesh).Simulate(lib)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// Simulate pairs a schedule set (steps[r] is rank r's hops) and replays
+// it: an unpaired send or receive is an error, and so is a stall.
+func Simulate(steps [][]Step, lib *machine.Lib) (vtime.Duration, error) {
+	s, err := pair(steps)
+	if err != nil {
+		return 0, err
+	}
+	return s.Simulate(lib)
+}
+
+// edgeSimulate is the reference replay Schedule.Simulate is held to: one
+// FIFO of arrival times per directed edge, in a map, matched to receives
+// as they come. A message still in flight when every rank is done is an
+// error too, as is a stall.
+func edgeSimulate(steps [][]Step, lib *machine.Lib) (vtime.Duration, error) {
+	p := len(steps)
+	clocks := make([]vtime.Time, p)
+	idx := make([]int, p)
+	type edge struct{ src, dst int }
+	inflight := map[edge][]vtime.Time{}
+	remaining := 0
+	for _, s := range steps {
+		remaining += len(s)
+	}
+	for remaining > 0 {
+		progress := false
+		for r := 0; r < p; r++ {
+			for idx[r] < len(steps[r]) {
+				st := steps[r][idx[r]]
+				if st.Kind == Send {
+					clocks[r] = clocks[r].Add(SendCost(lib, st.Count))
+					e := edge{r, st.Peer}
+					inflight[e] = append(inflight[e], clocks[r].Add(WireDelay(lib, st.Count)))
+				} else {
+					e := edge{st.Peer, r}
+					q := inflight[e]
+					if len(q) == 0 {
+						break // blocked; revisit after the peer progresses
+					}
+					avail := q[0]
+					inflight[e] = q[1:]
+					if avail > clocks[r] {
+						clocks[r] = avail
+					}
+					clocks[r] = clocks[r].Add(RecvCost(lib, st.Count))
+				}
+				idx[r]++
+				remaining--
+				progress = true
+			}
+		}
+		if !progress {
+			for r := 0; r < p; r++ {
+				if idx[r] < len(steps[r]) {
+					st := steps[r][idx[r]]
+					return 0, fmt.Errorf("collective: rank %d stuck at step %d waiting for a level-%d message from rank %d that is never sent",
+						r, idx[r], st.Level, st.Peer)
+				}
+			}
+		}
+	}
+	for e, q := range inflight {
+		if len(q) != 0 {
+			return 0, fmt.Errorf("collective: %d messages from rank %d to rank %d never received", len(q), e.src, e.dst)
+		}
+	}
+	var d vtime.Duration
+	for _, c := range clocks {
+		if vtime.Duration(c) > d {
+			d = vtime.Duration(c)
+		}
+	}
+	return d, nil
+}
 
 // testMeshes is the mesh sweep the schedule tests run over: powers of
 // two, non-powers, primes, 1-D rows and one genuinely wide mesh.
@@ -346,5 +440,160 @@ func TestParseAlg(t *testing.T) {
 	}
 	if _, err := ParseAlg("ring"); err == nil {
 		t.Fatalf("ParseAlg(ring): no error")
+	}
+}
+
+// allLibs is every library of the t3d, paragon and rdma machines.
+func allLibs(t testing.TB) []*machine.Lib {
+	var libs []*machine.Lib
+	for _, name := range []string{"t3d", "paragon", "rdma"} {
+		m, err := machine.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ln := range m.LibNames() {
+			l, err := m.Lib(ln)
+			if err != nil {
+				t.Fatal(err)
+			}
+			libs = append(libs, l)
+		}
+	}
+	return libs
+}
+
+// drop returns steps without rank r's first step of the kind.
+func drop(steps [][]Step, r int, kind StepKind) [][]Step {
+	mut := make([][]Step, len(steps))
+	copy(mut, steps)
+	mut[r] = nil
+	dropped := false
+	for _, st := range steps[r] {
+		if !dropped && st.Kind == kind {
+			dropped = true
+			continue
+		}
+		mut[r] = append(mut[r], st)
+	}
+	return mut
+}
+
+// TestSlotReplayMatchesEdgeReplay holds the receive-slot replay to the
+// edge-FIFO reference: equal durations on every eligible schedule of
+// P = 2..200 and the sizes the experiments sweep, under every library of
+// every machine, the same Select choice for every (library, P), and an
+// error from both when a schedule loses one send or one receive.
+func TestSlotReplayMatchesEdgeReplay(t *testing.T) {
+	var sizes []int
+	for p := 2; p <= 200; p++ {
+		sizes = append(sizes, p)
+	}
+	sizes = append(sizes, 255, 256, 500, 512, 1000, 1024, 4096)
+	libs := allLibs(t)
+	compared := 0
+	for _, p := range sizes {
+		mesh, err := grid.MeshFor(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var scheds []*Schedule
+		for _, a := range Algorithms() {
+			if Eligible(a, mesh) {
+				scheds = append(scheds, Build(a, mesh))
+			}
+		}
+		for _, lib := range libs {
+			want, wantCost := Auto, vtime.Duration(0)
+			for _, s := range scheds {
+				got, err := s.Simulate(lib)
+				if err != nil {
+					t.Fatalf("%s on %d procs (%s): %v", s.Alg, p, lib.Name, err)
+				}
+				ref, err := edgeSimulate(s.Steps, lib)
+				if err != nil {
+					t.Fatalf("%s on %d procs (%s): reference: %v", s.Alg, p, lib.Name, err)
+				}
+				if got != ref {
+					t.Fatalf("%s on %d procs (%s): slot replay %v, edge replay %v", s.Alg, p, lib.Name, got, ref)
+				}
+				if want == Auto || ref < wantCost {
+					want, wantCost = s.Alg, ref
+				}
+				compared++
+			}
+			if got := Select(lib, mesh); got != want {
+				t.Fatalf("%d procs (%s): Select chose %s, the edge replay's argmin is %s", p, lib.Name, got, want)
+			}
+		}
+		if p > 16 {
+			continue
+		}
+		for _, s := range scheds {
+			for r := range s.Steps {
+				for _, kind := range []StepKind{Send, Recv} {
+					mut := drop(s.Steps, r, kind)
+					if _, err := Simulate(mut, libs[0]); err == nil {
+						t.Fatalf("%s on %d procs: rank %d lost a step of kind %d, slot replay gave no error", s.Alg, p, r, kind)
+					}
+					if _, err := edgeSimulate(mut, libs[0]); err == nil {
+						t.Fatalf("%s on %d procs: rank %d lost a step of kind %d, edge replay gave no error", s.Alg, p, r, kind)
+					}
+				}
+			}
+		}
+	}
+	if compared != 3498 {
+		t.Errorf("compared %d schedules, want 3498", compared)
+	}
+}
+
+// TestPairRejectsOrphans: a send no receive takes and a receive no send
+// fills are pairing errors that name the step; an intact schedule pairs
+// every send with its peer's receive slot from it.
+func TestPairRejectsOrphans(t *testing.T) {
+	steps := [][]Step{
+		{{Kind: Send, Peer: 1, Count: 1}, {Kind: Recv, Peer: 1, Count: 1}},
+		{{Kind: Recv, Peer: 0, Count: 1}, {Kind: Send, Peer: 0, Count: 1}},
+	}
+	s, err := pair(steps)
+	if err != nil {
+		t.Fatalf("intact exchange: %v", err)
+	}
+	if s.To[0][0] != 0 || s.To[1][1] != 0 || s.Recvs(0) != 1 || s.Recvs(1) != 1 {
+		t.Fatalf("intact exchange paired as %v", s.To)
+	}
+	for _, c := range []struct {
+		name  string
+		steps [][]Step
+		want  string
+	}{
+		{"orphan send", [][]Step{{{Kind: Send, Peer: 1, Count: 1}}, nil},
+			"rank 0's step 0 sends to rank 1, which never receives from it"},
+		{"orphan receive", [][]Step{nil, {{Kind: Recv, Peer: 0, Count: 1}}},
+			"rank 1's step 0 receives from rank 0, which never sends to it"},
+		{"second send on an edge", [][]Step{{{Kind: Send, Peer: 1, Count: 1}, {Kind: Send, Peer: 1, Count: 1}}, {{Kind: Recv, Peer: 0, Count: 1}}},
+			"rank 0's step 1 sends to rank 1, which never receives from it"},
+	} {
+		if _, err := pair(c.steps); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// BenchmarkSelect times choosing the allreduce at three partition sizes:
+// every eligible schedule built, paired and replayed once.
+func BenchmarkSelect(b *testing.B) {
+	lib := allLibs(b)[0]
+	for _, p := range []int{64, 1024, 4096} {
+		mesh, err := grid.MeshFor(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("procs=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				Select(lib, mesh)
+			}
+		})
 	}
 }

@@ -47,7 +47,7 @@ type Config struct {
 
 	// Collective selects the allreduce algorithm, mirroring
 	// rt.Config.Collective: Auto resolves to the cheapest eligible
-	// algorithm through collective.Resolve, the same call the runtime
+	// algorithm through collective.Choose, the same call the runtime
 	// makes, so a prediction always prices the hop pattern the run
 	// executes.
 	Collective collective.Alg
@@ -59,9 +59,9 @@ type Config struct {
 // Bind resolves a command line's binding by name before anything runs:
 // the machine model, its library, the mesh of procs processors and the
 // allreduce algorithm ("" is auto), which when forced must be eligible on
-// that mesh (a lone processor runs no collective, so it takes any). A
-// command that binds first fails on a bad binding before it prints
-// anything.
+// that mesh (a lone processor runs no collective, so it takes any). Auto
+// always binds, so Bind prices nothing. A command that binds first fails
+// on a bad binding before it prints anything.
 func Bind(mach, lib string, procs int, coll string) (Config, error) {
 	if coll == "" {
 		coll = collective.Auto.String()
@@ -82,7 +82,7 @@ func Bind(mach, lib string, procs int, coll string) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	if mesh.Size() > 1 {
+	if alg != collective.Auto && mesh.Size() > 1 {
 		if _, err := collective.Resolve(alg, l, mesh); err != nil {
 			return Config{}, err
 		}

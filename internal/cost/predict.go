@@ -31,7 +31,7 @@ type Prediction struct {
 	Reductions       int   // global reductions per processor
 
 	// Collective is the allreduce algorithm the prediction priced — the
-	// resolution of Config.Collective through collective.Resolve, which is
+	// resolution of Config.Collective through collective.Choose, which is
 	// exactly what the runtime executes. Auto when the program performs no
 	// reductions or runs on one processor.
 	Collective collective.Alg
@@ -168,17 +168,17 @@ func analyze(prog *ir.Program, plan *comm.Plan, cfg Config) (*walker, error) {
 		sites:    map[*comm.Transfer]*siteAcc{},
 		csites:   map[*comm.Collective]*siteAcc{},
 	}
-	// Resolve the collective algorithm exactly as rt's setup does: only
+	// Choose the collective schedule exactly as rt's setup does: only
 	// when the plan carries reduction sites and the mesh is bigger than a
 	// lone processor (which pays nothing) — so a forced-but-ineligible
 	// algorithm errors in the same cases the runtime would.
 	if len(plan.Collectives) > 0 && lay.mesh.Size() > 1 {
-		alg, err := collective.Resolve(cfg.Collective, lib, lay.mesh)
+		coll, err := collective.Choose(cfg.Collective, lib, lay.mesh)
 		if err != nil {
 			return nil, err
 		}
-		w.collAlg = alg
-		w.redProf = collective.Profile(alg, lib, lay.mesh)
+		w.collAlg = coll.Alg
+		w.redProf = coll.Profile(lib)
 		for _, rc := range w.redProf {
 			if rc.Comm > w.redCrit {
 				w.redCrit = rc.Comm
@@ -351,9 +351,9 @@ func (w *walker) stmt(s ir.Stmt) error {
 
 // countReduces charges every Reduce node of a scalar RHS, mirroring the
 // runtime's evalWithReduce recursion: each reduction charges each rank
-// the hop overhead of its role in the selected algorithm's schedule
-// (collective.Profile), and its hops count as messages and bytes — the
-// identical per-hop accounting p.allreduce performs.
+// the hop overhead of its role in the chosen schedule (its Profile), and
+// its hops count as messages and bytes — the identical per-hop
+// accounting p.allreduce performs.
 func (w *walker) countReduces(e ir.Expr) {
 	switch e := e.(type) {
 	case *ir.Reduce:

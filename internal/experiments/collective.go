@@ -13,7 +13,7 @@ import (
 // eligible algorithm is forced in turn and its measured execution time
 // reported; the "selected" column is the algorithm the runtime's auto
 // resolution actually executed, and the "predicted" column is the
-// cost model's independent choice (collective.Resolve through
+// cost model's independent choice (collective.Choose through
 // cost.Predict). The experiment is itself a differential gate: it fails
 // if the two ever disagree, or if the selected algorithm does not have
 // the best measured time among the eligible ones — the selection must be
@@ -72,7 +72,7 @@ func CollectiveTable(r *Runner, benchName string, procCounts []int) (*report.Tab
 			i++
 
 			// The predictor must independently land on the algorithm the
-			// runtime executed: both sides call collective.Resolve, and this
+			// runtime executed: both sides call collective.Choose, and this
 			// experiment is where that contract is exercised end to end.
 			pred, err := r.predict(auto)
 			if err != nil {

@@ -17,14 +17,15 @@ func (a *arena) mark() int { return a.used }
 
 // alloc returns n scratch doubles. The contents are unspecified: kernels
 // fully overwrite every row before reading it, so no zeroing happens on
-// the hot path. Growing preserves offsets (marks stay valid); slices
+// the hot path. The first growth is what the request needs, later ones
+// double it. Growing preserves offsets (marks stay valid); slices
 // returned before a growth keep aliasing the old buffer, which is only
 // ever read back through those same slices.
 func (a *arena) alloc(n int) []float64 {
 	if a.used+n > len(a.buf) {
-		size := 2 * (a.used + n)
-		if size < 1024 {
-			size = 1024
+		size := a.used + n
+		if a.buf != nil {
+			size *= 2
 		}
 		next := make([]float64, size)
 		copy(next, a.buf[:a.used])

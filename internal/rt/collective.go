@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the runtime's collective engine: global reductions execute
-// the per-rank hop schedule of the algorithm resolved at setup
-// (world.collAlg, package collective) as real messages through the same
+// the hop schedule chosen at setup (collective.Choose: world.collAlg,
+// collSteps, collTo) as real messages through the same
 // mailbox scheduler that carries point-to-point traffic. Every hop
 // charges the collective cost model (SendCost/RecvCost/WireDelay), counts
 // toward Result.Messages/BytesSent and emits its own trace span, so the
@@ -73,64 +73,18 @@ func (w *world) foldOf(seq int, op ir.ReduceOp) float64 {
 	return v
 }
 
-// collInbox numbers every rank's receives and points each send at the
-// receive that takes it: to[r][i] is, for rank r's step i, its receive
-// slot when it is a receive and the peer's slot for it when it is a send.
-// The protocol checker's pairing rule (cost, coll-pairing) holds every
-// directed edge to one message per reduction, so a sender's slot at the
-// peer is the peer's receive from it. Receivers are visited in rank order
-// and each sender's steps are searched on from its previous match, which
-// keeps this near-linear for the schedules package collective builds: a
-// star root, say, broadcasts in rank order.
-func collInbox(steps [][]collective.Step) (to [][]int32) {
-	n := 0
-	for _, ss := range steps {
-		n += len(ss)
-	}
-	flat, to := make([]int32, n), make([][]int32, len(steps))
-	for r, ss := range steps {
-		to[r], flat = flat[:len(ss):len(ss)], flat[len(ss):]
-	}
-	cur := make([]int32, len(steps)) // where the last search of each sender's steps ended
-	for q, ss := range steps {
-		var k int32
-		for i, st := range ss {
-			if st.Kind != collective.Recv {
-				continue
-			}
-			to[q][i] = k
-			src := steps[st.Peer]
-			for j := range src {
-				if at := (int(cur[st.Peer]) + j) % len(src); src[at].Kind == collective.Send && src[at].Peer == q {
-					to[st.Peer][at], cur[st.Peer] = k, int32(at+1)
-					break
-				}
-			}
-			k++
-		}
-	}
-	return to
-}
-
 // openInboxes gives every processor its collective slots: two per receive
-// step, one for each reduction parity, all carved from one allocation.
-func (w *world) openInboxes() {
-	recvs := func(r int) (k int) {
-		for _, st := range w.collSteps[r] {
-			if st.Kind == collective.Recv {
-				k++
-			}
-		}
-		return k
-	}
+// step of the chosen schedule, one for each reduction parity, all carved
+// from one allocation.
+func (w *world) openInboxes(coll *collective.Schedule) {
 	n := 0
-	for r := range w.collSteps {
-		n += recvs(r)
+	for r := range w.procs {
+		n += coll.Recvs(r)
 	}
 	slots := make([]collSlot, 2*n)
-	for r := range w.collSteps {
-		k := 2 * recvs(r)
-		w.procs[r].mb.coll, slots = slots[:k:k], slots[k:]
+	for r, p := range w.procs {
+		k := 2 * coll.Recvs(r)
+		p.mb.coll, slots = slots[:k:k], slots[k:]
 	}
 }
 

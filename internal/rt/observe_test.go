@@ -287,10 +287,33 @@ func TestMetricsMatchResult(t *testing.T) {
 	if sizes != 1 {
 		t.Errorf("%d message_size_bytes histograms in the registry's JSON, want 1", sizes)
 	}
-	// The residual reduction stages its rows in the arena, which first
-	// grows to 1024 doubles; the gauge is the largest over all processors.
-	if got := reg.Gauge("arena_hiwater_doubles").V; got < 1024 {
-		t.Errorf("arena_hiwater_doubles = %d, want at least one arena's first growth (1024)", got)
+	// The arena grows to what its requests need, so the gauge, the largest
+	// over all processors, is at least the largest scratch request a
+	// kernel made: its scratch rows plus a staging row, a whole result or
+	// a reduction's root row.
+	w, _ := ranWorld(t, laplaceSrc, 64, map[string]float64{"n": 16})
+	largest := 0
+	for i := range w.stmtCC {
+		for _, sp := range w.stmtCC[i].m {
+			if k := sp.k; k != nil {
+				n := k.slots * k.L
+				switch k.mode {
+				case storeRow:
+					n += k.L
+				case storeFull:
+					n += k.rows * k.L
+				}
+				largest = max(largest, n)
+			}
+		}
+	}
+	for i := range w.reduceCC {
+		for _, k := range w.reduceCC[i].m {
+			largest = max(largest, (k.slots+1)*k.L)
+		}
+	}
+	if got := reg.Gauge("arena_hiwater_doubles").V; largest == 0 || got < int64(largest) {
+		t.Errorf("arena_hiwater_doubles = %d, want at least the largest kernel request (%d doubles)", got, largest)
 	}
 	// Every DR..SV sequence resolves its schedule exactly once, at DR.
 	// laplace's regions are all declared, so a processor's first sequence

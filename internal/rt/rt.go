@@ -246,13 +246,14 @@ type world struct {
 	sched      *scheduler  // set by runSched
 	schedStats *SchedStats // counters folded at the end of runSched
 
-	// Collective execution state: the algorithm resolved for this run and
-	// every rank's hop schedule (collSteps[r], see collective.go). Both
-	// stay nil/zero when the program has no reductions or runs on one
-	// processor.
+	// Collective execution state: the algorithm chosen for this run and
+	// its schedule, every rank's hops (collSteps[r], see collective.go)
+	// and the receive slot each hop names (collTo[r][i], the schedule's
+	// pairing). All stay nil/zero when the program has no reductions or
+	// runs on one processor.
 	collAlg   collective.Alg
 	collSteps [][]collective.Step
-	collTo    [][]int32 // collTo[r][i]: the receive slot rank r's step i fills (collInbox)
+	collTo    [][]int32
 
 	// collContrib is the shared contribution board: collContrib[s&1][r] is
 	// rank r's raw input to reduction sequence s. Hop messages carry no
@@ -363,19 +364,17 @@ func (w *world) setup(cfg Config) error {
 	}
 	w.reduceCC = make([]classCache[*reduceKernel], prog.NumReduces)
 
-	// Resolve the collective algorithm and build every rank's hop
-	// schedule, but only when a reduction can actually execute: the plan
-	// records the program's reduction sites, and a single processor
-	// reduces locally without any hops (so forcing a mesh-ineligible
-	// algorithm there is not an error).
+	// Choose the collective schedule, but only when a reduction can
+	// actually execute: the plan records the program's reduction sites,
+	// and a single processor reduces locally without any hops (so forcing
+	// a mesh-ineligible algorithm there is not an error).
+	var coll *collective.Schedule
 	if len(w.plan.Collectives) > 0 && w.mesh.Size() > 1 {
-		alg, err := collective.Resolve(cfg.Collective, w.lib, w.mesh)
+		coll, err = collective.Choose(cfg.Collective, w.lib, w.mesh)
 		if err != nil {
 			return fmt.Errorf("rt: %w", err)
 		}
-		w.collAlg = alg
-		w.collSteps = collective.AllSteps(alg, w.mesh)
-		w.collTo = collInbox(w.collSteps)
+		w.collAlg, w.collSteps, w.collTo = coll.Alg, coll.Steps, coll.To
 		w.collContrib[0] = make([]float64, w.mesh.Size())
 		w.collContrib[1] = make([]float64, w.mesh.Size())
 		w.collFold[0].seq = -1
@@ -391,8 +390,8 @@ func (w *world) setup(cfg Config) error {
 	for _, p := range w.procs {
 		p.meet()
 	}
-	if w.collTo != nil {
-		w.openInboxes()
+	if coll != nil {
+		w.openInboxes(coll)
 	}
 
 	w.observe(cfg)

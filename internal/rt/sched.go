@@ -81,10 +81,10 @@ type mbox struct {
 	slots []slotBox // by neighbour slot
 	// coll is the collective inbox, one slot per receive step of the rank's
 	// hop schedule and reduction parity: coll[(seq&1)*n+k] takes sequence
-	// seq's message into receive slot k, n = len(coll)/2 (world.collTo
-	// numbers them). Receives follow the rank's deterministic hop schedule,
-	// not arrival order, so a slot per receive replaces what a FIFO would
-	// force into an O(P) scan at the star root.
+	// seq's message into receive slot k, n = len(coll)/2 (the collective
+	// schedule's pairing numbers them). Receives follow the rank's
+	// deterministic hop schedule, not arrival order, so a slot per receive
+	// replaces what a FIFO would force into an O(P) scan at the star root.
 	coll []collSlot
 }
 

@@ -465,7 +465,7 @@ func TestSchedulerStealsCounted(t *testing.T) {
 	}
 }
 
-// TestSchedulerCollectiveSlotsPair: collInbox numbers each rank's receives
+// TestSchedulerCollectiveSlotsPair: the schedule's pairing numbers each rank's receives
 // 0, 1, ... in schedule order and gives every send the number of the
 // receive that takes it at the peer, for every algorithm on meshes where it
 // is eligible — the slot a sender fills is the one its receiver waits on.
@@ -475,8 +475,8 @@ func TestSchedulerCollectiveSlotsPair(t *testing.T) {
 			if !collective.Eligible(alg, mesh) {
 				continue
 			}
-			steps := collective.AllSteps(alg, mesh)
-			to := collInbox(steps)
+			coll := collective.Build(alg, mesh)
+			steps, to := coll.Steps, coll.To
 			for q, ss := range steps {
 				var k int32
 				for i, st := range ss {

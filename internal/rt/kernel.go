@@ -18,7 +18,9 @@ import (
 // the last dimension of the statement's rank, which is contiguous in every
 // field of that rank, so an @-shift becomes a constant flat-index delta and
 // the inner loops carry no per-element At/Set bounds math or closure
-// dispatch. Regions are loop-invariant for declared regions (and revisited
+// dispatch. Each subtree is computed at the loop level where its value
+// varies (kcompiler.level): once per run, once per row, or per element.
+// Regions are loop-invariant for declared regions (and revisited
 // by literal-bound sweeps), so kernels are cached per statement site
 // (site.go) and amortize to zero compile cost. A kernel is position
 // independent — it addresses fields by array ID and class-invariant flat
@@ -52,7 +54,8 @@ const (
 // everything a compiled row knows of the processor running it.
 type kctx struct {
 	i, j, k int       // coordinates of the row's first element, relative to org
-	scratch []float64 // slot rows for intermediate results, arena-backed
+	scratch []float64 // slot rows for intermediate results and run rows, arena-backed
+	vals    []float64 // the run's values (kcompiler.value), arena-backed
 
 	data    [][]float64 // the processor's field backing slices, by ArraySym.ID
 	scalars []float64   // its scalar store, by ScalarSym.ID
@@ -83,28 +86,33 @@ type addr struct {
 
 func (a *addr) at(i, j, k int) int { return a.base + i*a.s0 + j*a.s1 + k }
 
-// kernel is one compiled whole-array assignment, fixed to a statement and
-// the exact local region it iterates.
-type kernel struct {
-	lhs   addr
+// tree is one compiled expression over one local region: the row
+// evaluator, what a run reserves of the arena, and the prologue that
+// computes the run's values and run rows before its first row.
+type tree struct {
 	local grid.Region // relative to the block origin
 	inner int         // row dimension (rank-1)
 	L     int         // row length
-	rows  int
-	slots int // scratch rows needed by the expression tree
-	mode  storeMode
+	slots int         // scratch rows: per-row operands and run rows
+	vals  int         // values computed once per run
+	pre   []func(c *kctx)
 	row   vec
+}
+
+// kernel is one compiled whole-array assignment, fixed to a statement and
+// the exact local region it iterates.
+type kernel struct {
+	tree
+	lhs  addr
+	rows int
+	mode storeMode
 }
 
 // reduceKernel computes one reduction's local partial as a fused
 // map-reduce over the processor's part of the statement region.
 type reduceKernel struct {
-	op    ir.ReduceOp
-	local grid.Region // relative to the block origin
-	inner int
-	L     int
-	slots int
-	row   vec
+	tree
+	op ir.ReduceOp
 }
 
 // forRows visits the first element of every row of reg in row-major
@@ -164,24 +172,21 @@ func (p *proc) reduceKernel(e *ir.Reduce, s *ir.AssignScalar, local grid.Region)
 	}
 	cl := p.cls
 	return resolve(p, &p.reduces[e.ID], &p.w.reduceCC[e.ID], &cl.frame, cl.id, &s.Region, cacheReduce, func(local grid.Region) *reduceKernel {
+		k := &reduceKernel{op: e.Op}
 		kc := newKcompiler(cl, local, s.Pos)
-		row := kc.node(e.X)
-		return &reduceKernel{op: e.Op, local: local, inner: kc.inner, L: kc.L, slots: kc.slots, row: row}
+		kc.close(&k.tree, kc.node(e.X))
+		return k
 	})
 }
 
 // assign lowers one assignment over the compiler's local region.
 func (kc *kcompiler) assign(s *ir.AssignArray) *kernel {
 	k := &kernel{
-		lhs:   kc.addrOf(s.LHS.ID, grid.Offset{}),
-		local: kc.local,
-		inner: kc.inner,
-		L:     kc.L,
-		rows:  kc.local.Size() / kc.L,
-		mode:  storeModeFor(s, kc.inner),
-		row:   kc.root(s.RHS),
+		lhs:  kc.addrOf(s.LHS.ID, grid.Offset{}),
+		rows: kc.local.Size() / kc.L,
+		mode: storeModeFor(s, kc.inner),
 	}
-	k.slots = kc.slots
+	kc.close(&k.tree, kc.root(s.RHS))
 	return k
 }
 
@@ -207,14 +212,30 @@ func storeModeFor(s *ir.AssignArray, inner int) storeMode {
 	return mode
 }
 
+// begin reserves a run's scratch rows and values in p's arena and runs the
+// prologue at the first row's coordinates; the caller releases the mark it
+// returns after the last row.
+func (t *tree) begin(p *proc) int {
+	c := &p.kctx
+	m := p.arena.mark()
+	n := t.slots * t.L
+	buf := p.arena.alloc(n + t.vals)
+	c.scratch, c.vals = buf[:n], buf[n:]
+	s := t.local.Spans
+	c.i, c.j, c.k = s[0].Lo, s[1].Lo, s[2].Lo
+	for _, f := range t.pre {
+		f(c)
+	}
+	return m
+}
+
 // run executes the kernel for processor p. The virtual-time charge is the
 // caller's job (it depends only on size*Flops, not on how elements are
 // evaluated).
 func (k *kernel) run(p *proc) {
 	c := &p.kctx
 	ldata := c.data[k.lhs.id]
-	m := p.arena.mark()
-	c.scratch = p.arena.alloc(k.slots * k.L)
+	m := k.begin(p)
 	switch k.mode {
 	case storeDirect:
 		forRows(k.local, k.inner, func(i, j, kk int) {
@@ -259,8 +280,7 @@ func (k *kernel) run(p *proc) {
 // bit-identical.
 func (k *reduceKernel) run(p *proc) float64 {
 	c := &p.kctx
-	m := p.arena.mark()
-	c.scratch = p.arena.alloc(k.slots * k.L)
+	m := k.begin(p)
 	root := p.arena.alloc(k.L)
 	acc := k.op.Identity()
 	forRows(k.local, k.inner, func(i, j, kk int) {
@@ -303,13 +323,22 @@ type kcompiler struct {
 	inner int
 	L     int
 	slots int
-	fills int     // rows broadcast from a scalar (fill): statement roots only
-	pos   zpl.Pos // the statement's, for the errors addrOf raises
+	vals  int
+	pre   []func(c *kctx) // the tree's prologue, dependencies first
+	once  bool            // compiling prologue code, where nothing is hoisted again
+	runs  int             // run rows among the slots
+	fills int             // rows broadcast from a value: statement roots only
+	pos   zpl.Pos         // the statement's, for the errors addrOf raises
 }
 
 func newKcompiler(cl *shapeClass, local grid.Region, pos zpl.Pos) *kcompiler {
 	inner := local.Rank - 1
 	return &kcompiler{cl: cl, local: local, inner: inner, L: local.Spans[inner].Len(), pos: pos}
+}
+
+// close completes t, the compiled tree whose root is row.
+func (kc *kcompiler) close(t *tree, row vec) {
+	*t = tree{local: kc.local, inner: kc.inner, L: kc.L, slots: kc.slots, vals: kc.vals, pre: kc.pre, row: row}
 }
 
 // slot reserves a fresh scratch row and returns its index.
@@ -319,25 +348,82 @@ func (kc *kcompiler) slot() int {
 	return s
 }
 
-// scalarOnly reports whether e contains no array or index references, so
-// its value is the same at every point of the region.
-func scalarOnly(e ir.Expr) bool {
+// reads is the classifier's record of a subtree: whether it reads an
+// array, the row's own (inner) index, or an outer index.
+type reads uint8
+
+const (
+	readsArray reads = 1 << iota
+	readsInner
+	readsOuter
+)
+
+func (kc *kcompiler) reads(e ir.Expr) reads {
 	switch e := e.(type) {
-	case *ir.ArrayRef, *ir.IndexRef, *ir.Reduce:
-		return false
+	case *ir.ArrayRef, *ir.Reduce:
+		return readsArray
+	case *ir.IndexRef:
+		if e.Dim-1 == kc.inner {
+			return readsInner
+		}
+		return readsOuter
 	case *ir.Unary:
-		return scalarOnly(e.X)
+		return kc.reads(e.X)
 	case *ir.Binary:
-		return scalarOnly(e.X) && scalarOnly(e.Y)
+		return kc.reads(e.X) | kc.reads(e.Y)
 	case *ir.Intrinsic:
+		var r reads
 		for _, a := range e.Args {
-			if !scalarOnly(a) {
-				return false
-			}
+			r |= kc.reads(a)
+		}
+		return r
+	}
+	return 0
+}
+
+// level is the loop level a subtree's value varies at, and so the one it
+// is computed at.
+type level uint8
+
+const (
+	// levelValue reads no array and not the inner index: one scalar for a
+	// whole row (kcompiler.value).
+	levelValue level = iota
+	// levelRun reads the inner index and nothing that changes from one row
+	// to the next: one row for the whole run (kcompiler.runRow).
+	levelRun
+	// levelView is an array reference, read in place.
+	levelView
+	// levelElem is everything else, computed per row, element by element.
+	levelElem
+)
+
+// level classifies e. A bare inner index stays per row: writing lo + n
+// costs no more than copying a run row would. Inside prologue code a run
+// row is per element: it is already computed once per run.
+func (kc *kcompiler) level(e ir.Expr) level {
+	r := kc.reads(e)
+	switch e.(type) {
+	case *ir.ArrayRef:
+		return levelView
+	case *ir.IndexRef:
+		if r == readsInner {
+			return levelElem
 		}
 	}
-	return true
+	switch {
+	case r&(readsArray|readsInner) == 0:
+		return levelValue
+	case r == readsInner && !kc.once:
+		return levelRun
+	}
+	return levelElem
 }
+
+// distributes reports whether the region distributes dimension d, so
+// that its global coordinate is relative to the executing processor's
+// origin.
+func (kc *kcompiler) distributes(d int) bool { return d < 2 && d < kc.local.Rank }
 
 // addrOf validates a reference to the array at offset off against the
 // region and returns where its rows start. The layout is read off the class
@@ -382,17 +468,91 @@ func (kc *kcompiler) viewOf(e *ir.ArrayRef) vec {
 	}
 }
 
-// fill compiles a scalar-invariant statement root (A := s) as a per-row
-// broadcast of its value, evaluated once per row from the executing
-// processor's scalars so scalars that change between executions are
-// re-read. It is the only place a scalar becomes a row: as an operand it
-// stays a value (binary).
+// sval is a compiled value, one scalar for a whole row: k when fn is nil
+// (a constant, which costs no closure), fn's result otherwise.
+type sval struct {
+	k  float64
+	fn func(c *kctx) float64
+}
+
+func (v sval) at(c *kctx) float64 {
+	if v.fn == nil {
+		return v.k
+	}
+	return v.fn(c)
+}
+
+// value compiles a levelValue subtree. One that reads no index is the same
+// for the whole run: unless it is a leaf, it is computed once, in the
+// prologue, into a value slot. The rest — leaves, and what reads an outer
+// index — is computed where it is read, once per row. Every operator is
+// the scalar semantics' own (ir.EvalUnary, ir.EvalBinary, ir.Intrinsics),
+// applied to what the operands' closures return: no tree walk per row.
+func (kc *kcompiler) value(e ir.Expr) sval {
+	switch e := e.(type) {
+	case *ir.Const:
+		return sval{k: e.Val}
+	case *ir.ScalarRef:
+		id := e.Sym.ID
+		return sval{fn: func(c *kctx) float64 { return c.scalars[id] }}
+	case *ir.IndexRef:
+		d := e.Dim - 1
+		dist := kc.distributes(d)
+		return sval{fn: func(c *kctx) float64 { return float64(c.coord(d, dist)) }}
+	}
+	if !kc.once && kc.reads(e) == 0 {
+		kc.once = true
+		v := kc.value(e)
+		kc.once = false
+		i := kc.vals
+		kc.vals++
+		kc.pre = append(kc.pre, func(c *kctx) { c.vals[i] = v.at(c) })
+		return sval{fn: func(c *kctx) float64 { return c.vals[i] }}
+	}
+	switch e := e.(type) {
+	case *ir.Unary:
+		op, x := e.Op, kc.value(e.X)
+		return sval{fn: func(c *kctx) float64 { return ir.EvalUnary(op, x.at(c)) }}
+	case *ir.Binary:
+		op, x, y := e.Op, kc.value(e.X), kc.value(e.Y)
+		return sval{fn: func(c *kctx) float64 { return ir.EvalBinary(op, x.at(c), y.at(c)) }}
+	case *ir.Intrinsic:
+		d, x := &ir.Intrinsics[e.Fn], kc.value(e.Args[0])
+		if fn := d.Unary; fn != nil {
+			return sval{fn: func(c *kctx) float64 { return fn(x.at(c)) }}
+		}
+		fn, y := d.Binary, kc.value(e.Args[1])
+		return sval{fn: func(c *kctx) float64 { return fn(x.at(c), y.at(c)) }}
+	}
+	panic(fmt.Sprintf("rt: %T in a value (ir.Lower rejects it)", e))
+}
+
+// fill compiles a value at a statement root (A := s): the only place a
+// value becomes a row, broadcast over each row. As an operand it stays a
+// value (binary).
 func (kc *kcompiler) fill(e ir.Expr) vec {
 	kc.fills++
+	v := kc.value(e)
 	return func(c *kctx, dst []float64) []float64 {
-		fillRow(dst, ir.Eval(e, c.scalars))
+		fillRow(dst, v.at(c))
 		return dst
 	}
+}
+
+// runRow compiles a levelRun subtree into a scratch row of its own,
+// computed once per run by the prologue and read by every row as a view.
+// It depends on the executing processor's origin, so it lives in that
+// processor's arena, never in the kernel its class shares. An operator
+// node, it writes the row it is handed.
+func (kc *kcompiler) runRow(e ir.Expr) vec {
+	kc.once = true
+	v := kc.node(e)
+	kc.once = false
+	kc.runs++
+	lo := kc.slot() * kc.L
+	hi := lo + kc.L
+	kc.pre = append(kc.pre, func(c *kctx) { v(c, c.scratch[lo:hi]) })
+	return func(c *kctx, _ []float64) []float64 { return c.scratch[lo:hi] }
 }
 
 // root compiles the top of an assignment RHS: the one two-operation loop
@@ -404,7 +564,7 @@ func (kc *kcompiler) root(e ir.Expr) vec {
 	return kc.node(e)
 }
 
-// axpy recognizes s*X ± Y, X*s ± Y and Y + s*X (s scalar, X/Y array
+// axpy recognizes s*X ± Y, X*s ± Y and Y + s*X (s a value, X/Y array
 // references) and fuses them into one loop (axpyRow, which keeps the
 // product a rounded double so results stay bit-identical to the
 // two-step evaluation).
@@ -418,10 +578,10 @@ func (kc *kcompiler) axpy(e ir.Expr) vec {
 		if !isMul || m.Op != zpl.STAR {
 			return nil, nil
 		}
-		if x, isRef := m.Y.(*ir.ArrayRef); isRef && scalarOnly(m.X) {
+		if x, isRef := m.Y.(*ir.ArrayRef); isRef && kc.level(m.X) == levelValue {
 			return m.X, x
 		}
-		if x, isRef := m.X.(*ir.ArrayRef); isRef && scalarOnly(m.Y) {
+		if x, isRef := m.X.(*ir.ArrayRef); isRef && kc.level(m.Y) == levelValue {
 			return m.Y, x
 		}
 		return nil, nil
@@ -439,42 +599,38 @@ func (kc *kcompiler) axpy(e ir.Expr) vec {
 	if x == nil || y == nil {
 		return nil
 	}
-	xv, yv := kc.viewOf(x), kc.viewOf(y)
+	v, xv, yv := kc.value(s), kc.viewOf(x), kc.viewOf(y)
 	return func(c *kctx, dst []float64) []float64 {
-		axpyRow(form, dst, ir.Eval(s, c.scalars), xv(c, nil), yv(c, nil))
+		axpyRow(form, dst, v.at(c), xv(c, nil), yv(c, nil))
 		return dst
 	}
 }
 
-// node is the generic tree compiler: every operator becomes one loop over
-// rows (rowops.go), with subexpression results flowing through views or
-// scratch slots. Each node performs exactly the expression's arithmetic
-// per element (one operation per loop, no refactoring), so values are
-// bit-identical to internal/ref's.
+// node is the generic tree compiler. Each subtree is compiled at its level:
+// a value is a scalar (value), a run row a view of the run's row (runRow),
+// and every other operator one loop over rows (rowops.go), with operand
+// rows flowing through views or scratch slots. Each node performs exactly
+// the expression's arithmetic per element (one operation per loop, no
+// refactoring), so values are bit-identical to internal/ref's.
 func (kc *kcompiler) node(e ir.Expr) vec {
-	if scalarOnly(e) {
+	switch kc.level(e) {
+	case levelValue:
 		return kc.fill(e)
+	case levelRun:
+		return kc.runRow(e)
 	}
 	switch e := e.(type) {
 	case *ir.ArrayRef:
 		return kc.viewOf(e)
 
-	case *ir.IndexRef:
-		// The global coordinate is the relative one plus the executing
-		// processor's origin, in the dimensions the region distributes.
+	case *ir.IndexRef: // the inner index: an outer one is a value
 		d := e.Dim - 1
-		dist := d < 2 && d < kc.local.Rank
-		if d == kc.inner {
-			return func(c *kctx, dst []float64) []float64 {
-				lo := c.coord(d, dist)
-				for n := range dst {
-					dst[n] = float64(lo + n)
-				}
-				return dst
-			}
-		}
+		dist := kc.distributes(d)
 		return func(c *kctx, dst []float64) []float64 {
-			fillRow(dst, float64(c.coord(d, dist)))
+			lo := c.coord(d, dist)
+			for n := range dst {
+				dst[n] = float64(lo + n)
+			}
 			return dst
 		}
 
@@ -535,33 +691,33 @@ func mapping(fn func(float64) float64) func(dst, xs []float64) {
 	return func(dst, xs []float64) { mapRow(fn, dst, xs) }
 }
 
-// binary compiles ex ∘ ey by what each operand is. A value — a scalarOnly
-// subtree, the same at every point — is evaluated once per row and handed
-// to a row∘scalar or scalar∘row loop; it never becomes a row. A view — an
-// array reference — is read in place. Anything else is a row: the left one
-// is computed into dst, which the loop then overwrites element by element,
-// so the right one needs a scratch slot of its own — the only case that
-// reserves one. Operand order is the program's throughout: s - A is not
-// A - s, and a NaN's payload follows the left operand. (Both operands
-// values is a scalarOnly node, which never gets here.)
+// binary compiles ex ∘ ey by each operand's level. A value is handed to a
+// row∘scalar or scalar∘row loop; it never becomes a row. A view — an array
+// reference or a run row — is read in place. Anything else is a row: the
+// left one is computed into dst, which the loop then overwrites element by
+// element, so the right one needs a scratch slot of its own — the only
+// case that reserves one. Operand order is the program's throughout: s - A
+// is not A - s, and a NaN's payload follows the left operand. (Both
+// operands values is a value node, which never gets here.)
 func (kc *kcompiler) binary(op rowOp, ex, ey ir.Expr) vec {
+	lx, ly := kc.level(ex), kc.level(ey)
 	switch {
-	case scalarOnly(ey):
-		x := kc.node(ex)
+	case ly == levelValue:
+		x, v := kc.node(ex), kc.value(ey)
 		return func(c *kctx, dst []float64) []float64 {
-			rowScalar(op, dst, x(c, dst), ir.Eval(ey, c.scalars))
+			rowScalar(op, dst, x(c, dst), v.at(c))
 			return dst
 		}
-	case scalarOnly(ex):
-		y := kc.node(ey)
+	case lx == levelValue:
+		v, y := kc.value(ex), kc.node(ey)
 		return func(c *kctx, dst []float64) []float64 {
-			scalarRow(op, dst, ir.Eval(ex, c.scalars), y(c, dst))
+			scalarRow(op, dst, v.at(c), y(c, dst))
 			return dst
 		}
 	}
 	x, y := kc.node(ex), kc.node(ey)
 	lo, hi := 0, 0 // y's window of the scratch space: none for a view
-	if _, view := ey.(*ir.ArrayRef); !view {
+	if ly == levelElem {
 		lo = kc.slot() * kc.L
 		hi = lo + kc.L
 	}

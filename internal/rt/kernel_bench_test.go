@@ -12,7 +12,8 @@ import (
 
 // kernelShapes lists one statement per shape of array statement — a name
 // here is a statement, not a compile path: "bin" is the tree compiler's
-// view∘view node, "stencil" its scalar∘row over view sums.
+// view∘view node, "stencil" its scalar∘row over view sums, "index" a
+// per-row value times a run row.
 var kernelShapes = []struct {
 	name string
 	stmt string
@@ -23,6 +24,7 @@ var kernelShapes = []struct {
 	{"axpy", "[R] C := 2.5 * A + B;"},
 	{"stencil", "[Int] C := 0.25 * (A@east + A@west + A@north + A@south);"},
 	{"mapreduce", "[R] s := max<< abs(A - B);"},
+	{"index", "[R] C := 250.0 * sin(Index1 * 0.05) * cos(Index2 * 0.05);"},
 }
 
 const kernelBenchSrc = `

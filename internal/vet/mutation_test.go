@@ -287,16 +287,16 @@ func scoreMutants(t *testing.T, rejects func(*comm.Plan) bool) map[string]mutant
 // mutant counts: re-pin them, keeping rejected >= union.
 func TestCheckerKillsMutants(t *testing.T) {
 	want := map[string]struct{ mutants, rejected, union int }{
-		"drop-transfer":      {1718, 1576, 1576},
-		"sr-earlier":         {1260, 1260, 1260},
-		"dn-later":           {1718, 1576, 1576},
-		"sv-later":           {762, 762, 762},
-		"dn-call-earlier":    {1442, 1442, 1442},
-		"drop-sv-call":       {1718, 1718, 1718},
-		"dup-sr-call":        {1718, 1718, 1718},
-		"swap-dr-sr":         {1718, 1718, 1718},
-		"widen-other-offset": {1154, 688, 688},
-		"hoist-in-loop":      {1320, 1320, 1320},
+		"drop-transfer":      {1766, 1624, 1576},
+		"sr-earlier":         {1296, 1296, 1260},
+		"dn-later":           {1766, 1624, 1576},
+		"sv-later":           {786, 786, 762},
+		"dn-call-earlier":    {1478, 1478, 1442},
+		"drop-sv-call":       {1766, 1766, 1718},
+		"dup-sr-call":        {1766, 1766, 1718},
+		"swap-dr-sr":         {1766, 1766, 1718},
+		"widen-other-offset": {1178, 712, 688},
+		"hoist-in-loop":      {1344, 1344, 1320},
 	}
 	scores := scoreMutants(t, func(p *comm.Plan) bool { return len(comm.CheckPlan(p)) > 0 })
 	for _, mc := range mutClasses {

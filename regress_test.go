@@ -19,7 +19,9 @@ import (
 // both libraries: its arrays on every run, its output on one processor.
 // whole_array.zpl is the one statement in the repository that reads its own
 // LHS across rows; lhs_outside_region.zpl failed on 64 processors, where some
-// hold none of the LHS.
+// hold none of the LHS; index_levels.zpl has index expressions at every loop
+// level a kernel computes them at, on n = 13, where processors of one shape
+// class share kernels from different origins.
 func TestRegressMatchesRef(t *testing.T) {
 	files, err := filepath.Glob("testdata/regress/*.zpl")
 	if err != nil || len(files) == 0 {

@@ -31,35 +31,18 @@ func (p *Plan) CollectiveFor(n *ir.Reduce) *Collective {
 // them, like profile rows — are stable across builds.
 func (p *Plan) collectCollectives() {
 	p.collByNode = map[*ir.Reduce]*Collective{}
-	var walkExpr func(pos zpl.Pos, e ir.Expr)
-	walkExpr = func(pos zpl.Pos, e ir.Expr) {
-		switch e := e.(type) {
-		case *ir.Reduce:
-			if p.collByNode[e] != nil {
-				return
-			}
-			c := &Collective{ID: len(p.Collectives), Op: e.Op, Pos: pos, Node: e}
-			p.Collectives = append(p.Collectives, c)
-			p.collByNode[e] = c
-		case *ir.Unary:
-			walkExpr(pos, e.X)
-		case *ir.Binary:
-			walkExpr(pos, e.X)
-			walkExpr(pos, e.Y)
-		case *ir.Intrinsic:
-			for _, a := range e.Args {
-				walkExpr(pos, a)
-			}
-		}
-	}
 	var walkStmts func(stmts []ir.Stmt)
 	walkStmts = func(stmts []ir.Stmt) {
 		for _, s := range stmts {
 			switch s := s.(type) {
 			case *ir.AssignScalar:
-				if s.HasReduce {
-					walkExpr(s.Pos, s.RHS)
-				}
+				ir.EachReduce(s.RHS, func(e *ir.Reduce) {
+					if p.collByNode[e] == nil {
+						c := &Collective{ID: len(p.Collectives), Op: e.Op, Pos: s.Pos, Node: e}
+						p.Collectives = append(p.Collectives, c)
+						p.collByNode[e] = c
+					}
+				})
 			case *ir.If:
 				walkStmts(s.Then)
 				walkStmts(s.Else)

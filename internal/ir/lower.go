@@ -572,7 +572,7 @@ func (lw *lowerer) assign(s *zpl.AssignStmt) []Stmt {
 	}
 	node := &AssignScalar{Pos: s.Pos, LHS: sym, RHS: rhs}
 	node.Uses = collectUses(rhs)
-	node.HasReduce = hasReduce(rhs)
+	EachReduce(rhs, func(*Reduce) { node.HasReduce = true })
 	node.Flops = countFlops(rhs)
 	if node.HasReduce {
 		reg, ok := lw.currentRegion(s.Pos)
@@ -813,24 +813,6 @@ func collectUses(e Expr) []ArrayUse {
 	}
 	walk(e)
 	return out
-}
-
-func hasReduce(e Expr) bool {
-	switch e := e.(type) {
-	case *Reduce:
-		return true
-	case *Unary:
-		return hasReduce(e.X)
-	case *Binary:
-		return hasReduce(e.X) || hasReduce(e.Y)
-	case *Intrinsic:
-		for _, a := range e.Args {
-			if hasReduce(a) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // countFlops approximates the per-element arithmetic cost of an

@@ -88,6 +88,24 @@ func FlopsOf(s Stmt) int {
 	return 0
 }
 
+// EachReduce calls fn with every reduction in a scalar expression, left to
+// right.
+func EachReduce(e Expr, fn func(*Reduce)) {
+	switch e := e.(type) {
+	case *Reduce:
+		fn(e)
+	case *Unary:
+		EachReduce(e.X, fn)
+	case *Binary:
+		EachReduce(e.X, fn)
+		EachReduce(e.Y, fn)
+	case *Intrinsic:
+		for _, a := range e.Args {
+			EachReduce(a, fn)
+		}
+	}
+}
+
 // EachScalarRef calls fn with every scalar symbol a scalar expression reads.
 func EachScalarRef(e Expr, fn func(*ScalarSym)) {
 	switch e := e.(type) {

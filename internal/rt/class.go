@@ -4,18 +4,19 @@ import (
 	"slices"
 	"sync"
 
+	"commopt/internal/comm"
 	"commopt/internal/field"
 	"commopt/internal/grid"
 )
 
 // This file implements shape classes (DESIGN.md §19): the programs are SPMD
 // over a block distribution, so most processors run the same statements
-// over congruent blocks. Everything a dispatch site compiles — statement
-// plans, kernels, pack/unpack schedules — is written in coordinates
-// relative to the executing processor's block origin and holds no processor
-// state, so one compilation serves every processor of a class. A processor
-// binds itself at use: its field data, scalars and origin travel in kctx,
-// its peers come from proc.nbr.
+// over congruent blocks. What the runtime compiles — a kernel per
+// (statement, shape class) at setup, a schedule per (transfer,
+// neighbourhood class, region) at first sight — is relative to the block
+// origin and holds no processor state, so one compilation serves every
+// processor of a class. A processor binds itself at use: its field data,
+// scalars and origin travel in kctx, its peers come from proc.nbr.
 
 // frame is an extent of the block distribution in the two distributed
 // dimensions, relative to some processor's origin: one block, or the 3×3
@@ -167,9 +168,10 @@ func (w *world) classifyNbhd(p *proc) {
 	p.ncls = nc
 }
 
-// classCacheLimit bounds the regions one site's class cache remembers, as
-// siteCacheLimit bounds a processor's region slot: past it the cache drops
-// its entries and rebuilds. Processors keep the values they already resolved.
+// classCacheLimit bounds the regions one transfer's class cache remembers,
+// as siteCacheLimit bounds a processor's region slot: past it the cache
+// drops its entries and rebuilds. Processors keep the schedules they
+// already resolved.
 const classCacheLimit = 16 * siteCacheLimit
 
 type classKey struct {
@@ -177,38 +179,38 @@ type classKey struct {
 	reg grid.Region // clipped to the class's frame, relative to the origin
 }
 
-// classCache is the world-level half of one dispatch site: what the site
-// compiled to, per class and clipped region. It is locked on a processor's
-// first sight of a region only; the processor's own site (site.go) keeps
-// the pointer from then on.
-type classCache[T any] struct {
+// classCache is the world-level half of one transfer's dispatch site: the
+// schedule it compiled to, per neighbourhood class and clipped region. It
+// is locked on a processor's first sight of a region only; the processor's
+// own site (site.go) keeps the pointer from then on.
+type classCache struct {
 	mu sync.Mutex
-	m  map[classKey]T
-	// empty is what the site means where the clipped region is empty: one
-	// value for every class and every such region, resolved without a lookup.
-	empty T
+	m  map[classKey]*commSched
+	// empty is the schedule where the clipped region is empty: one for
+	// every class and every such region, resolved without a lookup.
+	empty *commSched
 }
 
-// get returns the site's value for the class and clipped region — empty
-// where that is — compiling it under the lock when no processor of the
-// class has met the region yet; the compilation counts for the processor
-// that ran it, so the processors' counts sum to the world's.
-func (c *classCache[T]) get(cls int32, key grid.Region, count *[len(cacheOutcomes)]int64, build func(grid.Region) T) T {
+// get returns transfer t's schedule for neighbourhood class nc and clipped
+// region key — empty where that is — compiling it under the lock when no
+// processor of the class has met the region yet; the compilation counts for
+// the processor that ran it, so the processors' counts sum to the world's.
+func (c *classCache) get(nc *nbhdClass, t *comm.Transfer, key grid.Region, count *[len(cacheOutcomes)]int64) *commSched {
 	if key.Empty() {
 		count[hitEmpty]++
 		return c.empty
 	}
-	k := classKey{cls, key}
+	k := classKey{nc.id, key}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if v, ok := c.m[k]; ok {
 		count[hitClass]++
 		return v
 	}
-	v := build(key)
+	v := nc.geometry(t, key)
 	count[compiled]++
 	if c.m == nil || len(c.m) >= classCacheLimit {
-		c.m = map[classKey]T{}
+		c.m = map[classKey]*commSched{}
 	}
 	c.m[k] = v
 	return v

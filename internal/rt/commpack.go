@@ -1,10 +1,6 @@
 package rt
 
-import (
-	"commopt/internal/comm"
-	"commopt/internal/field"
-	"commopt/internal/grid"
-)
+import "commopt/internal/field"
 
 // This file is the communication engine's compiled data path: each
 // (transfer, statement region) is lowered once per neighbourhood class
@@ -84,28 +80,4 @@ func (pr *packPair) unpack(flat []float64, data [][]float64) {
 type commSched struct {
 	sends []packPair
 	recvs []packPair
-}
-
-// xferSite is one transfer's dispatch state on one processor: its schedule
-// cache plus the schedule of the DR..SV sequence in progress (nil between
-// sequences).
-type xferSite struct {
-	site[*commSched]
-	open *commSched
-}
-
-// state returns the transfer's schedule, opening it on the first IRONMAN
-// call of a DR..SV sequence: the site is looked up once per sequence, and
-// schedules persist across block executions, so re-running a loop body
-// reuses the compiled run lists instead of re-deriving rectangle geometry.
-func (p *proc) state(t *comm.Transfer) *commSched {
-	x := &p.xfers[t.Slot]
-	if x.open == nil {
-		nc := p.ncls
-		x.open = resolve(p, &x.site, &p.w.xferCC[t.Slot], &nc.frame, nc.id, &t.Region, cacheSched, func(reg grid.Region) *commSched {
-			return nc.geometry(t, reg)
-		})
-		p.openCount++
-	}
-	return x.open
 }

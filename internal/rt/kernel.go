@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -12,25 +13,23 @@ import (
 )
 
 // This file implements the kernel-compiled execution engine: each
-// whole-array statement (and each local reduction partial) is lowered
-// once per (statement, shape class, local region) into a flat loop nest
-// that walks the fields' backing []float64 slices directly. Rows run along
-// the last dimension of the statement's rank, which is contiguous in every
-// field of that rank, so an @-shift becomes a constant flat-index delta and
-// the inner loops carry no per-element At/Set bounds math or closure
-// dispatch. Each subtree is computed at the loop level where its value
-// varies (kcompiler.level): once per run, once per row, or per element.
-// Regions are loop-invariant for declared regions (and revisited
-// by literal-bound sweeps), so kernels are cached per statement site
-// (site.go) and amortize to zero compile cost. A kernel is position
-// independent — it addresses fields by array ID and class-invariant flat
-// offsets in coordinates relative to the block origin, and reads data,
-// scalars and the origin from the executing processor's kctx — so every
-// processor of a shape class runs the same one (class.go). Virtual-time
-// charges are computed from size*Flops exactly as before, so simulated
-// results are unaffected; only host wall-clock changes. It is the only
-// engine: what it cannot lower is a program error (addrOf), and the tests
-// hold what it computes to internal/ref.
+// whole-array statement (and each local reduction partial) is lowered at
+// setup, once per shape class, into a flat loop nest over the fields'
+// backing []float64 slices: the kernel table. A kernel does not depend on
+// the region it iterates; each run takes the processor's part of the region
+// and derives its row length, row count and scratch windows from it. Rows
+// run along the last dimension of the statement's rank, contiguous in every
+// field of that rank, so an @-shift is a constant flat-index delta and the
+// inner loops carry no per-element bounds math or closure dispatch. Each
+// subtree is computed at the loop level where its value varies
+// (kcompiler.level): once per run, once per row, or per element. A kernel
+// addresses fields by array ID and class-invariant flat offsets relative to
+// the block origin, and reads data, scalars and the origin from the
+// executing processor's kctx, so every processor of a shape class runs the
+// same one (class.go). Virtual time is charged from size*Flops, so only
+// host time depends on the kernels. It is the only engine: a read a run's
+// region leaves the halo with is a program error (tree.begin), and the
+// tests hold what it computes to internal/ref.
 
 // storeMode says how an assignment kernel honors whole-array semantics
 // (the RHS is fully evaluated before the store).
@@ -54,6 +53,7 @@ const (
 // everything a compiled row knows of the processor running it.
 type kctx struct {
 	i, j, k int       // coordinates of the row's first element, relative to org
+	L       int       // the run's row length
 	scratch []float64 // slot rows for intermediate results and run rows, arena-backed
 	vals    []float64 // the run's values (kcompiler.value), arena-backed
 
@@ -86,25 +86,25 @@ type addr struct {
 
 func (a *addr) at(i, j, k int) int { return a.base + i*a.s0 + j*a.s1 + k }
 
-// tree is one compiled expression over one local region: the row
-// evaluator, what a run reserves of the arena, and the prologue that
-// computes the run's values and run rows before its first row.
+// tree is one compiled expression of one statement for one shape class:
+// the row evaluator, what a run reserves of the arena (in rows of the
+// run's length), the prologue that computes the run's values and run rows
+// before its first row, and its array uses in compile order.
 type tree struct {
-	local grid.Region // relative to the block origin
-	inner int         // row dimension (rank-1)
-	L     int         // row length
-	slots int         // scratch rows: per-row operands and run rows
-	vals  int         // values computed once per run
+	inner int // row dimension (rank-1)
+	slots int // scratch rows: per-row operands and run rows
+	vals  int // values computed once per run
 	pre   []func(c *kctx)
 	row   vec
+	ok    grid.Region // the rows every use reads inside the halo over
+	uses  []heldUse
+	pos   zpl.Pos // the statement's
 }
 
-// kernel is one compiled whole-array assignment, fixed to a statement and
-// the exact local region it iterates.
+// kernel is one compiled whole-array assignment.
 type kernel struct {
 	tree
 	lhs  addr
-	rows int
 	mode storeMode
 }
 
@@ -135,55 +135,45 @@ func forRows(reg grid.Region, inner int, fn func(i, j, k int)) {
 	}
 }
 
-// stmtPlan is what one array statement means on the processors of one
-// shape class for one resolved statement region.
-type stmtPlan struct {
-	local grid.Region // the processor's part of the region, clipped to the LHS's block, relative to the block origin
-	size  int         // local.Size(); 0 when the processor has no part
-	k     *kernel     // nil exactly when size is 0
-}
-
-// noPlan is every statement's plan where the processor has no part of the
-// region.
-var noPlan stmtPlan
-
-// planFor returns the statement's plan at its currently resolved region,
-// compiling on the class's first use. The part of the region outside the
-// block's share of the LHS is dropped: where the LHS's region ends, and on
-// a processor that holds none of it, the whole statement.
-func (p *proc) planFor(s *ir.AssignArray) *stmtPlan {
-	w, cl := p.w, p.cls
-	return resolve(p, &p.stmts[s.ID], &w.stmtCC[s.ID], &cl.frame, cl.id, &s.Region, cacheKernel, func(local grid.Region) *stmtPlan {
-		pl := &stmtPlan{local: local.Intersect(cl.locals[s.LHS.ID])}
-		if !pl.local.Empty() {
-			pl.size = pl.local.Size()
-			pl.k = newKcompiler(cl, pl.local, s.Pos).assign(s)
+// compileKernels fills the kernel table: every array statement and every
+// reduction of the plan, once per shape class, on the goroutine setting the
+// world up. Nothing a kernel holds depends on a region, so the table is
+// complete before any processor runs, and compiling raises nothing: what a
+// region's reads leave is checked where a run meets it (tree.begin).
+func (w *world) compileKernels() {
+	w.kernels = make([][]*kernel, w.prog.NumArrayStmts)
+	w.partials = make([][]*reduceKernel, w.prog.NumReduces)
+	for _, bp := range w.plan.Blocks {
+		for _, st := range bp.Stmts {
+			switch s := st.(type) {
+			case *ir.AssignArray:
+				w.kernels[s.ID] = make([]*kernel, len(w.classes))
+				for _, cl := range w.classes {
+					w.kernels[s.ID][cl.id] = newKcompiler(cl, s.Region.Rank(), s.Pos).assign(s)
+					w.compiles++
+				}
+			case *ir.AssignScalar:
+				ir.EachReduce(s.RHS, func(e *ir.Reduce) {
+					if w.partials[e.ID] != nil {
+						return // an inlined clone's, compiled with the first
+					}
+					w.partials[e.ID] = make([]*reduceKernel, len(w.classes))
+					for _, cl := range w.classes {
+						k, kc := &reduceKernel{op: e.Op}, newKcompiler(cl, s.Region.Rank(), s.Pos)
+						kc.close(&k.tree, kc.node(e.X))
+						w.partials[e.ID][cl.id] = k
+						w.compiles++
+					}
+				})
+			}
 		}
-		return pl
-	})
-}
-
-// reduceKernel is the reduction-partial counterpart, over local, the
-// processor's part of the region of s, the statement the reduction is in;
-// nil where that is empty.
-func (p *proc) reduceKernel(e *ir.Reduce, s *ir.AssignScalar, local grid.Region) *reduceKernel {
-	if local.Empty() {
-		return nil
 	}
-	cl := p.cls
-	return resolve(p, &p.reduces[e.ID], &p.w.reduceCC[e.ID], &cl.frame, cl.id, &s.Region, cacheReduce, func(local grid.Region) *reduceKernel {
-		k := &reduceKernel{op: e.Op}
-		kc := newKcompiler(cl, local, s.Pos)
-		kc.close(&k.tree, kc.node(e.X))
-		return k
-	})
 }
 
-// assign lowers one assignment over the compiler's local region.
+// assign lowers one assignment.
 func (kc *kcompiler) assign(s *ir.AssignArray) *kernel {
 	k := &kernel{
-		lhs:  kc.addrOf(s.LHS.ID, grid.Offset{}),
-		rows: kc.local.Size() / kc.L,
+		lhs:  kc.addrOf(ir.ArrayUse{Array: s.LHS}),
 		mode: storeModeFor(s, kc.inner),
 	}
 	kc.close(&k.tree, kc.root(s.RHS))
@@ -212,16 +202,31 @@ func storeModeFor(s *ir.AssignArray, inner int) storeMode {
 	return mode
 }
 
-// begin reserves a run's scratch rows and values in p's arena and runs the
-// prologue at the first row's coordinates; the caller releases the mark it
-// returns after the last row.
-func (t *tree) begin(p *proc) int {
+// begin starts a run over local, p's non-empty part of the region: it checks
+// that the reads stay inside the halo — one test, and only a region that
+// fails it looks for the first use to blame — counts the elements, reserves
+// the run's scratch rows and values in p's arena and runs the prologue. The
+// caller releases the mark returned.
+func (t *tree) begin(p *proc, local grid.Region) int {
+	if !within(local, t.ok) {
+		for _, u := range t.uses {
+			if !within(local, u.rows) {
+				panic(unheldRead(t.pos, p.cls.fields[u.Array.ID], u.Off))
+			}
+		}
+	}
 	c := &p.kctx
+	c.L = local.Spans[t.inner].Len()
+	if n := int64(local.Size()); wide(c.L) {
+		p.elems[1] += n
+	} else {
+		p.elems[0] += n
+	}
 	m := p.arena.mark()
-	n := t.slots * t.L
+	n := t.slots * c.L
 	buf := p.arena.alloc(n + t.vals)
 	c.scratch, c.vals = buf[:n], buf[n:]
-	s := t.local.Spans
+	s := local.Spans
 	c.i, c.j, c.k = s[0].Lo, s[1].Lo, s[2].Lo
 	for _, f := range t.pre {
 		f(c)
@@ -229,61 +234,61 @@ func (t *tree) begin(p *proc) int {
 	return m
 }
 
-// run executes the kernel for processor p. The virtual-time charge is the
-// caller's job (it depends only on size*Flops, not on how elements are
-// evaluated).
-func (k *kernel) run(p *proc) {
+// run executes the kernel for processor p over local. The virtual-time
+// charge is the caller's job (it depends only on size*Flops, not on how
+// elements are evaluated).
+func (k *kernel) run(p *proc, local grid.Region) {
 	c := &p.kctx
 	ldata := c.data[k.lhs.id]
-	m := k.begin(p)
+	m := k.begin(p, local)
 	switch k.mode {
 	case storeDirect:
-		forRows(k.local, k.inner, func(i, j, kk int) {
+		forRows(local, k.inner, func(i, j, kk int) {
 			c.i, c.j, c.k = i, j, kk
 			b := k.lhs.at(i, j, kk)
-			dst := ldata[b : b+k.L]
+			dst := ldata[b : b+c.L]
 			if out := k.row(c, dst); &out[0] != &dst[0] {
 				copy(dst, out)
 			}
 		})
 	case storeRow:
-		stage := p.arena.alloc(k.L)
-		forRows(k.local, k.inner, func(i, j, kk int) {
+		stage := p.arena.alloc(c.L)
+		forRows(local, k.inner, func(i, j, kk int) {
 			c.i, c.j, c.k = i, j, kk
 			out := k.row(c, stage)
 			b := k.lhs.at(i, j, kk)
-			copy(ldata[b:b+k.L], out)
+			copy(ldata[b:b+c.L], out)
 		})
 	case storeFull:
-		tmp := p.arena.alloc(k.rows * k.L)
+		tmp := p.arena.alloc(local.Size())
 		n := 0
-		forRows(k.local, k.inner, func(i, j, kk int) {
+		forRows(local, k.inner, func(i, j, kk int) {
 			c.i, c.j, c.k = i, j, kk
-			dst := tmp[n : n+k.L]
+			dst := tmp[n : n+c.L]
 			if out := k.row(c, dst); &out[0] != &dst[0] {
 				copy(dst, out)
 			}
-			n += k.L
+			n += c.L
 		})
 		n = 0
-		forRows(k.local, k.inner, func(i, j, kk int) {
+		forRows(local, k.inner, func(i, j, kk int) {
 			b := k.lhs.at(i, j, kk)
-			copy(ldata[b:b+k.L], tmp[n:n+k.L])
-			n += k.L
+			copy(ldata[b:b+c.L], tmp[n:n+c.L])
+			n += c.L
 		})
 	}
 	p.arena.release(m)
 }
 
-// run computes the reduction's local partial, folding elements in
-// row-major order, as internal/ref does, so floating-point results are
+// run computes the reduction's local partial over local, folding elements
+// in row-major order, as internal/ref does, so floating-point results are
 // bit-identical.
-func (k *reduceKernel) run(p *proc) float64 {
+func (k *reduceKernel) run(p *proc, local grid.Region) float64 {
 	c := &p.kctx
-	m := k.begin(p)
-	root := p.arena.alloc(k.L)
+	m := k.begin(p, local)
+	root := p.arena.alloc(c.L)
 	acc := k.op.Identity()
-	forRows(k.local, k.inner, func(i, j, kk int) {
+	forRows(local, k.inner, func(i, j, kk int) {
 		c.i, c.j, c.k = i, j, kk
 		out := k.row(c, root)
 		switch k.op {
@@ -315,30 +320,30 @@ func (k *reduceKernel) run(p *proc) float64 {
 	return acc
 }
 
-// kcompiler lowers an expression tree to row evaluators over one region of
-// one shape class's block.
+// kcompiler lowers an expression tree to row evaluators for one shape
+// class's block, over whatever region of it a run hands the tree.
 type kcompiler struct {
 	cl    *shapeClass
-	local grid.Region // relative to the block origin
-	inner int
-	L     int
+	inner int // the statement region's rank - 1
 	slots int
 	vals  int
 	pre   []func(c *kctx) // the tree's prologue, dependencies first
 	once  bool            // compiling prologue code, where nothing is hoisted again
 	runs  int             // run rows among the slots
 	fills int             // rows broadcast from a value: statement roots only
-	pos   zpl.Pos         // the statement's, for the errors addrOf raises
+	ok    grid.Region     // the rows every use compiled so far reads inside the halo over
+	uses  []heldUse       // the array uses compiled so far
+	pos   zpl.Pos         // the statement's, for the errors a run raises
 }
 
-func newKcompiler(cl *shapeClass, local grid.Region, pos zpl.Pos) *kcompiler {
-	inner := local.Rank - 1
-	return &kcompiler{cl: cl, local: local, inner: inner, L: local.Spans[inner].Len(), pos: pos}
+func newKcompiler(cl *shapeClass, rank int, pos zpl.Pos) *kcompiler {
+	all := grid.Span{Lo: math.MinInt, Hi: math.MaxInt} // nothing read yet: every row allowed
+	return &kcompiler{cl: cl, inner: rank - 1, pos: pos, ok: grid.Region{Rank: rank, Spans: [grid.MaxRank]grid.Span{all, all, all}}}
 }
 
 // close completes t, the compiled tree whose root is row.
 func (kc *kcompiler) close(t *tree, row vec) {
-	*t = tree{local: kc.local, inner: kc.inner, L: kc.L, slots: kc.slots, vals: kc.vals, pre: kc.pre, row: row}
+	*t = tree{inner: kc.inner, slots: kc.slots, vals: kc.vals, pre: kc.pre, row: row, ok: kc.ok, uses: kc.uses, pos: kc.pos}
 }
 
 // slot reserves a fresh scratch row and returns its index.
@@ -423,25 +428,51 @@ func (kc *kcompiler) level(e ir.Expr) level {
 // distributes reports whether the region distributes dimension d, so
 // that its global coordinate is relative to the executing processor's
 // origin.
-func (kc *kcompiler) distributes(d int) bool { return d < 2 && d < kc.local.Rank }
+func (kc *kcompiler) distributes(d int) bool { return d < 2 && d <= kc.inner }
 
-// addrOf validates a reference to the array at offset off against the
-// region and returns where its rows start. The layout is read off the class
-// representative's field, where it has the reference's rows: base makes the
-// region's first relative point land on the flat index that point has
-// there, as it does on every member. A reference whose shifted rows are not
-// contiguous inside the halo is a program error, raised through the run's
-// abort path (LANGUAGE.md, "Distribution model").
-func (kc *kcompiler) addrOf(id int, off grid.Offset) addr {
-	f := kc.cl.fields[id]
-	rows := shiftDist(kc.local.Shift(off), kc.cl.org, 1)
-	if !f.Allocated() || f.Stride(kc.inner) != 1 || !f.Contains(rows) {
-		panic(unheldRead(kc.pos, f, off))
+// addrOf returns where the rows of use u start, and records the rows,
+// relative to the block origin, over which u reads inside the halo the
+// class holds of its array: none where the class holds none of it or its
+// rows are not contiguous. The layout is read off the class
+// representative's field, which is affine in the global coordinates: base
+// is the flat index there of the relative origin's shifted point, as on
+// every member.
+func (kc *kcompiler) addrOf(u ir.ArrayUse) addr {
+	a, f, rows := addr{id: u.Array.ID}, kc.cl.fields[u.Array.ID], nowhere
+	if f.Allocated() && f.Stride(kc.inner) == 1 {
+		rows = shiftDist(f.Halo(), kc.cl.org, -1)
+		at := u.Off
+		for d := range at {
+			rows.Spans[d].Lo -= u.Off[d]
+			rows.Spans[d].Hi -= u.Off[d]
+			if kc.distributes(d) {
+				at[d] += kc.cl.org[d]
+			}
+		}
+		a.s0, a.s1, a.base = f.Stride(0), f.Stride(1), f.IndexOf(at[0], at[1], at[2])
 	}
-	a := addr{id: id, s0: f.Stride(0), s1: f.Stride(1)}
-	at, rel := rows.Spans, kc.local.Spans
-	a.base = f.IndexOf(at[0].Lo, at[1].Lo, at[2].Lo) - a.at(rel[0].Lo, rel[1].Lo, rel[2].Lo)
+	rows.Rank = kc.inner + 1
+	kc.uses = append(kc.uses, heldUse{u, rows})
+	kc.ok = kc.ok.Intersect(rows)
 	return a
+}
+
+// heldUse is an array use of a compiled tree and the rows its reads are
+// inside the halo over: a run over rows outside them is the program error
+// of the first such use (LANGUAGE.md, "Distribution model").
+type heldUse struct {
+	ir.ArrayUse
+	rows grid.Region
+}
+
+// within reports whether the non-empty region local lies in rows.
+func within(local, rows grid.Region) bool {
+	for d, s := range local.Spans {
+		if s.Lo < rows.Spans[d].Lo || s.Hi > rows.Spans[d].Hi {
+			return false
+		}
+	}
+	return true
 }
 
 // unheldRead is the program error of a read at pos, of f at offset off, that
@@ -460,11 +491,10 @@ func unheldRead(pos zpl.Pos, f *field.Field, off grid.Offset) *zpl.Error {
 
 // viewOf compiles an array reference to a zero-copy row view.
 func (kc *kcompiler) viewOf(e *ir.ArrayRef) vec {
-	a := kc.addrOf(e.Array.ID, e.Off)
-	L := kc.L
+	a := kc.addrOf(ir.ArrayUse{Array: e.Array, Off: e.Off})
 	return func(c *kctx, dst []float64) []float64 {
 		b := a.at(c.i, c.j, c.k)
-		return c.data[a.id][b : b+L]
+		return c.data[a.id][b : b+c.L]
 	}
 }
 
@@ -549,10 +579,10 @@ func (kc *kcompiler) runRow(e ir.Expr) vec {
 	v := kc.node(e)
 	kc.once = false
 	kc.runs++
-	lo := kc.slot() * kc.L
-	hi := lo + kc.L
-	kc.pre = append(kc.pre, func(c *kctx) { v(c, c.scratch[lo:hi]) })
-	return func(c *kctx, _ []float64) []float64 { return c.scratch[lo:hi] }
+	lo := kc.slot()
+	hi := lo + 1
+	kc.pre = append(kc.pre, func(c *kctx) { v(c, c.scratch[lo*c.L:hi*c.L]) })
+	return func(c *kctx, _ []float64) []float64 { return c.scratch[lo*c.L : hi*c.L] }
 }
 
 // root compiles the top of an assignment RHS: the one two-operation loop
@@ -716,14 +746,14 @@ func (kc *kcompiler) binary(op rowOp, ex, ey ir.Expr) vec {
 		}
 	}
 	x, y := kc.node(ex), kc.node(ey)
-	lo, hi := 0, 0 // y's window of the scratch space: none for a view
+	lo, hi := 0, 0 // y's scratch rows: none for a view
 	if ly == levelElem {
-		lo = kc.slot() * kc.L
-		hi = lo + kc.L
+		lo = kc.slot()
+		hi = lo + 1
 	}
 	return func(c *kctx, dst []float64) []float64 {
 		xs := x(c, dst)
-		binRow(op, dst, xs, y(c, c.scratch[lo:hi]))
+		binRow(op, dst, xs, y(c, c.scratch[lo*c.L:hi*c.L]))
 		return dst
 	}
 }

@@ -35,7 +35,7 @@ func TestScalarOperandsAreValues(t *testing.T) {
 				continue
 			}
 			seen[s.LHS.Name] = true
-			kc := newKcompiler(p.cls, p.planFor(s).local, s.Pos)
+			kc := newKcompiler(p.cls, s.Region.Rank(), s.Pos)
 			kc.root(s.RHS)
 			if kc.slots != slots {
 				t.Errorf("%s (%s): %d scratch slots, want %d", s.LHS.Name, s.Pos, kc.slots, slots)
@@ -92,7 +92,7 @@ func TestValuesAtTheirLevel(t *testing.T) {
 		if s == nil {
 			t.Fatalf("%s has no statement assigning %s", tc.bench, tc.lhs)
 		}
-		kc := newKcompiler(p.cls, p.planFor(s).local, s.Pos)
+		kc := newKcompiler(p.cls, s.Region.Rank(), s.Pos)
 		kc.root(s.RHS)
 		rowValues := 0
 		var walk func(e ir.Expr)

@@ -430,10 +430,8 @@ func (w *world) metrics() *metrics.Registry {
 		reg.Counter("reductions").Add(int64(p.reductions))
 		reg.Counter("kernel_elems_scalar").Add(p.elems[0])
 		reg.Counter("kernel_elems_wide").Add(p.elems[1])
-		for kind, name := range cacheKinds {
-			for outcome, what := range cacheOutcomes {
-				reg.Counter(name + "_cache_" + what).Add(p.caches[kind][outcome])
-			}
+		for outcome, what := range cacheOutcomes {
+			reg.Counter("sched_cache_" + what).Add(p.caches[outcome])
 		}
 		for outcome, what := range slotOutcomes {
 			reg.Counter("region_slot_" + what).Add(p.regionCounts[outcome])
@@ -441,6 +439,7 @@ func (w *world) metrics() *metrics.Registry {
 		reg.Gauge("arena_hiwater_doubles").Observe(int64(p.arenaHi))
 	}
 	reg.Counter("dynamic_transfers").Add(int64(w.procs[0].dynTransfers))
+	reg.Counter("kernel_compiles").Add(int64(w.compiles))
 	reg.Gauge("shape_classes").Observe(int64(len(w.classes)))
 	if st := w.schedStats; st != nil {
 		reg.Counter("sched_workers").Add(int64(st.Workers))

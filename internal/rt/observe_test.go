@@ -288,28 +288,40 @@ func TestMetricsMatchResult(t *testing.T) {
 		t.Errorf("%d message_size_bytes histograms in the registry's JSON, want 1", sizes)
 	}
 	// The arena grows to what its requests need, so the gauge, the largest
-	// over all processors, is at least the largest scratch request a
-	// kernel made: its scratch rows plus a staging row, a whole result or
-	// a reduction's root row.
+	// over all processors, is at least the largest scratch request a kernel
+	// of the table made: its scratch rows plus a staging row, a whole
+	// result or a reduction's root row, in rows of its class's part of the
+	// statement's region (all of laplace's are declared).
 	w, _ := ranWorld(t, laplaceSrc, 64, map[string]float64{"n": 16})
 	largest := 0
-	for i := range w.stmtCC {
-		for _, sp := range w.stmtCC[i].m {
-			if k := sp.k; k != nil {
-				n := k.slots * k.L
-				switch k.mode {
-				case storeRow:
-					n += k.L
-				case storeFull:
-					n += k.rows * k.L
-				}
-				largest = max(largest, n)
+	for _, bp := range w.plan.Blocks {
+		for _, st := range bp.Stmts {
+			re := ir.RegionOf(st)
+			if re.Sym == nil {
+				continue
 			}
-		}
-	}
-	for i := range w.reduceCC {
-		for _, k := range w.reduceCC[i].m {
-			largest = max(largest, (k.slots+1)*k.L)
+			for _, cl := range w.classes {
+				local := cl.clip(shiftDist(w.regionVals[re.Sym.ID], cl.org, -1))
+				n := 0
+				switch s := st.(type) {
+				case *ir.AssignArray:
+					local = local.Intersect(cl.locals[s.LHS.ID])
+					k, L := w.kernels[s.ID][cl.id], local.Spans[1].Len()
+					n = k.slots * L
+					switch k.mode {
+					case storeRow:
+						n += L
+					case storeFull:
+						n += local.Size()
+					}
+				case *ir.AssignScalar:
+					k := w.partials[s.RHS.(*ir.Reduce).ID][cl.id]
+					n = (k.slots + 1) * local.Spans[1].Len()
+				}
+				if !local.Empty() {
+					largest = max(largest, n)
+				}
+			}
 		}
 	}
 	if got := reg.Gauge("arena_hiwater_doubles").V; largest == 0 || got < int64(largest) {

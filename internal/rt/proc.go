@@ -55,15 +55,11 @@ type proc struct {
 	sendPool  [][]*dataMsg // sendPool[slot]: recycled messages for sends to that neighbor
 	retPool   [][]*dataMsg // retPool[slot]: unpacked messages awaiting return to that neighbor
 
-	// Array-statement engine (kernel.go): the sites of array statements (by
-	// ir.AssignArray.ID) and reduction partials (by ir.Reduce.ID), the
-	// scratch arena that replaces per-execution temporaries, and the
-	// row-evaluation context that binds the class's kernels to this
-	// processor's data, scalars and origin.
-	stmts   []site[*stmtPlan]
-	reduces []site[*reduceKernel]
-	arena   arena
-	kctx    kctx
+	// Array-statement engine (kernel.go): the scratch arena that replaces
+	// per-execution temporaries, and the row-evaluation context that binds
+	// the class's kernels to this processor's data, scalars and origin.
+	arena arena
+	kctx  kctx
 
 	// regions holds the literal regions as the block being run entered them
 	// (site.go), by ir.RegionExpr.Slot.
@@ -83,10 +79,10 @@ type proc struct {
 
 	rng uint64 // deterministic per-processor jitter stream
 
-	// Counters the metrics report folds in: site lookups and literal regions
-	// entered by outcome (site.go), kernel elements in Go and in wide row
-	// loops, and the arena's size when the body finished.
-	caches       [len(cacheKinds)][len(cacheOutcomes)]int64
+	// Counters the metrics report folds in: schedule lookups and literal
+	// regions entered by outcome (site.go), kernel elements in Go and in wide
+	// row loops, and the arena's size when the body finished.
+	caches       [len(cacheOutcomes)]int64
 	regionCounts [len(slotOutcomes)]int64
 	elems        [2]int64
 	arenaHi      int
@@ -132,8 +128,6 @@ func newProc(w *world, rank int) *proc {
 	p := &proc{
 		w: w, rank: rank, row: r, col: c,
 		xfers:   make([]xferSite, w.plan.NumTransfers()),
-		stmts:   make([]site[*stmtPlan], w.prog.NumArrayStmts),
-		reduces: make([]site[*reduceKernel], w.prog.NumReduces),
 		regions: make([]regionSlot, len(w.literals)),
 		rng:     uint64(rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 	}
@@ -231,15 +225,15 @@ func (p *proc) run() {
 	p.finish()
 }
 
-// finish releases what only this processor's body used: the sites' and
-// slots' tables, message pools and the arena are dead once the body
-// returns, and dropping them as each processor completes caps peak memory
-// at high processor counts. What the sites pointed at belongs to the
+// finish releases what only this processor's body used: the transfer
+// sites' and slots' tables, message pools and the arena are dead once the
+// body returns, and dropping them as each processor completes caps peak
+// memory at high processor counts. What the sites pointed at belongs to the
 // world's class caches and lives on for the processors still running.
 // Fields, clocks, counters, output and observability state survive —
 // gather still reads them.
 func (p *proc) finish() {
-	p.xfers, p.stmts, p.reduces, p.regions = nil, nil, nil, nil
+	p.xfers, p.regions = nil, nil
 	p.sendPool, p.retPool, p.pending = nil, nil, nil
 	p.arenaHi = len(p.arena.buf)
 	p.arena = arena{}
@@ -251,7 +245,7 @@ func (p *proc) finish() {
 // If's Then, a loop's or a called procedure's body; els: an If's Else).
 type seg struct {
 	bp        *comm.BlockPlan // nil for a control statement
-	regions   []int           // the literal regions the block's sites resolve, by Slot (site.go)
+	regions   []int           // the literal regions the block's statements and transfers resolve, by Slot (site.go)
 	ctl       ir.Stmt
 	pre       []*comm.Transfer
 	then, els []seg
@@ -418,24 +412,17 @@ func (p *proc) stmtExec(s ir.Stmt) {
 	}
 }
 
-// countElems books one kernel execution: n elements in rows of L.
-func (p *proc) countElems(L, n int) {
-	if wide(L) {
-		p.elems[1] += int64(n)
-	} else {
-		p.elems[0] += int64(n)
-	}
-}
-
+// assignArray runs the statement's kernel over the processor's part of its
+// region that the block holds of the LHS, if any.
 func (p *proc) assignArray(s *ir.AssignArray) {
-	w := p.w
-	pl := p.planFor(s)
-	if pl.size > 0 {
+	w, cl := p.w, p.cls
+	local := p.part(&s.Region).Intersect(cl.locals[s.LHS.ID])
+	size := local.Size()
+	if size > 0 {
 		p.engine = engineKernel
-		pl.k.run(p)
-		p.countElems(pl.k.L, pl.size)
+		w.kernels[s.ID][cl.id].run(p, local)
 	}
-	p.charge(w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(pl.size)*int64(s.Flops))*w.mach.OpTime))
+	p.charge(w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(size)*int64(s.Flops))*w.mach.OpTime))
 }
 
 func (p *proc) assignScalar(s *ir.AssignScalar) {
@@ -444,35 +431,34 @@ func (p *proc) assignScalar(s *ir.AssignScalar) {
 		p.charge(vtime.Duration(s.Flops) * p.w.mach.OpTime)
 		return
 	}
-	local := p.cls.clip(p.here(&s.Region))
+	local := p.part(&s.Region)
 	size := local.Size()
-	p.scalars[s.LHS.ID] = p.evalWithReduce(s.RHS, s, local)
+	p.scalars[s.LHS.ID] = p.evalWithReduce(s.RHS, local)
 	p.charge(p.w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(size)*int64(s.Flops))*p.w.mach.OpTime))
 }
 
-// evalWithReduce evaluates s's RHS e, which may contain reductions; each
-// reduction computes a local partial over this processor's part (local,
-// relative to the block origin) of the statement's region and then
-// performs a global combine.
-func (p *proc) evalWithReduce(e ir.Expr, s *ir.AssignScalar, local grid.Region) float64 {
+// evalWithReduce evaluates a statement's RHS e, which may contain
+// reductions; each reduction computes a local partial over this
+// processor's part (local, relative to the block origin) of the statement's
+// region and then performs a global combine.
+func (p *proc) evalWithReduce(e ir.Expr, local grid.Region) float64 {
 	switch e := e.(type) {
 	case *ir.Reduce:
 		acc := e.Op.Identity()
-		if k := p.reduceKernel(e, s, local); k != nil {
-			acc = k.run(p)
-			p.countElems(k.L, local.Size())
+		if !local.Empty() {
+			acc = p.w.partials[e.ID][p.cls.id].run(p, local)
 		}
 		return p.allreduce(e, acc)
 	case *ir.Unary:
-		return ir.EvalUnary(e.Op, p.evalWithReduce(e.X, s, local))
+		return ir.EvalUnary(e.Op, p.evalWithReduce(e.X, local))
 	case *ir.Binary:
-		x := p.evalWithReduce(e.X, s, local)
-		y := p.evalWithReduce(e.Y, s, local)
+		x := p.evalWithReduce(e.X, local)
+		y := p.evalWithReduce(e.Y, local)
 		return ir.EvalBinary(e.Op, x, y)
 	case *ir.Intrinsic:
 		var args [2]float64 // ir.Lower checks arities: one or two arguments
 		for i, a := range e.Args {
-			args[i] = p.evalWithReduce(a, s, local)
+			args[i] = p.evalWithReduce(a, local)
 		}
 		return e.Fn.Apply(args[:len(e.Args)])
 	default:

@@ -221,14 +221,19 @@ type world struct {
 	// lookups.
 	main []seg
 
-	// Shape classes (class.go) and, per dispatch site, what the site
-	// compiled to for each class: by comm.Transfer.Slot, ir.AssignArray.ID
-	// and ir.Reduce.ID, like the processors' own sites.
-	classes  []*shapeClass
-	nbhds    map[[3][3]int32]*nbhdClass
-	xferCC   []classCache[*commSched]
-	stmtCC   []classCache[*stmtPlan]
-	reduceCC []classCache[*reduceKernel]
+	// Shape classes (class.go) and, per transfer, the schedules its
+	// neighbourhood classes compiled for the regions they met, by
+	// comm.Transfer.Slot like the processors' own sites (site.go).
+	classes []*shapeClass
+	nbhds   map[[3][3]int32]*nbhdClass
+	xferCC  []classCache
+
+	// The kernel table (kernel.go), built at setup: every array statement's
+	// kernel by ir.AssignArray.ID and every reduction's partial by
+	// ir.Reduce.ID, then by shapeClass.id; compiles counts its entries.
+	kernels  [][]*kernel
+	partials [][]*reduceKernel
+	compiles int
 
 	// The program's literal regions as every processor evaluates them
 	// (site.go), by ir.RegionExpr.Slot.
@@ -338,7 +343,8 @@ func Run(prog *ir.Program, plan *comm.Plan, cfg Config) (*Result, error) {
 }
 
 // setup evaluates configs, constants and regions (ir's Program.Setup),
-// binds the program body and allocates every processor's fields.
+// binds the program body, allocates every processor's fields and compiles
+// the kernel table for the shape classes they fall into.
 func (w *world) setup(cfg Config) error {
 	prog := w.prog
 	s, err := prog.Setup(cfg.ConfigVars, w.mesh)
@@ -348,21 +354,16 @@ func (w *world) setup(cfg Config) error {
 	w.configVals, w.regionVals, w.master = s.Vals, s.Regions, s.Master
 
 	// Bind every statement list the program can reach, once, shared by all
-	// processors, and give every dispatch site its class cache with the
-	// value it has wherever its region clips to nothing.
+	// processors, and give every transfer its class cache with the schedule
+	// it has wherever its region clips to nothing.
 	w.foldLiterals()
 	w.main = w.bind(prog.Main.Body, map[*ir.Proc][]seg{})
-	w.xferCC = make([]classCache[*commSched], w.plan.NumTransfers())
+	w.xferCC = make([]classCache, w.plan.NumTransfers())
 	for _, bp := range w.plan.Blocks {
 		for _, t := range bp.Transfers {
 			w.xferCC[t.Slot].empty = emptySched(t)
 		}
 	}
-	w.stmtCC = make([]classCache[*stmtPlan], prog.NumArrayStmts)
-	for i := range w.stmtCC {
-		w.stmtCC[i].empty = &noPlan
-	}
-	w.reduceCC = make([]classCache[*reduceKernel], prog.NumReduces)
 
 	// Choose the collective schedule, but only when a reduction can
 	// actually execute: the plan records the program's reduction sites,
@@ -390,6 +391,7 @@ func (w *world) setup(cfg Config) error {
 	for _, p := range w.procs {
 		p.meet()
 	}
+	w.compileKernels()
 	if coll != nil {
 		w.openInboxes(coll)
 	}

@@ -408,6 +408,75 @@ end;
 	}
 }
 
+// TestUnheldRowReadPositioned: a kernel is compiled once per statement and
+// shape class, before any region is known, so the check that its reads stay
+// inside the halo is made where a run meets a region. The sweep's rows 1..5
+// read B where its owners hold it; row 6 leaves the halo of processor 2,
+// the only processor the column 1..1 puts it on, which holds B's row 5
+// alone. Whichever worker steps it, processor 2 fails there, with the
+// statement's position.
+func TestUnheldRowReadPositioned(t *testing.T) {
+	src := `program rows;
+config var n : integer = 8;
+region R = [1..n, 1..n];
+region Top = [1..5, 1..n];
+var A : [R] float;
+var B : [Top] float;
+procedure main();
+begin
+  [Top] B := Index1;
+  for i := 1 to n do
+    [i..i, 1..1] A := B;
+  end;
+end;
+`
+	prog, plan := compile(t, src)
+	const want = "rt: processor 2: 11:18: B@[0,0] reads outside the halo the processor holds"
+	for _, workers := range []int{1, 2, 3, 8} {
+		_, err := Run(prog, plan, Config{Machine: machine.T3D(), Library: "pvm", Procs: 4, SchedWorkers: workers})
+		if msg := fmt.Sprint(err); msg != want {
+			t.Errorf("workers=%d: error %q, want %q", workers, msg, want)
+		}
+	}
+	// Rows 1..5 alone are a run without error.
+	if _, err := Run(prog, plan, Config{Machine: machine.T3D(), Library: "pvm", Procs: 4, ConfigVars: map[string]float64{"n": 5}}); err != nil {
+		t.Errorf("n=5: %v", err)
+	}
+}
+
+// TestUnheldReadInBranchNotTaken: compiling every kernel at setup raises
+// nothing for a statement that never runs; the same program fails, at the
+// statement, where the branch is taken.
+func TestUnheldReadInBranchNotTaken(t *testing.T) {
+	src := `program never;
+config var taken : integer = 0;
+region R = [1..8, 1..8];
+region Int = [2..7, 2..7];
+var A : [R] float;
+var B : [Int] float;
+procedure main();
+begin
+  [Int] B := Index1;
+  if taken = 1 then
+    [R] A := B;
+  end;
+  writeln("ran");
+end;
+`
+	prog, plan := compile(t, src)
+	for _, procs := range []int{1, 4} {
+		if res, err := Run(prog, plan, Config{Machine: machine.T3D(), Library: "pvm", Procs: procs}); err != nil {
+			t.Errorf("%d procs: %v", procs, err)
+		} else if res.Output != "ran\n" {
+			t.Errorf("%d procs: output %q, want \"ran\\n\"", procs, res.Output)
+		}
+		_, err := Run(prog, plan, Config{Machine: machine.T3D(), Library: "pvm", Procs: procs, ConfigVars: map[string]float64{"taken": 1}})
+		if msg := fmt.Sprint(err); err == nil || !strings.Contains(msg, "11:9: B@[0,0] reads") {
+			t.Errorf("%d procs, branch taken: error %q, want one naming 11:9 and B@[0,0]", procs, msg)
+		}
+	}
+}
+
 func TestUnknownLibraryRejected(t *testing.T) {
 	src := "program p; region R = [1..4, 1..4]; var A : [R] float; procedure main(); begin [R] A := 1.0; end;"
 	prog, plan := compile(t, src)

@@ -3,33 +3,28 @@ package rt
 import (
 	"slices"
 
+	"commopt/internal/comm"
 	"commopt/internal/grid"
 	"commopt/internal/ir"
 )
 
-// A dispatch site is a node of the lowered program whose meaning on one
-// processor depends only on the statement region it resolves there: an
-// IRONMAN transfer (its pack/unpack schedule), an array statement (its
-// local region and kernel) or a reduction (its partial kernel). Each
-// carries a dense index assigned where the node is created —
-// comm.Transfer.Slot, ir.AssignArray.ID, ir.Reduce.ID — and every
-// processor holds one slice of sites per kind, so dispatch never hashes a
-// pointer or a struct (DESIGN.md §19). What a site compiles to belongs to
-// the world, shared by the processor's shape class (class.go); the
-// processor's site keeps the pointers it resolved: one under a declared
-// region, the same on every execution, and under a literal region — a
-// region slot, ir.RegionExpr.Slot — one per value the region has taken.
+// A dispatch site is an IRONMAN transfer: what it means on one processor —
+// its pack/unpack schedule — depends on the statement region it resolves
+// there, because the rectangles a message carries do. Each transfer carries
+// a dense index assigned where the plan is finished, comm.Transfer.Slot,
+// and every processor holds one slice of sites by it, so dispatch never
+// hashes a pointer or a struct (DESIGN.md §19). What a site compiles to
+// belongs to the world, shared by the processor's neighbourhood class
+// (class.go); the processor's site keeps the pointers it resolved: one
+// under a declared region, the same on every execution, and under a
+// literal region — a region slot, ir.RegionExpr.Slot — one per value the
+// region has taken. Array statements and reductions are not sites: their
+// kernels do not depend on the region (kernel.go), and a statement reads
+// its part of the region off the slot (proc.part) at each execution.
 
 // siteCacheLimit bounds the regions a processor remembers of one literal
-// region; past it the slot drops them, and every site under it its table.
+// region; past it the slot drops them, and every site its table.
 const siteCacheLimit = 4096
-
-// site is one processor's record of one dispatch site. The zero T stands
-// for "not resolved yet": every resolved value is a non-nil pointer.
-type site[T comparable] struct {
-	val  T   // under a declared region: the answer for the rest of the run
-	vals []T // under a literal region: by the slot's region index (regionSlot.ri)
-}
 
 // foldLiterals copies the program's literal regions with every bound
 // evaluated that reads only constants and config variables, which no
@@ -66,20 +61,31 @@ func literalsOf(stmts []ir.Stmt) (slots []int) {
 
 // regionSlot is one processor's record of one literal region: the distinct
 // values it has taken here — moved to the block origin and clipped to the
-// neighbourhood frame, which is what a transfer's schedule depends on; a
-// statement clips further, to the block — each under a dense index in
-// first-seen order, and the index of the value it has now. Sweeps revisit
-// their regions in the same order on every outer iteration, so an entry
-// first tries next, the index after the previous hit's (the oldest after
-// the newest), and only a misprediction pays for the map.
+// neighbourhood frame, which is what a transfer's schedule depends on —
+// each under a dense index in first-seen order, and the index of the value
+// it has now, and that value's part in the block, which is what a statement
+// runs over. Sweeps revisit their regions in the same order on every outer
+// iteration, so an entry first tries next, the index after the previous
+// hit's (the oldest after the newest), and only a misprediction pays for
+// the map.
 type regionSlot struct {
 	ri, next int32
 	keys     []grid.Region // by index; keys[0] is unused: index 0 is "nothing of the region inside the neighbourhood"
 	index    map[grid.Region]int32
+	part     grid.Region
 }
 
 // nowhere is the clipped region at index 0.
 var nowhere = grid.Region{Spans: [grid.MaxRank]grid.Span{{Lo: 1, Hi: 0}, {Lo: 1, Hi: 0}, {Lo: 1, Hi: 0}}}
+
+// part returns p's part of the region re denotes right now: clipped to its
+// block, relative to its origin; a literal one's as its slot holds it.
+func (p *proc) part(re *ir.RegionExpr) grid.Region {
+	if re.Sym != nil {
+		return p.cls.clip(p.rel(p.w.regionVals[re.Sym.ID]))
+	}
+	return p.regions[re.Slot].part
+}
 
 // here returns the region re denotes on p right now, relative to p's
 // origin; a literal one as its slot holds it, clipped to the neighbourhood.
@@ -121,7 +127,7 @@ func (p *proc) enter(slots []int) {
 		p.regionCounts[slotEval]++
 		key := p.ncls.clip(p.rel(reg))
 		if key.Empty() {
-			s.ri = 0
+			s.ri, s.part = 0, key
 			continue
 		}
 		n := s.next
@@ -142,7 +148,7 @@ func (p *proc) enter(slots []int) {
 			s.keys = append(s.keys, key)
 			s.index[key] = n
 		}
-		s.ri, s.next = n, n+1
+		s.ri, s.next, s.part = n, n+1, p.cls.clip(key)
 		if int(s.next) == len(s.keys) {
 			s.next = 1
 		}
@@ -158,31 +164,18 @@ func (p *proc) dropSlot(s *regionSlot) {
 	for i := range p.xfers {
 		p.xfers[i].vals = nil
 	}
-	for i := range p.stmts {
-		p.stmts[i].vals = nil
-	}
-	for i := range p.reduces {
-		p.reduces[i].vals = nil
-	}
-	for kind := range cacheKinds {
-		p.caches[kind][dropped]++
-	}
+	p.caches[dropped]++
 }
 
-// Site kinds and lookup outcomes, indexing proc.caches; the name
-// tables spell the metrics registry's "<kind>_cache_<outcome>" counters.
-const (
-	cacheSched = iota
-	cacheKernel
-	cacheReduce
-)
-
+// Schedule lookup outcomes, indexing proc.caches; the name table spells the
+// metrics registry's "sched_cache_<outcome>" counters.
+//
 // hitStatic is a declared region's fixed answer, hitSlot a literal region's
 // by its slot's index. hitEmpty is a region that clips to nothing on the
 // processor: the site's shared empty value, no lookup. hitClass is a
 // processor's first sight of a region another member of its class compiled;
 // compiled is a first sight nobody of the class had before, a real
-// compilation. dropped counts, in every kind, a slot that forgot its regions.
+// compilation. dropped counts a slot that forgot its regions.
 const (
 	hitStatic = iota
 	hitSlot
@@ -192,35 +185,49 @@ const (
 	dropped
 )
 
-var (
-	cacheKinds    = [...]string{"sched", "kernel", "reduce"}
-	cacheOutcomes = [...]string{"hits_static", "hits_slot", "hits_empty", "hits_class", "compiles", "drops"}
-)
+var cacheOutcomes = [...]string{"hits_static", "hits_slot", "hits_empty", "hits_class", "compiles", "drops"}
 
-// resolve returns what site s means for the region re denotes on p right
-// now. On first sight the region is clipped to fr, the frame of p's class
-// cls, which is the key of the class's cache cc; an empty key — nothing of
-// the region concerns the processor — resolves to the site's shared empty
-// value without an entry there.
-func resolve[T comparable](p *proc, s *site[T], cc *classCache[T], fr *frame, cls int32, re *ir.RegionExpr, kind int, build func(grid.Region) T) T {
-	var zero T
-	at, hit := &s.val, hitStatic
+// xferSite is one processor's record of one transfer: the schedules it
+// resolved — nil for "not resolved yet" — and the schedule of the DR..SV
+// sequence in progress (nil between sequences).
+type xferSite struct {
+	val  *commSched   // under a declared region: the answer for the rest of the run
+	vals []*commSched // under a literal region: by the slot's region index (regionSlot.ri)
+	open *commSched
+}
+
+// state returns transfer t's schedule, opening it on the first IRONMAN call
+// of a DR..SV sequence for the region t denotes on p right now: the site is
+// looked up once per sequence, and schedules persist across block
+// executions. On first sight the region is clipped to the frame of p's
+// neighbourhood class, which is the key of the transfer's class cache; an
+// empty key — nothing of the region concerns the neighbourhood — resolves
+// to the transfer's shared empty schedule without an entry there.
+func (p *proc) state(t *comm.Transfer) *commSched {
+	x, re := &p.xfers[t.Slot], &t.Region
+	if x.open != nil {
+		return x.open
+	}
+	p.openCount++
+	at, hit := &x.val, hitStatic
 	if re.Sym == nil {
 		sl := &p.regions[re.Slot]
 		ri := int(sl.ri)
-		if ri >= len(s.vals) {
+		if ri >= len(x.vals) {
 			// One table entry per region the slot has met so far; the next
 			// growth is the slot's, not this site's.
-			s.vals = append(s.vals, make([]T, max(len(sl.keys), 1)-len(s.vals))...)
+			x.vals = append(x.vals, make([]*commSched, max(len(sl.keys), 1)-len(x.vals))...)
 		}
-		if at, hit = &s.vals[ri], hitSlot; ri == 0 {
+		if at, hit = &x.vals[ri], hitSlot; ri == 0 {
 			hit = hitEmpty
 		}
 	}
-	if *at == zero {
-		*at = cc.get(cls, fr.clip(p.here(re)), &p.caches[kind], build)
+	if *at == nil {
+		nc := p.ncls
+		*at = p.w.xferCC[t.Slot].get(nc, t, nc.clip(p.here(re)), &p.caches)
 	} else {
-		p.caches[kind][hit]++
+		p.caches[hit]++
 	}
-	return *at
+	x.open = *at
+	return x.open
 }

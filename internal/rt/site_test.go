@@ -12,16 +12,18 @@ import (
 )
 
 // sweepSrc runs one literal scope of two statements and one transfer over
-// rows 3..20, three times, always in the same order.
+// rows 3..last (20 by default), passes (3) times, always in the same order.
 const sweepSrc = `program sweep;
+config var passes : integer = 3;
+config var last : integer = 20;
 region R = [1..22, 1..10];
 direction north = [-1, 0];
 var A, B : [R] float;
 procedure main();
 begin
   [R] A := Index1;
-  for t := 1 to 3 do
-    for i := 3 to 20 do
+  for t := 1 to passes do
+    for i := 3 to last do
       [i..i, 2..9] begin
         B := A@north + A;
         A := B;
@@ -41,24 +43,24 @@ func counters(res *Result, names ...string) []int64 {
 }
 
 // TestSiteSuccessorPrediction: the first sweep adds every row to the slot
-// and compiles it at both statement sites; every later entry, the wrap from
-// the last row back to the first included, is a successor hit, and every
-// later site lookup an index into the site's table — one evaluation per
-// three site lookups. On a 2x2 mesh every row is inside every
-// neighbourhood, so each processor counts the same.
+// and resolves the transfer's schedule for it; every later entry, the wrap
+// from the last row back to the first included, is a successor hit, and
+// every later schedule lookup an index into the site's table. On a 2x2 mesh
+// every row is inside every neighbourhood, so each processor counts the
+// same. The statements are not sites: their kernels were compiled at setup,
+// one per statement and shape class, and the sweep compiles nothing more.
 func TestSiteSuccessorPrediction(t *testing.T) {
 	for _, procs := range []int64{1, 4} {
 		res := runSrc(t, sweepSrc, comm.PL(), Config{Procs: int(procs), Metrics: true})
 		got := counters(res, "region_slot_evals", "region_slot_adds", "region_slot_hits_successor", "region_slot_hits_index",
-			"kernel_cache_hits_slot", "kernel_cache_drops", "sched_cache_hits_slot", "sched_cache_hits_empty")
-		if want := []int64{54 * procs, 18 * procs, 36 * procs, 0, 2 * 36 * procs, 0, 36 * procs, 0}; fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%d procs: evals, adds, successor, index, kernel slot hits, drops, sched slot hits, sched empty = %v, want %v", procs, got, want)
+			"kernel_compiles", "sched_cache_drops", "sched_cache_hits_slot", "sched_cache_hits_empty")
+		if want := []int64{54 * procs, 18 * procs, 36 * procs, 0, 3 * procs, 0, 36 * procs, 0}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%d procs: evals, adds, successor, index, kernel compiles, drops, sched slot hits, sched empty = %v, want %v", procs, got, want)
 		}
-		// A statement's first sight of a row is a compilation, a class hit
-		// or, where the row is a neighbour's, the empty plan.
-		first := counters(res, "kernel_cache_compiles", "kernel_cache_hits_class", "kernel_cache_hits_empty")
-		if sum := first[0] + first[1] + first[2]; sum != 2*18*procs+procs || first[0] == 0 {
-			t.Errorf("%d procs: %v compiles, class hits and empty resolves, want them to sum to %d first sights", procs, first, 2*18*procs+procs)
+		// A schedule's first sight of a row is a compilation or a class hit.
+		first := counters(res, "sched_cache_compiles", "sched_cache_hits_class")
+		if sum := first[0] + first[1]; sum != 18*procs || first[0] == 0 {
+			t.Errorf("%d procs: %v compiles and class hits, want them to sum to %d first sights", procs, first, 18*procs)
 		}
 		var want [23]float64
 		for i := range want {
@@ -72,6 +74,30 @@ func TestSiteSuccessorPrediction(t *testing.T) {
 		for i := 1; i <= 22; i++ {
 			if got := res.Array("A").At(i, 5, 1); got != want[i] {
 				t.Errorf("%d procs: A(%d,5) = %v, want %v", procs, i, got, want[i])
+			}
+		}
+	}
+}
+
+// TestKernelCompilesIndependentOfRows: a kernel does not depend on the
+// region it iterates, so however many rows the sweep visits and however
+// often, it compiles what setup builds, one kernel per (statement, shape
+// class), and nothing at run time. Compiling per region, it compiled once
+// per row per class.
+func TestKernelCompilesIndependentOfRows(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		w := classWorld(t, sweepSrc, procs, nil)
+		pairs := int64(len(w.classes) * (w.prog.NumArrayStmts + w.prog.NumReduces))
+		if want := int64(3 * procs); pairs != want { // a class per block of the 2x2 mesh
+			t.Fatalf("%d procs: %d (statement, class) pairs, want %d", procs, pairs, want)
+		}
+		for _, passes := range []float64{1, 3} {
+			for _, last := range []float64{11, 20} { // 9 and 18 rows
+				vars := map[string]float64{"passes": passes, "last": last}
+				res := runSrc(t, sweepSrc, comm.PL(), Config{Procs: procs, Metrics: true, ConfigVars: vars})
+				if got := res.Metrics.Counter("kernel_compiles").N; got != pairs {
+					t.Errorf("%d procs, %v passes of %v rows: %d kernel compiles, want the %d pairs setup builds", procs, passes, last-2, got, pairs)
+				}
 			}
 		}
 	}
@@ -115,9 +141,9 @@ func TestSiteMispredictionStillRight(t *testing.T) {
 }
 
 // TestSiteLimitDropsAndRebuilds: a slot remembers siteCacheLimit regions; one
-// too many drops them and, with them, the site tables — one drop per kind,
-// whatever the number of sites. The second pass finds nothing it could
-// mistake for its rows.
+// too many drops them and, with them, the site tables — one drop, whatever
+// the number of sites. The second pass finds nothing it could mistake for
+// its rows, and no statement compiles anything at run time.
 func TestSiteLimitDropsAndRebuilds(t *testing.T) {
 	src := `program limit;
 config var m : integer = 8;
@@ -142,9 +168,9 @@ end;
 		{siteCacheLimit + 1, 2, 2 * (siteCacheLimit + 1)},
 	} {
 		res := runSrc(t, src, comm.PL(), Config{Procs: 1, Metrics: true, ConfigVars: map[string]float64{"m": float64(c.m)}})
-		got := counters(res, "kernel_cache_drops", "region_slot_adds", "sched_cache_drops", "reduce_cache_drops")
-		if want := []int64{c.drops, c.adds, c.drops, c.drops}; fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("m=%d: kernel drops, adds, sched drops, reduce drops = %v, want %v", c.m, got, want)
+		got := counters(res, "sched_cache_drops", "region_slot_adds", "kernel_compiles")
+		if want := []int64{c.drops, c.adds, 2}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("m=%d: drops, adds, kernel compiles = %v, want %v", c.m, got, want)
 		}
 		a := res.Array("A")
 		for _, i := range []int{1, 2, int(c.m) - 1, int(c.m)} {
@@ -193,29 +219,40 @@ end;
 	}
 }
 
-// TestSiteStaticResolvesOnce: a declared region's site holds one value and
-// never grows a table.
+// TestSiteStaticResolvesOnce: a declared region's transfer site holds one
+// schedule and never grows a table.
 func TestSiteStaticResolvesOnce(t *testing.T) {
-	w := classWorld(t, jacobiSrc, 1, nil)
+	w := classWorld(t, jacobiSrc, 4, nil)
 	p := w.procs[0]
-	s := w.plan.Blocks[0].Stmts[0].(*ir.AssignArray)
-	first := p.planFor(s)
-	for n := 0; n < 4; n++ {
-		if pl := p.planFor(s); pl != first {
-			t.Fatal("a declared-region site resolved to two plans")
+	var tr *comm.Transfer
+	for _, bp := range w.plan.Blocks {
+		for _, x := range bp.Transfers {
+			if tr == nil && x.Region.Sym != nil {
+				tr = x
+			}
 		}
 	}
-	st := p.caches[cacheKernel]
-	if st[compiled] != 1 || st[hitStatic] != 4 || p.stmts[s.ID].vals != nil {
-		t.Errorf("outcomes %v, table %v; want one compilation, four static hits and no table", st, p.stmts[s.ID].vals)
+	if tr == nil {
+		t.Fatal("jacobi has no transfer under a declared region")
+	}
+	first := p.state(tr)
+	for n := 0; n < 4; n++ {
+		p.xfers[tr.Slot].open = nil // the sequence's SV
+		if sc := p.state(tr); sc != first {
+			t.Fatal("a declared-region site resolved to two schedules")
+		}
+	}
+	st := p.caches
+	if st[compiled] != 1 || st[hitStatic] != 4 || p.xfers[tr.Slot].vals != nil {
+		t.Errorf("outcomes %v, table %v; want one compilation, four static hits and no table", st, p.xfers[tr.Slot].vals)
 	}
 }
 
-// TestSiteSize: every processor holds a site per statement, transfer and
-// reduction of the program, so at 4096 processors its size is memory.
+// TestSiteSize: every processor holds a site per transfer of the program,
+// so at 4096 processors its size is memory.
 func TestSiteSize(t *testing.T) {
-	if n := unsafe.Sizeof(site[*stmtPlan]{}); n > 32 {
-		t.Errorf("a site is %d bytes, want at most 32", n)
+	if n := unsafe.Sizeof(xferSite{}); n > 40 {
+		t.Errorf("a transfer site is %d bytes, want at most 40", n)
 	}
 }
 

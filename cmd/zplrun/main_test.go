@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -496,4 +497,79 @@ func TestParseArgs(t *testing.T) {
 			t.Errorf("parseArgs(%v) accepted bad flags", args)
 		}
 	}
+}
+
+// TestSchedWorkersDeterminism runs one world on 1, 2, 3 (uneven home bands)
+// and 8 scheduler workers and wants the same bytes from each. tomcatv/shmem
+// exercises the ready tokens, sp/pvm the returned-buffer back-channel and
+// tomcatv's butterfly reductions the collective slots. sp runs with
+// -metrics too, so kernel_compiles and the region_slot_* counters of a
+// literal-region program hold still. swm runs with all four
+// observers on, whose reports fold the processors' event logs in whatever
+// order the workers flush them: its stdout and trace must not move either.
+// Every run drops the lines with " sched_": the metrics' counts of the
+// host's stepping, and the schedule cache's. Workers only interleave where GOMAXPROCS lets them run at
+// once, so CI runs this test under GOMAXPROCS=8.
+func TestSchedWorkersDeterminism(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range []string{
+		"-bench tomcatv -lib shmem",
+		"-bench sp -lib pvm -metrics",
+		"-bench tomcatv -collective butterfly",
+		"-bench swm -lib shmem -profile -metrics -critpath -trace",
+	} {
+		t.Run(args, func(t *testing.T) { schedWorkersAgree(t, dir, args) })
+	}
+}
+
+// schedWorkersAgree runs zplrun with args at every worker count.
+func schedWorkersAgree(t *testing.T, dir, args string) {
+	var first, firstTrace []byte
+	for _, n := range []string{"1", "2", "3", "8"} {
+		a := strings.Fields(args)
+		tracePath := filepath.Join(dir, "w"+n+".json")
+		if a[len(a)-1] == "-trace" {
+			a = append(a, tracePath)
+		}
+		o, err := parseArgs(append(a, "-procs", "64", "-sched-workers", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf, out bytes.Buffer
+		if err := run(&buf, o); err != nil {
+			t.Fatalf("%s -sched-workers %s: %v", args, n, err)
+		}
+		for _, line := range strings.SplitAfter(buf.String(), "\n") {
+			if !strings.Contains(line, " sched_") {
+				out.WriteString(line)
+			}
+		}
+		var tr []byte
+		if o.tracePath != "" {
+			if tr, err = os.ReadFile(tracePath); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if first == nil {
+			first, firstTrace = out.Bytes(), tr
+			continue
+		}
+		if !bytes.Equal(out.Bytes(), first) {
+			t.Errorf("%s: -sched-workers %s prints other bytes than one worker:\n%s", args, n, lineDiff(string(first), out.String()))
+		}
+		if !bytes.Equal(tr, firstTrace) {
+			t.Errorf("%s: -sched-workers %s writes another trace than one worker", args, n)
+		}
+	}
+}
+
+// lineDiff names the first line where two outputs differ.
+func lineDiff(a, b string) string {
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := range min(len(la), len(lb)) {
+		if la[i] != lb[i] {
+			return "line " + strconv.Itoa(i+1) + ":\n  " + la[i] + "\n  " + lb[i]
+		}
+	}
+	return "line " + strconv.Itoa(min(len(la), len(lb))+1) + ": one output ends"
 }

@@ -54,6 +54,19 @@ func (f *frame) clip(reg grid.Region) grid.Region {
 	return reg
 }
 
+// grow returns block frame f grown by g in each distributed dimension,
+// within out, the neighbourhood frame around it: the rows of a statement
+// region that transfers with offsets up to g exchange with the block. An
+// end stays open where f is (out is there too).
+func (f frame) grow(g [2]int, out *frame) frame {
+	for d, e := range f.ext {
+		if !e.Empty() {
+			f.ext[d] = out.clipSpan(d, grid.Span{Lo: e.Lo - g[d], Hi: e.Hi + g[d]})
+		}
+	}
+	return f
+}
+
 // shiftDist moves reg by sign·d in the dimensions the region distributes:
 // a rank-1 region has no second distributed dimension.
 func shiftDist(reg grid.Region, d [2]int, sign int) grid.Region {
@@ -86,6 +99,7 @@ type nbhdClass struct {
 	nb    [3][3]*shapeClass // nb[dr+1][dc+1]; nil off the mesh; nb[1][1] is the processor's own
 	d     [3][3][2]int      // the neighbours' origins relative to the processor's...
 	fr    [3][3]frame       // ...and their block frames seen from there
+	reach []frame           // by literal slot: the frame its regions clip to (site.go)
 }
 
 // classify assigns p its shape class — creating it, with p as the layout
@@ -186,17 +200,18 @@ type classKey struct {
 type classCache struct {
 	mu sync.Mutex
 	m  map[classKey]*commSched
-	// empty is the schedule where the clipped region is empty: one for
-	// every class and every such region, resolved without a lookup.
+	// empty is the schedule wherever the region moves no element, resolved
+	// without a lookup; an all-zero-byte one acts alike under every library.
 	empty *commSched
 }
 
 // get returns transfer t's schedule for neighbourhood class nc and clipped
-// region key — empty where that is — compiling it under the lock when no
-// processor of the class has met the region yet; the compilation counts for
-// the processor that ran it, so the processors' counts sum to the world's.
+// region key — empty, unlocked, where the key moves nothing — compiling it
+// under the lock when no processor of the class has met the region yet; the
+// compilation counts for the processor that ran it, so the processors'
+// counts sum to the world's.
 func (c *classCache) get(nc *nbhdClass, t *comm.Transfer, key grid.Region, count *[len(cacheOutcomes)]int64) *commSched {
-	if key.Empty() {
+	if !nc.carries(t, key) {
 		count[hitEmpty]++
 		return c.empty
 	}

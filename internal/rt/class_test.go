@@ -2,8 +2,11 @@ package rt
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
+	"commopt/internal/comm"
 	"commopt/internal/grid"
 	"commopt/internal/machine"
 	"commopt/internal/programs"
@@ -198,6 +201,128 @@ func TestSharedKernelsAreRaceFree(t *testing.T) {
 			compiles, classes, ran := got.Metrics.Counter("kernel_compiles").N, got.Metrics.Gauge("shape_classes").V, got.Metrics.Counter("stmts_kernel").N
 			if ran == 0 || classes >= 64 || compiles != classes*int64(prog.NumArrayStmts+prog.NumReduces) {
 				t.Errorf("%s workers=%d: %d kernel compiles for %d classes and %d kernel statements, want one per (statement, class) and fewer classes than processors", name, workers, compiles, classes, ran)
+			}
+		}
+	}
+}
+
+// TestClassReachResolvesAlike runs the four benchmarks on 4, 16 and 64
+// processors under pvm and shmem twice, on one worker: once as setup builds
+// the world, and once as a reference with every reach widened to its
+// neighbourhood frame, the clip a literal region had before reaches. For
+// every (transfer, neighbourhood class, key) the reference meets:
+//   - carries is false exactly when every pair geometry compiles moves 0
+//     bytes (declared regions included);
+//   - geometry over the key clipped to the reach compiles the same runs as
+//     over the key itself, and carries agrees on both.
+//
+// The two runs must take the same time and move the same messages, and each
+// processor's slots must hold exactly the reference keys' clips to the reach
+// that are not empty.
+func TestClassReachResolvesAlike(t *testing.T) {
+	type met struct {
+		slot, nc int
+		key      grid.Region
+	}
+	for _, name := range []string{"tomcatv", "swm", "simple", "sp"} {
+		bench, err := programs.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, plan := compile(t, bench.Source)
+		var literal, declared []*comm.Transfer
+		for _, bp := range plan.Blocks {
+			for _, tr := range bp.Transfers {
+				if tr.Region.Sym == nil {
+					literal = append(literal, tr)
+				} else {
+					declared = append(declared, tr)
+				}
+			}
+		}
+		for _, procs := range []int{4, 16, 64} {
+			for _, lib := range []string{"pvm", "shmem"} {
+				// run returns the world after its processors' bodies, their
+				// slots kept, and the reaches setup built, by class id.
+				run := func(widen bool) (*world, [][]frame) {
+					mach := machine.T3D()
+					l, err := mach.Lib(lib)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w := &world{prog: prog, plan: plan, mach: mach, lib: l, mesh: grid.SquarestMesh(procs)}
+					if err := w.setup(Config{ConfigVars: bench.TestConfig}); err != nil {
+						t.Fatal(err)
+					}
+					reach := make([][]frame, len(w.nbhds))
+					for _, nc := range w.nbhds {
+						reach[nc.id] = slices.Clone(nc.reach)
+						for id := range nc.reach {
+							if widen { // the reference: the neighbourhood clip
+								nc.reach[id] = nc.frame
+							}
+						}
+					}
+					w.runSched(1, func(p *proc) { p.body(p.w.main) })
+					if w.abortErr != nil {
+						t.Errorf("%s/%d/%s: %v", name, procs, lib, w.abortErr)
+					}
+					return w, reach
+				}
+				got, _ := run(false)
+				ref, reach := run(true)
+				seen := map[met]bool{}
+				check := func(tr *comm.Transfer, nc *nbhdClass, key, clipped grid.Region) {
+					m := met{tr.Slot, int(nc.id), key}
+					if seen[m] {
+						return
+					}
+					seen[m] = true
+					sc, moves := nc.geometry(tr, key), false
+					for _, pr := range append(slices.Clone(sc.recvs), sc.sends...) {
+						moves = moves || pr.bytes > 0
+					}
+					if c := nc.carries(tr, key); c != moves {
+						t.Errorf("%s/%d/%s: %s on class %d over %v: carries %v, geometry moves data %v", name, procs, lib, tr.Label(), nc.id, key, c, moves)
+					}
+					if nc.carries(tr, clipped) != moves || !reflect.DeepEqual(nc.geometry(tr, clipped), sc) {
+						t.Errorf("%s/%d/%s: %s on class %d: %v clipped to the reach, %v, resolves otherwise", name, procs, lib, tr.Label(), nc.id, key, clipped)
+					}
+				}
+				for rank, p := range ref.procs {
+					q := got.procs[rank]
+					if p.clock != q.clock || p.messages != q.messages || p.bytesSent != q.bytesSent {
+						t.Errorf("%s/%d/%s: processor %d: %v, %d messages, %d bytes; the reference's %v, %d, %d", name, procs, lib, rank, q.clock, q.messages, q.bytesSent, p.clock, p.messages, p.bytesSent)
+					}
+					nc := p.ncls
+					for _, tr := range declared {
+						key := nc.clip(p.rel(ref.regionVals[tr.Region.Sym.ID]))
+						check(tr, nc, key, key)
+					}
+					for id, s := range p.regions {
+						var want []grid.Region
+						for _, key := range s.keys[min(len(s.keys), 1):] {
+							clipped := reach[nc.id][id].clip(key)
+							if !clipped.Empty() && !slices.Contains(want, clipped) {
+								want = append(want, clipped)
+							}
+							for _, tr := range literal {
+								if tr.Region.Slot == id {
+									check(tr, nc, key, clipped)
+								}
+							}
+						}
+						// Both lists are free of repeats: equal lengths and
+						// containment make them one set.
+						have := q.regions[id].keys[min(len(q.regions[id].keys), 1):]
+						if len(have) != len(want) || slices.ContainsFunc(want, func(r grid.Region) bool { return !slices.Contains(have, r) }) {
+							t.Errorf("%s/%d/%s: processor %d slot %d holds %v, want the reach clips %v", name, procs, lib, rank, id, have, want)
+						}
+					}
+				}
+				if len(seen) == 0 {
+					t.Errorf("%s/%d/%s: no (transfer, class, key) met", name, procs, lib)
+				}
 			}
 		}
 	}

@@ -48,14 +48,65 @@ func neighborDirs(off grid.Offset) (dirs [3][2]int, n int) {
 	return dirs, n
 }
 
-// geometry computes the send and receive rectangles of transfer t over
-// statement region reg — clipped to the neighbourhood and relative to the
-// processor's origin — and compiles each into its pack/unpack run. Both
-// sides of every pair compute identical rectangles from replicated state, so
-// message contents never need negotiation. Send rectangles lie inside the
-// owned block; a receive rectangle lies outside the halo when the program
-// reads past the array's ghost width, or reads an array the processor holds
-// none of, and that is the positioned program error addrOf raises, at the
+// side is one pair of a transfer over a statement region: the neighbour at
+// displacement (dr, dc), the rows the receiver needs (its share of the
+// region, shifted by the offset), and the sending class at origin offset sd.
+type side struct {
+	dr, dc int
+	need   grid.Region
+	sender *shapeClass
+	sd     [2]int
+}
+
+// rect is what the side carries of array id: the needed rows the sender owns.
+func (s *side) rect(id int) grid.Region {
+	return s.need.Intersect(shiftDist(s.sender.locals[id], s.sd, 1))
+}
+
+// pair returns transfer t's side with the neighbour at displacement d over
+// statement region reg (clipped to the neighbourhood, relative to the
+// origin): a receive, data I need from it, or a send, data the neighbour at
+// -d needs from me. A pair off the mesh is dropped here (!ok), not at use.
+func (nc *nbhdClass) pair(t *comm.Transfer, reg grid.Region, d [2]int, recv bool) (s side, ok bool) {
+	dr, dc := d[0], d[1]
+	if recv {
+		s = side{dr, dc, nc.fr[1][1].clip(reg), nc.nb[1+dr][1+dc], nc.d[1+dr][1+dc]}
+	} else {
+		s = side{-dr, -dc, nc.fr[1-dr][1-dc].clip(reg), nc.nb[1][1], [2]int{}}
+	}
+	s.need = s.need.Shift(t.Offset)
+	return s, nc.nb[1+s.dr][1+s.dc] != nil
+}
+
+// carries reports whether transfer t moves any element over statement
+// region reg: geometry's rectangles, sized but not compiled. An empty
+// region (nowhere has no rank) moves nothing.
+func (nc *nbhdClass) carries(t *comm.Transfer, reg grid.Region) bool {
+	if reg.Empty() {
+		return false
+	}
+	dirs, nd := neighborDirs(t.Offset)
+	for i := range 2 * nd {
+		s, ok := nc.pair(t, reg, dirs[i%nd], i < nd)
+		if !ok {
+			continue
+		}
+		for _, a := range t.Items {
+			if !s.rect(a.ID).Empty() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// geometry compiles each of transfer t's pairs over statement region reg
+// (nbhdClass.pair), receives first, into its pack/unpack run. Both sides of
+// every pair compute identical rectangles from replicated state, so message
+// contents never need negotiation. Send rectangles lie inside the owned
+// block; a receive rectangle lies outside the halo when the program reads
+// past the array's ghost width, or reads an array the processor holds none
+// of, and that is the positioned program error addrOf raises, at the
 // transfer's first use. Layout comes from the class representative's
 // fields, at its origin, and all pairs' runs are carved from one block.
 func (nc *nbhdClass) geometry(t *comm.Transfer, reg grid.Region) *commSched {
@@ -63,19 +114,16 @@ func (nc *nbhdClass) geometry(t *comm.Transfer, reg grid.Region) *commSched {
 	me := nc.nb[1][1]
 	pairs := make([]packPair, 0, 2*nd)
 	runs := make([]packRun, 0, 2*nd*len(t.Items))
-	// add appends the pair exchanging with the neighbour at displacement
-	// (dr, dc): the part of iter (the receiver's share of the statement
-	// region), shifted by the transfer's offset, that sender owns at origin
-	// offset sd. A pair off the mesh is dropped here, not at use.
-	add := func(dr, dc int, iter grid.Region, sender *shapeClass, sd [2]int) {
-		if nc.nb[dr+1][dc+1] == nil {
-			return
+	recvs := 0
+	for i := range 2 * nd {
+		s, ok := nc.pair(t, reg, dirs[i%nd], i < nd)
+		if !ok {
+			continue
 		}
-		pr := packPair{dr: dr + 1, dc: dc + 1}
-		need := iter.Shift(t.Offset)
+		pr := packPair{dr: s.dr + 1, dc: s.dc + 1}
 		start := len(runs)
 		for _, a := range t.Items {
-			rect := need.Intersect(shiftDist(sender.locals[a.ID], sd, 1))
+			rect := s.rect(a.ID)
 			if rect.Empty() {
 				continue
 			}
@@ -89,16 +137,9 @@ func (nc *nbhdClass) geometry(t *comm.Transfer, reg grid.Region) *commSched {
 		pr.bytes = pr.doubles * 8
 		pr.runs = runs[start:len(runs):len(runs)]
 		pairs = append(pairs, pr)
-	}
-	iterMe := nc.fr[1][1].clip(reg)
-	// Receive side: data I need from the neighbor at displacement d.
-	for _, d := range dirs[:nd] {
-		add(d[0], d[1], iterMe, nc.nb[1+d[0]][1+d[1]], nc.d[1+d[0]][1+d[1]])
-	}
-	recvs := len(pairs)
-	// Send side: data the neighbor at displacement -d needs from me.
-	for _, d := range dirs[:nd] {
-		add(-d[0], -d[1], nc.fr[1-d[0]][1-d[1]].clip(reg), me, [2]int{})
+		if i < nd {
+			recvs++
+		}
 	}
 	return &commSched{recvs: pairs[:recvs:recvs], sends: pairs[recvs:]}
 }

@@ -97,7 +97,7 @@ type tree struct {
 	pre   []func(c *kctx)
 	row   vec
 	ok    grid.Region // the rows every use reads inside the halo over
-	uses  []heldUse
+	uses  []ir.ArrayUse
 	pos   zpl.Pos // the statement's
 }
 
@@ -210,7 +210,7 @@ func storeModeFor(s *ir.AssignArray, inner int) storeMode {
 func (t *tree) begin(p *proc, local grid.Region) int {
 	if !within(local, t.ok) {
 		for _, u := range t.uses {
-			if !within(local, u.rows) {
+			if !within(local, heldRows(p.cls, t.inner, u)) {
 				panic(unheldRead(t.pos, p.cls.fields[u.Array.ID], u.Off))
 			}
 		}
@@ -332,7 +332,7 @@ type kcompiler struct {
 	runs  int             // run rows among the slots
 	fills int             // rows broadcast from a value: statement roots only
 	ok    grid.Region     // the rows every use compiled so far reads inside the halo over
-	uses  []heldUse       // the array uses compiled so far
+	uses  []ir.ArrayUse   // the array uses compiled so far
 	pos   zpl.Pos         // the statement's, for the errors a run raises
 }
 
@@ -430,39 +430,44 @@ func (kc *kcompiler) level(e ir.Expr) level {
 // origin.
 func (kc *kcompiler) distributes(d int) bool { return d < 2 && d <= kc.inner }
 
-// addrOf returns where the rows of use u start, and records the rows,
-// relative to the block origin, over which u reads inside the halo the
-// class holds of its array: none where the class holds none of it or its
-// rows are not contiguous. The layout is read off the class
-// representative's field, which is affine in the global coordinates: base
-// is the flat index there of the relative origin's shifted point, as on
-// every member.
+// addrOf returns where the rows of use u start, and records u and the rows
+// it reads inside the halo over (heldRows). The layout is read off the
+// class representative's field, which is affine in the global coordinates:
+// base is the flat index there of the relative origin's shifted point, as
+// on every member.
 func (kc *kcompiler) addrOf(u ir.ArrayUse) addr {
-	a, f, rows := addr{id: u.Array.ID}, kc.cl.fields[u.Array.ID], nowhere
+	a, f := addr{id: u.Array.ID}, kc.cl.fields[u.Array.ID]
 	if f.Allocated() && f.Stride(kc.inner) == 1 {
-		rows = shiftDist(f.Halo(), kc.cl.org, -1)
 		at := u.Off
 		for d := range at {
-			rows.Spans[d].Lo -= u.Off[d]
-			rows.Spans[d].Hi -= u.Off[d]
 			if kc.distributes(d) {
 				at[d] += kc.cl.org[d]
 			}
 		}
 		a.s0, a.s1, a.base = f.Stride(0), f.Stride(1), f.IndexOf(at[0], at[1], at[2])
 	}
-	rows.Rank = kc.inner + 1
-	kc.uses = append(kc.uses, heldUse{u, rows})
-	kc.ok = kc.ok.Intersect(rows)
+	kc.uses = append(kc.uses, u)
+	kc.ok = kc.ok.Intersect(heldRows(kc.cl, kc.inner, u))
 	return a
 }
 
-// heldUse is an array use of a compiled tree and the rows its reads are
-// inside the halo over: a run over rows outside them is the program error
-// of the first such use (LANGUAGE.md, "Distribution model").
-type heldUse struct {
-	ir.ArrayUse
-	rows grid.Region
+// heldRows returns the rows, relative to the block origin, over which use u
+// of a tree with row dimension inner reads inside the halo class cl holds
+// of its array: none where the class holds none of it or its rows are not
+// contiguous. A run over rows outside them is the program error of the
+// first such use (LANGUAGE.md, "Distribution model"); a tree keeps only
+// their intersection, and derives a use's own on that error's path.
+func heldRows(cl *shapeClass, inner int, u ir.ArrayUse) grid.Region {
+	rows, f := nowhere, cl.fields[u.Array.ID]
+	if f.Allocated() && f.Stride(inner) == 1 {
+		rows = shiftDist(f.Halo(), cl.org, -1)
+		for d := range u.Off {
+			rows.Spans[d].Lo -= u.Off[d]
+			rows.Spans[d].Hi -= u.Off[d]
+		}
+	}
+	rows.Rank = inner + 1
+	return rows
 }
 
 // within reports whether the non-empty region local lies in rows.

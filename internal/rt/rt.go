@@ -355,13 +355,22 @@ func (w *world) setup(cfg Config) error {
 
 	// Bind every statement list the program can reach, once, shared by all
 	// processors, and give every transfer its class cache with the schedule
-	// it has wherever its region clips to nothing.
+	// it has wherever it moves nothing. A literal region grows by the
+	// largest offset of the transfers under it (hoisted ones stay listed on
+	// their block) into each neighbourhood's reach for it.
 	w.foldLiterals()
 	w.main = w.bind(prog.Main.Body, map[*ir.Proc][]seg{})
 	w.xferCC = make([]classCache, w.plan.NumTransfers())
+	grow := make([][2]int, len(w.literals))
 	for _, bp := range w.plan.Blocks {
 		for _, t := range bp.Transfers {
 			w.xferCC[t.Slot].empty = emptySched(t)
+			if t.Region.Sym == nil {
+				g := &grow[t.Region.Slot]
+				for d := range g {
+					g[d] = max(g[d], t.Offset[d], -t.Offset[d])
+				}
+			}
 		}
 	}
 
@@ -390,6 +399,12 @@ func (w *world) setup(cfg Config) error {
 	}
 	for _, p := range w.procs {
 		p.meet()
+	}
+	for _, nc := range w.nbhds {
+		nc.reach = make([]frame, len(grow))
+		for id, g := range grow {
+			nc.reach[id] = nc.nb[1][1].grow(g, &nc.frame)
+		}
 	}
 	w.compileKernels()
 	if coll != nil {

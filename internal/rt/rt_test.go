@@ -10,6 +10,7 @@ import (
 	"commopt/internal/comm"
 	"commopt/internal/ir"
 	"commopt/internal/machine"
+	"commopt/internal/programs"
 	"commopt/internal/ref"
 	"commopt/internal/zpl"
 )
@@ -559,5 +560,40 @@ end;
 	}
 	if f := bd.CommFraction(); f <= 0 || f >= 1 {
 		t.Fatalf("comm fraction = %v", f)
+	}
+}
+
+// TestTimeReadsNoValue: virtual time never reads a value, so simple on a
+// second initial data set — other constants in its coordinates and
+// energies, the same operators — takes the same time on every processor and sends the same
+// messages, while its arrays differ. This is why making a program compute
+// numbers instead of NaN moves no time or count.
+func TestTimeReadsNoValue(t *testing.T) {
+	bench, err := programs.ByName("simple")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := bench.Source
+	for _, r := range [][2]string{
+		{"[G] XN  := Index2 * 1.0;", "[G] XN  := Index2 * 1.5;"},
+		{"[G] E   := 2.5 + 0.5 *", "[G] E   := 3.5 + 0.75 *"},
+	} {
+		if !strings.Contains(other, r[0]) {
+			t.Fatalf("simple has no %q to change", r[0])
+		}
+		other = strings.Replace(other, r[0], r[1], 1)
+	}
+	for _, lib := range []string{"pvm", "shmem"} {
+		cfg := Config{Procs: 4, Library: lib, ConfigVars: bench.TestConfig}
+		a, b := runSrc(t, bench.Source, comm.PL(), cfg), runSrc(t, other, comm.PL(), cfg)
+		if sameArrays(a, b) {
+			t.Fatalf("%s: the two data sets leave the same arrays", lib)
+		}
+		counts := func(r *Result) string {
+			return fmt.Sprint(r.ExecTime, r.DynamicTransfers, r.Messages, r.BytesSent, r.Reductions, r.PerProcMsgs, r.PerProc)
+		}
+		if ca, cb := counts(a), counts(b); ca != cb {
+			t.Errorf("%s: time and counts %s on one data set, %s on the other", lib, ca, cb)
+		}
 	}
 }

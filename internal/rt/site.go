@@ -60,17 +60,18 @@ func literalsOf(stmts []ir.Stmt) (slots []int) {
 }
 
 // regionSlot is one processor's record of one literal region: the distinct
-// values it has taken here — moved to the block origin and clipped to the
-// neighbourhood frame, which is what a transfer's schedule depends on —
-// each under a dense index in first-seen order, and the index of the value
-// it has now, and that value's part in the block, which is what a statement
+// values it has taken here — moved to the block origin and clipped to its
+// reach (nbhdClass.reach: the block grown by the largest offset of a
+// transfer under the region), all a transfer's schedule depends on — each
+// under a dense index in first-seen order, and the index of the value it
+// has now, and that value's part in the block, which is what a statement
 // runs over. Sweeps revisit their regions in the same order on every outer
 // iteration, so an entry first tries next, the index after the previous
 // hit's (the oldest after the newest), and only a misprediction pays for
 // the map.
 type regionSlot struct {
 	ri, next int32
-	keys     []grid.Region // by index; keys[0] is unused: index 0 is "nothing of the region inside the neighbourhood"
+	keys     []grid.Region // by index; keys[0] is unused: index 0 is "nothing of the region inside the reach"
 	index    map[grid.Region]int32
 	part     grid.Region
 }
@@ -88,7 +89,7 @@ func (p *proc) part(re *ir.RegionExpr) grid.Region {
 }
 
 // here returns the region re denotes on p right now, relative to p's
-// origin; a literal one as its slot holds it, clipped to the neighbourhood.
+// origin; a literal one as its slot holds it, clipped to the reach.
 func (p *proc) here(re *ir.RegionExpr) grid.Region {
 	if re.Sym != nil {
 		return p.rel(p.w.regionVals[re.Sym.ID])
@@ -102,7 +103,7 @@ func (p *proc) here(re *ir.RegionExpr) grid.Region {
 // Outcomes of entering a slot, indexing procMetrics.regions; the name table
 // spells the metrics registry's "region_slot_<outcome>" counters. evals
 // counts every entry; one that is neither a hit nor an add found nothing of
-// the region inside the neighbourhood.
+// the region inside the reach.
 const (
 	slotEval = iota
 	slotSuccessor
@@ -125,7 +126,7 @@ func (p *proc) enter(slots []int) {
 			}
 		}
 		p.regionCounts[slotEval]++
-		key := p.ncls.clip(p.rel(reg))
+		key := p.ncls.reach[id].clip(p.rel(reg))
 		if key.Empty() {
 			s.ri, s.part = 0, key
 			continue
@@ -171,11 +172,11 @@ func (p *proc) dropSlot(s *regionSlot) {
 // metrics registry's "sched_cache_<outcome>" counters.
 //
 // hitStatic is a declared region's fixed answer, hitSlot a literal region's
-// by its slot's index. hitEmpty is a region that clips to nothing on the
-// processor: the site's shared empty value, no lookup. hitClass is a
-// processor's first sight of a region another member of its class compiled;
-// compiled is a first sight nobody of the class had before, a real
-// compilation. dropped counts a slot that forgot its regions.
+// by its slot's index. hitEmpty is a region that moves nothing on the
+// processor (nbhdClass.carries): the site's shared empty value, no lookup.
+// hitClass is a processor's first sight of a region another member of its
+// class compiled; compiled is a first sight nobody of the class had before,
+// a real compilation. dropped counts a slot that forgot its regions.
 const (
 	hitStatic = iota
 	hitSlot
@@ -200,9 +201,9 @@ type xferSite struct {
 // of a DR..SV sequence for the region t denotes on p right now: the site is
 // looked up once per sequence, and schedules persist across block
 // executions. On first sight the region is clipped to the frame of p's
-// neighbourhood class, which is the key of the transfer's class cache; an
-// empty key — nothing of the region concerns the neighbourhood — resolves
-// to the transfer's shared empty schedule without an entry there.
+// neighbourhood class (a literal one is, to the reach within it): the key of
+// the transfer's class cache, unless it moves nothing and resolves to the
+// transfer's shared empty schedule.
 func (p *proc) state(t *comm.Transfer) *commSched {
 	x, re := &p.xfers[t.Slot], &t.Region
 	if x.open != nil {

@@ -501,10 +501,12 @@ func TestParseArgs(t *testing.T) {
 
 // TestSchedWorkersDeterminism runs one world on 1, 2, 3 (uneven home bands)
 // and 8 scheduler workers and wants the same bytes from each. tomcatv/shmem
-// exercises the ready tokens, sp/pvm the returned-buffer back-channel and
-// tomcatv's butterfly reductions the collective slots. sp runs with
-// -metrics too, so kernel_compiles and the region_slot_* counters of a
-// literal-region program hold still. swm runs with all four
+// exercises the ready tokens, sp/pvm the returned-buffer back-channel, and
+// tomcatv under butterfly, simple under star and sp under twolevel the
+// reduction rendezvous, whichever rank arrives last: simple's critical path
+// and sp's profile read every hop's wait. sp/pvm runs with -metrics too, so
+// kernel_compiles and the region_slot_* counters of a literal-region
+// program hold still. swm runs with all four
 // observers on, whose reports fold the processors' event logs in whatever
 // order the workers flush them: its stdout and trace must not move either.
 // Every run drops the lines with " sched_": the metrics' counts of the
@@ -516,6 +518,8 @@ func TestSchedWorkersDeterminism(t *testing.T) {
 		"-bench tomcatv -lib shmem",
 		"-bench sp -lib pvm -metrics",
 		"-bench tomcatv -collective butterfly",
+		"-bench simple -collective star -critpath",
+		"-bench sp -collective twolevel -profile",
 		"-bench swm -lib shmem -profile -metrics -critpath -trace",
 	} {
 		t.Run(args, func(t *testing.T) { schedWorkersAgree(t, dir, args) })

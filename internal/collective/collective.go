@@ -3,9 +3,10 @@
 // hop schedules, built and paired once per algorithm and mesh (Schedule,
 // Build), eligibility per mesh (Eligible), LogGP-style hop pricing shared
 // with the runtime and the static predictor (SendCost, RecvCost,
-// WireDelay), an exact virtual-time replay of a schedule over its receive
-// slots (Schedule.Simulate), per-rank message/byte/overhead profiles
-// (Schedule.Profile) and cost-model-driven selection (Choose, Select).
+// WireDelay), an exact virtual-time replay of a schedule from any entry
+// clocks over its receive slots (Schedule.Replay), per-rank
+// message/byte/overhead profiles (Schedule.Profile) and cost-model-driven
+// selection (Choose, Select).
 //
 // Every algorithm is expressed as the same thing the runtime executes: a
 // per-rank sequence of point-to-point hops. A hop either contributes raw
@@ -23,12 +24,13 @@
 // initiation plus SV buffer reclaim), the receiver pays the receive path
 // (DR posting readiness plus DN completion), and the payload adds the
 // per-byte and wire terms. Unlike point-to-point rendezvous transfers,
-// the sender never blocks on the receiver's readiness: collective slots
-// are preallocated, one per receive and sequence parity, so readiness is
-// posted ahead of the put — DR remains a software charge on the
-// receiving rank, not a synchronization. What distinguishes algorithms
-// is therefore only their hop pattern. The runtime charges exactly these
-// costs per hop; Simulate replays them exactly; cost.Predict therefore
+// the sender never blocks on the receiver's readiness: every receive has
+// its own slot, so readiness is posted ahead of the put — DR remains a
+// software charge on the receiving rank, not a synchronization. What
+// distinguishes algorithms is therefore only their hop pattern. The
+// runtime replays the schedule once per reduction from its ranks' entry
+// clocks and charges every hop these costs at the arrival times the
+// replay computes, and cost.Predict prices the same schedule, so it
 // matches rt.Run to the nanosecond.
 package collective
 
@@ -156,9 +158,6 @@ type Schedule struct {
 	To    [][]int32
 	first []int32 // first[r]: rank r's slot 0 among every rank's slots; first[len(Steps)] counts them all
 }
-
-// Recvs is the number of receive slots rank r has.
-func (s *Schedule) Recvs(r int) int { return int(s.first[r+1] - s.first[r]) }
 
 // Build returns the algorithm's paired schedule on the mesh. It panics on
 // an ineligible algorithm, as AllSteps does, and on a schedule that does
@@ -399,57 +398,80 @@ func WireDelay(lib *machine.Lib, count int) vtime.Duration {
 // unsent marks a receive slot no send has filled yet.
 const unsent vtime.Time = -1
 
-// Simulate replays the schedule on per-rank virtual clocks exactly the
-// way the runtime executes it: a send charges SendCost and fills its
-// peer's receive slot with the time the message arrives, WireDelay later;
-// a receive waits until its slot is filled, then charges RecvCost. One
-// arrival time per receive slot and one cursor per rank hold the whole
-// state. It returns the latest rank's finish time, or an error naming a
-// stuck rank if the schedule cannot complete — which is how a
-// deadlocking hop order shows.
-func (s *Schedule) Simulate(lib *machine.Lib) (vtime.Duration, error) {
-	p := len(s.Steps)
-	clocks := make([]vtime.Time, p)
-	idx := make([]int, p)
-	avail := make([]vtime.Time, s.first[p])
+// Slots is the number of receive slots over every rank: the length of the
+// arrivals Replay fills.
+func (s *Schedule) Slots() int { return int(s.first[len(s.Steps)]) }
+
+// Slot is the index among every rank's receive slots of the one step i of
+// rank r names: its own for a receive, its peer's for a send.
+func (s *Schedule) Slot(r, i int) int {
+	q := r
+	if st := s.Steps[r][i]; st.Kind == Send {
+		q = st.Peer
+	}
+	return int(s.first[q] + s.To[r][i])
+}
+
+// Replay replays the schedule on per-rank virtual clocks exactly the way
+// the runtime charges it: a send charges SendCost and fills its peer's
+// receive slot with the time the message arrives, WireDelay later; a
+// receive waits until its slot is filled, then charges RecvCost. clocks[r]
+// enters as rank r's clock when it joins the reduction and leaves as its
+// clock when its last hop is done; avail (Slots long) leaves with the
+// arrival time of every receive slot, by Slot; at (one per rank) is the
+// replay's cursors, scratch the caller owns so that a replay per
+// reduction allocates nothing. A schedule that cannot complete is an
+// error naming a stuck rank, which is how a deadlocking hop order shows.
+func (s *Schedule) Replay(lib *machine.Lib, clocks, avail []vtime.Time, at []int32) error {
 	for i := range avail {
 		avail[i] = unsent
 	}
 	remaining := 0
-	for _, ss := range s.Steps {
+	for r, ss := range s.Steps {
 		remaining += len(ss)
+		at[r] = 0
 	}
 	for remaining > 0 {
 		progress := false
 		for r, ss := range s.Steps {
-			i := idx[r]
+			i := int(at[r])
 			for ; i < len(ss); i++ {
-				st, k := ss[i], s.To[r][i]
+				st, k := ss[i], s.Slot(r, i)
 				if st.Kind == Send {
 					clocks[r] = clocks[r].Add(SendCost(lib, st.Count))
-					avail[s.first[st.Peer]+k] = clocks[r].Add(WireDelay(lib, st.Count))
+					avail[k] = clocks[r].Add(WireDelay(lib, st.Count))
 					continue
 				}
-				t := avail[s.first[r]+k]
+				t := avail[k]
 				if t == unsent {
 					break // blocked; revisit after the peer progresses
 				}
 				clocks[r] = max(clocks[r], t).Add(RecvCost(lib, st.Count))
 			}
-			if i > idx[r] {
-				remaining -= i - idx[r]
-				idx[r], progress = i, true
+			if i > int(at[r]) {
+				remaining -= i - int(at[r])
+				at[r], progress = int32(i), true
 			}
 		}
 		if !progress {
 			for r, ss := range s.Steps {
-				if idx[r] < len(ss) {
-					st := ss[idx[r]]
-					return 0, fmt.Errorf("collective: rank %d stuck at step %d waiting for a level-%d message from rank %d that is never sent",
-						r, idx[r], st.Level, st.Peer)
+				if i := int(at[r]); i < len(ss) {
+					return fmt.Errorf("collective: rank %d stuck at step %d waiting for a level-%d message from rank %d that is never sent",
+						r, i, ss[i].Level, ss[i].Peer)
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// span is the schedule's critical path from zero clocks: the latest
+// rank's finish time of one reduction that every rank enters at once.
+func (s *Schedule) span(lib *machine.Lib) (vtime.Duration, error) {
+	p := len(s.Steps)
+	clocks := make([]vtime.Time, p)
+	if err := s.Replay(lib, clocks, make([]vtime.Time, s.Slots()), make([]int32, p)); err != nil {
+		return 0, err
 	}
 	return vtime.Duration(slices.Max(clocks)), nil
 }
@@ -509,7 +531,7 @@ func Choose(a Alg, lib *machine.Lib, mesh grid.Mesh) (*Schedule, error) {
 			continue
 		}
 		s := Build(a, mesh)
-		c, err := s.Simulate(lib)
+		c, err := s.span(lib)
 		if err != nil {
 			// Schedules Build pairs always complete; a stall here is a
 			// bug in the generator itself.

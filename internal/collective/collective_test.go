@@ -2,6 +2,8 @@ package collective
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,7 +21,7 @@ func Profile(a Alg, lib *machine.Lib, mesh grid.Mesh) []RankCost { return Build(
 // Cost prices one reduction under the algorithm on the mesh: the
 // critical-path virtual time of its full schedule. Zero on one proc.
 func Cost(a Alg, lib *machine.Lib, mesh grid.Mesh) vtime.Duration {
-	d, err := Build(a, mesh).Simulate(lib)
+	d, err := Build(a, mesh).span(lib)
 	if err != nil {
 		panic(err)
 	}
@@ -33,22 +35,35 @@ func Simulate(steps [][]Step, lib *machine.Lib) (vtime.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.Simulate(lib)
+	return s.span(lib)
 }
 
-// edgeSimulate is the reference replay Schedule.Simulate is held to: one
-// FIFO of arrival times per directed edge, in a map, matched to receives
-// as they come. A message still in flight when every rank is done is an
-// error too, as is a stall.
+// edgeSimulate is edgeReplay from zero clocks, returning the latest
+// rank's finish time.
 func edgeSimulate(steps [][]Step, lib *machine.Lib) (vtime.Duration, error) {
+	clocks := make([]vtime.Time, len(steps))
+	if _, err := edgeReplay(steps, lib, clocks); err != nil {
+		return 0, err
+	}
+	return vtime.Duration(slices.Max(clocks)), nil
+}
+
+// edgeReplay is the reference replay Schedule.Replay is held to: one FIFO
+// of arrival times per directed edge, in a map, matched to receives as
+// they come. clocks enter as the ranks' entry clocks and leave as their
+// exit clocks; arrivals[r][i] is when receive step i of rank r found its
+// message. A message still in flight when every rank is done is an error
+// too, as is a stall.
+func edgeReplay(steps [][]Step, lib *machine.Lib, clocks []vtime.Time) (arrivals [][]vtime.Time, err error) {
 	p := len(steps)
-	clocks := make([]vtime.Time, p)
 	idx := make([]int, p)
+	arrivals = make([][]vtime.Time, p)
 	type edge struct{ src, dst int }
 	inflight := map[edge][]vtime.Time{}
 	remaining := 0
-	for _, s := range steps {
+	for r, s := range steps {
 		remaining += len(s)
+		arrivals[r] = make([]vtime.Time, len(s))
 	}
 	for remaining > 0 {
 		progress := false
@@ -67,6 +82,7 @@ func edgeSimulate(steps [][]Step, lib *machine.Lib) (vtime.Duration, error) {
 					}
 					avail := q[0]
 					inflight[e] = q[1:]
+					arrivals[r][idx[r]] = avail
 					if avail > clocks[r] {
 						clocks[r] = avail
 					}
@@ -81,7 +97,7 @@ func edgeSimulate(steps [][]Step, lib *machine.Lib) (vtime.Duration, error) {
 			for r := 0; r < p; r++ {
 				if idx[r] < len(steps[r]) {
 					st := steps[r][idx[r]]
-					return 0, fmt.Errorf("collective: rank %d stuck at step %d waiting for a level-%d message from rank %d that is never sent",
+					return nil, fmt.Errorf("collective: rank %d stuck at step %d waiting for a level-%d message from rank %d that is never sent",
 						r, idx[r], st.Level, st.Peer)
 				}
 			}
@@ -89,16 +105,10 @@ func edgeSimulate(steps [][]Step, lib *machine.Lib) (vtime.Duration, error) {
 	}
 	for e, q := range inflight {
 		if len(q) != 0 {
-			return 0, fmt.Errorf("collective: %d messages from rank %d to rank %d never received", len(q), e.src, e.dst)
+			return nil, fmt.Errorf("collective: %d messages from rank %d to rank %d never received", len(q), e.src, e.dst)
 		}
 	}
-	var d vtime.Duration
-	for _, c := range clocks {
-		if vtime.Duration(c) > d {
-			d = vtime.Duration(c)
-		}
-	}
-	return d, nil
+	return arrivals, nil
 }
 
 // testMeshes is the mesh sweep the schedule tests run over: powers of
@@ -481,9 +491,12 @@ func drop(steps [][]Step, r int, kind StepKind) [][]Step {
 // TestSlotReplayMatchesEdgeReplay holds the receive-slot replay to the
 // edge-FIFO reference: equal durations on every eligible schedule of
 // P = 2..200 and the sizes the experiments sweep, under every library of
-// every machine, the same Select choice for every (library, P), and an
-// error from both when a schedule loses one send or one receive.
+// every machine; from seeded random entry clocks, equal exit clocks on
+// every rank and equal arrival times in every receive slot; the same
+// Select choice for every (library, P); and an error from both when a
+// schedule loses one send or one receive.
 func TestSlotReplayMatchesEdgeReplay(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1997, 42))
 	var sizes []int
 	for p := 2; p <= 200; p++ {
 		sizes = append(sizes, p)
@@ -505,7 +518,7 @@ func TestSlotReplayMatchesEdgeReplay(t *testing.T) {
 		for _, lib := range libs {
 			want, wantCost := Auto, vtime.Duration(0)
 			for _, s := range scheds {
-				got, err := s.Simulate(lib)
+				got, err := s.span(lib)
 				if err != nil {
 					t.Fatalf("%s on %d procs (%s): %v", s.Alg, p, lib.Name, err)
 				}
@@ -519,6 +532,7 @@ func TestSlotReplayMatchesEdgeReplay(t *testing.T) {
 				if want == Auto || ref < wantCost {
 					want, wantCost = s.Alg, ref
 				}
+				replayFromClocks(t, s, lib, rng)
 				compared++
 			}
 			if got := Select(lib, mesh); got != want {
@@ -547,6 +561,39 @@ func TestSlotReplayMatchesEdgeReplay(t *testing.T) {
 	}
 }
 
+// replayFromClocks replays s from random entry clocks, up to 10 µs apart,
+// and fails unless Replay and the edge replay agree on every exit clock
+// and on the arrival in every receive slot.
+func replayFromClocks(t *testing.T, s *Schedule, lib *machine.Lib, rng *rand.Rand) {
+	t.Helper()
+	p := len(s.Steps)
+	entry := make([]vtime.Time, p)
+	for r := range entry {
+		entry[r] = vtime.Time(rng.Int64N(10_000))
+	}
+	got, want := slices.Clone(entry), slices.Clone(entry)
+	avail := make([]vtime.Time, s.Slots())
+	if err := s.Replay(lib, got, avail, make([]int32, p)); err != nil {
+		t.Fatalf("%s on %d procs (%s) from random clocks: %v", s.Alg, p, lib.Name, err)
+	}
+	arrivals, err := edgeReplay(s.Steps, lib, want)
+	if err != nil {
+		t.Fatalf("%s on %d procs (%s) from random clocks: reference: %v", s.Alg, p, lib.Name, err)
+	}
+	for r := range p {
+		if got[r] != want[r] {
+			t.Fatalf("%s on %d procs (%s): rank %d entered at %v and leaves at %v, edge replay %v",
+				s.Alg, p, lib.Name, r, entry[r], got[r], want[r])
+		}
+		for i, st := range s.Steps[r] {
+			if st.Kind == Recv && avail[s.Slot(r, i)] != arrivals[r][i] {
+				t.Fatalf("%s on %d procs (%s): rank %d's step %d arrives at %v, edge replay %v",
+					s.Alg, p, lib.Name, r, i, avail[s.Slot(r, i)], arrivals[r][i])
+			}
+		}
+	}
+}
+
 // TestPairRejectsOrphans: a send no receive takes and a receive no send
 // fills are pairing errors that name the step; an intact schedule pairs
 // every send with its peer's receive slot from it.
@@ -559,7 +606,7 @@ func TestPairRejectsOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatalf("intact exchange: %v", err)
 	}
-	if s.To[0][0] != 0 || s.To[1][1] != 0 || s.Recvs(0) != 1 || s.Recvs(1) != 1 {
+	if s.To[0][0] != 0 || s.To[1][1] != 0 || s.Slot(0, 0) != 1 || s.Slot(1, 1) != 0 || s.Slots() != 2 {
 		t.Fatalf("intact exchange paired as %v", s.To)
 	}
 	for _, c := range []struct {

@@ -31,8 +31,8 @@ const (
 	// RuleCollPairing: a collective schedule's hops are not pairwise
 	// matched — some send has no receive with the same payload on the
 	// other end (or vice versa), or one directed edge carries more than
-	// one message per reduction, which the runtime's one slot per
-	// receive (rt's collective inbox) cannot represent.
+	// one message per reduction, which the replay's one arrival time per
+	// receive slot (collective.Schedule.Replay) cannot represent.
 	RuleCollPairing = "proto-coll-pairing"
 	// RuleCollCoverage: replaying a collective schedule's data flow, some
 	// rank folds without holding all P contributions, receives a window
@@ -278,8 +278,9 @@ type collEdge struct{ src, dst int }
 
 // collPairing checks that every send has exactly one matching receive
 // with the same payload on its directed edge and vice versa, and that no
-// edge carries two messages in one reduction — the invariant the
-// runtime's one-slot-per-receive collective inbox rests on. Returns
+// edge carries two messages in one reduction — the invariants the
+// replay's one arrival time per receive slot, and the runtime's departure
+// time of a hop (its arrival less the receive's WireDelay), rest on. Returns
 // false when the schedule is too malformed for the replay to add signal.
 func (c *checker) collPairing(name string, steps [][]collective.Step, pos zpl.Pos) bool {
 	sends := map[collEdge][]collective.Step{}

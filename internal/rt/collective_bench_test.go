@@ -15,8 +15,8 @@ import (
 
 // collBenchSrc is deliberately reduction-bound: the array update is one
 // add per element while every iteration runs a full allreduce, so host
-// wall-clock tracks how the runtime moves reduction messages, not how it
-// executes kernels. n=128 keeps every partition up to a 64×64 mesh legal
+// wall-clock tracks how the runtime runs reductions, not how it executes
+// kernels. n=128 keeps every partition up to a 64×64 mesh legal
 // (2×2 blocks at 4096 procs).
 const collBenchSrc = `program cbench;
 config var n : integer = 128;

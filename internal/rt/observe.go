@@ -123,11 +123,13 @@ func (w *world) observe(cfg Config) {
 		o.names[o.collSite(c.ID)] = c.Pos.String()
 		o.names[o.phase(c.ID)] = "allreduce " + c.Op.String() + " (" + w.collAlg.String() + ")"
 	}
-	o.hops = make([][]int32, len(w.collSteps))
-	for r, steps := range w.collSteps {
-		o.hops[r] = make([]int32, len(steps))
-		for i, st := range steps {
-			o.hops[r][i] = o.label(collStepName(st))
+	if w.coll != nil {
+		o.hops = make([][]int32, len(w.coll.Steps))
+		for r, steps := range w.coll.Steps {
+			o.hops[r] = make([]int32, len(steps))
+			for i, st := range steps {
+				o.hops[r][i] = o.label(collStepName(st))
+			}
 		}
 	}
 	if cfg.Trace != nil {

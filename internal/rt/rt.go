@@ -251,30 +251,15 @@ type world struct {
 	sched      *scheduler  // set by runSched
 	schedStats *SchedStats // counters folded at the end of runSched
 
-	// Collective execution state: the algorithm chosen for this run and
-	// its schedule, every rank's hops (collSteps[r], see collective.go)
-	// and the receive slot each hop names (collTo[r][i], the schedule's
-	// pairing). All stay nil/zero when the program has no reductions or
-	// runs on one processor.
-	collAlg   collective.Alg
-	collSteps [][]collective.Step
-	collTo    [][]int32
-
-	// collContrib is the shared contribution board: collContrib[s&1][r] is
-	// rank r's raw input to reduction sequence s. Hop messages carry no
-	// payload — every processor lives in one address space, so a gather
-	// hop only needs to say *which* window it hands over; the values are
-	// read off the board. The happens-before edges of the hop messages
-	// themselves (a slot's stamp store and load) make the reads safe: a rank's window
-	// covers slot j only after a message chain rooted at rank j's
-	// contribution write. Two boards
-	// suffice because a rank entering sequence s proves every rank
-	// finished s-1 (completing s-1 needs a message chain covering all
-	// ranks), so no reader of board s-2 survives. collFold caches the
-	// rank-order fold of each board so P ranks folding the same butterfly
-	// result cost one O(P) pass, not P of them.
-	collContrib [2][]float64
-	collFold    [2]foldCell
+	// Collective execution state: the algorithm chosen for this run, its
+	// schedule, the cursors its replay walks (collective.Schedule.Replay)
+	// and the rendezvous of each reduction parity (collective.go). All
+	// stay nil/zero when the program has no reductions or runs on one
+	// processor.
+	collAlg collective.Alg
+	coll    *collective.Schedule
+	collAt  []int32
+	boards  [2]board
 
 	abortErr error
 	abortMu  sync.Mutex
@@ -378,17 +363,12 @@ func (w *world) setup(cfg Config) error {
 	// actually execute: the plan records the program's reduction sites,
 	// and a single processor reduces locally without any hops (so forcing
 	// a mesh-ineligible algorithm there is not an error).
-	var coll *collective.Schedule
 	if len(w.plan.Collectives) > 0 && w.mesh.Size() > 1 {
-		coll, err = collective.Choose(cfg.Collective, w.lib, w.mesh)
+		w.coll, err = collective.Choose(cfg.Collective, w.lib, w.mesh)
 		if err != nil {
 			return fmt.Errorf("rt: %w", err)
 		}
-		w.collAlg, w.collSteps, w.collTo = coll.Alg, coll.Steps, coll.To
-		w.collContrib[0] = make([]float64, w.mesh.Size())
-		w.collContrib[1] = make([]float64, w.mesh.Size())
-		w.collFold[0].seq = -1
-		w.collFold[1].seq = -1
+		w.collAlg = w.coll.Alg
 	}
 	w.procs = make([]*proc, w.mesh.Size())
 	w.nbhds = map[[3][3]int32]*nbhdClass{}
@@ -407,8 +387,8 @@ func (w *world) setup(cfg Config) error {
 		}
 	}
 	w.compileKernels()
-	if coll != nil {
-		w.openInboxes(coll)
+	if w.coll != nil {
+		w.openBoards()
 	}
 
 	w.observe(cfg)

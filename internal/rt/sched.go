@@ -8,8 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"commopt/internal/vtime"
 )
 
 // This file implements the M:N virtual-processor scheduler, the runtime's
@@ -29,11 +27,11 @@ import (
 //
 // Nothing on that path takes a lock all workers share. A processor's wait
 // is one atomic word (the park word below); every mailbox queue has one
-// producer and one consumer (fifo.go); a collective hop lands in a slot
-// only its sender writes. Each worker owns a FIFO run queue under its own
-// short lock; a processor joins that of its fixed home worker,
-// rank*workers/procs — a band of mesh rows, so neighbours mostly share one
-// and run where their data is. A worker steals another queue's head only
+// producer and one consumer (fifo.go); a reduction is one atomic arrival
+// count and one wake-up round by the last rank to arrive (collective.go).
+// Each worker owns a FIFO run queue under its own short lock; a processor
+// joins that of its fixed home worker, rank*workers/procs — a band of mesh
+// rows, so neighbours mostly share one and run where their data is. A worker steals another queue's head only
 // when its own is empty and sleeps only when all are; a wake-up signals the
 // home worker if it sleeps, else a sleeper if the home queue holds two.
 //
@@ -47,17 +45,17 @@ import (
 
 // The park word (mbox.park) spells the park protocol in one atomic word:
 // bits 0-1 the phase, bits 2-3 the waitReason, the rest what the processor
-// waits on — a neighbour slot, or a reduction's sequence and receive slot
-// (collOn). Zero means no wait. The owner requests a park by storing the
-// word with parkRequested, re-checks its queue once (withdrawing the
-// request if the event is there) and switches to its worker; the worker
+// waits on — a neighbour slot, or a reduction's sequence. Zero means no
+// wait. The owner requests a park by storing the word with parkRequested,
+// re-checks its queue (or, in a reduction, the board) once, withdrawing the
+// request if the event is there, and switches to its worker; the worker
 // commits the park with one CAS, requested → parkCommitted. A deliverer
-// publishes its event first, then loads the word: if it waits on exactly
-// this event, a CAS clears it, and the deliverer enqueues the owner only
-// when the park it cleared was committed — before that the worker still
-// holds the processor and, its CAS failing, simply steps it again. The
-// owner's store-then-recheck and the deliverer's publish-then-load cannot
-// both miss each other.
+// (in a reduction, the last rank to arrive) publishes its event first,
+// then loads the word: if it waits on exactly this event, a CAS clears it,
+// and the deliverer enqueues the owner only when the park it cleared was
+// committed — before that the worker still holds the processor and, its
+// CAS failing, simply steps it again. The owner's store-then-recheck and
+// the deliverer's publish-then-load cannot both miss each other.
 const (
 	parkRequested = 1
 	parkCommitted = 2
@@ -66,26 +64,12 @@ const (
 
 func parkWord(reason waitReason, on uint64) uint64 { return on<<4 | uint64(reason)<<2 }
 
-// collOn is what a reduction wait waits on: sequence seq's message into
-// receive slot k. A rank has fewer than 2^collSlotBits receives (a star
-// root at grid.MaxProcs has 2^16-1).
-func collOn(seq, k int) uint64 { return uint64(seq)<<collSlotBits | uint64(k) }
-
-const collSlotBits = 20
-
 // mbox is a processor's mailbox: the events peers deliver while it is
 // parked or running elsewhere, and the park word those deliveries inspect
 // to decide whether to re-queue it.
 type mbox struct {
 	park  atomic.Uint64
 	slots []slotBox // by neighbour slot
-	// coll is the collective inbox, one slot per receive step of the rank's
-	// hop schedule and reduction parity: coll[(seq&1)*n+k] takes sequence
-	// seq's message into receive slot k, n = len(coll)/2 (the collective
-	// schedule's pairing numbers them). Receives follow the rank's
-	// deterministic hop schedule, not arrival order, so a slot per receive
-	// replaces what a FIFO would force into an O(P) scan at the star root.
-	coll []collSlot
 }
 
 // slotBox is what one neighbour delivers: its data messages, and a
@@ -95,19 +79,6 @@ type mbox struct {
 type slotBox struct {
 	data fifo[*dataMsg]
 	back fifo[readyTok]
-}
-
-// collSlot holds one hop message, its fields spelled out so the stamp
-// packs beside start (32 bytes, not 40: a 4096-processor butterfly world
-// has 98,304 slots). Its one sender writes the message, then stores seq+1
-// in stamp; the owner takes the message once stamp names the sequence it
-// waits for. A sender of sequence seq+2 into the same slot proves the owner
-// finished seq (see world.collContrib), so a slot never holds two.
-type collSlot struct {
-	stamp   atomic.Uint32
-	start   int32
-	val     float64
-	sent, t vtime.Time
 }
 
 // scheduler runs one world's processors on a bounded worker pool.
@@ -157,8 +128,8 @@ type SchedStats struct {
 	RunqHiWater int
 	// MboxHiWater is the deepest any single mailbox queue ever got — one
 	// slot's data messages or ready tokens, as the producer saw it after a
-	// push (returned buffers are not counted). A collective slot holds one
-	// message, so a run with reduction hops reports at least one.
+	// push (returned buffers are not counted). Reductions deliver nothing
+	// to a mailbox.
 	MboxHiWater int
 }
 
@@ -442,8 +413,8 @@ func (s *scheduler) parkedSummary() string {
 		case waitData, waitReady:
 			parts = append(parts, fmt.Sprintf("proc %d waits for %s from proc %d", p.rank, wait, p.neighbors[on]))
 		default:
-			parts = append(parts, fmt.Sprintf("proc %d waits for %s %d from proc %d",
-				p.rank, wait, on>>collSlotBits, s.w.collPeer(p.rank, int(on&(1<<collSlotBits-1)))))
+			parts = append(parts, fmt.Sprintf("proc %d waits for %s %d (%d of %d ranks arrived)",
+				p.rank, wait, on, s.w.boards[on&1].arrived.Load(), len(s.w.procs)))
 		}
 	}
 	sort.Strings(parts)
@@ -538,24 +509,6 @@ func (p *proc) deliverRet(dst *proc, slot int, m *dataMsg) {
 	}
 }
 
-// deliverColl puts sequence seq's hop message into dst's receive slot k. A
-// slot already holding seq means two senders share it: the schedules are
-// corrupt, which must abort rather than silently overwrite a value. Only
-// the owner's wait on exactly this slot and sequence wakes it: a rank
-// blocked at one hop routinely sees early arrivals (its peers' next-level
-// hops, or the next reduction's first sends), and waking it for those
-// would cost a full spurious park/resume round trip per early message.
-func (p *proc) deliverColl(dst *proc, seq, k int, m collMsg) {
-	s := &dst.mb.coll[(seq&1)*(len(dst.mb.coll)/2)+k]
-	if s.stamp.Load() == uint32(seq)+1 {
-		panic(fmt.Sprintf("rt: proc %d: duplicate reduction message seq %d from proc %d", dst.rank, seq, p.rank))
-	}
-	s.start, s.val, s.sent, s.t = m.start, m.val, m.sent, m.t
-	s.stamp.Store(uint32(seq) + 1)
-	p.pushed(1)
-	p.wake(dst, waitRed, collOn(seq, k))
-}
-
 // next pops the next entry of one of the processor's FIFOs, parking until
 // one arrives.
 func next[T any](p *proc, f *fifo[T], reason waitReason, slot int) T {
@@ -579,21 +532,6 @@ func (p *proc) nextData(slot int) *dataMsg { return next(p, &p.mb.slots[slot].da
 // nextTok pops the next rendezvous token from a neighbor slot, parking
 // until one arrives.
 func (p *proc) nextTok(slot int) readyTok { return next(p, &p.mb.slots[slot].back, waitReady, slot) }
-
-// nextColl takes sequence seq's message from receive slot k, parking
-// until exactly that message is delivered (deliverColl's wake condition).
-func (p *proc) nextColl(seq, k int) collMsg {
-	s, want := &p.mb.coll[(seq&1)*(len(p.mb.coll)/2)+k], uint32(seq)+1
-	for s.stamp.Load() != want {
-		p.request(waitRed, collOn(seq, k))
-		if s.stamp.Load() == want {
-			p.mb.park.Store(0)
-			break
-		}
-		p.park(waitRed)
-	}
-	return collMsg{s.start, s.val, s.sent, s.t}
-}
 
 // drainRets moves every buffer a peer returned into the send free list
 // (message-passing recycling).

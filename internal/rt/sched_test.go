@@ -7,9 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"commopt/internal/collective"
 	"commopt/internal/comm"
-	"commopt/internal/grid"
+	"commopt/internal/ir"
 	"commopt/internal/machine"
 	"commopt/internal/programs"
 	"commopt/internal/vtime"
@@ -122,23 +121,21 @@ func TestSchedulerAbortUnwindsParked(t *testing.T) {
 
 // TestSchedulerPanicAfterWake: a body that parks, is woken and then
 // panics fails the run with its own message, on one worker and on many.
-// The panic surfaces inside a coroutine a worker switched into, so the
-// recover must sit inside the coroutine (iter.Pull would re-raise it in
-// the worker): runSched returning at all shows the worker survived.
+// Every rank enters a reduction; rank 0 panics once the last arrival's
+// wake-up releases it, the others park on data. The panic surfaces inside
+// a coroutine a worker switched into, so the recover must sit inside the
+// coroutine (iter.Pull would re-raise it in the worker): runSched
+// returning at all shows the worker survived.
 func TestSchedulerPanicAfterWake(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		w := testWorld(t, 16)
 		base := runtime.NumGoroutine()
 		w.runSched(workers, func(p *proc) {
-			switch p.rank {
-			case 0:
-				p.nextColl(0, 0) // parks: rank order runs us first
+			p.rendezvous(0, ir.ReduceSum, 1) // with one worker rank 0 arrives first and parks
+			if p.rank == 0 {
 				panic("late boom")
-			case 1:
-				p.deliverColl(w.procs[0], 0, 0, collMsg{})
-			default:
-				p.nextData(0) // parked when the abort comes
 			}
+			p.nextData(0) // parked when the abort comes
 		})
 		if w.abortErr == nil || !strings.Contains(w.abortErr.Error(), "rt: processor 0: late boom") {
 			t.Errorf("workers=%d: abortErr = %v, want processor 0's panic", workers, w.abortErr)
@@ -208,15 +205,18 @@ func init() {
 // again — and a delivery after it must wake and enqueue exactly once;
 // either way no second worker may ever be inside the processor (iter.Pull
 // panics "next called again before yield", -race reports it), every body
-// completes and live reaches zero. Even ranks park once on a data message,
-// a ready token or a reduction message and finish on wake-up; each odd
-// rank, their east neighbour, watches the park word and delivers the
-// moment the request shows, so deliveries land on both sides of the
-// commit. A waker whose target has not asked within the deadline (its
-// worker starved of a step-budget token, say) delivers anyway and the
-// target never parks; the books must balance in that case too: every
-// switch out of a processor is its completion, an averted park or a
-// committed one.
+// completes and live reaches zero. In the data and token rounds even ranks
+// park once and finish on wake-up; each odd rank, their east neighbour,
+// watches the park word and delivers the moment the request shows, so
+// deliveries land on both sides of the commit. In the reduction round
+// every rank enters one reduction, and the last rank watches the one
+// before it and arrives the moment its request shows, so the last
+// arrival's wake-up races that park (and any other still uncommitted);
+// every rank must leave with the sum. A waker whose target has not asked
+// within the deadline (its worker starved of a step-budget token, say)
+// delivers anyway and the target never parks; the books must balance in
+// that case too: every switch out of a processor is its completion, an
+// averted park or a committed one.
 func TestSchedulerParkStepHandshake(t *testing.T) {
 	const procs, rounds = 16, 200
 	for _, reason := range []waitReason{waitData, waitReady, waitRed} {
@@ -225,29 +225,34 @@ func TestSchedulerParkStepHandshake(t *testing.T) {
 			w := testWorld(t, procs)
 			var done atomic.Int32
 			w.runSched(8, func(p *proc) {
-				if p.rank%2 == 0 {
-					switch slot := p.nbr[1][2].slot; reason {
-					case waitData:
-						p.nextData(slot)
-					case waitReady:
-						p.nextTok(slot)
-					default:
-						p.nextColl(0, 0)
-					}
-				} else {
-					dst := w.procs[p.rank-1]
+				waitFor := func(dst *proc) {
 					for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); runtime.Gosched() {
 						if waitReason(dst.mb.park.Load()>>2&3) == reason {
-							break
+							return
 						}
 					}
-					switch back := p.nbr[1][0].back; reason {
-					case waitData:
+				}
+				switch {
+				case reason == waitRed:
+					if p.rank == procs-1 {
+						waitFor(w.procs[p.rank-1])
+					}
+					if got := p.rendezvous(0, ir.ReduceSum, float64(p.rank)).result; got != procs*(procs-1)/2 {
+						t.Errorf("rank %d: reduction result %v", p.rank, got)
+					}
+				case p.rank%2 == 0:
+					if slot := p.nbr[1][2].slot; reason == waitData {
+						p.nextData(slot)
+					} else {
+						p.nextTok(slot)
+					}
+				default:
+					dst := w.procs[p.rank-1]
+					waitFor(dst)
+					if back := p.nbr[1][0].back; reason == waitData {
 						p.deliverData(dst, back, &dataMsg{})
-					case waitReady:
+					} else {
 						p.deliverTok(dst, back, readyTok{})
-					default:
-						p.deliverColl(dst, 0, 0, collMsg{})
 					}
 				}
 				done.Add(1)
@@ -326,31 +331,22 @@ func TestSchedulerMailboxOverflow(t *testing.T) {
 	}
 }
 
-// TestSchedulerDeadlockOnReduction: the deadlock diagnostic names what a
-// processor stuck in a reduction waits for — the sequence and the rank
-// that owes it the message — from the receive slot in its park word.
+// TestSchedulerDeadlockOnReduction: one rank enters a reduction the others
+// never enter, and the deadlock diagnostic names what it waits for: the
+// sequence, and how many of the ranks have arrived.
 func TestSchedulerDeadlockOnReduction(t *testing.T) {
 	w := testWorld(t, 16)
-	k := -1
-	for i, st := range w.collSteps[13] {
-		if st.Kind == collective.Recv && st.Peer == 12 {
-			k = int(w.collTo[13][i])
-		}
-	}
-	if k < 0 {
-		t.Fatalf("rank 13 receives nothing from rank 12 under %s", w.collAlg)
-	}
 	base := runtime.NumGoroutine()
 	w.runSched(2, func(p *proc) {
 		if p.rank == 13 {
-			p.nextColl(2, k) // rank 12 never sends: parks forever
+			p.rendezvous(2, ir.ReduceSum, 1) // no other rank arrives: parks forever
 		}
 	})
 	if w.abortErr == nil {
 		t.Fatal("deadlocked run reported no error")
 	}
 	msg := w.abortErr.Error()
-	if !strings.Contains(msg, "scheduler deadlock") || !strings.Contains(msg, "proc 13 waits for reduction 2 from proc 12") {
+	if !strings.Contains(msg, "scheduler deadlock") || !strings.Contains(msg, "proc 13 waits for reduction 2 (1 of 16 ranks arrived)") {
 		t.Errorf("error %q does not name the reduction rank 13 waits for", msg)
 	}
 	noGoroutinesLeft(t, base)
@@ -461,41 +457,6 @@ func TestSchedulerStealsCounted(t *testing.T) {
 		}
 		if workers == 1 && res.Sched.Steals != 0 {
 			t.Errorf("one worker stole %d times", res.Sched.Steals)
-		}
-	}
-}
-
-// TestSchedulerCollectiveSlotsPair: the schedule's pairing numbers each rank's receives
-// 0, 1, ... in schedule order and gives every send the number of the
-// receive that takes it at the peer, for every algorithm on meshes where it
-// is eligible — the slot a sender fills is the one its receiver waits on.
-func TestSchedulerCollectiveSlotsPair(t *testing.T) {
-	for _, mesh := range []grid.Mesh{{Rows: 1, Cols: 2}, {Rows: 2, Cols: 2}, {Rows: 3, Cols: 5}, {Rows: 8, Cols: 8}, {Rows: 16, Cols: 8}} {
-		for _, alg := range collective.Algorithms() {
-			if !collective.Eligible(alg, mesh) {
-				continue
-			}
-			coll := collective.Build(alg, mesh)
-			steps, to := coll.Steps, coll.To
-			for q, ss := range steps {
-				var k int32
-				for i, st := range ss {
-					if st.Kind != collective.Recv {
-						continue
-					}
-					if to[q][i] != k {
-						t.Fatalf("%s on %dx%d: rank %d's receive %d numbered %d", alg, mesh.Rows, mesh.Cols, q, k, to[q][i])
-					}
-					sent := false
-					for j, ps := range steps[st.Peer] {
-						sent = sent || ps.Kind == collective.Send && ps.Peer == q && to[st.Peer][j] == k
-					}
-					if !sent {
-						t.Fatalf("%s on %dx%d: rank %d's send to rank %d does not fill its receive slot %d", alg, mesh.Rows, mesh.Cols, st.Peer, q, k)
-					}
-					k++
-				}
-			}
 		}
 	}
 }

@@ -1,28 +1,165 @@
 package trace
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
+	"strconv"
+	"unicode/utf8"
 )
 
-// chromeEvent is the stable wire form of one Chrome trace event. Field
-// order is the emission order (encoding/json preserves struct order), so
-// output is deterministic and diffable.
+// chromeEvent is the stable wire form of one Chrome trace event.
+// appendJSON writes its fields in this order, each under the key named
+// beside it, an empty optional one (cat, dur, s, id, bp, args) left out
+// and the arguments in sorted key order: byte for byte what encoding/json
+// makes of such a struct with its arguments in a map. So output is
+// deterministic and diffable, and writing it allocates nothing per event.
 type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	Ts    float64        `json:"ts"` // microseconds of virtual time
-	Dur   float64        `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	ID    int            `json:"id,omitempty"` // flow binding; ids start at 1
-	BP    string         `json:"bp,omitempty"` // "e": bind flow end to the enclosing slice
-	Args  map[string]any `json:"args,omitempty"`
+	Name  string       // name
+	Cat   string       // cat
+	Ph    string       // ph
+	Ts    float64      // ts: microseconds of virtual time
+	Dur   float64      // dur
+	Pid   int          // pid
+	Tid   int          // tid
+	Scope string       // s
+	ID    int          // id: flow binding; ids start at 1
+	BP    string       // bp: "e" binds a flow end to the enclosing slice
+	Args  [3]chromeArg // args: Args[:NArgs]
+	NArgs int
+}
+
+// chromeArg is one entry of an event's "args" object: a string when Str is
+// set, else the number Num.
+type chromeArg struct {
+	Key, Str string
+	Num      int64
+}
+
+// args sets the event's arguments, which the caller gives in sorted key
+// order.
+func (e *chromeEvent) args(a ...chromeArg) { e.NArgs = copy(e.Args[:], a) }
+
+// appendJSON appends the event's JSON object.
+func (e *chromeEvent) appendJSON(b []byte) []byte {
+	b = append(b, `{"name":`...)
+	b = appendJSONString(b, e.Name)
+	if e.Cat != "" {
+		b = append(b, `,"cat":`...)
+		b = appendJSONString(b, e.Cat)
+	}
+	b = append(b, `,"ph":`...)
+	b = appendJSONString(b, e.Ph)
+	b = append(b, `,"ts":`...)
+	b = appendJSONFloat(b, e.Ts)
+	if e.Dur != 0 {
+		b = append(b, `,"dur":`...)
+		b = appendJSONFloat(b, e.Dur)
+	}
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(e.Pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(e.Tid), 10)
+	if e.Scope != "" {
+		b = append(b, `,"s":`...)
+		b = appendJSONString(b, e.Scope)
+	}
+	if e.ID != 0 {
+		b = append(b, `,"id":`...)
+		b = strconv.AppendInt(b, int64(e.ID), 10)
+	}
+	if e.BP != "" {
+		b = append(b, `,"bp":`...)
+		b = appendJSONString(b, e.BP)
+	}
+	if e.NArgs > 0 {
+		b = append(b, `,"args":{`...)
+		for i, a := range e.Args[:e.NArgs] {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(b, a.Key)
+			b = append(b, ':')
+			if a.Str != "" {
+				b = appendJSONString(b, a.Str)
+			} else {
+				b = strconv.AppendInt(b, a.Num, 10)
+			}
+		}
+		b = append(b, '}')
+	}
+	return append(b, '}')
+}
+
+// appendJSONFloat formats f as encoding/json does: the shortest decimal
+// that round-trips, in exponent form only below 1e-6 or from 1e21 up.
+func appendJSONFloat(b []byte, f float64) []byte {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		b = strconv.AppendFloat(b, f, 'e', -1, 64)
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1] // e-07 → e-7
+			b = b[:n-1]
+		}
+		return b
+	}
+	return strconv.AppendFloat(b, f, 'f', -1, 64)
+}
+
+// appendJSONString quotes s as encoding/json does: control characters,
+// quote, backslash and the HTML-sensitive <, > and & escaped, invalid
+// UTF-8 as U+FFFD, and U+2028 and U+2029 escaped.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // flowKey identifies one ordered message stream: every send and receive
@@ -106,28 +243,28 @@ var callKindNames = [...]string{"DR", "SR", "DN", "SV"}
 // arrow that carried the dependency. Timestamps are virtual-time
 // microseconds, so identical runs produce identical files.
 func WriteChrome(w io.Writer, r *Recorder) error {
+	return writeChrome(w, r, (*chromeEvent).appendJSON)
+}
+
+// writeChrome is WriteChrome with each event rendered by enc.
+func writeChrome(w io.Writer, r *Recorder, enc func(*chromeEvent, []byte) []byte) error {
 	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
 		return err
 	}
-	first := true
-	emit := func(e chromeEvent) error {
-		sep := ",\n"
-		if first {
-			sep = ""
-			first = false
+	var buf []byte
+	emit := func(e *chromeEvent) error {
+		if buf == nil {
+			buf = enc(e, make([]byte, 0, 256))
+		} else {
+			buf = enc(e, append(buf[:0], ",\n"...))
 		}
-		data, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, sep); err != nil {
-			return err
-		}
-		_, err = w.Write(data)
+		_, err := w.Write(buf)
 		return err
 	}
 
-	if err := emit(chromeEvent{Name: "process_name", Ph: "M", Args: map[string]any{"name": "zpl simulated machine"}}); err != nil {
+	meta := chromeEvent{Name: "process_name", Ph: "M"}
+	meta.args(chromeArg{Key: "name", Str: "zpl simulated machine"})
+	if err := emit(&meta); err != nil {
 		return err
 	}
 	for rank := 0; rank < r.Procs(); rank++ {
@@ -135,7 +272,9 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 		if label == "" {
 			label = fmt.Sprintf("proc %d", rank)
 		}
-		if err := emit(chromeEvent{Name: "thread_name", Ph: "M", Tid: rank, Args: map[string]any{"name": label}}); err != nil {
+		meta = chromeEvent{Name: "thread_name", Ph: "M", Tid: rank}
+		meta.args(chromeArg{Key: "name", Str: label})
+		if err := emit(&meta); err != nil {
 			return err
 		}
 	}
@@ -168,10 +307,10 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 			switch e.Kind {
 			case KindSend:
 				ce.Ph, ce.Scope = "i", "t"
-				ce.Args = map[string]any{"to": e.A0, "bytes": e.A1}
+				ce.args(chromeArg{Key: "bytes", Num: e.A1}, chromeArg{Key: "to", Num: e.A0})
 			case KindRecv:
 				ce.Ph, ce.Scope = "i", "t"
-				ce.Args = map[string]any{"from": e.A0, "bytes": e.A1}
+				ce.args(chromeArg{Key: "bytes", Num: e.A1}, chromeArg{Key: "from", Num: e.A0})
 			case KindCall:
 				ce.Ph = "X"
 				ce.Dur = float64(e.Dur) / 1000
@@ -179,7 +318,7 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 				if e.A0 >= 0 && int(e.A0) < len(callKindNames) {
 					call = callKindNames[e.A0]
 				}
-				ce.Args = map[string]any{"call": call, "bytes": e.A1}
+				ce.args(chromeArg{Key: "bytes", Num: e.A1}, chromeArg{Key: "call", Str: call})
 			case KindStmt:
 				ce.Ph = "X"
 				ce.Dur = float64(e.Dur) / 1000
@@ -187,7 +326,7 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 				if e.A0 == EngineKernel {
 					engine = "kernel"
 				}
-				ce.Args = map[string]any{"engine": engine}
+				ce.args(chromeArg{Key: "engine", Str: engine})
 			case KindReduce:
 				ce.Ph = "X"
 				ce.Dur = float64(e.Dur) / 1000
@@ -195,13 +334,13 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 				// peer; the whole-reduction span (A0 < 0) has no per-hop
 				// detail.
 				if e.A0 >= 0 {
-					ce.Args = map[string]any{"level": e.A0, "bytes": e.A1, "peer": e.A2}
+					ce.args(chromeArg{Key: "bytes", Num: e.A1}, chromeArg{Key: "level", Num: e.A0}, chromeArg{Key: "peer", Num: e.A2})
 				}
 			default:
 				ce.Ph = "X"
 				ce.Dur = float64(e.Dur) / 1000
 			}
-			if err := emit(ce); err != nil {
+			if err := emit(&ce); err != nil {
 				return err
 			}
 			if f, ok := flows[[2]int{rank, i}]; ok {
@@ -211,7 +350,7 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 				} else {
 					fe.Ph = "s"
 				}
-				if err := emit(fe); err != nil {
+				if err := emit(&fe); err != nil {
 					return err
 				}
 			}
@@ -221,12 +360,15 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 	return err
 }
 
-// WriteChromeFile writes WriteChrome's output to the file at path. Every
-// error it returns starts with "trace: ".
+// WriteChromeFile writes WriteChrome's output to the file at path, through
+// one buffer. Every error it returns starts with "trace: ".
 func WriteChromeFile(path string, r *Recorder) error {
 	f, err := os.Create(path)
 	if err == nil {
-		err = WriteChrome(f, r)
+		bw := bufio.NewWriterSize(f, 1<<16)
+		if err = WriteChrome(bw, r); err == nil {
+			err = bw.Flush()
+		}
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

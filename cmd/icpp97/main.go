@@ -20,14 +20,34 @@ import (
 	"io"
 	"os"
 	"runtime/debug"
+	"slices"
 	"strings"
 
 	"commopt/internal/experiments"
+	"commopt/internal/grid"
 	"commopt/internal/hostprof"
-	"commopt/internal/report"
 )
 
+// options collects everything one icpp97 invocation needs.
+type options struct {
+	exp        string
+	procs      int
+	quick      bool
+	workers    int
+	traceDir   string
+	cpuprofile string
+	memprofile string
+}
+
 func main() {
+	o, err := parseArgs(os.Args[1:])
+	if err == flag.ErrHelp {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "icpp97:", err)
+		os.Exit(2)
+	}
 	// Batch workload: every experiment cell builds a complete simulated
 	// machine (up to 4096 processors of compiled kernels, schedules and
 	// fields), runs it, and discards it. Under the default GC target the
@@ -37,136 +57,61 @@ func main() {
 	if target, ok := defaultGCPercent(os.Getenv("GOGC"), 300); ok {
 		debug.SetGCPercent(target)
 	}
-	exp := flag.String("exp", "all", "which experiment to run: "+strings.Join(expKeys(), ", "))
-	procs := flag.Int("procs", 64, "processors in the simulated partition")
-	quick := flag.Bool("quick", false, "use reduced problem sizes")
-	workers := flag.Int("workers", 0, "benchmark×experiment cells simulated concurrently (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
-	traceDir := flag.String("trace-dir", "", "write a Chrome trace-event JSON timeline per benchmark×experiment run into `dir`")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to `file` on exit")
-	flag.Parse()
-
-	stopProfiles, err := hostprof.Start(*cpuprofile, *memprofile)
-	if err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "icpp97:", err)
 		os.Exit(1)
 	}
+}
 
-	r := experiments.NewRunner(*procs)
-	r.Quick = *quick
-	r.Workers = *workers
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "icpp97:", err)
-			os.Exit(1)
-		}
-		r.TraceDir = *traceDir
+// parseArgs parses the command line, returning an error (never exiting)
+// for unknown flags, malformed values, a partition the block distribution
+// cannot hold and an unknown experiment, before any cell runs. It returns
+// flag.ErrHelp when usage was requested.
+func parseArgs(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("icpp97", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // errors are reported by the caller, once
+	fs.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: icpp97 [flags]")
+		fs.SetOutput(os.Stderr)
+		fs.PrintDefaults()
+		fs.SetOutput(io.Discard)
 	}
-	err = run(os.Stdout, *exp, r)
+	fs.StringVar(&o.exp, "exp", "all", "which experiment to run: "+strings.Join(experiments.Keys(), ", "))
+	fs.IntVar(&o.procs, "procs", 64, "processors in the simulated partition")
+	fs.BoolVar(&o.quick, "quick", false, "use reduced problem sizes")
+	fs.IntVar(&o.workers, "workers", 0, "benchmark×experiment cells simulated concurrently (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
+	fs.StringVar(&o.traceDir, "trace-dir", "", "write a Chrome trace-event JSON timeline per benchmark×experiment run into `dir`")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to `file`")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write an allocation profile to `file` on exit")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	if _, err := grid.MeshFor(o.procs); err != nil {
+		return options{}, fmt.Errorf("-procs: %w", err)
+	}
+	if !slices.Contains(experiments.Keys(), o.exp) {
+		return options{}, fmt.Errorf("unknown experiment %q", o.exp)
+	}
+	return o, nil
+}
+
+func run(w io.Writer, o options) error {
+	stopProfiles, err := hostprof.Start(o.cpuprofile, o.memprofile)
+	if err != nil {
+		return err
+	}
+	r := experiments.NewRunner(o.procs)
+	r.Quick, r.Workers = o.quick, o.workers
+	if o.traceDir != "" {
+		err = os.MkdirAll(o.traceDir, 0o755)
+		r.TraceDir = o.traceDir
+	}
+	if err == nil {
+		err = experiments.Render(w, r, o.exp)
+	}
 	if perr := stopProfiles(); err == nil {
 		err = perr
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "icpp97:", err)
-		os.Exit(1)
-	}
-}
-
-// experiment is one -exp key: the one table it renders, or how it writes
-// its output.
-type experiment struct {
-	key   string
-	table func(*experiments.Runner) (*report.Table, error)
-	write func(io.Writer, *experiments.Runner) error
-}
-
-// exps is the -exp table, in the order the usage lists it.
-var exps = []experiment{
-	{key: "all", write: experiments.RunAll},
-	{key: "fig3", table: static(experiments.Fig3)},
-	{key: "fig5", table: static(experiments.Fig5)},
-	{key: "fig6", write: func(w io.Writer, _ *experiments.Runner) error {
-		for _, s := range experiments.Fig6() {
-			s.Render(w)
-		}
-		return nil
-	}},
-	{key: "fig7", table: static(experiments.Fig7)},
-	{key: "fig8", table: experiments.Fig8},
-	{key: "fig9", table: static(experiments.Fig9)},
-	{key: "fig10a", table: experiments.Fig10a},
-	{key: "fig10b", table: experiments.Fig10b},
-	{key: "fig11", table: experiments.Fig11},
-	{key: "fig12", table: experiments.Fig12},
-	{key: "table1", table: appendix(0)},
-	{key: "table2", table: appendix(1)},
-	{key: "table3", table: appendix(2)},
-	{key: "table4", table: appendix(3)},
-	{key: "scaling", write: func(w io.Writer, r *experiments.Runner) error {
-		for _, name := range experiments.BenchNames() {
-			t, err := experiments.Scaling(r, name, experiments.DefaultScalingProcs)
-			if err != nil {
-				return err
-			}
-			t.Render(w)
-		}
-		return nil
-	}},
-	{key: "scalinglaw", table: func(r *experiments.Runner) (*report.Table, error) {
-		return experiments.ScalingLaw(r, "simple", experiments.DefaultScalingLawProcs)
-	}},
-	{key: "collective", table: func(r *experiments.Runner) (*report.Table, error) {
-		return experiments.CollectiveTable(r, "simple", experiments.DefaultCollectiveProcs)
-	}},
-	// profile, predict, critpath and rdma are opt-in appendices, never part
-	// of "all", so the figure and table outputs stay byte-identical with
-	// and without them. critpath enforces its own acceptance gate
-	// (comm-bound path time must shrink monotonically across the pvm
-	// ladder on >= 3 of the 4 benchmarks); rdma re-runs the ladder on the
-	// extension machine.
-	{key: "profile", write: experiments.RunProfiles},
-	{key: "predict", table: experiments.PredictTable},
-	{key: "critpath", write: experiments.RunCritpath},
-	{key: "rdma", write: experiments.RunRDMA},
-}
-
-// static adapts a table that needs no runs.
-func static(t func() *report.Table) func(*experiments.Runner) (*report.Table, error) {
-	return func(*experiments.Runner) (*report.Table, error) {
-		return t(), nil
-	}
-}
-
-// appendix is Table i+1, the appendix table of the i-th benchmark.
-func appendix(i int) func(*experiments.Runner) (*report.Table, error) {
-	return func(r *experiments.Runner) (*report.Table, error) {
-		return experiments.AppendixTable(r, experiments.BenchNames()[i])
-	}
-}
-
-// expKeys returns the -exp keys in table order.
-func expKeys() []string {
-	keys := make([]string, len(exps))
-	for i, e := range exps {
-		keys[i] = e.key
-	}
-	return keys
-}
-
-func run(w io.Writer, exp string, r *experiments.Runner) error {
-	for _, e := range exps {
-		if e.key != exp {
-			continue
-		}
-		if e.write != nil {
-			return e.write(w, r)
-		}
-		t, err := e.table(r)
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
-	}
-	return fmt.Errorf("unknown experiment %q", exp)
+	return err
 }

@@ -440,6 +440,11 @@ func TestRunBadInput(t *testing.T) {
 	bad, good := file("bad.zpl", twoErrors), file("good.zpl", laplaceSrc)
 	half := file("half.zpl", strings.Replace(laplaceSrc, "[1..n, 1..n]", "[1..0.5, 1..n]", 1))
 	unheld := file("unheld.zpl", unheldSrc)
+	// n/2 is 4.5 at n = 9: a loop bound and a literal region bound that are
+	// not integers, alike on every processor, so the error names none.
+	forHalf := file("forhalf.zpl", strings.Replace(laplaceSrc, "to iters", "to n/2", 1))
+	litHalf := file("lithalf.zpl", strings.NewReplacer("var resid : float;", "var resid, h : float;",
+		"[R] U := Index1", "h := n / 2;\n  [1..h, 1..n] U := Index1").Replace(laplaceSrc))
 	for _, c := range []struct {
 		name string
 		args []string
@@ -459,6 +464,14 @@ func TestRunBadInput(t *testing.T) {
 		{"tomcatv -set n=2", []string{"-bench", "tomcatv", "-set", "n=2"}, "tomcatv:16:1: rt: region Int is empty: [2..1, 2..1]"},
 		{"unheld read", []string{"-procs", "64", unheld},
 			unheld + ":11:16: rt: processor 0: B@[0,1] reads an array the processor holds none of"},
+		{"for bound 4.5, 1 worker", []string{"-procs", "16", "-sched-workers", "1", "-set", "n=9", forHalf},
+			forHalf + ":12:3: rt: for bound is not an integer: 4.5"},
+		{"for bound 4.5, 2 workers", []string{"-procs", "16", "-sched-workers", "2", "-set", "n=9", forHalf},
+			forHalf + ":12:3: rt: for bound is not an integer: 4.5"},
+		{"region bound 4.5, 1 worker", []string{"-procs", "16", "-sched-workers", "1", "-set", "n=9", litHalf},
+			litHalf + ":12:3: rt: region bound is not an integer: 4.5"},
+		{"region bound 4.5, 2 workers", []string{"-procs", "16", "-sched-workers", "2", "-set", "n=9", litHalf},
+			litHalf + ":12:3: rt: region bound is not an integer: 4.5"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var out bytes.Buffer

@@ -509,11 +509,11 @@ func (w *walker) evalRegion(re ir.RegionExpr) (grid.Region, error) {
 	}
 	spans := make([]grid.Span, re.RankN)
 	for d := 0; d < re.RankN; d++ {
-		lo, err := w.needInt(re.Bounds[d][0], zpl.Pos{}, "region bound")
+		lo, err := w.needInt(re.Bounds[d][0], re.Pos, "region bound")
 		if err != nil {
 			return grid.Region{}, err
 		}
-		hi, err := w.needInt(re.Bounds[d][1], zpl.Pos{}, "region bound")
+		hi, err := w.needInt(re.Bounds[d][1], re.Pos, "region bound")
 		if err != nil {
 			return grid.Region{}, err
 		}

@@ -173,7 +173,7 @@ func TestSyntheticCurves(t *testing.T) {
 func TestAppendixTablesRender(t *testing.T) {
 	r := runner(t)
 	for _, name := range BenchNames() {
-		tbl, err := AppendixTable(r, name)
+		tbl, err := results(r, "Results", name, Experiments(), "")
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -30,7 +30,7 @@ func CollectiveTable(r *Runner, benchName string, procCounts []int) (*report.Tab
 		return nil, fmt.Errorf("experiments: collective sweep needs at least one proc count")
 	}
 	// pl on each T3D library.
-	ladder := []struct{ lib, exp string }{{"pvm", "pl"}, {"shmem", "pl with shmem"}}
+	libs := []struct{ lib, exp string }{{"pvm", "pl"}, {"shmem", "pl with shmem"}}
 	_, plan, _, err := r.setup(cell{bench: benchName, exp: "pl", procs: procCounts[0]})
 	if err != nil {
 		return nil, err
@@ -43,7 +43,7 @@ func CollectiveTable(r *Runner, benchName string, procCounts []int) (*report.Tab
 	// Per (library, procs): the auto-resolution cell, then one cell per
 	// eligible forced algorithm.
 	var cs []cell
-	for _, l := range ladder {
+	for _, l := range libs {
 		for _, procs := range procCounts {
 			mesh := grid.SquarestMesh(procs)
 			cs = append(cs, cell{bench: benchName, exp: l.exp, procs: procs})
@@ -65,7 +65,7 @@ func CollectiveTable(r *Runner, benchName string, procCounts []int) (*report.Tab
 			"star (s)", "tree (s)", "butterfly (s)", "twolevel (s)", "selected", "predicted"},
 	}
 	i := 0
-	for _, l := range ladder {
+	for _, l := range libs {
 		for _, procs := range procCounts {
 			mesh := grid.SquarestMesh(procs)
 			auto, sel := cs[i], outs[i]

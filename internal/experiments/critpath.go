@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"commopt/internal/critpath"
@@ -13,7 +15,7 @@ import (
 // instrumented cell and returns its analyzed critical path, which sums
 // exactly to the run's execution time (Runner.run checks it).
 func (r *Runner) CritpathFor(benchName, expKey string) (*critpath.Path, error) {
-	o, err := r.instrumented(benchName, expKey)
+	o, err := r.measure(cell{bench: benchName, exp: expKey, procs: r.Procs, instrumented: true})
 	return o.path, err
 }
 
@@ -49,7 +51,7 @@ func CritpathTable(r *Runner, benchName string) (*report.Table, error) {
 			if c.Site != "" {
 				label += " @ " + c.Site
 			}
-			dominant = fmt.Sprintf("%s (%s)", label, pct64(int64(c.Dur), int64(p.Finish)))
+			dominant = fmt.Sprintf("%s (%s)", label, pct(int64(c.Dur), int64(p.Finish)))
 		}
 		t.AddRow(exp.Key,
 			fmt.Sprintf("%.6f", p.Finish.Seconds()),
@@ -85,13 +87,8 @@ func critpathMonotone(r *Runner, benchName string) (bool, []string, error) {
 		bounds = append(bounds, int64(p.CommBound()))
 		steps = append(steps, fmt.Sprintf("%s %.3fms", key, float64(p.CommBound())/1e6))
 	}
-	ok := bounds[len(bounds)-1] < bounds[0]
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] > bounds[i-1] {
-			ok = false
-		}
-	}
-	return ok, steps, nil
+	nonIncreasing := slices.IsSortedFunc(bounds, func(a, b int64) int { return cmp.Compare(b, a) })
+	return nonIncreasing && bounds[len(bounds)-1] < bounds[0], steps, nil
 }
 
 // RunCritpath writes the critical-path tables of every benchmark and
@@ -106,12 +103,8 @@ func RunCritpath(w io.Writer, r *Runner) error {
 	// reads below, exactly as Runner.prefetch does for Cell.
 	r.measureAll(r.gridCells(benches, ExpKeys(), true)) //nolint:errcheck // surfaced on the ordered read
 
-	for _, name := range benches {
-		t, err := CritpathTable(r, name)
-		if err != nil {
-			return err
-		}
-		t.Render(w)
+	if err := eachBench(CritpathTable)(w, r); err != nil {
+		return err
 	}
 
 	mono := 0

@@ -7,10 +7,12 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,12 +59,7 @@ func Experiments() []Experiment {
 // ExperimentByKey returns the named experiment, searching the paper's
 // six rows and the rdma extension rows.
 func ExperimentByKey(key string) (Experiment, error) {
-	for _, e := range Experiments() {
-		if e.Key == key {
-			return e, nil
-		}
-	}
-	for _, e := range RDMAExperiments() {
+	for _, e := range slices.Concat(Experiments(), RDMAExperiments()) {
 		if e.Key == key {
 			return e, nil
 		}
@@ -88,7 +85,7 @@ type Cell struct {
 // Runner executes and caches benchmark runs on the simulated machines.
 // Every figure, sweep, profile, critical path and prediction describes
 // what it needs as cells and runs them through one path (setup, run), one
-// compute-once memo and one worker pool (parallel). Every rt.Run owns its
+// compute-once memo and one worker pool (measureAll). Every rt.Run owns its
 // world and virtual time is deterministic, so the measured cells — and
 // therefore every rendered figure and table — are byte-identical at any
 // worker count.
@@ -156,10 +153,7 @@ type compiled struct {
 // NewRunner returns a Runner for the given processor count (64 if zero,
 // the paper's partition size).
 func NewRunner(procs int) *Runner {
-	if procs == 0 {
-		procs = 64
-	}
-	return &Runner{Procs: procs, programs: map[string]*compiled{}, memo: map[string]*entry{}}
+	return &Runner{Procs: cmp.Or(procs, 64), programs: map[string]*compiled{}, memo: map[string]*entry{}}
 }
 
 // workers resolves the effective worker count.
@@ -168,30 +162,6 @@ func (r *Runner) workers() int {
 		return r.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// parallel calls fn for 0..n-1 on up to workers goroutines, handing out
-// indices in order; with one worker it calls them in order on the caller.
-func (r *Runner) parallel(n int, fn func(int)) {
-	w := min(r.workers(), n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for range w {
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // configVars returns the config variables a benchmark runs with at the
@@ -279,11 +249,7 @@ func (r *Runner) setup(c cell) (*ir.Program, *comm.Plan, rt.Config, error) {
 	if err != nil {
 		return nil, nil, rt.Config{}, err
 	}
-	name := exp.Machine
-	if name == "" {
-		name = "t3d"
-	}
-	mach, err := machine.ByName(name)
+	mach, err := machine.ByName(cmp.Or(exp.Machine, "t3d"))
 	if err != nil {
 		return nil, nil, rt.Config{}, err
 	}
@@ -388,12 +354,29 @@ func (r *Runner) predict(c cell) (*cost.Prediction, error) {
 	return pred, nil
 }
 
-// measureAll computes cells on the worker pool and returns their outcomes
-// in order, or the first error in that order.
+// measureAll computes cells on up to workers goroutines, the caller one of
+// them, handing out cells in order (with one worker, it runs them in order
+// on the caller), and returns their outcomes in order, or the first error
+// in that order.
 func (r *Runner) measureAll(cs []cell) ([]*outcome, error) {
 	outs := make([]*outcome, len(cs))
 	errs := make([]error, len(cs))
-	r.parallel(len(cs), func(i int) { outs[i], errs[i] = r.measure(cs[i]) })
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(cs); i = int(next.Add(1)) - 1 {
+			outs[i], errs[i] = r.measure(cs[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(r.workers(), len(cs)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -407,9 +390,7 @@ func (r *Runner) gridCells(benches, keys []string, instrumented bool) []cell {
 	var cs []cell
 	for _, b := range benches {
 		for _, k := range keys {
-			c := r.gridCell(b, k)
-			c.instrumented = instrumented
-			cs = append(cs, c)
+			cs = append(cs, cell{bench: b, exp: k, procs: r.Procs, instrumented: instrumented})
 		}
 	}
 	return cs
@@ -419,14 +400,6 @@ func (r *Runner) gridCells(benches, keys []string, instrumented bool) []cell {
 func (r *Runner) Cell(benchName, expKey string) (Cell, error) {
 	o, err := r.measure(r.gridCell(benchName, expKey))
 	return o.Cell, err
-}
-
-// instrumented runs (or recalls) one grid cell with the profile and the
-// critical path recorded.
-func (r *Runner) instrumented(benchName, expKey string) (*outcome, error) {
-	c := r.gridCell(benchName, expKey)
-	c.instrumented = true
-	return r.measure(c)
 }
 
 // prefetch computes the cross product of benchmarks × experiment keys on
@@ -440,10 +413,13 @@ func (r *Runner) prefetch(benches, keys []string) {
 }
 
 // ExpKeys returns every experiment key in Figure 9 order.
-func ExpKeys() []string {
-	var out []string
-	for _, e := range Experiments() {
-		out = append(out, e.Key)
+func ExpKeys() []string { return keysOf(Experiments()) }
+
+// keysOf returns the keys of exps in order.
+func keysOf(exps []Experiment) []string {
+	out := make([]string, len(exps))
+	for i, e := range exps {
+		out[i] = e.Key
 	}
 	return out
 }

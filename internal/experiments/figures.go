@@ -2,7 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"io"
+	"slices"
+	"strings"
 
 	"commopt/internal/ironman"
 	"commopt/internal/machine"
@@ -77,44 +78,9 @@ func Fig7() *report.Table {
 		Headers: []string{"program", "description", "paper line count", "zpl subset lines"},
 	}
 	for _, b := range programs.Suite() {
-		lines := 1
-		for _, c := range b.Source {
-			if c == '\n' {
-				lines++
-			}
-		}
-		t.AddRow(b.Name, b.Description, b.PaperLineCount, lines)
+		t.AddRow(b.Name, b.Description, b.PaperLineCount, 1+strings.Count(b.Source, "\n"))
 	}
 	return t
-}
-
-// Fig8 reproduces Figure 8: the reduction in communication counts due to
-// redundant communication removal and communication combination, static
-// and dynamic, scaled to the baseline.
-func Fig8(r *Runner) (*report.Table, error) {
-	t := &report.Table{
-		Title:   "Figure 8: reduction in communication counts (percent of baseline)",
-		Headers: []string{"program", "rr static", "cc static", "rr dynamic", "cc dynamic"},
-	}
-	r.prefetch(BenchNames(), []string{"baseline", "rr", "cc"})
-	for _, name := range BenchNames() {
-		base, err := r.Cell(name, "baseline")
-		if err != nil {
-			return nil, err
-		}
-		rr, err := r.Cell(name, "rr")
-		if err != nil {
-			return nil, err
-		}
-		cc, err := r.Cell(name, "cc")
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(name,
-			pct(rr.Static, base.Static), pct(cc.Static, base.Static),
-			pct(rr.Dynamic, base.Dynamic), pct(cc.Dynamic, base.Dynamic))
-	}
-	return t, nil
 }
 
 // Fig9 reproduces Figure 9: the key for the experiments performed.
@@ -129,191 +95,123 @@ func Fig9() *report.Table {
 	return t
 }
 
-// Fig10a reproduces Figure 10(a): execution times with PVM under each
-// optimization, scaled to the baseline.
-func Fig10a(r *Runner) (*report.Table, error) {
-	t := &report.Table{
-		Title:   "Figure 10(a): performance of optimized benchmarks using PVM (percent of baseline time)",
-		Headers: []string{"program", "baseline", "rr", "cc", "pl"},
+// A ladder is a figure of the paper's one shape: a row per benchmark, and
+// in each column one experiment's count or time as a percent of the same
+// measure under a base experiment (Figures 8 and 10-12, and the rdma
+// summary).
+type ladder struct {
+	title   string
+	headers []string // after "program"
+	cols    []column
+}
+
+// A column is the measure of (static count, dynamic count or execution
+// time) of experiment key, as a percent of the same measure of base.
+type column struct {
+	key, base string
+	of        func(Cell) int64
+}
+
+func staticCount(c Cell) int64  { return int64(c.Static) }
+func dynamicCount(c Cell) int64 { return int64(c.Dynamic) }
+func execTime(c Cell) int64     { return int64(c.Time) }
+
+// cols returns a column per key, each measured by of against base.
+func cols(base string, of func(Cell) int64, keys ...string) []column {
+	out := make([]column, len(keys))
+	for i, k := range keys {
+		out[i] = column{key: k, base: base, of: of}
 	}
-	r.prefetch(BenchNames(), []string{"baseline", "rr", "cc", "pl"})
+	return out
+}
+
+var (
+	fig8 = ladder{"Figure 8: reduction in communication counts (percent of baseline)",
+		[]string{"rr static", "cc static", "rr dynamic", "cc dynamic"},
+		slices.Concat(cols("baseline", staticCount, "rr", "cc"), cols("baseline", dynamicCount, "rr", "cc"))}
+	fig10a = ladder{"Figure 10(a): performance of optimized benchmarks using PVM (percent of baseline time)",
+		[]string{"baseline", "rr", "cc", "pl"}, cols("baseline", execTime, "baseline", "rr", "cc", "pl")}
+	fig10b = ladder{"Figure 10(b): performance using SHMEM (percent of baseline time)",
+		[]string{"pl", "pl with shmem"}, cols("baseline", execTime, "pl", "pl with shmem")}
+	fig11 = ladder{"Figure 11: communication counts under combining heuristics (percent of baseline)",
+		[]string{"max-combining static", "max-latency static", "max-combining dynamic", "max-latency dynamic"},
+		slices.Concat(cols("baseline", staticCount, "pl with shmem", "pl with max latency"),
+			cols("baseline", dynamicCount, "pl with shmem", "pl with max latency"))}
+	fig12 = ladder{"Figure 12: comparison of combining heuristics (percent of baseline time)",
+		[]string{"pl with shmem", "pl with max latency"}, cols("baseline", execTime, "pl with shmem", "pl with max latency")}
+)
+
+// table prefetches every cell the ladder reads, then renders it.
+func (l ladder) table(r *Runner) (*report.Table, error) {
+	var keys []string
+	for _, c := range l.cols {
+		keys = append(keys, c.base, c.key)
+	}
+	slices.Sort(keys)
+	r.prefetch(BenchNames(), slices.Compact(keys))
+	t := &report.Table{Title: l.title, Headers: append([]string{"program"}, l.headers...)}
 	for _, name := range BenchNames() {
-		base, err := r.Cell(name, "baseline")
-		if err != nil {
-			return nil, err
-		}
-		row := []any{name, "100%"}
-		for _, key := range []string{"rr", "cc", "pl"} {
-			c, err := r.Cell(name, key)
+		row := []any{name}
+		for _, c := range l.cols {
+			base, err := r.Cell(name, c.base)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, pct64(int64(c.Time), int64(base.Time)))
+			v, err := r.Cell(name, c.key)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, pct(c.of(v), c.of(base)))
 		}
 		t.AddRow(row...)
 	}
 	return t, nil
 }
 
-// Fig10b reproduces Figure 10(b): pl versus pl-with-SHMEM, scaled to the
-// baseline.
-func Fig10b(r *Runner) (*report.Table, error) {
-	t := &report.Table{
-		Title:   "Figure 10(b): performance using SHMEM (percent of baseline time)",
-		Headers: []string{"program", "pl", "pl with shmem"},
-	}
-	r.prefetch(BenchNames(), []string{"baseline", "pl", "pl with shmem"})
-	for _, name := range BenchNames() {
-		base, err := r.Cell(name, "baseline")
-		if err != nil {
-			return nil, err
-		}
-		pl, err := r.Cell(name, "pl")
-		if err != nil {
-			return nil, err
-		}
-		sh, err := r.Cell(name, "pl with shmem")
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(name, pct64(int64(pl.Time), int64(base.Time)), pct64(int64(sh.Time), int64(base.Time)))
-	}
-	return t, nil
-}
-
-// Fig11 reproduces Figure 11: communication counts under the two
-// combining heuristics, scaled to the baseline.
-func Fig11(r *Runner) (*report.Table, error) {
-	t := &report.Table{
-		Title:   "Figure 11: communication counts under combining heuristics (percent of baseline)",
-		Headers: []string{"program", "max-combining static", "max-latency static", "max-combining dynamic", "max-latency dynamic"},
-	}
-	r.prefetch(BenchNames(), []string{"baseline", "pl with shmem", "pl with max latency"})
-	for _, name := range BenchNames() {
-		base, err := r.Cell(name, "baseline")
-		if err != nil {
-			return nil, err
-		}
-		mc, err := r.Cell(name, "pl with shmem")
-		if err != nil {
-			return nil, err
-		}
-		ml, err := r.Cell(name, "pl with max latency")
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(name,
-			pct(mc.Static, base.Static), pct(ml.Static, base.Static),
-			pct(mc.Dynamic, base.Dynamic), pct(ml.Dynamic, base.Dynamic))
-	}
-	return t, nil
-}
-
-// Fig12 reproduces Figure 12: execution times under the two combining
-// heuristics (both with SHMEM), scaled to the baseline.
-func Fig12(r *Runner) (*report.Table, error) {
-	t := &report.Table{
-		Title:   "Figure 12: comparison of combining heuristics (percent of baseline time)",
-		Headers: []string{"program", "pl with shmem", "pl with max latency"},
-	}
-	r.prefetch(BenchNames(), []string{"baseline", "pl with shmem", "pl with max latency"})
-	for _, name := range BenchNames() {
-		base, err := r.Cell(name, "baseline")
-		if err != nil {
-			return nil, err
-		}
-		mc, err := r.Cell(name, "pl with shmem")
-		if err != nil {
-			return nil, err
-		}
-		ml, err := r.Cell(name, "pl with max latency")
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(name, pct64(int64(mc.Time), int64(base.Time)), pct64(int64(ml.Time), int64(base.Time)))
-	}
-	return t, nil
-}
-
-// AppendixTable reproduces Tables 1-4: absolute static count, dynamic
-// count and execution time for one benchmark under every experiment.
-func AppendixTable(r *Runner, benchName string) (*report.Table, error) {
-	title, err := resultsTitle(r, benchName)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		Title:   "Results for " + title,
-		Headers: []string{"experiment", "static count", "dynamic count", "execution time (s)"},
-	}
-	r.prefetch([]string{benchName}, ExpKeys())
-	for _, e := range Experiments() {
-		c, err := r.Cell(benchName, e.Key)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(e.Key, c.Static, c.Dynamic, fmt.Sprintf("%.6f", c.Time.Seconds()))
-	}
-	return t, nil
-}
-
-// resultsTitle is the tail of a per-benchmark results table's title: the
-// problem size, the benchmark, the partition and the iteration count.
-func resultsTitle(r *Runner, benchName string) (string, error) {
+// results reproduces Tables 1-4 and the rdma ladder's tables: one
+// benchmark's absolute static count, dynamic count and execution time
+// under each experiment, titled what, and where base names one of them,
+// each time as a percent of base's. The rdma tables carry that column, the
+// gain the T3D tables leave implicit, because it is the number the machine
+// comparison is about.
+func results(r *Runner, what, benchName string, exps []Experiment, base string) (*report.Table, error) {
 	bench, err := programs.ByName(benchName)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	cfg := r.configVars(bench)
 	size := fmt.Sprintf("%gx%g", cfg["n"], cfg["n"])
 	if nz, ok := cfg["nz"]; ok {
 		size += fmt.Sprintf("x%g", nz)
 	}
-	return fmt.Sprintf("%s %s on %d processors (%g iterations)", size, benchName, r.Procs, cfg["iters"]), nil
-}
-
-// RunAll regenerates every figure and table in order, writing the
-// rendered output to w.
-func RunAll(w io.Writer, r *Runner) error {
-	Fig3().Render(w)
-	Fig5().Render(w)
-	for _, s := range Fig6() {
-		s.Render(w)
+	t := &report.Table{
+		Title:   fmt.Sprintf("%s for %s %s on %d processors (%g iterations)", what, size, benchName, r.Procs, cfg["iters"]),
+		Headers: []string{"experiment", "static count", "dynamic count", "execution time (s)"},
 	}
-	Fig7().Render(w)
-	Fig9().Render(w)
-	// One prefetch covers every figure and appendix table below: the full
-	// benchmark × experiment cross product runs on the worker pool, then
-	// the sequential renders read only cached cells, so the output bytes
-	// are identical at any worker count.
-	r.prefetch(BenchNames(), ExpKeys())
-	figs := []func(*Runner) (*report.Table, error){Fig8, Fig10a, Fig10b, Fig11, Fig12}
-	for _, f := range figs {
-		t, err := f(r)
+	if base != "" {
+		t.Headers = append(t.Headers, "% of "+strings.ReplaceAll(base, "-", " "))
+	}
+	r.prefetch([]string{benchName}, keysOf(exps))
+	for _, e := range exps {
+		c, err := r.Cell(benchName, e.Key)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		t.Render(w)
-	}
-	for i, name := range BenchNames() {
-		t, err := AppendixTable(r, name)
-		if err != nil {
-			return err
+		row := []any{e.Key, c.Static, c.Dynamic, fmt.Sprintf("%.6f", c.Time.Seconds())}
+		if base != "" {
+			b, err := r.Cell(benchName, base)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, pct(int64(c.Time), int64(b.Time)))
 		}
-		t.Title = fmt.Sprintf("Table %d: %s", i+1, t.Title)
-		t.Render(w)
+		t.AddRow(row...)
 	}
-	return nil
+	return t, nil
 }
 
-func pct(v, base int) string {
-	if base == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.0f%%", 100*float64(v)/float64(base))
-}
-
-func pct64(v, base int64) string {
+// pct renders v as a whole percent of base.
+func pct(v, base int64) string {
 	if base == 0 {
 		return "n/a"
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"commopt/internal/comm"
@@ -10,25 +11,32 @@ import (
 // TestRunAllDeterministicAcrossWorkers is the determinism gate for the
 // parallel harness: the complete figure and table output must be
 // byte-identical whether the cells are computed serially or prefetched on
-// a worker pool.
+// a worker pool, and, as icpp97 -quick runs it (64 processors, a worker
+// per GOMAXPROCS), whatever GOMAXPROCS is.
 func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full quick suite twice")
+		t.Skip("runs the full quick suite five times")
 	}
-	render := func(workers int) string {
-		r := NewRunner(4)
+	render := func(procs, workers, gomaxprocs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gomaxprocs)) // 0 leaves it be
+		r := NewRunner(procs)
 		r.Quick = true
 		r.Workers = workers
 		var buf bytes.Buffer
 		if err := RunAll(&buf, r); err != nil {
-			t.Fatalf("RunAll with %d workers: %v", workers, err)
+			t.Fatalf("RunAll on %d processors with %d workers at GOMAXPROCS %d: %v", procs, workers, runtime.GOMAXPROCS(0), err)
 		}
 		return buf.String()
 	}
-	serial := render(1)
-	parallel := render(3)
-	if serial != parallel {
+	serial := render(4, 1, 0)
+	if parallel := render(4, 3, 0); serial != parallel {
 		t.Errorf("RunAll output differs between 1 and 3 workers:\nserial %d bytes, parallel %d bytes", len(serial), len(parallel))
+	}
+	one := render(64, 0, 1)
+	for _, n := range []int{2, 8} {
+		if got := render(64, 0, n); got != one {
+			t.Errorf("RunAll output on 64 processors differs between GOMAXPROCS 1 and %d:\n%d bytes, %d bytes", n, len(one), len(got))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"strings"
@@ -23,12 +24,8 @@ func schedNote(st *rt.SchedStats) string {
 		}
 		parks = append(parks, fmt.Sprintf("%s %d", st.ParkReason(i), n))
 	}
-	parkCol := "none"
-	if len(parks) > 0 {
-		parkCol = strings.Join(parks, ", ")
-	}
 	return fmt.Sprintf("scheduler: %d worker(s), %d proc steps; parks: %s; runq high water %d, mailbox high water %d",
-		st.Workers, st.TotalSteps(), parkCol, st.RunqHiWater, st.MboxHiWater)
+		st.Workers, st.TotalSteps(), cmp.Or(strings.Join(parks, ", "), "none"), st.RunqHiWater, st.MboxHiWater)
 }
 
 // ProfileAppendix builds the "where did the time go" table for one
@@ -36,7 +33,7 @@ func schedNote(st *rt.SchedStats) string {
 // source with the messages, bytes, communication overhead and blocking
 // wait attributed to it across all processors.
 func ProfileAppendix(r *Runner, benchName, expKey string) (*report.Table, error) {
-	o, err := r.instrumented(benchName, expKey)
+	o, err := r.measure(cell{bench: benchName, exp: expKey, procs: r.Procs, instrumented: true})
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"commopt/internal/comm"
 	"commopt/internal/machine"
@@ -32,84 +33,32 @@ func RDMAExperiments() []Experiment {
 }
 
 // RDMAExpKeys returns the rdma experiment keys in ladder order.
-func RDMAExpKeys() []string {
-	var out []string
-	for _, e := range RDMAExperiments() {
-		out = append(out, e.Key)
-	}
-	return out
-}
+func RDMAExpKeys() []string { return keysOf(RDMAExperiments()) }
 
-// RDMATable measures one benchmark under every rdma experiment: absolute
-// static count, dynamic count, execution time, and the time as a percent
-// of the rdma baseline (the gain column the T3D tables leave implicit,
-// made explicit here because it is the number the machine comparison is
-// about).
-func RDMATable(r *Runner, benchName string) (*report.Table, error) {
-	title, err := resultsTitle(r, benchName)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		Title:   "RDMA results for " + title,
-		Headers: []string{"experiment", "static count", "dynamic count", "execution time (s)", "% of rdma baseline"},
-	}
-	r.prefetch([]string{benchName}, RDMAExpKeys())
-	base, err := r.Cell(benchName, "rdma-baseline")
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range RDMAExperiments() {
-		c, err := r.Cell(benchName, e.Key)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(e.Key, c.Static, c.Dynamic, fmt.Sprintf("%.6f", c.Time.Seconds()), pct64(int64(c.Time), int64(base.Time)))
-	}
-	return t, nil
-}
+// rdmaSummary is the cross-benchmark comparison: each optimization level's
+// execution time as a percent of its machine's own baseline, on the T3D/PVM
+// ladder and the RDMA/verbs ladder side by side. It is the experiment's
+// headline table: it shows how much of each optimization's relative gain
+// the modern interconnect keeps.
+var rdmaSummary = ladder{"RDMA vs T3D: execution time as percent of each machine's baseline",
+	[]string{"t3d rr", "t3d cc", "t3d pl", "rdma rr", "rdma cc", "rdma pl"},
+	slices.Concat(cols("baseline", execTime, "rr", "cc", "pl"), cols("rdma-baseline", execTime, "rdma-rr", "rdma-cc", "rdma-pl"))}
 
-// RDMASummary renders the cross-benchmark comparison: each optimization
-// level's execution time as a percent of its machine's own baseline, on
-// the T3D/PVM ladder and the RDMA/verbs ladder side by side. This is the
-// experiment's headline table — it shows how much of each optimization's
-// relative gain the modern interconnect keeps.
-func RDMASummary(r *Runner) (*report.Table, error) {
+// rdmaMachine is the rdma report's first table: the machine model's
+// parameters.
+func rdmaMachine() *report.Table {
+	lib := machine.RDMA().Libs["verbs"]
 	t := &report.Table{
-		Title: "RDMA vs T3D: execution time as percent of each machine's baseline",
-		Headers: []string{"program",
-			"t3d rr", "t3d cc", "t3d pl",
-			"rdma rr", "rdma cc", "rdma pl"},
+		Title:   "RDMA cluster model (one-sided verbs put)",
+		Headers: []string{"parameter", "value"},
 	}
-	t3dKeys := []string{"baseline", "rr", "cc", "pl"}
-	r.prefetch(BenchNames(), append(append([]string{}, t3dKeys...), RDMAExpKeys()...))
-	for _, name := range BenchNames() {
-		t3dBase, err := r.Cell(name, "baseline")
-		if err != nil {
-			return nil, err
-		}
-		rdmaBase, err := r.Cell(name, "rdma-baseline")
-		if err != nil {
-			return nil, err
-		}
-		row := []any{name}
-		for _, k := range []string{"rr", "cc", "pl"} {
-			c, err := r.Cell(name, k)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, pct64(int64(c.Time), int64(t3dBase.Time)))
-		}
-		for _, k := range []string{"rdma-rr", "rdma-cc", "rdma-pl"} {
-			c, err := r.Cell(name, k)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, pct64(int64(c.Time), int64(rdmaBase.Time)))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	t.AddRow("fixed overhead DR/SR/DN/SV (us)", fmt.Sprintf("%.2f/%.2f/%.2f/%.2f",
+		lib.DRCost.Micros(), lib.SRCost.Micros(), lib.DNCost.Micros(), lib.SVCost.Micros()))
+	t.AddRow("software per byte (ns, send+recv)", fmt.Sprintf("%.0f", lib.ExposedPerByte()))
+	t.AddRow("wire latency (us)", fmt.Sprintf("%.1f", lib.Latency.Micros()))
+	t.AddRow("wire per byte (ns)", fmt.Sprintf("%.2f", lib.WirePerByte))
+	t.AddRow("combining knee (bytes)", lib.KneeBytes())
+	return t
 }
 
 // RunRDMA regenerates the rdma experiment report: the machine model's
@@ -117,32 +66,6 @@ func RDMASummary(r *Runner) (*report.Table, error) {
 // summary. Output is deterministic at any worker count (same argument as
 // RunAll: prefetch fills the cache, renders read it sequentially).
 func RunRDMA(w io.Writer, r *Runner) error {
-	m := machine.RDMA()
-	lib := m.Libs["verbs"]
-	p := &report.Table{
-		Title:   "RDMA cluster model (one-sided verbs put)",
-		Headers: []string{"parameter", "value"},
-	}
-	p.AddRow("fixed overhead DR/SR/DN/SV (us)", fmt.Sprintf("%.2f/%.2f/%.2f/%.2f",
-		lib.DRCost.Micros(), lib.SRCost.Micros(), lib.DNCost.Micros(), lib.SVCost.Micros()))
-	p.AddRow("software per byte (ns, send+recv)", fmt.Sprintf("%.0f", lib.ExposedPerByte()))
-	p.AddRow("wire latency (us)", fmt.Sprintf("%.1f", lib.Latency.Micros()))
-	p.AddRow("wire per byte (ns)", fmt.Sprintf("%.2f", lib.WirePerByte))
-	p.AddRow("combining knee (bytes)", lib.KneeBytes())
-	p.Render(w)
-
-	r.prefetch(BenchNames(), append(append([]string{}, "baseline", "rr", "cc", "pl"), RDMAExpKeys()...))
-	for _, name := range BenchNames() {
-		t, err := RDMATable(r, name)
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-	}
-	s, err := RDMASummary(r)
-	if err != nil {
-		return err
-	}
-	s.Render(w)
-	return nil
+	r.prefetch(BenchNames(), append([]string{"baseline", "rr", "cc", "pl"}, RDMAExpKeys()...))
+	return walk(w, r, "rdma")
 }

@@ -14,7 +14,7 @@ func TestRDMATableDeterministic(t *testing.T) {
 		r := NewRunner(16)
 		r.Quick = true
 		var buf bytes.Buffer
-		tab, err := RDMATable(r, "tomcatv")
+		tab, err := results(r, "RDMA results", "tomcatv", RDMAExperiments(), "rdma-baseline")
 		if err != nil {
 			t.Fatal(err)
 		}

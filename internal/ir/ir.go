@@ -91,6 +91,7 @@ type RegionExpr struct {
 	Sym    *RegionSym
 	RankN  int
 	Bounds [grid.MaxRank][2]Expr // literal bounds when Sym == nil
+	Pos    zpl.Pos               // a literal's region scope
 	// Slot is a literal's dense program-wide index (Program.Literals). Every
 	// statement of the literal's scope, and every transfer planned for one,
 	// carries the same slot: within a basic block they denote one index set

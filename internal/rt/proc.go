@@ -10,6 +10,7 @@ import (
 	"commopt/internal/grid"
 	"commopt/internal/ir"
 	"commopt/internal/vtime"
+	"commopt/internal/zpl"
 )
 
 // proc is one virtual processor: its data, clock and plumbing.
@@ -333,8 +334,8 @@ func (p *proc) control(c *seg) {
 		}
 	case *ir.For:
 		p.execPreheader(c.pre)
-		lo := p.evalInt(s.Lo, "for bound")
-		hi := p.evalInt(s.Hi, "for bound")
+		lo := p.evalInt(s.Lo, s.Pos, "for bound")
+		hi := p.evalInt(s.Hi, s.Pos, "for bound")
 		step := 1
 		if s.Down {
 			step = -1 // downto: iterate from lo down to hi
@@ -491,10 +492,17 @@ func (p *proc) write(s *ir.Write) {
 // against this processor's scalars.
 func (p *proc) evalScalar(e ir.Expr) float64 { return ir.Eval(e, p.scalars) }
 
-func (p *proc) evalInt(e ir.Expr, what string) int {
+// evalInt evaluates a loop or region bound of the statement at pos, which
+// must be an integer.
+func (p *proc) evalInt(e ir.Expr, pos zpl.Pos, what string) int {
 	v := p.evalScalar(e)
 	if v != math.Trunc(v) {
-		panic(fmt.Sprintf("rt: %s is not an integer: %g", what, v))
+		panic(replicated{zpl.Errorf(pos, "%s is not an integer: %g", what, v)})
 	}
 	return int(v)
 }
+
+// replicated is a program error every processor meets alike, at a value
+// of the replicated scalars: the run error names no processor, so it reads
+// the same at any worker count.
+type replicated struct{ err *zpl.Error }

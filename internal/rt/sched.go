@@ -434,11 +434,16 @@ func (p *proc) coroutine(body func(p *proc)) iter.Seq[struct{}] {
 		p.toWorker = yield
 		defer func() {
 			if r := recover(); r != nil && r != errAborted {
-				err, ok := r.(error) // a program error keeps its position for errors.As
-				if !ok {
-					err = fmt.Errorf("%v", r)
+				var err error
+				switch r := r.(type) {
+				case replicated:
+					err = r.err // every processor raises it: name none
+				case error: // a program error keeps its position for errors.As
+					err = fmt.Errorf("processor %d: %w", p.rank, r)
+				default:
+					err = fmt.Errorf("processor %d: %v", p.rank, r)
 				}
-				p.w.fail(fmt.Errorf("rt: processor %d: %w", p.rank, err))
+				p.w.fail(fmt.Errorf("rt: %w", err))
 			}
 		}()
 		body(p)

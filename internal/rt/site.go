@@ -122,7 +122,7 @@ func (p *proc) enter(slots []int) {
 		for d := range reg.Spans {
 			reg.Spans[d] = grid.Span{Lo: 1, Hi: 1} // trailing dimensions, as grid.NewRegion
 			if d < re.RankN {
-				reg.Spans[d] = grid.Span{Lo: p.evalInt(re.Bounds[d][0], "region bound"), Hi: p.evalInt(re.Bounds[d][1], "region bound")}
+				reg.Spans[d] = grid.Span{Lo: p.evalInt(re.Bounds[d][0], re.Pos, "region bound"), Hi: p.evalInt(re.Bounds[d][1], re.Pos, "region bound")}
 			}
 		}
 		p.regionCounts[slotEval]++

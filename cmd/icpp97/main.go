@@ -65,7 +65,8 @@ func main() {
 
 // parseArgs parses the command line, returning an error (never exiting)
 // for unknown flags, malformed values, a partition the block distribution
-// cannot hold and an unknown experiment, before any cell runs. It returns
+// cannot hold, a negative worker count and an unknown experiment, before
+// any cell runs. It returns
 // flag.ErrHelp when usage was requested.
 func parseArgs(args []string) (options, error) {
 	var o options
@@ -89,6 +90,9 @@ func parseArgs(args []string) (options, error) {
 	}
 	if _, err := grid.MeshFor(o.procs); err != nil {
 		return options{}, fmt.Errorf("-procs: %w", err)
+	}
+	if o.workers < 0 {
+		return options{}, fmt.Errorf("-workers: %d < 0", o.workers)
 	}
 	if !slices.Contains(experiments.Keys(), o.exp) {
 		return options{}, fmt.Errorf("unknown experiment %q", o.exp)

@@ -85,8 +85,8 @@ func TestResultsFiles(t *testing.T) {
 }
 
 // parseArgs reads every flag into options and refuses, before any cell
-// runs, a partition the block distribution cannot hold, an unknown
-// experiment and an unknown flag.
+// runs, a partition the block distribution cannot hold, a negative worker
+// count, an unknown experiment and an unknown flag.
 func TestParseArgs(t *testing.T) {
 	o, err := parseArgs([]string{"-exp", "fig10a", "-procs", "16", "-quick", "-workers", "3",
 		"-trace-dir", "tr", "-cpuprofile", "c.prof", "-memprofile", "m.prof"})
@@ -107,6 +107,7 @@ func TestParseArgs(t *testing.T) {
 		{[]string{"-procs", "-4"}, "-procs: grid: processor count -4 < 1"},
 		{[]string{"-procs", "0"}, "-procs: grid: processor count 0 < 1"},
 		{[]string{"-procs", "100000"}, "-procs: grid: processor count 100000 exceeds the 65536-processor limit of the block distribution"},
+		{[]string{"-workers", "-3"}, "-workers: -3 < 0"},
 		{[]string{"-exp", "x"}, `unknown experiment "x"`},
 		{[]string{"-exp", ""}, `unknown experiment ""`},
 		{[]string{"-wat"}, "flag provided but not defined: -wat"},
@@ -124,7 +125,7 @@ func TestParseArgs(t *testing.T) {
 // FuzzParseArgs grows more.
 func FuzzParseArgs(f *testing.F) {
 	for _, s := range []string{"", "-quick", "-exp fig10a -procs 16", "-procs -4", "-procs 0",
-		"-procs 100000", "-exp x", "-workers 3 -trace-dir t", "-exp=rdma -procs=4096"} {
+		"-procs 100000", "-exp x", "-workers 3 -trace-dir t", "-workers -3", "-exp=rdma -procs=4096"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
@@ -137,6 +138,9 @@ func FuzzParseArgs(f *testing.F) {
 		}
 		if !slices.Contains(experiments.Keys(), o.exp) {
 			t.Errorf("%q: accepted -exp %q", line, o.exp)
+		}
+		if o.workers < 0 {
+			t.Errorf("%q: accepted -workers %d", line, o.workers)
 		}
 	})
 }

@@ -10,12 +10,11 @@ import (
 // A section is one part of the report: a figure, a table or an extension
 // experiment, rendered as one table or written by a function of its own.
 // key is the name icpp97 -exp gives it (none for a part only its report
-// renders), in the key of the report that includes it, and caption a
-// prefix of its table's title there.
+// renders), and in the key of the report that includes it.
 type section struct {
-	key, in, caption string
-	table            func(*Runner) (*report.Table, error)
-	write            func(io.Writer, *Runner) error
+	key, in string
+	table   func(*Runner) (*report.Table, error)
+	write   func(io.Writer, *Runner) error
 }
 
 // sections is the report in order: the paper's figures and tables, then
@@ -42,8 +41,9 @@ func sections() []section {
 		{key: "fig12", in: "all", table: fig12.table},
 	}
 	for i, name := range BenchNames() {
-		s = append(s, section{key: fmt.Sprintf("table%d", i+1), in: "all", caption: fmt.Sprintf("Table %d", i+1),
-			table: func(r *Runner) (*report.Table, error) { return results(r, "Results", name, Experiments(), "") }})
+		what := fmt.Sprintf("Table %d: Results", i+1)
+		s = append(s, section{key: fmt.Sprintf("table%d", i+1), in: "all",
+			table: func(r *Runner) (*report.Table, error) { return results(r, what, name, Experiments(), "") }})
 	}
 	s = append(s,
 		section{key: "scaling", write: eachBench(func(r *Runner, name string) (*report.Table, error) {
@@ -87,18 +87,14 @@ func eachBench(table func(*Runner, string) (*report.Table, error)) func(io.Write
 	}
 }
 
-// render writes the section, its table titled under caption if one is
-// given.
-func (s section) render(w io.Writer, r *Runner, caption string) error {
+// render writes the section.
+func (s section) render(w io.Writer, r *Runner) error {
 	if s.write != nil {
 		return s.write(w, r)
 	}
 	t, err := s.table(r)
 	if err != nil {
 		return err
-	}
-	if caption != "" {
-		t.Title = caption + ": " + t.Title
 	}
 	t.Render(w)
 	return nil
@@ -108,7 +104,7 @@ func (s section) render(w io.Writer, r *Runner, caption string) error {
 func walk(w io.Writer, r *Runner, in string) error {
 	for _, s := range sections() {
 		if s.in == in {
-			if err := s.render(w, r, s.caption); err != nil {
+			if err := s.render(w, r); err != nil {
 				return err
 			}
 		}
@@ -140,7 +136,7 @@ func Keys() []string {
 func Render(w io.Writer, r *Runner, key string) error {
 	for _, s := range sections() {
 		if s.key != "" && s.key == key {
-			return s.render(w, r, "")
+			return s.render(w, r)
 		}
 	}
 	return fmt.Errorf("unknown experiment %q", key)

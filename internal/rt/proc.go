@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"commopt/internal/comm"
@@ -247,9 +248,46 @@ func (p *proc) finish() {
 type seg struct {
 	bp        *comm.BlockPlan // nil for a control statement
 	regions   []int           // the literal regions the block's statements and transfers resolve, by Slot (site.go)
+	idle      *idleEffect     // what the block does where none of them reaches; nil if the walk must run
 	ctl       ir.Stmt
 	pre       []*comm.Transfer
 	then, els []seg
+}
+
+// idleEffect is all a block does on a processor that none of its literal
+// regions reaches, when every statement is an array statement over one of
+// them and every transfer lies under one: each statement charges its
+// overhead for no elements (jittered(0) draws nothing), and each transfer
+// resolves to its empty schedule, which only an unconditionally
+// synchronizing library acts on beyond counting its SR.
+type idleEffect struct {
+	compute   vtime.Duration
+	transfers int
+}
+
+// idleOf returns block b's idle effect, or nil when the block has one
+// statement or transfer that its literal regions do not govern.
+func (w *world) idleOf(b *seg) *idleEffect {
+	if len(b.regions) == 0 || w.lib.UnconditionalSynch {
+		return nil
+	}
+	for _, s := range b.bp.Stmts {
+		if a, ok := s.(*ir.AssignArray); !ok || a.Region.Sym != nil {
+			return nil
+		}
+	}
+	e := &idleEffect{compute: vtime.Duration(len(b.bp.Stmts)) * w.mach.StmtOverhead}
+	for _, calls := range b.bp.Calls {
+		for _, c := range calls {
+			if re := &c.T.Region; re.Sym != nil || !slices.Contains(b.regions, re.Slot) {
+				return nil
+			}
+			if c.Kind == comm.SR {
+				e.transfers++
+			}
+		}
+	}
+	return e
 }
 
 // bind segments a statement list and resolves every basic block to its
@@ -264,6 +302,7 @@ func (w *world) bind(stmts []ir.Stmt, procs map[*ir.Proc][]seg) []seg {
 				panic("rt: basic block missing from plan")
 			}
 			b.regions = literalsOf(b.bp.Stmts)
+			b.idle = w.idleOf(&b)
 			out = append(out, b)
 			continue
 		}
@@ -369,9 +408,15 @@ func (p *proc) execPreheader(hoisted []*comm.Transfer) {
 
 // block interprets one planned basic block: its literal regions are
 // evaluated, then IRONMAN calls interleave with the statements at their
-// scheduled positions.
+// scheduled positions. Where none of the regions reaches the processor, a
+// block with an idle effect is that effect, unless an observer records the
+// walk.
 func (p *proc) block(sg *seg) {
-	p.enter(sg.regions)
+	if !p.enter(sg.regions) && sg.idle != nil && p.obs == nil {
+		p.charge(sg.idle.compute)
+		p.dynTransfers += sg.idle.transfers
+		return
+	}
 	bp := sg.bp
 	for pos, calls := range bp.Calls {
 		for _, c := range calls {

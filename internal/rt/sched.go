@@ -38,10 +38,11 @@ import (
 // Deadlock freedom: event delivery never blocks the sender (mailbox queues
 // grow as needed; PairChanCap in rt.go is what a plan budgets them for). A
 // processor therefore only ever blocks as a *parked* state visible to the
-// scheduler, and the scheduler can prove a global deadlock exactly: no
-// processor queued, none running, some still live means every live
-// processor is parked on an event that no running processor can ever
-// deliver — an immediate error naming each waiter, not a hang.
+// scheduler, and the scheduler can prove a global deadlock exactly: every
+// worker registered idle, so none is stepping, and every queue empty, while
+// some processor is still live, means every live processor is parked on an
+// event that no running processor can ever deliver — an immediate error
+// naming each waiter, not a hang. The last worker to register idle checks.
 
 // The park word (mbox.park) spells the park protocol in one atomic word:
 // bits 0-1 the phase, bits 2-3 the waitReason, the rest what the processor
@@ -85,7 +86,6 @@ type slotBox struct {
 type scheduler struct {
 	w      *world
 	queues []runq        // queues[wi]: worker wi's home queue
-	busy   atomic.Int64  // processors queued or being stepped
 	live   atomic.Int64  // processors whose body has not completed
 	idle   atomic.Int32  // workers registered as sleepers
 	budget chan struct{} // budgetTokens(); a sleeping worker returns its token
@@ -213,7 +213,6 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 		p.home = p.rank * workers / len(w.procs)
 		s.queues[p.home].ps = append(s.queues[p.home].ps, p)
 	}
-	s.busy.Store(int64(len(w.procs)))
 	s.live.Store(int64(len(w.procs)))
 
 	steps := make([]int64, workers)
@@ -236,7 +235,9 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 				if stolen {
 					stole++
 				}
-				s.retire(s.step(p, &n))
+				if s.step(p, &n) && s.live.Add(-1) == 0 {
+					s.halt() // every body is done
+				}
 			}
 			s.budget <- struct{}{}
 			steps[wi], steals[wi] = n, stole
@@ -297,22 +298,33 @@ func (s *scheduler) pop(wi int) (*proc, bool) {
 // worker registers before it re-checks the queues and stop, and an enqueuer
 // pushes under the queue's lock before it looks for sleepers, so a wake-up
 // cannot fall between the two.
+//
+// The worker whose registration makes every worker idle also looks for a
+// deadlock: under all the queue locks at once, every queue empty and every
+// worker still registered. A registered worker is not stepping, and a
+// waker takes a sleeper off the count before it signals, so nobody is
+// left to run a processor or deliver the event a parked one waits for.
 func (s *scheduler) sleep(wi int) {
 	q := &s.queues[wi]
-	s.idle.Add(1) // before the flag a waker clears, so the count never runs short
+	last := s.idle.Add(1) == int32(len(s.queues)) // before the flag a waker clears, so the count never runs short
 	q.idle.Store(true)
 	queued := false
 	for i := range s.queues {
-		o := &s.queues[i]
-		o.mu.Lock()
-		queued = queued || o.head < len(o.ps)
-		o.mu.Unlock()
+		s.queues[i].mu.Lock()
+		queued = queued || s.queues[i].head < len(s.queues[i].ps)
 	}
-	if queued || s.stop.Load() {
+	dead := last && !queued && s.idle.Load() == int32(len(s.queues))
+	for i := range s.queues {
+		s.queues[i].mu.Unlock()
+	}
+	if queued || dead || s.stop.Load() {
 		if q.idle.CompareAndSwap(true, false) {
 			s.idle.Add(-1)
 		} else {
 			<-q.wake // a waker claimed this sleep first: take its signal
+		}
+		if dead && s.live.Load() > 0 {
+			s.w.fail(fmt.Errorf("rt: scheduler deadlock: %s", s.parkedSummary()))
 		}
 		return
 	}
@@ -354,29 +366,10 @@ func (s *scheduler) step(p *proc, steps *int64) (done bool) {
 	}
 }
 
-// retire ends a step's claim on its processor. The worker whose retirement
-// leaves nothing queued or running ends the run: every body is done, or
-// every live one is parked on an event that no one is left to deliver
-// (only running processors deliver, and an enqueue counts itself busy
-// before its deliverer retires).
-func (s *scheduler) retire(done bool) {
-	if done {
-		s.live.Add(-1)
-	}
-	if s.busy.Add(-1) != 0 {
-		return
-	}
-	s.halt()
-	if s.live.Load() > 0 {
-		s.w.fail(fmt.Errorf("rt: scheduler deadlock: %s", s.parkedSummary()))
-	}
-}
-
 // enqueue re-queues a processor whose awaited event arrived, on its home
 // queue, and wakes a sleeper only when one is registered. Called by the
 // deliverer after wake cleared its committed park.
 func (s *scheduler) enqueue(p *proc) {
-	s.busy.Add(1)
 	q := &s.queues[p.home]
 	q.mu.Lock()
 	q.ps = append(q.ps, p)

@@ -352,6 +352,44 @@ func TestSchedulerDeadlockOnReduction(t *testing.T) {
 	noGoroutinesLeft(t, base)
 }
 
+// TestSchedulerDeadlockAfterSleep: the deadlock forms while every other
+// worker already sleeps, so only the last worker to register idle can see
+// it — and must, naming the waiter, not sleep beside the others. Rank 0
+// holds out until the other workers are asleep, then parks on data nobody
+// sends.
+func TestSchedulerDeadlockAfterSleep(t *testing.T) {
+	if cap(budgetTokens()) < 2 {
+		t.Skip("the step budget admits one worker at a time: the others cannot fall asleep while rank 0 holds out")
+	}
+	for _, workers := range []int{2, 8} {
+		w := testWorld(t, 16)
+		base := runtime.NumGoroutine()
+		var othersSlept atomic.Bool
+		w.runSched(workers, func(p *proc) {
+			if p.rank != 0 {
+				return
+			}
+			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+				if w.sched.idle.Load() == int32(workers-1) {
+					othersSlept.Store(true)
+					break
+				}
+			}
+			p.nextData(0) // no peer ever sends: parks forever
+		})
+		if !othersSlept.Load() {
+			t.Errorf("workers=%d: the other workers never all slept", workers)
+		}
+		if w.abortErr == nil {
+			t.Fatalf("workers=%d: deadlocked run reported no error", workers)
+		}
+		if msg := w.abortErr.Error(); !strings.Contains(msg, "scheduler deadlock") || !strings.Contains(msg, "proc 0 waits for data") {
+			t.Errorf("workers=%d: error %q does not name the parked processor", workers, msg)
+		}
+		noGoroutinesLeft(t, base)
+	}
+}
+
 // TestSchedulerWorkerCountsAgree: the same program must produce
 // identical simulated results and arrays at any worker-pool size. The
 // reference is the one-worker run, where processors are stepped one at a

@@ -113,9 +113,10 @@ const (
 
 var slotOutcomes = [...]string{"evals", "hits_successor", "hits_index", "adds"}
 
-// enter evaluates the literal regions of a block about to run and sets each
-// slot to the index of its value.
-func (p *proc) enter(slots []int) {
+// enter evaluates the literal regions of a block about to run, sets each
+// slot to the index of its value, and reports whether any reached the
+// processor: had a value other than nothing inside the reach.
+func (p *proc) enter(slots []int) (reached bool) {
 	for _, id := range slots {
 		re, s := &p.w.literals[id], &p.regions[id]
 		reg := grid.Region{Rank: re.RankN}
@@ -153,7 +154,9 @@ func (p *proc) enter(slots []int) {
 		if int(s.next) == len(s.keys) {
 			s.next = 1
 		}
+		reached = true
 	}
+	return reached
 }
 
 // dropSlot forgets every region the slot has met, and with them the site

@@ -61,6 +61,33 @@ func TestParseArgsErrors(t *testing.T) {
 	}
 }
 
+// FuzzParseArgs holds parseArgs to any command line: it returns an error,
+// or a configuration with a known level, at least one processor and
+// exactly one input. go test runs the seeds; go test -fuzz FuzzParseArgs
+// grows more.
+func FuzzParseArgs(f *testing.F) {
+	for _, s := range []string{"", "prog.zpl", "a.zpl b.zpl", "-bench tomcatv extra.zpl", "-wat prog.zpl",
+		"-O bogus prog.zpl", "-predict -procs 0 prog.zpl", "-O rr -counts prog.zpl", "-bench tomcatv -explain",
+		"-bench swm -dump -inline -O pl+hoist", "-bench simple -predict -procs 64 -lib shmem"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		cfg, err := parseArgs(strings.Fields(line))
+		if err != nil {
+			return
+		}
+		if _, err := comm.OptionsByName(cfg.level); err != nil {
+			t.Errorf("%q: accepted -O %q", line, cfg.level)
+		}
+		if cfg.procs < 1 {
+			t.Errorf("%q: accepted -procs %d", line, cfg.procs)
+		}
+		if (cfg.bench == "") == (cfg.file == "") {
+			t.Errorf("%q: accepted bench %q with file %q", line, cfg.bench, cfg.file)
+		}
+	})
+}
+
 // -counts prints one row per level of the -O table, pl+hoist included,
 // and -O pl+hoist reports how many transfers it hoisted.
 func TestRunCountsEveryLevel(t *testing.T) {

@@ -84,18 +84,20 @@ func main() {
 	if err == flag.ErrHelp {
 		return
 	}
-	if err == nil {
-		err = run(os.Stdout, o)
-	}
 	if err != nil {
+		fmt.Fprintln(os.Stderr, "zplrun:", err)
+		os.Exit(2)
+	}
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "zplrun:", err)
 		os.Exit(1)
 	}
 }
 
 // parseArgs parses the command line, returning an error (never exiting)
-// for unknown flags and malformed values; run checks the rest before it
-// prints anything. It returns flag.ErrHelp when usage was requested.
+// for unknown flags, malformed values and a negative worker count; run
+// checks the rest before it prints anything. It returns flag.ErrHelp when
+// usage was requested; main exits 2 on any error here, 1 on one from run.
 func parseArgs(args []string) (options, error) {
 	o := options{cfg: configFlags{}}
 	fs := flag.NewFlagSet("zplrun", flag.ContinueOnError)
@@ -123,6 +125,9 @@ func parseArgs(args []string) (options, error) {
 	fs.Var(o.cfg, "set", "override a config variable, e.g. -set n=64 (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
+	}
+	if o.schedWork < 0 {
+		return options{}, fmt.Errorf("-sched-workers: %d < 0", o.schedWork)
 	}
 	o.args = fs.Args()
 	return o, nil

@@ -1,6 +1,9 @@
 // Package field implements the per-processor storage for block distributed
 // arrays: a dense local block in global coordinates surrounded by a ghost
 // (fluff) region that caches non-local values delivered by communication.
+// A field does not allocate: it is laid over storage its caller provides,
+// and the runtime carves every processor's field of one array, in rank
+// order, from one slab (Len sizes each piece).
 package field
 
 import (
@@ -26,10 +29,23 @@ type Field struct {
 	data   []float64
 }
 
-// New allocates a field for the given owned block with the given ghost
-// width. An empty local region yields a zero-sized field whose accessors
-// must not be used.
-func New(name string, local grid.Region, ghost int) *Field {
+// Len returns how many doubles a field for the given owned block and
+// ghost width stores: the block plus its ghosts, or 0 for an empty block.
+func Len(local grid.Region, ghost int) int {
+	if local.Empty() {
+		return 0
+	}
+	return (&Field{Rank: local.Rank, Local: local, Ghost: ghost}).Halo().Size()
+}
+
+// New lays a field for the given owned block with the given ghost width
+// over the first Len(local, ghost) doubles of storage (zeroed by the
+// caller; shorter storage panics). The field's slice is capped at its own
+// length, so no index or reslice through Data reaches past it: fields
+// carved side by side from one slab stay apart under Go's bounds checks.
+// An empty local region yields a zero-sized field whose accessors must not
+// be used.
+func New(name string, local grid.Region, ghost int, storage []float64) *Field {
 	if ghost < 0 {
 		panic("field: negative ghost width")
 	}
@@ -50,7 +66,10 @@ func New(name string, local grid.Region, ghost int) *Field {
 	f.stride[2] = 1
 	f.stride[1] = f.extent[2]
 	f.stride[0] = f.extent[1] * f.extent[2]
-	f.data = make([]float64, n)
+	if len(storage) < n {
+		panic(fmt.Sprintf("field %s: %d doubles of storage for %d", name, len(storage), n))
+	}
+	f.data = storage[:n:n]
 	return f
 }
 

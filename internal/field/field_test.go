@@ -11,8 +11,38 @@ func region2(lo1, hi1, lo2, hi2 int) grid.Region {
 	return grid.NewRegion(2, grid.Span{Lo: lo1, Hi: hi1}, grid.Span{Lo: lo2, Hi: hi2})
 }
 
+// alloc lays a field over fresh zeroed storage of its own.
+func alloc(name string, local grid.Region, ghost int) *Field {
+	return New(name, local, ghost, make([]float64, Len(local, ghost)))
+}
+
+// TestFieldsShareASlabApart: fields carved side by side from one slab each
+// see exactly their own doubles, and storage too short for a field is
+// refused.
+func TestFieldsShareASlabApart(t *testing.T) {
+	a, b := region2(1, 4, 1, 4), region2(1, 4, 5, 8)
+	slab := make([]float64, Len(a, 1)+Len(b, 1))
+	fa := New("A", a, 1, slab)
+	fb := New("B", b, 1, slab[len(fa.Data()):])
+	if len(fa.Data()) != 36 || cap(fa.Data()) != 36 || len(fb.Data()) != 36 {
+		t.Fatalf("A holds %d (cap %d), B %d doubles; want 36 each", len(fa.Data()), cap(fa.Data()), len(fb.Data()))
+	}
+	for i := range fa.Data() {
+		fa.Data()[i] = 1
+	}
+	if fb.Data()[0] != 0 {
+		t.Fatal("A's writes reached B")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted storage shorter than the field")
+		}
+	}()
+	New("C", a, 1, slab[:35])
+}
+
 func TestNewAndHalo(t *testing.T) {
-	f := New("A", region2(5, 8, 3, 10), 1)
+	f := alloc("A", region2(5, 8, 3, 10), 1)
 	if !f.Allocated() {
 		t.Fatal("field should be allocated")
 	}
@@ -27,14 +57,14 @@ func TestNewAndHalo(t *testing.T) {
 }
 
 func TestEmptyField(t *testing.T) {
-	f := New("A", region2(1, 0, 1, 4), 1)
+	f := alloc("A", region2(1, 0, 1, 4), 1)
 	if f.Allocated() {
 		t.Fatal("empty local region should not allocate")
 	}
 }
 
 func TestOutOfHaloPanics(t *testing.T) {
-	f := New("A", region2(1, 4, 1, 4), 1)
+	f := alloc("A", region2(1, 4, 1, 4), 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic compiling a run outside the halo")
@@ -49,7 +79,7 @@ func TestOutOfHaloPanics(t *testing.T) {
 // rectangles.
 func TestExtractInsertRoundTrip(t *testing.T) {
 	prop := func(lo1, len1, lo2, len2 uint8) bool {
-		src := New("S", region2(1, 12, 1, 12), 2)
+		src := alloc("S", region2(1, 12, 1, 12), 2)
 		for i := range src.Data() {
 			src.Data()[i] = float64(i + 1)
 		}
@@ -61,7 +91,7 @@ func TestExtractInsertRoundTrip(t *testing.T) {
 		rect := grid.NewRegion(2, r1, r2)
 
 		r := src.Run(rect)
-		dst := New("D", region2(1, 12, 1, 12), 2)
+		dst := alloc("D", region2(1, 12, 1, 12), 2)
 		for a := 0; a < r.N0; a++ {
 			for b := 0; b < r.N1; b++ {
 				row := r.Base + a*r.S0 + b*r.S1
@@ -90,7 +120,7 @@ func TestExtractInsertRoundTrip(t *testing.T) {
 
 func TestRank3Field(t *testing.T) {
 	local := grid.NewRegion(3, grid.Span{Lo: 1, Hi: 2}, grid.Span{Lo: 1, Hi: 2}, grid.Span{Lo: 1, Hi: 8})
-	f := New("U", local, 1)
+	f := alloc("U", local, 1)
 	point := func(i, j, k int) grid.Region {
 		return grid.NewRegion(3, grid.Span{Lo: i, Hi: i}, grid.Span{Lo: j, Hi: j}, grid.Span{Lo: k, Hi: k})
 	}
@@ -111,7 +141,7 @@ func TestRank3Field(t *testing.T) {
 // covers the backing slice exactly and rows along the last dimension of
 // the rank are consecutive runs of it.
 func TestRawAccessors(t *testing.T) {
-	f := New("A", region2(5, 8, 3, 10), 1)
+	f := alloc("A", region2(5, 8, 3, 10), 1)
 	if f.Stride(2) != 1 || f.Stride(1) != 1 || f.Stride(0) != 10 {
 		t.Fatalf("strides %d %d %d, want 10 1 1", f.Stride(0), f.Stride(1), f.Stride(2))
 	}
@@ -131,7 +161,7 @@ func TestRawAccessors(t *testing.T) {
 }
 
 func TestContains(t *testing.T) {
-	f := New("A", region2(5, 8, 3, 10), 1)
+	f := alloc("A", region2(5, 8, 3, 10), 1)
 	cases := []struct {
 		reg  grid.Region
 		want bool
@@ -149,7 +179,7 @@ func TestContains(t *testing.T) {
 			t.Errorf("Contains(%v) = %v, want %v", c.reg, got, c.want)
 		}
 	}
-	empty := New("E", region2(1, 0, 1, 4), 1)
+	empty := alloc("E", region2(1, 0, 1, 4), 1)
 	if empty.Contains(region2(1, 1, 1, 1)) {
 		t.Error("unallocated field contains a nonempty region")
 	}

@@ -102,9 +102,9 @@ type nbhdClass struct {
 	reach []frame           // by literal slot: the frame its regions clip to (site.go)
 }
 
-// classify assigns p its shape class — creating it, with p as the layout
-// representative, when no earlier processor is congruent — and allocates
-// p's fields. locals is setup's scratch, overwritten per processor.
+// classify assigns p its block origin and shape class, creating the class,
+// with p as the layout representative, when no earlier processor is
+// congruent. locals is setup's scratch, left holding p's blocks − origin.
 func (w *world) classify(p *proc, locals []grid.Region) {
 	var fr frame
 	for d, n := range [2]int{w.mesh.Rows, w.mesh.Cols} {
@@ -123,14 +123,10 @@ func (w *world) classify(p *proc, locals []grid.Region) {
 			break
 		}
 	}
-	p.fields = make([]*field.Field, len(locals))
-	for _, a := range w.prog.Arrays {
-		p.fields[a.ID] = field.New(a.Name, p.abs(locals[a.ID]), a.Ghost)
-	}
 	if p.cls == nil {
 		p.cls = &shapeClass{
 			frame: fr, id: int32(len(w.classes)),
-			locals: slices.Clone(locals), fields: p.fields, org: p.kctx.org,
+			locals: slices.Clone(locals), org: p.kctx.org,
 		}
 		w.classes = append(w.classes, p.cls)
 	}

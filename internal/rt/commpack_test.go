@@ -11,10 +11,15 @@ import (
 
 func sp(lo, hi int) grid.Span { return grid.Span{Lo: lo, Hi: hi} }
 
+// fresh lays a field over zeroed storage of its own.
+func fresh(name string, local grid.Region, ghost int) *field.Field {
+	return field.New(name, local, ghost, make([]float64, field.Len(local, ghost)))
+}
+
 // numbered returns a field over local whose every halo cell holds a distinct
 // value, so any misplaced or reordered element shows.
 func numbered(name string, local grid.Region, ghost int, from float64) *field.Field {
-	f := field.New(name, local, ghost)
+	f := fresh(name, local, ghost)
 	forEach(f.Halo(), func(i, j, k int) { f.Data()[f.IndexOf(i, j, k)] = from; from++ })
 	return f
 }
@@ -102,7 +107,7 @@ func TestPackMatchesExtractRect(t *testing.T) {
 					if !slices.Equal(flat, want) {
 						t.Fatalf("packed %v of halo %v:\n got %v\nwant %v", rect, halo, flat, want)
 					}
-					got, ref := field.New("G", local, ghost), field.New("R", local, ghost)
+					got, ref := fresh("G", local, ghost), fresh("R", local, ghost)
 					pr := packPair{doubles: len(flat), runs: []packRun{{id: 0, RectRun: r}}}
 					pr.unpack(flat, [][]float64{got.Data()})
 					insertRect(ref, rect, want)
@@ -150,8 +155,8 @@ func TestPackPairConcatenatesInItemOrder(t *testing.T) {
 	}
 	var got, ref []*field.Field
 	for _, f := range src {
-		got = append(got, field.New(f.Name, f.Local, f.Ghost))
-		ref = append(ref, field.New(f.Name, f.Local, f.Ghost))
+		got = append(got, fresh(f.Name, f.Local, f.Ghost))
+		ref = append(ref, fresh(f.Name, f.Local, f.Ghost))
 	}
 	pr.unpack(flat, data(got))
 	for _, it := range items {

@@ -21,7 +21,7 @@ import (
 // literal-bound call and statement allocated its region's spans, several
 // hundred mallocs per iteration per processor at this size.
 func TestDispatchSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if rt.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	const procs, k = 16, 3

@@ -150,18 +150,24 @@ func newProc(w *world, rank int) *proc {
 	return p
 }
 
-// allocate builds this processor's fields (classify) and scalar store and
-// binds them into its kernel context. locals is setup's scratch.
-func (p *proc) allocate(locals []grid.Region) {
+// allocate carves this classified processor's fields off the front of
+// free, by ArraySym.ID what is left of each array's slab, builds its scalar
+// store and binds them into its kernel context.
+func (p *proc) allocate(free [][]float64) {
 	w := p.w
-	w.classify(p, locals)
+	p.fields = make([]*field.Field, len(free))
+	p.kctx.data = make([][]float64, len(free))
+	for _, a := range w.prog.Arrays {
+		f := field.New(a.Name, p.abs(p.cls.locals[a.ID]), a.Ghost, free[a.ID])
+		free[a.ID] = free[a.ID][len(f.Data()):]
+		p.fields[a.ID], p.kctx.data[a.ID] = f, f.Data()
+	}
+	if p.cls.fields == nil {
+		p.cls.fields = p.fields
+	}
 	p.scalars = make([]float64, len(w.prog.Scalars))
 	copy(p.scalars, w.configVals)
 	p.kctx.scalars = p.scalars
-	p.kctx.data = make([][]float64, len(p.fields))
-	for id, f := range p.fields {
-		p.kctx.data[id] = f.Data()
-	}
 }
 
 // meet completes this processor's neighbor table from the peers' and finds
@@ -233,7 +239,7 @@ func (p *proc) run() {
 // memory at high processor counts. What the sites pointed at belongs to the
 // world's class caches and lives on for the processors still running.
 // Fields, clocks, counters, output and observability state survive —
-// gather still reads them.
+// gather consumes them.
 func (p *proc) finish() {
 	p.xfers, p.regions = nil, nil
 	p.sendPool, p.retPool, p.pending = nil, nil, nil

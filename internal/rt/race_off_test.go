@@ -1,5 +1,7 @@
 //go:build !race
 
-package rt_test
+package rt
 
-const raceEnabled = false
+// RaceEnabled reports whether the race detector instruments this test
+// binary; exported for the external tests.
+const RaceEnabled = false

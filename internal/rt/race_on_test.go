@@ -1,6 +1,7 @@
 //go:build race
 
-package rt_test
+package rt
 
-// raceEnabled reports that the race detector instruments this test binary.
-const raceEnabled = true
+// RaceEnabled reports whether the race detector instruments this test
+// binary; exported for the external tests.
+const RaceEnabled = true

@@ -14,6 +14,7 @@ package rt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,7 +51,7 @@ type Config struct {
 	Collective collective.Alg
 
 	// SchedWorkers bounds the M:N scheduler's worker pool for this run
-	// (0 = GOMAXPROCS). Independent of the pool size, every worker step
+	// (0 = GOMAXPROCS; negative is an error). Independent of the pool size, every worker step
 	// also passes through a process-wide admission budget of GOMAXPROCS
 	// tokens shared by all concurrent runs, so harness parallelism can
 	// never oversubscribe the host. With one worker the processors are
@@ -248,6 +249,7 @@ type world struct {
 	master     [2]grid.Span  // anchor spans for the block distribution
 
 	procs      []*proc
+	slabs      [][]float64 // by ArraySym.ID: the storage its fields are carved from
 	sched      *scheduler  // set by runSched
 	schedStats *SchedStats // counters folded at the end of runSched
 
@@ -301,6 +303,9 @@ func Run(prog *ir.Program, plan *comm.Plan, cfg Config) (*Result, error) {
 	}
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("rt: processor count %d < 1", cfg.Procs)
+	}
+	if cfg.SchedWorkers < 0 {
+		return nil, fmt.Errorf("rt: scheduler worker count %d < 0", cfg.SchedWorkers)
 	}
 	lib, err := cfg.Machine.Lib(cfg.Library)
 	if err != nil {
@@ -370,12 +375,26 @@ func (w *world) setup(cfg Config) error {
 		}
 		w.collAlg = w.coll.Alg
 	}
+	// Every array's storage is one slab, sized once every processor has
+	// its block and carved into the processors' fields in rank order.
 	w.procs = make([]*proc, w.mesh.Size())
 	w.nbhds = map[[3][3]int32]*nbhdClass{}
 	locals := make([]grid.Region, len(prog.Arrays))
+	n := make([]int, len(prog.Arrays))
 	for rank := range w.procs {
 		w.procs[rank] = newProc(w, rank)
-		w.procs[rank].allocate(locals)
+		w.classify(w.procs[rank], locals)
+		for _, a := range prog.Arrays {
+			n[a.ID] += field.Len(locals[a.ID], a.Ghost)
+		}
+	}
+	w.slabs = make([][]float64, len(n))
+	for id := range n {
+		w.slabs[id] = make([]float64, n[id])
+	}
+	free := slices.Clone(w.slabs)
+	for _, p := range w.procs {
+		p.allocate(free)
 	}
 	for _, p := range w.procs {
 		p.meet()
@@ -424,12 +443,31 @@ func (w *world) gather() *Result {
 	w.report(res)
 	res.Sched = w.schedStats
 
+	// Gather consumes the fields: each dense result is carved from the
+	// smallest dead slab piece that holds it, where the owned blocks tile
+	// the region so every element is overwritten; else from new storage.
+	var dead [][]float64
 	for _, a := range w.prog.Arrays {
+		reg := w.regionVals[a.Region.ID]
+		owned, best := 0, -1
+		for _, p := range w.procs {
+			owned += p.fields[a.ID].Local.Size()
+		}
+		for i, s := range dead {
+			if owned == reg.Size() && len(s) >= owned && (best < 0 || len(s) < len(dead[best])) {
+				best = i
+			}
+		}
+		var buf []float64
+		if best < 0 {
+			buf = make([]float64, reg.Size())
+		} else {
+			buf, dead[best] = dead[best], dead[best][reg.Size():]
+		}
 		// The dense array is laid out as a ghostless field over the array's
 		// region, so both sides of the copy are field.RectRuns of the same
 		// shape; g.Run refuses an owned block that leaves the region.
-		reg := w.regionVals[a.Region.ID]
-		g := field.New(a.Name, reg, 0)
+		g := field.New(a.Name, reg, 0, buf)
 		d := &Dense{Rank: a.Region.RankN, Reg: reg, data: g.Data()}
 		for _, p := range w.procs {
 			if f := p.fields[a.ID]; f.Allocated() {
@@ -437,6 +475,7 @@ func (w *world) gather() *Result {
 			}
 		}
 		res.arrays[a.Name] = d
+		dead = append(dead, w.slabs[a.ID])
 	}
 	return res
 }

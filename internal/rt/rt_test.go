@@ -38,6 +38,24 @@ func run(t *testing.T, src string, procs int, lib string, cfg map[string]float64
 	return res
 }
 
+// TestRunRejectsBadCounts: a processor count below one and a negative
+// scheduler worker count are errors, not runs.
+func TestRunRejectsBadCounts(t *testing.T) {
+	prog, plan := compile(t, lineSrc)
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Procs: 0}, "rt: processor count 0 < 1"},
+		{Config{Procs: 4, SchedWorkers: -3}, "rt: scheduler worker count -3 < 0"},
+	} {
+		c.cfg.Machine, c.cfg.Library = machine.T3D(), "pvm"
+		if _, err := Run(prog, plan, c.cfg); err == nil || err.Error() != c.want {
+			t.Errorf("Run(%+v) = %v, want %q", c.cfg, err, c.want)
+		}
+	}
+}
+
 // refRun is internal/ref's run of src: what every run of it must compute.
 func refRun(t *testing.T, src string, vars map[string]float64) *ref.Result {
 	t.Helper()

@@ -36,17 +36,28 @@ import (
 )
 
 func main() {
-	cfg, err := parseArgs(os.Args[1:])
-	if err == flag.ErrHelp {
-		return
-	}
-	if err == nil {
-		err = run(os.Stdout, cfg)
-	}
+	code, err := exitCode(os.Stdout, os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "zplc:", err)
-		os.Exit(1)
 	}
+	os.Exit(code)
+}
+
+// exitCode runs zplc on the command line args and returns its exit status:
+// 0 on success or when usage was requested, 2 for a command-line error, 1
+// for a run that failed.
+func exitCode(w io.Writer, args []string) (int, error) {
+	cfg, err := parseArgs(args)
+	if err == flag.ErrHelp {
+		return 0, nil
+	}
+	if err != nil {
+		return 2, err
+	}
+	if err := run(w, cfg); err != nil {
+		return 1, err
+	}
+	return 0, nil
 }
 
 // config is the parsed command line.

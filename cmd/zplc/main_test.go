@@ -61,6 +61,28 @@ func TestParseArgsErrors(t *testing.T) {
 	}
 }
 
+// TestRunUsageErrorExitCode: a command-line error exits 2, a run that
+// fails exits 1, and a request for usage exits 0, as zplrun and zplvet do.
+func TestRunUsageErrorExitCode(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-wat", "x.zpl"}, 2},
+		{[]string{"-O", "bogus", "x.zpl"}, 2},
+		{[]string{}, 2},
+		{[]string{"/nonexistent/file.zpl"}, 1},
+		{[]string{"-bench", "simple", "-predict", "-machine", "vax"}, 1},
+		{[]string{"-h"}, 0},
+	} {
+		var buf bytes.Buffer
+		code, err := exitCode(&buf, c.args)
+		if code != c.code || (err == nil) != (c.code == 0) {
+			t.Errorf("exitCode(%v) = code %d, err %v; want code %d", c.args, code, err, c.code)
+		}
+	}
+}
+
 // FuzzParseArgs holds parseArgs to any command line: it returns an error,
 // or a configuration with a known level, at least one processor and
 // exactly one input. go test runs the seeds; go test -fuzz FuzzParseArgs

@@ -263,7 +263,7 @@ func TestClassReachResolvesAlike(t *testing.T) {
 							}
 						}
 					}
-					w.runSched(1, func(p *proc) { p.body(p.w.main) })
+					w.runSched(1, (*proc).exec)
 					if w.abortErr != nil {
 						t.Errorf("%s/%d/%s: %v", name, procs, lib, w.abortErr)
 					}

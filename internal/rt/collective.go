@@ -56,24 +56,39 @@ func (w *world) openBoards() {
 }
 
 // rendezvous enters reduction seq with the processor's contribution and
-// clock, and returns the board once seq's result and hop arrivals are on
-// it. The last rank to arrive computes them; every other rank parks once.
-func (p *proc) rendezvous(seq int, op ir.ReduceOp, val float64) *board {
+// clock, once, and returns the board once seq's result and hop arrivals are
+// on it. The last rank to arrive computes them; every other rank reports
+// false with a park request published, and looks again when woken, its
+// arrival kept in the cursor.
+func (p *proc) rendezvous(seq int, op ir.ReduceOp, val float64) (*board, bool) {
 	w := p.w
 	b := &w.boards[seq&1]
-	b.vals[p.rank], b.clocks[p.rank] = val, p.clock
-	if int(b.arrived.Add(1)) < len(w.procs) {
-		want := uint32(seq) + 1
-		for b.done.Load() != want {
-			p.request(waitRed, uint64(seq))
-			if b.done.Load() == want {
-				p.mb.park.Store(0)
-				break
-			}
-			p.park(waitRed)
+	want := uint32(seq) + 1
+	if !p.cur.arrived {
+		b.vals[p.rank], b.clocks[p.rank] = val, p.clock
+		if int(b.arrived.Add(1)) == len(w.procs) {
+			p.complete(seq, op, b)
+			return b, true
 		}
-		return b
+		p.cur.arrived = true
 	}
+	if b.done.Load() != want {
+		p.request(waitRed, uint64(seq))
+		if b.done.Load() != want {
+			p.parks[waitRed]++
+			return nil, false
+		}
+		p.mb.park.Store(0)
+	}
+	p.cur.arrived = false
+	return b, true
+}
+
+// complete is the last arrival's part of reduction seq: it replays the hop
+// schedule from every rank's entry clock, folds the board in rank order,
+// publishes both and wakes the other ranks.
+func (p *proc) complete(seq int, op ir.ReduceOp, b *board) {
+	w := p.w
 	b.arrived.Store(0)
 	if err := w.coll.Replay(w.lib, b.clocks, b.avail, w.collAt); err != nil {
 		panic(err) // a schedule Build pairs always completes
@@ -89,20 +104,23 @@ func (p *proc) rendezvous(seq int, op ir.ReduceOp, val float64) *board {
 			p.wake(q, waitRed, uint64(seq))
 		}
 	}
-	return b
 }
 
 // allreduce combines one value across all processors using the world's
-// resolved collective algorithm, deterministically folding in rank
-// order.
-func (p *proc) allreduce(node *ir.Reduce, val float64) float64 {
+// resolved collective algorithm, deterministically folding in rank order,
+// and reports false where it parks in the rendezvous.
+func (p *proc) allreduce(node *ir.Reduce, val float64) (float64, bool) {
 	w := p.w
-	seq := p.redSeq
+	if w.mesh.Size() == 1 {
+		p.reductions++
+		return val, true
+	}
+	b, ok := p.rendezvous(p.redSeq, node.Op, val)
+	if !ok {
+		return 0, false
+	}
 	p.redSeq++
 	p.reductions++
-	if w.mesh.Size() == 1 {
-		return val
-	}
 
 	redStart := p.clock
 	var cid int
@@ -111,7 +129,6 @@ func (p *proc) allreduce(node *ir.Reduce, val float64) float64 {
 		cid = w.plan.CollectiveFor(node).ID
 		prev = p.obs.ctx
 	}
-	b := p.rendezvous(seq, node.Op, val)
 	for i, st := range w.coll.Steps[p.rank] {
 		if p.obs != nil {
 			// Each hop is its own context, named for the step and tagged
@@ -143,7 +160,7 @@ func (p *proc) allreduce(node *ir.Reduce, val float64) float64 {
 		p.obs.add(event{kind: evPhase, d: p.clock.Sub(redStart)})
 		p.obs.ctx = prev
 	}
-	return b.result
+	return b.result, true
 }
 
 // collStepName labels one hop: direction, round and peer.

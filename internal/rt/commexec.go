@@ -159,39 +159,45 @@ func emptySched(t *comm.Transfer) *commSched {
 	return &commSched{recvs: pairs[:nd:nd], sends: pairs[nd:]}
 }
 
-// execCall performs one IRONMAN call under the current library binding.
-// An observed call is a span in the transfer's context, so its charges,
-// waits and messages count toward the transfer's source callsites.
-func (p *proc) execCall(c comm.Call) {
+// execCall performs one IRONMAN call under the current library binding,
+// reporting false where it parks. An observed call is a span in the
+// transfer's context, open across a park, so its charges, waits and
+// messages count toward the transfer's source callsites.
+func (p *proc) execCall(c comm.Call) bool {
 	if p.obs == nil {
-		p.dispatchCall(c)
-		return
+		return p.dispatchCall(c)
 	}
-	o := p.w.obs
-	prev := p.obs.ctx
-	p.obs.ctx = ctx{o.call(c.T.Slot, c.Kind), o.site(c.T.Slot)}
-	start, bytes0 := p.clock, p.bytesSent
-	p.dispatchCall(c)
-	p.obs.add(event{kind: evCall, d: p.clock.Sub(start), v: p.bytesSent - bytes0, x: uint8(c.Kind)})
-	p.obs.ctx = prev
+	if !p.cur.span {
+		o := p.w.obs
+		p.cur.span, p.cur.prev, p.cur.start, p.cur.bytes = true, p.obs.ctx, p.clock, p.bytesSent
+		p.obs.ctx = ctx{o.call(c.T.Slot, c.Kind), o.site(c.T.Slot)}
+	}
+	if !p.dispatchCall(c) {
+		return false
+	}
+	p.obs.add(event{kind: evCall, d: p.clock.Sub(p.cur.start), v: p.bytesSent - p.cur.bytes, x: uint8(c.Kind)})
+	p.obs.ctx, p.cur.span = p.cur.prev, false
+	return true
 }
 
-// dispatchCall routes one IRONMAN call to its executor.
-func (p *proc) dispatchCall(c comm.Call) {
+// dispatchCall routes one IRONMAN call to its executor. Only an SR under a
+// rendezvous library and a DN can park.
+func (p *proc) dispatchCall(c comm.Call) bool {
 	lib := p.w.lib
 	st := p.state(c.T)
 	switch c.Kind {
 	case comm.DR:
 		p.execDR(st, lib)
 	case comm.SR:
-		p.execSR(c.T, st, lib)
+		return p.execSR(c.T, st, lib)
 	case comm.DN:
-		p.execDN(c.T, st, lib)
+		return p.execDN(c.T, st, lib)
 	case comm.SV:
 		p.execSV(st, lib)
 		p.xfers[c.T.Slot].open = nil
 		p.openCount--
 	}
+	return true
 }
 
 // active binds a schedule's pair to this processor's neighbour table and
@@ -232,9 +238,10 @@ func (p *proc) execDR(st *commSched, lib *machine.Lib) {
 	}
 }
 
-func (p *proc) execSR(t *comm.Transfer, st *commSched, lib *machine.Lib) {
-	p.dynTransfers++ // one communication call site executed
-	for i := range st.sends {
+// execSR sends each pair's message, from the pair the cursor holds on, and
+// reports false where it parks on a ready token.
+func (p *proc) execSR(t *comm.Transfer, st *commSched, lib *machine.Lib) bool {
+	for i := p.cur.pair; i < len(st.sends); i++ {
 		pr := &st.sends[i]
 		nb, ok := p.active(lib, pr)
 		if !ok {
@@ -244,7 +251,11 @@ func (p *proc) execSR(t *comm.Transfer, st *commSched, lib *machine.Lib) {
 			// Wait for the destination's ready notification before
 			// putting; this couples the two clocks. A token may carry a
 			// recycled message for this pair's free list.
-			tok := p.nextTok(nb.slot)
+			tok, ok := p.nextTok(nb.slot)
+			if !ok {
+				p.cur.pair = i
+				return false
+			}
 			if tok.m != nil && len(p.sendPool[nb.slot]) < poolCap {
 				p.sendPool[nb.slot] = append(p.sendPool[nb.slot], tok.m)
 			}
@@ -259,6 +270,9 @@ func (p *proc) execSR(t *comm.Transfer, st *commSched, lib *machine.Lib) {
 		}
 		p.send(t, pr, nb, lib)
 	}
+	p.cur.pair = 0
+	p.dynTransfers++ // one communication call site executed
+	return true
 }
 
 // send captures the pair's rectangles now (the source may overwrite them
@@ -282,14 +296,20 @@ func (p *proc) send(t *comm.Transfer, pr *packPair, nb *neighbor, lib *machine.L
 	p.deliverData(p.w.procs[nb.rank], nb.back, m)
 }
 
-func (p *proc) execDN(t *comm.Transfer, st *commSched, lib *machine.Lib) {
-	for i := range st.recvs {
+// execDN unpacks each pair's message, from the pair the cursor holds on,
+// and reports false where it parks on data.
+func (p *proc) execDN(t *comm.Transfer, st *commSched, lib *machine.Lib) bool {
+	for i := p.cur.pair; i < len(st.recvs); i++ {
 		pr := &st.recvs[i]
 		nb, ok := p.active(lib, pr)
 		if !ok {
 			continue
 		}
-		m := p.recvTagged(nb.slot, t.ID)
+		m, ok := p.recvTagged(nb.slot, t.ID)
+		if !ok {
+			p.cur.pair = i
+			return false
+		}
 		if m.bytes != pr.bytes {
 			panic(fmt.Sprintf("rt: message size mismatch from %d: got %d want %d bytes", nb.rank, m.bytes, pr.bytes))
 		}
@@ -305,24 +325,26 @@ func (p *proc) execDN(t *comm.Transfer, st *commSched, lib *machine.Lib) {
 		pr.unpack(m.flat, p.kctx.data)
 		p.recycleMsg(nb, m)
 	}
+	p.cur.pair = 0
+	return true
 }
 
 // recvTagged returns the next message from the pair's peer for the given
 // transfer tag, stashing any messages for other transfers that arrive
-// first. Within one (pair, tag) stream order is preserved, so iterations
-// of the same transfer always match up.
-func (p *proc) recvTagged(slot, tag int) *dataMsg {
+// first, and reports false where it parks. Within one (pair, tag) stream
+// order is preserved, so iterations of the same transfer always match up.
+func (p *proc) recvTagged(slot, tag int) (*dataMsg, bool) {
 	if p.pending != nil {
 		if q := p.pending[slot][tag]; len(q) > 0 {
 			m := q[0]
 			p.pending[slot][tag] = q[1:]
-			return m
+			return m, true
 		}
 	}
 	for {
-		m := p.nextData(slot)
-		if m.tag == tag {
-			return m
+		m, ok := p.nextData(slot)
+		if !ok || m.tag == tag {
+			return m, ok
 		}
 		// First out-of-order message: most programs are fully in order, so
 		// the whole stash structure materializes only when pipelining

@@ -38,16 +38,18 @@ type proc struct {
 	// (recvTagged); fully in-order programs never pay for it.
 	pending []map[int][]*dataMsg
 
-	// Scheduler plumbing (sched.go). The body runs as a pull coroutine:
-	// next switches a worker into it until it parks or returns (false,
-	// once), toWorker is the switch back (false when stopped), and stop
-	// ends it wherever it stands. mb is the mailbox peers deliver events
+	// Where the processor stands in the world's program (exec): the op it
+	// runs next, its frame — each for loop's variable and bound and each
+	// procedure's return pc, by the slot bind gave them — and the cursor of
+	// the op it parked in.
+	pc    int
+	frame []int
+	cur   cursor
+
+	// Scheduler plumbing (sched.go): mb is the mailbox peers deliver events
 	// into; home is the worker whose run queue it joins when woken.
-	mb       mbox
-	home     int
-	next     func() (struct{}, bool)
-	stop     func()
-	toWorker func(struct{}) bool
+	mb   mbox
+	home int
 
 	// Communication engine (commpack.go, bufpool.go): every transfer's
 	// dispatch state by Transfer.Slot, the number of open DR..SV sequences
@@ -93,8 +95,8 @@ type proc struct {
 	engine uint8   // engine of the statement executing: engineScalar or engineKernel
 
 	// Scheduler observability (folded by runSched; parks and mbHi are
-	// written only by this processor's own coroutine, parksAverted by the
-	// worker stepping it).
+	// written only while this processor runs, parksAverted by the worker
+	// stepping it).
 	parks        [4]int64 // park requests by waitReason
 	parksAverted int64    // requests whose event arrived before the commit
 	mbHi         int      // deepest queue this processor's deliveries left a peer's mailbox at
@@ -131,6 +133,7 @@ func newProc(w *world, rank int) *proc {
 		w: w, rank: rank, row: r, col: c,
 		xfers:   make([]xferSite, w.plan.NumTransfers()),
 		regions: make([]regionSlot, len(w.literals)),
+		frame:   make([]int, w.frame),
 		rng:     uint64(rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 	}
 	for dr := -1; dr <= 1; dr++ {
@@ -225,21 +228,42 @@ func (p *proc) waitFor(t vtime.Time, reason waitReason, from int, sendT vtime.Ti
 	p.clock = t
 }
 
-// run executes the program body and releases what only the body used. It
-// is the body runSched gives every processor's coroutine; on panic the
-// release is skipped (the run is aborting anyway).
-func (p *proc) run() {
-	p.body(p.w.main)
-	p.finish()
+// cursor is what the op a processor parked in keeps to resume where it
+// stopped (exec). Only three ops park — an SR waiting on a ready token, a DN
+// waiting on data, and a reduction statement — and each field belongs to
+// one of them, which resets it when the op completes.
+type cursor struct {
+	pair    int       // SR, DN: the pair the call waits on
+	red     int       // a reduction statement: the rendezvous it waits in
+	vals    []float64 // a reduction statement: its partials, then its results
+	arrived bool      // rendezvous: this rank's arrival is on the board
+	// An observed call or statement keeps its span open across a park: its
+	// start clock, bytes sent by then, and the context it replaced.
+	span  bool
+	start vtime.Time
+	bytes int64
+	prev  ctx
 }
 
-// finish releases what only this processor's body used: the transfer
-// sites' and slots' tables, message pools and the arena are dead once the
-// body returns, and dropping them as each processor completes caps peak
-// memory at high processor counts. What the sites pointed at belongs to the
-// world's class caches and lives on for the processors still running.
-// Fields, clocks, counters, output and observability state survive —
-// gather consumes them.
+// run runs the processor's program until it parks, reporting false, or
+// halts, reporting true once it has released what only the program used.
+// It is what runSched gives every processor; on panic the release is
+// skipped (the run is aborting anyway).
+func (p *proc) run() bool {
+	if !p.exec() {
+		return false
+	}
+	p.finish()
+	return true
+}
+
+// finish releases what only this processor's program used: the transfer
+// sites' and slots' tables, message pools and the arena are dead once it
+// halts, and dropping them as each processor completes caps peak memory at
+// high processor counts. What the sites pointed at belongs to the world's
+// class caches and lives on for the processors still running. Fields,
+// clocks, counters, output and observability state survive — gather
+// consumes them.
 func (p *proc) finish() {
 	p.xfers, p.regions = nil, nil
 	p.sendPool, p.retPool, p.pending = nil, nil, nil
@@ -247,17 +271,48 @@ func (p *proc) finish() {
 	p.arena = arena{}
 }
 
-// seg is one segment of a statement list as setup bound it, for every
-// processor to walk without a lookup: a planned basic block, or a control
-// statement with its preheader transfers and the bodies it runs (then: an
-// If's Then, a loop's or a called procedure's body; els: an If's Else).
-type seg struct {
-	bp        *comm.BlockPlan // nil for a control statement
-	regions   []int           // the literal regions the block's statements and transfers resolve, by Slot (site.go)
-	idle      *idleEffect     // what the block does where none of them reaches; nil if the walk must run
-	ctl       ir.Stmt
-	pre       []*comm.Transfer
-	then, els []seg
+// op is one instruction of the world's program. Setup lowers the bound
+// program once to one array of ops (world.bind), and every processor
+// interprets it from its own pc (proc.exec). Control flow is jumps within
+// the array. The subset forbids recursion, so no loop or procedure is ever
+// active twice at once: each for loop keeps its variable and bound, and each
+// procedure its return pc, in a frame slot of its own, and a processor needs
+// no stack.
+type op struct {
+	kind opKind
+	to   int          // the jump target
+	slot int          // opFor, opLoop: the loop's first frame slot; opCall, opRet: the procedure's
+	call comm.Call    // opXfer
+	stmt ir.Stmt      // opStmt's statement; opFor's, opLoop's and opCall's control statement
+	cond ir.Expr      // opBranch, opUntil
+	blk  *block       // opEnter
+	reds []*ir.Reduce // opStmt: a reduction statement's reductions, in evaluation order
+}
+
+type opKind uint8
+
+const (
+	opEnter  opKind = iota // enter a basic block's literal regions; its idle effect jumps past its opEnd
+	opXfer                 // one IRONMAN call
+	opStmt                 // one straight-line statement
+	opEnd                  // a basic block's end: every DR..SV sequence closed
+	opJump                 // jump
+	opBranch               // charge an if or a while iteration; jump when the condition is 0
+	opRepeat               // charge a repeat iteration
+	opUntil                // jump back to the repeat body while the condition is 0
+	opFor                  // evaluate a for loop's bounds into its frame slots, the variable a step short
+	opLoop                 // step the variable; jump past the loop once it passes the bound, else charge and set it
+	opCall                 // charge a call, pass its arguments, save the return pc and jump to the body
+	opRet                  // jump to the saved return pc
+	opHalt                 // the end of the main body
+)
+
+// block is what a basic block's enter op knows: the literal regions its
+// statements and transfers resolve, by Slot (site.go), and what the block
+// does where none of them reaches — nil if its ops must run there.
+type block struct {
+	regions []int
+	idle    *idleEffect
 }
 
 // idleEffect is all a block does on a processor that none of its literal
@@ -271,21 +326,22 @@ type idleEffect struct {
 	transfers int
 }
 
-// idleOf returns block b's idle effect, or nil when the block has one
-// statement or transfer that its literal regions do not govern.
-func (w *world) idleOf(b *seg) *idleEffect {
-	if len(b.regions) == 0 || w.lib.UnconditionalSynch {
+// idleOf returns the idle effect of block bp, which resolves the literal
+// regions `regions`, or nil when the block has one statement or transfer
+// that those regions do not govern.
+func (w *world) idleOf(bp *comm.BlockPlan, regions []int) *idleEffect {
+	if len(regions) == 0 || w.lib.UnconditionalSynch {
 		return nil
 	}
-	for _, s := range b.bp.Stmts {
+	for _, s := range bp.Stmts {
 		if a, ok := s.(*ir.AssignArray); !ok || a.Region.Sym != nil {
 			return nil
 		}
 	}
-	e := &idleEffect{compute: vtime.Duration(len(b.bp.Stmts)) * w.mach.StmtOverhead}
-	for _, calls := range b.bp.Calls {
+	e := &idleEffect{compute: vtime.Duration(len(bp.Stmts)) * w.mach.StmtOverhead}
+	for _, calls := range bp.Calls {
 		for _, c := range calls {
-			if re := &c.T.Region; re.Sym != nil || !slices.Contains(b.regions, re.Slot) {
+			if re := &c.T.Region; re.Sym != nil || !slices.Contains(regions, re.Slot) {
 				return nil
 			}
 			if c.Kind == comm.SR {
@@ -296,172 +352,248 @@ func (w *world) idleOf(b *seg) *idleEffect {
 	return e
 }
 
-// bind segments a statement list and resolves every basic block to its
-// plan and every control statement to its bound bodies. procs remembers
-// procedure bodies (the subset forbids recursion).
-func (w *world) bind(stmts []ir.Stmt, procs map[*ir.Proc][]seg) []seg {
-	var out []seg
-	for _, sg := range comm.SplitSegments(stmts) {
-		if sg.Block != nil {
-			b := seg{bp: w.plan.BlockFor(sg.Block[0])}
-			if b.bp == nil {
-				panic("rt: basic block missing from plan")
-			}
-			b.regions = literalsOf(b.bp.Stmts)
-			b.idle = w.idleOf(&b)
-			out = append(out, b)
-			continue
-		}
-		c := seg{ctl: sg.Control, pre: w.plan.Preheader(sg.Control)}
-		switch s := sg.Control.(type) {
-		case *ir.If:
-			c.then, c.els = w.bind(s.Then, procs), w.bind(s.Else, procs)
-		case *ir.Repeat:
-			c.then = w.bind(s.Body, procs)
-		case *ir.While:
-			c.then = w.bind(s.Body, procs)
-		case *ir.For:
-			c.then = w.bind(s.Body, procs)
-		case *ir.Call:
-			body, ok := procs[s.Proc]
-			if !ok {
-				body = w.bind(s.Proc.Body, procs)
-				procs[s.Proc] = body
-			}
-			c.then = body
-		}
-		out = append(out, c)
-	}
-	return out
+// binder lowers a program to ops. A procedure's body is lowered once, where
+// it is first called, behind a jump that the return from that call lands
+// on; calls is the call op every call of a lowered procedure emits.
+type binder struct {
+	w     *world
+	code  []op
+	frame int // frame slots handed out
+	calls map[*ir.Proc]op
 }
 
-// body interprets a bound statement list, alternating between planned
-// basic blocks and control statements.
-func (p *proc) body(segs []seg) {
-	for i := range segs {
-		if sg := &segs[i]; sg.bp != nil {
-			p.block(sg)
-		} else {
-			p.control(sg)
+// bind lowers the program body to the world's op array, every basic block
+// resolved to its plan.
+func (w *world) bind(main []ir.Stmt) {
+	b := &binder{w: w, calls: map[*ir.Proc]op{}}
+	b.list(main)
+	b.emit(op{kind: opHalt})
+	w.code, w.frame = b.code, b.frame
+}
+
+// emit appends o and returns its index.
+func (b *binder) emit(o op) int {
+	b.code = append(b.code, o)
+	return len(b.code) - 1
+}
+
+// land points op at's jump to the next op emitted.
+func (b *binder) land(at int) { b.code[at].to = len(b.code) }
+
+// list lowers a statement list, alternating between planned basic blocks
+// and control statements.
+func (b *binder) list(stmts []ir.Stmt) {
+	for _, sg := range comm.SplitSegments(stmts) {
+		if sg.Block != nil {
+			b.block(b.w.plan.BlockFor(sg.Block[0]))
+			continue
+		}
+		switch s := sg.Control.(type) {
+		case *ir.If:
+			at := b.emit(op{kind: opBranch, cond: s.Cond})
+			b.list(s.Then)
+			if len(s.Else) > 0 {
+				j := b.emit(op{kind: opJump})
+				b.land(at)
+				b.list(s.Else)
+				at = j
+			}
+			b.land(at)
+		case *ir.Repeat:
+			b.preheader(s)
+			top := b.emit(op{kind: opRepeat})
+			b.list(s.Body)
+			b.emit(op{kind: opUntil, cond: s.Until, to: top})
+		case *ir.While:
+			b.preheader(s)
+			top := b.emit(op{kind: opBranch, cond: s.Cond})
+			b.list(s.Body)
+			b.emit(op{kind: opJump, to: top})
+			b.land(top)
+		case *ir.For:
+			b.preheader(s)
+			b.emit(op{kind: opFor, stmt: s, slot: b.frame})
+			top := b.emit(op{kind: opLoop, stmt: s, slot: b.frame})
+			b.frame += 2
+			b.list(s.Body)
+			b.emit(op{kind: opJump, to: top})
+			b.land(top)
+		case *ir.Call:
+			if o, ok := b.calls[s.Proc]; ok {
+				o.stmt = s
+				b.emit(o)
+				continue
+			}
+			o := op{kind: opCall, stmt: s, slot: b.frame, to: len(b.code) + 2}
+			b.frame++
+			b.calls[s.Proc] = o
+			b.emit(o)
+			j := b.emit(op{kind: opJump})
+			b.list(s.Proc.Body)
+			b.emit(op{kind: opRet, slot: o.slot})
+			b.land(j)
+		default:
+			panic(fmt.Sprintf("rt: unexpected control stmt %T", s))
 		}
 	}
+}
+
+// preheader lowers loop s's hoisted transfers (the cross-block extension):
+// each runs its full synchronous IRONMAN sequence once, immediately before
+// the loop is entered.
+func (b *binder) preheader(s ir.Stmt) {
+	for _, t := range b.w.plan.Preheader(s) {
+		for _, kind := range []comm.CallKind{comm.DR, comm.SR, comm.DN, comm.SV} {
+			b.emit(op{kind: opXfer, call: comm.Call{Kind: kind, T: t}})
+		}
+	}
+}
+
+// block lowers one planned basic block: an enter op, then its IRONMAN calls
+// interleaved with its statements at their scheduled positions, then an
+// end op.
+func (b *binder) block(bp *comm.BlockPlan) {
+	if bp == nil {
+		panic("rt: basic block missing from plan")
+	}
+	blk := &block{regions: literalsOf(bp.Stmts)}
+	blk.idle = b.w.idleOf(bp, blk.regions)
+	at := b.emit(op{kind: opEnter, blk: blk})
+	for pos, calls := range bp.Calls {
+		for _, c := range calls {
+			b.emit(op{kind: opXfer, call: c})
+		}
+		if pos < len(bp.Stmts) {
+			o := op{kind: opStmt, stmt: bp.Stmts[pos]}
+			if a, ok := o.stmt.(*ir.AssignScalar); ok && a.HasReduce {
+				ir.EachReduce(a.RHS, func(e *ir.Reduce) { o.reds = append(o.reds, e) })
+			}
+			b.emit(o)
+		}
+	}
+	b.emit(op{kind: opEnd})
+	b.land(at)
 }
 
 // loopOverhead is the control cost charged per loop iteration or branch.
 const loopOverhead = 200 * vtime.Nanosecond
 
-func (p *proc) control(c *seg) {
-	switch s := c.ctl.(type) {
-	case *ir.If:
-		p.charge(loopOverhead)
-		if p.evalScalar(s.Cond) != 0 {
-			p.body(c.then)
-		} else {
-			p.body(c.els)
-		}
-	case *ir.Repeat:
-		p.execPreheader(c.pre)
-		for {
-			p.charge(loopOverhead)
-			p.body(c.then)
-			if p.evalScalar(s.Until) != 0 {
-				return
+// exec interprets the world's program from the processor's pc until it
+// halts, reporting true, or until an op parks, reporting false with a park
+// request published: the op stays at pc, and resumes from the cursor when
+// a worker runs the processor again. Where none of a block's regions
+// reaches the processor, a block with an idle effect is that effect, unless
+// an observer records the walk.
+func (p *proc) exec() bool {
+	code := p.w.code
+	for {
+		o := &code[p.pc]
+		next := p.pc + 1
+		switch o.kind {
+		case opEnter:
+			if b := o.blk; !p.enter(b.regions) && b.idle != nil && p.obs == nil {
+				p.charge(b.idle.compute)
+				p.dynTransfers += b.idle.transfers
+				next = o.to
 			}
-		}
-	case *ir.While:
-		p.execPreheader(c.pre)
-		for {
-			p.charge(loopOverhead)
-			if p.evalScalar(s.Cond) == 0 {
-				return
+		case opXfer:
+			if !p.execCall(o.call) {
+				return false
 			}
-			p.body(c.then)
-		}
-	case *ir.For:
-		p.execPreheader(c.pre)
-		lo := p.evalInt(s.Lo, s.Pos, "for bound")
-		hi := p.evalInt(s.Hi, s.Pos, "for bound")
-		step := 1
-		if s.Down {
-			step = -1 // downto: iterate from lo down to hi
-		}
-		for v := lo; (step > 0 && v <= hi) || (step < 0 && v >= hi); v += step {
+		case opStmt:
+			if !p.stmt(o) {
+				return false
+			}
+		case opEnd:
+			if p.openCount != 0 {
+				panic("rt: transfers left open at block end")
+			}
+		case opJump:
+			next = o.to
+		case opBranch:
 			p.charge(loopOverhead)
-			p.scalars[s.Var.ID] = float64(v)
-			p.body(c.then)
+			if p.evalScalar(o.cond) == 0 {
+				next = o.to
+			}
+		case opRepeat:
+			p.charge(loopOverhead)
+		case opUntil:
+			if p.evalScalar(o.cond) == 0 {
+				next = o.to
+			}
+		case opFor:
+			s := o.stmt.(*ir.For)
+			p.frame[o.slot] = p.evalInt(s.Lo, s.Pos, "for bound") - forStep(s)
+			p.frame[o.slot+1] = p.evalInt(s.Hi, s.Pos, "for bound")
+		case opLoop:
+			s := o.stmt.(*ir.For)
+			p.frame[o.slot] += forStep(s)
+			if v, hi := p.frame[o.slot], p.frame[o.slot+1]; s.Down && v < hi || !s.Down && v > hi {
+				next = o.to
+			} else {
+				p.charge(loopOverhead)
+				p.scalars[s.Var.ID] = float64(v)
+			}
+		case opCall:
+			s := o.stmt.(*ir.Call)
+			p.charge(loopOverhead)
+			for i, a := range s.Args {
+				p.scalars[s.Proc.Params[i].ID] = p.evalScalar(a)
+			}
+			p.frame[o.slot] = next
+			next = o.to
+		case opRet:
+			next = p.frame[o.slot]
+		case opHalt:
+			return true
 		}
-	case *ir.Call:
-		p.charge(loopOverhead)
-		for i, a := range s.Args {
-			p.scalars[s.Proc.Params[i].ID] = p.evalScalar(a)
-		}
-		p.body(c.then)
-	default:
-		panic(fmt.Sprintf("rt: unexpected control stmt %T", s))
+		p.pc = next
 	}
 }
 
-// execPreheader performs the loop's hoisted transfers (the cross-block
-// extension): each runs its full synchronous IRONMAN sequence once,
-// immediately before the loop is entered.
-func (p *proc) execPreheader(hoisted []*comm.Transfer) {
-	for _, t := range hoisted {
-		for _, kind := range []comm.CallKind{comm.DR, comm.SR, comm.DN, comm.SV} {
-			p.execCall(comm.Call{Kind: kind, T: t})
-		}
+// forStep is a for loop's step: downto iterates from lo down to hi.
+func forStep(s *ir.For) int {
+	if s.Down {
+		return -1
 	}
+	return 1
 }
 
-// block interprets one planned basic block: its literal regions are
-// evaluated, then IRONMAN calls interleave with the statements at their
-// scheduled positions. Where none of the regions reaches the processor, a
-// block with an idle effect is that effect, unless an observer records the
-// walk.
-func (p *proc) block(sg *seg) {
-	if !p.enter(sg.regions) && sg.idle != nil && p.obs == nil {
-		p.charge(sg.idle.compute)
-		p.dynTransfers += sg.idle.transfers
-		return
-	}
-	bp := sg.bp
-	for pos, calls := range bp.Calls {
-		for _, c := range calls {
-			p.execCall(c)
-		}
-		if pos < len(bp.Stmts) {
-			p.stmt(bp.Stmts[pos])
-		}
-	}
-	if p.openCount != 0 {
-		panic("rt: transfers left open at block end")
-	}
-}
-
-func (p *proc) stmt(s ir.Stmt) {
+// stmt runs one statement op, reporting false where it parks. An observed
+// statement is a span in the statement's context, open across a park.
+func (p *proc) stmt(o *op) bool {
 	if p.obs == nil {
-		p.stmtExec(s)
-		return
+		return p.stmtExec(o)
 	}
-	prev := p.obs.ctx
-	p.obs.ctx = ctx{label: p.w.obs.stmts[s]}
-	start := p.clock
-	p.engine = engineScalar
-	p.stmtExec(s)
-	p.obs.add(event{kind: evStmt, d: p.clock.Sub(start), x: p.engine})
-	p.obs.ctx = prev
+	if !p.cur.span {
+		p.cur.span, p.cur.prev, p.cur.start = true, p.obs.ctx, p.clock
+		p.obs.ctx = ctx{label: p.w.obs.stmts[o.stmt]}
+		p.engine = engineScalar
+	}
+	if !p.stmtExec(o) {
+		return false
+	}
+	p.obs.add(event{kind: evStmt, d: p.clock.Sub(p.cur.start), x: p.engine})
+	p.obs.ctx, p.cur.span = p.cur.prev, false
+	return true
 }
 
-func (p *proc) stmtExec(s ir.Stmt) {
-	switch s := s.(type) {
+func (p *proc) stmtExec(o *op) bool {
+	switch s := o.stmt.(type) {
 	case *ir.AssignArray:
 		p.assignArray(s)
 	case *ir.AssignScalar:
-		p.assignScalar(s)
+		if o.reds != nil {
+			return p.reduce(s, o.reds)
+		}
+		p.scalars[s.LHS.ID] = p.evalScalar(s.RHS)
+		p.charge(vtime.Duration(s.Flops) * p.w.mach.OpTime)
 	case *ir.Write:
 		p.write(s)
 	default:
 		panic(fmt.Sprintf("rt: unexpected straight-line stmt %T", s))
 	}
+	return true
 }
 
 // assignArray runs the statement's kernel over the processor's part of its
@@ -477,40 +609,56 @@ func (p *proc) assignArray(s *ir.AssignArray) {
 	p.charge(w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(size)*int64(s.Flops))*w.mach.OpTime))
 }
 
-func (p *proc) assignScalar(s *ir.AssignScalar) {
-	if !s.HasReduce {
-		p.scalars[s.LHS.ID] = p.evalScalar(s.RHS)
-		p.charge(vtime.Duration(s.Flops) * p.w.mach.OpTime)
-		return
-	}
+// reduce runs reduction statement s, whose RHS holds the reductions reds in
+// evaluation order, reporting false where it parks. Its first entry computes
+// every reduction's partial over this processor's part (relative to the
+// block origin) of the statement's region: a partial charges nothing and
+// touches nothing shared, so computing all of them first moves no clock.
+// Then each reduction combines its partial across all processors, the cursor
+// counting those done across parks, and the RHS evaluates with the results.
+func (p *proc) reduce(s *ir.AssignScalar, reds []*ir.Reduce) bool {
 	local := p.part(&s.Region)
-	size := local.Size()
-	p.scalars[s.LHS.ID] = p.evalWithReduce(s.RHS, local)
-	p.charge(p.w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(size)*int64(s.Flops))*p.w.mach.OpTime))
+	c := &p.cur
+	if len(c.vals) == 0 {
+		for _, e := range reds {
+			acc := e.Op.Identity()
+			if !local.Empty() {
+				acc = p.w.partials[e.ID][p.cls.id].run(p, local)
+			}
+			c.vals = append(c.vals, acc)
+		}
+	}
+	for ; c.red < len(reds); c.red++ {
+		v, ok := p.allreduce(reds[c.red], c.vals[c.red])
+		if !ok {
+			return false
+		}
+		c.vals[c.red] = v
+	}
+	k := 0
+	p.scalars[s.LHS.ID] = p.evalReduced(s.RHS, &k)
+	c.vals, c.red = c.vals[:0], 0
+	p.charge(p.w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(local.Size())*int64(s.Flops))*p.w.mach.OpTime))
+	return true
 }
 
-// evalWithReduce evaluates a statement's RHS e, which may contain
-// reductions; each reduction computes a local partial over this
-// processor's part (local, relative to the block origin) of the statement's
-// region and then performs a global combine.
-func (p *proc) evalWithReduce(e ir.Expr, local grid.Region) float64 {
+// evalReduced evaluates e, whose reductions the cursor holds the results of:
+// the k-th reduction e meets, in evaluation order, is p.cur.vals[k].
+func (p *proc) evalReduced(e ir.Expr, k *int) float64 {
 	switch e := e.(type) {
 	case *ir.Reduce:
-		acc := e.Op.Identity()
-		if !local.Empty() {
-			acc = p.w.partials[e.ID][p.cls.id].run(p, local)
-		}
-		return p.allreduce(e, acc)
+		*k++
+		return p.cur.vals[*k-1]
 	case *ir.Unary:
-		return ir.EvalUnary(e.Op, p.evalWithReduce(e.X, local))
+		return ir.EvalUnary(e.Op, p.evalReduced(e.X, k))
 	case *ir.Binary:
-		x := p.evalWithReduce(e.X, local)
-		y := p.evalWithReduce(e.Y, local)
+		x := p.evalReduced(e.X, k)
+		y := p.evalReduced(e.Y, k)
 		return ir.EvalBinary(e.Op, x, y)
 	case *ir.Intrinsic:
 		var args [2]float64 // ir.Lower checks arities: one or two arguments
 		for i, a := range e.Args {
-			args[i] = p.evalWithReduce(a, local)
+			args[i] = p.evalReduced(a, k)
 		}
 		return e.Fn.Apply(args[:len(e.Args)])
 	default:

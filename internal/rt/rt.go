@@ -216,11 +216,12 @@ type world struct {
 	lib  *machine.Lib
 	mesh grid.Mesh
 
-	// main is the program body as setup bound it (proc.go: seg): every
-	// block resolved to its plan and every control statement to its bodies.
+	// code is the program as setup bound it (proc.go: op), one array every
+	// processor interprets from its own pc, with a frame of `frame` slots.
 	// Read-only once the processors run, so they walk it without locks or
 	// lookups.
-	main []seg
+	code  []op
+	frame int
 
 	// Shape classes (class.go) and, per transfer, the schedules its
 	// neighbourhood classes compiled for the regions they met, by
@@ -267,8 +268,8 @@ type world struct {
 	abortMu  sync.Mutex
 }
 
-// fail records the run's first error and stops the worker pool; parked
-// processors unwind via errAborted in runSched's kill pass.
+// fail records the run's first error and stops the worker pool; parked and
+// runnable processors are left where they stand.
 func (w *world) fail(err error) {
 	w.abortMu.Lock()
 	if w.abortErr == nil {
@@ -277,9 +278,6 @@ func (w *world) fail(err error) {
 	w.abortMu.Unlock()
 	w.sched.halt()
 }
-
-// errAborted signals that another processor already failed.
-var errAborted = fmt.Errorf("rt: run aborted by another processor's failure")
 
 // PairChanCap is the per-directed-pair mailbox depth a plan is budgeted
 // for: 2T+2 entries, where T is the plan's largest per-block (or
@@ -349,7 +347,7 @@ func (w *world) setup(cfg Config) error {
 	// largest offset of the transfers under it (hoisted ones stay listed on
 	// their block) into each neighbourhood's reach for it.
 	w.foldLiterals()
-	w.main = w.bind(prog.Main.Body, map[*ir.Proc][]seg{})
+	w.bind(prog.Main.Body)
 	w.xferCC = make([]classCache, w.plan.NumTransfers())
 	grow := make([][2]int, len(w.literals))
 	for _, bp := range w.plan.Blocks {

@@ -2,7 +2,6 @@ package rt
 
 import (
 	"fmt"
-	"iter"
 	"runtime"
 	"sort"
 	"strings"
@@ -12,16 +11,16 @@ import (
 
 // This file implements the M:N virtual-processor scheduler, the runtime's
 // one execution engine: a fixed pool of worker goroutines steps runnable
-// processors. A processor is a pull coroutine (iter.Pull over its body): a
-// worker's next() switches straight into it — same thread, no run-queue
-// transit, no wake-up — and it runs until it blocks on a virtual-time
-// event (a message receive, a rendezvous ready token, a reduction), where
-// it records what it waits for and switches straight back. The worker, not
-// the processor, then makes the park visible: if the event arrived in the
-// meantime it steps the same processor again, otherwise it commits the
+// processors. A processor has no stack of its own: it is a pc into the
+// world's op array and a cursor (proc.go), and a worker steps it by calling
+// proc.run, which interprets ops until the processor blocks on a
+// virtual-time event (a message receive, a rendezvous ready token, a
+// reduction), where it records what it waits for and returns. The worker,
+// not the processor, then makes the park visible: if the event arrived in
+// the meantime it runs the same processor again, otherwise it commits the
 // park and pops the next runnable processor. Peers deliver events into
 // per-processor mailboxes and re-queue a parked processor, so a blocked
-// receive costs two coroutine switches and a queue append instead of a
+// receive costs a return, a later call and a queue append instead of a
 // blocked OS thread. With one worker (Config.SchedWorkers) processors run
 // strictly one at a time.
 //
@@ -49,13 +48,13 @@ import (
 // waits on — a neighbour slot, or a reduction's sequence. Zero means no
 // wait. The owner requests a park by storing the word with parkRequested,
 // re-checks its queue (or, in a reduction, the board) once, withdrawing the
-// request if the event is there, and switches to its worker; the worker
+// request if the event is there, and returns to its worker; the worker
 // commits the park with one CAS, requested → parkCommitted. A deliverer
 // (in a reduction, the last rank to arrive) publishes its event first,
 // then loads the word: if it waits on exactly this event, a CAS clears it,
 // and the deliverer enqueues the owner only when the park it cleared was
 // committed — before that the worker still holds the processor and, its
-// CAS failing, simply steps it again. The owner's store-then-recheck and
+// CAS failing, simply runs it again. The owner's store-then-recheck and
 // the deliverer's publish-then-load cannot both miss each other.
 const (
 	parkRequested = 1
@@ -85,10 +84,11 @@ type slotBox struct {
 // scheduler runs one world's processors on a bounded worker pool.
 type scheduler struct {
 	w      *world
-	queues []runq        // queues[wi]: worker wi's home queue
-	live   atomic.Int64  // processors whose body has not completed
-	idle   atomic.Int32  // workers registered as sleepers
-	budget chan struct{} // budgetTokens(); a sleeping worker returns its token
+	run    func(p *proc) bool // proc.run, or a test's step function
+	queues []runq             // queues[wi]: worker wi's home queue
+	live   atomic.Int64       // processors whose program has not halted
+	idle   atomic.Int32       // workers registered as sleepers
+	budget chan struct{}      // budgetTokens(); a sleeping worker returns its token
 
 	// stop ends the run (completion, abort or deadlock). A sleeper
 	// registers before it loads stop, and the stopper stores stop before
@@ -188,12 +188,13 @@ func budgetTokens() chan struct{} {
 	return stepBudget
 }
 
-// runSched executes every processor body under the worker pool and
-// returns when all have completed or the world aborted. bodies is the
-// per-processor entry point (normally proc.run; tests substitute bodies
-// that park forever to exercise deadlock detection).
-func (w *world) runSched(workers int, body func(p *proc)) {
-	s := &scheduler{w: w, budget: budgetTokens()}
+// runSched runs every processor under the worker pool and returns when all
+// have halted or the world aborted. run steps one processor until it parks,
+// reporting false with a park request published, or halts, reporting true
+// (normally proc.run; tests substitute step functions that park forever to
+// exercise deadlock detection).
+func (w *world) runSched(workers int, run func(p *proc) bool) {
+	s := &scheduler{w: w, run: run, budget: budgetTokens()}
 	w.sched = s
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -206,10 +207,9 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 		s.queues[wi].wake = make(chan struct{}, 1)
 	}
 
-	// Every processor starts runnable on its home queue, in rank order; its
-	// coroutine first runs when a worker first steps it.
+	// Every processor starts runnable on its home queue, in rank order, at
+	// the first op.
 	for _, p := range w.procs {
-		p.next, p.stop = iter.Pull(p.coroutine(body))
 		p.home = p.rank * workers / len(w.procs)
 		s.queues[p.home].ps = append(s.queues[p.home].ps, p)
 	}
@@ -244,15 +244,6 @@ func (w *world) runSched(workers int, body func(p *proc)) {
 		}(i)
 	}
 	wg.Wait()
-
-	// Kill pass: after the workers exit (completion, abort or deadlock),
-	// stop every coroutine. One that is parked or runnable sees its switch
-	// to the worker return false and unwinds via errAborted; one that never
-	// started just ends; one that is done is left alone. A coroutine nobody
-	// stops would keep its goroutine and stack for the life of the process.
-	for _, p := range w.procs {
-		p.stop()
-	}
 
 	// Fold the run's scheduler counters. No worker or processor is live,
 	// so the per-proc fields are quiescent.
@@ -346,17 +337,32 @@ func (s *scheduler) wakeOne(from int) bool {
 	return false
 }
 
-// step runs one processor until it parks for good or completes, counting
-// each switch into it in *steps, and reports whether its body finished
-// (next says so exactly once). A processor that comes back with a park
-// request still belongs to this worker — nobody else can step it, and
-// deliveries do not enqueue it — until the CAS here commits the park: if
-// the awaited event arrived first (wake cleared the request), the CAS
-// fails, the park is averted and the processor runs on.
+// step runs one processor until it parks for good or halts, counting each
+// run in *steps, and reports whether it halted. A processor that returns
+// with a park request still belongs to this worker — nobody else can run
+// it, and deliveries do not enqueue it — until the CAS here commits the
+// park: if the awaited event arrived first (wake cleared the request), the
+// CAS fails, the park is averted and the processor runs on. A processor's
+// panic fails the run with its message: a replicated program error names
+// no processor, any other names this one.
 func (s *scheduler) step(p *proc, steps *int64) (done bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			var err error
+			switch r := r.(type) {
+			case replicated:
+				err = r.err // every processor raises it: name none
+			case error: // a program error keeps its position for errors.As
+				err = fmt.Errorf("processor %d: %w", p.rank, r)
+			default:
+				err = fmt.Errorf("processor %d: %v", p.rank, r)
+			}
+			s.w.fail(fmt.Errorf("rt: %w", err))
+		}
+	}()
 	for {
 		*steps++
-		if _, more := p.next(); !more {
+		if s.run(p) {
 			return true
 		}
 		if w := p.mb.park.Load(); w != 0 && p.mb.park.CompareAndSwap(w, w&^parkPhase|parkCommitted) {
@@ -417,48 +423,11 @@ func (s *scheduler) parkedSummary() string {
 	return strings.Join(parts, "; ")
 }
 
-// coroutine is the sequence iter.Pull runs as the processor's coroutine:
-// the body, with every switch back to the worker (park) as one yield. The
-// recover sits inside the sequence because iter.Pull re-raises a
-// coroutine's panic in whoever called next or stop — a worker, or the kill
-// pass.
-func (p *proc) coroutine(body func(p *proc)) iter.Seq[struct{}] {
-	return func(yield func(struct{}) bool) {
-		p.toWorker = yield
-		defer func() {
-			if r := recover(); r != nil && r != errAborted {
-				var err error
-				switch r := r.(type) {
-				case replicated:
-					err = r.err // every processor raises it: name none
-				case error: // a program error keeps its position for errors.As
-					err = fmt.Errorf("processor %d: %w", p.rank, r)
-				default:
-					err = fmt.Errorf("processor %d: %v", p.rank, r)
-				}
-				p.w.fail(fmt.Errorf("rt: %w", err))
-			}
-		}()
-		body(p)
-	}
-}
-
 // request publishes a park request for (reason, on); the caller re-checks
-// its queue once, then withdraws the request or parks.
+// its queue once, then withdraws the request or returns to its worker
+// (scheduler.step), which commits it.
 func (p *proc) request(reason waitReason, on uint64) {
 	p.mb.park.Store(parkWord(reason, on) | parkRequested)
-}
-
-// park switches to the worker that stepped us, which commits the request
-// or — the event having arrived in between — switches straight back
-// (scheduler.step). It returns once a worker steps us again; the caller
-// re-checks its queue in a loop. A false yield is the kill pass stopping
-// us.
-func (p *proc) park(reason waitReason) {
-	p.parks[reason]++
-	if !p.toWorker(struct{}{}) || p.w.sched.stop.Load() {
-		panic(errAborted)
-	}
 }
 
 // wake ends dst's wait if it is for exactly this event, which the caller
@@ -507,29 +476,32 @@ func (p *proc) deliverRet(dst *proc, slot int, m *dataMsg) {
 	}
 }
 
-// next pops the next entry of one of the processor's FIFOs, parking until
-// one arrives.
-func next[T any](p *proc, f *fifo[T], reason waitReason, slot int) T {
-	for {
-		if v, ok := f.pop(); ok {
-			return v
-		}
-		p.request(reason, uint64(slot))
-		if v, ok := f.pop(); ok {
-			p.mb.park.Store(0)
-			return v
-		}
-		p.park(reason)
+// next pops the next entry of one of the processor's FIFOs or, the FIFO
+// empty, reports false with a park request published: the caller returns
+// to its worker and calls again when woken.
+func next[T any](p *proc, f *fifo[T], reason waitReason, slot int) (T, bool) {
+	if v, ok := f.pop(); ok {
+		return v, true
 	}
+	p.request(reason, uint64(slot))
+	v, ok := f.pop()
+	if ok {
+		p.mb.park.Store(0)
+	} else {
+		p.parks[reason]++
+	}
+	return v, ok
 }
 
-// nextData pops the next message from a neighbor slot, parking until one
-// arrives.
-func (p *proc) nextData(slot int) *dataMsg { return next(p, &p.mb.slots[slot].data, waitData, slot) }
+// nextData pops the next message from a neighbor slot, or parks.
+func (p *proc) nextData(slot int) (*dataMsg, bool) {
+	return next(p, &p.mb.slots[slot].data, waitData, slot)
+}
 
-// nextTok pops the next rendezvous token from a neighbor slot, parking
-// until one arrives.
-func (p *proc) nextTok(slot int) readyTok { return next(p, &p.mb.slots[slot].back, waitReady, slot) }
+// nextTok pops the next rendezvous token from a neighbor slot, or parks.
+func (p *proc) nextTok(slot int) (readyTok, bool) {
+	return next(p, &p.mb.slots[slot].back, waitReady, slot)
+}
 
 // drainRets moves every buffer a peer returned into the send free list
 // (message-passing recycling).

@@ -35,7 +35,10 @@ end;
 `
 
 // testWorld builds a ready-to-run world without starting it, so tests can
-// drive custom processor bodies.
+// drive custom step functions. A step function is what proc.run is: it runs
+// a processor until it parks, reporting false with a park request
+// published, or halts, reporting true; a worker runs it again when the
+// processor is woken. Step functions keep their own place in p.pc.
 func testWorld(t *testing.T, procs int) *world {
 	t.Helper()
 	return classWorld(t, schedTestSrc, procs, nil)
@@ -43,8 +46,7 @@ func testWorld(t *testing.T, procs int) *world {
 
 // noGoroutinesLeft fails the test unless the goroutine count is back at
 // base within 2 s: workers exit on their own just after runSched returns,
-// but a processor coroutine the kill pass did not stop — parked, runnable or
-// never started — keeps its goroutine and stack for the life of the process.
+// and a processor, parked, runnable or never started, holds none.
 func noGoroutinesLeft(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -58,8 +60,8 @@ func noGoroutinesLeft(t *testing.T, base int) {
 	}
 }
 
-// TestSchedulerRunLeavesNoGoroutines: a normal run ends with every
-// coroutine and worker gone.
+// TestSchedulerRunLeavesNoGoroutines: a normal run ends with every worker
+// gone.
 func TestSchedulerRunLeavesNoGoroutines(t *testing.T) {
 	prog, plan := compile(t, schedTestSrc)
 	base := runtime.NumGoroutine()
@@ -75,10 +77,12 @@ func TestSchedulerRunLeavesNoGoroutines(t *testing.T) {
 func TestSchedulerDeadlockDetected(t *testing.T) {
 	w := testWorld(t, 4)
 	base := runtime.NumGoroutine()
-	w.runSched(2, func(p *proc) {
+	w.runSched(2, func(p *proc) bool {
 		if p.rank == 0 {
-			p.nextData(0) // no peer ever sends: parks forever
+			_, ok := p.nextData(0) // no peer ever sends: parks forever
+			return ok
 		}
+		return true
 	})
 	if w.abortErr == nil {
 		t.Fatal("deadlocked run reported no error")
@@ -95,19 +99,23 @@ func TestSchedulerDeadlockDetected(t *testing.T) {
 
 // TestSchedulerAbortUnwindsParked: a processor failing while peers are
 // parked must abort the whole run promptly and leave no goroutine behind:
-// the kill pass unwinds the parked ones and ends the ones the abort came
-// too early for — with one worker, exactly ranks 4 and up.
+// the parked ones stay parked, and the ones the abort came too early for —
+// with one worker, exactly ranks 4 and up — never run.
 func TestSchedulerAbortUnwindsParked(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		w := testWorld(t, 16)
 		base := runtime.NumGoroutine()
 		var started atomic.Int32
-		w.runSched(workers, func(p *proc) {
-			started.Add(1)
+		w.runSched(workers, func(p *proc) bool {
+			if p.pc == 0 {
+				p.pc = 1
+				started.Add(1)
+			}
 			if p.rank == 3 {
 				panic("boom")
 			}
-			p.nextData(0) // parks until the abort unwinds it
+			_, ok := p.nextData(0) // parks until the run ends
+			return ok
 		})
 		if w.abortErr == nil || !strings.Contains(w.abortErr.Error(), "boom") {
 			t.Fatalf("workers=%d: abortErr = %v, want processor 3's panic", workers, w.abortErr)
@@ -122,20 +130,25 @@ func TestSchedulerAbortUnwindsParked(t *testing.T) {
 // TestSchedulerPanicAfterWake: a body that parks, is woken and then
 // panics fails the run with its own message, on one worker and on many.
 // Every rank enters a reduction; rank 0 panics once the last arrival's
-// wake-up releases it, the others park on data. The panic surfaces inside
-// a coroutine a worker switched into, so the recover must sit inside the
-// coroutine (iter.Pull would re-raise it in the worker): runSched
-// returning at all shows the worker survived.
+// wake-up releases it, the others park on data. The panic surfaces in a
+// worker running a woken processor, so the worker's recover reports it:
+// runSched returning at all shows the worker survived.
 func TestSchedulerPanicAfterWake(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		w := testWorld(t, 16)
 		base := runtime.NumGoroutine()
-		w.runSched(workers, func(p *proc) {
-			p.rendezvous(0, ir.ReduceSum, 1) // with one worker rank 0 arrives first and parks
-			if p.rank == 0 {
-				panic("late boom")
+		w.runSched(workers, func(p *proc) bool {
+			if p.pc == 0 {
+				if _, ok := p.rendezvous(0, ir.ReduceSum, 1); !ok { // with one worker rank 0 arrives first and parks
+					return false
+				}
+				p.pc = 1
+				if p.rank == 0 {
+					panic("late boom")
+				}
 			}
-			p.nextData(0) // parked when the abort comes
+			_, ok := p.nextData(0) // parked when the abort comes
+			return ok
 		})
 		if w.abortErr == nil || !strings.Contains(w.abortErr.Error(), "rt: processor 0: late boom") {
 			t.Errorf("workers=%d: abortErr = %v, want processor 0's panic", workers, w.abortErr)
@@ -199,13 +212,12 @@ func init() {
 
 // TestSchedulerParkStepHandshake hammers the one window the park protocol
 // has: between a processor's park request (the park word stored with
-// parkRequested, then the switch to its worker) and that worker's commit
+// parkRequested, then the return to its worker) and that worker's commit
 // (the CAS to parkCommitted). A delivery before the commit must avert the
-// park — clear the word, enqueue nothing, the worker steps the processor
+// park — clear the word, enqueue nothing, the worker runs the processor
 // again — and a delivery after it must wake and enqueue exactly once;
-// either way no second worker may ever be inside the processor (iter.Pull
-// panics "next called again before yield", -race reports it), every body
-// completes and live reaches zero. In the data and token rounds even ranks
+// either way no second worker may ever be inside the processor (-race
+// reports it), every processor halts and live reaches zero. In the data and token rounds even ranks
 // park once and finish on wake-up; each odd rank, their east neighbour,
 // watches the park word and delivers the moment the request shows, so
 // deliveries land on both sides of the commit. In the reduction round
@@ -215,7 +227,7 @@ func init() {
 // every rank must leave with the sum. A waker whose target has not asked
 // within the deadline (its worker starved of a step-budget token, say)
 // delivers anyway and the target never parks; the books must balance in
-// that case too: every switch out of a processor is its completion, an
+// that case too: every return from a processor is its completion, an
 // averted park or a committed one.
 func TestSchedulerParkStepHandshake(t *testing.T) {
 	const procs, rounds = 16, 200
@@ -224,7 +236,7 @@ func TestSchedulerParkStepHandshake(t *testing.T) {
 		for round := 0; round < rounds; round++ {
 			w := testWorld(t, procs)
 			var done atomic.Int32
-			w.runSched(8, func(p *proc) {
+			w.runSched(8, func(p *proc) bool {
 				waitFor := func(dst *proc) {
 					for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); runtime.Gosched() {
 						if waitReason(dst.mb.park.Load()>>2&3) == reason {
@@ -234,17 +246,26 @@ func TestSchedulerParkStepHandshake(t *testing.T) {
 				}
 				switch {
 				case reason == waitRed:
-					if p.rank == procs-1 {
+					if p.rank == procs-1 && p.pc == 0 {
+						p.pc = 1 // a wake-up resumes in the rendezvous
 						waitFor(w.procs[p.rank-1])
 					}
-					if got := p.rendezvous(0, ir.ReduceSum, float64(p.rank)).result; got != procs*(procs-1)/2 {
+					b, ok := p.rendezvous(0, ir.ReduceSum, float64(p.rank))
+					if !ok {
+						return false
+					}
+					if got := b.result; got != procs*(procs-1)/2 {
 						t.Errorf("rank %d: reduction result %v", p.rank, got)
 					}
 				case p.rank%2 == 0:
+					ok := false
 					if slot := p.nbr[1][2].slot; reason == waitData {
-						p.nextData(slot)
+						_, ok = p.nextData(slot)
 					} else {
-						p.nextTok(slot)
+						_, ok = p.nextTok(slot)
+					}
+					if !ok {
+						return false
 					}
 				default:
 					dst := w.procs[p.rank-1]
@@ -256,6 +277,7 @@ func TestSchedulerParkStepHandshake(t *testing.T) {
 					}
 				}
 				done.Add(1)
+				return true
 			})
 			if w.abortErr != nil {
 				t.Fatalf("%s round %d: unexpected abort: %v", reason, round, w.abortErr)
@@ -289,12 +311,21 @@ func TestSchedulerMailboxOverflow(t *testing.T) {
 	depth := 8 * PairChanCap(w.plan)
 	slot := w.procs[0].nbr[1][2].slot // rank 0's slot for rank 1, its east neighbour
 	var got []int
-	w.runSched(1, func(p *proc) {
+	w.runSched(1, func(p *proc) bool {
 		switch p.rank {
 		case 0:
-			p.nextTok(slot) // rank 1 has sent everything
-			for range depth {
-				got = append(got, p.nextData(slot).tag)
+			if p.pc == 0 {
+				if _, ok := p.nextTok(slot); !ok { // rank 1 has sent everything
+					return false
+				}
+				p.pc = 1
+			}
+			for len(got) < depth {
+				m, ok := p.nextData(slot)
+				if !ok {
+					return false
+				}
+				got = append(got, m.tag)
 			}
 		case 1:
 			back := p.nbr[1][0].back
@@ -303,6 +334,7 @@ func TestSchedulerMailboxOverflow(t *testing.T) {
 			}
 			p.deliverTok(w.procs[0], back, readyTok{})
 		}
+		return true
 	})
 	if w.abortErr != nil {
 		t.Fatal(w.abortErr)
@@ -337,10 +369,12 @@ func TestSchedulerMailboxOverflow(t *testing.T) {
 func TestSchedulerDeadlockOnReduction(t *testing.T) {
 	w := testWorld(t, 16)
 	base := runtime.NumGoroutine()
-	w.runSched(2, func(p *proc) {
+	w.runSched(2, func(p *proc) bool {
 		if p.rank == 13 {
-			p.rendezvous(2, ir.ReduceSum, 1) // no other rank arrives: parks forever
+			_, ok := p.rendezvous(2, ir.ReduceSum, 1) // no other rank arrives: parks forever
+			return ok
 		}
+		return true
 	})
 	if w.abortErr == nil {
 		t.Fatal("deadlocked run reported no error")
@@ -365,9 +399,9 @@ func TestSchedulerDeadlockAfterSleep(t *testing.T) {
 		w := testWorld(t, 16)
 		base := runtime.NumGoroutine()
 		var othersSlept atomic.Bool
-		w.runSched(workers, func(p *proc) {
+		w.runSched(workers, func(p *proc) bool {
 			if p.rank != 0 {
-				return
+				return true
 			}
 			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
 				if w.sched.idle.Load() == int32(workers-1) {
@@ -375,7 +409,8 @@ func TestSchedulerDeadlockAfterSleep(t *testing.T) {
 					break
 				}
 			}
-			p.nextData(0) // no peer ever sends: parks forever
+			_, ok := p.nextData(0) // no peer ever sends: parks forever
+			return ok
 		})
 		if !othersSlept.Load() {
 			t.Errorf("workers=%d: the other workers never all slept", workers)
@@ -459,7 +494,7 @@ func TestSchedulerStealsFromBusyHome(t *testing.T) {
 	}
 	w := testWorld(t, 4)
 	var ran1, ranInTime atomic.Bool
-	w.runSched(2, func(p *proc) {
+	w.runSched(2, func(p *proc) bool {
 		switch p.rank {
 		case 0:
 			for deadline := time.Now().Add(5 * time.Second); !ran1.Load() && time.Now().Before(deadline); {
@@ -469,6 +504,7 @@ func TestSchedulerStealsFromBusyHome(t *testing.T) {
 		case 1:
 			ran1.Store(true)
 		}
+		return true
 	})
 	if w.abortErr != nil {
 		t.Fatalf("unexpected abort: %v", w.abortErr)

@@ -19,24 +19,7 @@ import (
 // statements on both engines, sends, receives, waits, reductions and their
 // hops, and flows.
 func TestWriteChromeMatchesEncodingJSON(t *testing.T) {
-	b, err := programs.ByName("swm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ast, err := zpl.Parse(b.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := ir.Lower(ast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := trace.NewRecorder()
-	cfg := rt.Config{Machine: machine.T3D(), Library: "shmem", Procs: 64, Trace: rec,
-		ConfigVars: map[string]float64{"n": 128, "iters": 4}}
-	if _, err := rt.Run(prog, comm.BuildPlan(prog, comm.PL()), cfg); err != nil {
-		t.Fatal(err)
-	}
+	rec := swmTrace(t, 64, 128, 4)
 	var got, want bytes.Buffer
 	if err := trace.WriteChrome(&got, rec); err != nil {
 		t.Fatal(err)
@@ -59,4 +42,49 @@ func TestWriteChromeMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("the recorded trace has no %s event", kind)
 		}
 	}
+}
+
+// swmTrace records a run of swm on procs processors under shmem.
+func swmTrace(t testing.TB, procs int, n, iters float64) *trace.Recorder {
+	t.Helper()
+	b, err := programs.ByName("swm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast, err := zpl.Parse(b.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ir.Lower(ast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder()
+	cfg := rt.Config{Machine: machine.T3D(), Library: "shmem", Procs: procs, Trace: rec,
+		ConfigVars: map[string]float64{"n": n, "iters": iters}}
+	if _, err := rt.Run(prog, comm.BuildPlan(prog, comm.PL()), cfg); err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// FuzzValidateChrome holds ValidateChrome to any bytes: it returns an error
+// or nil, and never panics. The seeds are a real trace, of swm on four
+// processors, and truncations of it. go test runs the seeds; go test -fuzz
+// FuzzValidateChrome grows more.
+func FuzzValidateChrome(f *testing.F) {
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, swmTrace(f, 4, 16, 1)); err != nil {
+		f.Fatal(err)
+	}
+	data := buf.Bytes()
+	if err := trace.ValidateChrome(data); err != nil {
+		f.Fatalf("the seed trace does not validate: %v", err)
+	}
+	for _, n := range []int{len(data), len(data) - 1, len(data) * 3 / 4, len(data) / 2, 64, 1, 0} {
+		f.Add(data[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_ = trace.ValidateChrome(data) // an error or nil: a panic fails the target
+	})
 }

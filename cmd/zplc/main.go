@@ -30,6 +30,7 @@ import (
 	"commopt/internal/collective"
 	"commopt/internal/comm"
 	"commopt/internal/cost"
+	"commopt/internal/grid"
 	"commopt/internal/ir"
 	"commopt/internal/programs"
 	"commopt/internal/report"
@@ -107,8 +108,8 @@ func parseArgs(args []string) (*config, error) {
 	if _, err := comm.OptionsByName(cfg.level); err != nil {
 		return nil, err
 	}
-	if cfg.procs < 1 {
-		return nil, fmt.Errorf("-procs %d: need at least one processor", cfg.procs)
+	if _, err := grid.MeshFor(cfg.procs); err != nil {
+		return nil, fmt.Errorf("-procs: %w", err)
 	}
 	switch rest := fs.Args(); {
 	case cfg.bench != "" && len(rest) == 0:

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"commopt/internal/comm"
+	"commopt/internal/grid"
 )
 
 func TestParseArgsValid(t *testing.T) {
@@ -47,7 +48,9 @@ func TestParseArgsErrors(t *testing.T) {
 		{[]string{"-bench", "tomcatv", "extra.zpl"}, "usage"},
 		{[]string{"-wat", "prog.zpl"}, "not defined"},
 		{[]string{"-O", "bogus", "prog.zpl"}, "unknown optimization level"},
-		{[]string{"-predict", "-procs", "0", "prog.zpl"}, "at least one processor"},
+		{[]string{"-predict", "-procs", "0", "prog.zpl"}, "-procs: grid: processor count 0 < 1"},
+		{[]string{"-predict", "-procs", "-3", "prog.zpl"}, "-procs: grid: processor count -3 < 1"},
+		{[]string{"-predict", "-procs", "100000", "prog.zpl"}, "-procs: grid: processor count 100000 exceeds"},
 	}
 	for _, c := range cases {
 		_, err := parseArgs(c.args)
@@ -70,6 +73,7 @@ func TestRunUsageErrorExitCode(t *testing.T) {
 	}{
 		{[]string{"-wat", "x.zpl"}, 2},
 		{[]string{"-O", "bogus", "x.zpl"}, 2},
+		{[]string{"-bench", "simple", "-predict", "-procs", "100000"}, 2},
 		{[]string{}, 2},
 		{[]string{"/nonexistent/file.zpl"}, 1},
 		{[]string{"-bench", "simple", "-predict", "-machine", "vax"}, 1},
@@ -89,7 +93,8 @@ func TestRunUsageErrorExitCode(t *testing.T) {
 // grows more.
 func FuzzParseArgs(f *testing.F) {
 	for _, s := range []string{"", "prog.zpl", "a.zpl b.zpl", "-bench tomcatv extra.zpl", "-wat prog.zpl",
-		"-O bogus prog.zpl", "-predict -procs 0 prog.zpl", "-O rr -counts prog.zpl", "-bench tomcatv -explain",
+		"-O bogus prog.zpl", "-predict -procs 0 prog.zpl", "-predict -procs -3 prog.zpl",
+		"-predict -procs 100000 prog.zpl", "-O rr -counts prog.zpl", "-bench tomcatv -explain",
 		"-bench swm -dump -inline -O pl+hoist", "-bench simple -predict -procs 64 -lib shmem"} {
 		f.Add(s)
 	}
@@ -101,7 +106,7 @@ func FuzzParseArgs(f *testing.F) {
 		if _, err := comm.OptionsByName(cfg.level); err != nil {
 			t.Errorf("%q: accepted -O %q", line, cfg.level)
 		}
-		if cfg.procs < 1 {
+		if _, err := grid.MeshFor(cfg.procs); err != nil {
 			t.Errorf("%q: accepted -procs %d", line, cfg.procs)
 		}
 		if (cfg.bench == "") == (cfg.file == "") {

@@ -95,9 +95,10 @@ func main() {
 }
 
 // parseArgs parses the command line, returning an error (never exiting)
-// for unknown flags, malformed values and a negative worker count; run
-// checks the rest before it prints anything. It returns flag.ErrHelp when
-// usage was requested; main exits 2 on any error here, 1 on one from run.
+// for unknown flags, malformed values, a processor count no mesh has and a
+// negative worker count; run checks the rest before it prints anything. It
+// returns flag.ErrHelp when usage was requested; main exits 2 on any error
+// here, 1 on one from run.
 func parseArgs(args []string) (options, error) {
 	o := options{cfg: configFlags{}}
 	fs := flag.NewFlagSet("zplrun", flag.ContinueOnError)
@@ -125,6 +126,9 @@ func parseArgs(args []string) (options, error) {
 	fs.Var(o.cfg, "set", "override a config variable, e.g. -set n=64 (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
+	}
+	if _, err := grid.MeshFor(o.procs); err != nil {
+		return options{}, fmt.Errorf("-procs: %w", err)
 	}
 	if o.schedWork < 0 {
 		return options{}, fmt.Errorf("-sched-workers: %d < 0", o.schedWork)

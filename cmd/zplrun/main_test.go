@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"commopt/internal/grid"
 	"commopt/internal/trace"
 )
 
@@ -505,7 +506,8 @@ func TestParseArgs(t *testing.T) {
 		len(o.args) != 1 || o.args[0] != "prog.zpl" {
 		t.Errorf("parseArgs = %+v", o)
 	}
-	for _, args := range [][]string{{"-wat"}, {"-procs", "many"}, {"-set", "n"}, {"-sched-workers", "-3"}} {
+	for _, args := range [][]string{{"-wat"}, {"-procs", "many"}, {"-set", "n"}, {"-sched-workers", "-3"},
+		{"-procs", "0"}, {"-procs", "-3"}, {"-procs", "100000"}} {
 		if _, err := parseArgs(args); err == nil {
 			t.Errorf("parseArgs(%v) accepted bad flags", args)
 		}
@@ -513,18 +515,25 @@ func TestParseArgs(t *testing.T) {
 }
 
 // FuzzParseArgs holds parseArgs to any command line: it returns an error,
-// or options with a worker count the scheduler takes. go test runs the
-// seeds; go test -fuzz FuzzParseArgs grows more.
+// or options with a processor count a mesh has and a worker count the
+// scheduler takes. go test runs the seeds; go test -fuzz FuzzParseArgs
+// grows more.
 func FuzzParseArgs(f *testing.F) {
 	for _, s := range []string{"", "prog.zpl", "-wat", "-procs many", "-set n", "-set n=24 -set iters=2",
-		"-sched-workers -3", "-sched-workers 8 -procs 64 -bench swm",
+		"-sched-workers -3", "-sched-workers 8 -procs 64 -bench swm", "-procs 0", "-procs -3", "-procs 100000",
 		"-machine rdma -lib verbs -procs 16 -O cc -collective tree -profile -critpath -metrics prog.zpl"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
 		o, err := parseArgs(strings.Fields(line))
-		if err == nil && o.schedWork < 0 {
+		if err != nil {
+			return
+		}
+		if o.schedWork < 0 {
 			t.Errorf("%q: accepted -sched-workers %d", line, o.schedWork)
+		}
+		if _, err := grid.MeshFor(o.procs); err != nil {
+			t.Errorf("%q: accepted -procs %d", line, o.procs)
 		}
 	})
 }

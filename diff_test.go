@@ -180,11 +180,10 @@ func sameResult(t *testing.T, got, want *rt.Result) {
 // messages: laplace at n=2048 on 4 processors exchanges block edges of 1,023
 // doubles, where the corpus's blocks are at most 15 elements wide. Its arrays
 // are held to the 1-processor run's — the ground truth TestCommMatchesLegacy
-// uses — and everything else simulated to the one-worker run. (Until PR 19
-// large sends were packed and delivered beside the sender's coroutine and the
-// reference was the synchronous send the name recalls; the test IDs outlive
-// it. It stands before the corpus suites so that its 2048² arrays are garbage
-// by the time their default runs accumulate.)
+// uses — and everything else simulated to the one-worker run. (The name
+// recalls the earlier reference, a synchronous send. The test stands before
+// the corpus suites so that its 2048² arrays are garbage by the time their
+// default runs accumulate.)
 func TestOverlapMatchesSynchronous(t *testing.T) {
 	lap := pick(t, "laplace")
 	cfg := map[string]float64{"n": 2048, "iters": 3}
@@ -265,8 +264,10 @@ func (c *cell) run(t *testing.T) *rt.Result {
 }
 
 // eachCell runs check on every cell, as the subtest name names. Each suite
-// below is one check over the corpus, under the subtest names it has always
-// had.
+// below is one check over the corpus, under the test and subtest names it
+// has always had, kept as diffLevels' are so test histories stay
+// comparable: where a name recalls a reference the suite no longer uses,
+// its comment says which.
 func eachCell(t *testing.T, name func(*cell) string, check func(*testing.T, *cell)) {
 	for _, c := range cells(t) {
 		t.Run(name(c), func(t *testing.T) { check(t, c) })
@@ -292,8 +293,7 @@ func variant(set func(*RunOptions)) func(*testing.T, *cell) {
 // program run with no communication at all: every array of every cell is
 // bit-identical to the 1-processor run's, which shares none of that code with
 // what it checks. TestSerialReferenceBites shows this reference can fail.
-// (Until PR 17 the reference was the per-rectangle message path the name
-// recalls; the test IDs outlive it.)
+// (The name recalls the earlier reference, the per-rectangle message path.)
 func TestCommMatchesLegacy(t *testing.T) {
 	eachCell(t, libFirst, func(t *testing.T, c *cell) {
 		for _, d := range arrayDiffs(c.run(t), c.serial.run(t)) {
@@ -305,8 +305,7 @@ func TestCommMatchesLegacy(t *testing.T) {
 // TestSchedMatchesGoroutineOracle: virtual times travel in the messages, so
 // the order in which host workers step the processors must never reach the
 // simulation. The reference is the one-worker run, which steps them one at a
-// time. (Until PR 17 it was a goroutine per processor; the test IDs outlive
-// it.)
+// time. (The name recalls the earlier reference, a goroutine per processor.)
 func TestSchedMatchesGoroutineOracle(t *testing.T) {
 	eachCell(t, libFirst, variant(func(o *RunOptions) { o.SchedWorkers = 1 }))
 }
@@ -316,10 +315,10 @@ func TestSchedMatchesGoroutineOracle(t *testing.T) {
 // shares no code with the runtime, run once per target. Every cell's arrays
 // must be its target's, and a one-processor cell's output too. The
 // one-processor cells are the check; the others reach the same reference
-// through TestCommMatchesLegacy and cost an array comparison here. (Until
-// PR 25 the reference was the runtime's closure interpreter, as the name
-// recalls; the test IDs outlive it, and so do the names without a library
-// of the cells the suite once ran on pvm alone.)
+// through TestCommMatchesLegacy and cost an array comparison here. (The
+// name recalls the earlier reference, the runtime's closure interpreter; a
+// subtest name without a library is a cell the suite once ran on pvm
+// alone.)
 func TestKernelsMatchInterpreter(t *testing.T) {
 	refs := map[string]*ref.Result{}
 	eachCell(t, func(c *cell) string {
@@ -354,9 +353,9 @@ func TestKernelsMatchInterpreter(t *testing.T) {
 // and the recorded path sums to the run's execution time. Observing moves
 // statements, IRONMAN calls and waits onto the paths that record them into
 // the processor's event log (proc.stmt, execCall, waitFor), which no other
-// corpus suite runs. (Until PR 19 adjacent statements could run as one fused sweep and
-// the reference was every statement on its own, as the name recalls; the
-// test IDs outlive it.)
+// corpus suite runs. (The name recalls the earlier reference: adjacent
+// statements could run as one fused sweep, held to each statement on its
+// own.)
 func TestFusionMatchesUnfused(t *testing.T) {
 	eachCell(t, func(c *cell) string {
 		return fmt.Sprintf("%s/%s/%s/p%d", c.tgt.name, c.level, c.lib, c.procs)

@@ -18,8 +18,9 @@ import (
 // Every (grid, procs, level) cell runs on the Runner's worker pool and
 // merges positionally; the rendered table is byte-identical at any worker
 // count. Inside each run the M:N scheduler keeps thousands of virtual
-// processors on a fixed worker pool, and the process-wide step budget
-// keeps the sweep itself from oversubscribing the host.
+// processors on a fixed worker pool, and the Runner gives each cell one
+// scheduler worker when it runs cells concurrently, so the sweep itself
+// does not oversubscribe the host.
 func ScalingLaw(r *Runner, benchName string, procCounts []int) (*report.Table, error) {
 	if len(procCounts) == 0 {
 		return nil, fmt.Errorf("experiments: scaling law needs at least one proc count")

@@ -6,7 +6,7 @@ package rt
 // across every statement execution, so steady-state execution allocates
 // nothing per statement. Allocation is stack-like: callers record a mark,
 // allocate, and release back to the mark when the statement completes.
-// Each proc runs on a single goroutine, so no locking is needed.
+// One worker steps a processor at a time, so no locking is needed.
 type arena struct {
 	buf  []float64
 	used int

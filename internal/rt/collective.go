@@ -58,8 +58,8 @@ func (w *world) openBoards() {
 // rendezvous enters reduction seq with the processor's contribution and
 // clock, once, and returns the board once seq's result and hop arrivals are
 // on it. The last rank to arrive computes them; every other rank reports
-// false with a park request published, and looks again when woken, its
-// arrival kept in the cursor.
+// false with its wait in p.wait, and looks again when woken, its arrival
+// kept in the cursor.
 func (p *proc) rendezvous(seq int, op ir.ReduceOp, val float64) (*board, bool) {
 	w := p.w
 	b := &w.boards[seq&1]
@@ -73,12 +73,8 @@ func (p *proc) rendezvous(seq int, op ir.ReduceOp, val float64) (*board, bool) {
 		p.cur.arrived = true
 	}
 	if b.done.Load() != want {
-		p.request(waitRed, uint64(seq))
-		if b.done.Load() != want {
-			p.parks[waitRed]++
-			return nil, false
-		}
-		p.mb.park.Store(0)
+		p.wait = parkWord(waitRed, uint64(seq))
+		return nil, false
 	}
 	p.cur.arrived = false
 	return b, true

@@ -47,9 +47,11 @@ type proc struct {
 	cur   cursor
 
 	// Scheduler plumbing (sched.go): mb is the mailbox peers deliver events
-	// into; home is the worker whose run queue it joins when woken.
+	// into; home is the worker whose run queue it joins when woken; wait is
+	// the park word an op that parked leaves for its worker to store.
 	mb   mbox
 	home int
+	wait uint64
 
 	// Communication engine (commpack.go, bufpool.go): every transfer's
 	// dispatch state by Transfer.Slot, the number of open DR..SV sequences
@@ -94,11 +96,11 @@ type proc struct {
 	obs    *obsLog // nil unless the run observes (observe.go)
 	engine uint8   // engine of the statement executing: engineScalar or engineKernel
 
-	// Scheduler observability (folded by runSched; parks and mbHi are
-	// written only while this processor runs, parksAverted by the worker
+	// Scheduler observability (folded by runSched; mbHi is written only
+	// while this processor runs, parks and parksAverted by the worker
 	// stepping it).
-	parks        [4]int64 // park requests by waitReason
-	parksAverted int64    // requests whose event arrived before the commit
+	parks        [4]int64 // parks by waitReason
+	parksAverted int64    // parks whose event the worker found on its check
 	mbHi         int      // deepest queue this processor's deliveries left a peer's mailbox at
 }
 
@@ -479,8 +481,8 @@ func (b *binder) block(bp *comm.BlockPlan) {
 const loopOverhead = 200 * vtime.Nanosecond
 
 // exec interprets the world's program from the processor's pc until it
-// halts, reporting true, or until an op parks, reporting false with a park
-// request published: the op stays at pc, and resumes from the cursor when
+// halts, reporting true, or until an op parks, reporting false with its
+// wait in p.wait: the op stays at pc, and resumes from the cursor when
 // a worker runs the processor again. Where none of a block's regions
 // reaches the processor, a block with an idle effect is that effect, unless
 // an observer records the walk.

@@ -39,18 +39,6 @@ import "math"
 // moves the rest back. The wide loops are aligned by the assembler and do
 // not care.
 
-// sqrtRow is dst = √xs.
-func sqrtRow(dst, xs []float64) {
-	covers(dst, xs)
-	if wide(len(dst)) {
-		wideRow(wideSqrt, &dst[0], &xs[0], nil, len(dst), 0)
-		return
-	}
-	for n := range dst {
-		dst[n] = math.Sqrt(xs[n])
-	}
-}
-
 // covers panics unless row xs is at least as long as dst. Only a bug in the
 // kernel compiler can make it fire: every row of a kernel run has the run's L.
 func covers(dst, xs []float64) {
@@ -249,5 +237,17 @@ func absRow(dst, xs []float64) {
 func fillRow(dst []float64, v float64) {
 	for n := range dst {
 		dst[n] = v
+	}
+}
+
+// sqrtRow is dst = √xs.
+func sqrtRow(dst, xs []float64) {
+	covers(dst, xs)
+	if wide(len(dst)) {
+		wideRow(wideSqrt, &dst[0], &xs[0], nil, len(dst), 0)
+		return
+	}
+	for n := range dst {
+		dst[n] = math.Sqrt(xs[n])
 	}
 }

@@ -51,13 +51,11 @@ type Config struct {
 	Collective collective.Alg
 
 	// SchedWorkers bounds the M:N scheduler's worker pool for this run
-	// (0 = GOMAXPROCS; negative is an error). Independent of the pool size, every worker step
-	// also passes through a process-wide admission budget of GOMAXPROCS
-	// tokens shared by all concurrent runs, so harness parallelism can
-	// never oversubscribe the host. With one worker the processors are
-	// stepped one at a time with no host concurrency among them; simulated
-	// results must be identical at any pool size, which makes the
-	// one-worker run the scheduler's differential-testing reference.
+	// (0 = GOMAXPROCS; negative is an error). With one worker the
+	// processors are stepped one at a time with no host concurrency among
+	// them; simulated results must be identical at any pool size, which
+	// makes the one-worker run the scheduler's differential-testing
+	// reference.
 	SchedWorkers int
 
 	// The four observers select the reports one event log per processor

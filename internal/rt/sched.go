@@ -15,14 +15,11 @@ import (
 // world's op array and a cursor (proc.go), and a worker steps it by calling
 // proc.run, which interprets ops until the processor blocks on a
 // virtual-time event (a message receive, a rendezvous ready token, a
-// reduction), where it records what it waits for and returns. The worker,
-// not the processor, then makes the park visible: if the event arrived in
-// the meantime it runs the same processor again, otherwise it commits the
-// park and pops the next runnable processor. Peers deliver events into
-// per-processor mailboxes and re-queue a parked processor, so a blocked
-// receive costs a return, a later call and a queue append instead of a
-// blocked OS thread. With one worker (Config.SchedWorkers) processors run
-// strictly one at a time.
+// reduction), where it records what it waits for in p.wait and returns. The
+// worker parks it (scheduler.step) and pops the next runnable processor;
+// peers deliver events into per-processor mailboxes and re-queue a parked
+// processor. With one worker (Config.SchedWorkers) processors run strictly
+// one at a time.
 //
 // Nothing on that path takes a lock all workers share. A processor's wait
 // is one atomic word (the park word below); every mailbox queue has one
@@ -43,26 +40,17 @@ import (
 // event that no running processor can ever deliver — an immediate error
 // naming each waiter, not a hang. The last worker to register idle checks.
 
-// The park word (mbox.park) spells the park protocol in one atomic word:
-// bits 0-1 the phase, bits 2-3 the waitReason, the rest what the processor
-// waits on — a neighbour slot, or a reduction's sequence. Zero means no
-// wait. The owner requests a park by storing the word with parkRequested,
-// re-checks its queue (or, in a reduction, the board) once, withdrawing the
-// request if the event is there, and returns to its worker; the worker
-// commits the park with one CAS, requested → parkCommitted. A deliverer
-// (in a reduction, the last rank to arrive) publishes its event first,
-// then loads the word: if it waits on exactly this event, a CAS clears it,
-// and the deliverer enqueues the owner only when the park it cleared was
-// committed — before that the worker still holds the processor and, its
-// CAS failing, simply runs it again. The owner's store-then-recheck and
-// the deliverer's publish-then-load cannot both miss each other.
-const (
-	parkRequested = 1
-	parkCommitted = 2
-	parkPhase     = 3
-)
-
-func parkWord(reason waitReason, on uint64) uint64 { return on<<4 | uint64(reason)<<2 }
+// The park word (mbox.park) is a processor's wait in one atomic word: bits
+// 0-1 the waitReason, the rest what it waits on — a neighbour slot, or a
+// reduction's sequence. Zero means not parked. Only a worker stores it,
+// after the processor has returned: it stores the word, checks the event
+// once and, if it is there, takes the word back with a CAS (an averted
+// park). A deliverer (in a reduction, the last rank to arrive) publishes
+// its event, then loads the word: if it waits on exactly this event, a CAS
+// clears it and the deliverer enqueues the processor. Store-then-check and
+// publish-then-load cannot both miss each other, and whichever CAS clears
+// the word owns the processor.
+func parkWord(reason waitReason, on uint64) uint64 { return on<<2 | uint64(reason) }
 
 // mbox is a processor's mailbox: the events peers deliver while it is
 // parked or running elsewhere, and the park word those deliveries inspect
@@ -88,7 +76,6 @@ type scheduler struct {
 	queues []runq             // queues[wi]: worker wi's home queue
 	live   atomic.Int64       // processors whose program has not halted
 	idle   atomic.Int32       // workers registered as sleepers
-	budget chan struct{}      // budgetTokens(); a sleeping worker returns its token
 
 	// stop ends the run (completion, abort or deadlock). A sleeper
 	// registers before it loads stop, and the stopper stores stop before
@@ -115,11 +102,11 @@ type runq struct {
 type SchedStats struct {
 	Workers int      // worker pool size the run actually used
 	Steps   []int64  // processor steps executed by each worker
-	Parks   [4]int64 // park requests indexed by waitReason (0 unused)
-	// ParksAverted counts the park requests whose event arrived before
-	// the worker committed them: the processor was stepped again at once,
-	// with no run-queue transit. Like Steps it depends on host
-	// interleaving, not on the simulated program alone.
+	Parks   [4]int64 // parks indexed by waitReason (0 unused)
+	// ParksAverted counts the parks whose event the worker found on its
+	// check: the processor was stepped again at once, with no run-queue
+	// transit. Like Steps it depends on host interleaving, not on the
+	// simulated program alone.
 	ParksAverted int64
 	Steals       int64 // pops from another worker's queue, its own empty
 	// RunqHiWater is the most processors ever runnable at once, over all
@@ -146,7 +133,7 @@ func (s *SchedStats) TotalSteps() int64 {
 // "reduction"); index 0 is the unused "nothing" slot.
 func (s *SchedStats) ParkReason(i int) string { return waitReason(i).String() }
 
-// TotalParks sums the park requests across wait reasons.
+// TotalParks sums the parks across wait reasons.
 func (s *SchedStats) TotalParks() int64 {
 	var n int64
 	for _, v := range s.Parks {
@@ -155,46 +142,13 @@ func (s *SchedStats) TotalParks() int64 {
 	return n
 }
 
-// stepBudget is the process-wide admission controller: a worker holds one
-// token, across all concurrent Runs, while it steps processors. The
-// experiment harness can therefore run cells with any nominal parallelism
-// — total proc-steps in flight never exceed the host's parallelism, which
-// is what the PR 5 oversubscription regression was missing (cells each
-// spawning full goroutine worlds multiplied instead of sharing the
-// budget).
-//
-// Tokens are held across consecutive steps, not re-acquired per step: a
-// worker keeps its token while any queue has work and gives it back only
-// while it sleeps (every queue empty) or on exit. Per-step acquire would
-// round-robin the host across every concurrent world at step granularity
-// — two extra channel handoffs and a world switch per step — which on a
-// single-CPU host made a nominally parallel harness measurably slower
-// than the serial one. Holding is starvation-bounded: a holder releases
-// no later than its world's completion, because drained queues or the
-// stop flag forces it through the release path.
-var (
-	stepBudgetOnce sync.Once
-	stepBudget     chan struct{}
-)
-
-func budgetTokens() chan struct{} {
-	stepBudgetOnce.Do(func() {
-		n := runtime.GOMAXPROCS(0)
-		stepBudget = make(chan struct{}, n)
-		for i := 0; i < n; i++ {
-			stepBudget <- struct{}{}
-		}
-	})
-	return stepBudget
-}
-
 // runSched runs every processor under the worker pool and returns when all
 // have halted or the world aborted. run steps one processor until it parks,
-// reporting false with a park request published, or halts, reporting true
+// reporting false with its wait in p.wait, or halts, reporting true
 // (normally proc.run; tests substitute step functions that park forever to
 // exercise deadlock detection).
 func (w *world) runSched(workers int, run func(p *proc) bool) {
-	s := &scheduler{w: w, run: run, budget: budgetTokens()}
+	s := &scheduler{w: w, run: run}
 	w.sched = s
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -223,9 +177,6 @@ func (w *world) runSched(workers int, run func(p *proc) bool) {
 		go func(wi int) {
 			defer wg.Done()
 			var n, stole int64 // steps[wi], steals[wi], kept off the lines the other workers write
-			// The token is held across steps and given back while the
-			// worker sleeps: only a token holder claims a processor.
-			<-s.budget
 			for !s.stop.Load() {
 				p, stolen := s.pop(wi)
 				if p == nil {
@@ -239,7 +190,6 @@ func (w *world) runSched(workers int, run func(p *proc) bool) {
 					s.halt() // every body is done
 				}
 			}
-			s.budget <- struct{}{}
 			steps[wi], steals[wi] = n, stole
 		}(i)
 	}
@@ -319,9 +269,7 @@ func (s *scheduler) sleep(wi int) {
 		}
 		return
 	}
-	s.budget <- struct{}{} // never blocks: this worker holds a token
 	<-q.wake
-	<-s.budget
 }
 
 // wakeOne wakes the first sleeping worker from `from` on, reporting
@@ -337,14 +285,13 @@ func (s *scheduler) wakeOne(from int) bool {
 	return false
 }
 
-// step runs one processor until it parks for good or halts, counting each
-// run in *steps, and reports whether it halted. A processor that returns
-// with a park request still belongs to this worker — nobody else can run
-// it, and deliveries do not enqueue it — until the CAS here commits the
-// park: if the awaited event arrived first (wake cleared the request), the
-// CAS fails, the park is averted and the processor runs on. A processor's
-// panic fails the run with its message: a replicated program error names
-// no processor, any other names this one.
+// step runs one processor until it parks or halts, counting each run in
+// *steps, and reports whether it halted. A processor that returns parked
+// belongs to this worker until the store here publishes its wait; if the
+// event is already there and the CAS takes the word back before a
+// deliverer's does, the park is averted and the processor runs on. A
+// processor's panic fails the run with its message: a replicated program
+// error names no processor, any other names this one.
 func (s *scheduler) step(p *proc, steps *int64) (done bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -365,16 +312,32 @@ func (s *scheduler) step(p *proc, steps *int64) (done bool) {
 		if s.run(p) {
 			return true
 		}
-		if w := p.mb.park.Load(); w != 0 && p.mb.park.CompareAndSwap(w, w&^parkPhase|parkCommitted) {
+		w := p.wait
+		p.parks[w&3]++
+		p.mb.park.Store(w)
+		if !s.arrived(p, w) || !p.mb.park.CompareAndSwap(w, 0) {
 			return false
 		}
 		p.parksAverted++
 	}
 }
 
+// arrived reports whether the event park word w waits on is there: an
+// entry in the slot's data or back queue, or the reduction's result.
+func (s *scheduler) arrived(p *proc, w uint64) bool {
+	on := w >> 2
+	switch waitReason(w & 3) {
+	case waitData:
+		return p.mb.slots[on].data.len() > 0
+	case waitReady:
+		return p.mb.slots[on].back.len() > 0
+	}
+	return s.w.boards[on&1].done.Load() == uint32(on)+1
+}
+
 // enqueue re-queues a processor whose awaited event arrived, on its home
 // queue, and wakes a sleeper only when one is registered. Called by the
-// deliverer after wake cleared its committed park.
+// deliverer after wake cleared its park.
 func (s *scheduler) enqueue(p *proc) {
 	q := &s.queues[p.home]
 	q.mu.Lock()
@@ -404,10 +367,10 @@ func (s *scheduler) parkedSummary() string {
 	var parts []string
 	for _, p := range s.w.procs {
 		w := p.mb.park.Load()
-		if w&parkPhase != parkCommitted {
+		if w == 0 {
 			continue
 		}
-		wait, on := waitReason(w>>2&3), w>>4
+		wait, on := waitReason(w&3), w>>2
 		switch wait {
 		case waitData, waitReady:
 			parts = append(parts, fmt.Sprintf("proc %d waits for %s from proc %d", p.rank, wait, p.neighbors[on]))
@@ -423,30 +386,12 @@ func (s *scheduler) parkedSummary() string {
 	return strings.Join(parts, "; ")
 }
 
-// request publishes a park request for (reason, on); the caller re-checks
-// its queue once, then withdraws the request or returns to its worker
-// (scheduler.step), which commits it.
-func (p *proc) request(reason waitReason, on uint64) {
-	p.mb.park.Store(parkWord(reason, on) | parkRequested)
-}
-
-// wake ends dst's wait if it is for exactly this event, which the caller
-// has already published, and enqueues dst if its park was committed. A
-// failed CAS means the word moved under us — the worker committed the
-// request, or the owner withdrew it — so look again.
+// wake ends dst's park if it waits on exactly this event, which the caller
+// has already published, and enqueues dst. A failed CAS means another
+// deliverer, or the worker that stored the word, took it first.
 func (p *proc) wake(dst *proc, reason waitReason, on uint64) {
-	want := parkWord(reason, on)
-	for {
-		w := dst.mb.park.Load()
-		if w&^parkPhase != want {
-			return
-		}
-		if dst.mb.park.CompareAndSwap(w, 0) {
-			if w&parkPhase == parkCommitted {
-				p.w.sched.enqueue(dst)
-			}
-			return
-		}
+	if w := parkWord(reason, on); dst.mb.park.Load() == w && dst.mb.park.CompareAndSwap(w, 0) {
+		p.w.sched.enqueue(dst)
 	}
 }
 
@@ -477,18 +422,12 @@ func (p *proc) deliverRet(dst *proc, slot int, m *dataMsg) {
 }
 
 // next pops the next entry of one of the processor's FIFOs or, the FIFO
-// empty, reports false with a park request published: the caller returns
-// to its worker and calls again when woken.
+// empty, reports false with its wait in p.wait: the caller returns to its
+// worker and calls again when woken.
 func next[T any](p *proc, f *fifo[T], reason waitReason, slot int) (T, bool) {
-	if v, ok := f.pop(); ok {
-		return v, true
-	}
-	p.request(reason, uint64(slot))
 	v, ok := f.pop()
-	if ok {
-		p.mb.park.Store(0)
-	} else {
-		p.parks[reason]++
+	if !ok {
+		p.wait = parkWord(reason, uint64(slot))
 	}
 	return v, ok
 }

@@ -196,50 +196,34 @@ func TestGatherMergesByRank(t *testing.T) {
 	}
 }
 
-// TestSchedulerParkStepHandshake needs at least two workers stepping
-// concurrently, but the process-wide step budget (budgetTokens) is sized
-// from GOMAXPROCS at first use — on a single-CPU CI host one token
-// serializes every step and a delivery can never meet a park in flight.
-// Raise GOMAXPROCS before any test runs so the budget admits real worker
-// concurrency; virtual-time results are independent of host parallelism
-// (TestSchedulerWorkerCountsAgree), so this only adds scheduling chaos,
-// which is what race regression tests want.
-func init() {
-	if runtime.GOMAXPROCS(0) < 4 {
-		runtime.GOMAXPROCS(4)
-	}
-}
-
 // TestSchedulerParkStepHandshake hammers the one window the park protocol
-// has: between a processor's park request (the park word stored with
-// parkRequested, then the return to its worker) and that worker's commit
-// (the CAS to parkCommitted). A delivery before the commit must avert the
-// park — clear the word, enqueue nothing, the worker runs the processor
-// again — and a delivery after it must wake and enqueue exactly once;
-// either way no second worker may ever be inside the processor (-race
-// reports it), every processor halts and live reaches zero. In the data and token rounds even ranks
-// park once and finish on wake-up; each odd rank, their east neighbour,
-// watches the park word and delivers the moment the request shows, so
-// deliveries land on both sides of the commit. In the reduction round
-// every rank enters one reduction, and the last rank watches the one
-// before it and arrives the moment its request shows, so the last
-// arrival's wake-up races that park (and any other still uncommitted);
-// every rank must leave with the sum. A waker whose target has not asked
-// within the deadline (its worker starved of a step-budget token, say)
-// delivers anyway and the target never parks; the books must balance in
-// that case too: every return from a processor is its completion, an
-// averted park or a committed one.
+// has: between a worker's store of a processor's park word and its check of
+// the event. A delivery in that window is either found by the check — the
+// worker takes the word back with a CAS and runs the processor again, an
+// averted park — or clears the word with its own CAS and enqueues the
+// processor; either way no second worker may ever be inside the processor
+// (-race reports it), every processor halts and live reaches zero. In the
+// data and token rounds even ranks park once and finish on wake-up; each
+// odd rank, their east neighbour, watches the park word and delivers the
+// moment it shows. In the reduction round every rank enters one reduction,
+// and the last rank watches the one before it and arrives the moment its
+// word shows, so the last arrival's wake-up races that worker's check; every
+// rank must leave with the sum. A waker whose target has not parked within
+// the deadline delivers anyway and the target never parks; the books must
+// balance in that case too: every return from a processor is its
+// completion, an averted park or a committed one. TestSchedulerAvertedPark
+// lands an event in the window deterministically.
 func TestSchedulerParkStepHandshake(t *testing.T) {
 	const procs, rounds = 16, 200
 	for _, reason := range []waitReason{waitData, waitReady, waitRed} {
-		var averted, requested int64
+		var averted, parks int64
 		for round := 0; round < rounds; round++ {
 			w := testWorld(t, procs)
 			var done atomic.Int32
 			w.runSched(8, func(p *proc) bool {
 				waitFor := func(dst *proc) {
 					for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); runtime.Gosched() {
-						if waitReason(dst.mb.park.Load()>>2&3) == reason {
+						if waitReason(dst.mb.park.Load()&3) == reason {
 							return
 						}
 					}
@@ -291,13 +275,69 @@ func TestSchedulerParkStepHandshake(t *testing.T) {
 			st := w.schedStats
 			committed := st.TotalSteps() - procs - st.ParksAverted // steps that ended in neither completion nor an averted park
 			if committed < 0 || st.ParksAverted+committed != st.TotalParks() || st.TotalParks() != st.Parks[reason] {
-				t.Fatalf("%s round %d: %d parks averted + %d committed, %d requested (%d steps, by reason %v)",
+				t.Fatalf("%s round %d: %d parks averted + %d committed, %d parks (%d steps, by reason %v)",
 					reason, round, st.ParksAverted, committed, st.TotalParks(), st.TotalSteps(), st.Parks)
 			}
 			averted += st.ParksAverted
-			requested += st.TotalParks()
+			parks += st.TotalParks()
 		}
-		t.Logf("%s: %d rounds: %d parks requested, %d averted by a delivery before the commit", reason, rounds, requested, averted)
+		t.Logf("%s: %d rounds: %d parks, %d averted by the worker's check", reason, rounds, parks, averted)
+	}
+}
+
+// TestSchedulerAvertedPark: an event that lands after an op parks but
+// before its worker stores the park word — from a deliverer that loaded no
+// word, so woke nobody — is found by the worker's one check, which takes the
+// park back. With one worker nothing else could ever run the processor
+// again. On data, rank 0 parks on an empty slot, then pushes a message into
+// it as such a delivery does: a push with no wake. In a reduction, rank 0
+// parks in the rendezvous, then arrives for rank 1, the last rank, which
+// publishes done while rank 0's word is still unstored.
+func TestSchedulerAvertedPark(t *testing.T) {
+	for _, reason := range []waitReason{waitData, waitRed} {
+		w := testWorld(t, 2)
+		sent, got, sum := &dataMsg{tag: 7}, (*dataMsg)(nil), 0.0
+		w.runSched(1, func(p *proc) bool {
+			switch {
+			case p.rank == 1: // in a reduction, rank 0 arrives for it
+			case reason == waitData:
+				m, ok := p.nextData(0)
+				if !ok && p.pc == 0 {
+					p.pc = 1
+					p.mb.slots[0].data.push(sent)
+				}
+				if !ok {
+					return false
+				}
+				got = m
+			default:
+				b, ok := p.rendezvous(0, ir.ReduceSum, 2)
+				if !ok && p.pc == 0 {
+					p.pc = 1
+					if _, last := w.procs[1].rendezvous(0, ir.ReduceSum, 3); !last {
+						t.Error("rank 1 did not complete the reduction")
+					}
+				}
+				if !ok {
+					return false
+				}
+				sum = b.result
+			}
+			return true
+		})
+		if w.abortErr != nil {
+			t.Errorf("%s: %v", reason, w.abortErr)
+			continue
+		}
+		if st := w.schedStats; st.ParksAverted != 1 || st.Parks[reason] != 1 || st.TotalSteps() != 3 {
+			t.Errorf("%s: %d parks averted, %d parks, %d steps; want 1, 1, 3", reason, st.ParksAverted, st.Parks[reason], st.TotalSteps())
+		}
+		if reason == waitData && got != sent {
+			t.Errorf("data: rank 0 consumed %v, want the message pushed while it parked", got)
+		}
+		if reason == waitRed && sum != 5 {
+			t.Errorf("reduction: result %v, want 5", sum)
+		}
 	}
 }
 
@@ -392,9 +432,6 @@ func TestSchedulerDeadlockOnReduction(t *testing.T) {
 // holds out until the other workers are asleep, then parks on data nobody
 // sends.
 func TestSchedulerDeadlockAfterSleep(t *testing.T) {
-	if cap(budgetTokens()) < 2 {
-		t.Skip("the step budget admits one worker at a time: the others cannot fall asleep while rank 0 holds out")
-	}
 	for _, workers := range []int{2, 8} {
 		w := testWorld(t, 16)
 		base := runtime.NumGoroutine()
@@ -489,9 +526,6 @@ func TestSchedulerWorkerCountsAgree(t *testing.T) {
 // queue is drained. Without the steal, rank 1 waits out the spin's
 // deadline.
 func TestSchedulerStealsFromBusyHome(t *testing.T) {
-	if cap(budgetTokens()) < 2 {
-		t.Skip("the step budget admits one worker at a time: a spinning processor starves the other")
-	}
 	w := testWorld(t, 4)
 	var ran1, ranInTime atomic.Bool
 	w.runSched(2, func(p *proc) bool {

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -100,6 +101,8 @@ func parseArgs(args []string) (options, error) {
 	return o, nil
 }
 
+// run renders o.exp to w through a buffer whose first failed write sticks:
+// a full disk fails the run instead of truncating its output.
 func run(w io.Writer, o options) error {
 	stopProfiles, err := hostprof.Start(o.cpuprofile, o.memprofile)
 	if err != nil {
@@ -112,7 +115,11 @@ func run(w io.Writer, o options) error {
 		r.TraceDir = o.traceDir
 	}
 	if err == nil {
-		err = experiments.Render(w, r, o.exp)
+		out := bufio.NewWriter(w)
+		err = experiments.Render(out, r, o.exp)
+		if ferr := out.Flush(); err == nil {
+			err = ferr
+		}
 	}
 	if perr := stopProfiles(); err == nil {
 		err = perr

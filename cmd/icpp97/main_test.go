@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -81,6 +82,21 @@ func TestResultsFiles(t *testing.T) {
 		if !bytes.Equal(out.Bytes(), want) {
 			t.Errorf("-exp %s differs from %s:\n%s", c.exp, c.file, out.String())
 		}
+	}
+}
+
+// fullDisk is stdout on a full disk: every write fails.
+type fullDisk struct{}
+
+var errFull = errors.New("no space left on device")
+
+func (fullDisk) Write([]byte) (int, error) { return 0, errFull }
+
+// An experiment whose output could not be written fails the run, so main
+// exits 1 instead of leaving a truncated results file behind a success.
+func TestRunReportsFailedWrite(t *testing.T) {
+	if err := run(fullDisk{}, options{exp: "table1", procs: 4, quick: true}); !errors.Is(err, errFull) {
+		t.Errorf("run to a full disk: err %v, want %v", err, errFull)
 	}
 }
 

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -137,7 +138,15 @@ func parseArgs(args []string) (options, error) {
 	return o, nil
 }
 
-func run(w io.Writer, o options) error {
+// run executes the program and writes its report to stdout through a buffer
+// whose first failed write sticks, so a lost report fails the run.
+func run(stdout io.Writer, o options) (err error) {
+	w := bufio.NewWriter(stdout)
+	defer func() {
+		if ferr := w.Flush(); err == nil {
+			err = ferr
+		}
+	}()
 	bind, err := cost.Bind(o.mach, o.lib, o.procs, o.coll)
 	if err != nil {
 		return err

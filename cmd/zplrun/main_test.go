@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -355,10 +356,9 @@ func TestRunMetricsFlags(t *testing.T) {
 	if len(parsed.Counters) == 0 {
 		t.Error("metrics JSON has no counters")
 	}
-	// Which row loops the kernels ran in: laplace's 4-double rows are all
-	// under the wide loops' minimum.
-	if !strings.Contains(out, "counter  kernel_elems_scalar") || !strings.Contains(out, "counter  kernel_elems_wide") {
-		t.Errorf("output missing the kernel_elems counters:\n%s", out)
+	// Every element the kernels computed, whichever row loops ran them.
+	if !strings.Contains(out, "counter  kernel_elems ") {
+		t.Errorf("output missing the kernel_elems counter:\n%s", out)
 	}
 }
 
@@ -491,6 +491,21 @@ func TestRunBadInput(t *testing.T) {
 				t.Errorf("error\n%v\nwant\n%s", err, c.want)
 			}
 		})
+	}
+}
+
+// fullDisk is stdout on a full disk: every write fails.
+type fullDisk struct{}
+
+var errFull = errors.New("no space left on device")
+
+func (fullDisk) Write([]byte) (int, error) { return 0, errFull }
+
+// A report that could not be written fails the run, so main exits 1.
+func TestRunReportsFailedWrite(t *testing.T) {
+	o := options{mach: "t3d", lib: "pvm", procs: 4, level: "pl", metrics: true, args: []string{writeTemp(t, laplaceSrc)}}
+	if err := run(fullDisk{}, o); !errors.Is(err, errFull) {
+		t.Errorf("run to a full disk: err %v, want %v", err, errFull)
 	}
 }
 

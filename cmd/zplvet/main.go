@@ -24,6 +24,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -86,7 +87,15 @@ func parseArgs(args []string) (*config, error) {
 	return cfg, nil
 }
 
-func run(w io.Writer, args []string) (int, error) {
+// run vets args and writes the findings to stdout through a buffer whose
+// first failed write sticks: output that was lost is an I/O error, exit 2.
+func run(stdout io.Writer, args []string) (code int, err error) {
+	w := bufio.NewWriter(stdout)
+	defer func() {
+		if ferr := w.Flush(); ferr != nil && err == nil {
+			code, err = 2, ferr
+		}
+	}()
 	cfg, err := parseArgs(args)
 	if err == flag.ErrHelp {
 		return 0, nil

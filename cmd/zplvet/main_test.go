@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"commopt/internal/grid"
 )
 
 func TestParseArgs(t *testing.T) {
@@ -36,6 +39,30 @@ func TestParseArgs(t *testing.T) {
 			t.Errorf("parseArgs(%v) error = %v, want error %v", c.args, err, c.wantErr)
 		}
 	}
+}
+
+// FuzzParseArgs holds parseArgs to any command line: it returns an error,
+// or a configuration with a processor count a mesh has and something to
+// do: the rule list, a benchmark or files. go test runs the seeds; go test
+// -fuzz FuzzParseArgs grows more.
+func FuzzParseArgs(f *testing.F) {
+	for _, s := range []string{"", "file.zpl", "-json a.zpl b.zpl", "-bench all", "-rules", "-nonsense",
+		"-protocol file.zpl", "-protocol -procs 0 a.zpl", "-protocol -procs 65537 a.zpl", "-procs -3 -rules",
+		"-cost -bench simple", "-protocol -procs 16 -json -bench tomcatv"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		cfg, err := parseArgs(strings.Fields(line))
+		if err != nil {
+			return
+		}
+		if _, err := grid.MeshFor(cfg.procs); err != nil {
+			t.Errorf("%q: accepted -procs %d", line, cfg.procs)
+		}
+		if !cfg.rules && cfg.bench == "" && len(cfg.files) == 0 {
+			t.Errorf("%q: accepted a command line with nothing to vet", line)
+		}
+	})
 }
 
 func writeTemp(t *testing.T, src string) string {
@@ -143,6 +170,24 @@ func TestRunUsageErrorExitCode(t *testing.T) {
 		code, err := run(&buf, args)
 		if code != 2 || err == nil {
 			t.Errorf("run(%v) = code %d, err %v; want code 2 and an error", args, code, err)
+		}
+	}
+}
+
+// fullDisk is stdout on a full disk: every write fails.
+type fullDisk struct{}
+
+var errFull = errors.New("no space left on device")
+
+func (fullDisk) Write([]byte) (int, error) { return 0, errFull }
+
+// Output that could not be written is an I/O error, exit 2, whether it was
+// the rule list, findings as text or findings as JSON.
+func TestRunReportsFailedWrite(t *testing.T) {
+	dirty := writeTemp(t, dirtySrc)
+	for _, args := range [][]string{{"-rules"}, {dirty}, {"-json", dirty}} {
+		if code, err := run(fullDisk{}, args); code != 2 || !errors.Is(err, errFull) {
+			t.Errorf("run(%v) to a full disk = code %d, err %v; want code 2 and %v", args, code, err, errFull)
 		}
 	}
 }

@@ -217,11 +217,7 @@ func (t *tree) begin(p *proc, local grid.Region) int {
 	}
 	c := &p.kctx
 	c.L = local.Spans[t.inner].Len()
-	if n := int64(local.Size()); wide(c.L) {
-		p.elems[1] += n
-	} else {
-		p.elems[0] += n
-	}
+	p.elems += int64(local.Size())
 	m := p.arena.mark()
 	n := t.slots * c.L
 	buf := p.arena.alloc(n + t.vals)

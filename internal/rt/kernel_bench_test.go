@@ -48,9 +48,10 @@ end;
 `
 
 // kernelRowLens is BenchmarkKernels' row-length axis: the grid is n x n on
-// one processor, so rows are n doubles (n-2 over Int). The lengths sit on
-// both sides of wideMin; the table they make is the measurement behind it.
-var kernelRowLens = []int{8, 16, 32, 96, 512}
+// one processor, so rows are n doubles (n-2 over Int). At n = 4 every row
+// is shorter than the wide loops' eight-wide step (2 over Int), so the
+// assembly runs only its tails; the longer rows run its eight-wide loop.
+var kernelRowLens = []int{4, 8, 16, 32, 96, 512}
 
 func benchShape(b *testing.B, stmt string, n int) {
 	b.Helper()

@@ -430,8 +430,7 @@ func (w *world) metrics() *metrics.Registry {
 		reg.Counter("messages").Add(int64(p.messages))
 		reg.Counter("bytes_sent").Add(p.bytesSent)
 		reg.Counter("reductions").Add(int64(p.reductions))
-		reg.Counter("kernel_elems_scalar").Add(p.elems[0])
-		reg.Counter("kernel_elems_wide").Add(p.elems[1])
+		reg.Counter("kernel_elems").Add(p.elems)
 		for outcome, what := range cacheOutcomes {
 			reg.Counter("sched_cache_" + what).Add(p.caches[outcome])
 		}

@@ -86,11 +86,11 @@ type proc struct {
 	rng uint64 // deterministic per-processor jitter stream
 
 	// Counters the metrics report folds in: schedule lookups and literal
-	// regions entered by outcome (site.go), kernel elements in Go and in wide
-	// row loops, and the arena's size when the body finished.
+	// regions entered by outcome (site.go), kernel elements and the arena's
+	// size when the body finished.
 	caches       [len(cacheOutcomes)]int64
 	regionCounts [len(slotOutcomes)]int64
-	elems        [2]int64
+	elems        int64
 	arenaHi      int
 
 	obs    *obsLog // nil unless the run observes (observe.go)

@@ -12,11 +12,11 @@ import "math"
 //
 // must print nothing.
 //
-// The arithmetic primitives hand a row that wide accepts — long enough, on
-// a CPU with AVX2 — to wideRow (rowops_amd64.go), which runs the same
-// operations four to an instruction. The Go loops here are the short-row
-// path, the only path on every other GOARCH, and the reference the wide
-// loops are tested against bit for bit.
+// On a CPU with AVX2 the arithmetic primitives hand every non-empty row to
+// wideRow (rowops_amd64.go), which runs the same operations four to an
+// instruction. The Go loops here are the path on every other GOARCH and on
+// CPUs without AVX2, and the reference the wide loops are tested against
+// bit for bit.
 //
 // Aliasing: dst may be one of the operand rows exactly — each element is
 // read before it is written, in the Go loops and within every vector of the
@@ -25,19 +25,6 @@ import "math"
 // are those or views of fields; the one dst that lies in a field, the
 // statement's LHS row, is written in place only when the RHS reads nothing
 // of that array (storeDirect) and is staged otherwise (storeRow, storeFull).
-//
-// Order: the functions below are not in the order one would read them in.
-// A Go loop here is about 24 bytes, one that straddles a 64-byte line of
-// code runs ~60 % slower on 16-double rows, and functions start on 32-byte
-// boundaries, so each one's size decides which half of a line the next
-// starts in. With fillRow and negRow where they are, every + and * loop and
-// a·x + y sit inside a line in the bench binary; CI prints where binRow,
-// rowScalar and scalarRow landed (EXPERIMENTS.md, "Wide rows", has the
-// table). sqrtRow, 224 bytes, is the lever: when code laid out before this
-// file grows or shrinks by an odd number of 32-byte units, everything here
-// moves by 32 bytes, and moving sqrtRow between first and last in the file
-// moves the rest back. The wide loops are aligned by the assembler and do
-// not care.
 
 // covers panics unless row xs is at least as long as dst. Only a bug in the
 // kernel compiler can make it fire: every row of a kernel run has the run's L.

@@ -8,17 +8,11 @@ package rt
 // to run the Go loops on a machine that would not.
 var wideRows = hasAVX2()
 
-// wideMin is the shortest row the wide loops take. Measured (EXPERIMENTS.md,
-// "Wide rows"; BenchmarkKernels' row-length axis is the committed table): at
-// the primitive the two paths cost the same at 8 doubles and the wide one is
-// 1.4x faster from 12, 2.5x from 32; through a whole kernel that is nothing
-// at 8-12, 6-10 % at 16 and 20 % at 32. Under 32 no bench workload spends
-// enough of its time in rows to show the difference, so those rows stay on
-// the loops they have always run in.
-const wideMin = 32
-
-// wide reports whether a row of n elements runs in the wide loops.
-func wide(n int) bool { return wideRows && n >= wideMin }
+// wide reports whether a row of n elements runs in the wide loops: every
+// non-empty row on a CPU with AVX2. A row of fewer than eight elements runs
+// only the loops' tails. There is no length threshold: every loop that runs
+// a row starts a 64-byte line wherever the linker puts the code around it.
+func wide(n int) bool { return wideRows && n > 0 }
 
 // wideRow runs loop code over rows of n elements, n no more than the caller
 // has checked each row holds; opFn has no loop and is the caller's to keep

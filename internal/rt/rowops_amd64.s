@@ -30,13 +30,18 @@
 // ROW is the body of every primitive: eight elements per iteration in two
 // vectors, then at most one vector of four, then at most three single
 // elements. Each element is loaded once and stored once, in index order
-// within a vector's reach, so dst may be either source row.
+// within a vector's reach, so dst may be either source row. Both loops start
+// a 64-byte line, which aligns the function to 64 bytes too, so no byte of a
+// primitive moves within its line when the linker moves the function: the
+// eight-wide loop is longer than 32 bytes, and at 16 doubles a primitive
+// whose loop straddled a line cost up to 20 % more a row (EXPERIMENTS.md,
+// "Short rows in the wide loops").
 #define ROW(F4, F1, PD, SD) \
 	XORL AX, AX; \
 	MOVQ CX, BX; \
 	ANDQ $-8, BX; \
 	JEQ  four; \
-	PCALIGN $32; \
+	PCALIGN $64; \
 eight: \
 	F4(PD, 0, Y0); \
 	F4(PD, 32, Y1); \
@@ -56,7 +61,7 @@ four: \
 ones: \
 	CMPQ AX, CX; \
 	JGE  done; \
-	PCALIGN $16; \
+	PCALIGN $64; \
 one: \
 	F1(SD); \
 	VMOVSD X0, (DI)(AX*8); \

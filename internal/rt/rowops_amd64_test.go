@@ -161,9 +161,9 @@ func sameBits(a, b []float64) (int, bool) {
 }
 
 // TestWideRowsMatchGo holds every wide loop to the Go loop it stands in for,
-// bit for bit: every tail residue on both sides of wideMin, every row
-// misalignment, dst distinct from or identical to a source, and operands
-// whose results differ if an instruction's sources are swapped (x - y, x / y,
+// bit for bit: every tail residue, from rows the single-element loop serves
+// alone to several eight-wide iterations, every row misalignment, dst
+// distinct from or identical to a source, and operands whose results differ if an instruction's sources are swapped (x - y, x / y,
 // and any NaN∘NaN pair, which returns its first source's payload). A failure
 // on NaN pairs alone, with everything else passing, means the Go compiler
 // orders a commutative operation's sources differently from the build the
@@ -218,10 +218,11 @@ func TestWideRowsMatchGo(t *testing.T) {
 
 // TestGoLoopsMatchWideRuns keeps the portable path — all there is on other
 // architectures and on amd64 without AVX2 — tested where CI runs: the
-// kernel shapes and the four suite programs, on 4 processors at sizes whose
-// rows fall on both sides of wideMin, with the wide loops and without.
-// Arrays must match bit for bit and every processor's times exactly; the
-// element counters say which loops each run was in.
+// kernel shapes and the four suite programs, on 4 processors, with the wide
+// loops and without. The kernel shapes run rows of 2-3 doubles, which only
+// the assembly's single-element tail serves, of 10 and of 48. Arrays must
+// match bit for bit and every processor's times exactly, and both runs must
+// count the same kernel elements.
 func TestGoLoopsMatchWideRuns(t *testing.T) {
 	if !wideRows {
 		t.Skip("the CPU or the OS lacks AVX2: every run here is a Go-loop run")
@@ -232,7 +233,7 @@ func TestGoLoopsMatchWideRuns(t *testing.T) {
 	}
 	var cells []cell
 	for _, sh := range kernelShapes {
-		for _, n := range []float64{20, 96} { // rows of 10 and 48 on a 2x2 mesh
+		for _, n := range []float64{6, 20, 96} { // rows of 3, 10 and 48 on a 2x2 mesh (2 over Int)
 			cells = append(cells, cell{fmt.Sprintf("%s/n=%v", sh.name, n), fmt.Sprintf(kernelBenchSrc, sh.stmt), map[string]float64{"n": n, "iters": 2}})
 		}
 	}
@@ -252,7 +253,6 @@ func TestGoLoopsMatchWideRuns(t *testing.T) {
 		}
 		cells = append(cells, cell{name + "/short", b.Source, b.TestConfig}, cell{name + "/long", b.Source, long})
 	}
-	var wideSeen, scalarSeen bool
 	for _, c := range cells {
 		cfg := Config{Machine: machine.T3D(), Library: "pvm", Procs: 4, ConfigVars: c.vars, Metrics: true}
 		withWide := runSrc(t, c.src, comm.PL(), cfg)
@@ -265,14 +265,9 @@ func TestGoLoopsMatchWideRuns(t *testing.T) {
 		if withWide.ExecTime != goOnly.ExecTime || !reflect.DeepEqual(withWide.PerProc, goOnly.PerProc) {
 			t.Errorf("%s: times differ: %v with the wide loops, %v without", c.name, withWide.ExecTime, goOnly.ExecTime)
 		}
-		ww, ws := withWide.Metrics.Counter("kernel_elems_wide").N, withWide.Metrics.Counter("kernel_elems_scalar").N
-		gw, gs := goOnly.Metrics.Counter("kernel_elems_wide").N, goOnly.Metrics.Counter("kernel_elems_scalar").N
-		if gw != 0 || gs != ww+ws || gs == 0 {
-			t.Errorf("%s: Go-loop run counts %d wide + %d scalar elements, the wide run %d + %d; want none wide and the same total", c.name, gw, gs, ww, ws)
+		w, g := withWide.Metrics.Counter("kernel_elems").N, goOnly.Metrics.Counter("kernel_elems").N
+		if w != g || w == 0 {
+			t.Errorf("%s: the wide run counts %d kernel elements, the Go-loop run %d; want the same, and some", c.name, w, g)
 		}
-		wideSeen, scalarSeen = wideSeen || ww > 0, scalarSeen || ws > 0
-	}
-	if !wideSeen || !scalarSeen {
-		t.Errorf("rows on one side of wideMin only (wide %v, scalar %v): the comparison covers one path", wideSeen, scalarSeen)
 	}
 }
